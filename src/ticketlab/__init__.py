@@ -15,9 +15,9 @@ from .harness import (EvalRow, EvaluationReport, ExperimentPlan,
                       retrain_ticket, run_point, select_best_performing,
                       select_sparsest_matching, sweep)
 from .masking import (GATE_HARD, GATE_NONE, GATE_SOFT, GATE_STOCHASTIC,
-                      MaskedParameterGroup, TemperatureSchedule, beta_at,
-                      gate_penalty, hard_mask, remaining_fraction, reset_mask,
-                      soft_gate, sparsity_report, stochastic_gate)
+                      MaskedParameterGroup, TemperatureSchedule, gate_penalty,
+                      hard_mask, remaining_fraction, reset_mask, soft_gate,
+                      sparsity_report, stochastic_gate)
 from .models import Model, ModelConfig, build_mlp, build_small_conv
 from .optim import SGD, Adam, CompositeOptimizer, OptimizerConfig
 from .persist import (RunRecord, load_checkpoint, load_mask_artifact,

@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import EvalConfig, RunConfig, SweepConfig
+from .config import RunConfig, SweepConfig
 from .harness import (EvalRow, ExperimentPlan, cost_accounting,
                       dense_baseline, run_point, select_best_performing,
-                      select_sparsest_matching, sparsity_rank_correlation)
+                      select_sparsest_matching, sweep)
 from .optim import OptimizerConfig
 from .persist import (read_records, save_checkpoint, save_mask_artifact,
                       write_records)
@@ -235,73 +234,38 @@ def _cmd_run(algorithm: str, args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """Run the library sweep over the configured grid, persisting every
+    dense baseline and run into ``runs/<run_id>`` as it finishes, then
+    write ``report.json`` and print a summary. Exits 1 when any run
+    failed."""
     cfg = _load_config(args.algorithm, args)
     if not cfg.sweep.grid:
         raise ValueError("sweep requires a non-empty grid "
                          "(--grid name=lo:hi:count)")
-    set_default_dtype(cfg.precision)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(out / "config.json")
-    plan = _plan(cfg)
-    plan.validate()
-    train_data, test_data = cfg.dataset.build()
-
-    from .harness import _apply_point, _expand_grid
-    points = _expand_grid(plan.grid)
     runs_dir = out / "runs"
     runs_dir.mkdir(exist_ok=True)
 
-    dense_by_seed = {}
-    if plan.evaluate != "none":
-        for seed in plan.seeds:
-            drecs: list = []
-            budget = plan.eval_budget or cfg.round.iters_per_round
-            dense_by_seed[seed] = dense_baseline(
-                cfg.model, train_data, test_data, cfg.round, budget, seed,
-                recorder=drecs.append)
-            ddir = runs_dir / f"dense-seed{seed}"
-            dcfg = replace(cfg, algorithm="dense", seed=seed, seeds=None,
-                           sweep=SweepConfig(), out_dir=str(ddir))
-            _persist_run(ddir, dcfg, [], drecs)
+    def persist(run_id, point, seed, tickets, records):
+        rdir = runs_dir / run_id
+        rcfg = replace(cfg, seed=seed, seeds=None, sweep=SweepConfig(),
+                       out_dir=str(rdir))
+        if point is None:
+            rcfg.algorithm = "dense"
+        else:  # the round config with the grid point applied
+            rcfg.round = tickets[-1].config
+        _persist_run(rdir, rcfg, tickets, records)
 
-    jobs = [(point, seed) for point in points for seed in plan.seeds]
-    failures = []
-
-    def job(ps):
-        point, seed = ps
-        try:
-            tickets, rows, recs = run_point(plan, point, seed, train_data,
-                                            test_data)
-            run_id = rows[0].run_id
-            rdir = runs_dir / run_id
-            rcfg = replace(cfg, seed=seed, seeds=None, sweep=SweepConfig(),
-                           round=_apply_point(cfg.round, point),
-                           out_dir=str(rdir))
-            _persist_run(rdir, rcfg, tickets, recs)
-            return rows
-        except Exception as exc:
-            failures.append(str(exc))
-            return [EvalRow(f"{plan.algorithm}-error-seed{seed}",
-                            plan.algorithm, seed, 0, None, None, 0, 0.0,
-                            grid=dict(point), error=str(exc))]
-
-    if plan.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=plan.max_workers) as pool:
-            results = list(pool.map(job, jobs))
-    else:
-        results = [job(j) for j in jobs]
-    rows = [r for rs in results for r in rs]
-
-    from .harness import attach_relative_columns
-    attach_relative_columns(rows, plan.grid)
-    spearman = sparsity_rank_correlation(rows, plan.grid,
-                                         plan.round_cfg.rounds)
-    report = _report_dict(rows, dense_by_seed, spearman)
+    result = sweep(_plan(cfg), on_run=persist)
+    rows = result.rows
+    report = _report_dict(rows, result.dense_by_seed, result.spearman_s0)
     with open(out / "report.json", "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)
-    print(f"sweep: {len(jobs)} runs ({len(failures)} failed), "
-          f"report at {out / 'report.json'}")
+    failed = {r.run_id for r in rows if r.error is not None}
+    print(f"sweep: {len({r.run_id for r in rows})} runs ({len(failed)} "
+          f"failed), report at {out / 'report.json'}")
     if report.get("sparsest_matching"):
         sm = report["sparsest_matching"]
         print(f"  sparsest matching: {sm['run_id']} round {sm['round']} "
@@ -312,12 +276,13 @@ def _cmd_sweep(args) -> int:
         print(f"  best performing:   {bp['run_id']} round {bp['round']} "
               f"remaining {100 * bp['remaining_frac']:.1f}% "
               f"accuracy {bp['accuracy']:.4f}")
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 def recompute_report(directory) -> dict:
     """Rebuild selection and cost totals from the CSVs stored under
-    ``directory`` without re-training anything."""
+    ``directory`` without re-training anything. Every ``records.csv`` needs
+    its run's ``config.json`` beside it."""
     root = Path(directory)
     csvs = sorted(root.rglob("records.csv"))
     if not csvs:
@@ -328,14 +293,17 @@ def recompute_report(directory) -> dict:
 
     for path in csvs:
         recs = read_records(path)
-        ipe = None
         cfg_path = path.parent / "config.json"
-        if cfg_path.exists():
-            with open(cfg_path, "r", encoding="utf-8") as f:
-                c = json.load(f)
-            bs = c.get("round", {}).get("batch_size", 32)
-            n = c.get("dataset", {}).get("n_train", 256)
-            ipe = -(-n // bs)
+        if not cfg_path.exists():
+            raise ValueError(f"{path} has no config.json beside it; report "
+                             "needs each run's config")
+        with open(cfg_path, "r", encoding="utf-8") as f:
+            c = json.load(f)
+        try:
+            ipe = -(-c["dataset"]["n_train"] // c["round"]["batch_size"])
+        except (KeyError, TypeError):
+            raise ValueError(f"{cfg_path} lacks round.batch_size or "
+                             "dataset.n_train") from None
         for r in recs:
             if r.algorithm == "dense" and r.split == "final_test":
                 dense_by_seed[r.seed] = r.accuracy
@@ -345,7 +313,7 @@ def recompute_report(directory) -> dict:
                 ticket_iters[r.run_id] = max(ticket_iters.get(r.run_id, 0),
                                              r.iter)
         for rid, it in ticket_iters.items():
-            costs[rid] = (it, it / ipe if ipe else 0.0)
+            costs[rid] = (it, it / ipe)
         evaluated = set()
         for r in recs:
             if r.split in EVAL_SPLITS:

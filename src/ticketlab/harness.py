@@ -18,7 +18,9 @@ import numpy as np
 from scipy import stats
 
 from .data import DataConfig
+from .masking import kept_fraction
 from .models import Model, ModelConfig
+from .optim import CompositeOptimizer
 from .persist import RunRecord
 from .search import (RewindStore, RoundConfig, TicketResult, run_cs, run_imp,
                      run_iss, run_sequential_cs, run_supermask)
@@ -95,30 +97,57 @@ class ExperimentPlan:
                 raise ValueError(f"unknown sweep parameter {k!r}")
 
 
+def _masked_model(model_cfg: ModelConfig, seed: int, masks: dict,
+                  arrays: dict) -> Model:
+    """A freshly built model with fixed binary masks and loaded weights."""
+    model = model_cfg.build(seed)
+    model.apply_hard_masks(masks)
+    model.load_weight_arrays(arrays)
+    return model
+
+
+def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
+                    budget_iters: int, info: RunInfo, recorder=None) -> float:
+    """Train the model's weights with a fresh optimizer on the seed's
+    shuffle stream for ``budget_iters`` iterations, then return its test
+    accuracy. Per-epoch records go to ``recorder`` when one is given."""
+    opt = CompositeOptimizer([cfg.weight_opt.build(
+        [t for t in model.weight_tensors() if t.requires_grad])])
+    cbs = ([lr_milestones_callback(opt, cfg.lr_milestones, cfg.lr_decay)]
+           if cfg.lr_milestones else [])
+    train(model, train_data, opt, budget_iters, batch_size=cfg.batch_size,
+          shuffle_rng=seeded_rng(info.seed, STREAM_SHUFFLE),
+          cursor=TrainCursor(), before_step=cbs, recorder=recorder,
+          run_info=info, test_data=test_data, record_every=cfg.record_every)
+    return evaluate(model, test_data)[1]
+
+
 def dense_baseline(model_cfg: ModelConfig, train_data, test_data,
                    cfg: RoundConfig, budget_iters: int, seed: int,
                    recorder=None, run_id: str | None = None) -> float:
     """Train the dense network for the evaluation budget; returns test
     accuracy. Uses the same seed-keyed streams as ticket re-training so the
     comparison is like-for-like."""
-    model = model_cfg.build(seed)
-    opt = cfg.weight_opt.build([t for t in model.weight_tensors()
-                                if t.requires_grad])
-    from .optim import CompositeOptimizer
-    opt = CompositeOptimizer([opt])
-    run_id = run_id or f"dense-seed{seed}"
+    run_id = run_id or _run_id("dense", {}, seed)
     info = RunInfo(run_id=run_id, algorithm="dense", seed=seed)
-    cbs = ([lr_milestones_callback(opt, cfg.lr_milestones, cfg.lr_decay)]
-           if cfg.lr_milestones else [])
-    train(model, train_data, opt, budget_iters, batch_size=cfg.batch_size,
-          shuffle_rng=seeded_rng(seed, STREAM_SHUFFLE), cursor=TrainCursor(),
-          before_step=cbs, recorder=recorder, run_info=info,
-          test_data=test_data, record_every=cfg.record_every)
-    _, acc = evaluate(model, test_data)
+    acc = _train_and_test(model_cfg.build(seed), train_data, test_data, cfg,
+                          budget_iters, info, recorder=recorder)
     if recorder is not None:
         recorder(RunRecord(run_id, "dense", seed, 1, 0, budget_iters,
                            "final_test", accuracy=acc, remaining_frac=1.0))
     return acc
+
+
+def _eval_row(split: str, masks: dict, acc: float, iters: int,
+              info: RunInfo, recorder) -> EvalRow:
+    """The evaluation row of a masked network, also sent as a record."""
+    remaining = kept_fraction(masks)
+    if recorder is not None:
+        recorder(RunRecord(info.run_id, info.algorithm, info.seed, info.round,
+                           0, iters, split, accuracy=acc,
+                           remaining_frac=remaining))
+    return EvalRow(info.run_id, info.algorithm, info.seed, info.round,
+                   remaining, acc, cost_iters=0, cost_epochs=0.0)
 
 
 def retrain_ticket(model_cfg: ModelConfig, masks: dict, rewind: RewindStore,
@@ -128,28 +157,11 @@ def retrain_ticket(model_cfg: ModelConfig, masks: dict, rewind: RewindStore,
                    recorder=None) -> EvalRow:
     """Re-train the masked subnetwork from the stored iterate k with a fresh
     optimizer and the dense budget; returns its evaluation row."""
-    model = model_cfg.build(seed)
-    model.apply_hard_masks(masks)
-    model.load_weight_arrays(rewind.arrays)
-    opt = cfg.weight_opt.build([t for t in model.weight_tensors()
-                                if t.requires_grad])
-    from .optim import CompositeOptimizer
-    opt = CompositeOptimizer([opt])
     info = RunInfo(run_id=run_id, algorithm=algorithm, seed=seed,
                    round=round_idx)
-    cbs = ([lr_milestones_callback(opt, cfg.lr_milestones, cfg.lr_decay)]
-           if cfg.lr_milestones else [])
-    train(model, train_data, opt, budget_iters, batch_size=cfg.batch_size,
-          shuffle_rng=seeded_rng(seed, STREAM_SHUFFLE), cursor=TrainCursor(),
-          before_step=cbs, recorder=None, run_info=info)
-    _, acc = evaluate(model, test_data)
-    remaining = _masks_remaining(masks)
-    if recorder is not None:
-        recorder(RunRecord(run_id, algorithm, seed, round_idx, 0,
-                           budget_iters, "retrain_test", accuracy=acc,
-                           remaining_frac=remaining))
-    return EvalRow(run_id, algorithm, seed, round_idx, remaining, acc,
-                   cost_iters=0, cost_epochs=0.0)
+    acc = _train_and_test(_masked_model(model_cfg, seed, masks, rewind.arrays),
+                          train_data, test_data, cfg, budget_iters, info)
+    return _eval_row("retrain_test", masks, acc, budget_iters, info, recorder)
 
 
 def finetune_ticket(model_cfg: ModelConfig, ticket: TicketResult,
@@ -157,44 +169,31 @@ def finetune_ticket(model_cfg: ModelConfig, ticket: TicketResult,
                     budget_iters: int, seed: int, *, finetune_lr: float,
                     run_id: str = "ticket", round_idx: int | None = None,
                     recorder=None) -> EvalRow:
-    """Fine-tune from the final trained weights under the frozen mask."""
+    """Fine-tune from the final trained weights under the frozen mask, at
+    ``finetune_lr`` and without learning-rate milestones."""
     if ticket.final_weights is None:
         raise ValueError("ticket carries no final weights to fine-tune from")
-    model = model_cfg.build(seed)
     round_idx = ticket.round if round_idx is None else round_idx
     masks = (ticket.round_masks[round_idx - 1]
              if ticket.round_masks and round_idx <= len(ticket.round_masks)
              else ticket.masks)
-    model.apply_hard_masks(masks)
-    model.load_weight_arrays(ticket.final_weights)
-    tuned = replace(cfg.weight_opt, lr=finetune_lr)
-    opt = tuned.build([t for t in model.weight_tensors() if t.requires_grad])
-    from .optim import CompositeOptimizer
-    opt = CompositeOptimizer([opt])
     info = RunInfo(run_id=run_id, algorithm=ticket.algorithm, seed=seed,
                    round=round_idx)
-    train(model, train_data, opt, budget_iters, batch_size=cfg.batch_size,
-          shuffle_rng=seeded_rng(seed, STREAM_SHUFFLE), cursor=TrainCursor(),
-          recorder=None, run_info=info)
-    _, acc = evaluate(model, test_data)
-    remaining = _masks_remaining(masks)
-    if recorder is not None:
-        recorder(RunRecord(run_id, ticket.algorithm, seed, round_idx, 0,
-                           budget_iters, "finetune_test", accuracy=acc,
-                           remaining_frac=remaining))
-    return EvalRow(run_id, ticket.algorithm, seed, round_idx, remaining, acc,
-                   cost_iters=0, cost_epochs=0.0)
+    tuned = replace(cfg, weight_opt=replace(cfg.weight_opt, lr=finetune_lr),
+                    lr_milestones=())
+    acc = _train_and_test(
+        _masked_model(model_cfg, seed, masks, ticket.final_weights),
+        train_data, test_data, tuned, budget_iters, info)
+    return _eval_row("finetune_test", masks, acc, budget_iters, info,
+                     recorder)
 
 
 def masked_accuracy(model_cfg: ModelConfig, arrays: dict, masks: dict,
                     test_data, seed: int) -> float:
     """Test accuracy of a masked network at fixed weights (no training);
     used to score supermasks and random-mask controls."""
-    model = model_cfg.build(seed)
-    model.apply_hard_masks(masks)
-    model.load_weight_arrays(arrays)
-    _, acc = evaluate(model, test_data)
-    return acc
+    return evaluate(_masked_model(model_cfg, seed, masks, arrays),
+                    test_data)[1]
 
 
 def random_mask_like(masks: dict[str, np.ndarray], rng) -> dict[str, np.ndarray]:
@@ -211,11 +210,6 @@ def random_mask_like(masks: dict[str, np.ndarray], rng) -> dict[str, np.ndarray]
         out[k] = flat[off:off + sizes[k]].reshape(masks[k].shape)
         off += sizes[k]
     return out
-
-
-def _masks_remaining(masks: dict[str, np.ndarray]) -> float:
-    total = sum(m.size for m in masks.values())
-    return float(sum(m.sum() for m in masks.values()) / total)
 
 
 def per_layer_sparsity(masks: dict[str, np.ndarray], model: Model,
@@ -300,6 +294,13 @@ def _apply_point(cfg: RoundConfig, point: dict) -> RoundConfig:
     return replace(cfg, **mapped)
 
 
+def _run_id(algorithm: str, point: dict, seed: int) -> str:
+    """Name of the run at one grid point and seed, e.g. ``imp-tau=0.2-seed1``."""
+    tag = "-".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
+                   for k, v in sorted(point.items()))
+    return f"{algorithm}-{tag}-seed{seed}" if tag else f"{algorithm}-seed{seed}"
+
+
 def run_point(plan: ExperimentPlan, point: dict, seed: int, train_data,
               test_data) -> tuple[list[TicketResult], list[EvalRow],
                                   list[RunRecord]]:
@@ -308,10 +309,7 @@ def run_point(plan: ExperimentPlan, point: dict, seed: int, train_data,
     tickets alongside the evaluation rows and raw records."""
     set_default_dtype(plan.precision)
     cfg = _apply_point(plan.round_cfg, point)
-    tag = "-".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-                   for k, v in sorted(point.items()))
-    run_id = f"{plan.algorithm}-{tag}-seed{seed}" if tag else \
-        f"{plan.algorithm}-seed{seed}"
+    run_id = _run_id(plan.algorithm, point, seed)
     records: list[RunRecord] = []
     rec = records.append
     model = plan.model_cfg.build(seed)
@@ -337,61 +335,59 @@ def run_point(plan: ExperimentPlan, point: dict, seed: int, train_data,
 
     result = tickets[-1]
     budget = plan.eval_budget or cfg.iters_per_round
-    rows: list[EvalRow] = []
+    cost = (result.total_iterations,
+            result.total_iterations / result.iters_per_epoch)
 
     def eval_one(masks, round_idx, ticket):
         if plan.algorithm == "supermask":
             acc = masked_accuracy(plan.model_cfg, ticket.rewind.arrays, masks,
                                   test_data, seed)
-            rec(RunRecord(run_id, ticket.algorithm, seed, round_idx, 0,
-                          ticket.total_iterations, "mask_test", accuracy=acc,
-                          remaining_frac=_masks_remaining(masks)))
-            return EvalRow(run_id, ticket.algorithm, seed, round_idx,
-                           _masks_remaining(masks), acc, 0, 0.0)
-        if plan.eval_mode == "fine-tune":
-            return finetune_ticket(plan.model_cfg, ticket, train_data,
-                                   test_data, cfg, budget, seed,
-                                   finetune_lr=plan.finetune_lr,
-                                   run_id=run_id, round_idx=round_idx,
-                                   recorder=rec)
-        return retrain_ticket(plan.model_cfg, masks, ticket.rewind,
-                              train_data, test_data, cfg, budget, seed,
-                              run_id=run_id, algorithm=ticket.algorithm,
-                              round_idx=round_idx, recorder=rec)
+            row = _eval_row("mask_test", masks, acc, ticket.total_iterations,
+                            RunInfo(run_id, ticket.algorithm, seed, round_idx),
+                            rec)
+        elif plan.eval_mode == "fine-tune":
+            row = finetune_ticket(plan.model_cfg, ticket, train_data,
+                                  test_data, cfg, budget, seed,
+                                  finetune_lr=plan.finetune_lr,
+                                  run_id=run_id, round_idx=round_idx,
+                                  recorder=rec)
+        else:
+            row = retrain_ticket(plan.model_cfg, masks, ticket.rewind,
+                                 train_data, test_data, cfg, budget, seed,
+                                 run_id=run_id, algorithm=ticket.algorithm,
+                                 round_idx=round_idx, recorder=rec)
+        row.grid = dict(point)
+        row.cost_iters, row.cost_epochs = cost
+        return row
 
     if plan.evaluate == "none":
-        rows.append(EvalRow(run_id, result.algorithm, seed, result.round,
-                            result.remaining_fraction, None,
-                            result.total_iterations,
-                            result.total_iterations / result.iters_per_epoch,
-                            grid=dict(point)))
+        rows = [EvalRow(run_id, result.algorithm, seed, result.round,
+                        result.remaining_fraction, None, *cost,
+                        grid=dict(point))]
     elif plan.evaluate == "final":
         row = eval_one(result.masks, result.round, result)
-        row.grid = dict(point)
-        row.cost_iters = result.total_iterations
-        row.cost_epochs = result.total_iterations / result.iters_per_epoch
         row.per_layer = per_layer_sparsity(result.masks, model)
-        rows.append(row)
+        rows = [row]
     else:  # rounds
         if len(tickets) > 1:
             pairs = [(t.masks, t.round, t) for t in tickets]
         else:
             pairs = [(m, i + 1, result) for i, m in
                      enumerate(result.round_masks)]
-        for masks, round_idx, ticket in pairs:
-            row = eval_one(masks, round_idx, ticket)
-            row.grid = dict(point)
-            row.cost_iters = result.total_iterations
-            row.cost_epochs = (result.total_iterations /
-                               result.iters_per_epoch)
-            rows.append(row)
+        rows = [eval_one(*pair) for pair in pairs]
     return tickets, rows, records
 
 
-def sweep(plan: ExperimentPlan) -> EvaluationReport:
+def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
     """Expand grid x seeds into independent runs, execute (optionally with a
     bounded worker pool), evaluate tickets, and aggregate. Child-run
-    failures become error rows; the sweep continues.
+    failures become error rows under the run's own id; the sweep continues.
+
+    ``on_run(run_id, point, seed, tickets, records)``, when given, is called
+    on the thread that did the work: once per dense baseline (``point`` is
+    None and ``tickets`` empty) and once per finished run. A run whose hook
+    raises becomes an error row; a dense baseline whose hook raises ends
+    the sweep, as a failing dense baseline does.
 
     When the mask init is swept, the report includes the Spearman rank
     correlation between its value and the median remaining fraction."""
@@ -405,20 +401,28 @@ def sweep(plan: ExperimentPlan) -> EvaluationReport:
     budget = plan.eval_budget or plan.round_cfg.iters_per_round
     if plan.evaluate != "none":
         for seed in plan.seeds:
+            run_id = _run_id("dense", {}, seed)
+            drecs: list[RunRecord] = []
             dense_by_seed[seed] = dense_baseline(
                 plan.model_cfg, train_data, test_data, plan.round_cfg,
-                budget, seed, recorder=records.append)
+                budget, seed, recorder=drecs.append, run_id=run_id)
+            records.extend(drecs)
+            if on_run is not None:
+                on_run(run_id, None, seed, [], drecs)
 
     jobs = [(point, seed) for point in points for seed in plan.seeds]
     rows: list[EvalRow] = []
 
     def job(args):
         point, seed = args
+        run_id = _run_id(plan.algorithm, point, seed)
         try:
-            _, rws, recs = run_point(plan, point, seed, train_data, test_data)
+            tickets, rws, recs = run_point(plan, point, seed, train_data,
+                                           test_data)
+            if on_run is not None:
+                on_run(run_id, point, seed, tickets, recs)
             return rws, recs
         except Exception as exc:  # recorded per-row; sweep continues
-            run_id = f"{plan.algorithm}-error-seed{seed}"
             return ([EvalRow(run_id, plan.algorithm, seed, 0, None, None, 0,
                              0.0, grid=dict(point), error=str(exc))], [])
 

@@ -75,10 +75,6 @@ class TemperatureSchedule:
         self.current_iter = 0
 
 
-def beta_at(sched: TemperatureSchedule, t: int) -> float:
-    return sched.at(t)
-
-
 @dataclass
 class MaskedParameterGroup:
     """A weight tensor, its optional mask logits, and the gating mode.
@@ -257,6 +253,13 @@ def sparsity_report(values) -> float:
     if d.size == 0:
         raise ValueError("sparsity report of an empty tensor")
     return float((d >= PRUNED_GATE_EPS).mean())
+
+
+def kept_fraction(masks: dict[str, np.ndarray]) -> float:
+    """Fraction of components kept by a dict of binary masks."""
+    total = sum(m.size for m in masks.values())
+    kept = sum(float(m.sum()) for m in masks.values())
+    return kept / total
 
 
 def remaining_fraction(groups, beta: float = 1.0) -> float:

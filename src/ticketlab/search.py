@@ -1,7 +1,9 @@
 """Round-structured subnetwork-search controllers.
 
-Five procedures share one round skeleton (train for T iterations, then
-sparsify, R times), differing in how the mask is represented and updated:
+Five procedures share one round loop (train for T iterations, extract a
+ticket, update the mask between rounds, R times). Each is a small policy
+that fixes the gate mode, the ticket extraction, the between-round update
+and whether weights rewind between rounds:
 
 * ``run_cs``         - deterministic soft gates sigmoid(beta*s) with an
                        exponential temperature ramp per round, an L1 gate
@@ -23,18 +25,23 @@ sparsify, R times), differing in how the mask is represented and updated:
 * ``run_supermask``  - single round that trains only the mask over frozen
                        randomly-initialized weights.
 
-Pruned components always stay in storage with zero gradient (the mask
-multiplies the gradient), which makes rewinding exact.
+The loop derives everything else from the gate mode: soft gates anneal the
+temperature each round, gated modes (soft and stochastic) add the L1 gate
+penalty and stamp lam/s0 on records, and stochastic gates draw from the
+mask stream. Pruned components always stay in storage with zero gradient
+(the mask multiplies the gradient), which makes rewinding exact.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
 from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC,
-                      MaskedParameterGroup, TemperatureSchedule, hard_mask,
+                      MaskedParameterGroup, TemperatureSchedule, kept_fraction,
                       reset_mask)
 from .optim import CompositeOptimizer, OptimizerConfig
 from .persist import RunRecord
@@ -115,19 +122,12 @@ class TicketResult:
         return self.remaining_per_round[-1]
 
 
-def _mask_remaining(masks: dict[str, np.ndarray]) -> float:
-    total = sum(m.size for m in masks.values())
-    kept = sum(float(m.sum()) for m in masks.values())
-    return kept / total
-
-
-def _make_optimizer(model, cfg: RoundConfig, train_weights: bool = True,
+def _make_optimizer(model, cfg: RoundConfig,
                     train_masks: bool = True) -> CompositeOptimizer:
     members = []
-    if train_weights:
-        wparams = [t for t in model.weight_tensors() if t.requires_grad]
-        if wparams:
-            members.append(cfg.weight_opt.build(wparams))
+    wparams = [t for t in model.weight_tensors() if t.requires_grad]
+    if wparams:
+        members.append(cfg.weight_opt.build(wparams))
     if train_masks:
         mparams = [t for t in model.mask_tensors() if t.requires_grad]
         if mparams:
@@ -151,23 +151,6 @@ def _capture_rewind(model, k: int, box: dict):
         if si.iteration == k and "store" not in box:
             box["store"] = RewindStore(k, model.weight_arrays(copy=True))
     return cb
-
-
-def _round_callbacks(model, cfg, box, first_round: bool, optimizer):
-    cbs = []
-    if first_round:
-        cbs.append(_capture_rewind(model, cfg.rewind_iter, box))
-    if cfg.lr_milestones:
-        cbs.append(lr_milestones_callback(optimizer, cfg.lr_milestones,
-                                          cfg.lr_decay))
-    return cbs
-
-
-def _ticket_row(rec, info: RunInfo, r: int, it: int, remaining: float,
-                beta: float | None):
-    rec(RunRecord(info.run_id, info.algorithm, info.seed, r, 0, it, "ticket",
-                  remaining_frac=remaining, beta=beta, lam=info.lam,
-                  s0=info.s0))
 
 
 def _select_lowest(groups: list[MaskedParameterGroup],
@@ -218,6 +201,143 @@ def _select_lowest(groups: list[MaskedParameterGroup],
 
 
 # ---------------------------------------------------------------------------
+# ticket extraction: (groups, cfg, mask_rng) -> (masks, nothing left to prune)
+# ---------------------------------------------------------------------------
+
+def _hard_step(groups, cfg, mask_rng):
+    return {g.name: g.current_hard_mask() for g in groups}, False
+
+
+def _bernoulli(groups, cfg, mask_rng):
+    masks = {}
+    for g in groups:
+        p = expit(g.mask_logits.data)
+        masks[g.name] = (mask_rng.random(p.shape) < p).astype(g.weights.dtype)
+        if g.pruned_forever is not None:
+            masks[g.name][g.pruned_forever] = 0.0
+    return masks, False
+
+
+def _magnitude_cut(groups, cfg, mask_rng, scope):
+    picks = _select_lowest(groups, [np.abs(g.weights.data) for g in groups],
+                           [g.frozen_mask > 0 for g in groups],
+                           cfg.prune_rate, scope)
+    for g, p in zip(groups, picks):
+        g.frozen_mask.reshape(-1)[p] = 0.0
+    return {g.name: g.frozen_mask.copy() for g in groups}, not picks
+
+
+def _lowest_logit_quota(groups, cfg, mask_rng):
+    active = [np.ones(g.weights.shape, dtype=bool)
+              if g.pruned_forever is None else ~g.pruned_forever
+              for g in groups]
+    picks = _select_lowest(groups, [g.mask_logits.data for g in groups],
+                           active, cfg.prune_rate, "global")
+    for g, a, p in zip(groups, active,
+                       picks or [np.empty(0, int)] * len(groups)):
+        a.reshape(-1)[p] = False
+        g.pruned_forever = ~a
+    return ({g.name: (~g.pruned_forever).astype(g.weights.dtype)
+             for g in groups}, not picks)
+
+
+# ---------------------------------------------------------------------------
+# between-round updates: (groups, cfg) -> None
+# ---------------------------------------------------------------------------
+
+def _reset_logits(groups, cfg):
+    for g in groups:
+        reset_mask(g, g.mask_logits.data, cfg.beta_final)
+
+
+def _freeze_dropped(groups, cfg):
+    for g in groups:
+        dropped = g.mask_logits.data < g.mask_init
+        g.pruned_forever = dropped if g.pruned_forever is None \
+            else (g.pruned_forever | dropped)
+
+
+@dataclass(frozen=True)
+class _Policy:
+    """What one controller adds to the shared round loop."""
+
+    mode: str  # gate mode
+    extract: Callable  # ticket extraction after every round
+    update: Callable | None = None  # mask update between rounds
+    rewind: bool = False  # weights return to iterate k after every round
+
+
+def _run_rounds(model, data, cfg: RoundConfig, policy: _Policy, *,
+                algorithm: str, seed: int, run_id: str, test_data,
+                recorder) -> list[TicketResult]:
+    """Train for ``iters_per_round`` iterations, extract the round's ticket,
+    rewind the weights if the policy asks, and update the mask before the
+    next round; ``rounds`` times, or until extraction finds nothing left to
+    prune. Returns one ticket per executed round. The round-1 iterate k is
+    captured for rewinding, learning-rate milestones restart every round,
+    and total optimizer iterations are exactly rounds * iters_per_round
+    unless pruning is exhausted first."""
+    groups = model.maskable_groups()
+    if not groups:
+        raise ValueError(f"{algorithm} search needs >= 1 maskable group")
+    model.set_gate_mode(policy.mode, cfg.mask_init)
+    soft = policy.mode == GATE_SOFT
+    gated = policy.mode in (GATE_SOFT, GATE_STOCHASTIC)
+    shuffle = seeded_rng(seed, STREAM_SHUFFLE)
+    mask_rng = (seeded_rng(seed, STREAM_MASK)
+                if policy.mode == GATE_STOCHASTIC else None)
+    rec = _Recorder(recorder)
+    info = RunInfo(run_id=run_id, algorithm=algorithm, seed=seed,
+                   lam=cfg.lam if gated else None,
+                   s0=cfg.mask_init if gated else None)
+    box: dict = {}
+    total = 0
+    tickets: list[TicketResult] = []
+    remaining_per_round: list[float] = []
+
+    for r in range(1, cfg.rounds + 1):
+        info.round = r
+        opt = _make_optimizer(model, cfg)
+        cbs = [_capture_rewind(model, cfg.rewind_iter, box)] if r == 1 else []
+        if cfg.lr_milestones:
+            cbs.append(lr_milestones_callback(opt, cfg.lr_milestones,
+                                              cfg.lr_decay))
+        sched = (TemperatureSchedule(cfg.beta_final, cfg.iters_per_round)
+                 if soft else None)
+        total += train(model, data, opt, cfg.iters_per_round,
+                       batch_size=cfg.batch_size, shuffle_rng=shuffle,
+                       schedule=sched, lam=cfg.lam if gated else 0.0,
+                       mask_rng=mask_rng, st_variant=cfg.st_variant,
+                       cursor=TrainCursor(), start_iteration=total,
+                       before_step=cbs, recorder=rec, run_info=info,
+                       test_data=test_data, record_every=cfg.record_every)
+        masks, exhausted = policy.extract(groups, cfg, mask_rng)
+        remaining_per_round.append(kept_fraction(masks))
+        rec(RunRecord(run_id, algorithm, seed, r, 0, total, "ticket",
+                      remaining_frac=remaining_per_round[-1],
+                      beta=cfg.beta_final if soft else None, lam=info.lam,
+                      s0=info.s0))
+        final_weights = model.weight_arrays(copy=True)
+        if policy.rewind:
+            model.load_weight_arrays(box["store"].arrays)
+        if policy.update is not None and r < cfg.rounds:
+            policy.update(groups, cfg)
+        tickets.append(TicketResult(
+            algorithm, run_id, seed, cfg, masks, box["store"], rec.rows,
+            list(remaining_per_round), [masks], total,
+            iters_per_epoch=-(-len(data) // cfg.batch_size), round=r,
+            prune_exhausted=exhausted, final_weights=final_weights))
+        if exhausted:
+            break
+    return tickets
+
+
+def _with_round_masks(tickets: list[TicketResult]) -> TicketResult:
+    """The last round's ticket carrying every round's mask."""
+    return replace(tickets[-1], round_masks=[t.masks for t in tickets])
+
+
+# ---------------------------------------------------------------------------
 # controllers
 # ---------------------------------------------------------------------------
 
@@ -227,48 +347,14 @@ def run_cs(model, data, cfg: RoundConfig, *, seed: int = 0, run_id: str = "cs",
     kept logits between rounds, output the exact hard mask of the final
     logits together with the round-1 rewind snapshot. Total optimizer
     iterations are exactly rounds * iters_per_round, whatever the final
-    sparsity."""
+    sparsity. With ``rewind_between_rounds`` weights return to the round-1
+    iterate k after every round."""
     cfg.validate()
-    groups = model.maskable_groups()
-    if not groups:
-        raise ValueError("continuous sparsification needs >= 1 maskable group")
-    model.set_gate_mode(GATE_SOFT, cfg.mask_init)
-    shuffle = seeded_rng(seed, STREAM_SHUFFLE)
-    rec = _Recorder(recorder)
-    info = RunInfo(run_id=run_id, algorithm="cs", seed=seed, lam=cfg.lam,
-                   s0=cfg.mask_init)
-    box: dict = {}
-    total = 0
-    remaining_per_round: list[float] = []
-    round_masks: list[dict[str, np.ndarray]] = []
-
-    for r in range(1, cfg.rounds + 1):
-        info.round = r
-        opt = _make_optimizer(model, cfg)
-        sched = TemperatureSchedule(cfg.beta_final, cfg.iters_per_round)
-        cbs = _round_callbacks(model, cfg, box, r == 1, opt)
-        total += train(model, data, opt, cfg.iters_per_round,
-                       batch_size=cfg.batch_size, shuffle_rng=shuffle,
-                       schedule=sched, lam=cfg.lam, cursor=TrainCursor(),
-                       start_iteration=total, before_step=cbs, recorder=rec,
-                       run_info=info, test_data=test_data,
-                       record_every=cfg.record_every)
-        masks = {g.name: g.current_hard_mask() for g in groups}
-        round_masks.append(masks)
-        remaining_per_round.append(_mask_remaining(masks))
-        _ticket_row(rec, info, r, total, remaining_per_round[-1], cfg.beta_final)
-        if r < cfg.rounds:
-            ends = {g.name: g.mask_logits.data.copy() for g in groups}
-            for g in groups:
-                reset_mask(g, ends[g.name], cfg.beta_final)
-            if cfg.rewind_between_rounds:
-                model.load_weight_arrays(box["store"].arrays)
-
-    return TicketResult("cs", run_id, seed, cfg, round_masks[-1], box["store"],
-                        rec.rows, remaining_per_round, round_masks, total,
-                        iters_per_epoch=-(-len(data) // cfg.batch_size),
-                        round=cfg.rounds,
-                        final_weights=model.weight_arrays(copy=True))
+    policy = _Policy(GATE_SOFT, _hard_step, _reset_logits,
+                     rewind=cfg.rewind_between_rounds)
+    return _with_round_masks(_run_rounds(
+        model, data, cfg, policy, algorithm="cs", seed=seed, run_id=run_id,
+        test_data=test_data, recorder=recorder))
 
 
 def run_imp(model, data, cfg: RoundConfig, scope: str = "global", *,
@@ -276,108 +362,27 @@ def run_imp(model, data, cfg: RoundConfig, scope: str = "global", *,
             recorder=None) -> list[TicketResult]:
     """Iterative magnitude pruning. Emits one ticket per round; masks are
     nested across rounds. With ``rewind_between_rounds`` surviving weights
-    return to the round-1 iterate k before the next round."""
+    return to the round-1 iterate k after every round."""
     cfg.validate(need_rate=True)
-    groups = model.maskable_groups()
-    if not groups:
-        raise ValueError("magnitude pruning needs >= 1 maskable group")
-    model.set_gate_mode(GATE_HARD)
-    shuffle = seeded_rng(seed, STREAM_SHUFFLE)
-    rec = _Recorder(recorder)
-    info = RunInfo(run_id=run_id, algorithm="imp", seed=seed)
-    box: dict = {}
-    total = 0
-    tickets: list[TicketResult] = []
-    remaining_per_round: list[float] = []
-
-    for r in range(1, cfg.rounds + 1):
-        info.round = r
-        opt = _make_optimizer(model, cfg, train_masks=False)
-        cbs = _round_callbacks(model, cfg, box, r == 1, opt)
-        total += train(model, data, opt, cfg.iters_per_round,
-                       batch_size=cfg.batch_size, shuffle_rng=shuffle,
-                       lam=0.0, cursor=TrainCursor(), start_iteration=total,
-                       before_step=cbs, recorder=rec, run_info=info,
-                       test_data=test_data, record_every=cfg.record_every)
-        picks = _select_lowest(groups,
-                               [np.abs(g.weights.data) for g in groups],
-                               [g.frozen_mask > 0 for g in groups],
-                               cfg.prune_rate, scope)
-        exhausted = not picks
-        for g, p in zip(groups, picks or [np.empty(0, int)] * len(groups)):
-            g.frozen_mask.reshape(-1)[p] = 0.0
-        masks = {g.name: g.frozen_mask.copy() for g in groups}
-        remaining_per_round.append(_mask_remaining(masks))
-        _ticket_row(rec, info, r, total, remaining_per_round[-1], None)
-        final_w = model.weight_arrays(copy=True)
-        if cfg.rewind_between_rounds:
-            model.load_weight_arrays(box["store"].arrays)
-        tickets.append(TicketResult(
-            "imp", run_id, seed, cfg, masks, box["store"], rec.rows,
-            list(remaining_per_round), [masks], total,
-            iters_per_epoch=-(-len(data) // cfg.batch_size), round=r,
-            prune_exhausted=exhausted, final_weights=final_w))
-        if exhausted:
-            break
-    return tickets
+    policy = _Policy(GATE_HARD, partial(_magnitude_cut, scope=scope),
+                     rewind=cfg.rewind_between_rounds)
+    return _run_rounds(model, data, cfg, policy, algorithm="imp", seed=seed,
+                       run_id=run_id, test_data=test_data, recorder=recorder)
 
 
 def run_iss(model, data, cfg: RoundConfig, *, seed: int = 0,
             run_id: str = "iss", test_data=None, recorder=None) -> TicketResult:
     """Stochastic mask search with straight-through gradients. Between
     rounds, components whose logits dropped below their init are frozen out
-    permanently and weights rewind to the stored iterate k. The final mask
-    is one Bernoulli sample of the trained gate probabilities."""
+    permanently; weights rewind to the stored iterate k after every round.
+    The final mask is one Bernoulli sample of the trained gate
+    probabilities."""
     cfg.validate()
-    groups = model.maskable_groups()
-    if not groups:
-        raise ValueError("stochastic sparsification needs >= 1 maskable group")
-    model.set_gate_mode(GATE_STOCHASTIC, cfg.mask_init)
-    shuffle = seeded_rng(seed, STREAM_SHUFFLE)
-    mask_rng = seeded_rng(seed, STREAM_MASK)
-    rec = _Recorder(recorder)
-    info = RunInfo(run_id=run_id, algorithm="iss", seed=seed, lam=cfg.lam,
-                   s0=cfg.mask_init)
-    box: dict = {}
-    total = 0
-    remaining_per_round: list[float] = []
-    round_masks: list[dict[str, np.ndarray]] = []
-
-    for r in range(1, cfg.rounds + 1):
-        info.round = r
-        opt = _make_optimizer(model, cfg)
-        cbs = _round_callbacks(model, cfg, box, r == 1, opt)
-        total += train(model, data, opt, cfg.iters_per_round,
-                       batch_size=cfg.batch_size, shuffle_rng=shuffle,
-                       lam=cfg.lam, mask_rng=mask_rng,
-                       st_variant=cfg.st_variant, cursor=TrainCursor(),
-                       start_iteration=total, before_step=cbs, recorder=rec,
-                       run_info=info, test_data=test_data,
-                       record_every=cfg.record_every)
-        masks = {g.name: _bernoulli_mask(g, mask_rng) for g in groups}
-        round_masks.append(masks)
-        remaining_per_round.append(_mask_remaining(masks))
-        _ticket_row(rec, info, r, total, remaining_per_round[-1], None)
-        if r < cfg.rounds:
-            for g in groups:
-                dropped = g.mask_logits.data < g.mask_init
-                g.pruned_forever = dropped if g.pruned_forever is None \
-                    else (g.pruned_forever | dropped)
-            model.load_weight_arrays(box["store"].arrays)
-
-    return TicketResult("iss", run_id, seed, cfg, round_masks[-1], box["store"],
-                        rec.rows, remaining_per_round, round_masks, total,
-                        iters_per_epoch=-(-len(data) // cfg.batch_size),
-                        round=cfg.rounds,
-                        final_weights=model.weight_arrays(copy=True))
-
-
-def _bernoulli_mask(group: MaskedParameterGroup, rng) -> np.ndarray:
-    p = expit(group.mask_logits.data)
-    m = (rng.random(p.shape) < p).astype(group.weights.dtype)
-    if group.pruned_forever is not None:
-        m[group.pruned_forever] = 0.0
-    return m
+    policy = _Policy(GATE_STOCHASTIC, _bernoulli, _freeze_dropped,
+                     rewind=True)
+    return _with_round_masks(_run_rounds(
+        model, data, cfg, policy, algorithm="iss", seed=seed, run_id=run_id,
+        test_data=test_data, recorder=recorder))
 
 
 def run_sequential_cs(model, data, cfg: RoundConfig, *, seed: int = 0,
@@ -389,56 +394,10 @@ def run_sequential_cs(model, data, cfg: RoundConfig, *, seed: int = 0,
     (1 - rate)^r regardless of the logit values. The temperature resets to
     1 each round; logits are not reset."""
     cfg.validate(need_rate=True)
-    groups = model.maskable_groups()
-    if not groups:
-        raise ValueError("sequential sparsification needs >= 1 maskable group")
-    model.set_gate_mode(GATE_SOFT, cfg.mask_init)
-    shuffle = seeded_rng(seed, STREAM_SHUFFLE)
-    rec = _Recorder(recorder)
-    info = RunInfo(run_id=run_id, algorithm="seqcs", seed=seed, lam=cfg.lam,
-                   s0=cfg.mask_init)
-    box: dict = {}
-    total = 0
-    tickets: list[TicketResult] = []
-    remaining_per_round: list[float] = []
-
-    for r in range(1, cfg.rounds + 1):
-        info.round = r
-        opt = _make_optimizer(model, cfg)
-        sched = TemperatureSchedule(cfg.beta_final, cfg.iters_per_round)
-        cbs = _round_callbacks(model, cfg, box, r == 1, opt)
-        total += train(model, data, opt, cfg.iters_per_round,
-                       batch_size=cfg.batch_size, shuffle_rng=shuffle,
-                       schedule=sched, lam=cfg.lam, cursor=TrainCursor(),
-                       start_iteration=total, before_step=cbs, recorder=rec,
-                       run_info=info, test_data=test_data,
-                       record_every=cfg.record_every)
-        active = [np.ones(g.weights.shape, dtype=bool)
-                  if g.pruned_forever is None else ~g.pruned_forever
-                  for g in groups]
-        picks = _select_lowest(groups, [g.mask_logits.data for g in groups],
-                               active, cfg.prune_rate, "global")
-        exhausted = not picks
-        for g, a, p in zip(groups, active,
-                           picks or [np.empty(0, int)] * len(groups)):
-            a.reshape(-1)[p] = False
-            g.pruned_forever = ~a
-        masks = {g.name: (~g.pruned_forever).astype(g.weights.dtype)
-                 for g in groups}
-        remaining_per_round.append(_mask_remaining(masks))
-        _ticket_row(rec, info, r, total, remaining_per_round[-1],
-                    cfg.beta_final)
-        final_w = model.weight_arrays(copy=True)
-        if cfg.rewind_between_rounds:
-            model.load_weight_arrays(box["store"].arrays)
-        tickets.append(TicketResult(
-            "seqcs", run_id, seed, cfg, masks, box["store"], rec.rows,
-            list(remaining_per_round), [masks], total,
-            iters_per_epoch=-(-len(data) // cfg.batch_size), round=r,
-            prune_exhausted=exhausted, final_weights=final_w))
-        if exhausted:
-            break
-    return tickets
+    policy = _Policy(GATE_SOFT, _lowest_logit_quota,
+                     rewind=cfg.rewind_between_rounds)
+    return _run_rounds(model, data, cfg, policy, algorithm="seqcs", seed=seed,
+                       run_id=run_id, test_data=test_data, recorder=recorder)
 
 
 def run_supermask(model, data, cfg: RoundConfig, variant: str = "soft", *,
@@ -453,45 +412,20 @@ def run_supermask(model, data, cfg: RoundConfig, variant: str = "soft", *,
     cfg.validate()
     if variant not in ("soft", "stochastic"):
         raise ValueError(f"unknown supermask variant {variant!r}")
-    groups = model.maskable_groups()
-    if not groups:
-        raise ValueError("supermask search needs >= 1 maskable group")
     snapshot = model.weight_arrays(copy=True)
-    mode = GATE_SOFT if variant == "soft" else GATE_STOCHASTIC
-    model.set_gate_mode(mode, cfg.mask_init)
     for t in model.weight_tensors():
         t.requires_grad = False
-    shuffle = seeded_rng(seed, STREAM_SHUFFLE)
-    mask_rng = seeded_rng(seed, STREAM_MASK) if variant == "stochastic" else None
-    rec = _Recorder(recorder)
-    info = RunInfo(run_id=run_id, algorithm=f"supermask-{variant}", seed=seed,
-                   lam=cfg.lam, s0=cfg.mask_init)
-    opt = _make_optimizer(model, cfg, train_weights=False)
-    sched = (TemperatureSchedule(cfg.beta_final, cfg.iters_per_round)
-             if variant == "soft" else None)
-    total = train(model, data, opt, cfg.iters_per_round,
-                  batch_size=cfg.batch_size, shuffle_rng=shuffle,
-                  schedule=sched, lam=cfg.lam, mask_rng=mask_rng,
-                  st_variant=cfg.st_variant, cursor=TrainCursor(),
-                  recorder=rec, run_info=info, test_data=test_data,
-                  record_every=cfg.record_every)
-    if variant == "soft":
-        masks = {g.name: g.current_hard_mask() for g in groups}
-    else:
-        masks = {g.name: _bernoulli_mask(g, mask_rng) for g in groups}
-    after = model.weight_arrays()
-    for k, a in after.items():
+    policy = (_Policy(GATE_SOFT, _hard_step) if variant == "soft"
+              else _Policy(GATE_STOCHASTIC, _bernoulli))
+    [ticket] = _run_rounds(model, data, cfg, policy,
+                           algorithm=f"supermask-{variant}", seed=seed,
+                           run_id=run_id, test_data=test_data,
+                           recorder=recorder)
+    for k, a in model.weight_arrays().items():
         if not np.array_equal(a, snapshot[k]):
             raise RuntimeError(f"frozen weights changed during supermask "
                                f"search: {k!r}")
-    remaining = _mask_remaining(masks)
-    _ticket_row(rec, info, 1, total, remaining,
-                cfg.beta_final if variant == "soft" else None)
-    return TicketResult(info.algorithm, run_id, seed, cfg, masks,
-                        RewindStore(0, snapshot), rec.rows, [remaining],
-                        [masks], total,
-                        iters_per_epoch=-(-len(data) // cfg.batch_size),
-                        round=1, final_weights=snapshot)
+    return replace(ticket, rewind=RewindStore(0, snapshot))
 
 
 def freeze_mask_and_finetune(model, data, cfg: RoundConfig, *,

@@ -179,6 +179,45 @@ class TestSweepAndReport:
         rc = main(["report", "--dir", str(tmp_path)])
         assert rc == 1
 
+    def test_report_needs_each_runs_config(self, tmp_path, capsys):
+        cfgp = small_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["cs", "--config", str(cfgp), "--out", str(out)]) == 0
+        (out / "config.json").unlink()
+        with pytest.raises(ValueError, match="config.json"):
+            recompute_report(out)
+        assert main(["report", "--dir", str(out)]) == 1
+        assert str(out / "records.csv") in capsys.readouterr().err
+
+    def test_report_needs_batch_size_and_n_train(self, tmp_path, capsys):
+        cfgp = small_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["cs", "--config", str(cfgp), "--out", str(out),
+                     "--batch-size", "16"]) == 0
+        # 2 rounds x 16 iterations at 4 iterations per epoch
+        assert recompute_report(out)["cost"]["cs"]["sequential_epochs"] == 8.0
+        resolved = json.loads((out / "config.json").read_text())
+        del resolved["round"]["batch_size"]
+        (out / "config.json").write_text(json.dumps(resolved))
+        with pytest.raises(ValueError, match="batch_size"):
+            recompute_report(out)
+        assert main(["report", "--dir", str(out)]) == 1
+        assert str(out / "config.json") in capsys.readouterr().err
+
+    def test_sweep_error_rows_are_distinct_runs(self, tmp_path, capsys):
+        cfgp = small_config(
+            tmp_path, evaluation={"evaluate": "none"},
+            round={"rounds": 2, "iters_per_round": 16, "rewind_iter": 2,
+                   "batch_size": 32, "record_every": 0, "prune_rate": None})
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--algorithm", "imp", "--config", str(cfgp),
+                   "--grid", "lambda=0,1", "--seeds", "1", "--out", str(out)])
+        assert rc == 1
+        assert "sweep: 2 runs (2 failed)" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert [r["run_id"] for r in report["errors"]] == [
+            "imp-lambda=0-seed1", "imp-lambda=1-seed1"]
+
     def test_report_covers_sparsity_only_sweeps(self, tmp_path):
         cfgp = small_config(tmp_path, evaluation={"evaluate": "none"})
         out = tmp_path / "sweep-none"

@@ -289,6 +289,33 @@ class TestSweep:
         assert all(r.error is not None for r in report.rows)
         assert len(report.rows) == 2
 
+    def test_error_rows_named_after_their_run(self):
+        p = self.plan(algorithm="imp",
+                      round_cfg=cfg(iters_per_round=20, rewind_iter=2,
+                                    prune_rate=None),
+                      grid={"lambda": [0.0, 1.0]}, seeds=(1,))
+        report = sweep(p)
+        assert [r.run_id for r in report.rows] == ["imp-lambda=0-seed1",
+                                                   "imp-lambda=1-seed1"]
+
+    def test_on_run_sees_every_run_and_its_failure_is_an_error_row(self):
+        seen = []
+
+        def hook(run_id, point, seed, tickets, records):
+            seen.append((run_id, point, seed, len(tickets),
+                         {r.run_id for r in records}))
+            if point == {"s0": 0.1}:
+                raise OSError("disk full")
+
+        report = sweep(self.plan(grid={"s0": [-0.1, 0.1]}, seeds=(1,),
+                                 evaluate="final"), on_run=hook)
+        assert seen == [
+            ("dense-seed1", None, 1, 0, {"dense-seed1"}),
+            ("cs-s0=-0.1-seed1", {"s0": -0.1}, 1, 1, {"cs-s0=-0.1-seed1"}),
+            ("cs-s0=0.1-seed1", {"s0": 0.1}, 1, 1, {"cs-s0=0.1-seed1"})]
+        assert [(r.run_id, r.error) for r in report.rows] == [
+            ("cs-s0=-0.1-seed1", None), ("cs-s0=0.1-seed1", "disk full")]
+
     def test_spearman_reported_for_s0_sweep(self):
         report = sweep(self.plan(grid={"s0": [-0.3, 0.0, 0.3]}, seeds=(1,)))
         assert report.spearman_s0 is not None

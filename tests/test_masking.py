@@ -5,9 +5,9 @@ from scipy.special import expit
 from ticketlab import tensor as T
 from ticketlab.masking import (GATE_SOFT, GATE_STOCHASTIC,
                                MaskedParameterGroup, TemperatureSchedule,
-                               beta_at, gate_penalty, hard_mask,
-                               remaining_fraction, reset_mask, soft_gate,
-                               sparsity_report, stochastic_gate)
+                               gate_penalty, hard_mask, remaining_fraction,
+                               reset_mask, soft_gate, sparsity_report,
+                               stochastic_gate)
 from ticketlab.tensor import Tensor, backward, reset_tape, tensor_sum
 
 from .helpers import continuation_gaps, fd_grads, max_rel_err
@@ -44,7 +44,7 @@ class TestTemperatureSchedule:
         with pytest.raises(ValueError):
             s.at(101)
         with pytest.raises(ValueError):
-            beta_at(s, -1)
+            s.at(-1)
 
     def test_non_decreasing(self):
         s = TemperatureSchedule(150.0, 37)

@@ -390,6 +390,17 @@ class TestRunSupermask:
         with pytest.raises(ValueError):
             run_supermask(mlp(), moons, quick_cfg(rounds=2), "soft", seed=1)
 
+    def test_lr_milestones_apply(self, moons):
+        logits = []
+        for milestones in ((), (6,)):
+            model = mlp(seed=8)
+            run_supermask(model, moons,
+                          quick_cfg(rounds=1, lr_milestones=milestones),
+                          "soft", seed=8)
+            logits.append([g.mask_logits.data for g in
+                           model.maskable_groups()])
+        assert not all(np.array_equal(a, b) for a, b in zip(*logits))
+
     def test_weight_mutation_detected(self, moons, monkeypatch):
         orig = S.train
 
