@@ -43,7 +43,7 @@ for x in (0.0, 5.0, 40.0, 500.0):
     reset_tape()
     t = Tensor([x], requires_grad=True)
     backward(tensor_sum(sigmoid(t)))
-    print(f"  sigmoid({x:6.1f}) = {float(sigmoid(Tensor([x])).data):.3e}, "
+    print(f"  sigmoid({x:6.1f}) = {sigmoid(Tensor([x])).data[0]:.3e}, "
           f"derivative = {t.grad[0]:.3e}")
 
 print()

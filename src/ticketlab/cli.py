@@ -10,37 +10,39 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, SweepConfig
-from .harness import (EvalRow, ExperimentPlan, cost_accounting,
-                      dense_baseline, run_point, select_best_performing,
-                      select_sparsest_matching, sweep)
-from .optim import OptimizerConfig
+from .harness import (SEARCHES, EvalRow, ExperimentPlan, cost_accounting,
+                      dense_baseline, select_best_performing,
+                      select_sparsest_matching, sweep, ticket_rounds)
 from .persist import (read_records, save_checkpoint, save_mask_artifact,
                       write_records)
 from .tensor import set_default_dtype
 
 EVAL_SPLITS = ("retrain_test", "finetune_test", "mask_test")
 
+# Config layers, merged in order: RunConfig defaults, then these
+# per-algorithm defaults, then the --config file, then the flags.
+_ALGORITHM_DEFAULTS = {
+    "imp": {"round": {"prune_rate": 0.2, "rewind_between_rounds": True,
+                      "rounds": 10}},
+    "seqcs": {"round": {"prune_rate": 0.2, "rounds": 10}},
+    "iss": {"round": {"mask_init": 1.0,
+                      "mask_opt": {"lr": 20.0, "momentum": 0.0}}},
+    "supermask": {"round": {"rounds": 1}},
+}
 
-def _algorithm_defaults(algorithm: str) -> RunConfig:
-    cfg = RunConfig(algorithm=algorithm)
-    if algorithm == "imp":
-        cfg.round = replace(cfg.round, prune_rate=0.2,
-                            rewind_between_rounds=True, rounds=10)
-    elif algorithm == "seqcs":
-        cfg.round = replace(cfg.round, prune_rate=0.2, rounds=10)
-    elif algorithm == "iss":
-        cfg.round = replace(cfg.round, mask_init=1.0, mask_opt=OptimizerConfig(
-            "sgd", lr=20.0, momentum=0.0, weight_decay=0.0))
-    elif algorithm == "supermask":
-        cfg.round = replace(cfg.round, rounds=1)
-        cfg.evaluation = replace(cfg.evaluation, evaluate="final")
-    return cfg
+# Flags whose command-line value is not yet the config value.
+_CONVERT = {
+    "round.rewind_between_rounds": lambda v: v == "on",
+    "seeds": lambda v: tuple(int(s) for s in v.split(",")),
+    "sweep.grid": lambda specs: dict(_parse_grid(s) for s in specs),
+}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -53,71 +55,27 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _load_config(algorithm: str, args) -> RunConfig:
-    base = _algorithm_defaults(algorithm).to_dict()
+def _load_config(args) -> RunConfig:
+    """Merge the config layers. Each config flag's dest is the dotted key
+    it sets (``round.mask_init``); ``--k-epochs`` is applied last, from the
+    merged training-set and batch sizes."""
+    merged = _deep_merge(RunConfig().to_dict(),
+                         _ALGORITHM_DEFAULTS.get(args.algorithm, {}))
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            base = _deep_merge(base, json.load(f))
-    cfg = RunConfig.from_dict(base)
-    cfg.algorithm = algorithm
-
-    r = cfg.round
-    if getattr(args, "s0", None) is not None:
-        r = replace(r, mask_init=args.s0)
-    if getattr(args, "lam", None) is not None:
-        r = replace(r, lam=args.lam)
-    if getattr(args, "beta_final", None) is not None:
-        r = replace(r, beta_final=args.beta_final)
-    if getattr(args, "rounds", None) is not None:
-        r = replace(r, rounds=args.rounds)
-    if getattr(args, "iters", None) is not None:
-        r = replace(r, iters_per_round=args.iters)
-    if getattr(args, "batch_size", None) is not None:
-        r = replace(r, batch_size=args.batch_size)
-    if getattr(args, "tau", None) is not None:
-        r = replace(r, prune_rate=args.tau)
-    if getattr(args, "k", None) is not None:
-        r = replace(r, rewind_iter=args.k)
+            merged = _deep_merge(merged, json.load(f))
+    for dest, value in vars(args).items():
+        if value is not None and dest.split(".")[0] in _CONFIG_KEYS:
+            value = _CONVERT.get(dest, lambda v: v)(value)
+            for key in reversed(dest.split(".")):
+                value = {key: value}
+            merged = _deep_merge(merged, value)
+    cfg = RunConfig.from_dict(merged)
     if getattr(args, "k_epochs", None) is not None:
-        if getattr(args, "k", None) is not None:
+        if getattr(args, "round.rewind_iter") is not None:
             raise ValueError("--k and --k-epochs are mutually exclusive")
-        ipe = -(-cfg.dataset.n_train // r.batch_size)
-        r = replace(r, rewind_iter=args.k_epochs * ipe)
-    if getattr(args, "rewind", None) is not None:
-        r = replace(r, rewind_between_rounds=args.rewind == "on")
-    if getattr(args, "record_every", None) is not None:
-        r = replace(r, record_every=args.record_every)
-    cfg.round = r
-
-    ev = cfg.evaluation
-    if getattr(args, "eval", None) is not None:
-        ev = replace(ev, evaluate=args.eval)
-    if getattr(args, "eval_mode", None) is not None:
-        ev = replace(ev, mode=args.eval_mode)
-    if getattr(args, "eval_budget", None) is not None:
-        ev = replace(ev, budget_iters=args.eval_budget)
-    cfg.evaluation = ev
-
-    if getattr(args, "out", None) is not None:
-        cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "seeds", None):
-        cfg.seeds = tuple(int(s) for s in args.seeds.split(","))
-    if getattr(args, "precision", None) is not None:
-        cfg.precision = args.precision
-    if getattr(args, "scope", None) is not None:
-        cfg.scope = args.scope
-    if getattr(args, "variant", None) is not None:
-        cfg.supermask_variant = args.variant
-    if getattr(args, "workers", None) is not None:
-        cfg.sweep = replace(cfg.sweep, max_workers=args.workers)
-    if getattr(args, "grid", None):
-        grid = dict(cfg.sweep.grid)
-        for spec in args.grid:
-            name, values = _parse_grid(spec)
-            grid[name] = values
-        cfg.sweep = replace(cfg.sweep, grid=grid)
+        ipe = -(-cfg.dataset.n_train // cfg.round.batch_size)
+        cfg.round = replace(cfg.round, rewind_iter=args.k_epochs * ipe)
     return cfg
 
 
@@ -147,10 +105,6 @@ def _plan(cfg: RunConfig) -> ExperimentPlan:
         supermask_variant=cfg.supermask_variant, precision=cfg.precision)
 
 
-def _row_dict(row: EvalRow | None) -> dict | None:
-    return None if row is None else asdict(row)
-
-
 def _report_dict(rows: list[EvalRow], dense_by_seed: dict,
                  spearman: float | None = None) -> dict:
     ok = [r for r in rows if r.error is None and r.accuracy is not None]
@@ -160,16 +114,16 @@ def _report_dict(rows: list[EvalRow], dense_by_seed: dict,
         "dense_by_seed": {str(k): v for k, v in sorted(dense_by_seed.items())},
         "dense_accuracy": dense_acc,
         "cost": cost_accounting(rows),
-        "rows": [_row_dict(r) for r in rows],
-        "errors": [_row_dict(r) for r in rows if r.error is not None],
+        "rows": [asdict(r) for r in rows],
+        "errors": [asdict(r) for r in rows if r.error is not None],
     }
     if spearman is not None:
         out["spearman_s0_remaining"] = spearman
     if ok:
-        out["best_performing"] = _row_dict(select_best_performing(ok))
-        out["sparsest_matching"] = (
-            _row_dict(select_sparsest_matching(ok, dense_acc))
-            if dense_acc is not None else None)
+        out["best_performing"] = asdict(select_best_performing(ok))
+        match = (select_sparsest_matching(ok, dense_acc)
+                 if dense_acc is not None else None)
+        out["sparsest_matching"] = None if match is None else asdict(match)
     return out
 
 
@@ -181,28 +135,28 @@ def _persist_run(out: Path, cfg: RunConfig, tickets, records) -> None:
         final = tickets[-1]
         (out / "masks").mkdir(exist_ok=True)
         save_mask_artifact(out / "masks" / "final", final.masks)
-        if len(tickets) > 1:
-            for t in tickets:
-                save_mask_artifact(out / "masks" / f"round{t.round}", t.masks)
-        elif len(final.round_masks) > 1:
-            for i, m in enumerate(final.round_masks):
-                save_mask_artifact(out / "masks" / f"round{i + 1}", m)
+        rounds = ticket_rounds(tickets)
+        if len(rounds) > 1:
+            for r, masks, _ in rounds:
+                save_mask_artifact(out / "masks" / f"round{r}", masks)
         save_checkpoint(out / "rewind.ckpt", final.rewind.arrays,
                         {"rewind_iter": final.rewind.rewind_iter,
                          "run_id": final.run_id,
                          "algorithm": final.algorithm})
 
 
-def _cmd_run(algorithm: str, args) -> int:
-    cfg = _load_config(algorithm, args)
-    set_default_dtype(cfg.precision)
+def _cmd_run(args) -> int:
+    """One run into ``--out``: a dense baseline, or a search as a one-point
+    sweep whose baseline and run records share one ``records.csv``."""
+    cfg = _load_config(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_data, test_data = cfg.dataset.build()
     records: list = []
-    budget = cfg.evaluation.budget_iters or cfg.round.iters_per_round
 
-    if algorithm == "dense":
+    if cfg.algorithm == "dense":
+        budget = cfg.evaluation.budget_iters or cfg.round.iters_per_round
+        set_default_dtype(cfg.precision)
+        train_data, test_data = cfg.dataset.build()
         acc = dense_baseline(cfg.model, train_data, test_data, cfg.round,
                              budget, cfg.seed, recorder=records.append)
         _persist_run(out, cfg, [], records)
@@ -210,23 +164,26 @@ def _cmd_run(algorithm: str, args) -> int:
               f"({budget} iterations), run dir {out}")
         return 0
 
-    plan = _plan(cfg)
-    dense_by_seed = {}
-    if plan.evaluate != "none":
-        dense_by_seed[cfg.seed] = dense_baseline(
-            cfg.model, train_data, test_data, cfg.round, budget, cfg.seed,
-            recorder=records.append)
-    tickets, rows, recs = run_point(plan, {}, cfg.seed, train_data, test_data)
-    records.extend(recs)
+    tickets: list = []
+
+    def collect(run_id, point, seed, run_tickets, run_records):
+        tickets.extend(run_tickets)
+        records.extend(run_records)
+
+    result = sweep(replace(_plan(cfg), seeds=(cfg.seed,), grid={},
+                           max_workers=1), on_run=collect)
+    for r in result.rows:
+        if r.error is not None:
+            raise RuntimeError(r.error)
     _persist_run(out, cfg, tickets, records)
-    report = _report_dict(rows, dense_by_seed)
+    report = _report_dict(result.rows, result.dense_by_seed)
     with open(out / "report.json", "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)
     final = tickets[-1]
-    print(f"{algorithm}: {final.total_iterations} iterations, "
+    print(f"{cfg.algorithm}: {final.total_iterations} iterations, "
           f"{100 * final.remaining_fraction:.1f}% weights remaining, "
           f"run dir {out}")
-    for r in rows:
+    for r in result.rows:
         if r.accuracy is not None:
             print(f"  round {r.round}: remaining {100 * r.remaining_frac:.1f}%"
                   f", evaluated accuracy {r.accuracy:.4f}")
@@ -238,7 +195,7 @@ def _cmd_sweep(args) -> int:
     dense baseline and run into ``runs/<run_id>`` as it finishes, then
     write ``report.json`` and print a summary. Exits 1 when any run
     failed."""
-    cfg = _load_config(args.algorithm, args)
+    cfg = _load_config(args)
     if not cfg.sweep.grid:
         raise ValueError("sweep requires a non-empty grid "
                          "(--grid name=lo:hi:count)")
@@ -266,16 +223,13 @@ def _cmd_sweep(args) -> int:
     failed = {r.run_id for r in rows if r.error is not None}
     print(f"sweep: {len({r.run_id for r in rows})} runs ({len(failed)} "
           f"failed), report at {out / 'report.json'}")
-    if report.get("sparsest_matching"):
-        sm = report["sparsest_matching"]
-        print(f"  sparsest matching: {sm['run_id']} round {sm['round']} "
-              f"remaining {100 * sm['remaining_frac']:.1f}% "
-              f"accuracy {sm['accuracy']:.4f}")
-    if report.get("best_performing"):
-        bp = report["best_performing"]
-        print(f"  best performing:   {bp['run_id']} round {bp['round']} "
-              f"remaining {100 * bp['remaining_frac']:.1f}% "
-              f"accuracy {bp['accuracy']:.4f}")
+    for key, label in (("sparsest_matching", "sparsest matching:"),
+                       ("best_performing", "best performing:  ")):
+        if report.get(key):
+            r = report[key]
+            print(f"  {label} {r['run_id']} round {r['round']} remaining "
+                  f"{100 * r['remaining_frac']:.1f}% accuracy "
+                  f"{r['accuracy']:.4f}")
     return 1 if failed else 0
 
 
@@ -304,16 +258,15 @@ def recompute_report(directory) -> dict:
         except (KeyError, TypeError):
             raise ValueError(f"{cfg_path} lacks round.batch_size or "
                              "dataset.n_train") from None
+        final_ticket: dict[str, object] = {}  # each run's last round
         for r in recs:
             if r.algorithm == "dense" and r.split == "final_test":
                 dense_by_seed[r.seed] = r.accuracy
-        ticket_iters: dict[str, int] = {}
-        for r in recs:
-            if r.split == "ticket":
-                ticket_iters[r.run_id] = max(ticket_iters.get(r.run_id, 0),
-                                             r.iter)
-        for rid, it in ticket_iters.items():
-            costs[rid] = (it, it / ipe)
+            last = final_ticket.get(r.run_id)
+            if r.split == "ticket" and (last is None or r.round > last.round):
+                final_ticket[r.run_id] = r
+        for rid, r in final_ticket.items():  # its iterations are the cost
+            costs[rid] = (r.iter, r.iter / ipe)
         evaluated = set()
         for r in recs:
             if r.split in EVAL_SPLITS:
@@ -322,12 +275,6 @@ def recompute_report(directory) -> dict:
                 rows.append(EvalRow(r.run_id, r.algorithm, r.seed, r.round,
                                     r.remaining_frac, r.accuracy, ci, ce))
         # sparsity-only runs still contribute to cost accounting
-        final_ticket: dict[str, object] = {}
-        for r in recs:
-            if r.split == "ticket":
-                cur = final_ticket.get(r.run_id)
-                if cur is None or r.round > cur.round:
-                    final_ticket[r.run_id] = r
         for rid, r in final_ticket.items():
             if rid not in evaluated:
                 ci, ce = costs[rid]
@@ -342,29 +289,41 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _flag(sp, flag: str, key: str, **kw) -> None:
+    """A flag that sets config ``key`` (its dest), shown in the help as
+    argparse shows a flag of that name."""
+    if "choices" not in kw:
+        kw["metavar"] = flag.lstrip("-").replace("-", "_").upper()
+    sp.add_argument(flag, dest=key, **kw)
+
+
 def _add_common(sp, with_search=True):
     sp.add_argument("--config", help="JSON config file; flags override it")
-    sp.add_argument("--out", help="run directory")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--precision", choices=["float64", "float32"])
-    sp.add_argument("--iters", type=int, help="iterations per round")
-    sp.add_argument("--batch-size", dest="batch_size", type=int)
-    sp.add_argument("--record-every", dest="record_every", type=int)
+    _flag(sp, "--out", "out_dir", help="run directory")
+    _flag(sp, "--seed", "seed", type=int)
+    _flag(sp, "--precision", "precision", choices=["float64", "float32"])
+    _flag(sp, "--iters", "round.iters_per_round", type=int,
+          help="iterations per round")
+    _flag(sp, "--batch-size", "round.batch_size", type=int)
+    _flag(sp, "--record-every", "round.record_every", type=int)
     if with_search:
-        sp.add_argument("--s0", type=float, help="mask-logit init")
-        sp.add_argument("--lam", type=float, help="L1 gate penalty")
-        sp.add_argument("--beta-final", dest="beta_final", type=float)
-        sp.add_argument("--rounds", type=int)
-        sp.add_argument("--tau", type=float, help="per-round pruning rate")
-        sp.add_argument("--k", type=int, help="rewind iterate")
+        _flag(sp, "--s0", "round.mask_init", type=float,
+              help="mask-logit init")
+        _flag(sp, "--lam", "round.lam", type=float, help="L1 gate penalty")
+        _flag(sp, "--beta-final", "round.beta_final", type=float)
+        _flag(sp, "--rounds", "round.rounds", type=int)
+        _flag(sp, "--tau", "round.prune_rate", type=float,
+              help="per-round pruning rate")
+        _flag(sp, "--k", "round.rewind_iter", type=int, help="rewind iterate")
         sp.add_argument("--k-epochs", dest="k_epochs", type=int,
                         help="rewind point in epochs (converted to iterations)")
-        sp.add_argument("--rewind", choices=["on", "off"],
-                        help="rewind weights between rounds")
-        sp.add_argument("--eval", choices=["none", "final", "rounds"])
-        sp.add_argument("--eval-mode", dest="eval_mode",
-                        choices=["retrain-from-k", "fine-tune"])
-        sp.add_argument("--eval-budget", dest="eval_budget", type=int)
+        _flag(sp, "--rewind", "round.rewind_between_rounds",
+              choices=["on", "off"], help="rewind weights between rounds")
+        _flag(sp, "--eval", "evaluation.evaluate",
+              choices=["none", "final", "rounds"])
+        _flag(sp, "--eval-mode", "evaluation.mode",
+              choices=["retrain-from-k", "fine-tune"])
+        _flag(sp, "--eval-budget", "evaluation.budget_iters", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,21 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=doc)
         _add_common(sp, with_search=name != "dense")
         if name == "imp":
-            sp.add_argument("--scope", choices=["global", "per-layer"])
+            _flag(sp, "--scope", "scope", choices=["global", "per-layer"])
         if name == "supermask":
-            sp.add_argument("--variant", choices=["soft", "stochastic"])
-        sp.set_defaults(func=lambda a, n=name: _cmd_run(n, a))
+            _flag(sp, "--variant", "supermask_variant",
+                  choices=["soft", "stochastic"])
+        sp.set_defaults(func=_cmd_run, algorithm=name)
 
     sw = sub.add_parser("sweep", help="grid of runs with aggregation")
     _add_common(sw)
-    sw.add_argument("--algorithm", default="cs",
-                    choices=["cs", "imp", "iss", "seqcs", "supermask"])
-    sw.add_argument("--grid", action="append",
-                    help="name=lo:hi:count or name=v1,v2,...")
-    sw.add_argument("--seeds", help="comma-separated seed list")
-    sw.add_argument("--workers", type=int)
-    sw.add_argument("--scope", choices=["global", "per-layer"])
-    sw.add_argument("--variant", choices=["soft", "stochastic"])
+    _flag(sw, "--algorithm", "algorithm", default="cs", choices=list(SEARCHES))
+    _flag(sw, "--grid", "sweep.grid", action="append",
+          help="name=lo:hi:count or name=v1,v2,...")
+    _flag(sw, "--seeds", "seeds", help="comma-separated seed list")
+    _flag(sw, "--workers", "sweep.max_workers", type=int)
+    _flag(sw, "--scope", "scope", choices=["global", "per-layer"])
+    _flag(sw, "--variant", "supermask_variant", choices=["soft", "stochastic"])
     sw.set_defaults(func=_cmd_sweep)
 
     rp = sub.add_parser("report", help="recompute selections from stored CSVs")

@@ -12,18 +12,7 @@ from dataclasses import dataclass, field
 
 from .data import DataConfig
 from .models import ModelConfig
-from .optim import OptimizerConfig
 from .search import RoundConfig
-
-_NESTED = {
-    "dataset": DataConfig,
-    "model": ModelConfig,
-    "round": RoundConfig,
-    "weight_opt": OptimizerConfig,
-    "mask_opt": OptimizerConfig,
-    "evaluation": None,  # filled below
-    "sweep": None,
-}
 
 
 @dataclass
@@ -38,10 +27,6 @@ class EvalConfig:
 class SweepConfig:
     grid: dict = field(default_factory=dict)
     max_workers: int = 1
-
-
-_NESTED["evaluation"] = EvalConfig
-_NESTED["sweep"] = SweepConfig
 
 
 @dataclass
@@ -81,24 +66,21 @@ class RunConfig:
 
 
 def _build(cls, d: dict, where: str):
+    """``cls`` from ``d``; a field whose default is a dataclass is built
+    from its own object, down to any depth."""
     if not isinstance(d, dict):
         raise ValueError(f"expected an object at {where or 'top level'}")
-    allowed = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(d) - set(allowed)
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys at {where or 'top level'}: "
                          f"{sorted(unknown)}")
+    defaults = cls()
     kwargs = {}
     for name, value in d.items():
-        sub = _NESTED.get(name)
-        if sub is not None and isinstance(value, dict):
-            kwargs[name] = _build(sub, value, f"{where}{name}.")
-        else:
-            f = allowed[name]
-            default = f.default if f.default is not dataclasses.MISSING else (
-                f.default_factory() if f.default_factory is not dataclasses.MISSING
-                else None)
-            if isinstance(default, tuple) and isinstance(value, list):
-                value = tuple(value)
-            kwargs[name] = value
+        default = getattr(defaults, name)
+        if dataclasses.is_dataclass(default) and isinstance(value, dict):
+            value = _build(type(default), value, f"{where}{name}.")
+        elif isinstance(default, tuple) and isinstance(value, list):
+            value = tuple(value)
+        kwargs[name] = value
     return cls(**kwargs)

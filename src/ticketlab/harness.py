@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from .data import DataConfig
 from .masking import kept_fraction
@@ -25,11 +25,26 @@ from .persist import RunRecord
 from .search import (RewindStore, RoundConfig, TicketResult, run_cs, run_imp,
                      run_iss, run_sequential_cs, run_supermask)
 from .seeding import STREAM_SHUFFLE, seeded_rng
-from .tensor import set_default_dtype
+from .tensor import default_dtype, set_default_dtype
 from .training import RunInfo, TrainCursor, evaluate, lr_milestones_callback, train
 
 GRID_ALIASES = {"s0": "mask_init", "lambda": "lam", "tau": "prune_rate",
                 "beta": "beta_final"}
+
+# Each search by name: ``(plan, model, data, cfg, **kw)`` -> its tickets. An
+# entry looks its controller up when called, so a swapped-in wrapper runs.
+SEARCHES = {
+    "cs": lambda plan, model, data, cfg, **kw: [
+        run_cs(model, data, cfg, **kw)],
+    "imp": lambda plan, model, data, cfg, **kw: run_imp(
+        model, data, cfg, plan.scope, **kw),
+    "iss": lambda plan, model, data, cfg, **kw: [
+        run_iss(model, data, cfg, **kw)],
+    "seqcs": lambda plan, model, data, cfg, **kw: run_sequential_cs(
+        model, data, cfg, **kw),
+    "supermask": lambda plan, model, data, cfg, **kw: [run_supermask(
+        model, data, cfg, plan.supermask_variant, **kw)],
+}
 
 
 @dataclass
@@ -85,6 +100,8 @@ class ExperimentPlan:
     precision: str = "float64"
 
     def validate(self) -> None:
+        if self.algorithm not in SEARCHES:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not self.seeds:
             raise ValueError("plan needs at least one seed")
         if self.evaluate not in ("none", "final", "rounds"):
@@ -95,6 +112,28 @@ class ExperimentPlan:
             key = GRID_ALIASES.get(k, k)
             if not hasattr(self.round_cfg, key):
                 raise ValueError(f"unknown sweep parameter {k!r}")
+
+
+@contextmanager
+def _precision(name: str):
+    """New tensors on this thread take ``name`` precision inside the block;
+    the previous setting comes back on exit, also on error."""
+    previous = default_dtype().name
+    set_default_dtype(name)
+    try:
+        yield
+    finally:
+        set_default_dtype(previous)
+
+
+def ticket_rounds(tickets: list[TicketResult]) -> list[tuple]:
+    """Every round of a search as ``(round, masks, ticket)``, whichever of
+    the two shapes the search returned: one ticket per round (imp, seqcs),
+    or one ticket carrying every round's mask (cs, iss, supermask)."""
+    if len(tickets) > 1:
+        return [(t.round, t.masks, t) for t in tickets]
+    [ticket] = tickets
+    return [(i + 1, m, ticket) for i, m in enumerate(ticket.round_masks)]
 
 
 def _masked_model(model_cfg: ModelConfig, seed: int, masks: dict,
@@ -133,8 +172,8 @@ def dense_baseline(model_cfg: ModelConfig, train_data, test_data,
     acc = _train_and_test(model_cfg.build(seed), train_data, test_data, cfg,
                           budget_iters, info, recorder=recorder)
     if recorder is not None:
-        recorder(RunRecord(run_id, "dense", seed, 1, 0, budget_iters,
-                           "final_test", accuracy=acc, remaining_frac=1.0))
+        recorder(info.record(0, budget_iters, "final_test", accuracy=acc,
+                             remaining_frac=1.0))
     return acc
 
 
@@ -143,9 +182,8 @@ def _eval_row(split: str, masks: dict, acc: float, iters: int,
     """The evaluation row of a masked network, also sent as a record."""
     remaining = kept_fraction(masks)
     if recorder is not None:
-        recorder(RunRecord(info.run_id, info.algorithm, info.seed, info.round,
-                           0, iters, split, accuracy=acc,
-                           remaining_frac=remaining))
+        recorder(info.record(0, iters, split, accuracy=acc,
+                             remaining_frac=remaining))
     return EvalRow(info.run_id, info.algorithm, info.seed, info.round,
                    remaining, acc, cost_iters=0, cost_epochs=0.0)
 
@@ -304,77 +342,58 @@ def _run_id(algorithm: str, point: dict, seed: int) -> str:
 def run_point(plan: ExperimentPlan, point: dict, seed: int, train_data,
               test_data) -> tuple[list[TicketResult], list[EvalRow],
                                   list[RunRecord]]:
-    """Execute one fully-specified run (a single grid point and seed):
-    search, then ticket evaluation per the plan. Returns the produced
-    tickets alongside the evaluation rows and raw records."""
-    set_default_dtype(plan.precision)
+    """Execute one fully-specified run (a single grid point and seed) in
+    the plan's precision: search, then ticket evaluation per the plan.
+    Returns the tickets, the evaluation rows and the raw records."""
     cfg = _apply_point(plan.round_cfg, point)
     run_id = _run_id(plan.algorithm, point, seed)
     records: list[RunRecord] = []
     rec = records.append
-    model = plan.model_cfg.build(seed)
+    with _precision(plan.precision):
+        model = plan.model_cfg.build(seed)
+        tickets = SEARCHES[plan.algorithm](plan, model, train_data, cfg,
+                                           seed=seed, run_id=run_id,
+                                           recorder=rec)
+        result = tickets[-1]
+        budget = plan.eval_budget or cfg.iters_per_round
+        cost = (result.total_iterations,
+                result.total_iterations / result.iters_per_epoch)
+        # a search that froze the weights (supermask) is scored at them
+        frozen = not any(t.requires_grad for t in model.weight_tensors())
 
-    if plan.algorithm == "cs":
-        tickets = [run_cs(model, train_data, cfg, seed=seed, run_id=run_id,
-                          recorder=rec)]
-    elif plan.algorithm == "imp":
-        tickets = run_imp(model, train_data, cfg, plan.scope, seed=seed,
-                          run_id=run_id, recorder=rec)
-    elif plan.algorithm == "iss":
-        tickets = [run_iss(model, train_data, cfg, seed=seed, run_id=run_id,
-                           recorder=rec)]
-    elif plan.algorithm == "seqcs":
-        tickets = run_sequential_cs(model, train_data, cfg, seed=seed,
-                                    run_id=run_id, recorder=rec)
-    elif plan.algorithm == "supermask":
-        tickets = [run_supermask(model, train_data, cfg,
-                                 plan.supermask_variant, seed=seed,
-                                 run_id=run_id, recorder=rec)]
-    else:
-        raise ValueError(f"unknown algorithm {plan.algorithm!r}")
+        def eval_one(round_idx, masks, ticket):
+            if frozen:
+                acc = masked_accuracy(plan.model_cfg, ticket.rewind.arrays,
+                                      masks, test_data, seed)
+                row = _eval_row("mask_test", masks, acc,
+                                ticket.total_iterations,
+                                RunInfo(run_id, ticket.algorithm, seed,
+                                        round_idx), rec)
+            elif plan.eval_mode == "fine-tune":
+                row = finetune_ticket(plan.model_cfg, ticket, train_data,
+                                      test_data, cfg, budget, seed,
+                                      finetune_lr=plan.finetune_lr,
+                                      run_id=run_id, round_idx=round_idx,
+                                      recorder=rec)
+            else:
+                row = retrain_ticket(plan.model_cfg, masks, ticket.rewind,
+                                     train_data, test_data, cfg, budget, seed,
+                                     run_id=run_id, algorithm=ticket.algorithm,
+                                     round_idx=round_idx, recorder=rec)
+            row.grid = dict(point)
+            row.cost_iters, row.cost_epochs = cost
+            return row
 
-    result = tickets[-1]
-    budget = plan.eval_budget or cfg.iters_per_round
-    cost = (result.total_iterations,
-            result.total_iterations / result.iters_per_epoch)
-
-    def eval_one(masks, round_idx, ticket):
-        if plan.algorithm == "supermask":
-            acc = masked_accuracy(plan.model_cfg, ticket.rewind.arrays, masks,
-                                  test_data, seed)
-            row = _eval_row("mask_test", masks, acc, ticket.total_iterations,
-                            RunInfo(run_id, ticket.algorithm, seed, round_idx),
-                            rec)
-        elif plan.eval_mode == "fine-tune":
-            row = finetune_ticket(plan.model_cfg, ticket, train_data,
-                                  test_data, cfg, budget, seed,
-                                  finetune_lr=plan.finetune_lr,
-                                  run_id=run_id, round_idx=round_idx,
-                                  recorder=rec)
-        else:
-            row = retrain_ticket(plan.model_cfg, masks, ticket.rewind,
-                                 train_data, test_data, cfg, budget, seed,
-                                 run_id=run_id, algorithm=ticket.algorithm,
-                                 round_idx=round_idx, recorder=rec)
-        row.grid = dict(point)
-        row.cost_iters, row.cost_epochs = cost
-        return row
-
-    if plan.evaluate == "none":
-        rows = [EvalRow(run_id, result.algorithm, seed, result.round,
-                        result.remaining_fraction, None, *cost,
-                        grid=dict(point))]
-    elif plan.evaluate == "final":
-        row = eval_one(result.masks, result.round, result)
-        row.per_layer = per_layer_sparsity(result.masks, model)
-        rows = [row]
-    else:  # rounds
-        if len(tickets) > 1:
-            pairs = [(t.masks, t.round, t) for t in tickets]
-        else:
-            pairs = [(m, i + 1, result) for i, m in
-                     enumerate(result.round_masks)]
-        rows = [eval_one(*pair) for pair in pairs]
+        if plan.evaluate == "none":
+            rows = [EvalRow(run_id, result.algorithm, seed, result.round,
+                            result.remaining_fraction, None, *cost,
+                            grid=dict(point))]
+        elif plan.evaluate == "final":
+            row = eval_one(result.round, result.masks, result)
+            row.per_layer = per_layer_sparsity(result.masks, model)
+            rows = [row]
+        else:  # rounds
+            rows = [eval_one(*r) for r in ticket_rounds(tickets)]
     return tickets, rows, records
 
 
@@ -394,7 +413,6 @@ def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
     plan.validate()
     points = _expand_grid(plan.grid) if plan.grid else [{}]
     train_data, test_data = plan.data_cfg.build()
-    set_default_dtype(plan.precision)
 
     records: list[RunRecord] = []
     dense_by_seed: dict[int, float] = {}
@@ -403,9 +421,10 @@ def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
         for seed in plan.seeds:
             run_id = _run_id("dense", {}, seed)
             drecs: list[RunRecord] = []
-            dense_by_seed[seed] = dense_baseline(
-                plan.model_cfg, train_data, test_data, plan.round_cfg,
-                budget, seed, recorder=drecs.append, run_id=run_id)
+            with _precision(plan.precision):
+                dense_by_seed[seed] = dense_baseline(
+                    plan.model_cfg, train_data, test_data, plan.round_cfg,
+                    budget, seed, recorder=drecs.append, run_id=run_id)
             records.extend(drecs)
             if on_run is not None:
                 on_run(run_id, None, seed, [], drecs)
@@ -490,4 +509,20 @@ def sparsity_rank_correlation(rows: list[EvalRow], grid: dict,
             medians.append(float(np.median(rem)))
     if len(values) < 2:
         return None
-    return float(stats.spearmanr(values, medians).statistic)
+    return _spearman(values, medians)
+
+
+def _spearman(x, y) -> float:
+    """Spearman's rho: the Pearson correlation of the average ranks (ties
+    share the mean of their positions); NaN when either input is
+    constant."""
+    ranks = []
+    for v in (x, y):
+        _, inverse, counts = np.unique(v, return_inverse=True,
+                                       return_counts=True)
+        if counts.size < 2:
+            return float("nan")
+        ends = np.cumsum(counts)  # a tie group holds positions
+        starts = ends - counts + 1  # starts..ends, counted from 1
+        ranks.append((0.5 * (starts + ends))[inverse])
+    return float(np.corrcoef(ranks[0], ranks[1])[1, 0])

@@ -161,43 +161,30 @@ def _select_lowest(groups: list[MaskedParameterGroup],
     remove: floor(rate * active) overall (global) or per group (per-layer),
     at least one when any rounding would stall; ties break on the lowest
     flat index in group order. Returns [] when nothing can be pruned."""
-    if scope == "global":
-        gids, flats, vals = [], [], []
-        for gi, (v, a) in enumerate(zip(values, active)):
-            idx = np.flatnonzero(a.reshape(-1))
-            gids.append(np.full(idx.size, gi))
-            flats.append(idx)
-            vals.append(v.reshape(-1)[idx])
-        gids = np.concatenate(gids)
-        flats = np.concatenate(flats)
-        vals = np.concatenate(vals)
-        total = vals.size
-        nprune = int(np.floor(rate * total + 1e-9))
-        if nprune == 0:
-            if total <= 1:
-                return []
-            nprune = 1
-        order = np.argsort(vals, kind="stable")[:nprune]
-        picks = [np.empty(0, dtype=np.int64)] * len(groups)
-        for gi in range(len(groups)):
-            picks[gi] = flats[order[gids[order] == gi]]
-        return picks
-    if scope == "per-layer":
-        picks = []
-        pruned_any = False
-        for v, a in zip(values, active):
-            idx = np.flatnonzero(a.reshape(-1))
-            ng = int(np.floor(rate * idx.size + 1e-9))
-            if ng == 0 and idx.size > 1:
-                ng = 1
-            if ng == 0:
-                picks.append(np.empty(0, dtype=np.int64))
-                continue
-            order = np.argsort(v.reshape(-1)[idx], kind="stable")[:ng]
-            picks.append(idx[order])
-            pruned_any = True
-        return picks if pruned_any else []
-    raise ValueError(f"unknown pruning scope {scope!r}")
+    if scope == "per-layer":  # the global cut, applied to each group alone
+        empty = np.empty(0, dtype=np.int64)
+        picks = [(_select_lowest([g], [v], [a], rate, "global") or [empty])[0]
+                 for g, v, a in zip(groups, values, active)]
+        return picks if any(p.size for p in picks) else []
+    if scope != "global":
+        raise ValueError(f"unknown pruning scope {scope!r}")
+    gids, flats, vals = [], [], []
+    for gi, (v, a) in enumerate(zip(values, active)):
+        idx = np.flatnonzero(a.reshape(-1))
+        gids.append(np.full(idx.size, gi))
+        flats.append(idx)
+        vals.append(v.reshape(-1)[idx])
+    gids = np.concatenate(gids)
+    flats = np.concatenate(flats)
+    vals = np.concatenate(vals)
+    total = vals.size
+    nprune = int(np.floor(rate * total + 1e-9))
+    if nprune == 0:
+        if total <= 1:
+            return []
+        nprune = 1
+    order = np.argsort(vals, kind="stable")[:nprune]
+    return [flats[order[gids[order] == gi]] for gi in range(len(groups))]
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +300,9 @@ def _run_rounds(model, data, cfg: RoundConfig, policy: _Policy, *,
                        test_data=test_data, record_every=cfg.record_every)
         masks, exhausted = policy.extract(groups, cfg, mask_rng)
         remaining_per_round.append(kept_fraction(masks))
-        rec(RunRecord(run_id, algorithm, seed, r, 0, total, "ticket",
-                      remaining_frac=remaining_per_round[-1],
-                      beta=cfg.beta_final if soft else None, lam=info.lam,
-                      s0=info.s0))
+        rec(info.record(0, total, "ticket",
+                        remaining_frac=remaining_per_round[-1],
+                        beta=cfg.beta_final if soft else None))
         final_weights = model.weight_arrays(copy=True)
         if policy.rewind:
             model.load_weight_arrays(box["store"].arrays)

@@ -50,6 +50,14 @@ class RunInfo:
     lam: float | None = None
     s0: float | None = None
 
+    def record(self, epoch: int, iteration: int, split: str,
+               **values) -> RunRecord:
+        """A record of this run at ``iteration``, stamped with the run id,
+        algorithm, seed, round, lam and s0."""
+        return RunRecord(self.run_id, self.algorithm, self.seed, self.round,
+                         epoch, iteration, split, lam=self.lam, s0=self.s0,
+                         **values)
+
 
 def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
              st_variant: str = "identity", batch_size: int = 512) -> tuple[float, float]:
@@ -122,10 +130,8 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
             if recorder is not None:
-                recorder(RunRecord(info.run_id, info.algorithm, info.seed,
-                                   info.round, cursor.epoch, it, "abort",
-                                   loss=loss_val, beta=beta, lam=info.lam,
-                                   s0=info.s0))
+                recorder(info.record(cursor.epoch, it, "abort", loss=loss_val,
+                                     beta=beta))
             raise NonFiniteError(
                 f"non-finite loss at iteration {it} of {info.run_id!r}")
         backward(loss)
@@ -150,18 +156,16 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                     np.random.SeedSequence((info.seed, STREAM_EVAL, it)))
                 _, train_acc = evaluate(model, data, beta=beta, rng=eval_rng,
                                         st_variant=st_variant)
-                recorder(RunRecord(info.run_id, info.algorithm, info.seed,
-                                   info.round, cursor.epoch, it + 1, "train",
-                                   loss=epoch_loss / epoch_steps,
-                                   accuracy=train_acc, remaining_frac=rem,
-                                   beta=beta, lam=info.lam, s0=info.s0))
+                recorder(info.record(cursor.epoch, it + 1, "train",
+                                     loss=epoch_loss / epoch_steps,
+                                     accuracy=train_acc, remaining_frac=rem,
+                                     beta=beta))
                 if test_data is not None:
                     tl, ta = evaluate(model, test_data, beta=beta,
                                       rng=eval_rng, st_variant=st_variant)
-                    recorder(RunRecord(info.run_id, info.algorithm, info.seed,
-                                       info.round, cursor.epoch, it + 1, "test",
-                                       loss=tl, accuracy=ta, remaining_frac=rem,
-                                       beta=beta, lam=info.lam, s0=info.s0))
+                    recorder(info.record(cursor.epoch, it + 1, "test",
+                                         loss=tl, accuracy=ta,
+                                         remaining_frac=rem, beta=beta))
             epoch_loss = 0.0
             epoch_steps = 0
     return iterations

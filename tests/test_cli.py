@@ -121,6 +121,39 @@ class TestRunSubcommands:
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_unknown_evaluation_in_config_file_fails(self, tmp_path, capsys):
+        for evaluation, message in (
+                ({"evaluate": "everything"}, "unknown evaluation setting"),
+                ({"mode": "retrain-from-0"}, "unknown evaluation mode")):
+            cfgp = small_config(tmp_path, evaluation=evaluation)
+            out = tmp_path / "o"
+            assert main(["cs", "--config", str(cfgp), "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not (out / "records.csv").exists()
+
+    def test_failed_run_writes_no_run_files(self, tmp_path, capsys):
+        cfgp = small_config(
+            tmp_path, round={"rounds": 2, "iters_per_round": 16,
+                             "rewind_iter": 2, "batch_size": 32,
+                             "record_every": 0, "prune_rate": None})
+        out = tmp_path / "o"
+        assert main(["imp", "--config", str(cfgp), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: this controller requires a pruning rate\n")
+        assert list(out.iterdir()) == []
+
+    def test_run_keeps_the_files_sweep_settings(self, tmp_path):
+        cfgp = small_config(tmp_path, seeds=[3, 4],
+                            sweep={"grid": {"s0": [0.1]}, "max_workers": 2})
+        out = tmp_path / "o"
+        assert main(["cs", "--config", str(cfgp), "--out", str(out)]) == 0
+        resolved = json.loads((out / "config.json").read_text())
+        assert resolved["seeds"] == [3, 4]
+        assert resolved["sweep"] == {"grid": {"s0": [0.1]}, "max_workers": 2}
+        records = read_records(out / "records.csv")
+        assert {r.run_id for r in records} == {"dense-seed1", "cs-seed1"}
+        assert records[0].run_id == "dense-seed1"
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["cs", "--bogus-flag"])
@@ -138,6 +171,26 @@ class TestSweepAndReport:
         assert len(report["rows"]) == 11
         run_dirs = [p for p in (out / "runs").iterdir() if p.is_dir()]
         assert len(run_dirs) == 11
+
+    def test_bad_seeds_and_grid_fail_cleanly(self, tmp_path, capsys):
+        cfgp = small_config(tmp_path)
+        for bad in (["--seeds", "1,x"], ["--seeds", ""], ["--grid", "s0"],
+                    ["--grid", "s0=1:2"]):
+            argv = ["sweep", "--config", str(cfgp), "--grid", "s0=0,1",
+                    "--out", str(tmp_path / "s")] + bad
+            assert main(argv) == 1, bad
+            assert capsys.readouterr().err.startswith("error: "), bad
+
+    def test_grid_flags_merge_over_the_files_grid(self, tmp_path):
+        cfgp = small_config(tmp_path, evaluation={"evaluate": "none"},
+                            sweep={"grid": {"s0": [0.1], "lambda": [0.0]}})
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(cfgp), "--grid", "s0=0,0.2",
+                     "--grid", "tau=0.5", "--seeds", "1",
+                     "--out", str(out)]) == 0
+        resolved = json.loads((out / "config.json").read_text())
+        assert resolved["sweep"]["grid"] == {
+            "s0": [0.0, 0.2], "lambda": [0.0], "tau": [0.5]}
 
     def test_sweep_without_grid_fails(self, tmp_path, capsys):
         cfgp = small_config(tmp_path)
@@ -260,6 +313,34 @@ class TestRunConfigValidation:
     def test_nested_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="round"):
             RunConfig.from_dict({"round": {"rouns": 3}})
+
+    def test_every_config_flag_sets_a_config_key(self):
+        from ticketlab.cli import build_parser
+        keys = RunConfig().to_dict()
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        for name, sp in subparsers.items():
+            for action in sp._actions:
+                if action.dest in ("help", "config", "k_epochs", "dir"):
+                    continue
+                node = keys
+                for part in action.dest.split("."):
+                    assert isinstance(node, dict) and part in node, (
+                        name, action.option_strings, action.dest)
+                    node = node[part]
+
+    def test_precedence_defaults_algorithm_file_flags(self, tmp_path):
+        cfgp = small_config(tmp_path, round={
+            "rounds": 3, "iters_per_round": 16, "rewind_iter": 2,
+            "batch_size": 32, "record_every": 0, "prune_rate": 0.3})
+        out = tmp_path / "o"
+        main(["imp", "--config", str(cfgp), "--rounds", "2", "--rewind",
+              "off", "--eval", "none", "--out", str(out)])
+        r = json.loads((out / "config.json").read_text())["round"]
+        assert r["lam"] == 1e-8  # RunConfig default
+        assert r["prune_rate"] == 0.3  # the file over imp's 0.2
+        assert r["rounds"] == 2  # the flag over the file
+        assert r["rewind_between_rounds"] is False  # the flag over imp's
+        assert r["iters_per_round"] == 16  # the file over the default
 
     def test_flags_override_file_keys(self, tmp_path):
         cfgp = small_config(tmp_path)

@@ -1,19 +1,26 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ticketlab.data import DataConfig, gen_two_moons
-from ticketlab.harness import (EvalRow, ExperimentPlan, cost_accounting,
-                               dense_baseline, finetune_ticket,
-                               masked_accuracy, per_layer_sparsity,
-                               random_mask_like, retrain_ticket,
+import ticketlab.harness as H
+from ticketlab.harness import (SEARCHES, EvalRow, ExperimentPlan,
+                               cost_accounting, dense_baseline,
+                               finetune_ticket, masked_accuracy,
+                               per_layer_sparsity, random_mask_like,
+                               retrain_ticket, run_point,
                                select_best_performing,
-                               select_sparsest_matching, sweep)
+                               select_sparsest_matching, sweep, ticket_rounds)
 from ticketlab.models import ModelConfig, build_mlp
 from ticketlab.optim import CompositeOptimizer, OptimizerConfig
-from ticketlab.search import RewindStore, RoundConfig, run_cs
+from ticketlab.search import (RewindStore, RoundConfig, run_cs, run_imp,
+                              run_sequential_cs)
 from ticketlab.seeding import STREAM_SHUFFLE, seeded_rng
-from ticketlab.tensor import NonFiniteError, ShapeError, reset_tape
-from ticketlab.training import TrainCursor, train
+from ticketlab.tensor import (NonFiniteError, ShapeError, default_dtype,
+                              reset_tape, set_default_dtype)
+from ticketlab.training import RunInfo, TrainCursor, train
 
 
 @pytest.fixture(autouse=True)
@@ -316,6 +323,65 @@ class TestSweep:
         assert [(r.run_id, r.error) for r in report.rows] == [
             ("cs-s0=-0.1-seed1", None), ("cs-s0=0.1-seed1", "disk full")]
 
+    def test_unknown_algorithm_fails_before_any_dense_baseline(self):
+        seen = []
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            sweep(self.plan(algorithm="bogus", grid={"s0": [0.0]},
+                            evaluate="final"),
+                  on_run=lambda *a: seen.append(a[0]))
+        assert seen == []
+
+    def test_precision_does_not_leak_out_of_a_sweep(self):
+        sweep(self.plan(grid={"s0": [0.0]}, seeds=(1,), evaluate="final",
+                        precision="float32"))
+        assert {a.dtype for a in MC.build(1).weight_arrays().values()} == {
+            np.dtype(np.float64)}
+
+    def test_precision_restored_after_a_failing_run(self, moons_pair):
+        plan = self.plan(algorithm="imp", precision="float32",
+                         round_cfg=cfg(iters_per_round=20, rewind_iter=2))
+        set_default_dtype("float32")
+        try:  # the setting before the run comes back, not float64
+            sweep(replace(plan, precision="float64", evaluate="final",
+                          grid={"tau": [0.2]}, seeds=(1,)))
+            assert default_dtype() == np.float32
+        finally:
+            set_default_dtype("float64")
+        bad = replace(plan, round_cfg=cfg(iters_per_round=20, rewind_iter=2,
+                                          prune_rate=None))
+        with pytest.raises(ValueError, match="pruning rate"):
+            run_point(bad, {}, 1, *moons_pair)
+        assert default_dtype() == np.float64
+
+    def test_searches_call_the_controller_bound_at_call_time(
+            self, monkeypatch):
+        calls = []
+
+        def traced(*args, **kw):
+            calls.append(kw["run_id"])
+            return run_cs(*args, **kw)
+
+        monkeypatch.setattr(H, "run_cs", traced)
+        sweep(self.plan(grid={"s0": [0.0]}, seeds=(1,)))
+        assert calls == ["cs-s0=0-seed1"]
+        assert list(SEARCHES) == ["cs", "imp", "iss", "seqcs", "supermask"]
+
+    def test_spearman_matches_scipy_on_ties_and_constants(self):
+        from scipy.stats import spearmanr
+        rng = np.random.default_rng(0)
+        cases = [([1, 2, 3], [5, 5, 5]), ([2, 2], [1, 3]),
+                 ([0.1, 0.2, 0.3, 0.4], [0.9, 0.9, 0.5, 0.5])]
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            cases.append((rng.integers(0, 3, n) * 0.1,
+                          rng.integers(0, 4, n).astype(float)))
+        for x, y in cases:
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = float(spearmanr(x, y).statistic)
+            got = H._spearman(list(x), list(y))
+            assert got == want or (np.isnan(got) and np.isnan(want)), (x, y)
+
     def test_spearman_reported_for_s0_sweep(self):
         report = sweep(self.plan(grid={"s0": [-0.3, 0.0, 0.3]}, seeds=(1,)))
         assert report.spearman_s0 is not None
@@ -357,6 +423,41 @@ class TestSweep:
         rows = [r for r in report.rows if r.error is None]
         assert rows and all(r.accuracy is not None for r in rows)
         assert any(r.split == "mask_test" for r in report.records)
+
+
+class TestTicketRounds:
+    def test_one_ticket_per_round(self, moons_pair):
+        tickets = run_imp(MC.build(1), moons_pair[0],
+                          cfg(rounds=3, prune_rate=0.2), seed=1)
+        assert [(r, t) for r, _, t in ticket_rounds(tickets)] == [
+            (1, tickets[0]), (2, tickets[1]), (3, tickets[2])]
+        assert all(m is t.masks for _, m, t in ticket_rounds(tickets))
+
+    def test_one_ticket_carrying_every_round(self, moons_pair):
+        ticket = run_cs(MC.build(1), moons_pair[0], cfg(rounds=3), seed=1)
+        rounds = ticket_rounds([ticket])
+        assert [r for r, _, _ in rounds] == [1, 2, 3]
+        assert [m for _, m, _ in rounds] == ticket.round_masks
+        assert all(t is ticket for _, _, t in rounds)
+
+    def test_single_round_of_either_shape(self, moons_pair):
+        [imp] = run_imp(MC.build(1), moons_pair[0],
+                        cfg(rounds=1, prune_rate=0.2), seed=1)
+        [seq] = run_sequential_cs(MC.build(1), moons_pair[0],
+                                  cfg(rounds=1, prune_rate=0.2), seed=1)
+        for t in (imp, seq):
+            assert ticket_rounds([t]) == [(1, t.masks, t)]
+
+
+class TestRunInfoRecord:
+    def test_stamps_the_run_constants(self):
+        info = RunInfo(run_id="cs-seed3", algorithm="cs", seed=3, round=2,
+                       lam=1e-8, s0=0.05)
+        r = info.record(4, 96, "train", loss=0.5, beta=2.0)
+        assert (r.run_id, r.algorithm, r.seed, r.round, r.epoch, r.iter,
+                r.split, r.loss, r.beta, r.lam, r.s0) == (
+            "cs-seed3", "cs", 3, 2, 4, 96, "train", 0.5, 2.0, 1e-8, 0.05)
+        assert r.accuracy is None and r.remaining_frac is None
 
 
 class TestCostAccounting:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import spearmanr
 
 import ticketlab.search as S
 from ticketlab import tensor as T
 from ticketlab.data import gen_two_moons
-from ticketlab.masking import GATE_STOCHASTIC, MaskedParameterGroup
+from ticketlab.masking import GATE_HARD, GATE_STOCHASTIC, MaskedParameterGroup
 from ticketlab.models import ModelConfig, build_mlp
 from ticketlab.optim import CompositeOptimizer, OptimizerConfig
 from ticketlab.search import (RoundConfig, _select_lowest,
@@ -103,6 +105,95 @@ class TestSelectLowest:
         act = [np.ones(10, dtype=bool)] * 2
         picks = _select_lowest([g1, g2], vals, act, 0.2, "per-layer")
         assert [len(p) for p in picks] == [2, 2]
+
+
+# Groups of up to 12 components whose values are drawn from a few levels,
+# so that ties are common, with a random subset still active.
+_levels = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 2.0])
+_group = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(_levels, min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n)))
+_groups = st.lists(_group, min_size=1, max_size=4)
+_rates = st.floats(0.01, 0.99)
+_props = settings(derandomize=True, database=None, max_examples=200,
+                  deadline=None)
+
+
+def _split(spec):
+    groups = [MaskedParameterGroup(f"g{i}", Tensor(np.zeros(len(v))))
+              for i, (v, _) in enumerate(spec)]
+    return (groups, [np.asarray(v) for v, _ in spec],
+            [np.asarray(a, dtype=bool) for _, a in spec])
+
+
+def _expected_count(active: int, rate: float) -> int:
+    n = int(np.floor(rate * active + 1e-9))
+    return 1 if n == 0 and active > 1 else n
+
+
+class TestSelectLowestProperties:
+    @_props
+    @given(_groups, _rates)
+    def test_global_count_is_floor_or_one(self, spec, rate):
+        groups, vals, act = _split(spec)
+        picks = _select_lowest(groups, vals, act, rate, "global")
+        n = _expected_count(sum(int(a.sum()) for a in act), rate)
+        assert sum(p.size for p in picks) == n
+        if n == 0:
+            assert picks == []
+
+    @_props
+    @given(_groups, _rates)
+    def test_picks_are_active_lowest_and_ties_break_on_flat_index(
+            self, spec, rate):
+        groups, vals, act = _split(spec)
+        picks = _select_lowest(groups, vals, act, rate, "global")
+        # every active component as (value, group, flat index), in order
+        ranked = sorted((v[i], gi, i) for gi, (v, a) in enumerate(
+            zip(vals, act)) for i in np.flatnonzero(a))
+        taken = ranked[:sum(p.size for p in picks)]
+        assert sorted((gi, i) for _, gi, i in taken) == sorted(
+            (gi, int(i)) for gi, p in enumerate(picks) for i in p)
+
+    @_props
+    @given(_groups, _rates)
+    def test_per_layer_is_the_global_cut_of_each_group(self, spec, rate):
+        groups, vals, act = _split(spec)
+        picks = _select_lowest(groups, vals, act, rate, "per-layer")
+        alone = [_select_lowest([g], [v], [a], rate, "global")
+                 for g, v, a in zip(groups, vals, act)]
+        if not any(alone):
+            assert picks == []
+            return
+        for p, a, one in zip(picks, act, alone):
+            assert p.dtype == np.int64
+            assert p.tolist() == (one[0].tolist() if one else [])
+            assert p.size == _expected_count(int(a.sum()), rate)
+
+    @_props
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=3), _rates,
+           st.sampled_from(["global", "per-layer"]), st.integers(0, 2**16))
+    def test_imp_masks_nested_across_rounds(self, sizes, rate, scope, seed):
+        rng = np.random.default_rng(seed)
+        groups = [MaskedParameterGroup(f"g{i}", Tensor(rng.standard_normal(n)))
+                  for i, n in enumerate(sizes)]
+        for g in groups:
+            g.init_gate(GATE_HARD)
+        cfg = RoundConfig(prune_rate=rate)
+        previous = {g.name: np.ones(g.weights.shape) for g in groups}
+        for _ in range(6):
+            for g in groups:  # training moves the weights between rounds
+                g.weights.data += 0.5 * rng.standard_normal(g.weights.shape)
+            masks, exhausted = S._magnitude_cut(groups, cfg, None, scope)
+            for name, m in masks.items():
+                assert np.all(m <= previous[name])
+            if exhausted:
+                assert all(np.array_equal(masks[k], previous[k])
+                           for k in masks)
+                break
+            assert sum(m.sum() for m in masks.values()) < sum(
+                m.sum() for m in previous.values())
+            previous = masks
 
 
 class TestRunCS:
