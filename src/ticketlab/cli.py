@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, SweepConfig
-from .harness import (SEARCHES, EvalRow, ExperimentPlan, cost_accounting,
-                      dense_baseline, select_best_performing,
-                      select_sparsest_matching, sweep, ticket_rounds)
+from .harness import (SEARCHES, EvalRow, ExperimentPlan, _precision,
+                      cost_accounting, dense_baseline, eval_budget_iters,
+                      select_best_performing, select_sparsest_matching, sweep,
+                      ticket_rounds)
 from .persist import (read_records, save_checkpoint, save_mask_artifact,
                       write_records)
-from .tensor import set_default_dtype
 
 EVAL_SPLITS = ("retrain_test", "finetune_test", "mask_test")
 
@@ -154,11 +154,11 @@ def _cmd_run(args) -> int:
     records: list = []
 
     if cfg.algorithm == "dense":
-        budget = cfg.evaluation.budget_iters or cfg.round.iters_per_round
-        set_default_dtype(cfg.precision)
+        budget = eval_budget_iters(cfg.evaluation.budget_iters, cfg.round)
         train_data, test_data = cfg.dataset.build()
-        acc = dense_baseline(cfg.model, train_data, test_data, cfg.round,
-                             budget, cfg.seed, recorder=records.append)
+        with _precision(cfg.precision):
+            acc = dense_baseline(cfg.model, train_data, test_data, cfg.round,
+                                 budget, cfg.seed, recorder=records.append)
         _persist_run(out, cfg, [], records)
         print(f"dense baseline: test accuracy {acc:.4f} "
               f"({budget} iterations), run dir {out}")

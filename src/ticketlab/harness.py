@@ -126,6 +126,12 @@ def _precision(name: str):
         set_default_dtype(previous)
 
 
+def eval_budget_iters(eval_budget: int | None, round_cfg: RoundConfig) -> int:
+    """Training iterations of a dense baseline and of a ticket's
+    evaluation: ``eval_budget`` when set, otherwise one search round."""
+    return eval_budget or round_cfg.iters_per_round
+
+
 def ticket_rounds(tickets: list[TicketResult]) -> list[tuple]:
     """Every round of a search as ``(round, masks, ticket)``, whichever of
     the two shapes the search returned: one ticket per round (imp, seqcs),
@@ -355,7 +361,7 @@ def run_point(plan: ExperimentPlan, point: dict, seed: int, train_data,
                                            seed=seed, run_id=run_id,
                                            recorder=rec)
         result = tickets[-1]
-        budget = plan.eval_budget or cfg.iters_per_round
+        budget = eval_budget_iters(plan.eval_budget, cfg)
         cost = (result.total_iterations,
                 result.total_iterations / result.iters_per_epoch)
         # a search that froze the weights (supermask) is scored at them
@@ -416,7 +422,7 @@ def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
 
     records: list[RunRecord] = []
     dense_by_seed: dict[int, float] = {}
-    budget = plan.eval_budget or plan.round_cfg.iters_per_round
+    budget = eval_budget_iters(plan.eval_budget, plan.round_cfg)
     if plan.evaluate != "none":
         for seed in plan.seeds:
             run_id = _run_id("dense", {}, seed)

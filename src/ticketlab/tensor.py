@@ -384,6 +384,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     ``x``: (n, cin, h, w); ``kernel``: (cout, cin, kh, kw). The output
     spatial size is floor((h + 2p - kh)/stride) + 1.
+
+    The padded input is kept channel-major, (cin, n, hp, wp), so the
+    window of kernel offset (i, j) reshapes to a (cin, n*oh*ow) matrix and
+    each offset is one BLAS GEMM: the forward output, the kernel gradient
+    and the input gradient each take kh*kw of them. No im2col matrix is
+    built; besides the output, the op holds about one padded input (the
+    array the backward pass keeps) plus one window at a time.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {kernel.shape}")
@@ -398,35 +405,42 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
+    m = n * oh * ow
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    out = np.zeros((n, cout, oh, ow), dtype=x.dtype)
+    xp = np.zeros((cin, n, hp, wp), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x.data.transpose(1, 0, 2, 3)
     kd = kernel.data
+
+    def at(i, j):
+        """Index of the padded positions kernel offset (i, j) reads."""
+        return (slice(None), slice(None), slice(i, i + stride * oh, stride),
+                slice(j, j + stride * ow, stride))
+
+    def window(i, j):
+        """Offset (i, j)'s input window as a (cin, n*oh*ow) matrix."""
+        return xp[at(i, j)].reshape(cin, m)
+
+    out2 = np.zeros((cout, m), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            xs = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-            out += np.einsum("ncxy,oc->noxy", xs, kd[:, :, i, j])
+            out2 += kd[:, :, i, j] @ window(i, j)
+    out = np.ascontiguousarray(out2.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3))
 
     def backward_fn(g):
+        g2 = g.transpose(1, 0, 2, 3).reshape(cout, m)
         if kernel.requires_grad:
-            gk = np.zeros_like(kd)
+            gk = np.empty_like(kd)
             for i in range(kh):
                 for j in range(kw):
-                    xs = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-                    gk[:, :, i, j] = np.einsum("noxy,ncxy->oc", g, xs)
+                    gk[:, :, i, j] = g2 @ window(i, j).T
             kernel.accumulate_grad(gk)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += \
-                        np.einsum("noxy,oc->ncxy", g, kd[:, :, i, j])
-            if padding:
-                gxp = gxp[:, :, padding:padding + h, padding:padding + w]
-            x.accumulate_grad(gxp)
+                    gxp[at(i, j)] += (kd[:, :, i, j].T @ g2).reshape(cin, n, oh, ow)
+            x.accumulate_grad(
+                gxp[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
 
     return apply_op("conv2d", (x, kernel), out, backward_fn)
 

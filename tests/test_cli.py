@@ -6,7 +6,7 @@ import pytest
 from ticketlab.cli import main, recompute_report
 from ticketlab.config import RunConfig
 from ticketlab.persist import load_checkpoint, load_mask_artifact, read_records
-from ticketlab.tensor import reset_tape
+from ticketlab.tensor import default_dtype, reset_tape, set_default_dtype
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +57,17 @@ class TestRunSubcommands:
         assert rc == 0
         records = read_records(out / "records.csv")
         assert any(r.split == "final_test" for r in records)
+
+    def test_dense_precision_does_not_leak(self, tmp_path):
+        cfgp = small_config(tmp_path)
+        try:
+            rc = main(["dense", "--config", str(cfgp), "--seed", "2",
+                       "--out", str(tmp_path / "dense"),
+                       "--precision", "float32"])
+            assert rc == 0
+            assert default_dtype() == np.float64
+        finally:
+            set_default_dtype("float64")
 
     def test_imp_defaults_include_rate_and_rewind(self, tmp_path):
         cfgp = small_config(tmp_path)

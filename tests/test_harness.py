@@ -8,6 +8,7 @@ from ticketlab.data import DataConfig, gen_two_moons
 import ticketlab.harness as H
 from ticketlab.harness import (SEARCHES, EvalRow, ExperimentPlan,
                                cost_accounting, dense_baseline,
+                               eval_budget_iters,
                                finetune_ticket, masked_accuracy,
                                per_layer_sparsity, random_mask_like,
                                retrain_ticket, run_point,
@@ -257,6 +258,11 @@ class TestSweep:
     def test_grid_times_seeds_rows(self):
         report = sweep(self.plan())
         assert len(report.rows) == 33
+
+    def test_eval_budget_defaults_to_one_round(self):
+        round_cfg = cfg(iters_per_round=20)
+        assert eval_budget_iters(None, round_cfg) == 20
+        assert eval_budget_iters(50, round_cfg) == 50
 
     def test_empty_grid_rejected(self):
         from ticketlab.harness import _expand_grid

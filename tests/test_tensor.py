@@ -225,6 +225,96 @@ class TestGradientsAgainstFiniteDifferences:
         assert abs(w.grad[0] - 7.0) < 1e-12
 
 
+def _direct_conv(x, k, g, stride, padding):
+    """Forward output, kernel gradient and input gradient of a strided,
+    zero-padded cross-correlation, one output pixel at a time, for the
+    output gradient ``g`` (float64 throughout)."""
+    x, k, g = (np.asarray(a, dtype=np.float64) for a in (x, k, g))
+    kh, kw = k.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh, ow = g.shape[2:]
+    out = np.zeros(g.shape)
+    gk = np.zeros(k.shape)
+    gxp = np.zeros(xp.shape)
+    for y in range(oh):
+        for z in range(ow):
+            rows = slice(y * stride, y * stride + kh)
+            cols = slice(z * stride, z * stride + kw)
+            patch = xp[:, :, rows, cols]  # (n, cin, kh, kw)
+            out[:, :, y, z] = np.tensordot(patch, k, axes=([1, 2, 3], [1, 2, 3]))
+            gk += np.tensordot(g[:, :, y, z], patch, axes=(0, 0))
+            gxp[:, :, rows, cols] += np.tensordot(g[:, :, y, z], k, axes=(1, 0))
+    gx = gxp[:, :, padding:padding + x.shape[2], padding:padding + x.shape[3]]
+    return out, gk, gx
+
+
+def _close(actual, expected, rel):
+    """Agreement to ``rel`` of the reference's largest magnitude."""
+    scale = np.abs(expected).max()
+    assert np.abs(actual - expected).max() <= rel * scale
+
+
+class TestConvAgainstDirectLoops:
+    """``conv2d`` forward and both gradients against ``_direct_conv``:
+    non-square kernel, odd spatial sizes, every stride/padding pair."""
+
+    @staticmethod
+    def _run(x, k, stride, padding, dtype=np.float64):
+        rng = np.random.default_rng(5)
+        tx = Tensor(x, requires_grad=True, dtype=dtype)
+        tk = Tensor(k, requires_grad=True, dtype=dtype)
+        out = conv2d(tx, tk, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        backward(tensor_sum(mul(out, Tensor(g, dtype=dtype))))
+        return tx, tk, out, g
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_matches_direct_loops(self, n, stride, padding):
+        rng = np.random.default_rng(100 * n + 10 * stride + padding)
+        x = rng.standard_normal((n, 3, 7, 5))
+        k = rng.standard_normal((4, 3, 3, 2))
+        tx, tk, out, g = self._run(x, k, stride, padding)
+        ref_out, ref_gk, ref_gx = _direct_conv(x, k, g, stride, padding)
+        assert out.shape == ref_out.shape
+        _close(out.data, ref_out, 1e-12)
+        _close(tk.grad, ref_gk, 1e-12)
+        _close(tx.grad, ref_gx, 1e-12)
+
+    def test_float32_in_float32_out(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((2, 3, 7, 5))
+        k = rng.standard_normal((4, 3, 3, 2))
+        tx, tk, out, g = self._run(x, k, 2, 1, dtype=np.float32)
+        assert out.dtype == tx.grad.dtype == tk.grad.dtype == np.float32
+        ref_out, ref_gk, ref_gx = _direct_conv(tx.data, tk.data, g, 2, 1)
+        _close(out.data, ref_out, 1e-5)
+        _close(tk.grad, ref_gk, 1e-5)
+        _close(tx.grad, ref_gx, 1e-5)
+
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((2, 3, 7, 5)))
+        k = Tensor(rng.standard_normal((4, 3, 3, 2)), requires_grad=True)
+        out = conv2d(x, k, stride=1, padding=1)
+        backward(tensor_sum(out))
+        assert x.grad is None
+        _, ref_gk, _ = _direct_conv(x.data, k.data, np.ones(out.shape), 1, 1)
+        _close(k.grad, ref_gk, 1e-12)
+
+    def test_nothing_recorded_under_no_grad(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.standard_normal((2, 3, 7, 5)), requires_grad=True)
+        k = Tensor(rng.standard_normal((4, 3, 3, 2)), requires_grad=True)
+        with T.no_grad():
+            out = conv2d(x, k, stride=2, padding=2)
+        assert len(T.active_tape()) == 0
+        assert not out.requires_grad
+        ref_out, _, _ = _direct_conv(x.data, k.data, np.zeros(out.shape), 2, 2)
+        _close(out.data, ref_out, 1e-12)
+
+
 class TestOptimizers:
     def test_sgd_plain_step(self):
         w = Tensor([1.0], requires_grad=True)
