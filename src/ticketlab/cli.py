@@ -199,6 +199,8 @@ def _cmd_sweep(args) -> int:
     if not cfg.sweep.grid:
         raise ValueError("sweep requires a non-empty grid "
                          "(--grid name=lo:hi:count)")
+    plan = _plan(cfg)
+    plan.validate()  # before anything is written
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(out / "config.json")
@@ -215,7 +217,7 @@ def _cmd_sweep(args) -> int:
             rcfg.round = tickets[-1].config
         _persist_run(rdir, rcfg, tickets, records)
 
-    result = sweep(_plan(cfg), on_run=persist)
+    result = sweep(plan, on_run=persist)
     rows = result.rows
     report = _report_dict(rows, result.dense_by_seed, result.spearman_s0)
     with open(out / "report.json", "w", encoding="utf-8") as f:

@@ -11,7 +11,6 @@ ticket regardless of sparsity.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -108,6 +107,9 @@ class ExperimentPlan:
             raise ValueError(f"unknown evaluation setting {self.evaluate!r}")
         if self.eval_mode not in ("retrain-from-k", "fine-tune"):
             raise ValueError(f"unknown evaluation mode {self.eval_mode!r}")
+        if self.max_workers < 1:
+            raise ValueError(f"max_workers must be at least 1, got "
+                             f"{self.max_workers}")
         for k in self.grid:
             key = GRID_ALIASES.get(k, k)
             if not hasattr(self.round_cfg, key):
@@ -403,16 +405,54 @@ def run_point(plan: ExperimentPlan, point: dict, seed: int, train_data,
     return tickets, rows, records
 
 
+def _job(plan: ExperimentPlan, point: dict, seed: int, train_data,
+         test_data) -> tuple:
+    """One sweep run in whichever process executes it: ``(run_point's
+    result, None)``, or ``(None, message)`` when the run raised."""
+    try:
+        return run_point(plan, point, seed, train_data, test_data), None
+    except Exception as exc:  # recorded per-row; the sweep continues
+        return None, str(exc)
+
+
+def _pooled_outcomes(plan: ExperimentPlan, jobs: list, train_data,
+                     test_data):
+    """``_job``'s outcome for each ``(point, seed)`` of ``jobs``, run on
+    forked worker processes and yielded in job order as each arrives. A
+    job left without a result (its worker died, or its result could not be
+    pickled back) yields ``(None, message)`` like a job that raised."""
+    # imported here: serial sweeps and single runs never load multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(min(plan.max_workers, len(jobs)),
+                             mp_context=multiprocessing.get_context("fork")
+                             ) as pool:
+        futures = [pool.submit(_job, plan, point, seed, train_data, test_data)
+                   for point, seed in jobs]
+        try:
+            for future in futures:
+                try:
+                    yield future.result()
+                except Exception as exc:
+                    yield None, f"{type(exc).__name__}: {exc}"
+        finally:  # an interrupted sweep starts no further job
+            pool.shutdown(cancel_futures=True)
+
+
 def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
-    """Expand grid x seeds into independent runs, execute (optionally with a
-    bounded worker pool), evaluate tickets, and aggregate. Child-run
-    failures become error rows under the run's own id; the sweep continues.
+    """Expand grid x seeds into independent runs, execute them (on up to
+    ``plan.max_workers`` forked worker processes when that is above 1),
+    evaluate tickets, and aggregate. Child-run failures become error rows
+    under the run's own id; the sweep continues. A worker process that dies
+    turns its run, and every run the pool did not finish, into error rows.
 
     ``on_run(run_id, point, seed, tickets, records)``, when given, is called
-    on the thread that did the work: once per dense baseline (``point`` is
-    None and ``tickets`` empty) and once per finished run. A run whose hook
-    raises becomes an error row; a dense baseline whose hook raises ends
-    the sweep, as a failing dense baseline does.
+    in the calling process, in job order: once per dense baseline
+    (``point`` is None and ``tickets`` empty) and once per finished run, as
+    its result arrives. A run whose hook raises becomes an error row; a
+    dense baseline whose hook raises ends the sweep, as a failing dense
+    baseline does.
 
     When the mask init is swept, the report includes the Spearman rank
     correlation between its value and the median remaining fraction."""
@@ -436,29 +476,27 @@ def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
                 on_run(run_id, None, seed, [], drecs)
 
     jobs = [(point, seed) for point in points for seed in plan.seeds]
-    rows: list[EvalRow] = []
-
-    def job(args):
-        point, seed = args
-        run_id = _run_id(plan.algorithm, point, seed)
-        try:
-            tickets, rws, recs = run_point(plan, point, seed, train_data,
-                                           test_data)
-            if on_run is not None:
-                on_run(run_id, point, seed, tickets, recs)
-            return rws, recs
-        except Exception as exc:  # recorded per-row; sweep continues
-            return ([EvalRow(run_id, plan.algorithm, seed, 0, None, None, 0,
-                             0.0, grid=dict(point), error=str(exc))], [])
-
-    if plan.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=plan.max_workers) as pool:
-            results = list(pool.map(job, jobs))
+    if plan.max_workers == 1:
+        outcomes = (_job(plan, point, seed, train_data, test_data)
+                    for point, seed in jobs)
     else:
-        results = [job(j) for j in jobs]
-    for rws, recs in results:
-        rows.extend(rws)
-        records.extend(recs)
+        outcomes = _pooled_outcomes(plan, jobs, train_data, test_data)
+    rows: list[EvalRow] = []
+    for (result, error), (point, seed) in zip(outcomes, jobs):
+        run_id = _run_id(plan.algorithm, point, seed)
+        if error is None:
+            tickets, rws, recs = result
+            if on_run is not None:
+                try:
+                    on_run(run_id, point, seed, tickets, recs)
+                except Exception as exc:  # a failing hook fails its run
+                    error = str(exc)
+        if error is None:
+            rows.extend(rws)
+            records.extend(recs)
+        else:
+            rows.append(EvalRow(run_id, plan.algorithm, seed, 0, None, None,
+                                0, 0.0, grid=dict(point), error=error))
 
     spearman = sparsity_rank_correlation(rows, plan.grid,
                                          plan.round_cfg.rounds)

@@ -169,7 +169,8 @@ def save_mask_artifact(path_base, masks: dict[str, np.ndarray]) -> None:
                          "bits": int(flat.size), "bytes": int(packed.size)})
         bit_chunks.append(packed.tobytes())
         summary[name] = {"size": int(m.size), "remaining": int(flat.sum()),
-                         "remaining_frac": float(flat.mean())}
+                         "remaining_frac": (float(flat.mean()) if flat.size
+                                            else 0.0)}
     header = json.dumps(manifest).encode("utf-8")
     with open(str(path_base) + ".bits", "wb") as f:
         f.write(struct.pack("<Q", len(header)))

@@ -4,8 +4,8 @@ The loop is deterministic given its RNG streams: batch order is a fixed
 shuffled permutation per epoch drawn from the shuffle stream, the
 temperature schedule advances once per optimizer step, and callbacks
 observe every iteration (snapshotting at the rewind point, learning-rate
-milestones, record emission). A non-finite loss aborts the run with a
-diagnostic record.
+milestones, record emission). A non-finite loss, or a non-finite gradient
+about to be applied, aborts the run with a diagnostic record.
 """
 from __future__ import annotations
 
@@ -104,6 +104,14 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     epoch_loss = 0.0
     epoch_steps = 0
 
+    def abort(what: str, it: int, loss_val: float, beta: float):
+        """Send the diagnostic record; return the error to raise."""
+        if recorder is not None:
+            recorder(info.record(cursor.epoch, it, "abort", loss=loss_val,
+                                 beta=beta))
+        return NonFiniteError(
+            f"non-finite {what} at iteration {it} of {info.run_id!r}")
+
     for step in range(iterations):
         it = start_iteration + step
         si = StepInfo(iteration=it, round_iteration=step, epoch=cursor.epoch,
@@ -129,12 +137,12 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                 loss = add(loss, gate_penalty(g, beta, lam))
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
-            if recorder is not None:
-                recorder(info.record(cursor.epoch, it, "abort", loss=loss_val,
-                                     beta=beta))
-            raise NonFiniteError(
-                f"non-finite loss at iteration {it} of {info.run_id!r}")
+            raise abort("loss", it, loss_val, beta)
         backward(loss)
+        # the gradients the step applies (a missing one is the step's error)
+        if not all(np.isfinite(p.grad).all() for p in optimizer.params
+                   if p.grad is not None):
+            raise abort("gradient", it, loss_val, beta)
         optimizer.step()
 
         epoch_loss += loss_val

@@ -56,7 +56,7 @@ def s0_sweep_report():
                               record_every=0),
         model_cfg=MC, data_cfg=DATA, seeds=(1, 2, 3),
         grid={"s0": [float(v) for v in np.linspace(-0.3, 0.3, 11)]},
-        evaluate="none")
+        evaluate="none", max_workers=2)
     return sweep(plan)
 
 

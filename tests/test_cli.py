@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from ticketlab import harness
 from ticketlab.cli import main, recompute_report
 from ticketlab.config import RunConfig
 from ticketlab.persist import load_checkpoint, load_mask_artifact, read_records
@@ -300,17 +302,56 @@ class TestSweepAndReport:
         records = read_records(out / "records.csv")
         assert any(r.split == "finetune_test" for r in records)
 
-    def test_sweep_parallel_workers_match_serial(self, tmp_path):
+    def test_sweep_parallel_workers_match_serial(self, tmp_path,
+                                                 monkeypatch):
+        cfgp = small_config(tmp_path)
+        trees = []
+        for workers in ("1", "2"):
+            # the same relative --out, as run configs record their path
+            (tmp_path / workers).mkdir()
+            monkeypatch.chdir(tmp_path / workers)
+            assert main(["sweep", "--config", str(cfgp), "--grid",
+                         "s0=-0.1,0.1", "--seeds", "1,2", "--eval", "rounds",
+                         "--out", "sweep", "--workers", workers]) == 0
+            root = tmp_path / workers / "sweep"
+            trees.append({str(p.relative_to(root)): p.read_bytes()
+                          for p in sorted(root.rglob("*")) if p.is_file()})
+        serial, parallel = trees
+        assert len(serial) > 30
+        assert serial.keys() == parallel.keys()
+        differ = [k for k in serial if serial[k] != parallel[k]]
+        assert differ == ["config.json"]  # it records max_workers
+
+    def test_sweep_workers_below_one_fails(self, tmp_path, capsys):
+        cfgp = small_config(tmp_path)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(cfgp), "--grid", "s0=0.1",
+                   "--out", str(out), "--workers", "0"])
+        assert rc == 1
+        assert "error: max_workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_with_a_dead_worker_exits_1(self, tmp_path, monkeypatch,
+                                              capsys):
+        search = harness.SEARCHES["cs"]
+
+        def dies_on_seed_2(plan, model, data, cfg, seed, **kw):
+            if seed == 2:
+                os._exit(3)  # the forked worker inherits this patch
+            return search(plan, model, data, cfg, seed=seed, **kw)
+
+        monkeypatch.setitem(harness.SEARCHES, "cs", dies_on_seed_2)
         cfgp = small_config(tmp_path, evaluation={"evaluate": "none"})
-        out1 = tmp_path / "serial"
-        out2 = tmp_path / "parallel"
-        main(["sweep", "--config", str(cfgp), "--grid", "s0=-0.1,0.1",
-              "--seeds", "1,2", "--out", str(out1)])
-        main(["sweep", "--config", str(cfgp), "--grid", "s0=-0.1,0.1",
-              "--seeds", "1,2", "--out", str(out2), "--workers", "4"])
-        r1 = json.loads((out1 / "report.json").read_text())
-        r2 = json.loads((out2 / "report.json").read_text())
-        assert r1["rows"] == r2["rows"]
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(cfgp), "--grid", "s0=0.1",
+                   "--seeds", "1,2", "--out", str(out), "--workers", "2"])
+        assert rc == 1
+        assert "sweep: 2 runs (" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        assert "cs-s0=0.1-seed2" in [r["run_id"] for r in report["errors"]]
+        for r in report["rows"]:  # every finished run was persisted
+            if r["error"] is None:
+                assert (out / "runs" / r["run_id"] / "records.csv").exists()
 
 
 class TestRunConfigValidation:

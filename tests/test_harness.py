@@ -1,3 +1,6 @@
+import hashlib
+import os
+import threading
 import warnings
 from dataclasses import replace
 
@@ -19,8 +22,8 @@ from ticketlab.optim import CompositeOptimizer, OptimizerConfig
 from ticketlab.search import (RewindStore, RoundConfig, run_cs, run_imp,
                               run_sequential_cs)
 from ticketlab.seeding import STREAM_SHUFFLE, seeded_rng
-from ticketlab.tensor import (NonFiniteError, ShapeError, default_dtype,
-                              reset_tape, set_default_dtype)
+from ticketlab.tensor import (NonFiniteError, ShapeError, apply_op,
+                              default_dtype, reset_tape, set_default_dtype)
 from ticketlab.training import RunInfo, TrainCursor, train
 
 
@@ -101,6 +104,31 @@ class TestTrainLoop:
                   shuffle_rng=seeded_rng(1, STREAM_SHUFFLE),
                   recorder=rows.append)
         assert rows and rows[-1].split == "abort"
+
+    def test_non_finite_gradient_aborts_before_the_step(self, moons_pair):
+        train_ds, _ = moons_pair
+        model = MC.build(1)
+        before = {k: a.copy() for k, a in model.weight_arrays().items()}
+        forward = model.forward
+
+        def poisoned(x, **kw):  # finite logits whose backward writes inf
+            logits = forward(x, **kw)
+            return apply_op("poison", (logits,), logits.data.copy(),
+                            lambda g: logits.accumulate_grad(
+                                np.full_like(g, np.inf)))
+
+        model.forward = poisoned
+        rows = []
+        with pytest.raises(NonFiniteError,
+                           match="non-finite gradient at iteration 0 of 'p'"), \
+                np.errstate(all="ignore"):
+            train(model, train_ds, _opt(model, cfg()), 5, batch_size=32,
+                  shuffle_rng=seeded_rng(1, STREAM_SHUFFLE),
+                  recorder=rows.append, run_info=RunInfo(run_id="p"))
+        assert [(r.split, r.iter) for r in rows] == [("abort", 0)]
+        assert np.isfinite(rows[0].loss)
+        for k, a in model.weight_arrays().items():
+            assert np.array_equal(a, before[k])
 
     def test_epoch_records_cadence(self, moons_pair):
         train_ds, _ = moons_pair
@@ -277,15 +305,95 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(self.plan(grid={"bogus": [1, 2]}))
 
+    # a valid round config per search, as the CLI's defaults give them
+    ALGORITHM_CFGS = {
+        "cs": {},
+        "imp": {"prune_rate": 0.2, "rewind_between_rounds": True},
+        "iss": {"mask_init": 1.0,
+                "mask_opt": OptimizerConfig("sgd", lr=20.0, momentum=0.0)},
+        "seqcs": {"prune_rate": 0.2},
+        "supermask": {"rounds": 1},
+    }
+
+    @staticmethod
+    def _hashing_hook(digest):
+        """An ``on_run`` hook folding every run id and every array it is
+        handed (masks, round masks, rewind arrays, final weights) into
+        ``digest``, in call order."""
+        def fold(arrays):
+            for k in sorted(arrays or {}):
+                digest.update(k.encode())
+                digest.update(np.ascontiguousarray(arrays[k]).tobytes())
+
+        def hook(run_id, point, seed, tickets, records):
+            digest.update(run_id.encode())
+            for t in tickets:
+                fold(t.masks)
+                for m in t.round_masks:
+                    fold(m)
+                fold(t.rewind.arrays)
+                fold(t.final_weights)
+        return hook
+
     def test_concurrent_equals_serial(self):
-        p1 = self.plan(grid={"s0": [-0.1, 0.1]}, seeds=(1, 2),
-                       evaluate="final", max_workers=1)
-        p2 = self.plan(grid={"s0": [-0.1, 0.1]}, seeds=(1, 2),
-                       evaluate="final", max_workers=4)
-        r1 = sweep(p1)
-        r2 = sweep(p2)
-        assert r1.rows == r2.rows
-        assert r1.dense_by_seed == r2.dense_by_seed
+        for algorithm, over in self.ALGORITHM_CFGS.items():
+            results = []
+            for workers in (1, 2):
+                digest = hashlib.sha256()
+                report = sweep(self.plan(
+                    algorithm=algorithm,
+                    round_cfg=cfg(iters_per_round=20, rewind_iter=2, **over),
+                    grid={"s0": [-0.1, 0.1]}, seeds=(1, 2), evaluate="final",
+                    max_workers=workers), on_run=self._hashing_hook(digest))
+                results.append((report, digest.hexdigest()))
+            (r1, h1), (r2, h2) = results
+            assert not any(r.error for r in r1.rows), algorithm
+            assert r1.rows == r2.rows, algorithm
+            assert r1.records == r2.records, algorithm
+            assert r1.dense_by_seed == r2.dense_by_seed, algorithm
+            assert h1 == h2, algorithm
+
+    def test_max_workers_below_one_rejected(self):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="max_workers"):
+                self.plan(max_workers=workers).validate()
+
+    def test_dead_worker_becomes_error_rows(self, monkeypatch):
+        search = SEARCHES["cs"]
+
+        def dies_on_the_last_run(plan, model, data, cfg, seed, **kw):
+            if seed == 2 and cfg.mask_init == 0.1:
+                os._exit(3)  # the forked worker inherits this patch
+            return search(plan, model, data, cfg, seed=seed, **kw)
+
+        monkeypatch.setitem(SEARCHES, "cs", dies_on_the_last_run)
+        seen = []
+        report = sweep(self.plan(grid={"s0": [-0.1, 0.1]}, seeds=(1, 2),
+                                 max_workers=2),
+                       on_run=lambda run_id, *_: seen.append(run_id))
+        ids = ["cs-s0=-0.1-seed1", "cs-s0=-0.1-seed2", "cs-s0=0.1-seed1",
+               "cs-s0=0.1-seed2"]
+        assert [r.run_id for r in report.rows] == ids
+        assert report.rows[0].error is None
+        assert "BrokenProcessPool" in report.rows[-1].error
+        # a run either finished (and reached the hook) or is an error row
+        assert seen == [r.run_id for r in report.rows if r.error is None]
+
+    def test_unpicklable_result_fails_only_its_run(self, monkeypatch):
+        search = SEARCHES["cs"]
+
+        def unpicklable_for_seed_2(plan, model, data, cfg, seed, **kw):
+            tickets = search(plan, model, data, cfg, seed=seed, **kw)
+            if seed == 2:
+                tickets[-1].final_weights = {"lock": threading.Lock()}
+            return tickets
+
+        monkeypatch.setitem(SEARCHES, "cs", unpicklable_for_seed_2)
+        report = sweep(self.plan(grid={"s0": [-0.1, 0.1]}, seeds=(1, 2, 3),
+                                 max_workers=2))
+        failed = [r.run_id for r in report.rows if r.error is not None]
+        assert failed == ["cs-s0=-0.1-seed2", "cs-s0=0.1-seed2"]
+        assert "pickle" in report.rows[1].error
 
     def test_rerun_is_deterministic(self):
         p = self.plan(grid={"s0": [0.0]}, seeds=(1, 2), evaluate="final")

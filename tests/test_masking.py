@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import expit
 
 from ticketlab import tensor as T
@@ -274,6 +277,21 @@ class TestResetMask:
         once = g.mask_logits.data.copy()
         reset_mask(g, end, beta_end=200.0)
         assert np.array_equal(g.mask_logits.data, once)
+
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3,
+                                           max_side=5),
+                  elements=st.floats(-1e3, 1e3)),
+           st.floats(0.0, 1e4, exclude_min=True), st.floats(-2.0, 2.0))
+    def test_reset_is_capped_and_keeps_closed_gates_closed(self, end, beta_end,
+                                                          s_init):
+        g = make_group(np.ones(end.shape), mask_init=s_init, logits=end)
+        reset_mask(g, end, beta_end)
+        s = g.mask_logits.data
+        assert np.array_equal(s, np.minimum(beta_end * end, s_init))
+        assert np.all(s <= s_init)
+        assert np.all(hard_mask(s)[end < 0] == 0)
 
 
 class TestSparsityReport:

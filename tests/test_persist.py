@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ticketlab.data import DataConfig
 from ticketlab.harness import retrain_ticket
@@ -205,3 +210,53 @@ class TestMaskArtifact:
         summary = json.loads((tmp_path / "mask.json").read_text())
         assert summary["a"]["remaining"] == 2
         assert summary["__global__"]["remaining_frac"] == 0.5
+
+
+def _round_trip(masks):
+    """Masks saved and loaded again, plus the summary JSON (which must be
+    strict JSON: no NaN or Infinity)."""
+    def strict(name):
+        raise ValueError(f"{name} in the mask summary")
+
+    with tempfile.TemporaryDirectory() as d:
+        base = Path(d) / "mask"
+        save_mask_artifact(base, masks)
+        summary = json.loads((Path(d) / "mask.json").read_text(),
+                             parse_constant=strict)
+        return load_mask_artifact(base), summary
+
+
+def _masks(elements):
+    """1-3 named arrays of any shape up to 4-d, size-0 and 0-d included."""
+    return st.dictionaries(
+        st.text("abcdefgh0123456789._", min_size=1, max_size=8),
+        arrays(np.float64, array_shapes(min_dims=0, max_dims=4, min_side=0,
+                                        max_side=5), elements=elements),
+        min_size=1, max_size=3)
+
+
+_props = settings(derandomize=True, database=None, max_examples=200,
+                  deadline=None)
+
+
+class TestMaskArtifactProperties:
+    @_props
+    @given(_masks(st.sampled_from([0.0, 1.0])))
+    @example({"empty": np.zeros((0, 3)), "one": np.ones(1)})
+    @example({"zero_d": np.array(0.0), "none": np.zeros(0)})
+    def test_binary_masks_round_trip(self, masks):
+        back, summary = _round_trip(masks)
+        assert back.keys() == masks.keys()
+        for k, m in masks.items():
+            assert back[k].dtype == np.float64
+            assert back[k].shape == m.shape
+            assert np.array_equal(back[k], m)
+            assert summary[k]["remaining"] == int(m.sum())
+
+    @_props
+    @given(_masks(st.floats(allow_nan=False)))
+    @example({"one": np.array([0.3]), "neg": np.array([-0.0, -2.5, 5e-324])})
+    def test_any_positive_value_reads_back_as_one(self, masks):
+        back, _ = _round_trip(masks)
+        for k, m in masks.items():
+            assert np.array_equal(back[k], (m > 0).astype(np.float64))
