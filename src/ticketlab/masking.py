@@ -18,6 +18,14 @@ Conventions fixed here:
   is available via ``st_variant="sigmoid"``.
 * Permanently removed components are tracked with a boolean sentinel array
   rather than a -inf logit, which keeps all arithmetic finite.
+
+On the tape, a soft group's gate sigmoid(beta * s) ⊙ k (k: the components
+not permanently removed) is one node, ``gate``, and so is the L1 term
+``gate_penalty``; each has a hand-written backward. A training step
+computes each group's gate once: ``train`` makes the ``gate`` node, hands
+it to ``Model.forward`` (which fuses it into the layer) and to
+``gate_penalty``, and the logit gradient is formed once from the sum of
+their contributions. ``soft_gate`` is the gated weight ``gate ⊙ w``.
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .tensor import Tensor, apply_op, mul, scale, sigmoid, tensor_sum
+from .tensor import Tensor, apply_op, mul
 
 GATE_NONE = "none"
 GATE_SOFT = "soft-deterministic"
@@ -119,19 +127,30 @@ class MaskedParameterGroup:
             return None
         return (~self.pruned_forever).astype(self.weights.dtype)
 
-    def effective_weights(self, beta: float = 1.0, rng=None,
-                          st_variant: str = "identity") -> Tensor:
-        """The gated weight tensor placed on the tape for this forward pass."""
+    def weight_and_gate(self, beta: float = 1.0, rng=None,
+                        st_variant: str = "identity",
+                        step_gate: Tensor | None = None) -> tuple[Tensor, Tensor | None]:
+        """The weight tensor and the gate multiplying it in this forward
+        pass: (w, hard mask) once a mask is frozen, (w, ``gate``) for a soft
+        gate, (sampled m ⊙ w, None) for a stochastic gate and (w, None)
+        ungated. ``step_gate`` is the step's ``gate`` node of a soft group;
+        it is computed here when not given."""
         if self.frozen_mask is not None:
-            return mul(self.weights, Tensor(self.frozen_mask, dtype=self.weights.dtype))
+            return self.weights, Tensor(self.frozen_mask, dtype=self.weights.dtype)
         if self.mode == GATE_NONE:
-            return self.weights
+            return self.weights, None
         if self.mode == GATE_SOFT:
-            return soft_gate(self, beta)
+            return self.weights, step_gate if step_gate is not None else gate(self, beta)
         if self.mode == GATE_STOCHASTIC:
-            return stochastic_gate(self, rng, st_variant)
+            return stochastic_gate(self, rng, st_variant), None
         raise ValueError(f"group {self.name!r} in mode {self.mode!r} "
                          "needs a frozen mask before use")
+
+    def effective_weights(self, beta: float = 1.0, rng=None,
+                          st_variant: str = "identity") -> Tensor:
+        """The gated weight tensor for this forward pass, as one tensor."""
+        w, m = self.weight_and_gate(beta, rng, st_variant)
+        return w if m is None else mul(w, m)
 
     def gate_values(self, beta: float = 1.0) -> np.ndarray:
         """Current gate value per component, for sparsity reporting."""
@@ -159,16 +178,49 @@ class MaskedParameterGroup:
         return m * k if k is not None else m
 
 
-def soft_gate(group: MaskedParameterGroup, beta: float) -> Tensor:
-    """sigmoid(beta * s) ⊙ w with gradients to both w and s."""
+def _require_soft(group: MaskedParameterGroup, what: str) -> None:
     if group.mode != GATE_SOFT:
-        raise ValueError(f"soft_gate requires mode {GATE_SOFT!r}, "
+        raise ValueError(f"{what} requires mode {GATE_SOFT!r}, "
                          f"group {group.name!r} is {group.mode!r}")
-    gate = sigmoid(scale(group.mask_logits, beta))
+
+
+def _soft(group: MaskedParameterGroup, beta: float):
+    """The logits, sigmoid(beta * s), the kept mask k (or None) and the
+    gate sigmoid(beta * s) ⊙ k of a group with mask logits."""
+    s = group.mask_logits
+    sig = expit(beta * s.data)
     k = group.kept()
+    return s, sig, k, (sig if k is None else sig * k)
+
+
+def _logit_grad(g, sig, beta: float, k):
+    """Gradient on s of a gate whose output gradient is ``g``:
+    g · beta · sig · (1 - sig) · k, formed in one buffer."""
+    gs = 1.0 - sig
+    gs *= sig
+    gs *= beta
+    gs *= g
     if k is not None:
-        gate = mul(gate, Tensor(k, dtype=group.weights.dtype))
-    return mul(gate, group.weights)
+        gs *= k
+    return gs
+
+
+def gate(group: MaskedParameterGroup, beta: float) -> Tensor:
+    """The gate sigmoid(beta * s) ⊙ k as one tape node over s."""
+    _require_soft(group, "gate")
+    s, sig, k, out = _soft(group, beta)
+
+    def backward_fn(g):
+        if s.requires_grad:
+            s.accumulate_grad(_logit_grad(g, sig, beta, k))
+
+    return apply_op("gate", (s,), out, backward_fn)
+
+
+def soft_gate(group: MaskedParameterGroup, beta: float) -> Tensor:
+    """sigmoid(beta * s) ⊙ k ⊙ w, with gradients to both w and s."""
+    _require_soft(group, "soft_gate")
+    return mul(gate(group, beta), group.weights)
 
 
 def hard_mask(s) -> np.ndarray:
@@ -177,18 +229,37 @@ def hard_mask(s) -> np.ndarray:
     return (d > 0).astype(d.dtype if d.dtype.kind == "f" else np.float64)
 
 
-def gate_penalty(group: MaskedParameterGroup, beta: float, lam: float) -> Tensor:
-    """lam * sum(sigmoid(beta * s)) on the tape; gates are positive, so the
-    L1 norm is a plain sum. lam = 0 contributes an exact off-tape zero."""
+def gate_penalty(group: MaskedParameterGroup, beta: float, lam: float,
+                 step_gate: Tensor | None = None) -> Tensor:
+    """lam * sum(sigmoid(beta * s) ⊙ k) as one tape node over s; gates are
+    positive, so the L1 norm is a plain sum. lam = 0 contributes an exact
+    off-tape zero.
+
+    ``step_gate`` is this step's ``gate`` node of the group: when given,
+    the penalty reads its values instead of computing sigmoid(beta * s)
+    again and hangs off it on the tape.
+    """
     if lam < 0:
         raise ValueError("penalty strength must be non-negative")
     if lam == 0.0:
         return Tensor(np.zeros((), dtype=group.weights.dtype))
-    gate = sigmoid(scale(group.mask_logits, beta))
-    k = group.kept()
-    if k is not None:
-        gate = mul(gate, Tensor(k, dtype=group.weights.dtype))
-    return scale(tensor_sum(gate), lam)
+    if step_gate is not None:
+        m = step_gate
+        out = np.asarray(m.data.sum() * lam, dtype=m.dtype)
+
+        def backward_fn(g):
+            if m.requires_grad:
+                m.accumulate_grad(np.full(m.shape, g * lam, dtype=m.dtype))
+
+        return apply_op("gate_penalty", (m,), out, backward_fn)
+    s, sig, k, gv = _soft(group, beta)
+    out = np.asarray(gv.sum() * lam, dtype=gv.dtype)
+
+    def backward_fn(g):
+        if s.requires_grad:
+            s.accumulate_grad(_logit_grad(g * lam, sig, beta, k))
+
+    return apply_op("gate_penalty", (s,), out, backward_fn)
 
 
 def stochastic_gate(group: MaskedParameterGroup, rng,

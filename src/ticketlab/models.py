@@ -14,8 +14,8 @@ import numpy as np
 
 from .masking import GATE_NONE, MaskedParameterGroup
 from .seeding import STREAM_INIT, seeded_rng
-from .tensor import (ShapeError, Tensor, add_bias, add_channel_bias, conv2d,
-                     matmul, max_pool2d, relu, reshape)
+from .tensor import (ShapeError, Tensor, add_channel_bias, conv2d, linear,
+                     max_pool2d, mul, relu, reshape)
 
 
 @dataclass(frozen=True)
@@ -131,22 +131,26 @@ class Model:
             g.frozen_mask = m.copy()
 
     def forward(self, x: Tensor, beta: float = 1.0, rng=None,
-                st_variant: str = "identity") -> Tensor:
+                st_variant: str = "identity", gates: dict | None = None) -> Tensor:
+        """Logits of a batch. ``gates`` maps soft groups' names to this
+        step's ``masking.gate`` nodes, so that the caller can read the same
+        gates in the penalty; a soft group without one computes its gate
+        here. A dense layer is one ``linear`` node with its gate fused in."""
+        gates = gates or {}
         h = x
         gi = 0
-        bi = 0
         for layer in self.layers:
-            if isinstance(layer, DenseLayer):
-                w = self.groups[gi].effective_weights(beta, rng, st_variant)
-                h = add_bias(matmul(h, w), self.biases[bi])
+            if isinstance(layer, (DenseLayer, ConvLayer)):
+                group = self.groups[gi]
+                w, m = group.weight_and_gate(beta, rng, st_variant,
+                                             gates.get(group.name))
+                b = self.biases[gi]
+                if isinstance(layer, DenseLayer):
+                    h = linear(h, w, b, m)
+                else:
+                    k = w if m is None else mul(w, m)
+                    h = add_channel_bias(conv2d(h, k, layer.stride, layer.padding), b)
                 gi += 1
-                bi += 1
-            elif isinstance(layer, ConvLayer):
-                k = self.groups[gi].effective_weights(beta, rng, st_variant)
-                h = add_channel_bias(conv2d(h, k, layer.stride, layer.padding),
-                                     self.biases[bi])
-                gi += 1
-                bi += 1
             elif isinstance(layer, Relu):
                 h = relu(h)
             elif isinstance(layer, MaxPool):

@@ -1,15 +1,18 @@
 """Dense tensors on an explicit reverse-mode autodiff tape.
 
 Only the operations the desk-scale models need are implemented: matmul,
-2-d convolution, 2x2 max-pooling, the pointwise family (add, mul, relu,
+the fused dense layer ``linear`` (x @ (w ⊙ gate) + b, one tape node), 2-d
+convolution, 2x2 max-pooling, the pointwise family (add, mul, relu,
 sigmoid, scale), bias addition, reshape, sum, and softmax cross-entropy.
-There is no general broadcasting; pointwise ops accept equal shapes or a
-scalar operand.
+The gate ops of learned sparsity live in ``masking``. There is no general
+broadcasting; pointwise ops accept equal shapes or a scalar operand.
 
 Every recorded operation is appended to a thread-local tape in forward
 order. ``backward`` walks the tape in exact reverse order, accumulating
 gradients into every tensor that requires them, and then marks the tape
 as consumed: a second backward pass without ``reset_tape`` is an error.
+A tensor's first gradient is copied into a buffer the tensor owns; later
+ones are added to it in place.
 """
 from __future__ import annotations
 
@@ -147,9 +150,14 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g``, shaped like this tensor, to its gradient. The first
+        ``g`` is copied into a C-ordered buffer of the tensor's dtype, since
+        ops hand the same array to several inputs or pass read-only
+        broadcast views."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype, order="C")
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -343,6 +351,37 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return apply_op("add_bias", (x, b), out, backward_fn)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None) -> Tensor:
+    """A dense layer as one tape node: x @ (w ⊙ gate) + b, (n, i) @ (i, o)
+    + (o,). ``gate`` is a soft gate, a constant hard mask, or None for an
+    ungated layer; it gets a gradient only if it requires one."""
+    if (x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0]
+            or w.shape[1] != b.shape[0]):
+        raise ShapeError(f"linear expects (n,i)@(i,o)+(o,), got {x.shape}, "
+                         f"{w.shape} and {b.shape}")
+    if gate is not None and gate.shape != w.shape:
+        raise ShapeError(f"linear gate {gate.shape} does not match weights {w.shape}")
+    we = w.data if gate is None else w.data * gate.data
+    out = x.data @ we
+    out += b.data
+
+    def backward_fn(g):
+        if x.requires_grad:
+            x.accumulate_grad(g @ we.T)
+        gated = gate is not None and gate.requires_grad
+        if w.requires_grad or gated:
+            gwe = x.data.T @ g
+            if w.requires_grad:
+                w.accumulate_grad(gwe if gate is None else gwe * gate.data)
+            if gated:
+                gate.accumulate_grad(gwe * w.data)
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
+
+    return apply_op("linear", (x, w, b) if gate is None else (x, w, b, gate),
+                    out, backward_fn)
+
+
 def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
     """Per-channel bias: (n, c, h, w) + (c,)."""
     if x.ndim != 4 or b.ndim != 1 or x.shape[1] != b.shape[0]:
@@ -374,7 +413,7 @@ def tensor_sum(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
+            a.accumulate_grad(np.broadcast_to(g, a.shape))
 
     return apply_op("sum", (a,), out, backward_fn)
 
@@ -447,23 +486,36 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
 def max_pool2d(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2; ties resolved by the first maximum in
-    row-major window order so the backward routing is deterministic."""
+    row-major window order so the backward routing is deterministic.
+
+    The four window positions are strided views of the input. The forward
+    pass folds them with ``np.maximum``, which returns its second operand
+    on ties (-0.0 against 0.0 included), so the earlier candidate goes
+    second. The backward pass hands each output gradient to the first
+    candidate equal to the maximum and clears it for the later ones.
+    """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d expects 4-d input, got {x.shape}")
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2d requires even spatial extents, got {h}x{w}")
     d = x.data
-    cands = np.stack([d[:, :, 0::2, 0::2], d[:, :, 0::2, 1::2],
-                      d[:, :, 1::2, 0::2], d[:, :, 1::2, 1::2]])
-    idx = cands.argmax(axis=0)
-    out = np.take_along_axis(cands, idx[None], axis=0)[0]
+    slots = [(slice(None), slice(None), slice(di, None, 2), slice(dj, None, 2))
+             for di in (0, 1) for dj in (0, 1)]
+    out = np.maximum(d[slots[1]], d[slots[0]])
+    for at in slots[2:]:
+        np.maximum(d[at], out, out=out)
 
     def backward_fn(g):
         if x.requires_grad:
-            gx = np.zeros_like(d)
-            for t, (di, dj) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-                gx[:, :, di::2, dj::2] += g * (idx == t)
+            gx = np.empty_like(d)
+            rest = g
+            for at in slots[:-1]:
+                hit = d[at] == out
+                np.multiply(rest, hit, out=gx[at])
+                rest = rest * ~hit
+            gx[slots[-1]] = rest
+            gx += 0.0  # -0.0 to 0.0, as a sum into zeros gives
             x.accumulate_grad(gx)
 
     return apply_op("max_pool2d", (x,), out, backward_fn)

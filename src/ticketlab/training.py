@@ -15,7 +15,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset
-from .masking import GATE_SOFT, GATE_STOCHASTIC, gate_penalty, remaining_fraction
+from .masking import (GATE_SOFT, GATE_STOCHASTIC, gate, gate_penalty,
+                      remaining_fraction)
 from .persist import RunRecord
 from .seeding import STREAM_EVAL
 from .tensor import NonFiniteError, Tensor, add, backward, reset_tape, softmax_cross_entropy
@@ -101,6 +102,7 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     penalized = [g for g in getattr(model, "groups", [])
                  if g.maskable and g.mode in (GATE_SOFT, GATE_STOCHASTIC)
                  and g.frozen_mask is None]
+    soft = [g for g in penalized if g.mode == GATE_SOFT]
     epoch_loss = 0.0
     epoch_steps = 0
 
@@ -130,11 +132,14 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         y = data.labels[idx]
 
         reset_tape()
-        logits = model.forward(x, beta=beta, rng=mask_rng, st_variant=st_variant)
+        # one gate node per soft group, read by its layer and its penalty
+        gates = {g.name: gate(g, beta) for g in soft}
+        logits = model.forward(x, beta=beta, rng=mask_rng,
+                               st_variant=st_variant, gates=gates)
         loss = softmax_cross_entropy(logits, y)
         if lam > 0.0:
             for g in penalized:
-                loss = add(loss, gate_penalty(g, beta, lam))
+                loss = add(loss, gate_penalty(g, beta, lam, step_gate=gates.get(g.name)))
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
             raise abort("loss", it, loss_val, beta)

@@ -62,9 +62,36 @@ def s0_sweep_report():
 
 def test_criterion_1_gradient_correctness():
     start = time.time()
+    from ticketlab.masking import MaskedParameterGroup, gate, gate_penalty, soft_gate
     from ticketlab.tensor import (add, add_bias, add_channel_bias, conv2d,
-                                  matmul, max_pool2d, mul, relu, reshape,
-                                  scale, sigmoid, tensor_sum)
+                                  linear, matmul, max_pool2d, mul, relu,
+                                  reshape, scale, sigmoid, tensor_sum)
+
+    def group(w, s, kept=None):
+        g = MaskedParameterGroup("g", w, mode=GATE_SOFT, mask_logits=s)
+        if kept is not None:
+            g.pruned_forever = ~kept
+        return g
+
+    def gate_cases(rng):
+        """The fused gate ops at beta 1, 7 and 100, with and without
+        permanently removed components; beta * s spans the slope."""
+        cases = {}
+        ones = Tensor(np.ones((3, 4)))
+        for beta in (1.0, 7.0, 100.0):
+            for kept in (None, rng.random((3, 4)) < 0.7):
+                tag = f"@{beta:g}" + ("" if kept is None else "+k")
+                s = rng.standard_normal((3, 4)) / beta
+                cases["soft_gate" + tag] = (
+                    lambda w, s, b=beta, k=kept: soft_gate(group(w, s, k), b),
+                    [rng.standard_normal((3, 4)), s])
+                cases["gate" + tag] = (
+                    lambda s, b=beta, k=kept: gate(group(ones, s, k), b),
+                    [s.copy()])
+                cases["gate_penalty" + tag] = (
+                    lambda s, b=beta, k=kept: gate_penalty(group(ones, s, k), b, 0.3),
+                    [s.copy()])
+        return cases
 
     def op_cases(rng):
         return {
@@ -94,6 +121,14 @@ def test_criterion_1_gradient_correctness():
             "softmax_ce": (lambda l, y=rng.integers(0, 3, 4):
                            softmax_cross_entropy(l, y),
                            [rng.standard_normal((4, 3))]),
+            "linear": (lambda x, w, b: linear(x, w, b),
+                       [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)),
+                        rng.standard_normal(2)]),
+            "linear_gated": (lambda x, w, b, m: linear(x, w, b, m),
+                             [rng.standard_normal((3, 4)),
+                              rng.standard_normal((4, 2)),
+                              rng.standard_normal(2), rng.random((4, 2))]),
+            **gate_cases(rng),
         }
 
     worst_by_op = {}

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import spearmanr
 
+import ticketlab.masking as M
 import ticketlab.search as S
+import ticketlab.training as TR
 from ticketlab import tensor as T
 from ticketlab.data import gen_two_moons
 from ticketlab.masking import GATE_HARD, GATE_STOCHASTIC, MaskedParameterGroup
@@ -269,6 +271,49 @@ class TestRunCS:
             both_pruned = (r1 == 0) & (final == 0)
             if both_pruned.any():
                 assert g.mask_logits.data[both_pruned].max() <= 0.05
+
+
+class TestTapeShape:
+    """What one training step records on the (2,64,64,2) MLP: the tape
+    length seen by each backward pass and the sigmoid evaluations."""
+
+    @staticmethod
+    def _steps(monkeypatch, run, cfg):
+        nodes, sigmoids = [], [0]
+        backward = TR.backward
+
+        def counting_backward(loss):
+            nodes.append(len(T.active_tape()))
+            return backward(loss)
+
+        def counting(expit_fn):
+            def wrapper(x):
+                sigmoids[0] += 1
+                return expit_fn(x)
+            return wrapper
+
+        monkeypatch.setattr(TR, "backward", counting_backward)
+        monkeypatch.setattr(M, "expit", counting(M.expit))
+        monkeypatch.setattr(T, "expit", counting(T.expit))
+        model = mlp(widths=(2, 64, 64, 2))
+        run(model, gen_two_moons(64, 0.1, seed=3), cfg, seed=1)
+        return nodes, sigmoids[0]
+
+    def test_cs_step_records_at_most_15_nodes_and_one_sigmoid_per_group(
+            self, monkeypatch):
+        cfg = quick_cfg(rounds=1, iters_per_round=2, rewind_iter=0, lam=1e-8)
+        nodes, sigmoids = self._steps(monkeypatch, run_cs, cfg)
+        assert len(nodes) == 2
+        assert max(nodes) <= 15  # 33 with one node per primitive op
+        assert sigmoids == 2 * 3  # one per soft group per step
+
+    def test_imp_step_records_at_most_9_nodes(self, monkeypatch):
+        cfg = quick_cfg(rounds=1, iters_per_round=2, rewind_iter=0,
+                        prune_rate=0.2)
+        nodes, sigmoids = self._steps(monkeypatch, run_imp, cfg)
+        assert len(nodes) == 2
+        assert max(nodes) <= 9  # 12 with a mul, matmul and bias per layer
+        assert sigmoids == 0
 
 
 class TestConvModelSearch:

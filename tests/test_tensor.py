@@ -1,11 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ticketlab import tensor as T
+from ticketlab.masking import (GATE_SOFT, MaskedParameterGroup, gate,
+                               gate_penalty, soft_gate)
 from ticketlab.optim import Adam, SGD
 from ticketlab.tensor import (GradientError, NonFiniteError, ShapeError,
-                              Tensor, add, add_bias, backward, conv2d, matmul,
-                              max_pool2d, mul, relu, reset_tape, scale,
+                              Tensor, add, add_bias, backward, conv2d, linear,
+                              matmul, max_pool2d, mul, relu, reset_tape, scale,
                               sigmoid, softmax_cross_entropy, tensor_sum)
 
 from .helpers import check_grad, max_rel_err
@@ -76,6 +80,34 @@ class TestForward:
         expected[0, 0, 0, 0] = 1.0  # row-major first position takes the tie
         assert np.array_equal(t.grad, expected)
 
+        # every set of 2, 3 or 4 tied maxima in a window, at a positive
+        # maximum and at a zero maximum held with every sign of zero: the
+        # output is the first tied candidate, bit for bit, and only that
+        # candidate gets the gradient
+        windows, firsts = [], []
+        for tied in itertools.chain.from_iterable(
+                itertools.combinations(range(4), r) for r in (2, 3, 4)):
+            windows.append([1.0 if i in tied else -1.0 for i in range(4)])
+            firsts.append(tied[0])
+            for signs in itertools.product((0.0, -0.0), repeat=len(tied)):
+                w = [-1.0] * 4
+                for i, z in zip(tied, signs):
+                    w[i] = z
+                windows.append(w)
+                firsts.append(tied[0])
+        x = np.array(windows).reshape(len(windows), 1, 2, 2)
+        reset_tape()
+        t = Tensor(x, requires_grad=True)
+        out = max_pool2d(t)
+        g = np.arange(1.0, len(windows) + 1).reshape(out.shape)
+        backward(tensor_sum(mul(out, Tensor(g))))
+        flat = x.reshape(len(windows), 4)
+        want = flat[np.arange(len(windows)), firsts]
+        assert out.data.reshape(-1).tobytes() == want.tobytes()
+        grad = np.zeros_like(flat)
+        grad[np.arange(len(windows)), firsts] = g.reshape(-1)
+        assert t.grad.reshape(len(windows), 4).tobytes() == grad.tobytes()
+
     def test_cross_entropy_uniform(self):
         loss = softmax_cross_entropy(Tensor([[0.0, 0.0]]), np.array([1]))
         assert abs(float(loss.data) - np.log(2)) < 1e-12
@@ -143,6 +175,100 @@ class TestBackward:
         T.assert_finite(Tensor([1.0, 2.0]))
 
 
+def _reference_max_pool(d, g):
+    """2x2 max pooling by stacking the four candidates and taking the
+    first argmax, and its gradient summed into zeros."""
+    slots = [(slice(None), slice(None), slice(i, None, 2), slice(j, None, 2))
+             for i in (0, 1) for j in (0, 1)]
+    cands = np.stack([d[at] for at in slots])
+    idx = cands.argmax(axis=0)
+    gx = np.zeros_like(d)
+    for t, at in enumerate(slots):
+        gx[at] += g * (idx == t)
+    return np.take_along_axis(cands, idx[None], axis=0)[0], gx
+
+
+class TestFusedOpsAgainstReferences:
+    """``max_pool2d`` and ``linear`` give bitwise the results of the
+    compositions they replace."""
+
+    @pytest.mark.parametrize("kind", ["normal", "relu", "signed_zeros", "float32"])
+    def test_max_pool_matches_argmax_reference(self, kind):
+        rng = np.random.default_rng(31)
+        shape = (4, 3, 8, 6)
+        x = {"normal": lambda: rng.standard_normal(shape),
+             "relu": lambda: np.maximum(rng.standard_normal(shape), 0.0),
+             "signed_zeros": lambda: rng.choice([-0.0, 0.0, 1.0, -1.0], shape),
+             "float32": lambda: np.maximum(rng.standard_normal(shape), 0.0)
+             .astype(np.float32)}[kind]()
+        g = rng.choice([-0.0, 0.0, 1.5, -2.0], (4, 3, 4, 3)).astype(x.dtype)
+        t = Tensor(x, requires_grad=True, dtype=x.dtype)
+        out = max_pool2d(t)
+        backward(tensor_sum(mul(out, Tensor(g, dtype=x.dtype))))
+        ref_out, ref_gx = _reference_max_pool(x, g)
+        assert out.data.dtype == t.grad.dtype == x.dtype
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert t.grad.tobytes() == ref_gx.tobytes()
+
+    @pytest.mark.parametrize("gated", [None, "hard", "soft"])
+    def test_linear_matches_matmul_bias_composition(self, gated):
+        rng = np.random.default_rng(32)
+        arrays = [rng.standard_normal((5, 4)), rng.standard_normal((4, 3)),
+                  rng.standard_normal(3)]
+        m = {None: None, "hard": (rng.random((4, 3)) < 0.5).astype(float),
+             "soft": rng.random((4, 3))}[gated]
+
+        def run(fused):
+            reset_tape()
+            x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+            gate = None if m is None else Tensor(m, requires_grad=gated == "soft")
+            if fused:
+                out = linear(x, w, b, gate)
+            else:
+                we = w if gate is None else mul(w, gate)
+                out = add_bias(matmul(x, we), b)
+            backward(tensor_sum(mul(out, Tensor(np.arange(15.0).reshape(5, 3)))))
+            grads = [x.grad, w.grad, b.grad] + ([gate.grad] if gated == "soft" else [])
+            return [out.data] + grads
+
+        for fused, composed in zip(run(True), run(False)):
+            assert fused.tobytes() == composed.tobytes()
+
+
+class TestGradientBuffers:
+    """``accumulate_grad`` owns the buffer it stores: the first gradient
+    is copied, in the tensor's dtype."""
+
+    def test_inputs_of_one_add_get_separate_buffers(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        backward(tensor_sum(add(a, b)))
+        assert a.grad is not b.grad
+        a.grad[0] = 5.0
+        assert b.grad.tolist() == [1.0, 1.0, 1.0]
+
+    def test_read_only_broadcast_first_gradient_accumulates(self):
+        w = Tensor(np.zeros((2, 3)), requires_grad=True)
+        view = np.broadcast_to(np.float64(0.5), (2, 3))
+        assert not view.flags.writeable
+        w.accumulate_grad(view)
+        w.accumulate_grad(np.ones((2, 3)))
+        assert np.array_equal(w.grad, np.full((2, 3), 1.5))
+        # tensor_sum's backward hands over such a view
+        reset_tape()
+        v = Tensor(np.zeros(4), requires_grad=True)
+        backward(tensor_sum(v))
+        v.accumulate_grad(np.ones(4))
+        assert v.grad.tolist() == [2.0] * 4
+
+    def test_float32_tensor_keeps_float32_grad(self):
+        w = Tensor(np.zeros(3), requires_grad=True, dtype=np.float32)
+        w.accumulate_grad(np.full(3, 1.0 / 3.0))
+        assert w.grad.dtype == np.float32
+        w.accumulate_grad(np.full(3, 1.0 / 3.0))
+        assert w.grad.dtype == np.float32
+
+
 GRAD_CASES = {
     "matmul": lambda rng: (lambda a, b: matmul(a, b),
                            [rng.standard_normal((3, 3)),
@@ -170,7 +296,53 @@ GRAD_CASES = {
     "softmax_ce": lambda rng: (
         lambda l: softmax_cross_entropy(l, np.array([0, 2, 1, 0])),
         [rng.standard_normal((4, 3))]),
+    "linear": lambda rng: (lambda x, w, b: linear(x, w, b),
+                           [rng.standard_normal((4, 3)),
+                            rng.standard_normal((3, 2)),
+                            rng.standard_normal(2)]),
+    "linear_gated": lambda rng: (lambda x, w, b, m: linear(x, w, b, m),
+                                 [rng.standard_normal((4, 3)),
+                                  rng.standard_normal((3, 2)),
+                                  rng.standard_normal(2),
+                                  rng.random((3, 2))]),
 }
+
+
+def soft_group(w: Tensor, s: Tensor, kept=None) -> MaskedParameterGroup:
+    """A soft-gated group over the given weight and logit tensors;
+    ``kept`` marks the components not permanently removed."""
+    g = MaskedParameterGroup("g", w, mode=GATE_SOFT, mask_logits=s)
+    if kept is not None:
+        g.pruned_forever = ~kept
+    return g
+
+
+def _gate_case(op: str, beta: float, keep: bool):
+    """A GRAD_CASES entry for one gate op at ``beta``. Logits are drawn on
+    the scale 1/beta, so that beta * s spans the sigmoid's slope; ``keep``
+    removes about 30% of the components permanently."""
+    def case(rng):
+        s = rng.standard_normal((3, 4)) / beta
+        k = rng.random((3, 4)) < 0.7 if keep else None
+        ones = Tensor(np.ones((3, 4)))
+        if op == "soft_gate":
+            return (lambda w, s: soft_gate(soft_group(w, s, k), beta),
+                    [rng.standard_normal((3, 4)), s])
+        if op == "gate":
+            return lambda s: gate(soft_group(ones, s, k), beta), [s]
+        return lambda s: gate_penalty(soft_group(ones, s, k), beta, 0.3), [s]
+    return case
+
+
+GRAD_CASES.update({
+    f"{op}_b{beta:g}" + ("_kept" if keep else ""): _gate_case(op, beta, keep)
+    for op in ("soft_gate", "gate", "gate_penalty")
+    for beta in (1.0, 7.0, 100.0) for keep in (False, True)})
+GRAD_CASES["gate_penalty_on_gate"] = lambda rng: (
+    lambda m: gate_penalty(soft_group(Tensor(np.ones((3, 4))),
+                                      Tensor(np.zeros((3, 4)))),
+                           1.0, 0.3, step_gate=m),
+    [rng.random((3, 4))])
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -217,6 +389,21 @@ class TestGradientsAgainstFiniteDifferences:
         err = check_grad(lambda xi, ki: conv2d(xi, ki, stride=2, padding=1),
                          [x, k])
         assert err < 1e-4
+
+    def test_gate_ops_and_linear_are_one_node_each(self):
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        s = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        group = soft_group(w, s)
+        m = gate(group, 7.0)
+        for make in (lambda: gate(group, 7.0),
+                     lambda: gate_penalty(group, 7.0, 0.1),
+                     lambda: gate_penalty(group, 7.0, 0.1, step_gate=m),
+                     lambda: linear(Tensor(np.ones((2, 3))), w,
+                                    Tensor(np.zeros(4)), m)):
+            reset_tape()
+            make()
+            assert len(T.active_tape()) == 1
 
     def test_grad_accumulates_over_shared_input(self):
         w = Tensor([3.0], requires_grad=True)
@@ -392,6 +579,42 @@ class TestCompositeObjectiveGradient:
         reset_tape()
         loss = softmax_cross_entropy(model.forward(Tensor(x)), y)
         backward(loss)
+        from .helpers import fd_grads
+        fd = fd_grads(scalar, arrays)
+        worst = max(max_rel_err(p.grad, f) for p, f in zip(params, fd))
+        assert worst < 1e-4
+
+
+    def test_shared_gate_objective_matches_fd(self):
+        # the training step's objective: one gate node per group, read by
+        # the fused layer and by the penalty
+        from ticketlab import build_mlp
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((8, 2))
+        y = rng.integers(0, 2, 8)
+        model = build_mlp([2, 6, 2], seed=4)
+        model.set_gate_mode(GATE_SOFT)
+        for g in model.maskable_groups():
+            g.mask_logits.data = rng.standard_normal(g.weights.shape) * 0.3
+        model.groups[0].pruned_forever = rng.random((2, 6)) < 0.3
+        params = model.weight_tensors() + model.mask_tensors()
+        arrays = [p.data for p in params]
+        beta, lam = 7.0, 1e-2
+
+        def objective():
+            gates = {g.name: gate(g, beta) for g in model.maskable_groups()}
+            loss = softmax_cross_entropy(
+                model.forward(Tensor(x), beta=beta, gates=gates), y)
+            for g in model.maskable_groups():
+                loss = add(loss, gate_penalty(g, beta, lam, step_gate=gates[g.name]))
+            return loss
+
+        def scalar():
+            with T.no_grad():
+                return float(objective().data)
+
+        reset_tape()
+        backward(objective())
         from .helpers import fd_grads
         fd = fd_grads(scalar, arrays)
         worst = max(max_rel_err(p.grad, f) for p, f in zip(params, fd))
