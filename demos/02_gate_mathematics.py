@@ -11,8 +11,8 @@ import numpy as np
 from scipy.special import expit
 
 from ticketlab.masking import (GATE_SOFT, MaskedParameterGroup,
-                               TemperatureSchedule, hard_mask, reset_mask,
-                               sparsity_report)
+                               TemperatureSchedule, hard_mask,
+                               remaining_fraction, reset_mask)
 from ticketlab.tensor import Tensor
 
 print("=== exponential temperature schedule, beta(t) = beta_T^(t/T) ===")
@@ -35,7 +35,8 @@ g.mask_logits.data = s.copy()
 for beta in (1.0, 50.0, 500.0):
     vals = g.gate_values(beta=beta)
     print(f"  beta {beta:6.1f}: min gate {vals.min():.3e}, "
-          f"remaining fraction reported {sparsity_report(vals):.2f}")
+          f"remaining fraction reported "
+          f"{remaining_fraction([g], beta):.2f}")
 
 print()
 print("=== between-round reset: kept gates re-open, suppressed stay shut ===")

@@ -17,7 +17,7 @@ from .harness import (EvalRow, EvaluationReport, ExperimentPlan,
 from .masking import (GATE_HARD, GATE_NONE, GATE_SOFT, GATE_STOCHASTIC,
                       MaskedParameterGroup, TemperatureSchedule, gate_penalty,
                       hard_mask, remaining_fraction, reset_mask, soft_gate,
-                      sparsity_report, stochastic_gate)
+                      stochastic_gate)
 from .models import Model, ModelConfig, build_mlp, build_small_conv
 from .optim import SGD, Adam, CompositeOptimizer, OptimizerConfig
 from .persist import (RunRecord, load_checkpoint, load_mask_artifact,

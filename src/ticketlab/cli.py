@@ -18,12 +18,10 @@ import numpy as np
 from .config import RunConfig, SweepConfig
 from .harness import (SEARCHES, EvalRow, ExperimentPlan, _precision,
                       cost_accounting, dense_baseline, eval_budget_iters,
-                      select_best_performing, select_sparsest_matching, sweep,
-                      ticket_rounds)
+                      report_rows, select_best_performing,
+                      select_sparsest_matching, sweep, ticket_rounds)
 from .persist import (read_records, save_checkpoint, save_mask_artifact,
                       write_records)
-
-EVAL_SPLITS = ("retrain_test", "finetune_test", "mask_test")
 
 # Config layers, merged in order: RunConfig defaults, then these
 # per-algorithm defaults, then the --config file, then the flags.
@@ -237,16 +235,15 @@ def _cmd_sweep(args) -> int:
 
 def recompute_report(directory) -> dict:
     """Rebuild selection and cost totals from the CSVs stored under
-    ``directory`` without re-training anything. Every ``records.csv`` needs
-    its run's ``config.json`` beside it."""
+    ``directory`` without re-training anything, with the rows the sweep
+    builds (``harness.report_rows``, once per CSV). Every ``records.csv``
+    needs its run's ``config.json`` beside it."""
     root = Path(directory)
     csvs = sorted(root.rglob("records.csv"))
     if not csvs:
         raise FileNotFoundError(f"no records.csv found under {root}")
     dense_by_seed: dict[int, float] = {}
     rows: list[EvalRow] = []
-    costs: dict[str, tuple[int, float]] = {}
-
     for path in csvs:
         recs = read_records(path)
         cfg_path = path.parent / "config.json"
@@ -260,28 +257,9 @@ def recompute_report(directory) -> dict:
         except (KeyError, TypeError):
             raise ValueError(f"{cfg_path} lacks round.batch_size or "
                              "dataset.n_train") from None
-        final_ticket: dict[str, object] = {}  # each run's last round
-        for r in recs:
-            if r.algorithm == "dense" and r.split == "final_test":
-                dense_by_seed[r.seed] = r.accuracy
-            last = final_ticket.get(r.run_id)
-            if r.split == "ticket" and (last is None or r.round > last.round):
-                final_ticket[r.run_id] = r
-        for rid, r in final_ticket.items():  # its iterations are the cost
-            costs[rid] = (r.iter, r.iter / ipe)
-        evaluated = set()
-        for r in recs:
-            if r.split in EVAL_SPLITS:
-                evaluated.add(r.run_id)
-                ci, ce = costs.get(r.run_id, (0, 0.0))
-                rows.append(EvalRow(r.run_id, r.algorithm, r.seed, r.round,
-                                    r.remaining_frac, r.accuracy, ci, ce))
-        # sparsity-only runs still contribute to cost accounting
-        for rid, r in final_ticket.items():
-            if rid not in evaluated:
-                ci, ce = costs[rid]
-                rows.append(EvalRow(rid, r.algorithm, r.seed, r.round,
-                                    r.remaining_frac, None, ci, ce))
+        file_rows, file_dense = report_rows(recs, ipe)
+        rows += file_rows
+        dense_by_seed.update(file_dense)
     return _report_dict(rows, dense_by_seed)
 
 

@@ -27,6 +27,9 @@ from .seeding import STREAM_SHUFFLE, seeded_rng
 from .tensor import default_dtype, set_default_dtype
 from .training import RunInfo, TrainCursor, evaluate, lr_milestones_callback, train
 
+# Record splits that carry a ticket's evaluated accuracy.
+EVAL_SPLITS = ("retrain_test", "finetune_test", "mask_test")
+
 GRID_ALIASES = {"s0": "mask_init", "lambda": "lam", "tau": "prune_rate",
                 "beta": "beta_final"}
 
@@ -185,15 +188,48 @@ def dense_baseline(model_cfg: ModelConfig, train_data, test_data,
     return acc
 
 
+def _record_row(rec: RunRecord, cost: tuple = (0, 0.0)) -> EvalRow:
+    """The report row of one record, at search cost ``(iters, epochs)``."""
+    return EvalRow(rec.run_id, rec.algorithm, rec.seed, rec.round,
+                   rec.remaining_frac, rec.accuracy, *cost)
+
+
+def report_rows(records: list[RunRecord], iters_per_epoch: int
+                ) -> tuple[list[EvalRow], dict[int, float]]:
+    """The report rows of a list of records, and the dense accuracy of
+    each seed that has a dense ``final_test`` record.
+
+    Each evaluation record (``EVAL_SPLITS``) becomes one row, in record
+    order; then a run with no evaluation record gets one unevaluated row
+    from its final ``ticket`` record. A row's search cost is the iteration
+    of its run's final ticket, also counted in epochs of
+    ``iters_per_epoch`` iterations; a run without one costs nothing."""
+    dense_by_seed: dict[int, float] = {}
+    final_ticket: dict[str, RunRecord] = {}  # each run's last round
+    for r in records:
+        if r.algorithm == "dense" and r.split == "final_test":
+            dense_by_seed[r.seed] = r.accuracy
+        last = final_ticket.get(r.run_id)
+        if r.split == "ticket" and (last is None or r.round > last.round):
+            final_ticket[r.run_id] = r
+    cost = {rid: (r.iter, r.iter / iters_per_epoch)
+            for rid, r in final_ticket.items()}
+    rows = [_record_row(r, cost.get(r.run_id, (0, 0.0))) for r in records
+            if r.split in EVAL_SPLITS]
+    evaluated = {r.run_id for r in rows}
+    rows += [_record_row(r, cost[rid]) for rid, r in final_ticket.items()
+             if rid not in evaluated]
+    return rows, dense_by_seed
+
+
 def _eval_row(split: str, masks: dict, acc: float, iters: int,
               info: RunInfo, recorder) -> EvalRow:
     """The evaluation row of a masked network, also sent as a record."""
-    remaining = kept_fraction(masks)
+    rec = info.record(0, iters, split, accuracy=acc,
+                      remaining_frac=kept_fraction(masks))
     if recorder is not None:
-        recorder(info.record(0, iters, split, accuracy=acc,
-                             remaining_frac=remaining))
-    return EvalRow(info.run_id, info.algorithm, info.seed, info.round,
-                   remaining, acc, cost_iters=0, cost_epochs=0.0)
+        recorder(rec)
+    return _record_row(rec)
 
 
 def retrain_ticket(model_cfg: ModelConfig, masks: dict, rewind: RewindStore,
@@ -264,19 +300,16 @@ def per_layer_sparsity(masks: dict[str, np.ndarray], model: Model,
     set, appends entries for groups of that many consecutive layers. The
     size-weighted mean of the per-layer fractions equals the global
     remaining fraction exactly."""
-    rows = []
+    def entry(name: str, chunk: list[str]) -> dict:
+        part = {n: masks[n] for n in chunk}
+        return {"name": name, "size": int(sum(m.size for m in part.values())),
+                "remaining_frac": kept_fraction(part)}
+
     names = [g.name for g in model.maskable_groups()]
-    for name in names:
-        m = masks[name]
-        rows.append({"name": name, "size": int(m.size),
-                     "remaining_frac": float(m.sum() / m.size)})
+    rows = [entry(n, [n]) for n in names]
     if block:
-        for bi in range(0, len(names), block):
-            chunk = names[bi:bi + block]
-            size = sum(masks[n].size for n in chunk)
-            kept = sum(float(masks[n].sum()) for n in chunk)
-            rows.append({"name": f"block{bi // block}", "size": int(size),
-                         "remaining_frac": kept / size})
+        rows += [entry(f"block{bi // block}", names[bi:bi + block])
+                 for bi in range(0, len(names), block)]
     return rows
 
 
@@ -352,7 +385,9 @@ def run_point(plan: ExperimentPlan, point: dict, seed: int, train_data,
                                   list[RunRecord]]:
     """Execute one fully-specified run (a single grid point and seed) in
     the plan's precision: search, then ticket evaluation per the plan.
-    Returns the tickets, the evaluation rows and the raw records."""
+    Returns the tickets, the report rows of the records (``report_rows``,
+    with the grid point and, for a final evaluation, per-layer sparsity
+    attached) and the raw records."""
     cfg = _apply_point(plan.round_cfg, point)
     run_id = _run_id(plan.algorithm, point, seed)
     records: list[RunRecord] = []
@@ -364,44 +399,33 @@ def run_point(plan: ExperimentPlan, point: dict, seed: int, train_data,
                                            recorder=rec)
         result = tickets[-1]
         budget = eval_budget_iters(plan.eval_budget, cfg)
-        cost = (result.total_iterations,
-                result.total_iterations / result.iters_per_epoch)
         # a search that froze the weights (supermask) is scored at them
         frozen = not any(t.requires_grad for t in model.weight_tensors())
-
-        def eval_one(round_idx, masks, ticket):
+        evaluated = {"none": [],
+                     "final": [(result.round, result.masks, result)],
+                     "rounds": ticket_rounds(tickets)}[plan.evaluate]
+        for round_idx, masks, ticket in evaluated:
             if frozen:
                 acc = masked_accuracy(plan.model_cfg, ticket.rewind.arrays,
                                       masks, test_data, seed)
-                row = _eval_row("mask_test", masks, acc,
-                                ticket.total_iterations,
-                                RunInfo(run_id, ticket.algorithm, seed,
-                                        round_idx), rec)
+                _eval_row("mask_test", masks, acc, ticket.total_iterations,
+                          RunInfo(run_id, ticket.algorithm, seed, round_idx),
+                          rec)
             elif plan.eval_mode == "fine-tune":
-                row = finetune_ticket(plan.model_cfg, ticket, train_data,
-                                      test_data, cfg, budget, seed,
-                                      finetune_lr=plan.finetune_lr,
-                                      run_id=run_id, round_idx=round_idx,
-                                      recorder=rec)
+                finetune_ticket(plan.model_cfg, ticket, train_data, test_data,
+                                cfg, budget, seed,
+                                finetune_lr=plan.finetune_lr, run_id=run_id,
+                                round_idx=round_idx, recorder=rec)
             else:
-                row = retrain_ticket(plan.model_cfg, masks, ticket.rewind,
-                                     train_data, test_data, cfg, budget, seed,
-                                     run_id=run_id, algorithm=ticket.algorithm,
-                                     round_idx=round_idx, recorder=rec)
+                retrain_ticket(plan.model_cfg, masks, ticket.rewind,
+                               train_data, test_data, cfg, budget, seed,
+                               run_id=run_id, algorithm=ticket.algorithm,
+                               round_idx=round_idx, recorder=rec)
+        rows, _ = report_rows(records, result.iters_per_epoch)
+        for row in rows:
             row.grid = dict(point)
-            row.cost_iters, row.cost_epochs = cost
-            return row
-
-        if plan.evaluate == "none":
-            rows = [EvalRow(run_id, result.algorithm, seed, result.round,
-                            result.remaining_fraction, None, *cost,
-                            grid=dict(point))]
-        elif plan.evaluate == "final":
-            row = eval_one(result.round, result.masks, result)
-            row.per_layer = per_layer_sparsity(result.masks, model)
-            rows = [row]
-        else:  # rounds
-            rows = [eval_one(*r) for r in ticket_rounds(tickets)]
+        if plan.evaluate == "final":
+            rows[0].per_layer = per_layer_sparsity(result.masks, model)
     return tickets, rows, records
 
 

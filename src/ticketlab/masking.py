@@ -11,8 +11,9 @@ Conventions fixed here:
 
 * H(0) = 0 - a logit exactly at the boundary counts as pruned.
 * A soft gate below ``PRUNED_GATE_EPS`` counts as removed in mid-training
-  sparsity reports; final masks are always the exact hard step, so the
-  threshold never affects emitted tickets.
+  sparsity reports (``remaining_fraction``); final masks are always the
+  exact hard step, so the threshold never affects emitted tickets, whose
+  remaining fraction is ``kept_fraction`` of their masks.
 * The straight-through backward is the identity by default (gradient of the
   sampled mask passed to s unchanged); a sigmoid-derivative-scaled variant
   is available via ``st_variant="sigmoid"``.
@@ -314,27 +315,18 @@ def reset_mask(group: MaskedParameterGroup, end_logits: np.ndarray,
         group.mask_init)
 
 
-def sparsity_report(values) -> float:
-    """Remaining fraction of a binary mask or of soft gate values.
-
-    Gate values below ``PRUNED_GATE_EPS`` count as removed; on exact binary
-    masks this reduces to the plain L0 count over the size.
-    """
-    d = values.data if isinstance(values, Tensor) else np.asarray(values)
-    if d.size == 0:
-        raise ValueError("sparsity report of an empty tensor")
-    return float((d >= PRUNED_GATE_EPS).mean())
-
-
 def kept_fraction(masks: dict[str, np.ndarray]) -> float:
-    """Fraction of components kept by a dict of binary masks."""
+    """Fraction of components kept by a dict of binary masks, divided in
+    float64 whatever the masks' dtype."""
     total = sum(m.size for m in masks.values())
-    kept = sum(float(m.sum()) for m in masks.values())
-    return kept / total
+    if total == 0:
+        raise ValueError("no masked components to report on")
+    return sum(float(m.sum()) for m in masks.values()) / total
 
 
 def remaining_fraction(groups, beta: float = 1.0) -> float:
-    """Size-weighted remaining fraction across gated groups."""
+    """Size-weighted remaining fraction across gated groups: gate values
+    at or above ``PRUNED_GATE_EPS`` count as kept."""
     total = 0
     kept = 0.0
     for g in groups:

@@ -99,8 +99,9 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     cursor = cursor if cursor is not None else TrainCursor()
     info = run_info or RunInfo()
     nb = -(-n // batch_size)  # ceil
-    penalized = [g for g in getattr(model, "groups", [])
-                 if g.maskable and g.mode in (GATE_SOFT, GATE_STOCHASTIC)
+    maskable = [g for g in getattr(model, "groups", []) if g.maskable]
+    penalized = [g for g in maskable
+                 if g.mode in (GATE_SOFT, GATE_STOCHASTIC)
                  and g.frozen_mask is None]
     soft = [g for g in penalized if g.mode == GATE_SOFT]
     epoch_loss = 0.0
@@ -162,7 +163,8 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
             cursor.epoch += 1
             cursor.perm = None
             if recorder is not None and record_every and cursor.epoch % record_every == 0:
-                rem = _current_remaining(model, beta)
+                # an ungated group keeps all of its weights
+                rem = remaining_fraction(maskable, beta) if maskable else 1.0
                 # evaluation sampling is decoupled from the training mask
                 # stream so record cadence never alters the trajectory
                 eval_rng = None if mask_rng is None else np.random.default_rng(
@@ -182,14 +184,6 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
             epoch_loss = 0.0
             epoch_steps = 0
     return iterations
-
-
-def _current_remaining(model, beta: float) -> float | None:
-    gated = [g for g in getattr(model, "groups", [])
-             if g.maskable and (g.mode != "none" or g.frozen_mask is not None)]
-    if not gated:
-        return 1.0
-    return remaining_fraction(gated, beta)
 
 
 def capture_train_state(model, optimizer, cursor: TrainCursor, shuffle_rng,

@@ -293,6 +293,37 @@ class TestSweepAndReport:
         assert report["cost"]["cs"]["sequential_iters"] == 2 * 2 * 16
         assert "best_performing" not in report  # nothing was evaluated
 
+    @pytest.mark.parametrize("algorithm",
+                             ["cs", "imp", "iss", "seqcs", "supermask"])
+    def test_report_rows_equal_the_sweeps_rows(self, tmp_path, algorithm):
+        cfgp = small_config(tmp_path)
+        rounds = "1" if algorithm == "supermask" else "2"
+        for evaluate, mode in (("none", "retrain-from-k"),
+                               ("final", "retrain-from-k"),
+                               ("rounds", "retrain-from-k"),
+                               ("rounds", "fine-tune")):
+            out = tmp_path / f"{evaluate}-{mode}"
+            assert main(["sweep", "--algorithm", algorithm, "--config",
+                         str(cfgp), "--grid", "tau=0.25,0.5", "--seeds", "1",
+                         "--rounds", rounds, "--batch-size", "24",
+                         "--eval", evaluate,
+                         "--eval-mode", mode, "--out", str(out)]) == 0
+            swept = json.loads((out / "report.json").read_text())
+            recomputed = recompute_report(out)
+
+            def keyed(rows, stored=lambda v: v):
+                return {(r["run_id"], r["round"]): (
+                    *(None if r[k] is None else stored(r[k])
+                      for k in ("accuracy", "remaining_frac")),
+                    r["cost_iters"], r["cost_epochs"]) for r in rows}
+
+            assert len(swept["rows"]) == len(recomputed["rows"]) > 0
+            # the CSV keeps 9 significant digits of each record's values
+            assert keyed(recomputed["rows"]) == keyed(
+                swept["rows"], lambda v: float(f"{v:.9g}")), (evaluate, mode)
+            assert recomputed["cost"] == swept["cost"], (evaluate, mode)
+            assert recomputed["dense_accuracy"] == swept["dense_accuracy"]
+
     def test_fine_tune_eval_mode_flag(self, tmp_path):
         cfgp = small_config(tmp_path)
         out = tmp_path / "ft"

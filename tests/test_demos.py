@@ -9,8 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_autodiff_and_optimizers.py",
-                                  "02_gate_mathematics.py"])
+@pytest.mark.parametrize("demo", sorted(
+    p.name for p in (ROOT / "demos").glob("[0-9][0-9]_*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],

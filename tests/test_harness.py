@@ -14,11 +14,12 @@ from ticketlab.harness import (SEARCHES, EvalRow, ExperimentPlan,
                                eval_budget_iters,
                                finetune_ticket, masked_accuracy,
                                per_layer_sparsity, random_mask_like,
-                               retrain_ticket, run_point,
+                               report_rows, retrain_ticket, run_point,
                                select_best_performing,
                                select_sparsest_matching, sweep, ticket_rounds)
 from ticketlab.models import ModelConfig, build_mlp
 from ticketlab.optim import CompositeOptimizer, OptimizerConfig
+from ticketlab.persist import RunRecord
 from ticketlab.search import (RewindStore, RoundConfig, run_cs, run_imp,
                               run_sequential_cs)
 from ticketlab.seeding import STREAM_SHUFFLE, seeded_rng
@@ -174,6 +175,13 @@ class TestRetrainTicket:
         with pytest.raises(ShapeError):
             retrain_ticket(MC, bad, store, train_ds, test_ds, cfg(), 10, 1)
 
+    def test_no_masked_component_is_a_value_error(self, moons_pair):
+        train_ds, test_ds = moons_pair
+        mc = ModelConfig(widths=(2, 8, 2), maskable=(False, False))
+        store = RewindStore(0, mc.build(1).weight_arrays(copy=True))
+        with pytest.raises(ValueError, match="no masked components"):
+            retrain_ticket(mc, {}, store, train_ds, test_ds, cfg(), 10, 1)
+
     def test_finetune_mode_runs_from_final_weights(self, moons_pair):
         train_ds, test_ds = moons_pair
         model = MC.build(2)
@@ -182,6 +190,60 @@ class TestRetrainTicket:
                               finetune_lr=0.001)
         assert row.accuracy is not None
         assert row.remaining_frac == res.remaining_fraction
+
+
+class TestReportRows:
+    @staticmethod
+    def rec(run_id, split, rnd=1, it=0, alg="cs", seed=1, **kw):
+        return RunRecord(run_id, alg, seed, rnd, 0, it, split, **kw)
+
+    def test_evaluation_records_cost_their_runs_final_ticket(self):
+        recs = [self.rec("a", "train", it=8, accuracy=0.1),
+                self.rec("a", "ticket", 1, 40, remaining_frac=0.8),
+                self.rec("a", "ticket", 2, 80, remaining_frac=0.6),
+                self.rec("a", "retrain_test", 1, 50, accuracy=0.9,
+                         remaining_frac=0.8),
+                self.rec("a", "retrain_test", 2, 50, accuracy=0.7,
+                         remaining_frac=0.6)]
+        rows, dense = report_rows(recs, iters_per_epoch=16)
+        assert dense == {}
+        assert [(r.round, r.accuracy, r.remaining_frac) for r in rows] == [
+            (1, 0.9, 0.8), (2, 0.7, 0.6)]
+        assert all((r.cost_iters, r.cost_epochs) == (80, 5.0) for r in rows)
+
+    def test_unevaluated_run_is_one_row_from_its_final_ticket(self):
+        recs = [self.rec("b", "ticket", 1, 40, alg="imp", remaining_frac=0.8),
+                self.rec("b", "ticket", 2, 80, alg="imp", remaining_frac=0.64),
+                self.rec("c", "mask_test", 1, 30, accuracy=0.6,
+                         remaining_frac=0.5)]
+        rows, _ = report_rows(recs, iters_per_epoch=20)
+        assert [(r.run_id, r.algorithm, r.round, r.accuracy,
+                 r.remaining_frac, r.cost_iters, r.cost_epochs)
+                for r in rows] == [("c", "cs", 1, 0.6, 0.5, 0, 0.0),
+                                   ("b", "imp", 2, None, 0.64, 80, 4.0)]
+
+    def test_dense_final_test_gives_its_seeds_accuracy(self):
+        recs = [self.rec("dense-seed1", "final_test", 0, 40, alg="dense",
+                         accuracy=0.75, remaining_frac=1.0),
+                self.rec("dense-seed2", "test", 1, 20, alg="dense", seed=2,
+                         accuracy=0.5),
+                self.rec("dense-seed2", "final_test", 0, 40, alg="dense",
+                         seed=2, accuracy=0.8, remaining_frac=1.0)]
+        rows, dense = report_rows(recs, iters_per_epoch=4)
+        assert rows == [] and dense == {1: 0.75, 2: 0.8}
+
+    def test_run_point_rows_are_its_records_rows(self, moons_pair):
+        train_ds, test_ds = moons_pair
+        plan = ExperimentPlan(algorithm="imp",
+                              round_cfg=cfg(prune_rate=0.3), model_cfg=MC,
+                              evaluate="rounds", eval_budget=10)
+        tickets, rows, recs = run_point(plan, {"tau": 0.3}, 1, train_ds,
+                                        test_ds)
+        want, _ = report_rows(recs, tickets[-1].iters_per_epoch)
+        for r in want:
+            r.grid = {"tau": 0.3}
+        assert rows == want and len(rows) == 2
+        assert rows[-1].cost_iters == tickets[-1].total_iterations == 80
 
 
 class TestSelection:
@@ -249,17 +311,20 @@ class TestPerLayerSparsity:
         assert rows["dense1"] == 0.0 and rows["dense0"] == 1.0
 
     def test_weighted_mean_equals_global_exactly(self):
-        rng = np.random.default_rng(0)
-        model = build_mlp([2, 8, 8, 2], seed=0)
-        masks = {g.name: (rng.random(g.weights.shape) < 0.4).astype(float)
-                 for g in model.maskable_groups()}
-        rows = per_layer_sparsity(masks, model)
-        layer_rows = [r for r in rows if not r["name"].startswith("block")]
-        total = sum(r["size"] for r in layer_rows)
-        weighted = sum(r["size"] * r["remaining_frac"] for r in layer_rows)
-        global_frac = (sum(m.sum() for m in masks.values())
-                       / sum(m.size for m in masks.values()))
-        assert weighted / total == global_frac
+        # float32 masks of layer sizes that are not powers of two as well
+        for widths, dtype in (([2, 8, 8, 2], np.float64),
+                              ([2, 10, 7, 2], np.float32)):
+            rng = np.random.default_rng(0)
+            model = build_mlp(widths, seed=0)
+            masks = {g.name: (rng.random(g.weights.shape) < 0.4).astype(dtype)
+                     for g in model.maskable_groups()}
+            rows = per_layer_sparsity(masks, model)
+            layer_rows = [r for r in rows if not r["name"].startswith("block")]
+            total = sum(r["size"] for r in layer_rows)
+            weighted = sum(r["size"] * r["remaining_frac"] for r in layer_rows)
+            global_frac = (sum(float(m.sum()) for m in masks.values())
+                           / sum(m.size for m in masks.values()))
+            assert weighted / total == global_frac, widths
 
     def test_block_grouping(self):
         model = build_mlp([2, 8, 8, 2], seed=0)

@@ -8,8 +8,8 @@ from scipy.special import expit
 from ticketlab import tensor as T
 from ticketlab.masking import (GATE_SOFT, GATE_STOCHASTIC,
                                MaskedParameterGroup, TemperatureSchedule,
-                               gate_penalty, hard_mask, remaining_fraction,
-                               reset_mask, soft_gate, sparsity_report,
+                               gate_penalty, hard_mask, kept_fraction,
+                               remaining_fraction, reset_mask, soft_gate,
                                stochastic_gate)
 from ticketlab.tensor import Tensor, backward, reset_tape, tensor_sum
 
@@ -104,7 +104,7 @@ class TestSoftGate:
         g = make_group(np.array([1.0]), logits=np.array([-1.0]))
         out = soft_gate(g, beta=500.0)
         assert abs(out.data[0]) < 1e-200
-        assert sparsity_report(g.gate_values(beta=500.0)) == 0.0
+        assert remaining_fraction([g], beta=500.0) == 0.0
 
     def test_saturated_gate_in_float32_is_exact_zero(self):
         T.set_default_dtype("float32")
@@ -295,16 +295,24 @@ class TestResetMask:
 
 
 class TestSparsityReport:
+    """``kept_fraction`` (hard masks) and ``remaining_fraction`` (gates)."""
+
     def test_count(self):
         m = np.array([1, 0, 1, 0, 0, 1, 0, 0, 0, 0], dtype=float)
-        assert sparsity_report(m) == 0.3
+        assert kept_fraction({"m": m}) == 0.3
 
     def test_all_ones_is_fully_dense(self):
-        assert sparsity_report(np.ones(57)) == 1.0
+        assert kept_fraction({"m": np.ones(57)}) == 1.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sparsity_report(np.zeros(0))
+        for masks in ({"m": np.zeros(0)}, {}):
+            with pytest.raises(ValueError):
+                kept_fraction(masks)
+
+    def test_float32_masks_divide_in_float64(self):
+        m = np.zeros(7, dtype=np.float32)
+        m[:3] = 1.0
+        assert kept_fraction({"m": m}) == 3 / 7
 
     def test_remaining_fraction_weighted_over_groups(self):
         a = make_group(np.ones(10), logits=np.full(10, 5.0))
