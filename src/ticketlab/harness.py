@@ -117,6 +117,8 @@ class ExperimentPlan:
             key = GRID_ALIASES.get(k, k)
             if not hasattr(self.round_cfg, key):
                 raise ValueError(f"unknown sweep parameter {k!r}")
+        for point in _expand_grid(self.grid) if self.grid else [{}]:
+            _apply_point(self.round_cfg, point).validate()
 
 
 @contextmanager
@@ -297,9 +299,11 @@ def random_mask_like(masks: dict[str, np.ndarray], rng) -> dict[str, np.ndarray]
 def per_layer_sparsity(masks: dict[str, np.ndarray], model: Model,
                        block: int | None = None) -> list[dict]:
     """Remaining fraction per maskable layer, in model order; with ``block``
-    set, appends entries for groups of that many consecutive layers. The
+    set, appends entries for groups of that many consecutive layers. Each
+    entry's ``round(size * remaining_frac)`` is its exact kept count. The
     size-weighted mean of the per-layer fractions equals the global
-    remaining fraction exactly."""
+    remaining fraction only up to rounding: in float64, ``size * (kept /
+    size)`` need not give back ``kept`` exactly."""
     def entry(name: str, chunk: list[str]) -> dict:
         part = {n: masks[n] for n in chunk}
         return {"name": name, "size": int(sum(m.size for m in part.values())),

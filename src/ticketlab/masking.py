@@ -310,7 +310,8 @@ def reset_mask(group: MaskedParameterGroup, end_logits: np.ndarray,
     """
     if group.mask_logits is None:
         raise ValueError(f"group {group.name!r} has no mask logits to reset")
-    group.mask_logits.data = np.minimum(
+    # in place: an optimizer holding the logits updates this very array
+    group.mask_logits.data[...] = np.minimum(
         beta_end * np.asarray(end_logits, dtype=group.weights.dtype),
         group.mask_init)
 

@@ -186,12 +186,26 @@ def save_mask_artifact(path_base, masks: dict[str, np.ndarray]) -> None:
 
 
 def load_mask_artifact(path_base) -> dict[str, np.ndarray]:
-    with open(str(path_base) + ".bits", "rb") as f:
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(hlen).decode("utf-8"))
-        masks = {}
-        for ent in manifest:
-            packed = np.frombuffer(f.read(ent["bytes"]), dtype=np.uint8)
-            flat = np.unpackbits(packed, count=ent["bits"])
-            masks[ent["name"]] = flat.reshape(ent["shape"]).astype(np.float64)
+    """Masks written by ``save_mask_artifact``, as float64 arrays. A short
+    header or payload raises ``CheckpointIntegrityError``."""
+    path = str(path_base) + ".bits"
+    with open(path, "rb") as f:
+        blob = f.read()
+    if len(blob) < 8:
+        raise CheckpointIntegrityError(f"truncated mask artifact header: {path!r}")
+    (hlen,) = struct.unpack("<Q", blob[:8])
+    if len(blob) < 8 + hlen:
+        raise CheckpointIntegrityError(f"truncated mask artifact header: {path!r}")
+    manifest = json.loads(blob[8:8 + hlen].decode("utf-8"))
+    masks = {}
+    offset = 8 + hlen
+    for ent in manifest:
+        packed = np.frombuffer(blob[offset:offset + ent["bytes"]], dtype=np.uint8)
+        # unpackbits zero-pads a short payload, so check its length first
+        if 8 * packed.size < ent["bits"]:
+            raise CheckpointIntegrityError(
+                f"truncated mask artifact payload: {path!r}")
+        flat = np.unpackbits(packed, count=ent["bits"])
+        masks[ent["name"]] = flat.reshape(ent["shape"]).astype(np.float64)
+        offset += ent["bytes"]
     return masks

@@ -88,6 +88,10 @@ class RoundConfig:
             raise ValueError("gate penalty must be non-negative")
         if self.beta_final < 1:
             raise ValueError("final temperature must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
+        if self.record_every < 0:
+            raise ValueError("record_every must be >= 0")
         self.weight_opt.validate()
         self.mask_opt.validate()
 

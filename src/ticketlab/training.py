@@ -5,7 +5,9 @@ shuffled permutation per epoch drawn from the shuffle stream, the
 temperature schedule advances once per optimizer step, and callbacks
 observe every iteration (snapshotting at the rewind point, learning-rate
 milestones, record emission). A non-finite loss, or a non-finite gradient
-about to be applied, aborts the run with a diagnostic record.
+about to be applied, aborts the run with a diagnostic record: the optimizer
+checks every gradient it is about to apply (``NonFiniteError``) before it
+updates any parameter, and ``train`` turns that error into the record.
 """
 from __future__ import annotations
 
@@ -89,9 +91,15 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
 
     Zero iterations leaves the model untouched. When a recorder is given,
     one train row (and one test row, if test data is given) is emitted
-    every ``record_every`` epochs.
+    every ``record_every`` epochs. ``optimizer.step()`` checks every
+    gradient before it updates anything; its ``NonFiniteError`` becomes an
+    ``abort`` record and a ``NonFiniteError`` naming the iteration and run.
     """
     n = len(data)
+    if batch_size < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
+    if record_every < 0:
+        raise ValueError(f"record_every must be >= 0, got {record_every}")
     if batch_size > n:
         raise ValueError(f"batch size {batch_size} exceeds dataset size {n}")
     if iterations == 0:
@@ -145,11 +153,10 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         if not np.isfinite(loss_val):
             raise abort("loss", it, loss_val, beta)
         backward(loss)
-        # the gradients the step applies (a missing one is the step's error)
-        if not all(np.isfinite(p.grad).all() for p in optimizer.params
-                   if p.grad is not None):
-            raise abort("gradient", it, loss_val, beta)
-        optimizer.step()
+        try:  # the step checks every gradient before it updates anything
+            optimizer.step()
+        except NonFiniteError:
+            raise abort("gradient", it, loss_val, beta) from None
 
         epoch_loss += loss_val
         epoch_steps += 1

@@ -362,6 +362,32 @@ class TestSweepAndReport:
         assert "error: max_workers must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_round_config_fails_before_anything_is_written(self, tmp_path,
+                                                              capsys):
+        cfgp = small_config(tmp_path)
+        for bad, message in ((["--batch-size", "0"], "batch size"),
+                             (["--batch-size", "-4"], "batch size"),
+                             (["--record-every", "-1"], "record_every"),
+                             (["--algorithm", "imp", "--grid", "tau=0.2,1.5"],
+                              "pruning rate")):
+            out = tmp_path / "sweep"
+            rc = main(["sweep", "--config", str(cfgp), "--grid", "s0=0.1",
+                       "--out", str(out)] + bad)
+            assert rc == 1, bad
+            assert message in capsys.readouterr().err, bad
+            assert not out.exists(), bad
+
+    def test_dense_run_with_a_bad_round_config_fails_cleanly(self, tmp_path,
+                                                            capsys):
+        for bad, message in ((["--batch-size", "0"], "batch size must be"),
+                             (["--record-every", "-1"], "record_every must")):
+            out = tmp_path / "d"
+            rc = main(["dense", "--config", str(small_config(tmp_path)),
+                       "--out", str(out)] + bad)
+            assert rc == 1, bad
+            assert message in capsys.readouterr().err, bad
+            assert list(out.iterdir()) == [], bad
+
     def test_sweep_with_a_dead_worker_exits_1(self, tmp_path, monkeypatch,
                                               capsys):
         search = harness.SEARCHES["cs"]

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ticketlab.data import DataConfig, gen_two_moons
 import ticketlab.harness as H
@@ -326,6 +328,18 @@ class TestPerLayerSparsity:
                            / sum(m.size for m in masks.values()))
             assert weighted / total == global_frac, widths
 
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_each_fraction_gives_back_its_kept_count(self, seed, density):
+        rng = np.random.default_rng(seed)
+        model = build_mlp([7, 7, 7, 2], seed=0)
+        masks = {g.name: (rng.random(g.weights.shape) < density) * 1.0
+                 for g in model.maskable_groups()}
+        for r in per_layer_sparsity(masks, model):
+            kept = int(masks[r["name"]].sum())
+            assert round(r["size"] * r["remaining_frac"]) == kept
+
     def test_block_grouping(self):
         model = build_mlp([2, 8, 8, 2], seed=0)
         masks = {g.name: np.ones(g.weights.shape)
@@ -509,6 +523,17 @@ class TestSweep:
                             evaluate="final"),
                   on_run=lambda *a: seen.append(a[0]))
         assert seen == []
+
+    def test_bad_grid_point_fails_before_any_dense_baseline(self):
+        for grid, message in (({"tau": [0.2, 1.5]}, "pruning rate"),
+                              ({"batch_size": [32, 0]}, "batch size")):
+            seen = []
+            with pytest.raises(ValueError, match=message):
+                sweep(self.plan(algorithm="imp", grid=grid, evaluate="final",
+                                round_cfg=cfg(iters_per_round=20,
+                                              rewind_iter=2, prune_rate=0.2)),
+                      on_run=lambda *a: seen.append(a[0]))
+            assert seen == []
 
     def test_precision_does_not_leak_out_of_a_sweep(self):
         sweep(self.plan(grid={"s0": [0.0]}, seeds=(1,), evaluate="final",

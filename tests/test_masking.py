@@ -11,6 +11,7 @@ from ticketlab.masking import (GATE_SOFT, GATE_STOCHASTIC,
                                gate_penalty, hard_mask, kept_fraction,
                                remaining_fraction, reset_mask, soft_gate,
                                stochastic_gate)
+from ticketlab.optim import SGD
 from ticketlab.tensor import Tensor, backward, reset_tape, tensor_sum
 
 from .helpers import continuation_gaps, fd_grads, max_rel_err
@@ -28,7 +29,8 @@ def make_group(w, mode=GATE_SOFT, mask_init=0.0, logits=None):
                                          requires_grad=True))
     g.init_gate(mode, mask_init)
     if logits is not None:
-        g.mask_logits.data = np.asarray(logits, dtype=np.float64)
+        # a copy: reset_mask writes the logits in place
+        g.mask_logits.data = np.array(logits, dtype=np.float64)
     return g
 
 
@@ -277,6 +279,18 @@ class TestResetMask:
         once = g.mask_logits.data.copy()
         reset_mask(g, end, beta_end=200.0)
         assert np.array_equal(g.mask_logits.data, once)
+
+    def test_reset_writes_in_place_so_the_optimizer_keeps_the_logits(self):
+        end = np.linspace(-1.0, 1.0, 12)
+        g = make_group(np.ones(12), mask_init=0.1, logits=end)
+        opt = SGD([g.mask_logits], lr=0.1)
+        arena_view = g.mask_logits.data
+        reset_mask(g, end, beta_end=200.0)
+        assert g.mask_logits.data is arena_view
+        g.mask_logits.grad = np.ones(12)
+        opt.step()  # a rebound array would be a GradientError
+        assert np.array_equal(g.mask_logits.data,
+                              np.minimum(200.0 * end, 0.1) - 0.1)
 
     @settings(derandomize=True, database=None, max_examples=200,
               deadline=None)

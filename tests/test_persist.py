@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from ticketlab.data import DataConfig
-from ticketlab.harness import retrain_ticket
+from ticketlab.harness import _precision, retrain_ticket
 from ticketlab.models import ModelConfig
 from ticketlab.optim import CompositeOptimizer, OptimizerConfig
 from ticketlab.persist import (RECORD_HEADER, CheckpointIntegrityError,
@@ -123,56 +123,67 @@ class TestCheckpointFile:
 
 
 class TestResumeEquivalence:
-    def _pieces(self, seed=3):
+    def _pieces(self, seed=3, opt=None):
         train_ds, _ = DataConfig(n_train=128, n_test=64, seed=7).build()
         cfg = RoundConfig(rounds=1, iters_per_round=150, rewind_iter=0,
                           batch_size=32, record_every=0)
         model = MC.build(seed)
         model.set_gate_mode("soft-deterministic", 0.05)
         opt = CompositeOptimizer([
-            cfg.weight_opt.build(model.weight_tensors()),
-            cfg.mask_opt.build(model.mask_tensors())])
+            (opt or cfg.weight_opt).build(model.weight_tensors()),
+            (opt or cfg.mask_opt).build(model.mask_tensors())])
         from ticketlab.masking import TemperatureSchedule
         sched = TemperatureSchedule(cfg.beta_final, 150)
         return train_ds, cfg, model, opt, sched
 
-    def test_save_load_resume_matches_uninterrupted(self, tmp_path):
-        # straight 150 iterations
-        train_ds, cfg, model, opt, sched = self._pieces()
+    def _check_resume(self, tmp_path, split=100, opt=None):
+        """150 iterations straight equal ``split`` iterations, a checkpoint
+        on disk restored into fresh objects, and the rest."""
+        train_ds, cfg, model, opt_, sched = self._pieces(opt=opt)
         rng = seeded_rng(3, STREAM_SHUFFLE)
         cur = TrainCursor()
-        train(model, train_ds, opt, 150, batch_size=32, shuffle_rng=rng,
+        train(model, train_ds, opt_, 150, batch_size=32, shuffle_rng=rng,
               schedule=sched, lam=cfg.lam, cursor=cur)
         straight = {k: v.copy() for k, v in model.weight_arrays().items()}
         straight_s = {g.name: g.mask_logits.data.copy()
                       for g in model.maskable_groups()}
 
-        # 100 iterations, checkpoint to disk, reload into fresh objects, 50 more
-        train_ds, cfg, model, opt, sched = self._pieces()
+        train_ds, cfg, model, opt_, sched = self._pieces(opt=opt)
         rng = seeded_rng(3, STREAM_SHUFFLE)
         cur = TrainCursor()
-        train(model, train_ds, opt, 100, batch_size=32, shuffle_rng=rng,
+        train(model, train_ds, opt_, split, batch_size=32, shuffle_rng=rng,
               schedule=sched, lam=cfg.lam, cursor=cur)
-        arrays, meta = capture_train_state(model, opt, cur, rng,
+        arrays, meta = capture_train_state(model, opt_, cur, rng,
                                            schedule=sched,
-                                           extra={"done": 100})
+                                           extra={"done": split})
         path = tmp_path / "resume.ckpt"
         save_checkpoint(path, arrays, meta)
 
-        train_ds, cfg, model2, opt2, sched2 = self._pieces()
+        train_ds, cfg, model2, opt2, sched2 = self._pieces(opt=opt)
         rng2 = seeded_rng(999, STREAM_SHUFFLE)  # state overwritten by restore
         cur2 = TrainCursor()
         arrays2, meta2 = load_checkpoint(path)
         extra = restore_train_state(arrays2, meta2, model2, opt2, cur2, rng2,
                                     schedule=sched2)
-        assert extra["done"] == 100
-        train(model2, train_ds, opt2, 50, batch_size=32, shuffle_rng=rng2,
-              schedule=sched2, lam=cfg.lam, cursor=cur2,
-              start_iteration=100)
+        assert extra["done"] == split
+        train(model2, train_ds, opt2, 150 - split, batch_size=32,
+              shuffle_rng=rng2, schedule=sched2, lam=cfg.lam, cursor=cur2,
+              start_iteration=split)
         for k, v in model2.weight_arrays().items():
             assert np.array_equal(v, straight[k])
         for g in model2.maskable_groups():
             assert np.array_equal(g.mask_logits.data, straight_s[g.name])
+
+    def test_save_load_resume_matches_uninterrupted(self, tmp_path):
+        self._check_resume(tmp_path)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_adam_resume_mid_epoch_matches_uninterrupted(self, tmp_path,
+                                                         precision):
+        # the slots live in one arena per member; 99 stops mid-epoch
+        with _precision(precision):
+            self._check_resume(tmp_path, split=99, opt=OptimizerConfig(
+                "adam", lr=0.01, weight_decay=1e-4))
 
     def test_rewind_store_reload_reproduces_retrain_bitwise(self, tmp_path):
         train_ds, test_ds = DataConfig(n_train=128, n_test=128, seed=7).build()
@@ -202,6 +213,19 @@ class TestMaskArtifact:
         back = load_mask_artifact(base)
         for k in masks:
             assert np.array_equal(back[k], masks[k])
+
+    def test_truncated_bitset_is_an_integrity_error(self, tmp_path):
+        # a 64x64 mask packs into 512 payload bytes after its header
+        rng = np.random.default_rng(2)
+        base = tmp_path / "mask"
+        save_mask_artifact(base, {"w": (rng.random((64, 64)) < 0.67) * 1.0})
+        path = tmp_path / "mask.bits"
+        blob = path.read_bytes()
+        (hlen,) = np.frombuffer(blob[:8], dtype="<u8")
+        for keep in (len(blob) - 1, len(blob) - 200, 8 + int(hlen), 8 + 3, 5):
+            path.write_bytes(blob[:keep])
+            with pytest.raises(CheckpointIntegrityError, match="mask.bits"):
+                load_mask_artifact(base)
 
     def test_summary_is_readable_json(self, tmp_path):
         masks = {"a": np.array([1.0, 0.0, 1.0, 0.0])}

@@ -61,6 +61,12 @@ class TestRoundConfig:
             quick_cfg(prune_rate=1.0).validate()
         with pytest.raises(ValueError):
             quick_cfg(prune_rate=None).validate(need_rate=True)
+        for bad, message in (({"batch_size": 0}, "batch size"),
+                             ({"batch_size": -4}, "batch size"),
+                             ({"record_every": -1}, "record_every")):
+            with pytest.raises(ValueError, match=message):
+                quick_cfg(**bad).validate()
+        quick_cfg(record_every=0, batch_size=1).validate()
 
 
 class TestSelectLowest:

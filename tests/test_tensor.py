@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from ticketlab import tensor as T
 from ticketlab.masking import (GATE_SOFT, MaskedParameterGroup, gate,
                                gate_penalty, soft_gate)
-from ticketlab.optim import Adam, SGD
+from ticketlab.optim import Adam, SGD, CompositeOptimizer
 from ticketlab.tensor import (GradientError, NonFiniteError, ShapeError,
                               Tensor, add, add_bias, backward, conv2d, linear,
                               matmul, max_pool2d, mul, relu, reset_tape, scale,
@@ -558,6 +561,111 @@ class TestOptimizers:
         w.grad = np.array([3.0])
         Adam([w], lr=0.01).step()
         assert abs(w.data[0] + 0.01) < 1e-6
+
+
+def _reference_updates(kind, arrays, grad_steps, lr, momentum, wd):
+    """The per-parameter update loop the flat arenas replaced: parameters
+    after every step of ``grad_steps``, one gradient list per step."""
+    ps = [a.copy() for a in arrays]
+    slots = [[np.zeros_like(p) for p in ps] for _ in range(2)]
+    for t, grads in enumerate(grad_steps, start=1):
+        for p, g, buf, v in zip(ps, grads, *slots):
+            if wd:
+                g = g + wd * p
+            if kind == "sgd":
+                if momentum:
+                    buf *= momentum
+                    buf += g
+                    g = buf
+                p -= lr * g
+            else:  # adam, buf holding m
+                bc1 = 1.0 - 0.9 ** t
+                bc2 = 1.0 - 0.999 ** t
+                buf *= 0.9
+                buf += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                p -= lr * (buf / bc1) / (np.sqrt(v / bc2) + 1e-8)
+    return ps
+
+
+class TestOptimizerArena:
+    @settings(derandomize=True, database=None, max_examples=100,
+              deadline=None)
+    @given(st.sampled_from(["sgd", "adam"]),
+           st.sampled_from([np.float32, np.float64]),
+           st.lists(array_shapes(min_dims=1, max_dims=3, max_side=5),
+                    min_size=1, max_size=4),
+           st.sampled_from([0.0, 0.9]), st.sampled_from([0.0, 1e-3]),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_per_parameter_loop(self, kind, dtype, shapes,
+                                                  momentum, wd, steps, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        grad_steps = [[rng.standard_normal(s).astype(dtype) for s in shapes]
+                      for _ in range(steps)]
+        lr = 0.05
+        ref = _reference_updates(kind, arrays, grad_steps, lr, momentum, wd)
+        params = [Tensor(a.copy(), requires_grad=True, dtype=dtype)
+                  for a in arrays]
+        opt = (SGD(params, lr=lr, momentum=momentum, weight_decay=wd)
+               if kind == "sgd" else Adam(params, lr=lr, weight_decay=wd))
+        for grads in grad_steps:
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            opt.step()
+        for p, r in zip(params, ref):
+            assert p.data.dtype == dtype
+            assert np.array_equal(p.data, r)
+
+    @pytest.mark.parametrize("bad", [None, np.inf, np.nan])
+    def test_composite_step_is_atomic(self, bad):
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        s = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        opt = CompositeOptimizer([SGD([w], lr=0.1, momentum=0.9),
+                                  Adam([s], lr=0.1)])
+        w.grad, s.grad = np.ones((3, 4)), np.ones((3, 4))
+        opt.step()  # the slots are non-zero from here on
+        before = ([w.data.copy(), s.data.copy()],
+                  {k: a.copy() for k, a in opt.state_arrays().items()},
+                  opt.state_meta())
+        w.grad = np.ones((3, 4))
+        s.grad = None if bad is None else np.full((3, 4), bad)
+        with pytest.raises(GradientError if bad is None else NonFiniteError):
+            opt.step()
+        assert np.array_equal(w.data, before[0][0])
+        assert np.array_equal(s.data, before[0][1])
+        for k, a in opt.state_arrays().items():
+            assert np.array_equal(a, before[1][k])
+        assert opt.state_meta() == before[2]
+
+    def test_rebound_parameter_is_a_gradient_error(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        opt = SGD([w], lr=0.1)
+        w.data = w.data.copy()
+        w.grad = np.ones(3)
+        with pytest.raises(GradientError, match="rebound"):
+            opt.step()
+        assert np.array_equal(w.data, np.ones(3))
+
+    def test_parameters_are_views_of_one_arena(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = Tensor(np.array([7.0, 8.0]), requires_grad=True)
+        opt = SGD([a, b], lr=0.1)
+        assert a.data.base is b.data.base
+        assert np.array_equal(a.data, np.arange(6.0).reshape(2, 3))
+        assert np.array_equal(b.data, [7.0, 8.0])
+        assert list(opt.state_arrays()) == ["buf0", "buf1"]
+        assert opt.state_arrays()["buf0"].shape == (2, 3)
+
+    def test_mixed_dtypes_and_duplicates_are_value_errors(self):
+        a = Tensor(np.ones(2), requires_grad=True, dtype=np.float64)
+        b = Tensor(np.ones(2), requires_grad=True, dtype=np.float32)
+        with pytest.raises(ValueError, match="dtype"):
+            SGD([a, b], lr=0.1)
+        with pytest.raises(ValueError, match="twice"):
+            Adam([a, a], lr=0.1)
 
 
 class TestCompositeObjectiveGradient:
