@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, SweepConfig
-from .harness import (SEARCHES, EvalRow, ExperimentPlan, _precision,
-                      cost_accounting, dense_baseline, eval_budget_iters,
-                      report_rows, select_best_performing,
+from .harness import (SEARCHES, EvalRow, ExperimentPlan, cost_accounting,
+                      report_rows, run_point, select_best_performing,
                       select_sparsest_matching, sweep, ticket_rounds)
 from .persist import (read_records, save_checkpoint, save_mask_artifact,
                       write_records)
+from .training import epoch_iters
 
 # Config layers, merged in order: RunConfig defaults, then these
 # per-algorithm defaults, then the --config file, then the flags.
@@ -72,7 +72,7 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "k_epochs", None) is not None:
         if getattr(args, "round.rewind_iter") is not None:
             raise ValueError("--k and --k-epochs are mutually exclusive")
-        ipe = -(-cfg.dataset.n_train // cfg.round.batch_size)
+        ipe = epoch_iters(cfg.dataset.n_train, cfg.round.batch_size)
         cfg.round = replace(cfg.round, rewind_iter=args.k_epochs * ipe)
     return cfg
 
@@ -149,20 +149,18 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records: list = []
 
     if cfg.algorithm == "dense":
-        budget = eval_budget_iters(cfg.evaluation.budget_iters, cfg.round)
-        train_data, test_data = cfg.dataset.build()
-        with _precision(cfg.precision):
-            acc = dense_baseline(cfg.model, train_data, test_data, cfg.round,
-                                 budget, cfg.seed, recorder=records.append)
+        _, _, records = run_point(_plan(cfg), None, cfg.seed,
+                                  *cfg.dataset.build())
         _persist_run(out, cfg, [], records)
-        print(f"dense baseline: test accuracy {acc:.4f} "
-              f"({budget} iterations), run dir {out}")
+        final = next(r for r in records if r.split == "final_test")
+        print(f"dense baseline: test accuracy {final.accuracy:.4f} "
+              f"({final.iter} iterations), run dir {out}")
         return 0
 
     tickets: list = []
+    records: list = []
 
     def collect(run_id, point, seed, run_tickets, run_records):
         tickets.extend(run_tickets)
@@ -253,10 +251,13 @@ def recompute_report(directory) -> dict:
         with open(cfg_path, "r", encoding="utf-8") as f:
             c = json.load(f)
         try:
-            ipe = -(-c["dataset"]["n_train"] // c["round"]["batch_size"])
+            ipe = epoch_iters(c["dataset"]["n_train"],
+                              c["round"]["batch_size"])
         except (KeyError, TypeError):
             raise ValueError(f"{cfg_path} lacks round.batch_size or "
                              "dataset.n_train") from None
+        except ValueError as exc:
+            raise ValueError(f"{cfg_path}: {exc}") from None
         file_rows, file_dense = report_rows(recs, ipe)
         rows += file_rows
         dense_by_seed.update(file_dense)

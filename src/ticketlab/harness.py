@@ -11,7 +11,7 @@ ticket regardless of sparsity.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +47,9 @@ SEARCHES = {
     "supermask": lambda plan, model, data, cfg, **kw: [run_supermask(
         model, data, cfg, plan.supermask_variant, **kw)],
 }
+
+# The searches whose round config must carry a pruning rate.
+RATE_SEARCHES = frozenset({"imp", "seqcs"})
 
 
 @dataclass
@@ -117,8 +120,9 @@ class ExperimentPlan:
             key = GRID_ALIASES.get(k, k)
             if not hasattr(self.round_cfg, key):
                 raise ValueError(f"unknown sweep parameter {k!r}")
+        need_rate = self.algorithm in RATE_SEARCHES
         for point in _expand_grid(self.grid) if self.grid else [{}]:
-            _apply_point(self.round_cfg, point).validate()
+            _apply_point(self.round_cfg, point).validate(need_rate=need_rate)
 
 
 @contextmanager
@@ -176,12 +180,12 @@ def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
 
 def dense_baseline(model_cfg: ModelConfig, train_data, test_data,
                    cfg: RoundConfig, budget_iters: int, seed: int,
-                   recorder=None, run_id: str | None = None) -> float:
-    """Train the dense network for the evaluation budget; returns test
-    accuracy. Uses the same seed-keyed streams as ticket re-training so the
-    comparison is like-for-like."""
-    run_id = run_id or _run_id("dense", {}, seed)
-    info = RunInfo(run_id=run_id, algorithm="dense", seed=seed)
+                   recorder=None) -> float:
+    """Train the dense network for the evaluation budget as run
+    ``dense-seed<N>``; returns test accuracy. Uses the same seed-keyed
+    streams as ticket re-training so the comparison is like-for-like."""
+    info = RunInfo(run_id=_run_id("dense", {}, seed), algorithm="dense",
+                   seed=seed)
     acc = _train_and_test(model_cfg.build(seed), train_data, test_data, cfg,
                           budget_iters, info, recorder=recorder)
     if recorder is not None:
@@ -196,21 +200,25 @@ def _record_row(rec: RunRecord, cost: tuple = (0, 0.0)) -> EvalRow:
                    rec.remaining_frac, rec.accuracy, *cost)
 
 
+def dense_accuracies(records: list[RunRecord]) -> dict[int, float]:
+    """The dense accuracy of each seed that has a dense ``final_test``
+    record; a later record of a seed overrides an earlier one."""
+    return {r.seed: r.accuracy for r in records
+            if r.algorithm == "dense" and r.split == "final_test"}
+
+
 def report_rows(records: list[RunRecord], iters_per_epoch: int
                 ) -> tuple[list[EvalRow], dict[int, float]]:
-    """The report rows of a list of records, and the dense accuracy of
-    each seed that has a dense ``final_test`` record.
+    """The report rows of a list of records, and their
+    ``dense_accuracies``.
 
     Each evaluation record (``EVAL_SPLITS``) becomes one row, in record
     order; then a run with no evaluation record gets one unevaluated row
     from its final ``ticket`` record. A row's search cost is the iteration
     of its run's final ticket, also counted in epochs of
     ``iters_per_epoch`` iterations; a run without one costs nothing."""
-    dense_by_seed: dict[int, float] = {}
     final_ticket: dict[str, RunRecord] = {}  # each run's last round
     for r in records:
-        if r.algorithm == "dense" and r.split == "final_test":
-            dense_by_seed[r.seed] = r.accuracy
         last = final_ticket.get(r.run_id)
         if r.split == "ticket" and (last is None or r.round > last.round):
             final_ticket[r.run_id] = r
@@ -221,7 +229,7 @@ def report_rows(records: list[RunRecord], iters_per_epoch: int
     evaluated = {r.run_id for r in rows}
     rows += [_record_row(r, cost[rid]) for rid, r in final_ticket.items()
              if rid not in evaluated]
-    return rows, dense_by_seed
+    return rows, dense_accuracies(records)
 
 
 def _eval_row(split: str, masks: dict, acc: float, iters: int,
@@ -384,19 +392,30 @@ def _run_id(algorithm: str, point: dict, seed: int) -> str:
     return f"{algorithm}-{tag}-seed{seed}" if tag else f"{algorithm}-seed{seed}"
 
 
-def run_point(plan: ExperimentPlan, point: dict, seed: int, train_data,
-              test_data) -> tuple[list[TicketResult], list[EvalRow],
-                                  list[RunRecord]]:
-    """Execute one fully-specified run (a single grid point and seed) in
-    the plan's precision: search, then ticket evaluation per the plan.
-    Returns the tickets, the report rows of the records (``report_rows``,
-    with the grid point and, for a final evaluation, per-layer sparsity
-    attached) and the raw records."""
-    cfg = _apply_point(plan.round_cfg, point)
-    run_id = _run_id(plan.algorithm, point, seed)
+def run_point(plan: ExperimentPlan, point: dict | None, seed: int,
+              train_data, test_data) -> tuple[list[TicketResult],
+                                              list[EvalRow], list[RunRecord]]:
+    """Execute one fully-specified run in the plan's precision.
+
+    At a grid ``point``: the search at that point and seed, then ticket
+    evaluation per the plan. Returns the tickets, the report rows of the
+    records (``report_rows``, with the grid point and, for a final
+    evaluation, per-layer sparsity attached) and the raw records.
+
+    With ``point`` None: the seed's dense baseline, run ``dense-seed<N>``,
+    trained with the plan's round config for ``eval_budget_iters``
+    iterations. Returns ``([], [], records)``."""
     records: list[RunRecord] = []
     rec = records.append
     with _precision(plan.precision):
+        if point is None:
+            dense_baseline(plan.model_cfg, train_data, test_data,
+                           plan.round_cfg,
+                           eval_budget_iters(plan.eval_budget, plan.round_cfg),
+                           seed, recorder=rec)
+            return [], [], records
+        cfg = _apply_point(plan.round_cfg, point)
+        run_id = _run_id(plan.algorithm, point, seed)
         model = plan.model_cfg.build(seed)
         tickets = SEARCHES[plan.algorithm](plan, model, train_data, cfg,
                                            seed=seed, run_id=run_id,
@@ -433,13 +452,13 @@ def run_point(plan: ExperimentPlan, point: dict, seed: int, train_data,
     return tickets, rows, records
 
 
-def _job(plan: ExperimentPlan, point: dict, seed: int, train_data,
+def _job(plan: ExperimentPlan, point: dict | None, seed: int, train_data,
          test_data) -> tuple:
-    """One sweep run in whichever process executes it: ``(run_point's
+    """One sweep job in whichever process executes it: ``(run_point's
     result, None)``, or ``(None, message)`` when the run raised."""
     try:
         return run_point(plan, point, seed, train_data, test_data), None
-    except Exception as exc:  # recorded per-row; the sweep continues
+    except Exception as exc:  # the sweep decides what a failure means
         return None, str(exc)
 
 
@@ -464,23 +483,27 @@ def _pooled_outcomes(plan: ExperimentPlan, jobs: list, train_data,
                     yield future.result()
                 except Exception as exc:
                     yield None, f"{type(exc).__name__}: {exc}"
-        finally:  # an interrupted sweep starts no further job
+        finally:  # an interrupted or failed sweep starts no further job
             pool.shutdown(cancel_futures=True)
 
 
 def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
     """Expand grid x seeds into independent runs, execute them (on up to
     ``plan.max_workers`` forked worker processes when that is above 1),
-    evaluate tickets, and aggregate. Child-run failures become error rows
-    under the run's own id; the sweep continues. A worker process that dies
-    turns its run, and every run the pool did not finish, into error rows.
+    evaluate tickets, and aggregate.
+
+    Every job is a ``(point, seed)`` pair run by ``run_point``; unless
+    ``plan.evaluate`` is "none", the list starts with each seed's dense
+    baseline (``point`` None). A failing run becomes an error row under
+    its own id and the sweep continues; a worker process that dies turns
+    its run, and every run the pool did not finish, into error rows. A
+    failing dense baseline raises ``RuntimeError`` with its message and
+    starts no further job.
 
     ``on_run(run_id, point, seed, tickets, records)``, when given, is called
-    in the calling process, in job order: once per dense baseline
-    (``point`` is None and ``tickets`` empty) and once per finished run, as
-    its result arrives. A run whose hook raises becomes an error row; a
-    dense baseline whose hook raises ends the sweep, as a failing dense
-    baseline does.
+    in the calling process, in job order, as each job's result arrives (a
+    dense baseline has no tickets). A job whose hook raises fails as if the
+    job had raised.
 
     When the mask init is swept, the report includes the Spearman rank
     correlation between its value and the median remaining fraction."""
@@ -488,47 +511,41 @@ def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
     points = _expand_grid(plan.grid) if plan.grid else [{}]
     train_data, test_data = plan.data_cfg.build()
 
-    records: list[RunRecord] = []
-    dense_by_seed: dict[int, float] = {}
-    budget = eval_budget_iters(plan.eval_budget, plan.round_cfg)
-    if plan.evaluate != "none":
-        for seed in plan.seeds:
-            run_id = _run_id("dense", {}, seed)
-            drecs: list[RunRecord] = []
-            with _precision(plan.precision):
-                dense_by_seed[seed] = dense_baseline(
-                    plan.model_cfg, train_data, test_data, plan.round_cfg,
-                    budget, seed, recorder=drecs.append, run_id=run_id)
-            records.extend(drecs)
-            if on_run is not None:
-                on_run(run_id, None, seed, [], drecs)
-
     jobs = [(point, seed) for point in points for seed in plan.seeds]
+    if plan.evaluate != "none":
+        jobs = [(None, seed) for seed in plan.seeds] + jobs
     if plan.max_workers == 1:
         outcomes = (_job(plan, point, seed, train_data, test_data)
                     for point, seed in jobs)
     else:
         outcomes = _pooled_outcomes(plan, jobs, train_data, test_data)
     rows: list[EvalRow] = []
-    for (result, error), (point, seed) in zip(outcomes, jobs):
-        run_id = _run_id(plan.algorithm, point, seed)
-        if error is None:
-            tickets, rws, recs = result
-            if on_run is not None:
-                try:
-                    on_run(run_id, point, seed, tickets, recs)
-                except Exception as exc:  # a failing hook fails its run
-                    error = str(exc)
-        if error is None:
-            rows.extend(rws)
-            records.extend(recs)
-        else:
-            rows.append(EvalRow(run_id, plan.algorithm, seed, 0, None, None,
-                                0, 0.0, grid=dict(point), error=error))
+    records: list[RunRecord] = []
+    with closing(outcomes):
+        for (result, error), (point, seed) in zip(outcomes, jobs):
+            run_id = (_run_id("dense", {}, seed) if point is None
+                      else _run_id(plan.algorithm, point, seed))
+            if error is None:
+                tickets, rws, recs = result
+                if on_run is not None:
+                    try:
+                        on_run(run_id, point, seed, tickets, recs)
+                    except Exception as exc:  # a failing hook fails its job
+                        error = str(exc)
+            if error is None:
+                rows.extend(rws)
+                records.extend(recs)
+            elif point is None:  # every run is judged against its baseline
+                raise RuntimeError(error)
+            else:
+                rows.append(EvalRow(run_id, plan.algorithm, seed, 0, None,
+                                    None, 0, 0.0, grid=dict(point),
+                                    error=error))
 
     spearman = sparsity_rank_correlation(rows, plan.grid,
                                          plan.round_cfg.rounds)
     attach_relative_columns(rows, plan.grid)
+    dense_by_seed = dense_accuracies(records)
     dense_acc = (float(np.mean(list(dense_by_seed.values())))
                  if dense_by_seed else None)
     return EvaluationReport(rows, dense_by_seed, dense_acc, spearman, records)

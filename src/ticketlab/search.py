@@ -46,7 +46,8 @@ from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC,
 from .optim import CompositeOptimizer, OptimizerConfig
 from .persist import RunRecord
 from .seeding import STREAM_MASK, STREAM_SHUFFLE, seeded_rng
-from .training import RunInfo, TrainCursor, lr_milestones_callback, train
+from .training import (RunInfo, TrainCursor, epoch_iters,
+                       lr_milestones_callback, train)
 
 
 @dataclass
@@ -315,7 +316,7 @@ def _run_rounds(model, data, cfg: RoundConfig, policy: _Policy, *,
         tickets.append(TicketResult(
             algorithm, run_id, seed, cfg, masks, box["store"], rec.rows,
             list(remaining_per_round), [masks], total,
-            iters_per_epoch=-(-len(data) // cfg.batch_size), round=r,
+            iters_per_epoch=epoch_iters(len(data), cfg.batch_size), round=r,
             prune_exhausted=exhausted, final_weights=final_weights))
         if exhausted:
             break

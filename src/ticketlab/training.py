@@ -80,6 +80,14 @@ def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
     return loss_sum / n, correct / n
 
 
+def epoch_iters(n: int, batch_size: int) -> int:
+    """Optimizer steps in one pass over ``n`` examples, the last batch
+    short when ``batch_size`` does not divide ``n``."""
+    if batch_size < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
+    return -(-n // batch_size)
+
+
 def train(model, data: Dataset, optimizer, iterations: int, *,
           batch_size: int, shuffle_rng, schedule=None, lam: float = 0.0,
           mask_rng=None, st_variant: str = "identity",
@@ -96,8 +104,7 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     ``abort`` record and a ``NonFiniteError`` naming the iteration and run.
     """
     n = len(data)
-    if batch_size < 1:
-        raise ValueError(f"batch size must be >= 1, got {batch_size}")
+    nb = epoch_iters(n, batch_size)
     if record_every < 0:
         raise ValueError(f"record_every must be >= 0, got {record_every}")
     if batch_size > n:
@@ -106,7 +113,6 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         return 0
     cursor = cursor if cursor is not None else TrainCursor()
     info = run_info or RunInfo()
-    nb = -(-n // batch_size)  # ceil
     maskable = [g for g in getattr(model, "groups", []) if g.maskable]
     penalized = [g for g in maskable
                  if g.mode in (GATE_SOFT, GATE_STOCHASTIC)

@@ -121,6 +121,17 @@ class TestRunSubcommands:
         assert rc == 1
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_k_epochs_with_a_zero_batch_size_fails_cleanly(self, tmp_path,
+                                                           capsys):
+        cfgp = small_config(tmp_path)
+        out = tmp_path / "x"
+        rc = main(["cs", "--config", str(cfgp), "--k-epochs", "1",
+                   "--batch-size", "0", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: batch size must be >= 1, got 0\n")
+        assert not out.exists()
+
     def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
         rc = main(["cs", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")])
@@ -263,18 +274,23 @@ class TestSweepAndReport:
         # 2 rounds x 16 iterations at 4 iterations per epoch
         assert recompute_report(out)["cost"]["cs"]["sequential_epochs"] == 8.0
         resolved = json.loads((out / "config.json").read_text())
-        del resolved["round"]["batch_size"]
-        (out / "config.json").write_text(json.dumps(resolved))
-        with pytest.raises(ValueError, match="batch_size"):
-            recompute_report(out)
-        assert main(["report", "--dir", str(out)]) == 1
-        assert str(out / "config.json") in capsys.readouterr().err
+        rnd = {k: v for k, v in resolved["round"].items() if k != "batch_size"}
+        for over, message in (({}, "batch_size"),
+                              ({"batch_size": 0}, "batch size must be >= 1")):
+            (out / "config.json").write_text(
+                json.dumps(dict(resolved, round={**rnd, **over})))
+            with pytest.raises(ValueError, match=message):
+                recompute_report(out)
+            assert main(["report", "--dir", str(out)]) == 1
+            assert str(out / "config.json") in capsys.readouterr().err
 
-    def test_sweep_error_rows_are_distinct_runs(self, tmp_path, capsys):
-        cfgp = small_config(
-            tmp_path, evaluation={"evaluate": "none"},
-            round={"rounds": 2, "iters_per_round": 16, "rewind_iter": 2,
-                   "batch_size": 32, "record_every": 0, "prune_rate": None})
+    def test_sweep_error_rows_are_distinct_runs(self, tmp_path, capsys,
+                                                monkeypatch):
+        def fails(plan, model, data, cfg, **kw):
+            raise ValueError("search failed")
+
+        monkeypatch.setitem(harness.SEARCHES, "imp", fails)
+        cfgp = small_config(tmp_path, evaluation={"evaluate": "none"})
         out = tmp_path / "sweep"
         rc = main(["sweep", "--algorithm", "imp", "--config", str(cfgp),
                    "--grid", "lambda=0,1", "--seeds", "1", "--out", str(out)])

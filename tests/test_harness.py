@@ -480,41 +480,87 @@ class TestSweep:
         r2 = sweep(p)
         assert r1.rows == r2.rows
 
-    def test_child_failure_recorded_and_sweep_continues(self):
+    @staticmethod
+    def _failing_imp(monkeypatch):
+        def fails(plan, model, data, cfg, **kw):
+            raise ValueError("search failed")
+
+        monkeypatch.setitem(SEARCHES, "imp", fails)
+
+    def test_child_failure_recorded_and_sweep_continues(self, monkeypatch):
+        self._failing_imp(monkeypatch)
         p = self.plan(algorithm="imp",
                       round_cfg=cfg(iters_per_round=20, rewind_iter=2,
-                                    prune_rate=None),
+                                    prune_rate=0.2),
                       grid={"lambda": [0.0]}, seeds=(1, 2))
         report = sweep(p)
         assert all(r.error is not None for r in report.rows)
         assert len(report.rows) == 2
 
-    def test_error_rows_named_after_their_run(self):
+    def test_error_rows_named_after_their_run(self, monkeypatch):
+        self._failing_imp(monkeypatch)
         p = self.plan(algorithm="imp",
                       round_cfg=cfg(iters_per_round=20, rewind_iter=2,
-                                    prune_rate=None),
+                                    prune_rate=0.2),
                       grid={"lambda": [0.0, 1.0]}, seeds=(1,))
         report = sweep(p)
         assert [r.run_id for r in report.rows] == ["imp-lambda=0-seed1",
                                                    "imp-lambda=1-seed1"]
 
     def test_on_run_sees_every_run_and_its_failure_is_an_error_row(self):
-        seen = []
-
         def hook(run_id, point, seed, tickets, records):
             seen.append((run_id, point, seed, len(tickets),
                          {r.run_id for r in records}))
             if point == {"s0": 0.1}:
                 raise OSError("disk full")
 
-        report = sweep(self.plan(grid={"s0": [-0.1, 0.1]}, seeds=(1,),
-                                 evaluate="final"), on_run=hook)
-        assert seen == [
-            ("dense-seed1", None, 1, 0, {"dense-seed1"}),
-            ("cs-s0=-0.1-seed1", {"s0": -0.1}, 1, 1, {"cs-s0=-0.1-seed1"}),
-            ("cs-s0=0.1-seed1", {"s0": 0.1}, 1, 1, {"cs-s0=0.1-seed1"})]
-        assert [(r.run_id, r.error) for r in report.rows] == [
-            ("cs-s0=-0.1-seed1", None), ("cs-s0=0.1-seed1", "disk full")]
+        for workers in (1, 2):
+            seen = []
+            report = sweep(self.plan(grid={"s0": [-0.1, 0.1]}, seeds=(1,),
+                                     evaluate="final", max_workers=workers),
+                           on_run=hook)
+            assert seen == [
+                ("dense-seed1", None, 1, 0, {"dense-seed1"}),
+                ("cs-s0=-0.1-seed1", {"s0": -0.1}, 1, 1,
+                 {"cs-s0=-0.1-seed1"}),
+                ("cs-s0=0.1-seed1", {"s0": 0.1}, 1, 1, {"cs-s0=0.1-seed1"})
+            ], workers
+            assert [(r.run_id, r.error) for r in report.rows] == [
+                ("cs-s0=-0.1-seed1", None),
+                ("cs-s0=0.1-seed1", "disk full")], workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fails_in", ["job", "hook"])
+    def test_failing_dense_baseline_ends_the_sweep(self, monkeypatch,
+                                                   workers, fails_in):
+        dense, search = H.dense_baseline, SEARCHES["cs"]
+        seen, searched = [], []
+
+        def baseline(model_cfg, train_data, test_data, c, budget, seed,
+                     **kw):
+            if fails_in == "job" and seed == 2:
+                raise ValueError("baseline diverged")
+            return dense(model_cfg, train_data, test_data, c, budget, seed,
+                         **kw)
+
+        def counted(plan, model, data, c, seed, **kw):
+            searched.append(seed)
+            return search(plan, model, data, c, seed=seed, **kw)
+
+        def hook(run_id, point, seed, tickets, records):
+            seen.append(run_id)
+            if fails_in == "hook" and run_id == "dense-seed2":
+                raise OSError("baseline diverged")
+
+        monkeypatch.setattr(H, "dense_baseline", baseline)
+        monkeypatch.setitem(SEARCHES, "cs", counted)
+        with pytest.raises(RuntimeError, match="^baseline diverged$"):
+            sweep(self.plan(grid={"s0": [-0.1, 0.1]}, seeds=(1, 2),
+                            evaluate="final", max_workers=workers),
+                  on_run=hook)
+        assert seen == {"job": ["dense-seed1"],
+                        "hook": ["dense-seed1", "dense-seed2"]}[fails_in]
+        assert searched == []  # forked workers' calls are not seen here
 
     def test_unknown_algorithm_fails_before_any_dense_baseline(self):
         seen = []
@@ -525,13 +571,15 @@ class TestSweep:
         assert seen == []
 
     def test_bad_grid_point_fails_before_any_dense_baseline(self):
-        for grid, message in (({"tau": [0.2, 1.5]}, "pruning rate"),
-                              ({"batch_size": [32, 0]}, "batch size")):
+        for grid, rate, message in (
+                ({"tau": [0.2, 1.5]}, 0.2, "pruning rate"),
+                ({"batch_size": [32, 0]}, 0.2, "batch size"),
+                ({"lambda": [0.0]}, None, "requires a pruning rate")):
             seen = []
             with pytest.raises(ValueError, match=message):
                 sweep(self.plan(algorithm="imp", grid=grid, evaluate="final",
                                 round_cfg=cfg(iters_per_round=20,
-                                              rewind_iter=2, prune_rate=0.2)),
+                                              rewind_iter=2, prune_rate=rate)),
                       on_run=lambda *a: seen.append(a[0]))
             assert seen == []
 
