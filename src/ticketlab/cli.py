@@ -21,6 +21,7 @@ from .harness import (SEARCHES, EvalRow, ExperimentPlan, cost_accounting,
                       select_sparsest_matching, sweep, ticket_rounds)
 from .persist import (read_records, save_checkpoint, save_mask_artifact,
                       write_records)
+from .search import PRUNE_SCOPES, SUPERMASK_VARIANTS
 from .training import epoch_iters
 
 # Config layers, merged in order: RunConfig defaults, then these
@@ -322,10 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=doc)
         _add_common(sp, with_search=name != "dense")
         if name == "imp":
-            _flag(sp, "--scope", "scope", choices=["global", "per-layer"])
+            _flag(sp, "--scope", "scope", choices=PRUNE_SCOPES)
         if name == "supermask":
             _flag(sp, "--variant", "supermask_variant",
-                  choices=["soft", "stochastic"])
+                  choices=SUPERMASK_VARIANTS)
         sp.set_defaults(func=_cmd_run, algorithm=name)
 
     sw = sub.add_parser("sweep", help="grid of runs with aggregation")
@@ -335,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
           help="name=lo:hi:count or name=v1,v2,...")
     _flag(sw, "--seeds", "seeds", help="comma-separated seed list")
     _flag(sw, "--workers", "sweep.max_workers", type=int)
-    _flag(sw, "--scope", "scope", choices=["global", "per-layer"])
-    _flag(sw, "--variant", "supermask_variant", choices=["soft", "stochastic"])
+    _flag(sw, "--scope", "scope", choices=PRUNE_SCOPES)
+    _flag(sw, "--variant", "supermask_variant", choices=SUPERMASK_VARIANTS)
     sw.set_defaults(func=_cmd_sweep)
 
     rp = sub.add_parser("report", help="recompute selections from stored CSVs")

@@ -21,8 +21,9 @@ from .masking import kept_fraction
 from .models import Model, ModelConfig
 from .optim import CompositeOptimizer
 from .persist import RunRecord
-from .search import (RewindStore, RoundConfig, TicketResult, run_cs, run_imp,
-                     run_iss, run_sequential_cs, run_supermask)
+from .search import (PRUNE_SCOPES, SUPERMASK_VARIANTS, RewindStore,
+                     RoundConfig, TicketResult, run_cs, run_imp, run_iss,
+                     run_sequential_cs, run_supermask)
 from .seeding import STREAM_SHUFFLE, seeded_rng
 from .tensor import default_dtype, set_default_dtype
 from .training import RunInfo, TrainCursor, evaluate, lr_milestones_callback, train
@@ -116,13 +117,21 @@ class ExperimentPlan:
         if self.max_workers < 1:
             raise ValueError(f"max_workers must be at least 1, got "
                              f"{self.max_workers}")
+        if self.scope not in PRUNE_SCOPES:
+            raise ValueError(f"unknown pruning scope {self.scope!r}")
+        if self.supermask_variant not in SUPERMASK_VARIANTS:
+            raise ValueError(f"unknown supermask variant "
+                             f"{self.supermask_variant!r}")
         for k in self.grid:
             key = GRID_ALIASES.get(k, k)
             if not hasattr(self.round_cfg, key):
                 raise ValueError(f"unknown sweep parameter {k!r}")
         need_rate = self.algorithm in RATE_SEARCHES
         for point in _expand_grid(self.grid) if self.grid else [{}]:
-            _apply_point(self.round_cfg, point).validate(need_rate=need_rate)
+            cfg = _apply_point(self.round_cfg, point)
+            cfg.validate(need_rate=need_rate)
+            if self.algorithm == "supermask" and cfg.rounds != 1:
+                raise ValueError("supermask search runs a single round")
 
 
 @contextmanager

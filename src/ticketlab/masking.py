@@ -19,6 +19,10 @@ Conventions fixed here:
   is available via ``st_variant="sigmoid"``.
 * Permanently removed components are tracked with a boolean sentinel array
   rather than a -inf logit, which keeps all arithmetic finite.
+* Only ``init_gate``, ``freeze`` and ``prune_forever`` change a group's
+  gate state, and they keep one invariant: the mode is ``GATE_HARD``
+  exactly when a mask is frozen, and only soft and stochastic groups have
+  logits. Readers dispatch on the mode alone.
 
 On the tape, a soft group's gate sigmoid(beta * s) ⊙ k (k: the components
 not permanently removed) is one node, ``gate``, and so is the L1 term
@@ -43,6 +47,8 @@ GATE_HARD = "hard"
 GATE_STOCHASTIC = "stochastic-bernoulli"
 
 GATE_MODES = (GATE_NONE, GATE_SOFT, GATE_HARD, GATE_STOCHASTIC)
+
+ST_VARIANTS = ("identity", "sigmoid")
 
 # Soft-gate value below which a weight is reported as removed mid-training.
 PRUNED_GATE_EPS = 1e-6
@@ -88,9 +94,10 @@ class TemperatureSchedule:
 class MaskedParameterGroup:
     """A weight tensor, its optional mask logits, and the gating mode.
 
-    ``frozen_mask`` short-circuits gating entirely once set (hard masks,
-    fine-tuning after a freeze); ``pruned_forever`` marks components that
-    later rounds may never revive.
+    Invariant: ``mode == GATE_HARD`` exactly when ``frozen_mask`` is set;
+    ``mask_logits`` exist exactly in the soft and stochastic modes, and
+    ``pruned_forever`` marks their components that later rounds may never
+    revive. Only ``init_gate``, ``freeze`` and ``prune_forever`` change it.
     """
 
     name: str
@@ -108,19 +115,31 @@ class MaskedParameterGroup:
             raise ValueError(f"unknown gate mode {mode!r}")
         if not self.maskable and mode != GATE_NONE and mode != GATE_HARD:
             raise ValueError(f"group {self.name!r} is not maskable")
+        if mode == GATE_HARD:
+            self.freeze(np.ones(self.weights.shape, dtype=self.weights.dtype))
+            return
         self.mode = mode
-        self.frozen_mask = None
-        self.pruned_forever = None
-        if mode in (GATE_SOFT, GATE_STOCHASTIC):
+        self.frozen_mask = self.pruned_forever = self.mask_logits = None
+        if mode != GATE_NONE:
             self.mask_init = float(mask_init)
             self.mask_logits = Tensor(
                 np.full(self.weights.shape, self.mask_init, dtype=self.weights.dtype),
                 requires_grad=True)
-        elif mode == GATE_HARD:
-            self.mask_logits = None
-            self.frozen_mask = np.ones(self.weights.shape, dtype=self.weights.dtype)
-        else:
-            self.mask_logits = None
+
+    def freeze(self, mask) -> None:
+        """Fix a copy of ``mask``: hard mode, no logits, no sentinel."""
+        self.mode = GATE_HARD
+        self.mask_logits = None
+        self.pruned_forever = None
+        self.frozen_mask = np.array(mask, dtype=self.weights.dtype)
+
+    def prune_forever(self, dropped: np.ndarray) -> None:
+        """Remove the ``dropped`` components of a gated group for good."""
+        if self.mode not in (GATE_SOFT, GATE_STOCHASTIC):
+            raise ValueError(f"group {self.name!r} has no gate to prune")
+        self.pruned_forever = (np.array(dropped, dtype=bool)
+                               if self.pruned_forever is None
+                               else self.pruned_forever | dropped)
 
     def kept(self) -> np.ndarray | None:
         """Float mask of components not permanently removed, or None."""
@@ -128,60 +147,54 @@ class MaskedParameterGroup:
             return None
         return (~self.pruned_forever).astype(self.weights.dtype)
 
+    def sample_mask(self, rng) -> np.ndarray:
+        """One draw of m ~ Bernoulli(sigmoid(s)), one uniform per component
+        in flat order; sentinel-removed components are 0."""
+        p = expit(self.mask_logits.data)
+        m = (rng.random(p.shape) < p).astype(self.weights.dtype)
+        if self.pruned_forever is not None:
+            m[self.pruned_forever] = 0.0
+        return m
+
     def weight_and_gate(self, beta: float = 1.0, rng=None,
                         st_variant: str = "identity",
                         step_gate: Tensor | None = None) -> tuple[Tensor, Tensor | None]:
         """The weight tensor and the gate multiplying it in this forward
-        pass: (w, hard mask) once a mask is frozen, (w, ``gate``) for a soft
-        gate, (sampled m ⊙ w, None) for a stochastic gate and (w, None)
-        ungated. ``step_gate`` is the step's ``gate`` node of a soft group;
-        it is computed here when not given."""
-        if self.frozen_mask is not None:
+        pass: (w, frozen mask) in hard mode, (w, ``gate``) for a soft gate,
+        (sampled m ⊙ w, None) for a stochastic gate and (w, None) ungated.
+        ``step_gate`` is the step's ``gate`` node of a soft group; it is
+        computed here when not given."""
+        if self.mode == GATE_HARD:
             return self.weights, Tensor(self.frozen_mask, dtype=self.weights.dtype)
-        if self.mode == GATE_NONE:
-            return self.weights, None
         if self.mode == GATE_SOFT:
             return self.weights, step_gate if step_gate is not None else gate(self, beta)
         if self.mode == GATE_STOCHASTIC:
             return stochastic_gate(self, rng, st_variant), None
-        raise ValueError(f"group {self.name!r} in mode {self.mode!r} "
-                         "needs a frozen mask before use")
-
-    def effective_weights(self, beta: float = 1.0, rng=None,
-                          st_variant: str = "identity") -> Tensor:
-        """The gated weight tensor for this forward pass, as one tensor."""
-        w, m = self.weight_and_gate(beta, rng, st_variant)
-        return w if m is None else mul(w, m)
+        return self.weights, None
 
     def gate_values(self, beta: float = 1.0) -> np.ndarray:
         """Current gate value per component, for sparsity reporting."""
-        if self.frozen_mask is not None:
+        if self.mode == GATE_HARD:
             return self.frozen_mask
         if self.mode == GATE_NONE:
             return np.ones(self.weights.shape, dtype=self.weights.dtype)
-        if self.mode == GATE_SOFT:
-            g = expit(beta * self.mask_logits.data)
-        elif self.mode == GATE_STOCHASTIC:
-            g = expit(self.mask_logits.data)
-        else:
-            raise ValueError(f"no gate values for mode {self.mode!r}")
+        g = expit(beta * self.mask_logits.data if self.mode == GATE_SOFT
+                  else self.mask_logits.data)
         k = self.kept()
         return g * k if k is not None else g
 
     def current_hard_mask(self) -> np.ndarray:
         """Exact binary mask this group would emit right now."""
-        if self.frozen_mask is not None:
-            return self.frozen_mask.copy()
-        if self.mode == GATE_NONE:
-            return np.ones(self.weights.shape, dtype=self.weights.dtype)
+        if self.mode in (GATE_HARD, GATE_NONE):  # its gate values are binary
+            return self.gate_values().copy()
         m = hard_mask(self.mask_logits.data)
         k = self.kept()
         return m * k if k is not None else m
 
 
-def _require_soft(group: MaskedParameterGroup, what: str) -> None:
-    if group.mode != GATE_SOFT:
-        raise ValueError(f"{what} requires mode {GATE_SOFT!r}, "
+def _require_mode(group: MaskedParameterGroup, mode: str, what: str) -> None:
+    if group.mode != mode:
+        raise ValueError(f"{what} requires mode {mode!r}, "
                          f"group {group.name!r} is {group.mode!r}")
 
 
@@ -208,7 +221,7 @@ def _logit_grad(g, sig, beta: float, k):
 
 def gate(group: MaskedParameterGroup, beta: float) -> Tensor:
     """The gate sigmoid(beta * s) ⊙ k as one tape node over s."""
-    _require_soft(group, "gate")
+    _require_mode(group, GATE_SOFT, "gate")
     s, sig, k, out = _soft(group, beta)
 
     def backward_fn(g):
@@ -220,7 +233,7 @@ def gate(group: MaskedParameterGroup, beta: float) -> Tensor:
 
 def soft_gate(group: MaskedParameterGroup, beta: float) -> Tensor:
     """sigmoid(beta * s) ⊙ k ⊙ w, with gradients to both w and s."""
-    _require_soft(group, "soft_gate")
+    _require_mode(group, GATE_SOFT, "soft_gate")
     return mul(gate(group, beta), group.weights)
 
 
@@ -272,18 +285,13 @@ def stochastic_gate(group: MaskedParameterGroup, rng,
     ``st_variant="sigmoid"``. Sentinel-frozen components sample 0 and pass
     no gradient to s.
     """
-    if group.mode != GATE_STOCHASTIC:
-        raise ValueError(f"stochastic_gate requires mode {GATE_STOCHASTIC!r}, "
-                         f"group {group.name!r} is {group.mode!r}")
+    _require_mode(group, GATE_STOCHASTIC, "stochastic_gate")
     if rng is None:
         raise ValueError("stochastic gate requires an RNG")
-    if st_variant not in ("identity", "sigmoid"):
+    if st_variant not in ST_VARIANTS:
         raise ValueError(f"unknown straight-through variant {st_variant!r}")
     w, s = group.weights, group.mask_logits
-    p = expit(s.data)
-    m = (rng.random(p.shape) < p).astype(w.dtype)
-    if group.pruned_forever is not None:
-        m[group.pruned_forever] = 0.0
+    m = group.sample_mask(rng)
     out = m * w.data
 
     def backward_fn(g):
@@ -292,6 +300,7 @@ def stochastic_gate(group: MaskedParameterGroup, rng,
         if s.requires_grad:
             gs = g * w.data
             if st_variant == "sigmoid":
+                p = expit(s.data)
                 gs = gs * p * (1.0 - p)
             if group.pruned_forever is not None:
                 gs = gs * (~group.pruned_forever)

@@ -125,10 +125,7 @@ class Model:
             if m.shape != g.weights.shape:
                 raise ShapeError(f"mask shape {m.shape} does not match "
                                  f"weights {g.weights.shape} in {g.name!r}")
-            g.mode = "hard"
-            g.mask_logits = None
-            g.pruned_forever = None
-            g.frozen_mask = m.copy()
+            g.freeze(m)
 
     def forward(self, x: Tensor, beta: float = 1.0, rng=None,
                 st_variant: str = "identity", gates: dict | None = None) -> Tensor:

@@ -38,9 +38,8 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
-from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC,
+from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC, ST_VARIANTS,
                       MaskedParameterGroup, TemperatureSchedule, kept_fraction,
                       reset_mask)
 from .optim import CompositeOptimizer, OptimizerConfig
@@ -48,6 +47,9 @@ from .persist import RunRecord
 from .seeding import STREAM_MASK, STREAM_SHUFFLE, seeded_rng
 from .training import (RunInfo, TrainCursor, epoch_iters,
                        lr_milestones_callback, train)
+
+PRUNE_SCOPES = ("global", "per-layer")  # magnitude ranking of ``run_imp``
+SUPERMASK_VARIANTS = ("soft", "stochastic")  # gates of ``run_supermask``
 
 
 @dataclass
@@ -93,6 +95,9 @@ class RoundConfig:
             raise ValueError("batch size must be >= 1")
         if self.record_every < 0:
             raise ValueError("record_every must be >= 0")
+        if self.st_variant not in ST_VARIANTS:
+            raise ValueError(f"unknown straight-through variant "
+                             f"{self.st_variant!r}")
         self.weight_opt.validate()
         self.mask_opt.validate()
 
@@ -127,16 +132,14 @@ class TicketResult:
         return self.remaining_per_round[-1]
 
 
-def _make_optimizer(model, cfg: RoundConfig,
-                    train_masks: bool = True) -> CompositeOptimizer:
+def _make_optimizer(model, cfg: RoundConfig) -> CompositeOptimizer:
     members = []
     wparams = [t for t in model.weight_tensors() if t.requires_grad]
     if wparams:
         members.append(cfg.weight_opt.build(wparams))
-    if train_masks:
-        mparams = [t for t in model.mask_tensors() if t.requires_grad]
-        if mparams:
-            members.append(cfg.mask_opt.build(mparams))
+    mparams = [t for t in model.mask_tensors() if t.requires_grad]
+    if mparams:
+        members.append(cfg.mask_opt.build(mparams))
     return CompositeOptimizer(members)
 
 
@@ -171,8 +174,6 @@ def _select_lowest(groups: list[MaskedParameterGroup],
         picks = [(_select_lowest([g], [v], [a], rate, "global") or [empty])[0]
                  for g, v, a in zip(groups, values, active)]
         return picks if any(p.size for p in picks) else []
-    if scope != "global":
-        raise ValueError(f"unknown pruning scope {scope!r}")
     gids, flats, vals = [], [], []
     for gi, (v, a) in enumerate(zip(values, active)):
         idx = np.flatnonzero(a.reshape(-1))
@@ -201,22 +202,17 @@ def _hard_step(groups, cfg, mask_rng):
 
 
 def _bernoulli(groups, cfg, mask_rng):
-    masks = {}
-    for g in groups:
-        p = expit(g.mask_logits.data)
-        masks[g.name] = (mask_rng.random(p.shape) < p).astype(g.weights.dtype)
-        if g.pruned_forever is not None:
-            masks[g.name][g.pruned_forever] = 0.0
-    return masks, False
+    return {g.name: g.sample_mask(mask_rng) for g in groups}, False
 
 
 def _magnitude_cut(groups, cfg, mask_rng, scope):
+    masks = [g.current_hard_mask() for g in groups]
     picks = _select_lowest(groups, [np.abs(g.weights.data) for g in groups],
-                           [g.frozen_mask > 0 for g in groups],
-                           cfg.prune_rate, scope)
-    for g, p in zip(groups, picks):
-        g.frozen_mask.reshape(-1)[p] = 0.0
-    return {g.name: g.frozen_mask.copy() for g in groups}, not picks
+                           [m > 0 for m in masks], cfg.prune_rate, scope)
+    for g, m, p in zip(groups, masks, picks):
+        m.reshape(-1)[p] = 0.0
+        g.freeze(m)
+    return {g.name: m for g, m in zip(groups, masks)}, not picks
 
 
 def _lowest_logit_quota(groups, cfg, mask_rng):
@@ -228,9 +224,8 @@ def _lowest_logit_quota(groups, cfg, mask_rng):
     for g, a, p in zip(groups, active,
                        picks or [np.empty(0, int)] * len(groups)):
         a.reshape(-1)[p] = False
-        g.pruned_forever = ~a
-    return ({g.name: (~g.pruned_forever).astype(g.weights.dtype)
-             for g in groups}, not picks)
+        g.prune_forever(~a)
+    return {g.name: g.kept() for g in groups}, not picks
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +239,7 @@ def _reset_logits(groups, cfg):
 
 def _freeze_dropped(groups, cfg):
     for g in groups:
-        dropped = g.mask_logits.data < g.mask_init
-        g.pruned_forever = dropped if g.pruned_forever is None \
-            else (g.pruned_forever | dropped)
+        g.prune_forever(g.mask_logits.data < g.mask_init)
 
 
 @dataclass(frozen=True)
@@ -355,6 +348,8 @@ def run_imp(model, data, cfg: RoundConfig, scope: str = "global", *,
     nested across rounds. With ``rewind_between_rounds`` surviving weights
     return to the round-1 iterate k after every round."""
     cfg.validate(need_rate=True)
+    if scope not in PRUNE_SCOPES:
+        raise ValueError(f"unknown pruning scope {scope!r}")
     policy = _Policy(GATE_HARD, partial(_magnitude_cut, scope=scope),
                      rewind=cfg.rewind_between_rounds)
     return _run_rounds(model, data, cfg, policy, algorithm="imp", seed=seed,
@@ -401,7 +396,7 @@ def run_supermask(model, data, cfg: RoundConfig, variant: str = "soft", *,
     if cfg.rounds != 1:
         raise ValueError("supermask search runs a single round")
     cfg.validate()
-    if variant not in ("soft", "stochastic"):
+    if variant not in SUPERMASK_VARIANTS:
         raise ValueError(f"unknown supermask variant {variant!r}")
     snapshot = model.weight_arrays(copy=True)
     for t in model.weight_tensors():
@@ -425,9 +420,9 @@ def freeze_mask_and_finetune(model, data, cfg: RoundConfig, *,
                              run_id: str = "prune", test_data=None,
                              recorder=None):
     """Pruning-mode schedule: train weights and soft gates for ``freeze_at``
-    iterations (temperature annealed over that span), then fix the mask to
-    the hard step of the logits, stop mask training, and fine-tune the
-    surviving weights at ``finetune_lr``.
+    iterations (temperature annealed over that span), then freeze the hard
+    step of the logits (hard mode: the logits are dropped, so only weights
+    train) and fine-tune the surviving weights at ``finetune_lr``.
 
     Returns (model, masks, records). Calling on an already-frozen model is
     an error.
@@ -438,7 +433,7 @@ def freeze_mask_and_finetune(model, data, cfg: RoundConfig, *,
     groups = model.maskable_groups()
     if not groups:
         raise ValueError("mask freezing needs >= 1 maskable group")
-    if any(g.frozen_mask is not None for g in groups):
+    if any(g.mode == GATE_HARD for g in groups):
         raise ValueError("mask already frozen for this model")
     model.set_gate_mode(GATE_SOFT, cfg.mask_init)
     shuffle = seeded_rng(seed, STREAM_SHUFFLE)
@@ -451,13 +446,11 @@ def freeze_mask_and_finetune(model, data, cfg: RoundConfig, *,
                  shuffle_rng=shuffle, schedule=sched, lam=cfg.lam,
                  cursor=TrainCursor(), recorder=rec, run_info=info,
                  test_data=test_data, record_every=cfg.record_every)
-    masks = {}
-    for g in groups:
-        g.frozen_mask = g.current_hard_mask()
-        masks[g.name] = g.frozen_mask.copy()
+    masks = model.masks()
+    model.apply_hard_masks(masks)
     info.round = 2
     tail_cfg = replace(cfg, weight_opt=replace(cfg.weight_opt, lr=finetune_lr))
-    tail_opt = _make_optimizer(model, tail_cfg, train_masks=False)
+    tail_opt = _make_optimizer(model, tail_cfg)
     train(model, data, tail_opt, finetune_iters, batch_size=cfg.batch_size,
           shuffle_rng=shuffle, lam=0.0, cursor=TrainCursor(),
           start_iteration=done, recorder=rec, run_info=info,

@@ -10,8 +10,6 @@ own.
 """
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
 STREAM_DATA = 101
@@ -19,13 +17,8 @@ STREAM_INIT = 202
 STREAM_SHUFFLE = 303
 STREAM_MASK = 404
 STREAM_EVAL = 505
-STREAM_CONTROL = 606
 
 
 def seeded_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(stream))))
 
-
-def stable_tag(text: str) -> int:
-    """Stable 32-bit tag for deriving extra stream labels from names."""
-    return zlib.crc32(text.encode("utf-8"))

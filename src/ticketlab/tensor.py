@@ -159,9 +159,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def sum(self) -> "Tensor":
         return tensor_sum(self)
 

@@ -114,9 +114,7 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     cursor = cursor if cursor is not None else TrainCursor()
     info = run_info or RunInfo()
     maskable = [g for g in getattr(model, "groups", []) if g.maskable]
-    penalized = [g for g in maskable
-                 if g.mode in (GATE_SOFT, GATE_STOCHASTIC)
-                 and g.frozen_mask is None]
+    penalized = [g for g in maskable if g.mode in (GATE_SOFT, GATE_STOCHASTIC)]
     soft = [g for g in penalized if g.mode == GATE_SOFT]
     epoch_loss = 0.0
     epoch_steps = 0

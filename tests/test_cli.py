@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ticketlab import harness
-from ticketlab.cli import main, recompute_report
+from ticketlab.cli import _deep_merge, main, recompute_report
 from ticketlab.config import RunConfig
 from ticketlab.persist import load_checkpoint, load_mask_artifact, read_records
 from ticketlab.tensor import default_dtype, reset_tape, set_default_dtype
@@ -392,6 +392,27 @@ class TestSweepAndReport:
             assert rc == 1, bad
             assert message in capsys.readouterr().err, bad
             assert not out.exists(), bad
+
+    @pytest.mark.parametrize("algorithm, bad, message", [
+        ("supermask", {}, "supermask search runs a single round"),
+        ("imp", {"scope": "bogus"}, "unknown pruning scope 'bogus'"),
+        ("supermask", {"supermask_variant": "bogus", "round": {"rounds": 1}},
+         "unknown supermask variant 'bogus'"),
+        ("iss", {"round": {"st_variant": "bogus"}},
+         "unknown straight-through variant 'bogus'"),
+    ], ids=["supermask-two-rounds", "scope", "supermask-variant",
+            "st-variant"])
+    def test_bad_plan_in_the_config_file_fails_before_anything_is_written(
+            self, tmp_path, capsys, algorithm, bad, message):
+        base = json.loads(small_config(tmp_path).read_text())  # two rounds
+        cfgp = tmp_path / "bad.cfg"
+        cfgp.write_text(json.dumps(_deep_merge(base, bad)))
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(cfgp), "--algorithm", algorithm,
+                   "--grid", "s0=0.1", "--out", str(out)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dense_run_with_a_bad_round_config_fails_cleanly(self, tmp_path,
                                                             capsys):

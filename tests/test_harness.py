@@ -583,6 +583,31 @@ class TestSweep:
                       on_run=lambda *a: seen.append(a[0]))
             assert seen == []
 
+    # a plan value that used to fail only inside every job, after the dense
+    # baselines had been trained and handed to ``on_run``
+    BAD_PLANS = {
+        "supermask-two-rounds": ({"algorithm": "supermask"}, {"rounds": 2},
+                                 "supermask search runs a single round"),
+        "scope": ({"algorithm": "imp", "scope": "bogus"},
+                  {"prune_rate": 0.2}, "unknown pruning scope 'bogus'"),
+        "supermask-variant": ({"algorithm": "supermask", "supermask_variant":
+                               "bogus"}, {"rounds": 1},
+                              "unknown supermask variant 'bogus'"),
+        "st-variant": ({"algorithm": "iss"}, {"st_variant": "bogus"},
+                       "unknown straight-through variant 'bogus'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_PLANS))
+    def test_bad_plan_fails_before_any_job(self, case):
+        plan_kw, round_kw, message = self.BAD_PLANS[case]
+        seen = []
+        with pytest.raises(ValueError, match=message):
+            sweep(self.plan(grid={"s0": [0.0]}, seeds=(1,), evaluate="final",
+                            round_cfg=cfg(iters_per_round=20, rewind_iter=2,
+                                          **round_kw), **plan_kw),
+                  on_run=lambda *a: seen.append(a[0]))
+        assert seen == []
+
     def test_precision_does_not_leak_out_of_a_sweep(self):
         sweep(self.plan(grid={"s0": [0.0]}, seeds=(1,), evaluate="final",
                         precision="float32"))

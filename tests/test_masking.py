@@ -6,11 +6,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.special import expit
 
 from ticketlab import tensor as T
-from ticketlab.masking import (GATE_SOFT, GATE_STOCHASTIC,
-                               MaskedParameterGroup, TemperatureSchedule,
-                               gate_penalty, hard_mask, kept_fraction,
-                               remaining_fraction, reset_mask, soft_gate,
-                               stochastic_gate)
+from ticketlab.masking import (GATE_HARD, GATE_MODES, GATE_SOFT,
+                               GATE_STOCHASTIC, MaskedParameterGroup,
+                               TemperatureSchedule, gate_penalty, hard_mask,
+                               kept_fraction, remaining_fraction, reset_mask,
+                               soft_gate, stochastic_gate)
 from ticketlab.optim import SGD
 from ticketlab.tensor import Tensor, backward, reset_tape, tensor_sum
 
@@ -306,6 +306,74 @@ class TestResetMask:
         assert np.array_equal(s, np.minimum(beta_end * end, s_init))
         assert np.all(s <= s_init)
         assert np.all(hard_mask(s)[end < 0] == 0)
+
+
+class TestGateState:
+    """The group's one state invariant under its transitions."""
+
+    @staticmethod
+    def check_invariant(g, expected_hard):
+        gated = g.mode in (GATE_SOFT, GATE_STOCHASTIC)
+        assert (g.mode == GATE_HARD) == (g.frozen_mask is not None)
+        assert (g.mask_logits is not None) == gated
+        assert g.pruned_forever is None or gated
+        if g.mode == GATE_HARD:
+            w, m = g.weight_and_gate()
+            assert w is g.weights
+            assert np.array_equal(g.current_hard_mask(), m.data)
+            assert np.array_equal(g.current_hard_mask(), expected_hard)
+
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(array_shapes(min_dims=1, max_dims=3, max_side=4), st.data())
+    def test_transitions_keep_the_invariant(self, shape, data):
+        g = MaskedParameterGroup("g", Tensor(np.ones(shape),
+                                             requires_grad=True))
+        bits = arrays(bool, shape)
+        expected = None
+        ops = data.draw(st.lists(st.sampled_from(
+            ["init", "freeze", "prune", "reset"]), max_size=12))
+        for op in ops:
+            if op == "init":
+                mode = data.draw(st.sampled_from(GATE_MODES))
+                g.init_gate(mode, data.draw(st.floats(-2.0, 2.0)))
+                expected = np.ones(shape)
+            elif op == "freeze":
+                mask = data.draw(bits).astype(float)
+                expected = mask.copy()
+                g.freeze(mask)
+                mask[...] = 1.0 - mask  # the group keeps its own copy
+            elif op == "prune":
+                dropped = data.draw(bits)
+                before = g.pruned_forever
+                try:
+                    g.prune_forever(dropped)
+                except ValueError:  # no gate to prune
+                    assert g.mode not in (GATE_SOFT, GATE_STOCHASTIC)
+                else:
+                    assert np.array_equal(
+                        g.pruned_forever,
+                        dropped if before is None else before | dropped)
+            else:
+                end = data.draw(arrays(np.float64, shape,
+                                       elements=st.floats(-10.0, 10.0)))
+                try:
+                    reset_mask(g, end, 200.0)
+                except ValueError:  # no logits to reset
+                    assert g.mask_logits is None
+            self.check_invariant(g, expected)
+
+    def test_sample_mask_is_the_stochastic_gates_draw(self):
+        rng = np.random.default_rng(8)
+        g = make_group(rng.standard_normal((3, 5)), mode=GATE_STOCHASTIC,
+                       logits=rng.standard_normal((3, 5)))
+        g.prune_forever(rng.random((3, 5)) < 0.3)
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(3):
+            m = g.sample_mask(a)
+            assert np.array_equal(stochastic_gate(g, b).data,
+                                  m * g.weights.data)
+            assert np.all(m[g.pruned_forever] == 0.0)
 
 
 class TestSparsityReport:

@@ -17,7 +17,7 @@ from ticketlab.search import (RoundConfig, _select_lowest,
                               freeze_mask_and_finetune, run_cs, run_imp,
                               run_iss, run_sequential_cs, run_supermask)
 from ticketlab.seeding import STREAM_SHUFFLE, seeded_rng
-from ticketlab.tensor import Tensor, reset_tape
+from ticketlab.tensor import Tensor, mul, reset_tape
 from ticketlab.training import TrainCursor, train
 
 
@@ -63,7 +63,8 @@ class TestRoundConfig:
             quick_cfg(prune_rate=None).validate(need_rate=True)
         for bad, message in (({"batch_size": 0}, "batch size"),
                              ({"batch_size": -4}, "batch size"),
-                             ({"record_every": -1}, "record_every")):
+                             ({"record_every": -1}, "record_every"),
+                             ({"st_variant": "bogus"}, "straight-through")):
             with pytest.raises(ValueError, match=message):
                 quick_cfg(**bad).validate()
         quick_cfg(record_every=0, batch_size=1).validate()
@@ -413,6 +414,11 @@ class TestRunIMP:
         with pytest.raises(ValueError):
             run_imp(mlp(), moons, quick_cfg(prune_rate=None), seed=1)
 
+    def test_unknown_scope_fails_before_training(self, moons, monkeypatch):
+        monkeypatch.setattr(S, "train", lambda *a, **kw: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="unknown pruning scope 'bogus'"):
+            run_imp(mlp(), moons, quick_cfg(prune_rate=0.2), "bogus", seed=1)
+
 
 class TestRunISS:
     def test_sentinel_components_stay_zero(self, moons):
@@ -427,7 +433,8 @@ class TestRunISS:
                 continue
             for _ in range(3):
                 reset_tape()
-                out = g.effective_weights(rng=rng)
+                w, m = g.weight_and_gate(rng=rng)
+                out = w if m is None else mul(w, m)
                 assert np.all(out.data[g.pruned_forever] == 0.0)
 
     def test_weights_rewound_between_rounds(self, moons, monkeypatch):
@@ -570,9 +577,19 @@ class TestFreezeAndFinetune:
         model, masks, _ = freeze_mask_and_finetune(
             model, moons, quick_cfg(rounds=1), freeze_at=40,
             finetune_iters=20, finetune_lr=0.001, seed=1)
-        for g in model.maskable_groups():
-            assert g.mask_logits.grad is None
+        for g in model.maskable_groups():  # no logits are left to train
+            assert g.mask_logits is None
             assert np.array_equal(g.frozen_mask, masks[g.name])
+
+    def test_every_maskable_group_ends_in_hard_mode(self, moons):
+        model = mlp(seed=3, widths=(2, 16, 16, 2))
+        model, masks, _ = freeze_mask_and_finetune(
+            model, moons, quick_cfg(rounds=1), freeze_at=20,
+            finetune_iters=5, finetune_lr=0.001, seed=3)
+        for g in model.maskable_groups():
+            assert g.mode == GATE_HARD
+            assert g.mask_logits is None and g.pruned_forever is None
+            assert np.array_equal(g.current_hard_mask(), masks[g.name])
 
     def test_pruned_weights_exactly_zero_in_effective_network(self, moons):
         model = mlp(seed=1)
@@ -581,7 +598,8 @@ class TestFreezeAndFinetune:
             finetune_iters=20, finetune_lr=0.001, seed=1)
         for g in model.maskable_groups():
             reset_tape()
-            eff = g.effective_weights()
+            w, m = g.weight_and_gate()
+            eff = mul(w, m)
             assert np.all(eff.data[masks[g.name] == 0.0] == 0.0)
 
     def test_double_freeze_rejected(self, moons):
