@@ -8,12 +8,11 @@ L0-regularized one. The between-round reset s <- min(beta_end * s_end,
 s_init) re-opens kept gates and leaves suppressed ones shut.
 """
 import numpy as np
-from scipy.special import expit
 
 from ticketlab.masking import (GATE_SOFT, MaskedParameterGroup,
                                TemperatureSchedule, hard_mask,
                                remaining_fraction, reset_mask)
-from ticketlab.tensor import Tensor
+from ticketlab.tensor import Tensor, expit
 
 print("=== exponential temperature schedule, beta(t) = beta_T^(t/T) ===")
 sched = TemperatureSchedule(beta_final=200.0, total_iters=500)

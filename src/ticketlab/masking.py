@@ -37,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
-from .tensor import Tensor, apply_op, mul
+from .tensor import Tensor, apply_op, expit, mul
 
 GATE_NONE = "none"
 GATE_SOFT = "soft-deterministic"
@@ -110,7 +109,9 @@ class MaskedParameterGroup:
     pruned_forever: np.ndarray | None = None
 
     def init_gate(self, mode: str, mask_init: float = 0.0) -> None:
-        """Switch the gating mode, allocating constant-initialized logits."""
+        """Switch the gating mode with constant-initialized logits. Logits
+        the group already has are reset in place, so an optimizer built on
+        them keeps training them."""
         if mode not in GATE_MODES:
             raise ValueError(f"unknown gate mode {mode!r}")
         if not self.maskable and mode != GATE_NONE and mode != GATE_HARD:
@@ -118,13 +119,16 @@ class MaskedParameterGroup:
         if mode == GATE_HARD:
             self.freeze(np.ones(self.weights.shape, dtype=self.weights.dtype))
             return
+        logits = self.mask_logits
         self.mode = mode
         self.frozen_mask = self.pruned_forever = self.mask_logits = None
         if mode != GATE_NONE:
             self.mask_init = float(mask_init)
-            self.mask_logits = Tensor(
-                np.full(self.weights.shape, self.mask_init, dtype=self.weights.dtype),
-                requires_grad=True)
+            if logits is None:
+                logits = Tensor(np.empty(self.weights.shape, dtype=self.weights.dtype),
+                                requires_grad=True)
+            logits.data[...] = self.mask_init
+            self.mask_logits = logits
 
     def freeze(self, mask) -> None:
         """Fix a copy of ``mask``: hard mode, no logits, no sentinel."""

@@ -20,7 +20,6 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -321,6 +320,15 @@ def relu(a: Tensor) -> Tensor:
             a.accumulate_grad(g * (a.data > 0))
 
     return apply_op("relu", (a,), out, backward_fn)
+
+
+def expit(x):
+    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise, in the float
+    dtype of ``x``. Below x = -709 (float64) or -88 (float32) exp(-x)
+    overflows to inf and the result is its limit 0, so that overflow is
+    not reported."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset
-from .masking import (GATE_SOFT, GATE_STOCHASTIC, gate, gate_penalty,
-                      remaining_fraction)
+from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC, gate,
+                      gate_penalty, remaining_fraction)
 from .persist import RunRecord
 from .seeding import STREAM_EVAL
 from .tensor import NonFiniteError, Tensor, add, backward, reset_tape, softmax_cross_entropy
@@ -243,18 +243,18 @@ def restore_train_state(arrays: dict, meta: dict, model, optimizer,
         gm = meta["groups"].get(g.name)
         if gm is None:
             continue
-        g.mode = gm["mode"]
-        g.mask_init = gm["mask_init"]
-        if f"{g.name}.s" in arrays:
-            if g.mask_logits is None:
-                g.mask_logits = Tensor(arrays[f"{g.name}.s"].copy(),
-                                       requires_grad=True)
-            else:
+        # through the group's transitions, so the checkpoint's mode, logits
+        # and sentinel replace the group's own; the logits are written into
+        # the group's array, which an optimizer may hold
+        if gm["mode"] == GATE_HARD:
+            g.freeze(arrays[f"{g.name}.frozen"])
+        else:
+            g.init_gate(gm["mode"], gm["mask_init"])
+            if g.mask_logits is not None:
                 g.mask_logits.data[...] = arrays[f"{g.name}.s"]
-        if f"{g.name}.frozen" in arrays:
-            g.frozen_mask = arrays[f"{g.name}.frozen"].copy()
-        if f"{g.name}.pruned" in arrays:
-            g.pruned_forever = arrays[f"{g.name}.pruned"].astype(bool)
+            if f"{g.name}.pruned" in arrays:
+                g.prune_forever(arrays[f"{g.name}.pruned"].astype(bool))
+        g.mask_init = gm["mask_init"]
     opt_arrays = {k.split(".", 1)[1]: v for k, v in arrays.items()
                   if k.startswith("optimizer.")}
     optimizer.load_state(opt_arrays, meta["optimizer"])

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,18 @@ def fresh_tape():
     reset_tape()
     yield
     reset_tape()
+
+
+def test_import_needs_no_scipy():
+    # the library and its CLI run on NumPy alone; SciPy is a test reference
+    root = Path(__file__).resolve().parents[1]
+    script = ("import sys, ticketlab, ticketlab.cli; "
+              "assert 'scipy' not in sys.modules, "
+              "sorted(m for m in sys.modules if m.startswith('scipy'))")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def small_config(tmp_path, **over):

@@ -11,8 +11,11 @@ from ticketlab.masking import (GATE_HARD, GATE_MODES, GATE_SOFT,
                                TemperatureSchedule, gate_penalty, hard_mask,
                                kept_fraction, remaining_fraction, reset_mask,
                                soft_gate, stochastic_gate)
+from ticketlab.models import Model
 from ticketlab.optim import SGD
 from ticketlab.tensor import Tensor, backward, reset_tape, tensor_sum
+from ticketlab.training import (TrainCursor, capture_train_state,
+                                restore_train_state)
 
 from .helpers import continuation_gaps, fd_grads, max_rel_err
 
@@ -331,8 +334,13 @@ class TestGateState:
                                              requires_grad=True))
         bits = arrays(bool, shape)
         expected = None
+        model = Model([], [g], [])
+        train_state = (SGD([g.weights]), TrainCursor(),
+                       np.random.default_rng(0))
+        saved = capture_train_state(model, *train_state), expected
         ops = data.draw(st.lists(st.sampled_from(
-            ["init", "freeze", "prune", "reset"]), max_size=12))
+            ["init", "freeze", "prune", "reset", "capture", "restore"]),
+            max_size=12))
         for op in ops:
             if op == "init":
                 mode = data.draw(st.sampled_from(GATE_MODES))
@@ -354,13 +362,27 @@ class TestGateState:
                     assert np.array_equal(
                         g.pruned_forever,
                         dropped if before is None else before | dropped)
-            else:
+            elif op == "reset":
                 end = data.draw(arrays(np.float64, shape,
                                        elements=st.floats(-10.0, 10.0)))
                 try:
                     reset_mask(g, end, 200.0)
                 except ValueError:  # no logits to reset
                     assert g.mask_logits is None
+            elif op == "capture":
+                saved = capture_train_state(model, *train_state), expected
+            else:
+                (ckpt, meta), expected = saved
+                logits = g.mask_logits
+                restore_train_state(ckpt, meta, model, *train_state)
+                assert g.mode == meta["groups"]["g"]["mode"]
+                if g.mask_logits is not None:
+                    assert logits is None or g.mask_logits is logits
+                    assert np.array_equal(g.mask_logits.data, ckpt["g.s"])
+                if "g.pruned" in ckpt:
+                    assert np.array_equal(g.pruned_forever, ckpt["g.pruned"])
+                else:
+                    assert g.pruned_forever is None
             self.check_invariant(g, expected)
 
     def test_sample_mask_is_the_stochastic_gates_draw(self):

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from ticketlab.data import DataConfig
 from ticketlab.harness import _precision, retrain_ticket
+from ticketlab.masking import GATE_SOFT
 from ticketlab.models import ModelConfig
 from ticketlab.optim import CompositeOptimizer, OptimizerConfig
 from ticketlab.persist import (RECORD_HEADER, CheckpointIntegrityError,
@@ -120,6 +121,41 @@ class TestCheckpointFile:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(CheckpointIntegrityError):
             load_checkpoint(path)
+
+
+class TestRestoreGateState:
+    """``restore_train_state`` rebuilds each group's gate from the
+    checkpoint through the group's own transitions."""
+
+    @staticmethod
+    def _soft_state():
+        model = MC.build(3)
+        model.set_gate_mode(GATE_SOFT, 0.05)
+        opt = CompositeOptimizer([
+            OptimizerConfig().build(model.weight_tensors()),
+            OptimizerConfig().build(model.mask_tensors())])
+        cur, rng = TrainCursor(), seeded_rng(3, STREAM_SHUFFLE)
+        return model, (opt, cur, rng), capture_train_state(model, opt, cur,
+                                                           rng)
+
+    def test_soft_checkpoint_after_hard_masks_restores_a_soft_gate(self):
+        model, state, (arrays, meta) = self._soft_state()
+        model.apply_hard_masks(model.masks())
+        restore_train_state(arrays, meta, model, *state)
+        for g in model.maskable_groups():
+            assert g.mode == GATE_SOFT and g.frozen_mask is None
+            assert np.array_equal(g.mask_logits.data, arrays[f"{g.name}.s"])
+
+    def test_checkpoint_logits_and_sentinel_replace_the_groups(self):
+        model, state, (arrays, meta) = self._soft_state()
+        g = model.maskable_groups()[0]
+        logits = g.mask_logits
+        logits.data += 1.0
+        g.prune_forever(np.ones(g.weights.shape, dtype=bool))
+        restore_train_state(arrays, meta, model, *state)
+        assert g.pruned_forever is None  # the checkpoint has no sentinel
+        assert g.mask_logits is logits  # the optimizer's array, written
+        assert np.array_equal(logits.data, arrays[f"{g.name}.s"])
 
 
 class TestResumeEquivalence:

@@ -1,10 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
+from scipy.special import expit as scipy_expit
 
 from ticketlab import tensor as T
 from ticketlab.masking import (GATE_SOFT, MaskedParameterGroup, gate,
@@ -131,6 +133,43 @@ class TestForward:
         a = matmul(Tensor(x), Tensor(w)).data
         b = matmul(Tensor(x), Tensor(w)).data
         assert np.array_equal(a, b)
+
+
+class TestExpit:
+    """``tensor.expit`` against SciPy's, the implementation it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_within_4_ulp_of_scipy(self, dtype):
+        # NumPy's SIMD exp can differ from libm's in the last bit; where
+        # exp(-x) is near a power of two past 1/eps, the rounding of
+        # 1 + exp(-x) can widen that to 4 ulp of the result
+        x = np.linspace(-800, 800, 1_600_001).astype(dtype)
+        out = T.expit(x)
+        assert out.dtype == dtype
+        np.testing.assert_array_max_ulp(out, scipy_expit(x), maxulp=4)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_special_values_match_scipy(self, dtype):
+        x = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 800.0, -800.0],
+                     dtype=dtype)
+        out = T.expit(x)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, scipy_expit(x))
+        for v in (x[3], x[:1].reshape(()), np.array(-0.0, dtype=dtype)):
+            a, b = T.expit(v), scipy_expit(v)
+            assert (type(a), a.dtype, np.shape(a)) == (type(b), b.dtype,
+                                                     np.shape(b))
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_saturated_gate_warns_nothing(self, dtype):
+        g = MaskedParameterGroup("g", Tensor(np.ones(3, dtype=dtype),
+                                             dtype=dtype))
+        g.init_gate(GATE_SOFT, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(gate(g, 800.0).data == 0.0)  # beta * s = -800
+            assert np.all(T.expit(np.full(3, -800.0, dtype=dtype)) == 0.0)
 
 
 class TestBackward:
