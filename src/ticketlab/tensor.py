@@ -11,8 +11,8 @@ Every recorded operation is appended to a thread-local tape in forward
 order. ``backward`` walks the tape in exact reverse order, accumulating
 gradients into every tensor that requires them, and then marks the tape
 as consumed: a second backward pass without ``reset_tape`` is an error.
-A tensor's first gradient is copied into a buffer the tensor owns; later
-ones are added to it in place.
+A tensor's first gradient is copied into a buffer the tensor owns, unless
+the op that built it hands it over; later ones are added to it in place.
 """
 from __future__ import annotations
 
@@ -119,6 +119,12 @@ class no_grad:
         return False
 
 
+class _HandedOver(np.ndarray):
+    """View type of a C-ordered gradient array, in its input's dtype, that
+    an op built for that one input alone: ``accumulate_grad`` keeps it as
+    the input's buffer instead of copying it."""
+
+
 class Tensor:
     """N-dimensional array with an optional same-shape gradient accumulator."""
 
@@ -152,9 +158,12 @@ class Tensor:
         """Add ``g``, shaped like this tensor, to its gradient. The first
         ``g`` is copied into a C-ordered buffer of the tensor's dtype, since
         ops hand the same array to several inputs or pass read-only
-        broadcast views."""
+        broadcast views; a ``_HandedOver`` view is kept as it is."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, order="C")
+            if type(g) is _HandedOver:
+                self.grad = g.view(np.ndarray)
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype, order="C")
         else:
             self.grad += g
 
@@ -423,18 +432,30 @@ def tensor_sum(a: Tensor) -> Tensor:
     return apply_op("sum", (a,), out, backward_fn)
 
 
+# Bytes one block of conv2d's im2col columns, with its GEMM product, may
+# take. Batch 32 of conv6-scaled on 16x16 inputs fits in one block (its
+# largest column matrix is 4.7 MB); larger evaluation batches are split.
+_COLUMN_BLOCK_BYTES = 8 << 20
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation with zero padding.
 
     ``x``: (n, cin, h, w); ``kernel``: (cout, cin, kh, kw). The output
     spatial size is floor((h + 2p - kh)/stride) + 1.
 
-    The padded input is kept channel-major, (cin, n, hp, wp), so the
-    window of kernel offset (i, j) reshapes to a (cin, n*oh*ow) matrix and
-    each offset is one BLAS GEMM: the forward output, the kernel gradient
-    and the input gradient each take kh*kw of them. No im2col matrix is
-    built; besides the output, the op holds about one padded input (the
-    array the backward pass keeps) plus one window at a time.
+    The forward pass lowers the input to im2col columns, one
+    (cin*kh*kw, nb*oh*ow) matrix per block of nb whole samples, and each
+    block's output is one GEMM, ``kernel.reshape(cout, cin*kh*kw) @ cols``.
+    A block's column matrix and its GEMM product together stay within
+    ``_COLUMN_BLOCK_BYTES`` (a block is never smaller than one sample), so
+    the op holds at most one block beyond the padded input and the output
+    while it runs. When the kernel gradient will be formed (recording, and
+    the kernel requires a gradient) the node keeps the blocks, the
+    gradient is one GEMM per block, ``cols @ g2.T`` with ``g2`` the block's
+    output gradient as a (cout, nb*oh*ow) matrix, and the blocks are
+    dropped once it is formed. The input gradient is one GEMM per kernel
+    offset, each scatter-added into a channel-major padded buffer.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {kernel.shape}")
@@ -450,36 +471,48 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
     m = n * oh * ow
+    depth = cin * kh * kw
 
     xp = np.zeros((cin, n, hp, wp), dtype=x.dtype)
     xp[:, :, padding:padding + h, padding:padding + w] = x.data.transpose(1, 0, 2, 3)
     kd = kernel.data
+    k2 = kd.reshape(cout, depth)
 
-    def at(i, j):
+    def at(i, j, samples=slice(None)):
         """Index of the padded positions kernel offset (i, j) reads."""
-        return (slice(None), slice(None), slice(i, i + stride * oh, stride),
+        return (slice(None), samples, slice(i, i + stride * oh, stride),
                 slice(j, j + stride * ow, stride))
 
-    def window(i, j):
-        """Offset (i, j)'s input window as a (cin, n*oh*ow) matrix."""
-        return xp[at(i, j)].reshape(cin, m)
-
-    out2 = np.zeros((cout, m), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            out2 += kd[:, :, i, j] @ window(i, j)
-    out = np.ascontiguousarray(out2.reshape(cout, n, oh, ow).transpose(1, 0, 2, 3))
+    per_sample = (depth + cout) * oh * ow * xp.itemsize
+    nb = max(1, min(n, _COLUMN_BLOCK_BYTES // per_sample))
+    keep = kernel.requires_grad and not _state()["no_grad"]
+    blocks = []
+    out = np.empty((n, cout, oh, ow), dtype=x.dtype)
+    for lo in range(0, n, nb):
+        hi = min(n, lo + nb)
+        cols = np.empty((cin, kh, kw, hi - lo, oh, ow), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = xp[at(i, j, slice(lo, hi))]
+        cols = cols.reshape(depth, (hi - lo) * oh * ow)
+        out[lo:hi] = (k2 @ cols).reshape(cout, hi - lo, oh, ow).transpose(1, 0, 2, 3)
+        if keep:
+            blocks.append(cols)
+        del cols  # before the next block is allocated
 
     def backward_fn(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(cout, m)
         if kernel.requires_grad:
-            gk = np.empty_like(kd)
-            for i in range(kh):
-                for j in range(kw):
-                    gk[:, :, i, j] = g2 @ window(i, j).T
-            kernel.accumulate_grad(gk)
+            # cols @ g2.T rather than g2 @ cols.T: BLAS streams the long
+            # column matrix faster untransposed
+            width = nb * oh * ow
+            gk = np.zeros((depth, cout), dtype=g2.dtype)
+            for b, cols in enumerate(blocks):
+                gk += cols @ g2[:, b * width:b * width + cols.shape[1]].T
+            blocks.clear()
+            kernel.accumulate_grad(gk.T.reshape(kd.shape))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((cin, n, hp, wp), dtype=g2.dtype)
             for i in range(kh):
                 for j in range(kw):
                     gxp[at(i, j)] += (kd[:, :, i, j].T @ g2).reshape(cin, n, oh, ow)
@@ -497,7 +530,12 @@ def max_pool2d(x: Tensor) -> Tensor:
     pass folds them with ``np.maximum``, which returns its second operand
     on ties (-0.0 against 0.0 included), so the earlier candidate goes
     second. The backward pass hands each output gradient to the first
-    candidate equal to the maximum and clears it for the later ones.
+    candidate equal to the maximum and clears it for the later ones. A
+    candidate's gradient is ``rest - kept``, ``kept`` being what stays for
+    the later candidates (``rest`` itself or ``rest * 0``). For finite
+    ``g`` that is bitwise ``0.0 + rest * hit``, the argmax routing summed
+    into zeros, -0.0 turned into 0.0 included; an infinite ``g`` gives NaN
+    at its maximum instead of inf.
     """
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d expects 4-d input, got {x.shape}")
@@ -513,15 +551,14 @@ def max_pool2d(x: Tensor) -> Tensor:
 
     def backward_fn(g):
         if x.requires_grad:
-            gx = np.empty_like(d)
+            gx = np.empty(d.shape, dtype=d.dtype)
             rest = g
             for at in slots[:-1]:
-                hit = d[at] == out
-                np.multiply(rest, hit, out=gx[at])
-                rest = rest * ~hit
-            gx[slots[-1]] = rest
-            gx += 0.0  # -0.0 to 0.0, as a sum into zeros gives
-            x.accumulate_grad(gx)
+                kept = rest * (d[at] != out)
+                np.subtract(rest, kept, out=gx[at])
+                rest = kept
+            np.add(rest, 0.0, out=gx[slots[-1]])  # -0.0 to 0.0
+            x.accumulate_grad(gx.view(_HandedOver))
 
     return apply_op("max_pool2d", (x,), out, backward_fn)
 

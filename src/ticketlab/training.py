@@ -237,7 +237,26 @@ def restore_train_state(arrays: dict, meta: dict, model, optimizer,
                         cursor: TrainCursor, shuffle_rng, schedule=None,
                         mask_rng=None) -> dict:
     """Inverse of ``capture_train_state``; mutates the given objects in
-    place and returns the stored ``extra`` metadata."""
+    place and returns the stored ``extra`` metadata.
+
+    A group without logits that the checkpoint restores into the soft or
+    stochastic mode gets fresh logits. If the optimizer still holds
+    tensors the model no longer has (logits dropped when the groups were
+    frozen after the optimizer was built), it would never train the fresh
+    ones: that raises ``ValueError`` naming the groups, before anything
+    is restored.
+    """
+    held = {id(t) for t in model.weight_tensors() + model.mask_tensors()}
+    if any(id(p) not in held for p in optimizer.params):
+        fresh = [g.name for g in model.groups if g.mask_logits is None
+                 and meta["groups"].get(g.name, {}).get("mode")
+                 in (GATE_SOFT, GATE_STOCHASTIC)]
+        if fresh:
+            raise ValueError(
+                f"cannot restore gate logits into group(s) {', '.join(fresh)}: "
+                f"they have no logits, and the optimizer holds tensors the "
+                f"model no longer has, so it would never train fresh ones; "
+                f"build the optimizer after the groups have their logits")
     model.load_weight_arrays(arrays)
     for g in model.groups:
         gm = meta["groups"].get(g.name)

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from ticketlab.data import DataConfig
 from ticketlab.harness import _precision, retrain_ticket
-from ticketlab.masking import GATE_SOFT
+from ticketlab.masking import GATE_HARD, GATE_SOFT
 from ticketlab.models import ModelConfig
 from ticketlab.optim import CompositeOptimizer, OptimizerConfig
 from ticketlab.persist import (RECORD_HEADER, CheckpointIntegrityError,
@@ -139,12 +139,29 @@ class TestRestoreGateState:
                                                            rng)
 
     def test_soft_checkpoint_after_hard_masks_restores_a_soft_gate(self):
-        model, state, (arrays, meta) = self._soft_state()
+        model, (_, cur, rng), (arrays, meta) = self._soft_state()
         model.apply_hard_masks(model.masks())
-        restore_train_state(arrays, meta, model, *state)
+        # an optimizer built on the frozen model holds no logits
+        opt = CompositeOptimizer([
+            OptimizerConfig().build(model.weight_tensors())])
+        restore_train_state(arrays, meta, model, opt, cur, rng)
         for g in model.maskable_groups():
             assert g.mode == GATE_SOFT and g.frozen_mask is None
             assert np.array_equal(g.mask_logits.data, arrays[f"{g.name}.s"])
+
+    def test_restore_names_groups_frozen_after_the_optimizer_was_built(self):
+        model, state, (arrays, meta) = self._soft_state()
+        for t in model.weight_tensors():
+            t.data += 1.0  # so that a restore would show
+        weights = {k: v.copy() for k, v in model.weight_arrays().items()}
+        model.apply_hard_masks(model.masks())
+        with pytest.raises(ValueError, match="dense0, dense1"):
+            restore_train_state(arrays, meta, model, *state)
+        # nothing was restored
+        for g in model.maskable_groups():
+            assert g.mode == GATE_HARD and g.mask_logits is None
+        for k, v in model.weight_arrays().items():
+            assert np.array_equal(v, weights[k])
 
     def test_checkpoint_logits_and_sentinel_replace_the_groups(self):
         model, state, (arrays, meta) = self._soft_state()

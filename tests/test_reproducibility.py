@@ -12,21 +12,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Prints one SHA-256 over the final masks and weights of a short CS search
-# on conv6-scaled per precision. The GEMMs of batch 32 on 16x16 images are
-# large enough for OpenBLAS to split them over threads.
+# Prints one SHA-256 per precision over the final masks and weights of a
+# short CS search on conv6-scaled, and over the searched model's logits on
+# 128 images without recording: conv2d splits that batch into several
+# im2col blocks. The GEMMs of batch 32 on 16x16 images are large enough for
+# OpenBLAS to split them over threads.
 SEARCH = """
 import hashlib
 import numpy as np
 from ticketlab.data import Dataset
 from ticketlab.models import build_small_conv
 from ticketlab.search import RoundConfig, run_cs
-from ticketlab.tensor import set_default_dtype
+from ticketlab.tensor import Tensor, no_grad, set_default_dtype
 
 rng = np.random.default_rng(0)
 x = rng.random((64, 1, 16, 16)) * 0.2
 y = rng.integers(0, 2, 64)
 x[y == 1] += 0.6
+x_eval = rng.random((128, 1, 16, 16))
 for precision in ("float64", "float32"):
     set_default_dtype(precision)
     model = build_small_conv("conv6-scaled", seed=1, in_shape=(1, 16, 16),
@@ -39,6 +42,8 @@ for precision in ("float64", "float32"):
         for name in sorted(arrays):
             h.update(name.encode())
             h.update(np.ascontiguousarray(arrays[name]).tobytes())
+    with no_grad():
+        h.update(model.forward(Tensor(x_eval)).data.tobytes())
     print(precision, h.hexdigest())
 """
 

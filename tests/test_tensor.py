@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -249,6 +250,7 @@ class TestFusedOpsAgainstReferences:
         backward(tensor_sum(mul(out, Tensor(g, dtype=x.dtype))))
         ref_out, ref_gx = _reference_max_pool(x, g)
         assert out.data.dtype == t.grad.dtype == x.dtype
+        assert type(t.grad) is np.ndarray and t.grad.flags.c_contiguous
         assert out.data.tobytes() == ref_out.tobytes()
         assert t.grad.tobytes() == ref_gx.tobytes()
 
@@ -531,6 +533,46 @@ class TestConvAgainstDirectLoops:
         assert x.grad is None
         _, ref_gk, _ = _direct_conv(x.data, k.data, np.ones(out.shape), 1, 1)
         _close(k.grad, ref_gk, 1e-12)
+
+    @pytest.mark.parametrize("samples_per_block", [1, 2])
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 2)])
+    def test_batch_over_several_column_blocks(self, monkeypatch,
+                                              samples_per_block, stride,
+                                              padding):
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((7, 3, 7, 5))
+        k = rng.standard_normal((4, 3, 3, 2))
+        oh, ow = (7 + 2 * padding - 3) // stride + 1, (5 + 2 * padding - 2) // stride + 1
+        # one block holds this many samples' columns and GEMM products
+        monkeypatch.setattr(T, "_COLUMN_BLOCK_BYTES",
+                            samples_per_block * (3 * 3 * 2 + 4) * oh * ow * 8)
+        tx, tk, out, g = self._run(x, k, stride, padding)
+        ref_out, ref_gk, ref_gx = _direct_conv(x, k, g, stride, padding)
+        _close(out.data, ref_out, 1e-12)
+        _close(tk.grad, ref_gk, 1e-12)
+        _close(tx.grad, ref_gx, 1e-12)
+        with T.no_grad():
+            plain = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
+        assert plain.data.tobytes() == out.data.tobytes()
+
+    def test_no_grad_peak_memory_is_one_column_block(self, monkeypatch):
+        budget = 256 << 10
+        monkeypatch.setattr(T, "_COLUMN_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.standard_normal((64, 8, 16, 16)), requires_grad=True)
+        k = Tensor(rng.standard_normal((8, 8, 3, 3)), requires_grad=True)
+        padded = 8 * 64 * 18 * 18 * 8
+        whole_batch_columns = 8 * 3 * 3 * 64 * 16 * 16 * 8
+        assert whole_batch_columns > 30 * budget
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                tracemalloc.reset_peak()
+                out = conv2d(x, k, stride=1, padding=1)
+                peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + out.data.nbytes + padded
 
     def test_nothing_recorded_under_no_grad(self):
         rng = np.random.default_rng(23)
