@@ -149,10 +149,13 @@ def _read_be_u32(f, path: str) -> int:
 def load_idx(images_path: str, labels_path: str, limit: int | None = None) -> Dataset:
     """Parse big-endian IDX image/label files into a (n, 1, h, w) dataset.
 
-    Pixels are scaled to [0, 1]. Magic numbers are checked per file; a bad
-    magic raises ``IdxFormatError`` naming the offending file, a short read
-    raises ``OSError``.
+    Pixels are scaled to [0, 1]. ``limit`` keeps the first ``limit``
+    examples and must be at least 1. Magic numbers are checked per file; a
+    bad magic raises ``IdxFormatError`` naming the offending file, a short
+    read raises ``OSError``.
     """
+    if limit is not None and int(limit) < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     with open(images_path, "rb") as f:
         magic = _read_be_u32(f, images_path)
         if magic != IDX_IMAGE_MAGIC:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .masking import GATE_NONE, MaskedParameterGroup
 from .seeding import STREAM_INIT, seeded_rng
-from .tensor import (ShapeError, Tensor, add_channel_bias, conv2d, linear,
-                     max_pool2d, mul, relu, reshape)
+from .tensor import (ShapeError, Tensor, conv2d, linear, max_pool2d, relu,
+                     reshape)
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,9 @@ class Model:
         """Logits of a batch. ``gates`` maps soft groups' names to this
         step's ``masking.gate`` nodes, so that the caller can read the same
         gates in the penalty; a soft group without one computes its gate
-        here. A dense layer is one ``linear`` node with its gate fused in."""
+        here. Each weight-bearing layer is one tape node with its gate and
+        bias fused in: ``linear`` for a dense layer, ``conv2d`` for a conv
+        layer."""
         gates = gates or {}
         h = x
         gi = 0
@@ -145,8 +147,7 @@ class Model:
                 if isinstance(layer, DenseLayer):
                     h = linear(h, w, b, m)
                 else:
-                    k = w if m is None else mul(w, m)
-                    h = add_channel_bias(conv2d(h, k, layer.stride, layer.padding), b)
+                    h = conv2d(h, w, layer.stride, layer.padding, b, m)
                 gi += 1
             elif isinstance(layer, Relu):
                 h = relu(h)

@@ -1,9 +1,11 @@
 """Dense tensors on an explicit reverse-mode autodiff tape.
 
 Only the operations the desk-scale models need are implemented: matmul,
-the fused dense layer ``linear`` (x @ (w ⊙ gate) + b, one tape node), 2-d
-convolution, 2x2 max-pooling, the pointwise family (add, mul, relu,
-sigmoid, scale), bias addition, reshape, sum, and softmax cross-entropy.
+the fused dense layer ``linear`` (x @ (w ⊙ gate) + b, one tape node), the
+fused conv layer ``conv2d`` (2-d cross-correlation of x with k ⊙ gate,
+plus a per-channel bias, one tape node), 2x2 max-pooling, the pointwise
+family (add, mul, relu, sigmoid, scale), bias addition, reshape, sum, and
+softmax cross-entropy.
 The gate ops of learned sparsity live in ``masking``. There is no general
 broadcasting; pointwise ops accept equal shapes or a scalar operand.
 
@@ -438,24 +440,44 @@ def tensor_sum(a: Tensor) -> Tensor:
 _COLUMN_BLOCK_BYTES = 8 << 20
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation with zero padding.
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
+           bias: Tensor | None = None, gate: Tensor | None = None) -> Tensor:
+    """A conv layer as one tape node: cross-correlation of ``x`` with
+    ``kernel ⊙ gate`` under zero padding, plus a per-channel ``bias``.
 
-    ``x``: (n, cin, h, w); ``kernel``: (cout, cin, kh, kw). The output
-    spatial size is floor((h + 2p - kh)/stride) + 1.
+    ``x``: (n, cin, h, w); ``kernel``: (cout, cin, kh, kw); ``bias``:
+    (cout,) or None; ``gate``: shaped like the kernel, a soft gate, a
+    constant hard mask, or None for an ungated layer. The output spatial
+    size is floor((h + 2p - kh)/stride) + 1. The node is recorded as
+    ``"conv_layer"``, as a dense layer is one ``"linear"`` node. The kernel
+    gradient is ``gk ⊙ gate`` and the gate gradient ``gk ⊙ kernel``, ``gk``
+    being the gradient of the gated kernel; the bias gradient is the output
+    gradient summed over samples and positions.
 
     The forward pass lowers the input to im2col columns, one
     (cin*kh*kw, nb*oh*ow) matrix per block of nb whole samples, and each
-    block's output is one GEMM, ``kernel.reshape(cout, cin*kh*kw) @ cols``.
-    A block's column matrix and its GEMM product together stay within
+    block's output is one GEMM, ``kernel.reshape(cout, cin*kh*kw) @ cols``,
+    with the bias added to the product before it is written out. A block's
+    column matrix and its GEMM product together stay within
     ``_COLUMN_BLOCK_BYTES`` (a block is never smaller than one sample), so
     the op holds at most one block beyond the padded input and the output
-    while it runs. When the kernel gradient will be formed (recording, and
-    the kernel requires a gradient) the node keeps the blocks, the
-    gradient is one GEMM per block, ``cols @ g2.T`` with ``g2`` the block's
-    output gradient as a (cout, nb*oh*ow) matrix, and the blocks are
-    dropped once it is formed. The input gradient is one GEMM per kernel
-    offset, each scatter-added into a channel-major padded buffer.
+    while it runs. When the kernel or the gate will get a gradient
+    (recording, and either requires one) the node keeps the blocks, ``gk``
+    is one GEMM per block, ``cols @ g2.T`` with ``g2`` the block's output
+    gradient as a (cout, nb*oh*ow) matrix, and the blocks are dropped once
+    it is formed.
+
+    The input gradient is formed on the flat padded grid of all samples,
+    N = n*hp*wp positions. The output gradient is written into a zeroed
+    (cout, N) matrix ``G`` at the padded positions where each output's
+    window starts; the input position (y + i, z + j) of kernel offset
+    (i, j) is then the flat position of (y, z) shifted by i*wp + j, so each
+    offset is one GEMM and one contiguous add,
+    ``gx[:, s:s + N] += K[:, :, i, j].T @ G`` with s = i*wp + j, into a
+    (cin, N + (kh-1)*wp + kw-1) buffer that is cropped at the end. Columns
+    of ``G`` that hold no output are zero and, for a finite kernel, add
+    zero, so each input position sums the same products in the same offset
+    order as a scatter-add through each offset's strided window would.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {kernel.shape}")
@@ -463,8 +485,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     cout, cin_k, kh, kw = kernel.shape
     if cin != cin_k:
         raise ShapeError(f"conv2d channel mismatch: input {cin}, kernel {cin_k}")
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"conv2d bias {bias.shape} does not match {cout} output channels")
+    if gate is not None and gate.shape != kernel.shape:
+        raise ShapeError(f"conv2d gate {gate.shape} does not match kernel {kernel.shape}")
     stride = int(stride)
     padding = int(padding)
+    if stride < 1:
+        raise ShapeError(f"conv2d stride must be at least 1, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"conv2d padding must be non-negative, got {padding}")
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
@@ -475,8 +505,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     xp = np.zeros((cin, n, hp, wp), dtype=x.dtype)
     xp[:, :, padding:padding + h, padding:padding + w] = x.data.transpose(1, 0, 2, 3)
-    kd = kernel.data
+    kd = kernel.data if gate is None else kernel.data * gate.data
     k2 = kd.reshape(cout, depth)
+    gated = gate is not None and gate.requires_grad
 
     def at(i, j, samples=slice(None)):
         """Index of the padded positions kernel offset (i, j) reads."""
@@ -485,7 +516,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     per_sample = (depth + cout) * oh * ow * xp.itemsize
     nb = max(1, min(n, _COLUMN_BLOCK_BYTES // per_sample))
-    keep = kernel.requires_grad and not _state()["no_grad"]
+    keep = (kernel.requires_grad or gated) and not _state()["no_grad"]
     blocks = []
     out = np.empty((n, cout, oh, ow), dtype=x.dtype)
     for lo in range(0, n, nb):
@@ -495,14 +526,17 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             for j in range(kw):
                 cols[:, i, j] = xp[at(i, j, slice(lo, hi))]
         cols = cols.reshape(depth, (hi - lo) * oh * ow)
-        out[lo:hi] = (k2 @ cols).reshape(cout, hi - lo, oh, ow).transpose(1, 0, 2, 3)
+        prod = k2 @ cols
+        if bias is not None:
+            prod += bias.data[:, None]
+        out[lo:hi] = prod.reshape(cout, hi - lo, oh, ow).transpose(1, 0, 2, 3)
         if keep:
             blocks.append(cols)
-        del cols  # before the next block is allocated
+        del cols, prod  # before the next block is allocated
 
     def backward_fn(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(cout, m)
-        if kernel.requires_grad:
+        if kernel.requires_grad or gated:
+            g2 = g.transpose(1, 0, 2, 3).reshape(cout, m)
             # cols @ g2.T rather than g2 @ cols.T: BLAS streams the long
             # column matrix faster untransposed
             width = nb * oh * ow
@@ -510,16 +544,29 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             for b, cols in enumerate(blocks):
                 gk += cols @ g2[:, b * width:b * width + cols.shape[1]].T
             blocks.clear()
-            kernel.accumulate_grad(gk.T.reshape(kd.shape))
+            gk = gk.T.reshape(kd.shape)
+            if kernel.requires_grad:
+                kernel.accumulate_grad(gk if gate is None else gk * gate.data)
+            if gated:
+                gate.accumulate_grad(gk * kernel.data)
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gxp = np.zeros((cin, n, hp, wp), dtype=g2.dtype)
+            flat = n * hp * wp
+            grid = np.zeros((cout, n, hp, wp), dtype=g.dtype)
+            grid[at(0, 0)] = g.transpose(1, 0, 2, 3)
+            grid = grid.reshape(cout, flat)
+            gx = np.zeros((cin, flat + (kh - 1) * wp + kw - 1), dtype=g.dtype)
             for i in range(kh):
                 for j in range(kw):
-                    gxp[at(i, j)] += (kd[:, :, i, j].T @ g2).reshape(cin, n, oh, ow)
+                    s = i * wp + j
+                    gx[:, s:s + flat] += kd[:, :, i, j].T @ grid
+            gx = gx[:, :flat].reshape(cin, n, hp, wp)
             x.accumulate_grad(
-                gxp[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
+                gx[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
 
-    return apply_op("conv2d", (x, kernel), out, backward_fn)
+    inputs = tuple(t for t in (x, kernel, bias, gate) if t is not None)
+    return apply_op("conv_layer", inputs, out, backward_fn)
 
 
 def max_pool2d(x: Tensor) -> Tensor:

@@ -216,6 +216,17 @@ class TestIdxLoader:
         ds = load_idx(ip, lp)
         assert ds.inputs.min() >= 0.0 and ds.inputs.max() <= 1.0
 
+    @pytest.mark.parametrize("limit", [0, -1, -4])
+    def test_limit_below_one_is_rejected(self, tmp_path, limit):
+        ip, lp, *_ = write_idx_pair(tmp_path, n=10)
+        with pytest.raises(ValueError, match=f"limit must be at least 1, got {limit}"):
+            load_idx(ip, lp, limit=limit)
+        cfg = DataConfig(kind="idx", train_images=str(ip), train_labels=str(lp),
+                         test_images=str(ip), test_labels=str(lp), limit=limit)
+        with pytest.raises(ValueError, match="limit"):
+            cfg.build()
+        assert len(load_idx(ip, lp, limit=1)) == 1
+
 
 class TestDataConfig:
     def test_two_moons_split_disjoint_seeds(self):

@@ -322,6 +322,28 @@ class TestTapeShape:
         assert max(nodes) <= 9  # 12 with a mul, matmul and bias per layer
         assert sigmoids == 0
 
+    def test_conv6_cs_step_records_38_nodes_one_per_conv_layer(self, monkeypatch):
+        from ticketlab.data import Dataset
+        from ticketlab.models import build_small_conv
+        ops = []
+        backward = TR.backward
+
+        def recording_backward(loss):
+            ops.append([node.op for node in T.active_tape().nodes])
+            return backward(loss)
+
+        monkeypatch.setattr(TR, "backward", recording_backward)
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.random((32, 1, 8, 8)), rng.integers(0, 2, 32))
+        model = build_small_conv("conv6-scaled", seed=1, in_shape=(1, 8, 8))
+        run_cs(model, data, quick_cfg(rounds=1, iters_per_round=2,
+                                      rewind_iter=0, batch_size=16), seed=1)
+        assert len(ops) == 2
+        for step in ops:
+            assert len(step) == 38  # 50 with a mul and a bias node per conv
+            assert step.count("conv_layer") == 6
+            assert "mul" not in step and "add_channel_bias" not in step
+
 
 class TestConvModelSearch:
     def test_cs_runs_on_small_conv_net(self):

@@ -14,9 +14,10 @@ from ticketlab.masking import (GATE_SOFT, MaskedParameterGroup, gate,
                                gate_penalty, soft_gate)
 from ticketlab.optim import Adam, SGD, CompositeOptimizer
 from ticketlab.tensor import (GradientError, NonFiniteError, ShapeError,
-                              Tensor, add, add_bias, backward, conv2d, linear,
-                              matmul, max_pool2d, mul, relu, reset_tape, scale,
-                              sigmoid, softmax_cross_entropy, tensor_sum)
+                              Tensor, add, add_bias, add_channel_bias,
+                              backward, conv2d, linear, matmul, max_pool2d,
+                              mul, relu, reset_tape, scale, sigmoid,
+                              softmax_cross_entropy, tensor_sum)
 
 from .helpers import check_grad, max_rel_err
 
@@ -75,6 +76,27 @@ class TestForward:
         x = Tensor(np.zeros((2, 3, 8, 8)))
         k = Tensor(np.zeros((4, 3, 3, 3)))
         assert conv2d(x, k, stride=2, padding=1).shape == (2, 4, 4, 4)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_conv_stride_below_one(self, stride):
+        x = Tensor(np.zeros((1, 1, 5, 5)))
+        k = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ShapeError, match=f"stride must be at least 1, got {stride}"):
+            conv2d(x, k, stride=stride)
+
+    def test_conv_negative_padding(self):
+        x = Tensor(np.zeros((1, 1, 5, 5)))
+        k = Tensor(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ShapeError, match="padding must be non-negative, got -1"):
+            conv2d(x, k, padding=-1)
+
+    def test_conv_bias_and_gate_shapes(self):
+        x = Tensor(np.zeros((1, 2, 5, 5)))
+        k = Tensor(np.zeros((3, 2, 3, 3)))
+        with pytest.raises(ShapeError, match="bias"):
+            conv2d(x, k, bias=Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError, match="gate"):
+            conv2d(x, k, gate=Tensor(np.zeros((3, 2, 3, 1))))
 
     def test_max_pool_first_max_wins_on_ties(self):
         x = np.zeros((1, 1, 2, 2))
@@ -232,8 +254,8 @@ def _reference_max_pool(d, g):
 
 
 class TestFusedOpsAgainstReferences:
-    """``max_pool2d`` and ``linear`` give bitwise the results of the
-    compositions they replace."""
+    """``max_pool2d``, ``linear`` and the gated, biased ``conv2d`` give
+    bitwise the results of the compositions they replace."""
 
     @pytest.mark.parametrize("kind", ["normal", "relu", "signed_zeros", "float32"])
     def test_max_pool_matches_argmax_reference(self, kind):
@@ -277,6 +299,44 @@ class TestFusedOpsAgainstReferences:
 
         for fused, composed in zip(run(True), run(False)):
             assert fused.tobytes() == composed.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("gated", [None, "hard", "soft", "frozen"])
+    def test_conv_layer_matches_mul_conv_bias_composition(self, gated, padding,
+                                                          stride, dtype):
+        # "frozen": the kernel requires no gradient and the gate trains
+        rng = np.random.default_rng(33)
+        arrays = [rng.standard_normal((3, 3, 7, 6)),
+                  rng.standard_normal((4, 3, 3, 2)), rng.standard_normal(4)]
+        m = {None: None, "hard": (rng.random((4, 3, 3, 2)) < 0.5).astype(float),
+             "soft": rng.random((4, 3, 3, 2)),
+             "frozen": rng.random((4, 3, 3, 2))}[gated]
+
+        def run(fused):
+            reset_tape()
+            x, k, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
+            k.requires_grad = gated != "frozen"
+            gate = None if m is None else Tensor(
+                m, requires_grad=gated in ("soft", "frozen"), dtype=dtype)
+            if fused:
+                out = conv2d(x, k, stride, padding, b, gate)
+                assert [node.op for node in T.active_tape().nodes] == ["conv_layer"]
+            else:
+                ke = k if gate is None else mul(k, gate)
+                out = add_channel_bias(conv2d(x, ke, stride, padding), b)
+            g = np.random.default_rng(34).standard_normal(out.shape)
+            backward(tensor_sum(mul(out, Tensor(g, dtype=dtype))))
+            return [out.data, x.grad, k.grad, b.grad,
+                    None if gate is None else gate.grad]
+
+        for fused, composed in zip(run(True), run(False)):
+            if composed is None:
+                assert fused is None
+            else:
+                assert fused.dtype == composed.dtype == dtype
+                assert fused.tobytes() == composed.tobytes()
 
 
 class TestGradientBuffers:
@@ -479,6 +539,22 @@ def _direct_conv(x, k, g, stride, padding):
     return out, gk, gx
 
 
+def _per_offset_input_grad(k, g, x_shape, stride, padding):
+    """The input gradient of a strided, zero-padded cross-correlation as
+    one GEMM per kernel offset, each product scatter-added through the
+    strided window of a channel-major (cin, n, hp, wp) padded buffer."""
+    n, cin, h, w = x_shape
+    cout, _, kh, kw = k.shape
+    oh, ow = g.shape[2:]
+    g2 = g.transpose(1, 0, 2, 3).reshape(cout, n * oh * ow)
+    gxp = np.zeros((cin, n, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += (
+                k[:, :, i, j].T @ g2).reshape(cin, n, oh, ow)
+    return gxp[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3)
+
+
 def _close(actual, expected, rel):
     """Agreement to ``rel`` of the reference's largest magnitude."""
     scale = np.abs(expected).max()
@@ -512,6 +588,24 @@ class TestConvAgainstDirectLoops:
         _close(out.data, ref_out, 1e-12)
         _close(tk.grad, ref_gk, 1e-12)
         _close(tx.grad, ref_gx, 1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("shape", [(3, 3, 4, 7, 5), (32, 8, 8, 16, 16),
+                                       (32, 16, 16, 8, 8), (32, 32, 32, 4, 4)])
+    def test_input_grad_matches_per_offset_scatter(self, shape, stride, padding,
+                                                   dtype):
+        n, cin, cout, h, w = shape
+        rng = np.random.default_rng(sum(shape) + 10 * stride + padding)
+        x = Tensor(rng.standard_normal((n, cin, h, w)), requires_grad=True,
+                   dtype=dtype)
+        k = Tensor(rng.standard_normal((cout, cin, 3, 3)), dtype=dtype)
+        out = conv2d(x, k, stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        backward(tensor_sum(mul(out, Tensor(g, dtype=dtype))))
+        ref = _per_offset_input_grad(k.data, g, x.shape, stride, padding)
+        assert x.grad.dtype == ref.dtype == dtype
+        assert x.grad.tobytes() == np.ascontiguousarray(ref).tobytes()
 
     def test_float32_in_float32_out(self):
         rng = np.random.default_rng(21)
