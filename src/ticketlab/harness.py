@@ -122,16 +122,27 @@ class ExperimentPlan:
         if self.supermask_variant not in SUPERMASK_VARIANTS:
             raise ValueError(f"unknown supermask variant "
                              f"{self.supermask_variant!r}")
-        for k in self.grid:
+        for k, values in self.grid.items():
             key = GRID_ALIASES.get(k, k)
             if not hasattr(self.round_cfg, key):
                 raise ValueError(f"unknown sweep parameter {k!r}")
+            if len(values) == 0:
+                raise ValueError(f"sweep parameter {k!r} has no values")
         need_rate = self.algorithm in RATE_SEARCHES
+        run_ids = set()
         for point in _expand_grid(self.grid) if self.grid else [{}]:
             cfg = _apply_point(self.round_cfg, point)
             cfg.validate(need_rate=need_rate)
             if self.algorithm == "supermask" and cfg.rounds != 1:
                 raise ValueError("supermask search runs a single round")
+            # runs are stored and reported under their ids
+            for seed in self.seeds:
+                run_id = _run_id(self.algorithm, point, seed)
+                if run_id in run_ids:
+                    raise ValueError(
+                        f"two runs of the plan share the run id {run_id!r}; "
+                        f"seeds and grid values must be distinct as printed")
+                run_ids.add(run_id)
 
 
 @contextmanager

@@ -24,13 +24,17 @@ Conventions fixed here:
   exactly when a mask is frozen, and only soft and stochastic groups have
   logits. Readers dispatch on the mode alone.
 
-On the tape, a soft group's gate sigmoid(beta * s) ⊙ k (k: the components
-not permanently removed) is one node, ``gate``, and so is the L1 term
-``gate_penalty``; each has a hand-written backward. A training step
-computes each group's gate once: ``train`` makes the ``gate`` node, hands
-it to ``Model.forward`` (which fuses it into the layer) and to
-``gate_penalty``, and the logit gradient is formed once from the sum of
-their contributions. ``soft_gate`` is the gated weight ``gate ⊙ w``.
+A soft group's gate sigmoid(beta * s) ⊙ k (k: the components not
+permanently removed) records no tape node of its own. ``gate`` returns it
+as a ``StepGate`` together with the value of its L1 penalty
+lam * sum(gate), and the layer node that reads the gate (``linear`` or
+``conv2d``) owns it: the one gradient g that node hands the gate goes
+straight to the logits as g' · beta · sig · (1 - sig) · k with
+g' = g + lam, the penalty's gradient being the constant lam. ``train``
+adds the penalty values to the reported loss off the tape. A step gate
+takes exactly one gradient; a second raises ``GradientError``.
+``gate_penalty`` is the penalty as a node over s (stochastic groups use
+it), and ``soft_gate`` the gated weight ``gate ⊙ w``.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, apply_op, expit, mul
+from .tensor import GradientError, Tensor, apply_op, expit, mul
 
 GATE_NONE = "none"
 GATE_SOFT = "soft-deterministic"
@@ -166,12 +170,12 @@ class MaskedParameterGroup:
         """The weight tensor and the gate multiplying it in this forward
         pass: (w, frozen mask) in hard mode, (w, ``gate``) for a soft gate,
         (sampled m ⊙ w, None) for a stochastic gate and (w, None) ungated.
-        ``step_gate`` is the step's ``gate`` node of a soft group; it is
-        computed here when not given."""
+        ``step_gate`` is the step's ``gate`` of a soft group; it is
+        computed here, without a penalty, when not given."""
         if self.mode == GATE_HARD:
             return self.weights, Tensor(self.frozen_mask, dtype=self.weights.dtype)
         if self.mode == GATE_SOFT:
-            return self.weights, step_gate if step_gate is not None else gate(self, beta)
+            return self.weights, step_gate if step_gate is not None else gate(self, beta)[0]
         if self.mode == GATE_STOCHASTIC:
             return stochastic_gate(self, rng, st_variant), None
         return self.weights, None
@@ -223,22 +227,48 @@ def _logit_grad(g, sig, beta: float, k):
     return gs
 
 
-def gate(group: MaskedParameterGroup, beta: float) -> Tensor:
-    """The gate sigmoid(beta * s) ⊙ k as one tape node over s."""
+class StepGate(Tensor):
+    """A soft group's gate sigmoid(beta * s) ⊙ k for one step, owned by the
+    one layer node that reads it: that node's gradient g for the gate is
+    turned into the logit gradient ``_logit_grad(g + lam, ...)`` at once,
+    lam being the gate's L1-penalty strength. No tape node produces it, so
+    it must feed exactly one node: a second gradient raises
+    ``GradientError`` naming the group."""
+
+    __slots__ = ("group_name", "logits", "sig", "beta", "kept", "lam", "spent")
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        if self.spent:
+            raise GradientError(
+                f"the step gate of group {self.group_name!r} received a second "
+                f"gradient; a step gate feeds exactly one node")
+        self.spent = True
+        if self.lam > 0.0:
+            g = g + self.lam
+        self.logits.accumulate_grad(_logit_grad(g, self.sig, self.beta, self.kept))
+
+
+def gate(group: MaskedParameterGroup, beta: float,
+         lam: float = 0.0) -> tuple[StepGate, np.ndarray]:
+    """This step's gate sigmoid(beta * s) ⊙ k of a soft group, recording no
+    tape node, and the value lam * sum(gate) of its L1 penalty, whose
+    gradient the gate adds to its own. lam = 0 gives an exact zero."""
     _require_mode(group, GATE_SOFT, "gate")
+    if lam < 0:
+        raise ValueError("penalty strength must be non-negative")
     s, sig, k, out = _soft(group, beta)
-
-    def backward_fn(g):
-        if s.requires_grad:
-            s.accumulate_grad(_logit_grad(g, sig, beta, k))
-
-    return apply_op("gate", (s,), out, backward_fn)
+    step = StepGate(out, requires_grad=s.requires_grad, dtype=out.dtype)
+    step.group_name, step.logits, step.sig = group.name, s, sig
+    step.beta, step.kept, step.lam, step.spent = beta, k, float(lam), False
+    penalty = (np.asarray(out.sum() * lam, dtype=out.dtype) if lam > 0.0
+               else np.zeros((), dtype=out.dtype))
+    return step, penalty
 
 
 def soft_gate(group: MaskedParameterGroup, beta: float) -> Tensor:
     """sigmoid(beta * s) ⊙ k ⊙ w, with gradients to both w and s."""
     _require_mode(group, GATE_SOFT, "soft_gate")
-    return mul(gate(group, beta), group.weights)
+    return mul(gate(group, beta)[0], group.weights)
 
 
 def hard_mask(s) -> np.ndarray:
@@ -247,29 +277,14 @@ def hard_mask(s) -> np.ndarray:
     return (d > 0).astype(d.dtype if d.dtype.kind == "f" else np.float64)
 
 
-def gate_penalty(group: MaskedParameterGroup, beta: float, lam: float,
-                 step_gate: Tensor | None = None) -> Tensor:
+def gate_penalty(group: MaskedParameterGroup, beta: float, lam: float) -> Tensor:
     """lam * sum(sigmoid(beta * s) ⊙ k) as one tape node over s; gates are
     positive, so the L1 norm is a plain sum. lam = 0 contributes an exact
-    off-tape zero.
-
-    ``step_gate`` is this step's ``gate`` node of the group: when given,
-    the penalty reads its values instead of computing sigmoid(beta * s)
-    again and hangs off it on the tape.
-    """
+    off-tape zero."""
     if lam < 0:
         raise ValueError("penalty strength must be non-negative")
     if lam == 0.0:
         return Tensor(np.zeros((), dtype=group.weights.dtype))
-    if step_gate is not None:
-        m = step_gate
-        out = np.asarray(m.data.sum() * lam, dtype=m.dtype)
-
-        def backward_fn(g):
-            if m.requires_grad:
-                m.accumulate_grad(np.full(m.shape, g * lam, dtype=m.dtype))
-
-        return apply_op("gate_penalty", (m,), out, backward_fn)
     s, sig, k, gv = _soft(group, beta)
     out = np.asarray(gv.sum() * lam, dtype=gv.dtype)
 
@@ -338,13 +353,16 @@ def kept_fraction(masks: dict[str, np.ndarray]) -> float:
     return sum(float(m.sum()) for m in masks.values()) / total
 
 
-def remaining_fraction(groups, beta: float = 1.0) -> float:
+def remaining_fraction(groups, beta: float = 1.0, gates=None) -> float:
     """Size-weighted remaining fraction across gated groups: gate values
-    at or above ``PRUNED_GATE_EPS`` count as kept."""
+    at or above ``PRUNED_GATE_EPS`` count as kept. ``gates`` maps soft
+    groups' names to their ``gate`` at this beta, read instead of
+    computing the sigmoid again."""
+    gates = gates or {}
     total = 0
     kept = 0.0
     for g in groups:
-        vals = g.gate_values(beta)
+        vals = gates[g.name].data if g.name in gates else g.gate_values(beta)
         total += vals.size
         kept += float((vals >= PRUNED_GATE_EPS).sum())
     if total == 0:

@@ -130,24 +130,31 @@ class Model:
     def forward(self, x: Tensor, beta: float = 1.0, rng=None,
                 st_variant: str = "identity", gates: dict | None = None) -> Tensor:
         """Logits of a batch. ``gates`` maps soft groups' names to this
-        step's ``masking.gate`` nodes, so that the caller can read the same
-        gates in the penalty; a soft group without one computes its gate
-        here. Each weight-bearing layer is one tape node with its gate and
-        bias fused in: ``linear`` for a dense layer, ``conv2d`` for a conv
-        layer."""
+        step's ``masking.gate`` tensors, so that the caller can add their
+        penalties; a soft group without one computes its gate here. Each
+        weight-bearing layer is one tape node with its gate, its bias and
+        the ``Relu`` that follows it fused in: ``linear`` for a dense
+        layer, ``conv2d`` for a conv layer."""
         gates = gates or {}
         h = x
         gi = 0
-        for layer in self.layers:
+        fused = False  # the layer before applied this Relu
+        for i, layer in enumerate(self.layers):
+            if fused:
+                fused = False
+                continue
             if isinstance(layer, (DenseLayer, ConvLayer)):
                 group = self.groups[gi]
                 w, m = group.weight_and_gate(beta, rng, st_variant,
                                              gates.get(group.name))
                 b = self.biases[gi]
+                fused = (i + 1 < len(self.layers)
+                         and isinstance(self.layers[i + 1], Relu))
                 if isinstance(layer, DenseLayer):
-                    h = linear(h, w, b, m)
+                    h = linear(h, w, b, m, relu=fused)
                 else:
-                    h = conv2d(h, w, layer.stride, layer.padding, b, m)
+                    h = conv2d(h, w, layer.stride, layer.padding, b, m,
+                               relu=fused)
                 gi += 1
             elif isinstance(layer, Relu):
                 h = relu(h)

@@ -1,13 +1,17 @@
 """Dense tensors on an explicit reverse-mode autodiff tape.
 
 Only the operations the desk-scale models need are implemented: matmul,
-the fused dense layer ``linear`` (x @ (w ⊙ gate) + b, one tape node), the
-fused conv layer ``conv2d`` (2-d cross-correlation of x with k ⊙ gate,
-plus a per-channel bias, one tape node), 2x2 max-pooling, the pointwise
-family (add, mul, relu, sigmoid, scale), bias addition, reshape, sum, and
-softmax cross-entropy.
-The gate ops of learned sparsity live in ``masking``. There is no general
-broadcasting; pointwise ops accept equal shapes or a scalar operand.
+the fused dense layer ``linear`` (x @ (w ⊙ gate) + b), the fused conv
+layer ``conv2d`` (2-d cross-correlation of x with k ⊙ gate, plus a
+per-channel bias), 2x2 max-pooling, the pointwise family (add, mul, relu,
+sigmoid, scale), bias addition, reshape, sum, and softmax cross-entropy.
+A weight layer is one tape node: ``linear`` and ``conv2d`` read the gate
+and the bias, and with ``relu=True`` apply the ReLU that follows the
+layer. A soft gate from ``masking.gate`` records no node of its own: the
+layer node hands it its gradient, and the gate turns that, with its L1
+penalty's constant gradient, into the logits' gradient. The gate ops of
+learned sparsity live in ``masking``. There is no general broadcasting;
+pointwise ops accept equal shapes or a scalar operand.
 
 Every recorded operation is appended to a thread-local tape in forward
 order. ``backward`` walks the tape in exact reverse order, accumulating
@@ -367,10 +371,14 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return apply_op("add_bias", (x, b), out, backward_fn)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
+           relu: bool = False) -> Tensor:
     """A dense layer as one tape node: x @ (w ⊙ gate) + b, (n, i) @ (i, o)
-    + (o,). ``gate`` is a soft gate, a constant hard mask, or None for an
-    ungated layer; it gets a gradient only if it requires one."""
+    + (o,), followed by max(·, 0) when ``relu``. ``gate`` is a soft gate, a
+    constant hard mask, or None for an ungated layer; it gets a gradient
+    only if it requires one. The ReLU's backward masks the output gradient
+    with ``out > 0``, which holds exactly where the pre-activation is
+    positive."""
     if (x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0]
             or w.shape[1] != b.shape[0]):
         raise ShapeError(f"linear expects (n,i)@(i,o)+(o,), got {x.shape}, "
@@ -380,8 +388,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None) -> Tenso
     we = w.data if gate is None else w.data * gate.data
     out = x.data @ we
     out += b.data
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def backward_fn(g):
+        if relu:
+            g = g * (out > 0)
         if x.requires_grad:
             x.accumulate_grad(g @ we.T)
         gated = gate is not None and gate.requires_grad
@@ -396,22 +408,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None) -> Tenso
 
     return apply_op("linear", (x, w, b) if gate is None else (x, w, b, gate),
                     out, backward_fn)
-
-
-def add_channel_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Per-channel bias: (n, c, h, w) + (c,)."""
-    if x.ndim != 4 or b.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"add_channel_bias expects (n,c,h,w)+(c,), got {x.shape} and {b.shape}")
-    out = x.data + b.data[None, :, None, None]
-
-    def backward_fn(g):
-        if x.requires_grad:
-            x.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
-
-    return apply_op("add_channel_bias", (x, b), out, backward_fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -441,9 +437,12 @@ _COLUMN_BLOCK_BYTES = 8 << 20
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
-           bias: Tensor | None = None, gate: Tensor | None = None) -> Tensor:
+           bias: Tensor | None = None, gate: Tensor | None = None,
+           relu: bool = False) -> Tensor:
     """A conv layer as one tape node: cross-correlation of ``x`` with
-    ``kernel ⊙ gate`` under zero padding, plus a per-channel ``bias``.
+    ``kernel ⊙ gate`` under zero padding, plus a per-channel ``bias``,
+    followed by max(·, 0) when ``relu`` (its backward masks the output
+    gradient with ``out > 0``, as ``linear``'s does).
 
     ``x``: (n, cin, h, w); ``kernel``: (cout, cin, kh, kw); ``bias``:
     (cout,) or None; ``gate``: shaped like the kernel, a soft gate, a
@@ -533,8 +532,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         if keep:
             blocks.append(cols)
         del cols, prod  # before the next block is allocated
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def backward_fn(g):
+        if relu:
+            g = g * (out > 0)
         if kernel.requires_grad or gated:
             g2 = g.transpose(1, 0, 2, 3).reshape(cout, m)
             # cols @ g2.T rather than g2 @ cols.T: BLAS streams the long
@@ -620,14 +623,15 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise IndexError(f"label out of range [0, {c})")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = np.asarray(-logp[np.arange(n), labels].mean(), dtype=logits.dtype)
+    logp = logits.data - logits.data.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    rows = np.arange(n)
+    loss = np.asarray(-logp[rows, labels].mean(), dtype=logits.dtype)
 
     def backward_fn(g):
         if logits.requires_grad:
             p = np.exp(logp)
-            p[np.arange(n), labels] -= 1.0
+            p[rows, labels] -= 1.0
             p *= float(g) / n
             logits.accumulate_grad(p)
 

@@ -63,8 +63,11 @@ class RunInfo:
 
 
 def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
-             st_variant: str = "identity", batch_size: int = 512) -> tuple[float, float]:
-    """Mean loss and accuracy over a dataset, without recording on the tape."""
+             st_variant: str = "identity", batch_size: int = 512,
+             gates: dict | None = None) -> tuple[float, float]:
+    """Mean loss and accuracy over a dataset, without recording on the
+    tape. ``gates`` are soft groups' gates at ``beta``, as ``Model.forward``
+    takes them; every batch reads them instead of computing its own."""
     n = len(dataset)
     loss_sum = 0.0
     correct = 0
@@ -73,7 +76,8 @@ def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
             hi = min(lo + batch_size, n)
             x = Tensor(dataset.inputs[lo:hi])
             y = dataset.labels[lo:hi]
-            logits = model.forward(x, beta=beta, rng=rng, st_variant=st_variant)
+            logits = model.forward(x, beta=beta, rng=rng, st_variant=st_variant,
+                                   gates=gates)
             loss = softmax_cross_entropy(logits, y)
             loss_sum += float(loss.data) * (hi - lo)
             correct += int((logits.data.argmax(axis=1) == y).sum())
@@ -145,15 +149,25 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         y = data.labels[idx]
 
         reset_tape()
-        # one gate node per soft group, read by its layer and its penalty
-        gates = {g.name: gate(g, beta) for g in soft}
+        # a soft group's gate is owned by its layer node, which also takes
+        # the gradient of the gate's penalty; the penalty values join the
+        # reported loss off the tape, in group order
+        gates, penalties = {}, {}
+        for g in soft:
+            gates[g.name], penalties[g.name] = gate(g, beta, lam)
         logits = model.forward(x, beta=beta, rng=mask_rng,
                                st_variant=st_variant, gates=gates)
         loss = softmax_cross_entropy(logits, y)
+        loss_val = loss.data
         if lam > 0.0:
             for g in penalized:
-                loss = add(loss, gate_penalty(g, beta, lam, step_gate=gates.get(g.name)))
-        loss_val = float(loss.data)
+                if g.name in penalties:
+                    loss_val = loss_val + penalties[g.name]
+                else:  # a stochastic group's penalty is a node over s
+                    pen = gate_penalty(g, beta, lam)
+                    loss = add(loss, pen)
+                    loss_val = loss_val + pen.data
+        loss_val = float(loss_val)
         if not np.isfinite(loss_val):
             raise abort("loss", it, loss_val, beta)
         backward(loss)
@@ -174,21 +188,25 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
             cursor.epoch += 1
             cursor.perm = None
             if recorder is not None and record_every and cursor.epoch % record_every == 0:
-                # an ungated group keeps all of its weights
-                rem = remaining_fraction(maskable, beta) if maskable else 1.0
+                # each soft gate once, for the remaining fraction and both
+                # evaluations; an ungated group keeps all of its weights
+                eval_gates = {g.name: gate(g, beta)[0] for g in soft}
+                rem = (remaining_fraction(maskable, beta, eval_gates)
+                       if maskable else 1.0)
                 # evaluation sampling is decoupled from the training mask
                 # stream so record cadence never alters the trajectory
                 eval_rng = None if mask_rng is None else np.random.default_rng(
                     np.random.SeedSequence((info.seed, STREAM_EVAL, it)))
                 _, train_acc = evaluate(model, data, beta=beta, rng=eval_rng,
-                                        st_variant=st_variant)
+                                        st_variant=st_variant, gates=eval_gates)
                 recorder(info.record(cursor.epoch, it + 1, "train",
                                      loss=epoch_loss / epoch_steps,
                                      accuracy=train_acc, remaining_frac=rem,
                                      beta=beta))
                 if test_data is not None:
                     tl, ta = evaluate(model, test_data, beta=beta,
-                                      rng=eval_rng, st_variant=st_variant)
+                                      rng=eval_rng, st_variant=st_variant,
+                                      gates=eval_gates)
                     recorder(info.record(cursor.epoch, it + 1, "test",
                                          loss=tl, accuracy=ta,
                                          remaining_frac=rem, beta=beta))

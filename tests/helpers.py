@@ -102,3 +102,18 @@ def check_grad(build, arrays, eps=1e-5, proj_seed=0):
     fd = fd_grads(scalar, arrays, eps=eps)
     T.reset_tape()
     return max(max_rel_err(a, f) for a, f in zip(ad, fd))
+
+
+def off_kink_bias(pre, bias, axis, margin=0.01):
+    """``bias`` shifted per output channel so that every pre-activation
+    ``pre`` (computed with ``bias``; channels along ``axis``) lies at
+    least ``margin`` from the ReLU's kink at 0, which finite differences
+    must not straddle. Each channel takes the smallest shift in steps of
+    ``2 * margin`` that works; each value rules out at most one step."""
+    out = np.array(bias, dtype=np.float64)
+    for c in range(out.size):
+        v = np.take(pre, c, axis=axis).ravel()
+        shifts = 2 * margin * np.arange(v.size + 1)
+        ok = (np.abs(v[None, :] + shifts[:, None]) >= margin).all(axis=1)
+        out[c] += shifts[np.argmax(ok)]
+    return out

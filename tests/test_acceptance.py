@@ -27,7 +27,8 @@ from ticketlab.tensor import (Tensor, backward, reset_tape,
 from ticketlab.training import (TrainCursor, capture_train_state,
                                 restore_train_state, train)
 
-from .helpers import check_grad, continuation_gaps, fd_grads, max_rel_err
+from .helpers import (check_grad, continuation_gaps, fd_grads, max_rel_err,
+                      off_kink_bias)
 
 MC = ModelConfig(kind="mlp", widths=(2, 64, 64, 2))
 DATA = DataConfig(n_train=256, n_test=256, noise_sd=0.1, seed=7)
@@ -63,9 +64,9 @@ def s0_sweep_report():
 def test_criterion_1_gradient_correctness():
     start = time.time()
     from ticketlab.masking import MaskedParameterGroup, gate, gate_penalty, soft_gate
-    from ticketlab.tensor import (add, add_bias, add_channel_bias, conv2d,
-                                  linear, matmul, max_pool2d, mul, relu,
-                                  reshape, scale, sigmoid, tensor_sum)
+    from ticketlab.tensor import (add, add_bias, conv2d, linear, matmul,
+                                  max_pool2d, mul, relu, reshape, scale,
+                                  sigmoid, tensor_sum)
 
     def group(w, s, kept=None):
         g = MaskedParameterGroup("g", w, mode=GATE_SOFT, mask_logits=s)
@@ -86,12 +87,20 @@ def test_criterion_1_gradient_correctness():
                     lambda w, s, b=beta, k=kept: soft_gate(group(w, s, k), b),
                     [rng.standard_normal((3, 4)), s])
                 cases["gate" + tag] = (
-                    lambda s, b=beta, k=kept: gate(group(ones, s, k), b),
+                    lambda s, b=beta, k=kept: gate(group(ones, s, k), b)[0],
                     [s.copy()])
                 cases["gate_penalty" + tag] = (
                     lambda s, b=beta, k=kept: gate_penalty(group(ones, s, k), b, 0.3),
                     [s.copy()])
         return cases
+
+    def fused(build, arrays):
+        """A gated layer with its ReLU fused in; its bias, ``arrays[2]``,
+        keeps every pre-activation off the kink."""
+        with T.no_grad():
+            pre = build(*(Tensor(a) for a in arrays), relu=False).data
+        arrays[2] = off_kink_bias(pre, arrays[2], axis=1)
+        return build, arrays
 
     def op_cases(rng):
         return {
@@ -107,9 +116,10 @@ def test_criterion_1_gradient_correctness():
             "sigmoid": (lambda a: sigmoid(a), [rng.standard_normal((4, 4))]),
             "add_bias": (lambda x, b: add_bias(x, b),
                          [rng.standard_normal((3, 4)), rng.standard_normal(4)]),
-            "add_channel_bias": (lambda x, b: add_channel_bias(x, b),
-                                 [rng.standard_normal((2, 3, 2, 2)),
-                                  rng.standard_normal(3)]),
+            "conv2d_fused": fused(
+                lambda x, k, b, m, relu=True: conv2d(x, k, 1, 1, b, m, relu=relu),
+                [rng.standard_normal((1, 2, 4, 4)), rng.standard_normal((2, 2, 3, 3)),
+                 rng.standard_normal(2), rng.random((2, 2, 3, 3))]),
             "conv2d": (lambda x, k: conv2d(x, k, stride=1, padding=1),
                        [rng.standard_normal((1, 2, 4, 4)),
                         rng.standard_normal((2, 2, 3, 3))]),
@@ -128,6 +138,10 @@ def test_criterion_1_gradient_correctness():
                              [rng.standard_normal((3, 4)),
                               rng.standard_normal((4, 2)),
                               rng.standard_normal(2), rng.random((4, 2))]),
+            "linear_relu": fused(
+                lambda x, w, b, m, relu=True: linear(x, w, b, m, relu=relu),
+                [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)),
+                 rng.standard_normal(2), rng.random((4, 2))]),
             **gate_cases(rng),
         }
 

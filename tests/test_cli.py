@@ -408,6 +408,24 @@ class TestSweepAndReport:
             assert message in capsys.readouterr().err, bad
             assert not out.exists(), bad
 
+    def test_runs_sharing_a_run_id_or_an_empty_grid_fail_before_anything_is_written(
+            self, tmp_path, capsys):
+        cfgp = small_config(tmp_path)
+        for bad, message in (
+                (["--grid", "tau=0.2,0.2", "--seeds", "1"],
+                 "share the run id 'imp-tau=0.2-seed1'"),
+                (["--grid", "tau=0.2", "--seeds", "1,1"],
+                 "share the run id 'imp-tau=0.2-seed1'"),
+                (["--grid", "tau=0.1:0.5:0", "--seeds", "1"],
+                 "sweep parameter 'tau' has no values")):
+            out = tmp_path / "sweep"
+            rc = main(["sweep", "--config", str(cfgp), "--algorithm", "imp",
+                       "--out", str(out)] + bad)
+            assert rc == 1, bad
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, bad
+            assert not out.exists(), bad
+
     @pytest.mark.parametrize("algorithm, bad, message", [
         ("supermask", {}, "supermask search runs a single round"),
         ("imp", {"scope": "bogus"}, "unknown pruning scope 'bogus'"),

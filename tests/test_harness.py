@@ -583,6 +583,33 @@ class TestSweep:
                       on_run=lambda *a: seen.append(a[0]))
             assert seen == []
 
+    @pytest.mark.parametrize("grid, seeds, run_id", [
+        ({"tau": [0.2]}, (1, 1), "imp-tau=0.2-seed1"),
+        ({"tau": [0.2, 0.3, 0.2]}, (1,), "imp-tau=0.2-seed1"),
+        ({"tau": [0.1, 0.1000001]}, (2,), "imp-tau=0.1-seed2"),
+        ({"rounds": [2, 2.0]}, (1,), "imp-rounds=2-seed1"),
+    ], ids=["seeds", "values", "printed-alike", "int-and-float"])
+    def test_runs_sharing_a_run_id_fail_before_any_job(self, grid, seeds,
+                                                       run_id):
+        seen = []
+        with pytest.raises(ValueError, match=f"share the run id '{run_id}'"):
+            sweep(self.plan(algorithm="imp", grid=grid, seeds=seeds,
+                            evaluate="final",
+                            round_cfg=cfg(iters_per_round=20, rewind_iter=2,
+                                          prune_rate=0.2)),
+                  on_run=lambda *a: seen.append(a[0]))
+        assert seen == []
+
+    def test_grid_parameter_without_values_fails_before_any_job(self):
+        seen = []
+        with pytest.raises(ValueError, match="sweep parameter 'tau' has no values"):
+            sweep(self.plan(algorithm="imp", grid={"s0": [0.1], "tau": []},
+                            evaluate="final",
+                            round_cfg=cfg(iters_per_round=20, rewind_iter=2,
+                                          prune_rate=0.2)),
+                  on_run=lambda *a: seen.append(a[0]))
+        assert seen == []
+
     # a plan value that used to fail only inside every job, after the dense
     # baselines had been trained and handed to ``on_run``
     BAD_PLANS = {

@@ -306,23 +306,24 @@ class TestTapeShape:
         run(model, gen_two_moons(64, 0.1, seed=3), cfg, seed=1)
         return nodes, sigmoids[0]
 
-    def test_cs_step_records_at_most_15_nodes_and_one_sigmoid_per_group(
+    def test_cs_step_records_4_nodes_and_one_sigmoid_per_group(
             self, monkeypatch):
         cfg = quick_cfg(rounds=1, iters_per_round=2, rewind_iter=0, lam=1e-8)
         nodes, sigmoids = self._steps(monkeypatch, run_cs, cfg)
-        assert len(nodes) == 2
-        assert max(nodes) <= 15  # 33 with one node per primitive op
+        # one per layer and the loss: 33 with one node per primitive op,
+        # 15 with a gate, penalty and add node per group and a relu node
+        # per hidden layer
+        assert nodes == [4, 4]
         assert sigmoids == 2 * 3  # one per soft group per step
 
-    def test_imp_step_records_at_most_9_nodes(self, monkeypatch):
+    def test_imp_step_records_4_nodes(self, monkeypatch):
         cfg = quick_cfg(rounds=1, iters_per_round=2, rewind_iter=0,
                         prune_rate=0.2)
         nodes, sigmoids = self._steps(monkeypatch, run_imp, cfg)
-        assert len(nodes) == 2
-        assert max(nodes) <= 9  # 12 with a mul, matmul and bias per layer
+        assert nodes == [4, 4]  # 12 with a mul, matmul and bias per layer
         assert sigmoids == 0
 
-    def test_conv6_cs_step_records_38_nodes_one_per_conv_layer(self, monkeypatch):
+    def test_conv6_cs_step_records_13_nodes_one_per_layer(self, monkeypatch):
         from ticketlab.data import Dataset
         from ticketlab.models import build_small_conv
         ops = []
@@ -340,9 +341,10 @@ class TestTapeShape:
                                       rewind_iter=0, batch_size=16), seed=1)
         assert len(ops) == 2
         for step in ops:
-            assert len(step) == 38  # 50 with a mul and a bias node per conv
-            assert step.count("conv_layer") == 6
-            assert "mul" not in step and "add_channel_bias" not in step
+            # 38 with a relu node per hidden layer and a gate, penalty and
+            # add node per soft group; 50 with a mul and a bias node per conv
+            assert step == (["conv_layer"] * 2 + ["max_pool2d"]) * 3 + [
+                "reshape", "linear", "linear", "softmax_cross_entropy"]
 
 
 class TestConvModelSearch:

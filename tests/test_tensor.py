@@ -14,12 +14,12 @@ from ticketlab.masking import (GATE_SOFT, MaskedParameterGroup, gate,
                                gate_penalty, soft_gate)
 from ticketlab.optim import Adam, SGD, CompositeOptimizer
 from ticketlab.tensor import (GradientError, NonFiniteError, ShapeError,
-                              Tensor, add, add_bias, add_channel_bias,
-                              backward, conv2d, linear, matmul, max_pool2d,
-                              mul, relu, reset_tape, scale, sigmoid,
-                              softmax_cross_entropy, tensor_sum)
+                              Tensor, add, add_bias, backward, conv2d, linear,
+                              matmul, max_pool2d, mul, relu, reset_tape,
+                              scale, sigmoid, softmax_cross_entropy,
+                              tensor_sum)
 
-from .helpers import check_grad, max_rel_err
+from .helpers import check_grad, fd_grads, max_rel_err, off_kink_bias
 
 
 @pytest.fixture(autouse=True)
@@ -191,7 +191,7 @@ class TestExpit:
         g.init_gate(GATE_SOFT, -1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.all(gate(g, 800.0).data == 0.0)  # beta * s = -800
+            assert np.all(gate(g, 800.0)[0].data == 0.0)  # beta * s = -800
             assert np.all(T.expit(np.full(3, -800.0, dtype=dtype)) == 0.0)
 
 
@@ -254,8 +254,9 @@ def _reference_max_pool(d, g):
 
 
 class TestFusedOpsAgainstReferences:
-    """``max_pool2d``, ``linear`` and the gated, biased ``conv2d`` give
-    bitwise the results of the compositions they replace."""
+    """``max_pool2d``, ``linear`` and the gated, biased ``conv2d``, also
+    with the ReLU fused in, give bitwise the results of the compositions
+    they replace."""
 
     @pytest.mark.parametrize("kind", ["normal", "relu", "signed_zeros", "float32"])
     def test_max_pool_matches_argmax_reference(self, kind):
@@ -314,6 +315,10 @@ class TestFusedOpsAgainstReferences:
              "soft": rng.random((4, 3, 3, 2)),
              "frozen": rng.random((4, 3, 3, 2))}[gated]
 
+        shape = (3, 4, (7 + 2 * padding - 3) // stride + 1,
+                 (6 + 2 * padding - 2) // stride + 1)
+        g = np.random.default_rng(34).standard_normal(shape).astype(dtype)
+
         def run(fused):
             reset_tape()
             x, k, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
@@ -323,12 +328,14 @@ class TestFusedOpsAgainstReferences:
             if fused:
                 out = conv2d(x, k, stride, padding, b, gate)
                 assert [node.op for node in T.active_tape().nodes] == ["conv_layer"]
-            else:
+                backward(tensor_sum(mul(out, Tensor(g, dtype=dtype))))
+                out, gb = out.data, b.grad
+            else:  # the bias added, and its gradient summed, in NumPy
                 ke = k if gate is None else mul(k, gate)
-                out = add_channel_bias(conv2d(x, ke, stride, padding), b)
-            g = np.random.default_rng(34).standard_normal(out.shape)
-            backward(tensor_sum(mul(out, Tensor(g, dtype=dtype))))
-            return [out.data, x.grad, k.grad, b.grad,
+                out = conv2d(x, ke, stride, padding)
+                backward(tensor_sum(mul(out, Tensor(g, dtype=dtype))))
+                out, gb = out.data + b.data[None, :, None, None], g.sum(axis=(0, 2, 3))
+            return [out, x.grad, k.grad, gb,
                     None if gate is None else gate.grad]
 
         for fused, composed in zip(run(True), run(False)):
@@ -337,6 +344,42 @@ class TestFusedOpsAgainstReferences:
             else:
                 assert fused.dtype == composed.dtype == dtype
                 assert fused.tobytes() == composed.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("gated", [None, "hard", "soft"])
+    @pytest.mark.parametrize("op", ["linear", "conv2d"])
+    def test_fused_relu_matches_op_then_relu(self, op, gated, dtype):
+        rng = np.random.default_rng(35)
+        wshape = (4, 3) if op == "linear" else (4, 3, 3, 2)
+        arrays = [rng.standard_normal((5, 4) if op == "linear" else (3, 3, 7, 6)),
+                  rng.standard_normal(wshape),
+                  rng.standard_normal(wshape[1] if op == "linear" else 4)]
+        arrays[0][0] = 0.0  # a whole sample at the kink
+        m = {None: None, "hard": (rng.random(wshape) < 0.5).astype(float),
+             "soft": rng.random(wshape)}[gated]
+
+        def layer(x, w, b, gate, relu_):
+            if op == "linear":
+                return linear(x, w, b, gate, relu=relu_)
+            return conv2d(x, w, 1, 1, b, gate, relu=relu_)
+
+        def run(fused):
+            reset_tape()
+            x, w, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
+            gate = None if m is None else Tensor(m, requires_grad=gated == "soft",
+                                                 dtype=dtype)
+            out = layer(x, w, b, gate, True) if fused else relu(
+                layer(x, w, b, gate, False))
+            assert len(T.active_tape()) == (1 if fused else 2)
+            assert (out.data == 0).any() and (out.data > 0).any()
+            g = np.random.default_rng(36).standard_normal(out.shape)
+            backward(tensor_sum(mul(out, Tensor(g, dtype=dtype))))
+            grads = [x.grad, w.grad, b.grad] + ([gate.grad] if gated == "soft" else [])
+            return [out.data] + grads
+
+        for fused, composed in zip(run(True), run(False)):
+            assert fused.dtype == composed.dtype == dtype
+            assert fused.tobytes() == composed.tobytes()
 
 
 class TestGradientBuffers:
@@ -412,6 +455,32 @@ GRAD_CASES = {
 }
 
 
+def _fused_relu_case(op):
+    """A GRAD_CASES entry for a gated layer with the ReLU fused in; its
+    bias keeps every pre-activation off the kink."""
+    def case(rng):
+        if op == "linear":
+            def build(x, w, b, m, relu=True):
+                return linear(x, w, b, m, relu=relu)
+            arrays = [rng.standard_normal((4, 3)), rng.standard_normal((3, 2)),
+                      rng.standard_normal(2), rng.random((3, 2))]
+        else:
+            def build(x, k, b, m, relu=True):
+                return conv2d(x, k, 1, 1, b, m, relu=relu)
+            arrays = [rng.standard_normal((2, 2, 4, 4)),
+                      rng.standard_normal((3, 2, 3, 3)),
+                      rng.standard_normal(3), rng.random((3, 2, 3, 3))]
+        with T.no_grad():
+            pre = build(*(Tensor(a) for a in arrays), relu=False).data
+        arrays[2] = off_kink_bias(pre, arrays[2], axis=1)
+        return build, arrays
+    return case
+
+
+GRAD_CASES["linear_relu"] = _fused_relu_case("linear")
+GRAD_CASES["conv2d_relu"] = _fused_relu_case("conv2d")
+
+
 def soft_group(w: Tensor, s: Tensor, kept=None) -> MaskedParameterGroup:
     """A soft-gated group over the given weight and logit tensors;
     ``kept`` marks the components not permanently removed."""
@@ -433,7 +502,7 @@ def _gate_case(op: str, beta: float, keep: bool):
             return (lambda w, s: soft_gate(soft_group(w, s, k), beta),
                     [rng.standard_normal((3, 4)), s])
         if op == "gate":
-            return lambda s: gate(soft_group(ones, s, k), beta), [s]
+            return lambda s: gate(soft_group(ones, s, k), beta)[0], [s]
         return lambda s: gate_penalty(soft_group(ones, s, k), beta, 0.3), [s]
     return case
 
@@ -442,11 +511,6 @@ GRAD_CASES.update({
     f"{op}_b{beta:g}" + ("_kept" if keep else ""): _gate_case(op, beta, keep)
     for op in ("soft_gate", "gate", "gate_penalty")
     for beta in (1.0, 7.0, 100.0) for keep in (False, True)})
-GRAD_CASES["gate_penalty_on_gate"] = lambda rng: (
-    lambda m: gate_penalty(soft_group(Tensor(np.ones((3, 4))),
-                                      Tensor(np.zeros((3, 4)))),
-                           1.0, 0.3, step_gate=m),
-    [rng.random((3, 4))])
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -475,7 +539,6 @@ class TestGradientsAgainstFiniteDifferences:
         ta = Tensor(a, requires_grad=True)
         reset_tape()
         backward(tensor_sum(matmul(ta, Tensor(b))))
-        from .helpers import fd_grads
         fd = fd_grads(scalar, [a])[0]
         assert max_rel_err(ta.grad, fd) < 1e-6
 
@@ -494,20 +557,65 @@ class TestGradientsAgainstFiniteDifferences:
                          [x, k])
         assert err < 1e-4
 
-    def test_gate_ops_and_linear_are_one_node_each(self):
+    def test_gate_records_nothing_and_gate_ops_and_layers_one_node_each(self):
         rng = np.random.default_rng(3)
         w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         s = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         group = soft_group(w, s)
-        m = gate(group, 7.0)
-        for make in (lambda: gate(group, 7.0),
-                     lambda: gate_penalty(group, 7.0, 0.1),
-                     lambda: gate_penalty(group, 7.0, 0.1, step_gate=m),
-                     lambda: linear(Tensor(np.ones((2, 3))), w,
-                                    Tensor(np.zeros(4)), m)):
+        k = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
+        conv_group = soft_group(k, Tensor(rng.standard_normal((2, 1, 3, 3)),
+                                          requires_grad=True))
+        gate(group, 7.0, 0.1)
+        assert len(T.active_tape()) == 0
+        for make in (lambda: gate_penalty(group, 7.0, 0.1),
+                     lambda: soft_gate(group, 7.0),
+                     lambda: linear(Tensor(np.ones((2, 3))), w, Tensor(np.zeros(4)),
+                                    gate(group, 7.0, 0.1)[0], relu=True),
+                     lambda: conv2d(Tensor(np.ones((2, 1, 4, 4))), k, 1, 1,
+                                    Tensor(np.zeros(2)),
+                                    gate(conv_group, 7.0, 0.1)[0], relu=True)):
             reset_tape()
             make()
             assert len(T.active_tape()) == 1
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_step_gate_penalty_matches_fd(self, seed, keep):
+        # a layer reading a step gate gives the logits the gradient of
+        # sum(out * P) + lam * sum(gate), the penalty's part off the tape
+        rng = np.random.default_rng(seed)
+        beta, lam = 7.0, 0.3
+        x = Tensor(rng.standard_normal((4, 3)))
+        b = Tensor(rng.standard_normal(4))
+        s = Tensor(rng.standard_normal((3, 4)) / beta, requires_grad=True)
+        group = soft_group(Tensor(rng.standard_normal((3, 4))), s,
+                           rng.random((3, 4)) < 0.7 if keep else None)
+        proj = Tensor(rng.standard_normal((4, 4)))
+
+        def objective():
+            m, penalty = gate(group, beta, lam)
+            out = tensor_sum(mul(linear(x, group.weights, b, m), proj))
+            return out, penalty
+
+        def scalar():
+            with T.no_grad():
+                out, penalty = objective()
+                return float(out.data + penalty)
+
+        backward(objective()[0])
+        fd = fd_grads(scalar, [s.data])[0]
+        assert max_rel_err(s.grad, fd) < 1e-4
+
+    def test_step_gate_takes_one_gradient(self):
+        rng = np.random.default_rng(4)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        group = MaskedParameterGroup("dense7", w)
+        group.init_gate(GATE_SOFT, 0.1)
+        m, _ = gate(group, 7.0, 0.1)
+        x, b = Tensor(np.ones((2, 3))), Tensor(np.zeros(4))
+        loss = tensor_sum(add(linear(x, w, b, m), linear(x, w, b, m)))
+        with pytest.raises(GradientError, match="'dense7'"):
+            backward(loss)
 
     def test_grad_accumulates_over_shared_input(self):
         w = Tensor([3.0], requires_grad=True)
@@ -862,15 +970,15 @@ class TestCompositeObjectiveGradient:
         reset_tape()
         loss = softmax_cross_entropy(model.forward(Tensor(x)), y)
         backward(loss)
-        from .helpers import fd_grads
         fd = fd_grads(scalar, arrays)
         worst = max(max_rel_err(p.grad, f) for p, f in zip(params, fd))
         assert worst < 1e-4
 
 
     def test_shared_gate_objective_matches_fd(self):
-        # the training step's objective: one gate node per group, read by
-        # the fused layer and by the penalty
+        # the training step's objective: one step gate per group, read by
+        # the fused layer, which also takes the penalty's gradient; the
+        # penalty values are added off the tape
         from ticketlab import build_mlp
         rng = np.random.default_rng(22)
         x = rng.standard_normal((8, 2))
@@ -885,20 +993,21 @@ class TestCompositeObjectiveGradient:
         beta, lam = 7.0, 1e-2
 
         def objective():
-            gates = {g.name: gate(g, beta) for g in model.maskable_groups()}
+            gates, penalties = {}, []
+            for g in model.maskable_groups():
+                gates[g.name], penalty = gate(g, beta, lam)
+                penalties.append(penalty)
             loss = softmax_cross_entropy(
                 model.forward(Tensor(x), beta=beta, gates=gates), y)
-            for g in model.maskable_groups():
-                loss = add(loss, gate_penalty(g, beta, lam, step_gate=gates[g.name]))
-            return loss
+            return loss, penalties
 
         def scalar():
             with T.no_grad():
-                return float(objective().data)
+                loss, penalties = objective()
+                return float(loss.data + sum(penalties))
 
         reset_tape()
-        backward(objective())
-        from .helpers import fd_grads
+        backward(objective()[0])
         fd = fd_grads(scalar, arrays)
         worst = max(max_rel_err(p.grad, f) for p, f in zip(params, fd))
         assert worst < 1e-4
