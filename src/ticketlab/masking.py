@@ -26,15 +26,18 @@ Conventions fixed here:
 
 A soft group's gate sigmoid(beta * s) ⊙ k (k: the components not
 permanently removed) records no tape node of its own. ``gate`` returns it
-as a ``StepGate`` together with the value of its L1 penalty
-lam * sum(gate), and the layer node that reads the gate (``linear`` or
-``conv2d``) owns it: the one gradient g that node hands the gate goes
-straight to the logits as g' · beta · sig · (1 - sig) · k with
-g' = g + lam, the penalty's gradient being the constant lam. ``train``
-adds the penalty values to the reported loss off the tape. A step gate
-takes exactly one gradient; a second raises ``GradientError``.
-``gate_penalty`` is the penalty as a node over s (stochastic groups use
-it), and ``soft_gate`` the gated weight ``gate ⊙ w``.
+as a ``StepGate`` that carries the value of its L1 penalty
+lam * sum(gate) in ``penalty``, and the layer node that reads the gate
+(``linear`` or ``conv2d``) owns it: the one gradient g that node hands
+the gate goes straight to the logits as g' · beta · sig · (1 - sig) · k
+with g' = g + lam, the penalty's gradient being the constant lam. That
+is the gradient of loss + penalty only when the caller differentiates
+exactly that sum with a seed of 1, and the gate feeds one node on the
+loss path; ``train`` does so and adds the penalty values to the reported
+loss off the tape. A step gate takes exactly one gradient; a second
+raises ``GradientError``. ``gate_penalty`` is the penalty as a node over
+s (stochastic groups use it), and ``soft_gate`` the gated weight
+``gate ⊙ w``.
 """
 from __future__ import annotations
 
@@ -175,7 +178,7 @@ class MaskedParameterGroup:
         if self.mode == GATE_HARD:
             return self.weights, Tensor(self.frozen_mask, dtype=self.weights.dtype)
         if self.mode == GATE_SOFT:
-            return self.weights, step_gate if step_gate is not None else gate(self, beta)[0]
+            return self.weights, step_gate if step_gate is not None else gate(self, beta)
         if self.mode == GATE_STOCHASTIC:
             return stochastic_gate(self, rng, st_variant), None
         return self.weights, None
@@ -231,11 +234,18 @@ class StepGate(Tensor):
     """A soft group's gate sigmoid(beta * s) ⊙ k for one step, owned by the
     one layer node that reads it: that node's gradient g for the gate is
     turned into the logit gradient ``_logit_grad(g + lam, ...)`` at once,
-    lam being the gate's L1-penalty strength. No tape node produces it, so
-    it must feed exactly one node: a second gradient raises
-    ``GradientError`` naming the group."""
+    lam being the gate's L1-penalty strength and ``penalty`` the value
+    lam * sum(gate). No tape node produces it, so it must feed exactly one
+    node: a second gradient raises ``GradientError`` naming the group.
 
-    __slots__ = ("group_name", "logits", "sig", "beta", "kept", "lam", "spent")
+    With lam > 0 the logit gradient is that of loss + penalty only if the
+    caller adds ``penalty`` to the objective it differentiates, seeds the
+    backward pass with exactly 1, and puts the reading node on the loss
+    path; otherwise the penalty's gradient is wrong or lost. Callers
+    outside ``train`` should pass lam = 0 and use ``gate_penalty``."""
+
+    __slots__ = ("group_name", "logits", "sig", "beta", "kept", "lam",
+                 "penalty", "spent")
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.spent:
@@ -248,11 +258,11 @@ class StepGate(Tensor):
         self.logits.accumulate_grad(_logit_grad(g, self.sig, self.beta, self.kept))
 
 
-def gate(group: MaskedParameterGroup, beta: float,
-         lam: float = 0.0) -> tuple[StepGate, np.ndarray]:
+def gate(group: MaskedParameterGroup, beta: float, lam: float = 0.0) -> StepGate:
     """This step's gate sigmoid(beta * s) ⊙ k of a soft group, recording no
-    tape node, and the value lam * sum(gate) of its L1 penalty, whose
-    gradient the gate adds to its own. lam = 0 gives an exact zero."""
+    tape node. Its ``penalty`` holds lam * sum(gate), an exact zero for
+    lam = 0, and its gradient carries the penalty's constant gradient lam;
+    see ``StepGate`` for what that asks of the caller when lam > 0."""
     _require_mode(group, GATE_SOFT, "gate")
     if lam < 0:
         raise ValueError("penalty strength must be non-negative")
@@ -260,15 +270,15 @@ def gate(group: MaskedParameterGroup, beta: float,
     step = StepGate(out, requires_grad=s.requires_grad, dtype=out.dtype)
     step.group_name, step.logits, step.sig = group.name, s, sig
     step.beta, step.kept, step.lam, step.spent = beta, k, float(lam), False
-    penalty = (np.asarray(out.sum() * lam, dtype=out.dtype) if lam > 0.0
-               else np.zeros((), dtype=out.dtype))
-    return step, penalty
+    step.penalty = (np.asarray(out.sum() * lam, dtype=out.dtype) if lam > 0.0
+                    else np.zeros((), dtype=out.dtype))
+    return step
 
 
 def soft_gate(group: MaskedParameterGroup, beta: float) -> Tensor:
     """sigmoid(beta * s) ⊙ k ⊙ w, with gradients to both w and s."""
     _require_mode(group, GATE_SOFT, "soft_gate")
-    return mul(gate(group, beta)[0], group.weights)
+    return mul(gate(group, beta), group.weights)
 
 
 def hard_mask(s) -> np.ndarray:

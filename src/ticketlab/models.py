@@ -14,8 +14,7 @@ import numpy as np
 
 from .masking import GATE_NONE, MaskedParameterGroup
 from .seeding import STREAM_INIT, seeded_rng
-from .tensor import (ShapeError, Tensor, conv2d, linear, max_pool2d, relu,
-                     reshape)
+from .tensor import ShapeError, Tensor, conv2d, linear, max_pool2d, reshape
 
 
 @dataclass(frozen=True)
@@ -23,6 +22,7 @@ class DenseLayer:
     in_features: int
     out_features: int
     maskable: bool = True
+    relu: bool = False  # a ReLU on the output, fused into the layer node
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,7 @@ class ConvLayer:
     stride: int = 1
     padding: int = 1
     maskable: bool = True
-
-
-@dataclass(frozen=True)
-class Relu:
-    pass
+    relu: bool = False  # a ReLU on the output, fused into the layer node
 
 
 @dataclass(frozen=True)
@@ -133,31 +129,23 @@ class Model:
         step's ``masking.gate`` tensors, so that the caller can add their
         penalties; a soft group without one computes its gate here. Each
         weight-bearing layer is one tape node with its gate, its bias and
-        the ``Relu`` that follows it fused in: ``linear`` for a dense
-        layer, ``conv2d`` for a conv layer."""
+        its ReLU fused in: ``linear`` for a dense layer, ``conv2d`` for a
+        conv layer."""
         gates = gates or {}
         h = x
         gi = 0
-        fused = False  # the layer before applied this Relu
-        for i, layer in enumerate(self.layers):
-            if fused:
-                fused = False
-                continue
+        for layer in self.layers:
             if isinstance(layer, (DenseLayer, ConvLayer)):
                 group = self.groups[gi]
                 w, m = group.weight_and_gate(beta, rng, st_variant,
                                              gates.get(group.name))
                 b = self.biases[gi]
-                fused = (i + 1 < len(self.layers)
-                         and isinstance(self.layers[i + 1], Relu))
                 if isinstance(layer, DenseLayer):
-                    h = linear(h, w, b, m, relu=fused)
+                    h = linear(h, w, b, m, relu=layer.relu)
                 else:
                     h = conv2d(h, w, layer.stride, layer.padding, b, m,
-                               relu=fused)
+                               relu=layer.relu)
                 gi += 1
-            elif isinstance(layer, Relu):
-                h = relu(h)
             elif isinstance(layer, MaxPool):
                 h = max_pool2d(h)
             elif isinstance(layer, Flatten):
@@ -200,9 +188,8 @@ def build_mlp(widths: list[int], maskable=None, seed: int = 0,
         groups.append(MaskedParameterGroup(name=f"dense{i}", weights=w,
                                            maskable=bool(maskable[i])))
         biases.append(b)
-        layers.append(DenseLayer(fan_in, fan_out, bool(maskable[i])))
-        if i < nlayers - 1:
-            layers.append(Relu())
+        layers.append(DenseLayer(fan_in, fan_out, bool(maskable[i]),
+                                 relu=i < nlayers - 1))
     return Model(layers, groups, biases)
 
 
@@ -247,8 +234,7 @@ def build_small_conv(preset: str, seed: int = 0, in_shape=(1, 16, 16),
             groups.append(MaskedParameterGroup(name=f"conv{ci}", weights=k,
                                                maskable=True))
             biases.append(b)
-            layers.append(ConvLayer(c_prev, c_out, 3, 1, 1, True))
-            layers.append(Relu())
+            layers.append(ConvLayer(c_prev, c_out, 3, 1, 1, True, relu=True))
             c_prev = c_out
             ci += 1
         layers.append(MaxPool())
@@ -264,7 +250,6 @@ def build_small_conv(preset: str, seed: int = 0, in_shape=(1, 16, 16),
         groups.append(MaskedParameterGroup(name=f"dense{i}", weights=wt,
                                            maskable=head_maskable))
         biases.append(b)
-        layers.append(DenseLayer(fan_in, fan_out, head_maskable))
-        if i < len(widths) - 2:
-            layers.append(Relu())
+        layers.append(DenseLayer(fan_in, fan_out, head_maskable,
+                                 relu=i < len(widths) - 2))
     return Model(layers, groups, biases)

@@ -152,17 +152,15 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         # a soft group's gate is owned by its layer node, which also takes
         # the gradient of the gate's penalty; the penalty values join the
         # reported loss off the tape, in group order
-        gates, penalties = {}, {}
-        for g in soft:
-            gates[g.name], penalties[g.name] = gate(g, beta, lam)
+        gates = {g.name: gate(g, beta, lam) for g in soft}
         logits = model.forward(x, beta=beta, rng=mask_rng,
                                st_variant=st_variant, gates=gates)
         loss = softmax_cross_entropy(logits, y)
         loss_val = loss.data
         if lam > 0.0:
             for g in penalized:
-                if g.name in penalties:
-                    loss_val = loss_val + penalties[g.name]
+                if g.name in gates:
+                    loss_val = loss_val + gates[g.name].penalty
                 else:  # a stochastic group's penalty is a node over s
                     pen = gate_penalty(g, beta, lam)
                     loss = add(loss, pen)
@@ -190,7 +188,7 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
             if recorder is not None and record_every and cursor.epoch % record_every == 0:
                 # each soft gate once, for the remaining fraction and both
                 # evaluations; an ungated group keeps all of its weights
-                eval_gates = {g.name: gate(g, beta)[0] for g in soft}
+                eval_gates = {g.name: gate(g, beta) for g in soft}
                 rem = (remaining_fraction(maskable, beta, eval_gates)
                        if maskable else 1.0)
                 # evaluation sampling is decoupled from the training mask

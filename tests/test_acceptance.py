@@ -87,7 +87,7 @@ def test_criterion_1_gradient_correctness():
                     lambda w, s, b=beta, k=kept: soft_gate(group(w, s, k), b),
                     [rng.standard_normal((3, 4)), s])
                 cases["gate" + tag] = (
-                    lambda s, b=beta, k=kept: gate(group(ones, s, k), b)[0],
+                    lambda s, b=beta, k=kept: gate(group(ones, s, k), b),
                     [s.copy()])
                 cases["gate_penalty" + tag] = (
                     lambda s, b=beta, k=kept: gate_penalty(group(ones, s, k), b, 0.3),

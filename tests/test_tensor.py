@@ -191,7 +191,7 @@ class TestExpit:
         g.init_gate(GATE_SOFT, -1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.all(gate(g, 800.0)[0].data == 0.0)  # beta * s = -800
+            assert np.all(gate(g, 800.0).data == 0.0)  # beta * s = -800
             assert np.all(T.expit(np.full(3, -800.0, dtype=dtype)) == 0.0)
 
 
@@ -502,7 +502,7 @@ def _gate_case(op: str, beta: float, keep: bool):
             return (lambda w, s: soft_gate(soft_group(w, s, k), beta),
                     [rng.standard_normal((3, 4)), s])
         if op == "gate":
-            return lambda s: gate(soft_group(ones, s, k), beta)[0], [s]
+            return lambda s: gate(soft_group(ones, s, k), beta), [s]
         return lambda s: gate_penalty(soft_group(ones, s, k), beta, 0.3), [s]
     return case
 
@@ -570,10 +570,10 @@ class TestGradientsAgainstFiniteDifferences:
         for make in (lambda: gate_penalty(group, 7.0, 0.1),
                      lambda: soft_gate(group, 7.0),
                      lambda: linear(Tensor(np.ones((2, 3))), w, Tensor(np.zeros(4)),
-                                    gate(group, 7.0, 0.1)[0], relu=True),
+                                    gate(group, 7.0, 0.1), relu=True),
                      lambda: conv2d(Tensor(np.ones((2, 1, 4, 4))), k, 1, 1,
                                     Tensor(np.zeros(2)),
-                                    gate(conv_group, 7.0, 0.1)[0], relu=True)):
+                                    gate(conv_group, 7.0, 0.1), relu=True)):
             reset_tape()
             make()
             assert len(T.active_tape()) == 1
@@ -593,9 +593,9 @@ class TestGradientsAgainstFiniteDifferences:
         proj = Tensor(rng.standard_normal((4, 4)))
 
         def objective():
-            m, penalty = gate(group, beta, lam)
+            m = gate(group, beta, lam)
             out = tensor_sum(mul(linear(x, group.weights, b, m), proj))
-            return out, penalty
+            return out, m.penalty
 
         def scalar():
             with T.no_grad():
@@ -611,7 +611,7 @@ class TestGradientsAgainstFiniteDifferences:
         w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         group = MaskedParameterGroup("dense7", w)
         group.init_gate(GATE_SOFT, 0.1)
-        m, _ = gate(group, 7.0, 0.1)
+        m = gate(group, 7.0, 0.1)
         x, b = Tensor(np.ones((2, 3))), Tensor(np.zeros(4))
         loss = tensor_sum(add(linear(x, w, b, m), linear(x, w, b, m)))
         with pytest.raises(GradientError, match="'dense7'"):
@@ -993,10 +993,9 @@ class TestCompositeObjectiveGradient:
         beta, lam = 7.0, 1e-2
 
         def objective():
-            gates, penalties = {}, []
-            for g in model.maskable_groups():
-                gates[g.name], penalty = gate(g, beta, lam)
-                penalties.append(penalty)
+            gates = {g.name: gate(g, beta, lam)
+                     for g in model.maskable_groups()}
+            penalties = [m.penalty for m in gates.values()]
             loss = softmax_cross_entropy(
                 model.forward(Tensor(x), beta=beta, gates=gates), y)
             return loss, penalties
