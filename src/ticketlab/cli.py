@@ -22,6 +22,7 @@ from .harness import (SEARCHES, EvalRow, ExperimentPlan, cost_accounting,
 from .persist import (read_records, save_checkpoint, save_mask_artifact,
                       write_records)
 from .search import PRUNE_SCOPES, SUPERMASK_VARIANTS
+from .tensor import PRECISIONS
 from .training import epoch_iters
 
 # Config layers, merged in order: RunConfig defaults, then these
@@ -148,12 +149,13 @@ def _cmd_run(args) -> int:
     """One run into ``--out``: a dense baseline, or a search as a one-point
     sweep whose baseline and run records share one ``records.csv``."""
     cfg = _load_config(args)
+    plan = replace(_plan(cfg), seeds=(cfg.seed,), grid={}, max_workers=1)
+    plan.validate()  # before anything is written
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if cfg.algorithm == "dense":
-        _, _, records = run_point(_plan(cfg), None, cfg.seed,
-                                  *cfg.dataset.build())
+        _, _, records = run_point(plan, None, cfg.seed, *cfg.dataset.build())
         _persist_run(out, cfg, [], records)
         final = next(r for r in records if r.split == "final_test")
         print(f"dense baseline: test accuracy {final.accuracy:.4f} "
@@ -167,8 +169,7 @@ def _cmd_run(args) -> int:
         tickets.extend(run_tickets)
         records.extend(run_records)
 
-    result = sweep(replace(_plan(cfg), seeds=(cfg.seed,), grid={},
-                           max_workers=1), on_run=collect)
+    result = sweep(plan, on_run=collect)
     for r in result.rows:
         if r.error is not None:
             raise RuntimeError(r.error)
@@ -283,7 +284,7 @@ def _add_common(sp, with_search=True):
     sp.add_argument("--config", help="JSON config file; flags override it")
     _flag(sp, "--out", "out_dir", help="run directory")
     _flag(sp, "--seed", "seed", type=int)
-    _flag(sp, "--precision", "precision", choices=["float64", "float32"])
+    _flag(sp, "--precision", "precision", choices=list(PRECISIONS))
     _flag(sp, "--iters", "round.iters_per_round", type=int,
           help="iterations per round")
     _flag(sp, "--batch-size", "round.batch_size", type=int)

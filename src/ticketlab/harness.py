@@ -25,7 +25,7 @@ from .search import (PRUNE_SCOPES, SUPERMASK_VARIANTS, RewindStore,
                      RoundConfig, TicketResult, run_cs, run_imp, run_iss,
                      run_sequential_cs, run_supermask)
 from .seeding import STREAM_SHUFFLE, seeded_rng
-from .tensor import default_dtype, set_default_dtype
+from .tensor import PRECISIONS, default_dtype, set_default_dtype
 from .training import RunInfo, TrainCursor, evaluate, lr_milestones_callback, train
 
 # Record splits that carry a ticket's evaluated accuracy.
@@ -106,7 +106,11 @@ class ExperimentPlan:
     precision: str = "float64"
 
     def validate(self) -> None:
-        if self.algorithm not in SEARCHES:
+        """Reject a bad plan before any run; a "dense" plan has no grid."""
+        if self.algorithm == "dense":
+            if self.grid:
+                raise ValueError("a dense baseline has no sweep grid")
+        elif self.algorithm not in SEARCHES:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not self.seeds:
             raise ValueError("plan needs at least one seed")
@@ -114,6 +118,11 @@ class ExperimentPlan:
             raise ValueError(f"unknown evaluation setting {self.evaluate!r}")
         if self.eval_mode not in ("retrain-from-k", "fine-tune"):
             raise ValueError(f"unknown evaluation mode {self.eval_mode!r}")
+        if self.eval_budget is not None and self.eval_budget < 1:
+            raise ValueError(f"evaluation budget must be >= 1 iteration, got "
+                             f"{self.eval_budget}")
+        if self.precision not in PRECISIONS:
+            raise ValueError(f"unknown precision mode {self.precision!r}")
         if self.max_workers < 1:
             raise ValueError(f"max_workers must be at least 1, got "
                              f"{self.max_workers}")
@@ -160,7 +169,7 @@ def _precision(name: str):
 def eval_budget_iters(eval_budget: int | None, round_cfg: RoundConfig) -> int:
     """Training iterations of a dense baseline and of a ticket's
     evaluation: ``eval_budget`` when set, otherwise one search round."""
-    return eval_budget or round_cfg.iters_per_round
+    return round_cfg.iters_per_round if eval_budget is None else eval_budget
 
 
 def ticket_rounds(tickets: list[TicketResult]) -> list[tuple]:
@@ -528,6 +537,8 @@ def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
     When the mask init is swept, the report includes the Spearman rank
     correlation between its value and the median remaining fraction."""
     plan.validate()
+    if plan.algorithm not in SEARCHES:
+        raise ValueError(f"a sweep runs a search, not {plan.algorithm!r}")
     points = _expand_grid(plan.grid) if plan.grid else [{}]
     train_data, test_data = plan.data_cfg.build()
 

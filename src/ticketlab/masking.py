@@ -24,20 +24,18 @@ Conventions fixed here:
   exactly when a mask is frozen, and only soft and stochastic groups have
   logits. Readers dispatch on the mode alone.
 
-A soft group's gate sigmoid(beta * s) ⊙ k (k: the components not
-permanently removed) records no tape node of its own. ``gate`` returns it
-as a ``StepGate`` that carries the value of its L1 penalty
-lam * sum(gate) in ``penalty``, and the layer node that reads the gate
-(``linear`` or ``conv2d``) owns it: the one gradient g that node hands
-the gate goes straight to the logits as g' · beta · sig · (1 - sig) · k
-with g' = g + lam, the penalty's gradient being the constant lam. That
-is the gradient of loss + penalty only when the caller differentiates
-exactly that sum with a seed of 1, and the gate feeds one node on the
-loss path; ``train`` does so and adds the penalty values to the reported
-loss off the tape. A step gate takes exactly one gradient; a second
-raises ``GradientError``. ``gate_penalty`` is the penalty as a node over
-s (stochastic groups use it), and ``soft_gate`` the gated weight
-``gate ⊙ w``.
+A gated group's gate records no tape node. ``gate`` returns it for one
+step as a ``StepGate``: sigmoid(beta * s) ⊙ k for a soft group (k: the
+components not permanently removed), a Bernoulli(sigmoid(s)) draw for a
+stochastic one. It carries its L1 penalty's value in ``penalty``, and the
+layer node that reads it (``linear`` or ``conv2d``) owns it: the one
+gradient that node hands the gate goes straight to the logits, together
+with the penalty's gradient. That is the gradient of loss + penalty only
+when the caller differentiates exactly that sum with a seed of 1, and
+the gate feeds one node on the loss path; ``train`` does so and adds the
+penalty values to the reported loss off the tape. A second gradient into
+a gate raises ``GradientError``. ``gate_penalty`` is the penalty as a
+node over s, and ``soft_gate`` the gated weight ``gate ⊙ w``.
 """
 from __future__ import annotations
 
@@ -159,29 +157,21 @@ class MaskedParameterGroup:
         return (~self.pruned_forever).astype(self.weights.dtype)
 
     def sample_mask(self, rng) -> np.ndarray:
-        """One draw of m ~ Bernoulli(sigmoid(s)), one uniform per component
-        in flat order; sentinel-removed components are 0."""
-        p = expit(self.mask_logits.data)
-        m = (rng.random(p.shape) < p).astype(self.weights.dtype)
-        if self.pruned_forever is not None:
-            m[self.pruned_forever] = 0.0
-        return m
+        """One draw of m ~ Bernoulli(sigmoid(s)), as ``_draw`` makes it."""
+        return _draw(self, expit(self.mask_logits.data), rng)
 
     def weight_and_gate(self, beta: float = 1.0, rng=None,
                         st_variant: str = "identity",
-                        step_gate: Tensor | None = None) -> tuple[Tensor, Tensor | None]:
-        """The weight tensor and the gate multiplying it in this forward
-        pass: (w, frozen mask) in hard mode, (w, ``gate``) for a soft gate,
-        (sampled m ⊙ w, None) for a stochastic gate and (w, None) ungated.
-        ``step_gate`` is the step's ``gate`` of a soft group; it is
-        computed here, without a penalty, when not given."""
+                        step_gate: Tensor | None = None) -> Tensor | None:
+        """The gate multiplying ``weights`` in this forward pass: the
+        frozen mask in hard mode, None ungated, and for a soft or
+        stochastic group ``step_gate`` (the step's ``gate``) or, when not
+        given, a ``gate`` computed here without a penalty."""
         if self.mode == GATE_HARD:
-            return self.weights, Tensor(self.frozen_mask, dtype=self.weights.dtype)
-        if self.mode == GATE_SOFT:
-            return self.weights, step_gate if step_gate is not None else gate(self, beta)
-        if self.mode == GATE_STOCHASTIC:
-            return stochastic_gate(self, rng, st_variant), None
-        return self.weights, None
+            return Tensor(self.frozen_mask, dtype=self.weights.dtype)
+        if step_gate is not None or self.mode == GATE_NONE:
+            return step_gate
+        return gate(self, beta, rng=rng, st_variant=st_variant)
 
     def gate_values(self, beta: float = 1.0) -> np.ndarray:
         """Current gate value per component, for sparsity reporting."""
@@ -203,12 +193,6 @@ class MaskedParameterGroup:
         return m * k if k is not None else m
 
 
-def _require_mode(group: MaskedParameterGroup, mode: str, what: str) -> None:
-    if group.mode != mode:
-        raise ValueError(f"{what} requires mode {mode!r}, "
-                         f"group {group.name!r} is {group.mode!r}")
-
-
 def _soft(group: MaskedParameterGroup, beta: float):
     """The logits, sigmoid(beta * s), the kept mask k (or None) and the
     gate sigmoid(beta * s) ⊙ k of a group with mask logits."""
@@ -216,6 +200,15 @@ def _soft(group: MaskedParameterGroup, beta: float):
     sig = expit(beta * s.data)
     k = group.kept()
     return s, sig, k, (sig if k is None else sig * k)
+
+
+def _draw(group: MaskedParameterGroup, sig: np.ndarray, rng) -> np.ndarray:
+    """m ~ Bernoulli(sig), one uniform per component in flat order, with
+    the group's sentinel-removed components 0."""
+    m = (rng.random(sig.shape) < sig).astype(group.weights.dtype)
+    if group.pruned_forever is not None:
+        m[group.pruned_forever] = 0.0
+    return m
 
 
 def _logit_grad(g, sig, beta: float, k):
@@ -231,12 +224,15 @@ def _logit_grad(g, sig, beta: float, k):
 
 
 class StepGate(Tensor):
-    """A soft group's gate sigmoid(beta * s) ⊙ k for one step, owned by the
-    one layer node that reads it: that node's gradient g for the gate is
-    turned into the logit gradient ``_logit_grad(g + lam, ...)`` at once,
-    lam being the gate's L1-penalty strength and ``penalty`` the value
-    lam * sum(gate). No tape node produces it, so it must feed exactly one
-    node: a second gradient raises ``GradientError`` naming the group.
+    """A gated group's gate for one step, owned by the one layer node that
+    reads it and hands it the gradient g. A soft gate sigmoid(beta * s) ⊙ k
+    gives the logits ``_logit_grad(g + lam, sig, beta, k)``. A stochastic
+    gate, a Bernoulli draw (``st_variant`` its straight-through estimator,
+    None on a soft gate), gives them its penalty's gradient
+    ``_logit_grad(lam, sig, 1, k)``, then g · k, or g · sig · (1 - sig) · k
+    for the sigmoid variant. ``penalty`` is lam * sum(sigmoid(beta * s) ⊙ k),
+    with beta = 1 for a stochastic gate. A second gradient raises
+    ``GradientError`` naming the group.
 
     With lam > 0 the logit gradient is that of loss + penalty only if the
     caller adds ``penalty`` to the objective it differentiates, seeds the
@@ -245,7 +241,7 @@ class StepGate(Tensor):
     outside ``train`` should pass lam = 0 and use ``gate_penalty``."""
 
     __slots__ = ("group_name", "logits", "sig", "beta", "kept", "lam",
-                 "penalty", "spent")
+                 "st_variant", "penalty", "spent")
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.spent:
@@ -253,31 +249,56 @@ class StepGate(Tensor):
                 f"the step gate of group {self.group_name!r} received a second "
                 f"gradient; a step gate feeds exactly one node")
         self.spent = True
-        if self.lam > 0.0:
-            g = g + self.lam
-        self.logits.accumulate_grad(_logit_grad(g, self.sig, self.beta, self.kept))
+        s, sig, k = self.logits, self.sig, self.kept
+        if self.st_variant is None:  # soft: the penalty's gradient joins g
+            if self.lam > 0.0:
+                g = g + self.lam
+            s.accumulate_grad(_logit_grad(g, sig, self.beta, k))
+            return
+        if self.lam > 0.0:  # stochastic: the penalty's gradient comes first
+            s.accumulate_grad(_logit_grad(self.lam, sig, self.beta, k))
+        if self.st_variant == "sigmoid":
+            g = g * sig * (1.0 - sig)
+        s.accumulate_grad(g if k is None else g * k)
 
 
-def gate(group: MaskedParameterGroup, beta: float, lam: float = 0.0) -> StepGate:
-    """This step's gate sigmoid(beta * s) ⊙ k of a soft group, recording no
-    tape node. Its ``penalty`` holds lam * sum(gate), an exact zero for
-    lam = 0, and its gradient carries the penalty's constant gradient lam;
-    see ``StepGate`` for what that asks of the caller when lam > 0."""
-    _require_mode(group, GATE_SOFT, "gate")
+def gate(group: MaskedParameterGroup, beta: float, lam: float = 0.0,
+         rng=None, st_variant: str = "identity") -> StepGate:
+    """This step's ``StepGate`` of a soft or stochastic group, recording no
+    tape node; a stochastic gate is ``sample_mask``'s draw from ``rng``.
+    ``penalty`` is an exact zero for lam = 0; see ``StepGate`` for what
+    lam > 0 asks of the caller."""
+    if group.mode not in (GATE_SOFT, GATE_STOCHASTIC):
+        raise ValueError(f"gate requires a soft or stochastic group, "
+                         f"group {group.name!r} is {group.mode!r}")
     if lam < 0:
         raise ValueError("penalty strength must be non-negative")
-    s, sig, k, out = _soft(group, beta)
+    if group.mode == GATE_SOFT:
+        s, sig, k, gv = _soft(group, beta)
+        out, st_variant = gv, None
+    else:
+        if rng is None:
+            raise ValueError("stochastic gate requires an RNG")
+        if st_variant not in ST_VARIANTS:
+            raise ValueError(f"unknown straight-through variant {st_variant!r}")
+        s, k, beta = group.mask_logits, group.kept(), 1.0
+        sig = expit(s.data)  # one sigmoid for the draw, penalty and gradient
+        out = _draw(group, sig, rng)
+        gv = sig if k is None or lam == 0.0 else sig * k  # the penalized gate
     step = StepGate(out, requires_grad=s.requires_grad, dtype=out.dtype)
-    step.group_name, step.logits, step.sig = group.name, s, sig
-    step.beta, step.kept, step.lam, step.spent = beta, k, float(lam), False
-    step.penalty = (np.asarray(out.sum() * lam, dtype=out.dtype) if lam > 0.0
+    step.group_name, step.logits, step.sig, step.kept = group.name, s, sig, k
+    step.beta, step.lam, step.st_variant = beta, float(lam), st_variant
+    step.spent = False
+    step.penalty = (np.asarray(gv.sum() * lam, dtype=gv.dtype) if lam > 0.0
                     else np.zeros((), dtype=out.dtype))
     return step
 
 
 def soft_gate(group: MaskedParameterGroup, beta: float) -> Tensor:
     """sigmoid(beta * s) ⊙ k ⊙ w, with gradients to both w and s."""
-    _require_mode(group, GATE_SOFT, "soft_gate")
+    if group.mode != GATE_SOFT:
+        raise ValueError(f"soft_gate requires mode {GATE_SOFT!r}, "
+                         f"group {group.name!r} is {group.mode!r}")
     return mul(gate(group, beta), group.weights)
 
 
@@ -288,9 +309,9 @@ def hard_mask(s) -> np.ndarray:
 
 
 def gate_penalty(group: MaskedParameterGroup, beta: float, lam: float) -> Tensor:
-    """lam * sum(sigmoid(beta * s) ⊙ k) as one tape node over s; gates are
-    positive, so the L1 norm is a plain sum. lam = 0 contributes an exact
-    off-tape zero."""
+    """lam * sum(sigmoid(beta * s) ⊙ k) of a gated group as one tape node
+    over s; gates are positive, so the L1 norm is a plain sum. lam = 0
+    contributes an exact off-tape zero."""
     if lam < 0:
         raise ValueError("penalty strength must be non-negative")
     if lam == 0.0:
@@ -303,39 +324,6 @@ def gate_penalty(group: MaskedParameterGroup, beta: float, lam: float) -> Tensor
             s.accumulate_grad(_logit_grad(g * lam, sig, beta, k))
 
     return apply_op("gate_penalty", (s,), out, backward_fn)
-
-
-def stochastic_gate(group: MaskedParameterGroup, rng,
-                    st_variant: str = "identity") -> Tensor:
-    """Sample m ~ Bernoulli(sigmoid(s)) and return m ⊙ w.
-
-    Backward: grad(w) = m ⊙ g; grad(s) uses the straight-through estimator -
-    identity by default (grad(s) = g ⊙ w), or scaled by sigmoid'(s) when
-    ``st_variant="sigmoid"``. Sentinel-frozen components sample 0 and pass
-    no gradient to s.
-    """
-    _require_mode(group, GATE_STOCHASTIC, "stochastic_gate")
-    if rng is None:
-        raise ValueError("stochastic gate requires an RNG")
-    if st_variant not in ST_VARIANTS:
-        raise ValueError(f"unknown straight-through variant {st_variant!r}")
-    w, s = group.weights, group.mask_logits
-    m = group.sample_mask(rng)
-    out = m * w.data
-
-    def backward_fn(g):
-        if w.requires_grad:
-            w.accumulate_grad(g * m)
-        if s.requires_grad:
-            gs = g * w.data
-            if st_variant == "sigmoid":
-                p = expit(s.data)
-                gs = gs * p * (1.0 - p)
-            if group.pruned_forever is not None:
-                gs = gs * (~group.pruned_forever)
-            s.accumulate_grad(gs)
-
-    return apply_op("stochastic_gate", (w, s), out, backward_fn)
 
 
 def reset_mask(group: MaskedParameterGroup, end_logits: np.ndarray,

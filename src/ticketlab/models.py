@@ -125,21 +125,21 @@ class Model:
 
     def forward(self, x: Tensor, beta: float = 1.0, rng=None,
                 st_variant: str = "identity", gates: dict | None = None) -> Tensor:
-        """Logits of a batch. ``gates`` maps soft groups' names to this
-        step's ``masking.gate`` tensors, so that the caller can add their
-        penalties; a soft group without one computes its gate here. Each
-        weight-bearing layer is one tape node with its gate, its bias and
-        its ReLU fused in: ``linear`` for a dense layer, ``conv2d`` for a
-        conv layer."""
+        """Logits of a batch. ``gates`` maps gated groups' names to this
+        step's ``masking.gate``, so that the caller can add their
+        penalties; a gated group without one gets its gate here (a
+        stochastic one from ``rng``). Each weight-bearing layer is one tape
+        node with its gate, bias and ReLU fused in: ``linear`` for a dense
+        layer, ``conv2d`` for a conv layer."""
         gates = gates or {}
         h = x
         gi = 0
         for layer in self.layers:
             if isinstance(layer, (DenseLayer, ConvLayer)):
                 group = self.groups[gi]
-                w, m = group.weight_and_gate(beta, rng, st_variant,
-                                             gates.get(group.name))
-                b = self.biases[gi]
+                m = group.weight_and_gate(beta, rng, st_variant,
+                                          gates.get(group.name))
+                w, b = group.weights, self.biases[gi]
                 if isinstance(layer, DenseLayer):
                     h = linear(h, w, b, m, relu=layer.relu)
                 else:

@@ -7,11 +7,11 @@ per-channel bias), 2x2 max-pooling, the pointwise family (add, mul, relu,
 sigmoid, scale), bias addition, reshape, sum, and softmax cross-entropy.
 A weight layer is one tape node: ``linear`` and ``conv2d`` read the gate
 and the bias, and with ``relu=True`` apply the ReLU that follows the
-layer. A soft gate from ``masking.gate`` records no node of its own: the
-layer node hands it its gradient, and the gate turns that, with its L1
-penalty's constant gradient, into the logits' gradient. The gate ops of
-learned sparsity live in ``masking``. There is no general broadcasting;
-pointwise ops accept equal shapes or a scalar operand.
+layer. A gate from ``masking.gate``, soft or stochastic, records no node
+of its own: the layer node hands it its gradient, and the gate turns
+that, with its L1 penalty's gradient, into the logits' gradient. The
+gate ops of learned sparsity live in ``masking``. There is no general
+broadcasting; pointwise ops accept equal shapes or a scalar operand.
 
 Every recorded operation is appended to a thread-local tape in forward
 order. ``backward`` walks the tape in exact reverse order, accumulating
@@ -41,7 +41,8 @@ class NonFiniteError(FloatingPointError):
     """A NaN or Inf appeared where the run requires finite values."""
 
 
-_DTYPES = {"float64": np.float64, "float32": np.float32}
+# The precisions a run may take, by the name configs and flags use.
+PRECISIONS = {"float64": np.float64, "float32": np.float32}
 
 _tls = threading.local()
 
@@ -96,9 +97,9 @@ def set_default_dtype(name: str) -> None:
     ``"float64"`` is the default (gradient checks need it); ``"float32"``
     exists to exercise saturation behavior of large-temperature gates.
     """
-    if name not in _DTYPES:
+    if name not in PRECISIONS:
         raise ValueError(f"unknown precision mode {name!r}")
-    _state()["dtype"] = _DTYPES[name]
+    _state()["dtype"] = PRECISIONS[name]
 
 
 def default_dtype() -> np.dtype:
@@ -374,11 +375,11 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
            relu: bool = False) -> Tensor:
     """A dense layer as one tape node: x @ (w ⊙ gate) + b, (n, i) @ (i, o)
-    + (o,), followed by max(·, 0) when ``relu``. ``gate`` is a soft gate, a
-    constant hard mask, or None for an ungated layer; it gets a gradient
-    only if it requires one. The ReLU's backward masks the output gradient
-    with ``out > 0``, which holds exactly where the pre-activation is
-    positive."""
+    + (o,), followed by max(·, 0) when ``relu``. ``gate`` is a step gate
+    (soft or stochastic), a constant hard mask, or None for an ungated
+    layer; it gets a gradient only if it requires one. The ReLU's backward
+    masks the output gradient with ``out > 0``, which holds exactly where
+    the pre-activation is positive."""
     if (x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0]
             or w.shape[1] != b.shape[0]):
         raise ShapeError(f"linear expects (n,i)@(i,o)+(o,), got {x.shape}, "
@@ -445,7 +446,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     gradient with ``out > 0``, as ``linear``'s does).
 
     ``x``: (n, cin, h, w); ``kernel``: (cout, cin, kh, kw); ``bias``:
-    (cout,) or None; ``gate``: shaped like the kernel, a soft gate, a
+    (cout,) or None; ``gate``: shaped like the kernel, a step gate, a
     constant hard mask, or None for an ungated layer. The output spatial
     size is floor((h + 2p - kh)/stride) + 1. The node is recorded as
     ``"conv_layer"``, as a dense layer is one ``"linear"`` node. The kernel

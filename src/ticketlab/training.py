@@ -18,10 +18,10 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset
 from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC, gate,
-                      gate_penalty, remaining_fraction)
+                      remaining_fraction)
 from .persist import RunRecord
 from .seeding import STREAM_EVAL
-from .tensor import NonFiniteError, Tensor, add, backward, reset_tape, softmax_cross_entropy
+from .tensor import NonFiniteError, Tensor, backward, reset_tape, softmax_cross_entropy
 
 
 @dataclass
@@ -109,6 +109,8 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     """
     n = len(data)
     nb = epoch_iters(n, batch_size)
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     if record_every < 0:
         raise ValueError(f"record_every must be >= 0, got {record_every}")
     if batch_size > n:
@@ -118,8 +120,8 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     cursor = cursor if cursor is not None else TrainCursor()
     info = run_info or RunInfo()
     maskable = [g for g in getattr(model, "groups", []) if g.maskable]
-    penalized = [g for g in maskable if g.mode in (GATE_SOFT, GATE_STOCHASTIC)]
-    soft = [g for g in penalized if g.mode == GATE_SOFT]
+    gated = [g for g in maskable if g.mode in (GATE_SOFT, GATE_STOCHASTIC)]
+    soft = [g for g in gated if g.mode == GATE_SOFT]
     epoch_loss = 0.0
     epoch_steps = 0
 
@@ -149,22 +151,17 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         y = data.labels[idx]
 
         reset_tape()
-        # a soft group's gate is owned by its layer node, which also takes
-        # the gradient of the gate's penalty; the penalty values join the
-        # reported loss off the tape, in group order
-        gates = {g.name: gate(g, beta, lam) for g in soft}
-        logits = model.forward(x, beta=beta, rng=mask_rng,
-                               st_variant=st_variant, gates=gates)
+        # each gated group's gate (drawn in group order when stochastic) is
+        # owned by its layer node, which also takes the gradient of the
+        # gate's penalty; the penalty values join the loss off the tape
+        gates = {g.name: gate(g, beta, lam, mask_rng, st_variant)
+                 for g in gated}
+        logits = model.forward(x, beta=beta, gates=gates)
         loss = softmax_cross_entropy(logits, y)
         loss_val = loss.data
         if lam > 0.0:
-            for g in penalized:
-                if g.name in gates:
-                    loss_val = loss_val + gates[g.name].penalty
-                else:  # a stochastic group's penalty is a node over s
-                    pen = gate_penalty(g, beta, lam)
-                    loss = add(loss, pen)
-                    loss_val = loss_val + pen.data
+            for g in gated:
+                loss_val = loss_val + gates[g.name].penalty
         loss_val = float(loss_val)
         if not np.isfinite(loss_val):
             raise abort("loss", it, loss_val, beta)

@@ -179,7 +179,7 @@ class TestRunSubcommands:
         assert main(["imp", "--config", str(cfgp), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: this controller requires a pruning rate\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_run_keeps_the_files_sweep_settings(self, tmp_path):
         cfgp = small_config(tmp_path, seeds=[3, 4],
@@ -433,8 +433,9 @@ class TestSweepAndReport:
          "unknown supermask variant 'bogus'"),
         ("iss", {"round": {"st_variant": "bogus"}},
          "unknown straight-through variant 'bogus'"),
+        ("cs", {"precision": "float16"}, "unknown precision mode 'float16'"),
     ], ids=["supermask-two-rounds", "scope", "supermask-variant",
-            "st-variant"])
+            "st-variant", "precision"])
     def test_bad_plan_in_the_config_file_fails_before_anything_is_written(
             self, tmp_path, capsys, algorithm, bad, message):
         base = json.loads(small_config(tmp_path).read_text())  # two rounds
@@ -456,7 +457,39 @@ class TestSweepAndReport:
                        "--out", str(out)] + bad)
             assert rc == 1, bad
             assert message in capsys.readouterr().err, bad
-            assert list(out.iterdir()) == [], bad
+            assert not out.exists(), bad
+
+    @pytest.mark.parametrize("flags, over, message", [
+        (["--iters", "0"], {}, "iterations per round must be >= 1"),
+        ([], {"evaluation": {"mode": "bogus"}}, "unknown evaluation mode 'bogus'"),
+        ([], {"round": {"lam": -1}}, "gate penalty must be non-negative"),
+        ([], {"round": {"beta_final": 0.5}}, "final temperature must be >= 1"),
+        ([], {"round": {"rewind_iter": 900}}, "rewind point must satisfy"),
+        ([], {"evaluation": {"budget_iters": 0}}, "evaluation budget must be"),
+        ([], {"precision": "float16"}, "unknown precision mode 'float16'"),
+    ], ids=["iters-0", "eval-mode", "lam", "beta-final", "rewind-iter",
+            "eval-budget", "precision"])
+    def test_dense_run_validates_its_plan_before_anything_is_written(
+            self, tmp_path, capsys, flags, over, message):
+        base = json.loads(small_config(tmp_path).read_text())
+        cfgp = tmp_path / "bad.cfg"
+        cfgp.write_text(json.dumps(_deep_merge(base, over)))
+        out = tmp_path / "d"
+        rc = main(["dense", "--config", str(cfgp), "--out", str(out)] + flags)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_eval_budget_below_one_fails_before_anything_is_written(
+            self, tmp_path, capsys, budget):
+        out = tmp_path / "cs"
+        rc = main(["cs", "--config", str(small_config(tmp_path)), "--iters",
+                   "50", "--eval-budget", budget, "--out", str(out)])
+        assert rc == 1
+        assert (f"error: evaluation budget must be >= 1 iteration, got "
+                f"{budget}") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_with_a_dead_worker_exits_1(self, tmp_path, monkeypatch,
                                               capsys):

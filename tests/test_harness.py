@@ -68,6 +68,13 @@ class TestTrainLoop:
         for k, a in model.weight_arrays().items():
             assert np.array_equal(a, before[k])
 
+    def test_negative_iterations_rejected(self, moons_pair):
+        train_ds, _ = moons_pair
+        model = MC.build(1)
+        with pytest.raises(ValueError, match="iterations must be >= 0, got -5"):
+            train(model, train_ds, _opt(model, cfg()), -5, batch_size=32,
+                  shuffle_rng=seeded_rng(1, STREAM_SHUFFLE))
+
     def test_loss_decreases_over_first_steps(self, moons_pair):
         train_ds, _ = moons_pair
         model = MC.build(1)
@@ -562,6 +569,14 @@ class TestSweep:
                         "hook": ["dense-seed1", "dense-seed2"]}[fails_in]
         assert searched == []  # forked workers' calls are not seen here
 
+    def test_dense_plan_validates_but_is_no_sweep(self):
+        plan = self.plan(algorithm="dense", grid={}, evaluate="final")
+        plan.validate()
+        seen = []
+        with pytest.raises(ValueError, match="a sweep runs a search, not 'dense'"):
+            sweep(plan, on_run=lambda *a: seen.append(a[0]))
+        assert seen == []
+
     def test_unknown_algorithm_fails_before_any_dense_baseline(self):
         seen = []
         with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
@@ -622,6 +637,15 @@ class TestSweep:
                               "unknown supermask variant 'bogus'"),
         "st-variant": ({"algorithm": "iss"}, {"st_variant": "bogus"},
                        "unknown straight-through variant 'bogus'"),
+        "eval-budget-0": ({"eval_budget": 0}, {},
+                          "evaluation budget must be >= 1 iteration, got 0"),
+        "eval-budget-negative": ({"eval_budget": -5}, {},
+                                 "evaluation budget must be >= 1 iteration, "
+                                 "got -5"),
+        "precision": ({"precision": "float16"}, {},
+                      "unknown precision mode 'float16'"),
+        "dense-grid": ({"algorithm": "dense"}, {},
+                       "a dense baseline has no sweep grid"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_PLANS))

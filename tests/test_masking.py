@@ -8,12 +8,12 @@ from scipy.special import expit
 from ticketlab import tensor as T
 from ticketlab.masking import (GATE_HARD, GATE_MODES, GATE_SOFT,
                                GATE_STOCHASTIC, MaskedParameterGroup,
-                               TemperatureSchedule, gate_penalty, hard_mask,
-                               kept_fraction, remaining_fraction, reset_mask,
-                               soft_gate, stochastic_gate)
+                               TemperatureSchedule, gate, gate_penalty,
+                               hard_mask, kept_fraction, remaining_fraction,
+                               reset_mask, soft_gate)
 from ticketlab.models import Model
 from ticketlab.optim import SGD
-from ticketlab.tensor import Tensor, backward, reset_tape, tensor_sum
+from ticketlab.tensor import Tensor, backward, linear, reset_tape, tensor_sum
 from ticketlab.training import (TrainCursor, capture_train_state,
                                 restore_train_state)
 
@@ -202,18 +202,23 @@ class TestGatePenalty:
         assert abs(float(out.data) - 1.0) < 1e-12  # two gates at 0.5
 
 
+def stochastic(g, rng, st_variant="identity"):
+    """m ⊙ w for a stochastic group: its step gate read by one ``mul``."""
+    return T.mul(gate(g, 1.0, rng=rng, st_variant=st_variant), g.weights)
+
+
 class TestStochasticGate:
     def test_saturated_logits_pass_weights_through(self):
         rng = np.random.default_rng(0)
         w = np.array([1.5, -2.5, 0.5])
         g = make_group(w, mode=GATE_STOCHASTIC, logits=np.full(3, 30.0))
-        out = stochastic_gate(g, rng)
+        out = stochastic(g, rng)
         assert np.array_equal(out.data, w)
 
     def test_sample_mean_matches_probability(self):
         rng = np.random.default_rng(1)
         g = make_group(np.ones(10_000), mode=GATE_STOCHASTIC)
-        out = stochastic_gate(g, rng)
+        out = stochastic(g, rng)
         # binomial CI at p=0.5, n=10k: +-0.02 is ~4 sigma
         assert abs(out.data.mean() - 0.5) < 0.02
 
@@ -221,7 +226,7 @@ class TestStochasticGate:
         rng = np.random.default_rng(2)
         w = np.array([2.0, -3.0, 0.5])
         g = make_group(w, mode=GATE_STOCHASTIC)
-        out = stochastic_gate(g, rng)
+        out = stochastic(g, rng)
         u = np.array([1.0, 10.0, -4.0])
         backward(tensor_sum(T.mul(out, Tensor(u))))
         assert np.allclose(g.mask_logits.grad, u * w)
@@ -231,7 +236,7 @@ class TestStochasticGate:
         w = np.array([2.0, -3.0])
         s = np.array([0.7, -0.2])
         g = make_group(w, mode=GATE_STOCHASTIC, logits=s)
-        out = stochastic_gate(g, rng, st_variant="sigmoid")
+        out = stochastic(g, rng, st_variant="sigmoid")
         backward(tensor_sum(out))
         p = expit(s)
         assert np.allclose(g.mask_logits.grad, w * p * (1 - p))
@@ -239,7 +244,7 @@ class TestStochasticGate:
     def test_requires_rng(self):
         g = make_group(np.ones(3), mode=GATE_STOCHASTIC)
         with pytest.raises(ValueError):
-            stochastic_gate(g, None)
+            stochastic(g, None)
 
     def test_frozen_components_sample_zero_and_get_no_gradient(self):
         rng = np.random.default_rng(4)
@@ -248,11 +253,73 @@ class TestStochasticGate:
         g.pruned_forever = np.array([True, False, True, False])
         for _ in range(5):
             reset_tape()
-            out = stochastic_gate(g, rng)
+            out = stochastic(g, rng)
             assert out.data[0] == 0.0 and out.data[2] == 0.0
             backward(tensor_sum(out))
             assert g.mask_logits.grad[0] == 0.0 and g.mask_logits.grad[2] == 0.0
             g.mask_logits.grad = None
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("st_variant", ["identity", "sigmoid"])
+    def test_layer_gradients_match_the_gate_node_chain_bitwise(
+            self, st_variant, lam, dtype):
+        """A dense layer reading a stochastic step gate, against a NumPy
+        replica of a gate node m ⊙ w feeding an ungated layer, with the
+        penalty a node over s added to the loss (seed 1): the draw, the
+        layer output, the penalty and the weight and logit gradients are
+        bitwise equal."""
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal((6, 5)).astype(dtype)
+        s = rng.standard_normal((6, 5)).astype(dtype)
+        pruned = rng.random((6, 5)) < 0.3
+        x = rng.standard_normal((7, 6)).astype(dtype)
+        up = rng.standard_normal((7, 5)).astype(dtype)
+        previous = T.default_dtype().name
+        T.set_default_dtype(np.dtype(dtype).name)
+        try:
+            g = MaskedParameterGroup("g", Tensor(w.copy(), requires_grad=True))
+            g.init_gate(GATE_STOCHASTIC)
+            g.mask_logits.data[...] = s
+            g.prune_forever(pruned)
+            step = gate(g, 1.0, lam, np.random.default_rng(5), st_variant)
+            out = linear(Tensor(x), g.weights,
+                         Tensor(np.zeros(5), requires_grad=True), step)
+            backward(tensor_sum(T.mul(out, Tensor(up))))
+        finally:
+            T.set_default_dtype(previous)
+
+        # the replica: m ~ Bernoulli(sigmoid(s)), the layer over m * w, and
+        # the logits' gradient: the penalty node's, which the backward pass
+        # reached first, plus the gate node's straight-through one
+        p = T.expit(s)  # the library's sigmoid, as the gate node's
+        m = (np.random.default_rng(5).random(p.shape) < p).astype(dtype)
+        m[pruned] = 0.0
+        gwe = x.T @ up
+        gs = gwe * w
+        if st_variant == "sigmoid":
+            gs = gs * p * (1.0 - p)
+        gs = gs * (~pruned)
+        grad_s = gs
+        if lam > 0.0:
+            pen = 1.0 - p
+            pen *= p
+            pen *= 1.0
+            pen *= np.ones((), dtype=dtype) * lam
+            pen *= (~pruned).astype(dtype)
+            grad_s = pen.copy()
+            grad_s += gs
+            assert np.array_equal(
+                step.penalty,
+                np.asarray((p * (~pruned).astype(dtype)).sum() * lam,
+                           dtype=dtype))
+        else:
+            assert float(step.penalty) == 0.0
+        assert np.array_equal(step.data, m)
+        assert np.array_equal(out.data, x @ (m * w))
+        assert np.array_equal(g.weights.grad, gwe * m)
+        assert g.mask_logits.grad.dtype == dtype
+        assert np.array_equal(g.mask_logits.grad, grad_s)
 
 
 class TestResetMask:
@@ -321,8 +388,7 @@ class TestGateState:
         assert (g.mask_logits is not None) == gated
         assert g.pruned_forever is None or gated
         if g.mode == GATE_HARD:
-            w, m = g.weight_and_gate()
-            assert w is g.weights
+            m = g.weight_and_gate()
             assert np.array_equal(g.current_hard_mask(), m.data)
             assert np.array_equal(g.current_hard_mask(), expected_hard)
 
@@ -393,7 +459,7 @@ class TestGateState:
         a, b = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(3):
             m = g.sample_mask(a)
-            assert np.array_equal(stochastic_gate(g, b).data,
+            assert np.array_equal(stochastic(g, b).data,
                                   m * g.weights.data)
             assert np.all(m[g.pruned_forever] == 0.0)
 

@@ -323,7 +323,20 @@ class TestTapeShape:
         assert nodes == [4, 4]  # 12 with a mul, matmul and bias per layer
         assert sigmoids == 0
 
-    def test_conv6_cs_step_records_13_nodes_one_per_layer(self, monkeypatch):
+    def test_iss_step_records_4_nodes_and_one_sigmoid_per_group(
+            self, monkeypatch):
+        for st_variant in ("identity", "sigmoid"):
+            cfg = quick_cfg(rounds=1, iters_per_round=2, rewind_iter=0,
+                            lam=1e-3, mask_init=1.0, st_variant=st_variant)
+            nodes, sigmoids = self._steps(monkeypatch, run_iss, cfg)
+            # 13 with a gate node, a penalty node and an add per group
+            assert nodes == [4, 4], st_variant
+            # one per stochastic group per step (2 with the penalty on, 3
+            # with the sigmoid straight-through), and the ticket's draw
+            assert sigmoids == 2 * 3 + 3, st_variant
+
+    @staticmethod
+    def _conv6_ops(monkeypatch, run, cfg):
         from ticketlab.data import Dataset
         from ticketlab.models import build_small_conv
         ops = []
@@ -337,14 +350,30 @@ class TestTapeShape:
         rng = np.random.default_rng(0)
         data = Dataset(rng.random((32, 1, 8, 8)), rng.integers(0, 2, 32))
         model = build_small_conv("conv6-scaled", seed=1, in_shape=(1, 8, 8))
-        run_cs(model, data, quick_cfg(rounds=1, iters_per_round=2,
-                                      rewind_iter=0, batch_size=16), seed=1)
+        run(model, data, cfg, seed=1)
+        return ops
+
+    # one node per layer: conv, pooling, flatten, dense head and the loss
+    CONV6_OPS = (["conv_layer"] * 2 + ["max_pool2d"]) * 3 + [
+        "reshape", "linear", "linear", "softmax_cross_entropy"]
+
+    def test_conv6_cs_step_records_13_nodes_one_per_layer(self, monkeypatch):
+        ops = self._conv6_ops(monkeypatch, run_cs, quick_cfg(
+            rounds=1, iters_per_round=2, rewind_iter=0, batch_size=16))
         assert len(ops) == 2
         for step in ops:
             # 38 with a relu node per hidden layer and a gate, penalty and
             # add node per soft group; 50 with a mul and a bias node per conv
-            assert step == (["conv_layer"] * 2 + ["max_pool2d"]) * 3 + [
-                "reshape", "linear", "linear", "softmax_cross_entropy"]
+            assert step == self.CONV6_OPS
+
+    def test_conv6_iss_step_records_13_nodes_one_per_layer(self, monkeypatch):
+        ops = self._conv6_ops(monkeypatch, run_iss, quick_cfg(
+            rounds=1, iters_per_round=2, rewind_iter=0, batch_size=16,
+            lam=1e-3, mask_init=1.0))
+        assert len(ops) == 2
+        for step in ops:
+            # 31 with a gate node, a penalty node and an add per conv group
+            assert step == self.CONV6_OPS
 
 
 class TestConvModelSearch:
@@ -457,8 +486,8 @@ class TestRunISS:
                 continue
             for _ in range(3):
                 reset_tape()
-                w, m = g.weight_and_gate(rng=rng)
-                out = w if m is None else mul(w, m)
+                m = g.weight_and_gate(rng=rng)
+                out = g.weights if m is None else mul(g.weights, m)
                 assert np.all(out.data[g.pruned_forever] == 0.0)
 
     def test_weights_rewound_between_rounds(self, moons, monkeypatch):
@@ -622,8 +651,7 @@ class TestFreezeAndFinetune:
             finetune_iters=20, finetune_lr=0.001, seed=1)
         for g in model.maskable_groups():
             reset_tape()
-            w, m = g.weight_and_gate()
-            eff = mul(w, m)
+            eff = mul(g.weights, g.weight_and_gate())
             assert np.all(eff.data[masks[g.name] == 0.0] == 0.0)
 
     def test_double_freeze_rejected(self, moons):
