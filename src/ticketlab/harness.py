@@ -25,7 +25,8 @@ from .search import (PRUNE_SCOPES, SUPERMASK_VARIANTS, RewindStore,
                      RoundConfig, TicketResult, run_cs, run_imp, run_iss,
                      run_sequential_cs, run_supermask)
 from .seeding import STREAM_SHUFFLE, seeded_rng
-from .tensor import PRECISIONS, default_dtype, set_default_dtype
+from .tensor import (PRECISIONS, Tensor, default_dtype, no_grad,
+                     set_default_dtype)
 from .training import RunInfo, TrainCursor, evaluate, lr_milestones_callback, train
 
 # Record splits that carry a ticket's evaluated accuracy.
@@ -139,11 +140,13 @@ class ExperimentPlan:
                 raise ValueError(f"sweep parameter {k!r} has no values")
         need_rate = self.algorithm in RATE_SEARCHES
         run_ids = set()
+        batch_sizes = []
         for point in _expand_grid(self.grid) if self.grid else [{}]:
             cfg = _apply_point(self.round_cfg, point)
             cfg.validate(need_rate=need_rate)
             if self.algorithm == "supermask" and cfg.rounds != 1:
                 raise ValueError("supermask search runs a single round")
+            batch_sizes.append((point, cfg.batch_size))
             # runs are stored and reported under their ids
             for seed in self.seeds:
                 run_id = _run_id(self.algorithm, point, seed)
@@ -152,6 +155,22 @@ class ExperimentPlan:
                         f"two runs of the plan share the run id {run_id!r}; "
                         f"seeds and grid values must be distinct as printed")
                 run_ids.add(run_id)
+        # the data and the first seed's model, built as a run builds them
+        # (writing nothing): one training example through the model shows
+        # a shape mismatch, and its logits must number the classes
+        train_data, test_data = self.data_cfg.build()
+        with _precision(self.precision), no_grad():
+            logits = self.model_cfg.build(self.seeds[0]).forward(
+                Tensor(train_data.inputs[:1]))
+        classes = max(train_data.num_classes, test_data.num_classes)
+        if logits.shape[1] != classes:
+            raise ValueError(f"the model's head has width {logits.shape[1]}, "
+                             f"but the data has {classes} classes")
+        for point, batch_size in batch_sizes:
+            if batch_size > len(train_data):
+                at = f" at grid point {point}" if point else ""
+                raise ValueError(f"batch size {batch_size}{at} exceeds the "
+                                 f"{len(train_data)} training examples")
 
 
 @contextmanager

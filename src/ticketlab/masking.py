@@ -39,7 +39,7 @@ node over s, and ``soft_gate`` the gated weight ``gate ⊙ w``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,8 +130,9 @@ class MaskedParameterGroup:
         if mode != GATE_NONE:
             self.mask_init = float(mask_init)
             if logits is None:
-                logits = Tensor(np.empty(self.weights.shape, dtype=self.weights.dtype),
-                                requires_grad=True)
+                dt = self.weights.dtype
+                logits = Tensor(np.empty(self.weights.shape, dtype=dt),
+                                requires_grad=True, dtype=dt)
             logits.data[...] = self.mask_init
             self.mask_logits = logits
 
@@ -159,19 +160,6 @@ class MaskedParameterGroup:
     def sample_mask(self, rng) -> np.ndarray:
         """One draw of m ~ Bernoulli(sigmoid(s)), as ``_draw`` makes it."""
         return _draw(self, expit(self.mask_logits.data), rng)
-
-    def weight_and_gate(self, beta: float = 1.0, rng=None,
-                        st_variant: str = "identity",
-                        step_gate: Tensor | None = None) -> Tensor | None:
-        """The gate multiplying ``weights`` in this forward pass: the
-        frozen mask in hard mode, None ungated, and for a soft or
-        stochastic group ``step_gate`` (the step's ``gate``) or, when not
-        given, a ``gate`` computed here without a penalty."""
-        if self.mode == GATE_HARD:
-            return Tensor(self.frozen_mask, dtype=self.weights.dtype)
-        if step_gate is not None or self.mode == GATE_NONE:
-            return step_gate
-        return gate(self, beta, rng=rng, st_variant=st_variant)
 
     def gate_values(self, beta: float = 1.0) -> np.ndarray:
         """Current gate value per component, for sparsity reporting."""
@@ -315,7 +303,8 @@ def gate_penalty(group: MaskedParameterGroup, beta: float, lam: float) -> Tensor
     if lam < 0:
         raise ValueError("penalty strength must be non-negative")
     if lam == 0.0:
-        return Tensor(np.zeros((), dtype=group.weights.dtype))
+        dt = group.weights.dtype
+        return Tensor(np.zeros((), dtype=dt), dtype=dt)
     s, sig, k, gv = _soft(group, beta)
     out = np.asarray(gv.sum() * lam, dtype=gv.dtype)
 

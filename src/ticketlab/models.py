@@ -1,49 +1,34 @@
 """Desk-scale model builders: maskable MLPs and small conv nets.
 
-A model is a flat layer list plus one ``MaskedParameterGroup`` per
-weight-bearing layer. Biases are never masked. Initialization is
-Kaiming-uniform, drawn from the (seed, init) stream only for weights and
-biases - allocating mask logits consumes no randomness, so a gated model
-and its dense twin share bit-identical initial weights.
+A model is one list of weight layers: for each, a ``Layer`` spec, one
+``MaskedParameterGroup`` holding its weights, and a bias. Biases are never
+masked. Initialization is Kaiming-uniform, drawn from the (seed, init)
+stream only for weights and biases - allocating mask logits consumes no
+randomness, so a gated model and its dense twin share bit-identical
+initial weights.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import GATE_NONE, MaskedParameterGroup
+from .masking import GATE_HARD, GATE_NONE, MaskedParameterGroup, gate
 from .seeding import STREAM_INIT, seeded_rng
-from .tensor import ShapeError, Tensor, conv2d, linear, max_pool2d, reshape
+from .tensor import (ShapeError, Tensor, conv2d, default_dtype, linear,
+                     max_pool2d, reshape)
 
 
 @dataclass(frozen=True)
-class DenseLayer:
-    in_features: int
-    out_features: int
-    maskable: bool = True
-    relu: bool = False  # a ReLU on the output, fused into the layer node
+class Layer:
+    """How ``Model.forward`` runs one weight layer besides its weights,
+    gate and bias: a dense layer (``linear``) or a 3x3 conv with stride 1
+    and padding 1 (``conv2d``), with the ReLU fused into the layer node."""
 
-
-@dataclass(frozen=True)
-class ConvLayer:
-    in_channels: int
-    out_channels: int
-    kernel: int = 3
-    stride: int = 1
-    padding: int = 1
-    maskable: bool = True
-    relu: bool = False  # a ReLU on the output, fused into the layer node
-
-
-@dataclass(frozen=True)
-class MaxPool:
-    pass
-
-
-@dataclass(frozen=True)
-class Flatten:
-    pass
+    conv: bool = False
+    relu: bool = False
+    pool: bool = False  # a conv layer's trailing 2x2 max-pool
+    flatten: bool = False  # a dense layer flattens its input first
 
 
 @dataclass(frozen=True)
@@ -68,10 +53,16 @@ class ModelConfig:
 
 
 class Model:
-    """Layer list + parameter groups, with a tape-recording forward pass."""
+    """Weight layers as three equally long lists - ``Layer`` specs, their
+    parameter groups and their biases - with a tape-recording forward
+    pass."""
 
-    def __init__(self, layers: list, groups: list[MaskedParameterGroup],
+    def __init__(self, layers: list[Layer], groups: list[MaskedParameterGroup],
                  biases: list[Tensor]):
+        if not len(layers) == len(groups) == len(biases):
+            raise ValueError(f"a model needs one group and one bias per layer, "
+                             f"got {len(layers)} layers, {len(groups)} groups "
+                             f"and {len(biases)} biases")
         self.layers = layers
         self.groups = groups
         self.biases = biases
@@ -125,33 +116,31 @@ class Model:
 
     def forward(self, x: Tensor, beta: float = 1.0, rng=None,
                 st_variant: str = "identity", gates: dict | None = None) -> Tensor:
-        """Logits of a batch. ``gates`` maps gated groups' names to this
-        step's ``masking.gate``, so that the caller can add their
-        penalties; a gated group without one gets its gate here (a
-        stochastic one from ``rng``). Each weight-bearing layer is one tape
-        node with its gate, bias and ReLU fused in: ``linear`` for a dense
-        layer, ``conv2d`` for a conv layer."""
+        """Logits of a batch. Each weight layer is one tape node with its
+        gate, bias and ReLU fused in: ``linear`` for a dense layer,
+        ``conv2d`` for a conv layer, which a ``max_pool2d`` node may follow.
+
+        A layer's gate is ``gates[name]`` when the caller gave one (the
+        step's ``masking.gate``, so that the caller can add its penalty);
+        otherwise a hard group reads its frozen mask, and a soft or
+        stochastic group gets ``masking.gate`` here, without a penalty (a
+        stochastic one drawn from ``rng``). An ungated group has none."""
         gates = gates or {}
         h = x
-        gi = 0
-        for layer in self.layers:
-            if isinstance(layer, (DenseLayer, ConvLayer)):
-                group = self.groups[gi]
-                m = group.weight_and_gate(beta, rng, st_variant,
-                                          gates.get(group.name))
-                w, b = group.weights, self.biases[gi]
-                if isinstance(layer, DenseLayer):
-                    h = linear(h, w, b, m, relu=layer.relu)
-                else:
-                    h = conv2d(h, w, layer.stride, layer.padding, b, m,
-                               relu=layer.relu)
-                gi += 1
-            elif isinstance(layer, MaxPool):
-                h = max_pool2d(h)
-            elif isinstance(layer, Flatten):
-                h = reshape(h, (h.shape[0], -1))
+        for layer, group, b in zip(self.layers, self.groups, self.biases):
+            w, m = group.weights, gates.get(group.name)
+            if m is None and group.mode == GATE_HARD:
+                m = Tensor(group.frozen_mask, dtype=w.dtype)
+            elif m is None and group.mode != GATE_NONE:
+                m = gate(group, beta, rng=rng, st_variant=st_variant)
+            if layer.conv:
+                h = conv2d(h, w, 1, 1, b, m, relu=layer.relu)
+                if layer.pool:
+                    h = max_pool2d(h)
             else:
-                raise ValueError(f"unknown layer {layer!r}")
+                if layer.flatten:
+                    h = reshape(h, (h.shape[0], -1))
+                h = linear(h, w, b, m, relu=layer.relu)
         return h
 
 
@@ -160,9 +149,35 @@ def _kaiming_uniform(rng, shape, fan_in, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
 
 
-def build_mlp(widths: list[int], maskable=None, seed: int = 0,
-              dtype=None) -> Model:
-    """Fully-connected ReLU network over the given widths.
+def _add_layer(parts: tuple, rng, name: str, shape: tuple, fan_in: int,
+               maskable: bool, layer: Layer) -> None:
+    """Append ``layer`` to ``parts`` (layers, groups, biases) with
+    Kaiming-uniform weights of ``shape`` drawn from ``rng`` and a zero
+    bias per output unit, in the thread's default precision."""
+    dt = default_dtype()
+    w = Tensor(_kaiming_uniform(rng, shape, fan_in, dt), requires_grad=True)
+    n_out = shape[0] if layer.conv else shape[1]
+    parts[0].append(layer)
+    parts[1].append(MaskedParameterGroup(name=name, weights=w,
+                                         maskable=maskable))
+    parts[2].append(Tensor(np.zeros(n_out, dtype=dt), requires_grad=True))
+
+
+def _add_dense(parts: tuple, rng, widths: list[int], maskable: list,
+               flatten: bool = False) -> None:
+    """Dense layers ``dense0, dense1, ...`` over ``widths``, a ReLU after
+    every one but the last; with ``flatten`` the first one flattens its
+    input."""
+    n = len(widths) - 1
+    for i in range(n):
+        _add_layer(parts, rng, f"dense{i}", (widths[i], widths[i + 1]),
+                   widths[i], bool(maskable[i]),
+                   Layer(relu=i < n - 1, flatten=flatten and i == 0))
+
+
+def build_mlp(widths: list[int], maskable=None, seed: int = 0) -> Model:
+    """Fully-connected ReLU network over the given widths, in the thread's
+    default precision.
 
     ``maskable`` is one flag per dense layer (default: all maskable).
     Masks are not allocated here; callers pick a gate mode afterwards.
@@ -174,23 +189,9 @@ def build_mlp(widths: list[int], maskable=None, seed: int = 0,
         maskable = [True] * nlayers
     if len(maskable) != nlayers:
         raise ValueError(f"expected {nlayers} maskable flags, got {len(maskable)}")
-    rng = seeded_rng(seed, STREAM_INIT)
-    from .tensor import default_dtype
-    dt = dtype or default_dtype()
-    layers: list = []
-    groups: list[MaskedParameterGroup] = []
-    biases: list[Tensor] = []
-    for i in range(nlayers):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        w = Tensor(_kaiming_uniform(rng, (fan_in, fan_out), fan_in, dt),
-                   requires_grad=True)
-        b = Tensor(np.zeros(fan_out, dtype=dt), requires_grad=True)
-        groups.append(MaskedParameterGroup(name=f"dense{i}", weights=w,
-                                           maskable=bool(maskable[i])))
-        biases.append(b)
-        layers.append(DenseLayer(fan_in, fan_out, bool(maskable[i]),
-                                 relu=i < nlayers - 1))
-    return Model(layers, groups, biases)
+    parts = ([], [], [])
+    _add_dense(parts, seeded_rng(seed, STREAM_INIT), widths, maskable)
+    return Model(*parts)
 
 
 _CONV_PRESETS = {
@@ -200,12 +201,16 @@ _CONV_PRESETS = {
     "conv2": ((8, 2),),
 }
 
+_HEAD_HIDDEN = 32  # width of the dense head's one hidden layer
+
 
 def build_small_conv(preset: str, seed: int = 0, in_shape=(1, 16, 16),
-                     num_classes: int = 2, head_widths=(32,),
-                     head_maskable: bool = False, dtype=None) -> Model:
-    """Conv blocks (3x3, padding 1) + 2x2 max-pool per block, then a dense
-    head. Conv layers are maskable by default; the head is configurable.
+                     num_classes: int = 2,
+                     head_maskable: bool = False) -> Model:
+    """Conv blocks (3x3, padding 1, ReLU; the last conv of each block
+    followed by a 2x2 max-pool), then a dense head of one hidden layer
+    whose first layer flattens the pooled maps, in the thread's default
+    precision. Conv layers are maskable; the head is configurable.
 
     The input resolution must be divisible by 2**(number of blocks).
     """
@@ -217,39 +222,15 @@ def build_small_conv(preset: str, seed: int = 0, in_shape=(1, 16, 16),
     if h % factor or w % factor:
         raise ValueError(f"input {h}x{w} not divisible by pooling chain {factor}")
     rng = seeded_rng(seed, STREAM_INIT)
-    from .tensor import default_dtype
-    dt = dtype or default_dtype()
-    layers: list = []
-    groups: list[MaskedParameterGroup] = []
-    biases: list[Tensor] = []
-    ci = 0
-
+    parts = ([], [], [])
     c_prev = cin
-    for bi_, (c_out, reps) in enumerate(blocks):
+    for c_out, reps in blocks:
         for ri in range(reps):
-            kshape = (c_out, c_prev, 3, 3)
-            k = Tensor(_kaiming_uniform(rng, kshape, c_prev * 9, dt),
-                       requires_grad=True)
-            b = Tensor(np.zeros(c_out, dtype=dt), requires_grad=True)
-            groups.append(MaskedParameterGroup(name=f"conv{ci}", weights=k,
-                                               maskable=True))
-            biases.append(b)
-            layers.append(ConvLayer(c_prev, c_out, 3, 1, 1, True, relu=True))
+            _add_layer(parts, rng, f"conv{len(parts[0])}",
+                       (c_out, c_prev, 3, 3), c_prev * 9, True,
+                       Layer(conv=True, relu=True, pool=ri == reps - 1))
             c_prev = c_out
-            ci += 1
-        layers.append(MaxPool())
-    layers.append(Flatten())
-
     flat = c_prev * (h // factor) * (w // factor)
-    widths = [flat, *head_widths, num_classes]
-    for i in range(len(widths) - 1):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        wt = Tensor(_kaiming_uniform(rng, (fan_in, fan_out), fan_in, dt),
-                    requires_grad=True)
-        b = Tensor(np.zeros(fan_out, dtype=dt), requires_grad=True)
-        groups.append(MaskedParameterGroup(name=f"dense{i}", weights=wt,
-                                           maskable=head_maskable))
-        biases.append(b)
-        layers.append(DenseLayer(fan_in, fan_out, head_maskable,
-                                 relu=i < len(widths) - 2))
-    return Model(layers, groups, biases)
+    _add_dense(parts, rng, [flat, _HEAD_HIDDEN, num_classes],
+               [head_maskable] * 2, flatten=True)
+    return Model(*parts)

@@ -70,7 +70,6 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self.consumed = False
-        self.visit_log: list[int] = []
 
     def record(self, node: _Node) -> None:
         self.nodes.append(node)
@@ -78,7 +77,6 @@ class Tape:
     def reset(self) -> None:
         self.nodes.clear()
         self.consumed = False
-        self.visit_log = []
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -246,12 +244,10 @@ def backward(loss: Tensor) -> None:
     if not tp.nodes:
         raise GradientError("tape is empty; nothing was recorded")
     loss.grad = np.ones_like(loss.data)
-    for idx in range(len(tp.nodes) - 1, -1, -1):
-        node = tp.nodes[idx]
+    for node in reversed(tp.nodes):
         g = node.output.grad
         if g is None:
             continue  # not on the path from loss
-        tp.visit_log.append(idx)
         node.backward_fn(g)
     tp.consumed = True
 

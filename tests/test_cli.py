@@ -448,6 +448,36 @@ class TestSweepAndReport:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, over, message", [
+        ("sweep", {"dataset": {"n_train": 16}},
+         "batch size 32 at grid point {'s0': 0.0} exceeds the 16 training "
+         "examples"),
+        ("sweep", {"model": {"widths": [3, 8, 2]}},
+         "linear expects (n,i)@(i,o)+(o,), got (1, 2), (3, 8) and (8,)"),
+        ("sweep", {"model": {"widths": [2, 8, 5]}},
+         "the model's head has width 5, but the data has 2 classes"),
+        ("sweep", {"model": {"widths": [2, 8, 1]}},
+         "the model's head has width 1, but the data has 2 classes"),
+        ("cs", {"dataset": {"n_train": 16}},
+         "batch size 32 exceeds the 16 training examples"),
+        ("dense", {"model": {"widths": [2, 8, 5]}},
+         "the model's head has width 5, but the data has 2 classes"),
+    ], ids=["sweep-batch", "sweep-input-width", "sweep-head-too-wide",
+            "sweep-head-too-narrow", "cs-batch", "dense-head"])
+    def test_plan_that_cannot_run_fails_before_anything_is_written(
+            self, tmp_path, capsys, command, over, message):
+        base = json.loads(small_config(tmp_path).read_text())
+        cfgp = tmp_path / "bad.cfg"
+        cfgp.write_text(json.dumps(_deep_merge(base, over)))
+        out = tmp_path / "out"
+        flags = (["--seeds", "1", "--grid", "s0=0,0.05"]
+                 if command == "sweep" else [])
+        rc = main([command, "--config", str(cfgp), "--iters", "20",
+                   "--out", str(out)] + flags)
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dense_run_with_a_bad_round_config_fails_cleanly(self, tmp_path,
                                                             capsys):
         for bad, message in ((["--batch-size", "0"], "batch size must be"),

@@ -11,7 +11,7 @@ from ticketlab.masking import (GATE_HARD, GATE_MODES, GATE_SOFT,
                                TemperatureSchedule, gate, gate_penalty,
                                hard_mask, kept_fraction, remaining_fraction,
                                reset_mask, soft_gate)
-from ticketlab.models import Model
+from ticketlab.models import Layer, Model
 from ticketlab.optim import SGD
 from ticketlab.tensor import Tensor, backward, linear, reset_tape, tensor_sum
 from ticketlab.training import (TrainCursor, capture_train_state,
@@ -388,8 +388,7 @@ class TestGateState:
         assert (g.mask_logits is not None) == gated
         assert g.pruned_forever is None or gated
         if g.mode == GATE_HARD:
-            m = g.weight_and_gate()
-            assert np.array_equal(g.current_hard_mask(), m.data)
+            assert np.array_equal(g.current_hard_mask(), g.frozen_mask)
             assert np.array_equal(g.current_hard_mask(), expected_hard)
 
     @settings(derandomize=True, database=None, max_examples=200,
@@ -400,7 +399,7 @@ class TestGateState:
                                              requires_grad=True))
         bits = arrays(bool, shape)
         expected = None
-        model = Model([], [g], [])
+        model = Model([Layer()], [g], [Tensor(np.zeros(shape[-1:]))])
         train_state = (SGD([g.weights]), TrainCursor(),
                        np.random.default_rng(0))
         saved = capture_train_state(model, *train_state), expected

@@ -7,9 +7,10 @@ from ticketlab import tensor as T
 from ticketlab.data import (DataConfig, IdxFormatError, gen_sparse_teacher,
                             gen_two_moons, load_idx)
 from ticketlab.masking import GATE_SOFT
-from ticketlab.models import build_mlp, build_small_conv
+from ticketlab.models import Model, build_mlp, build_small_conv
 from ticketlab.optim import Adam
-from ticketlab.tensor import Tensor, backward, reset_tape, softmax_cross_entropy
+from ticketlab.tensor import (ShapeError, Tensor, backward, reset_tape,
+                              softmax_cross_entropy)
 
 
 @pytest.fixture(autouse=True)
@@ -55,13 +56,27 @@ class TestBuildMlp:
             assert np.array_equal(ka, kb)
 
 
+class TestModel:
+    def test_unequal_layer_lists_rejected(self):
+        m = build_mlp([2, 8, 8, 2], seed=0)
+        for parts in ((m.layers[:2], m.groups, m.biases),
+                      (m.layers, m.groups[:2], m.biases),
+                      (m.layers, m.groups, m.biases[:2])):
+            with pytest.raises(ValueError, match="one group and one bias"):
+                Model(*parts)
+
+    def test_mlp_rejects_image_input(self):
+        m = build_mlp([2, 8, 2], seed=0)
+        with pytest.raises(ShapeError):
+            m.forward(Tensor(np.zeros((2, 1, 1, 2))))
+
+
 class TestBuildSmallConv:
     def test_conv6_scaled_head_geometry(self):
         m = build_small_conv("conv6-scaled", seed=0, in_shape=(1, 16, 16),
                              num_classes=10)
-        dense_in = next(l for l in m.layers
-                        if l.__class__.__name__ == "DenseLayer")
-        assert dense_in.in_features == 32 * 2 * 2  # three pools: 16 -> 2
+        dense_in = next(g for g in m.groups if g.name == "dense0")
+        assert dense_in.weights.shape[0] == 32 * 2 * 2  # three pools: 16 -> 2
 
     def test_conv2_zero_input_yields_bias_logits(self):
         m = build_small_conv("conv2", seed=3, in_shape=(1, 8, 8), num_classes=4)

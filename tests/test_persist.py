@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from ticketlab.data import DataConfig
 from ticketlab.harness import _precision, retrain_ticket
-from ticketlab.masking import GATE_HARD, GATE_SOFT
+from ticketlab.masking import (GATE_HARD, GATE_SOFT, TemperatureSchedule,
+                               gate, gate_penalty)
 from ticketlab.models import ModelConfig
 from ticketlab.optim import CompositeOptimizer, OptimizerConfig
 from ticketlab.persist import (RECORD_HEADER, CheckpointIntegrityError,
@@ -20,7 +22,8 @@ from ticketlab.persist import (RECORD_HEADER, CheckpointIntegrityError,
                                save_mask_artifact, write_records)
 from ticketlab.search import RewindStore, RoundConfig, run_cs
 from ticketlab.seeding import STREAM_MASK, STREAM_SHUFFLE, seeded_rng
-from ticketlab.tensor import reset_tape
+from ticketlab.tensor import (Tensor, backward, reset_tape,
+                              softmax_cross_entropy)
 from ticketlab.training import (TrainCursor, capture_train_state,
                                 restore_train_state, train)
 
@@ -254,6 +257,66 @@ class TestResumeEquivalence:
                                   cfg, 40, 5)
         assert row_disk.accuracy == row_mem.accuracy
         assert row_disk.remaining_frac == row_mem.remaining_frac
+
+
+class TestFloat32ModelUnderFloat64Default:
+    """A model built in float32 keeps its gate state in float32 when it is
+    gated, stepped and restored while the thread's default is float64."""
+
+    @staticmethod
+    def _pieces():
+        with _precision("float32"):
+            model = MC.build(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast of uninitialized memory
+            model.set_gate_mode(GATE_SOFT, 0.05)
+        opt = CompositeOptimizer([
+            OptimizerConfig().build(model.weight_tensors()),
+            OptimizerConfig().build(model.mask_tensors())])
+        return model, opt, TemperatureSchedule(200.0, 40)
+
+    def test_logits_their_gradient_and_a_zero_penalty_are_float32(self):
+        model, _, _ = self._pieces()
+        train_ds, _ = DataConfig(n_train=64, n_test=64, seed=7).build()
+        gated = model.maskable_groups()
+        gates = {g.name: gate(g, 1.0, 1e-4) for g in gated}
+        logits = model.forward(Tensor(train_ds.inputs[:32]), gates=gates)
+        backward(softmax_cross_entropy(logits, train_ds.labels[:32]))
+        for g in gated:
+            assert g.mask_logits.data.dtype == np.float32
+            assert g.mask_logits.grad.dtype == np.float32
+            assert gate_penalty(g, 1.0, 0.0).data.dtype == np.float32
+
+    def test_resume_matches_uninterrupted(self, tmp_path):
+        train_ds, _ = DataConfig(n_train=64, n_test=64, seed=7).build()
+
+        def run(model, opt, sched, cur, rng, iters, start=0):
+            train(model, train_ds, opt, iters, batch_size=32, shuffle_rng=rng,
+                  schedule=sched, lam=1e-4, cursor=cur, start_iteration=start)
+
+        model, opt, sched = self._pieces()
+        run(model, opt, sched, TrainCursor(), seeded_rng(3, STREAM_SHUFFLE), 40)
+        straight = {k: v.copy() for k, v in model.weight_arrays().items()}
+        straight_s = {g.name: g.mask_logits.data.copy()
+                      for g in model.maskable_groups()}
+
+        model, opt, sched = self._pieces()
+        cur, rng = TrainCursor(), seeded_rng(3, STREAM_SHUFFLE)
+        run(model, opt, sched, cur, rng, 25)
+        save_checkpoint(tmp_path / "resume.ckpt",
+                        *capture_train_state(model, opt, cur, rng,
+                                             schedule=sched))
+
+        model2, opt2, sched2 = self._pieces()
+        cur2, rng2 = TrainCursor(), seeded_rng(999, STREAM_SHUFFLE)
+        restore_train_state(*load_checkpoint(tmp_path / "resume.ckpt"), model2,
+                            opt2, cur2, rng2, schedule=sched2)
+        run(model2, opt2, sched2, cur2, rng2, 15, start=25)
+        for k, v in model2.weight_arrays().items():
+            assert v.dtype == np.float32 and np.array_equal(v, straight[k]), k
+        for g in model2.maskable_groups():
+            assert g.mask_logits.data.dtype == np.float32
+            assert np.array_equal(g.mask_logits.data, straight_s[g.name])
 
 
 class TestMaskArtifact:

@@ -336,7 +336,9 @@ class TestTapeShape:
             assert sigmoids == 2 * 3 + 3, st_variant
 
     @staticmethod
-    def _conv6_ops(monkeypatch, run, cfg):
+    def _step_ops(monkeypatch, run, cfg, kind="conv6-scaled"):
+        """The op of each node that each step records, for a search on the
+        (2,64,64,2) MLP or on a conv preset over 8x8 images."""
         from ticketlab.data import Dataset
         from ticketlab.models import build_small_conv
         ops = []
@@ -347,9 +349,12 @@ class TestTapeShape:
             return backward(loss)
 
         monkeypatch.setattr(TR, "backward", recording_backward)
-        rng = np.random.default_rng(0)
-        data = Dataset(rng.random((32, 1, 8, 8)), rng.integers(0, 2, 32))
-        model = build_small_conv("conv6-scaled", seed=1, in_shape=(1, 8, 8))
+        if kind == "mlp":
+            model, data = mlp(widths=(2, 64, 64, 2)), gen_two_moons(64, 0.1, 3)
+        else:
+            rng = np.random.default_rng(0)
+            data = Dataset(rng.random((32, 1, 8, 8)), rng.integers(0, 2, 32))
+            model = build_small_conv(kind, seed=1, in_shape=(1, 8, 8))
         run(model, data, cfg, seed=1)
         return ops
 
@@ -357,8 +362,22 @@ class TestTapeShape:
     CONV6_OPS = (["conv_layer"] * 2 + ["max_pool2d"]) * 3 + [
         "reshape", "linear", "linear", "softmax_cross_entropy"]
 
+    @pytest.mark.parametrize("kind, algorithm, expected", [
+        ("mlp", "cs", ["linear"] * 3 + ["softmax_cross_entropy"]),
+        ("mlp", "imp", ["linear"] * 3 + ["softmax_cross_entropy"]),
+        ("conv2", "cs", ["conv_layer", "conv_layer", "max_pool2d", "reshape",
+                         "linear", "linear", "softmax_cross_entropy"]),
+    ], ids=["mlp-soft", "mlp-hard", "conv2-soft"])
+    def test_step_records_one_node_per_layer(self, monkeypatch, kind,
+                                             algorithm, expected):
+        run = {"cs": run_cs, "imp": run_imp}[algorithm]
+        cfg = quick_cfg(rounds=1, iters_per_round=2, rewind_iter=0,
+                        batch_size=16, prune_rate=0.2)
+        ops = self._step_ops(monkeypatch, run, cfg, kind)
+        assert ops == [expected] * 2
+
     def test_conv6_cs_step_records_13_nodes_one_per_layer(self, monkeypatch):
-        ops = self._conv6_ops(monkeypatch, run_cs, quick_cfg(
+        ops = self._step_ops(monkeypatch, run_cs, quick_cfg(
             rounds=1, iters_per_round=2, rewind_iter=0, batch_size=16))
         assert len(ops) == 2
         for step in ops:
@@ -367,7 +386,7 @@ class TestTapeShape:
             assert step == self.CONV6_OPS
 
     def test_conv6_iss_step_records_13_nodes_one_per_layer(self, monkeypatch):
-        ops = self._conv6_ops(monkeypatch, run_iss, quick_cfg(
+        ops = self._step_ops(monkeypatch, run_iss, quick_cfg(
             rounds=1, iters_per_round=2, rewind_iter=0, batch_size=16,
             lam=1e-3, mask_init=1.0))
         assert len(ops) == 2
@@ -486,8 +505,7 @@ class TestRunISS:
                 continue
             for _ in range(3):
                 reset_tape()
-                m = g.weight_and_gate(rng=rng)
-                out = g.weights if m is None else mul(g.weights, m)
+                out = mul(g.weights, M.gate(g, 1.0, rng=rng))
                 assert np.all(out.data[g.pruned_forever] == 0.0)
 
     def test_weights_rewound_between_rounds(self, moons, monkeypatch):
@@ -651,7 +669,7 @@ class TestFreezeAndFinetune:
             finetune_iters=20, finetune_lr=0.001, seed=1)
         for g in model.maskable_groups():
             reset_tape()
-            eff = mul(g.weights, g.weight_and_gate())
+            eff = mul(g.weights, Tensor(g.frozen_mask))
             assert np.all(eff.data[masks[g.name] == 0.0] == 0.0)
 
     def test_double_freeze_rejected(self, moons):
