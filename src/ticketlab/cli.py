@@ -150,12 +150,12 @@ def _cmd_run(args) -> int:
     sweep whose baseline and run records share one ``records.csv``."""
     cfg = _load_config(args)
     plan = replace(_plan(cfg), seeds=(cfg.seed,), grid={}, max_workers=1)
-    plan.validate()  # before anything is written
+    data = plan.validate()  # before anything is written
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if cfg.algorithm == "dense":
-        _, _, records = run_point(plan, None, cfg.seed, *cfg.dataset.build())
+        _, _, records = run_point(plan, None, cfg.seed, *data)
         _persist_run(out, cfg, [], records)
         final = next(r for r in records if r.split == "final_test")
         print(f"dense baseline: test accuracy {final.accuracy:.4f} "

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import DataConfig
 from .masking import kept_fraction
-from .models import Model, ModelConfig
+from .models import Model, ModelConfig, stack_models
 from .optim import CompositeOptimizer
 from .persist import RunRecord
 from .search import (PRUNE_SCOPES, SUPERMASK_VARIANTS, RewindStore,
@@ -31,7 +31,6 @@ from .training import RunInfo, TrainCursor, evaluate, lr_milestones_callback, tr
 
 # Record splits that carry a ticket's evaluated accuracy.
 EVAL_SPLITS = ("retrain_test", "finetune_test", "mask_test")
-
 GRID_ALIASES = {"s0": "mask_init", "lambda": "lam", "tau": "prune_rate",
                 "beta": "beta_final"}
 
@@ -106,8 +105,9 @@ class ExperimentPlan:
     supermask_variant: str = "soft"
     precision: str = "float64"
 
-    def validate(self) -> None:
-        """Reject a bad plan before any run; a "dense" plan has no grid."""
+    def validate(self) -> tuple:
+        """Reject a bad plan before any run; a "dense" plan has no grid.
+        Returns the ``(train, test)`` data it built, for the runs to use."""
         if self.algorithm == "dense":
             if self.grid:
                 raise ValueError("a dense baseline has no sweep grid")
@@ -171,6 +171,7 @@ class ExperimentPlan:
                 at = f" at grid point {point}" if point else ""
                 raise ValueError(f"batch size {batch_size}{at} exceeds the "
                                  f"{len(train_data)} training examples")
+        return train_data, test_data
 
 
 @contextmanager
@@ -211,10 +212,11 @@ def _masked_model(model_cfg: ModelConfig, seed: int, masks: dict,
 
 
 def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
-                    budget_iters: int, info: RunInfo, recorder=None) -> float:
+                    budget_iters: int, info: RunInfo, recorder=None):
     """Train the model's weights with a fresh optimizer on the seed's
     shuffle stream for ``budget_iters`` iterations, then return its test
-    accuracy. Per-epoch records go to ``recorder`` when one is given."""
+    accuracy, one per ticket for a stacked model. Per-epoch records go to
+    ``recorder`` when one is given (a single model only)."""
     opt = CompositeOptimizer([cfg.weight_opt.build(
         [t for t in model.weight_tensors() if t.requires_grad])])
     cbs = ([lr_milestones_callback(opt, cfg.lr_milestones, cfg.lr_decay)]
@@ -290,6 +292,30 @@ def _eval_row(split: str, masks: dict, acc: float, iters: int,
     return _record_row(rec)
 
 
+def train_tickets(model_cfg: ModelConfig, tickets: list[tuple],
+                  train_data, test_data, cfg: RoundConfig, budget_iters: int,
+                  split: str, recorder=None) -> list[EvalRow]:
+    """Train masked tickets, each ``(masks, start weights, RunInfo)`` of
+    one seed, for ``budget_iters`` iterations with one fresh optimizer on
+    the seed's shuffle stream, and return their evaluation rows under
+    ``split``, in order, each also sent to ``recorder``.
+
+    K > 1 tickets train as one model (``stack_models``): each step is one
+    forward pass, one backward pass and one update for all of them, and
+    every ticket's slice is bitwise what training it alone gives. A
+    non-finite loss or gradient in any ticket stops them all at that
+    step; the ``NonFiniteError`` names the first ticket's run."""
+    models = [_masked_model(model_cfg, info.seed, masks, arrays)
+              for masks, arrays, info in tickets]
+    model = models[0] if len(models) == 1 else stack_models(models)
+    accs = _train_and_test(model, train_data, test_data, cfg, budget_iters,
+                           tickets[0][2])
+    if len(models) == 1:
+        accs = [accs]
+    return [_eval_row(split, masks, acc, budget_iters, info, recorder)
+            for (masks, _, info), acc in zip(tickets, accs)]
+
+
 def retrain_ticket(model_cfg: ModelConfig, masks: dict, rewind: RewindStore,
                    train_data, test_data, cfg: RoundConfig,
                    budget_iters: int, seed: int, *, run_id: str = "ticket",
@@ -299,9 +325,29 @@ def retrain_ticket(model_cfg: ModelConfig, masks: dict, rewind: RewindStore,
     optimizer and the dense budget; returns its evaluation row."""
     info = RunInfo(run_id=run_id, algorithm=algorithm, seed=seed,
                    round=round_idx)
-    acc = _train_and_test(_masked_model(model_cfg, seed, masks, rewind.arrays),
-                          train_data, test_data, cfg, budget_iters, info)
-    return _eval_row("retrain_test", masks, acc, budget_iters, info, recorder)
+    [row] = train_tickets(model_cfg, [(masks, rewind.arrays, info)],
+                          train_data, test_data, cfg, budget_iters,
+                          "retrain_test", recorder)
+    return row
+
+
+def _finetune_start(ticket: TicketResult, round_idx: int, seed: int,
+                    run_id: str) -> tuple:
+    """``(masks, start weights, RunInfo)`` of a ticket's round, fine-tuned
+    from its final trained weights."""
+    if ticket.final_weights is None:
+        raise ValueError("ticket carries no final weights to fine-tune from")
+    masks = (ticket.round_masks[round_idx - 1]
+             if ticket.round_masks and round_idx <= len(ticket.round_masks)
+             else ticket.masks)
+    return masks, ticket.final_weights, RunInfo(
+        run_id=run_id, algorithm=ticket.algorithm, seed=seed, round=round_idx)
+
+
+def _finetune_cfg(cfg: RoundConfig, finetune_lr: float) -> RoundConfig:
+    """The round config of fine-tuning: ``finetune_lr``, no milestones."""
+    return replace(cfg, weight_opt=replace(cfg.weight_opt, lr=finetune_lr),
+                   lr_milestones=())
 
 
 def finetune_ticket(model_cfg: ModelConfig, ticket: TicketResult,
@@ -311,21 +357,13 @@ def finetune_ticket(model_cfg: ModelConfig, ticket: TicketResult,
                     recorder=None) -> EvalRow:
     """Fine-tune from the final trained weights under the frozen mask, at
     ``finetune_lr`` and without learning-rate milestones."""
-    if ticket.final_weights is None:
-        raise ValueError("ticket carries no final weights to fine-tune from")
     round_idx = ticket.round if round_idx is None else round_idx
-    masks = (ticket.round_masks[round_idx - 1]
-             if ticket.round_masks and round_idx <= len(ticket.round_masks)
-             else ticket.masks)
-    info = RunInfo(run_id=run_id, algorithm=ticket.algorithm, seed=seed,
-                   round=round_idx)
-    tuned = replace(cfg, weight_opt=replace(cfg.weight_opt, lr=finetune_lr),
-                    lr_milestones=())
-    acc = _train_and_test(
-        _masked_model(model_cfg, seed, masks, ticket.final_weights),
-        train_data, test_data, tuned, budget_iters, info)
-    return _eval_row("finetune_test", masks, acc, budget_iters, info,
-                     recorder)
+    [row] = train_tickets(model_cfg,
+                          [_finetune_start(ticket, round_idx, seed, run_id)],
+                          train_data, test_data,
+                          _finetune_cfg(cfg, finetune_lr), budget_iters,
+                          "finetune_test", recorder)
+    return row
 
 
 def masked_accuracy(model_cfg: ModelConfig, arrays: dict, masks: dict,
@@ -448,7 +486,11 @@ def run_point(plan: ExperimentPlan, point: dict | None, seed: int,
     At a grid ``point``: the search at that point and seed, then ticket
     evaluation per the plan. Returns the tickets, the report rows of the
     records (``report_rows``, with the grid point and, for a final
-    evaluation, per-layer sparsity attached) and the raw records.
+    evaluation, per-layer sparsity attached) and the raw records. The
+    evaluated tickets of a retrain-from-k or fine-tune evaluation train
+    together (``train_tickets``), in one stacked pass when there are
+    several; a search that froze its weights has its masks scored at
+    them (``masked_accuracy``).
 
     With ``point`` None: the seed's dense baseline, run ``dense-seed<N>``,
     trained with the plan's round config for ``eval_budget_iters``
@@ -475,23 +517,26 @@ def run_point(plan: ExperimentPlan, point: dict | None, seed: int,
         evaluated = {"none": [],
                      "final": [(result.round, result.masks, result)],
                      "rounds": ticket_rounds(tickets)}[plan.evaluate]
-        for round_idx, masks, ticket in evaluated:
-            if frozen:
+        if frozen:
+            for round_idx, masks, ticket in evaluated:
                 acc = masked_accuracy(plan.model_cfg, ticket.rewind.arrays,
                                       masks, test_data, seed)
                 _eval_row("mask_test", masks, acc, ticket.total_iterations,
                           RunInfo(run_id, ticket.algorithm, seed, round_idx),
                           rec)
-            elif plan.eval_mode == "fine-tune":
-                finetune_ticket(plan.model_cfg, ticket, train_data, test_data,
-                                cfg, budget, seed,
-                                finetune_lr=plan.finetune_lr, run_id=run_id,
-                                round_idx=round_idx, recorder=rec)
+        elif evaluated:
+            if plan.eval_mode == "fine-tune":
+                starts = [_finetune_start(ticket, round_idx, seed, run_id)
+                          for round_idx, _, ticket in evaluated]
+                train_cfg, split = (_finetune_cfg(cfg, plan.finetune_lr),
+                                    "finetune_test")
             else:
-                retrain_ticket(plan.model_cfg, masks, ticket.rewind,
-                               train_data, test_data, cfg, budget, seed,
-                               run_id=run_id, algorithm=ticket.algorithm,
-                               round_idx=round_idx, recorder=rec)
+                starts = [(masks, ticket.rewind.arrays,
+                           RunInfo(run_id, ticket.algorithm, seed, round_idx))
+                          for round_idx, masks, ticket in evaluated]
+                train_cfg, split = cfg, "retrain_test"
+            train_tickets(plan.model_cfg, starts, train_data, test_data,
+                          train_cfg, budget, split, rec)
         rows, _ = report_rows(records, result.iters_per_epoch)
         for row in rows:
             row.grid = dict(point)
@@ -555,11 +600,10 @@ def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
 
     When the mask init is swept, the report includes the Spearman rank
     correlation between its value and the median remaining fraction."""
-    plan.validate()
+    train_data, test_data = plan.validate()
     if plan.algorithm not in SEARCHES:
         raise ValueError(f"a sweep runs a search, not {plan.algorithm!r}")
     points = _expand_grid(plan.grid) if plan.grid else [{}]
-    train_data, test_data = plan.data_cfg.build()
 
     jobs = [(point, seed) for point in points for seed in plan.seeds]
     if plan.evaluate != "none":

@@ -124,7 +124,10 @@ class Model:
         step's ``masking.gate``, so that the caller can add its penalty);
         otherwise a hard group reads its frozen mask, and a soft or
         stochastic group gets ``masking.gate`` here, without a penalty (a
-        stochastic one drawn from ``rng``). An ungated group has none."""
+        stochastic one drawn from ``rng``). An ungated group has none.
+
+        A stacked model (``stack_models``) takes the same batch ``x`` and
+        gives each ticket's logits, (K, n, classes)."""
         gates = gates or {}
         h = x
         for layer, group, b in zip(self.layers, self.groups, self.biases):
@@ -138,10 +141,41 @@ class Model:
                 if layer.pool:
                     h = max_pool2d(h)
             else:
-                if layer.flatten:
-                    h = reshape(h, (h.shape[0], -1))
+                if layer.flatten:  # each ticket's (n, c, h, w) maps
+                    h = reshape(h, h.shape[:-3] + (-1,))
                 h = linear(h, w, b, m, relu=layer.relu)
         return h
+
+
+def stack_models(models: list[Model]) -> Model:
+    """One model whose weights, biases and frozen masks carry a leading
+    ticket axis K = len(models), slice k a copy of ``models[k]``'s. The
+    models must share their layers, and each group must be hard-masked or
+    ungated in all of them (ticket evaluation trains such models). Each
+    weight layer then runs as one node over the whole stack, and a slice
+    of its output is bitwise what that model alone gives."""
+    first = models[0]
+    if any(m.layers != first.layers for m in models):
+        raise ValueError("stacked models must share their layers")
+    groups = []
+    for gs in zip(*(m.groups for m in models)):
+        g0 = gs[0]
+        if any(g.mode != g0.mode for g in gs) or g0.mode not in (GATE_HARD,
+                                                                   GATE_NONE):
+            raise ValueError(f"group {g0.name!r} must be hard-masked or "
+                             f"ungated in every stacked model")
+        w = g0.weights
+        group = MaskedParameterGroup(
+            g0.name, Tensor(np.stack([g.weights.data for g in gs]),
+                            requires_grad=w.requires_grad, dtype=w.dtype),
+            maskable=g0.maskable)
+        if g0.mode == GATE_HARD:
+            group.freeze(np.stack([g.frozen_mask for g in gs]))
+        groups.append(group)
+    biases = [Tensor(np.stack([b.data for b in bs]),
+                     requires_grad=bs[0].requires_grad, dtype=bs[0].dtype)
+              for bs in zip(*(m.biases for m in models))]
+    return Model(list(first.layers), groups, biases)
 
 
 def _kaiming_uniform(rng, shape, fan_in, dtype):

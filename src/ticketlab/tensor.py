@@ -13,6 +13,14 @@ that, with its L1 penalty's gradient, into the logits' gradient. The
 gate ops of learned sparsity live in ``masking``. There is no general
 broadcasting; pointwise ops accept equal shapes or a scalar operand.
 
+The one leading axis the layer ops know is a ticket axis K: ``linear``
+and ``conv2d`` take weights, bias and gate stacked over K tickets, with
+one input per ticket or one input that all of them share; ``max_pool2d``
+and ``reshape`` carry the axis along, and ``softmax_cross_entropy`` gives
+one loss per ticket. Each slice of such an op is bitwise the op of that
+ticket alone, so K tickets that see the same batches train as one model.
+A 2-d ``linear`` layer still takes only a 2-d input.
+
 Every recorded operation is appended to a thread-local tape in forward
 order. ``backward`` walks the tape in exact reverse order, accumulating
 gradients into every tensor that requires them, and then marks the tape
@@ -375,16 +383,31 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
     (soft or stochastic), a constant hard mask, or None for an ungated
     layer; it gets a gradient only if it requires one. The ReLU's backward
     masks the output gradient with ``out > 0``, which holds exactly where
-    the pre-activation is positive."""
-    if (x.ndim != 2 or w.ndim != 2 or b.ndim != 1 or x.shape[1] != w.shape[0]
-            or w.shape[1] != b.shape[0]):
-        raise ShapeError(f"linear expects (n,i)@(i,o)+(o,), got {x.shape}, "
-                         f"{w.shape} and {b.shape}")
+    the pre-activation is positive.
+
+    A stack of K tickets' layers has weights (K, i, o), bias (K, o) and a
+    gate shaped like the weights, and gives (K, n, o): ticket k reads
+    ``x[k]`` of a (K, n, i) input, or the whole of an (n, i) input that
+    every ticket shares, whose gradient is then the tickets' gradients
+    added in ticket order. Each slice is bitwise what the layer of that
+    ticket alone gives; a 2-d layer takes only an (n, i) input."""
+    stacked = w.ndim == 3
+    if stacked:  # (K, i, o) weights; an (n, i) or (K, n, i) input
+        ok = (x.ndim == 2 or x.ndim == 3 and x.shape[0] == w.shape[0]) and (
+            b.shape == (w.shape[0], w.shape[2]))
+        want = "(n,i) or (K,n,i) @ (K,i,o) + (K,o) for K stacked tickets"
+    else:
+        ok = (x.ndim == 2 and w.ndim == 2 and b.ndim == 1
+              and w.shape[1] == b.shape[0])
+        want = "(n,i)@(i,o)+(o,)"
+    if not ok or x.shape[-1] != w.shape[-2]:
+        raise ShapeError(f"linear expects {want}, got {x.shape}, {w.shape} "
+                         f"and {b.shape}")
     if gate is not None and gate.shape != w.shape:
         raise ShapeError(f"linear gate {gate.shape} does not match weights {w.shape}")
     we = w.data if gate is None else w.data * gate.data
     out = x.data @ we
-    out += b.data
+    out += b.data[:, None] if stacked else b.data
     if relu:
         np.maximum(out, 0, out=out)
 
@@ -392,16 +415,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
         if relu:
             g = g * (out > 0)
         if x.requires_grad:
-            x.accumulate_grad(g @ we.T)
+            gx = g @ we.mT
+            if x.ndim < gx.ndim:  # an input the stack shares
+                for gk in gx:
+                    x.accumulate_grad(gk)
+            else:
+                x.accumulate_grad(gx)
         gated = gate is not None and gate.requires_grad
         if w.requires_grad or gated:
-            gwe = x.data.T @ g
+            gwe = x.data.mT @ g
             if w.requires_grad:
                 w.accumulate_grad(gwe if gate is None else gwe * gate.data)
             if gated:
                 gate.accumulate_grad(gwe * w.data)
         if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
+            b.accumulate_grad(g.sum(axis=-2))
 
     return apply_op("linear", (x, w, b) if gate is None else (x, w, b, gate),
                     out, backward_fn)
@@ -474,15 +502,31 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     of ``G`` that hold no output are zero and, for a finite kernel, add
     zero, so each input position sums the same products in the same offset
     order as a scatter-add through each offset's strided window would.
+
+    A stack of K tickets' layers has a (K, cout, cin, kh, kw) kernel, a
+    (K, cout) bias and a gate shaped like the kernel, and gives (K, n,
+    cout, oh, ow). Its input is (K, n, cin, h, w), one per ticket, or an
+    (n, cin, h, w) input every ticket shares, which is padded once and
+    whose gradient is the tickets' gradients added in ticket order. Each
+    ticket runs the steps above on its own slice and keeps its own column
+    blocks, so each slice is bitwise the layer of that ticket alone, and
+    a recorded stack keeps K times one layer's blocks.
     """
-    if x.ndim != 4 or kernel.ndim != 4:
-        raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {kernel.shape}")
-    n, cin, h, w = x.shape
-    cout, cin_k, kh, kw = kernel.shape
+    if kernel.ndim not in (4, 5) or x.ndim not in (4, kernel.ndim):
+        raise ShapeError(f"conv2d expects 4-d input and kernel, or a 4-d or "
+                         f"5-d input to a 5-d kernel stack, got {x.shape}, "
+                         f"{kernel.shape}")
+    lead = kernel.shape[:-4]  # (K,) for a stack of K tickets, () for one layer
+    if x.shape[:-4] not in ((), lead):
+        raise ShapeError(f"conv2d input {x.shape} is neither shared by nor "
+                         f"one per ticket of the kernel stack {kernel.shape}")
+    n, cin, h, w = x.shape[-4:]
+    cout, cin_k, kh, kw = kernel.shape[-4:]
     if cin != cin_k:
         raise ShapeError(f"conv2d channel mismatch: input {cin}, kernel {cin_k}")
-    if bias is not None and bias.shape != (cout,):
-        raise ShapeError(f"conv2d bias {bias.shape} does not match {cout} output channels")
+    if bias is not None and bias.shape != lead + (cout,):
+        raise ShapeError(f"conv2d bias {bias.shape} does not match the "
+                         f"{cout} output channels of kernel {kernel.shape}")
     if gate is not None and gate.shape != kernel.shape:
         raise ShapeError(f"conv2d gate {gate.shape} does not match kernel {kernel.shape}")
     stride = int(stride)
@@ -499,10 +543,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     m = n * oh * ow
     depth = cin * kh * kw
 
-    xp = np.zeros((cin, n, hp, wp), dtype=x.dtype)
-    xp[:, :, padding:padding + h, padding:padding + w] = x.data.transpose(1, 0, 2, 3)
+    # per ticket (one layer is one ticket): its gated kernel, its bias and
+    # its input, unless the one input is shared by all of them
     kd = kernel.data if gate is None else kernel.data * gate.data
-    k2 = kd.reshape(cout, depth)
+    kds = kd.reshape(-1, cout, cin, kh, kw)
+    nk = len(kds)
+    xs = x.data.reshape(-1, n, cin, h, w)
+    bs = None if bias is None else bias.data.reshape(nk, cout)
     gated = gate is not None and gate.requires_grad
 
     def at(i, j, samples=slice(None)):
@@ -510,60 +557,81 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         return (slice(None), samples, slice(i, i + stride * oh, stride),
                 slice(j, j + stride * ow, stride))
 
-    per_sample = (depth + cout) * oh * ow * xp.itemsize
+    per_sample = (depth + cout) * oh * ow * x.dtype.itemsize
     nb = max(1, min(n, _COLUMN_BLOCK_BYTES // per_sample))
     keep = (kernel.requires_grad or gated) and not _state()["no_grad"]
-    blocks = []
-    out = np.empty((n, cout, oh, ow), dtype=x.dtype)
-    for lo in range(0, n, nb):
-        hi = min(n, lo + nb)
-        cols = np.empty((cin, kh, kw, hi - lo, oh, ow), dtype=x.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, i, j] = xp[at(i, j, slice(lo, hi))]
-        cols = cols.reshape(depth, (hi - lo) * oh * ow)
-        prod = k2 @ cols
-        if bias is not None:
-            prod += bias.data[:, None]
-        out[lo:hi] = prod.reshape(cout, hi - lo, oh, ow).transpose(1, 0, 2, 3)
-        if keep:
-            blocks.append(cols)
-        del cols, prod  # before the next block is allocated
+    blocks = [[] for _ in range(nk)]
+    out = np.empty((nk, n, cout, oh, ow), dtype=x.dtype)
+    for t in range(nk):
+        if t < len(xs):  # a shared input is padded once
+            xp = np.zeros((cin, n, hp, wp), dtype=x.dtype)
+            xp[:, :, padding:padding + h, padding:padding + w] = (
+                xs[t].transpose(1, 0, 2, 3))
+        k2 = kds[t].reshape(cout, depth)
+        for lo in range(0, n, nb):
+            hi = min(n, lo + nb)
+            cols = np.empty((cin, kh, kw, hi - lo, oh, ow), dtype=x.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    cols[:, i, j] = xp[at(i, j, slice(lo, hi))]
+            cols = cols.reshape(depth, (hi - lo) * oh * ow)
+            prod = k2 @ cols
+            if bs is not None:
+                prod += bs[t][:, None]
+            out[t, lo:hi] = prod.reshape(cout, hi - lo, oh, ow).transpose(1, 0, 2, 3)
+            if keep:
+                blocks[t].append(cols)
+            del cols, prod  # before the next block is allocated
+    out = out.reshape(lead + out.shape[1:])
     if relu:
         np.maximum(out, 0, out=out)
 
     def backward_fn(g):
         if relu:
             g = g * (out > 0)
+        gs = g.reshape(nk, n, cout, oh, ow)
         if kernel.requires_grad or gated:
-            g2 = g.transpose(1, 0, 2, 3).reshape(cout, m)
             # cols @ g2.T rather than g2 @ cols.T: BLAS streams the long
             # column matrix faster untransposed
             width = nb * oh * ow
-            gk = np.zeros((depth, cout), dtype=g2.dtype)
-            for b, cols in enumerate(blocks):
-                gk += cols @ g2[:, b * width:b * width + cols.shape[1]].T
-            blocks.clear()
-            gk = gk.T.reshape(kd.shape)
+            gk = np.empty((nk, cout, cin, kh, kw), dtype=g.dtype)
+            for t in range(nk):
+                g2 = gs[t].transpose(1, 0, 2, 3).reshape(cout, m)
+                gkt = np.zeros((depth, cout), dtype=g2.dtype)
+                for b, cols in enumerate(blocks[t]):
+                    gkt += cols @ g2[:, b * width:b * width + cols.shape[1]].T
+                blocks[t].clear()
+                gk[t] = gkt.T.reshape(cout, cin, kh, kw)
+            gk = gk.reshape(kd.shape)
             if kernel.requires_grad:
                 kernel.accumulate_grad(gk if gate is None else gk * gate.data)
             if gated:
                 gate.accumulate_grad(gk * kernel.data)
         if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            bias.accumulate_grad(np.stack([gt.sum(axis=(0, 2, 3)) for gt in gs]
+                                          ).reshape(bias.shape))
         if x.requires_grad:
+            # one gradient per ticket; a shared input adds them in ticket order
+            gxs = np.empty(x.shape, dtype=g.dtype) if x.ndim == 5 else None
             flat = n * hp * wp
-            grid = np.zeros((cout, n, hp, wp), dtype=g.dtype)
-            grid[at(0, 0)] = g.transpose(1, 0, 2, 3)
-            grid = grid.reshape(cout, flat)
-            gx = np.zeros((cin, flat + (kh - 1) * wp + kw - 1), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    s = i * wp + j
-                    gx[:, s:s + flat] += kd[:, :, i, j].T @ grid
-            gx = gx[:, :flat].reshape(cin, n, hp, wp)
-            x.accumulate_grad(
-                gx[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
+            for t in range(nk):
+                grid = np.zeros((cout, n, hp, wp), dtype=g.dtype)
+                grid[at(0, 0)] = gs[t].transpose(1, 0, 2, 3)
+                grid = grid.reshape(cout, flat)
+                gx = np.zeros((cin, flat + (kh - 1) * wp + kw - 1), dtype=g.dtype)
+                for i in range(kh):
+                    for j in range(kw):
+                        s = i * wp + j
+                        gx[:, s:s + flat] += kds[t, :, :, i, j].T @ grid
+                gx = gx[:, :flat].reshape(cin, n, hp, wp)
+                gx = gx[:, :, padding:padding + h,
+                        padding:padding + w].transpose(1, 0, 2, 3)
+                if gxs is None:
+                    x.accumulate_grad(gx)
+                else:
+                    gxs[t] = gx
+            if gxs is not None:
+                x.accumulate_grad(gxs.view(_HandedOver))
 
     inputs = tuple(t for t in (x, kernel, bias, gate) if t is not None)
     return apply_op("conv_layer", inputs, out, backward_fn)
@@ -583,14 +651,18 @@ def max_pool2d(x: Tensor) -> Tensor:
     ``g`` that is bitwise ``0.0 + rest * hit``, the argmax routing summed
     into zeros, -0.0 turned into 0.0 included; an infinite ``g`` gives NaN
     at its maximum instead of inf.
+
+    A 5-d input is a stack of K tickets' (n, c, h, w) maps, pooled each as
+    its own.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool2d expects 4-d input, got {x.shape}")
-    n, c, h, w = x.shape
+    if x.ndim not in (4, 5):
+        raise ShapeError(f"max_pool2d expects a 4-d input or a 5-d stack, "
+                         f"got {x.shape}")
+    h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2d requires even spatial extents, got {h}x{w}")
     d = x.data
-    slots = [(slice(None), slice(None), slice(di, None, 2), slice(dj, None, 2))
+    slots = [(Ellipsis, slice(di, None, 2), slice(dj, None, 2))
              for di in (0, 1) for dj in (0, 1)]
     out = np.maximum(d[slots[1]], d[slots[0]])
     for at in slots[2:]:
@@ -611,25 +683,38 @@ def max_pool2d(x: Tensor) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[label], max-stabilized."""
+    """Mean over the batch of -log softmax(logits)[label], max-stabilized.
+
+    (K, n, c) logits, K stacked tickets' logits of one batch, give each
+    ticket's loss, shape (K,), bitwise what its (n, c) logits give; a
+    ticket's gradient is scaled by its own element of the output
+    gradient. Summing them (``tensor_sum``) seeds every ticket's backward
+    pass with exactly 1."""
     labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy expects (n,c) logits, got {logits.shape}")
-    n, c = logits.shape
+    if logits.ndim not in (2, 3):
+        raise ShapeError(f"softmax_cross_entropy expects (n,c) logits or a "
+                         f"(K,n,c) stack, got {logits.shape}")
+    n, c = logits.shape[-2:]
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise IndexError(f"label out of range [0, {c})")
-    logp = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
     rows = np.arange(n)
-    loss = np.asarray(-logp[rows, labels].mean(), dtype=logits.dtype)
+    # C-ordered, so that each ticket's row is summed as one ticket's is
+    picked = np.ascontiguousarray(logp[..., rows, labels])
+    loss = np.asarray(-picked.mean(axis=-1), dtype=logits.dtype)
 
     def backward_fn(g):
         if logits.requires_grad:
             p = np.exp(logp)
-            p[rows, labels] -= 1.0
-            p *= float(g) / n
+            p[..., rows, labels] -= 1.0
+            if logits.ndim == 2:
+                p *= float(g) / n
+            else:
+                for pk, gk in zip(p, g):
+                    pk *= float(gk) / n
             logits.accumulate_grad(p)
 
     return apply_op("softmax_cross_entropy", (logits,), loss, backward_fn)

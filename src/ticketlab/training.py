@@ -21,7 +21,8 @@ from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC, gate,
                       remaining_fraction)
 from .persist import RunRecord
 from .seeding import STREAM_EVAL
-from .tensor import NonFiniteError, Tensor, backward, reset_tape, softmax_cross_entropy
+from .tensor import (NonFiniteError, Tensor, backward, reset_tape,
+                     softmax_cross_entropy, tensor_sum)
 
 
 @dataclass
@@ -64,12 +65,16 @@ class RunInfo:
 
 def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
              st_variant: str = "identity", batch_size: int = 512,
-             gates: dict | None = None) -> tuple[float, float]:
+             gates: dict | None = None):
     """Mean loss and accuracy over a dataset, without recording on the
     tape. ``gates`` are soft groups' gates at ``beta``, as ``Model.forward``
-    takes them; every batch reads them instead of computing its own."""
+    takes them; every batch reads them instead of computing its own.
+
+    A stacked model (``models.stack_models``) gives two lists instead, each
+    ticket's loss and accuracy, each equal to what that ticket's own model
+    gives."""
     n = len(dataset)
-    loss_sum = 0.0
+    loss_sum = 0.0  # in float64, one per ticket of a stacked model
     correct = 0
     with T.no_grad():
         for lo in range(0, n, batch_size):
@@ -79,9 +84,12 @@ def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
             logits = model.forward(x, beta=beta, rng=rng, st_variant=st_variant,
                                    gates=gates)
             loss = softmax_cross_entropy(logits, y)
-            loss_sum += float(loss.data) * (hi - lo)
-            correct += int((logits.data.argmax(axis=1) == y).sum())
-    return loss_sum / n, correct / n
+            loss_sum = loss_sum + loss.data.astype(np.float64) * (hi - lo)
+            correct = correct + (logits.data.argmax(axis=-1) == y).sum(axis=-1)
+    loss, acc = loss_sum / n, correct / n
+    if logits.ndim == 3:
+        return loss.tolist(), acc.tolist()
+    return float(loss), float(acc)
 
 
 def epoch_iters(n: int, batch_size: int) -> int:
@@ -106,6 +114,11 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     every ``record_every`` epochs. ``optimizer.step()`` checks every
     gradient before it updates anything; its ``NonFiniteError`` becomes an
     ``abort`` record and a ``NonFiniteError`` naming the iteration and run.
+
+    A stacked model (``models.stack_models``) trains its tickets on the
+    same batches: the loss differentiated, and reported, is the sum of
+    theirs, so each ticket's backward pass is seeded with exactly 1.
+    Per-epoch records take a single model.
     """
     n = len(data)
     nb = epoch_iters(n, batch_size)
@@ -158,6 +171,8 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                  for g in gated}
         logits = model.forward(x, beta=beta, gates=gates)
         loss = softmax_cross_entropy(logits, y)
+        if loss.ndim:  # a stacked model's tickets: each seeded with 1
+            loss = tensor_sum(loss)
         loss_val = loss.data
         if lam > 0.0:
             for g in gated:

@@ -10,6 +10,7 @@ import pytest
 from ticketlab import harness
 from ticketlab.cli import _deep_merge, main, recompute_report
 from ticketlab.config import RunConfig
+from ticketlab.data import DataConfig
 from ticketlab.persist import load_checkpoint, load_mask_artifact, read_records
 from ticketlab.tensor import default_dtype, reset_tape, set_default_dtype
 
@@ -74,6 +75,26 @@ class TestRunSubcommands:
         assert rc == 0
         records = read_records(out / "records.csv")
         assert any(r.split == "final_test" for r in records)
+
+    @pytest.mark.parametrize("argv,builds", [
+        (["dense", "--seed", "2"], 1),
+        (["sweep", "--algorithm", "cs", "--grid", "s0=0.05", "--seeds", "1"], 2),
+    ])
+    def test_data_is_built_once_per_validation(self, tmp_path, monkeypatch,
+                                               argv, builds):
+        # the plan's validation builds the data, and the run uses that data
+        calls = []
+        build = DataConfig.build
+
+        def counted(self):
+            calls.append(self)
+            return build(self)
+
+        monkeypatch.setattr(DataConfig, "build", counted)
+        rc = main(argv + ["--config", str(small_config(tmp_path)),
+                          "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert len(calls) == builds
 
     def test_dense_precision_does_not_leak(self, tmp_path):
         cfgp = small_config(tmp_path)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ticketlab.data import DataConfig, gen_two_moons
+from ticketlab.data import DataConfig, Dataset, gen_two_moons
 import ticketlab.harness as H
 from ticketlab.harness import (SEARCHES, EvalRow, ExperimentPlan,
                                cost_accounting, dense_baseline,
@@ -19,7 +19,7 @@ from ticketlab.harness import (SEARCHES, EvalRow, ExperimentPlan,
                                report_rows, retrain_ticket, run_point,
                                select_best_performing,
                                select_sparsest_matching, sweep, ticket_rounds)
-from ticketlab.models import ModelConfig, build_mlp
+from ticketlab.models import ModelConfig, build_mlp, stack_models
 from ticketlab.optim import CompositeOptimizer, OptimizerConfig
 from ticketlab.persist import RunRecord
 from ticketlab.search import (RewindStore, RoundConfig, run_cs, run_imp,
@@ -825,3 +825,130 @@ class TestSupermaskHelpers:
         acc = masked_accuracy(MC, model.weight_arrays(copy=True), masks,
                               test_ds, 1)
         assert 0.0 <= acc <= 1.0
+
+
+def _digest(rows, records) -> str:
+    """SHA-256 over the reprs of report rows and records."""
+    h = hashlib.sha256()
+    for item in list(rows) + list(records):
+        h.update(repr(item).encode())
+    return h.hexdigest()
+
+
+def _one_ticket_at_a_time(plan, point, seed, train_ds, test_ds):
+    """``run_point``'s rows and records when each evaluated ticket is
+    trained alone, by ``retrain_ticket`` or ``finetune_ticket``."""
+    records = []
+    with H._precision(plan.precision):
+        c = H._apply_point(plan.round_cfg, point)
+        run_id = H._run_id(plan.algorithm, point, seed)
+        tickets = SEARCHES[plan.algorithm](
+            plan, plan.model_cfg.build(seed), train_ds, c, seed=seed,
+            run_id=run_id, recorder=records.append)
+        budget = eval_budget_iters(plan.eval_budget, c)
+        for round_idx, masks, ticket in ticket_rounds(tickets):
+            if plan.eval_mode == "fine-tune":
+                finetune_ticket(plan.model_cfg, ticket, train_ds, test_ds, c,
+                                budget, seed, finetune_lr=plan.finetune_lr,
+                                run_id=run_id, round_idx=round_idx,
+                                recorder=records.append)
+            else:
+                retrain_ticket(plan.model_cfg, masks, ticket.rewind, train_ds,
+                               test_ds, c, budget, seed, run_id=run_id,
+                               algorithm=ticket.algorithm,
+                               round_idx=round_idx, recorder=records.append)
+        rows, _ = report_rows(records, tickets[-1].iters_per_epoch)
+    for row in rows:
+        row.grid = dict(point)
+    return rows, records
+
+
+@pytest.fixture(scope="module")
+def image_pair():
+    rng = np.random.default_rng(0)
+    x = rng.random((48, 1, 16, 16)) * 0.2
+    y = rng.integers(0, 2, 48)
+    x[y == 1, :, :8] += 0.6
+    flip = rng.random(48) < 0.3  # noisy labels keep accuracies below 1
+    y = np.where(flip, 1 - y, y)
+    return Dataset(x[:32], y[:32]), Dataset(x[32:], y[32:])
+
+
+MLP_32 = ModelConfig(kind="mlp", widths=(2, 32, 32, 2))
+CONV6 = ModelConfig(kind="conv6-scaled", in_shape=(1, 16, 16), num_classes=2)
+
+# (model, algorithm, scope, evaluation mode, point, precision)
+STACKED_CASES = [
+    (MLP_32, "imp", "global", "retrain-from-k", {"tau": 0.3}, "float64"),
+    (MLP_32, "imp", "per-layer", "retrain-from-k", {"tau": 0.3}, "float64"),
+    (MLP_32, "imp", "global", "fine-tune", {"tau": 0.3}, "float64"),
+    (MLP_32, "imp", "per-layer", "fine-tune", {"tau": 0.3}, "float32"),
+    (MLP_32, "cs", "global", "retrain-from-k", {"s0": 0.05}, "float64"),
+    (MLP_32, "cs", "global", "fine-tune", {"s0": 0.05}, "float64"),
+    (MLP_32, "seqcs", "global", "retrain-from-k", {"tau": 0.3}, "float64"),
+    (MLP_32, "seqcs", "global", "fine-tune", {"tau": 0.3}, "float32"),
+    (CONV6, "imp", "global", "retrain-from-k", {"tau": 0.3}, "float64"),
+    (CONV6, "imp", "per-layer", "fine-tune", {"tau": 0.3}, "float32"),
+    (CONV6, "cs", "global", "retrain-from-k", {"s0": 0.05}, "float64"),
+    (CONV6, "seqcs", "global", "fine-tune", {"tau": 0.3}, "float64"),
+]
+
+
+class TestStackedTicketEvaluation:
+    """``run_point`` trains a run's evaluated tickets as one stack; every
+    record and row equals training each ticket alone."""
+
+    @staticmethod
+    def plan(model_cfg, algorithm, scope, mode, precision):
+        conv = model_cfg.kind != "mlp"
+        round_cfg = RoundConfig(
+            rounds=3, iters_per_round=6 if conv else 30, rewind_iter=2,
+            batch_size=16 if conv else 32, record_every=0, prune_rate=0.3,
+            mask_init=0.05, lr_milestones=(4,) if conv else (12, 24),
+            rewind_between_rounds=algorithm == "imp")
+        return ExperimentPlan(algorithm=algorithm, round_cfg=round_cfg,
+                              model_cfg=model_cfg, evaluate="rounds",
+                              eval_mode=mode, scope=scope,
+                              finetune_lr=0.01, precision=precision)
+
+    @pytest.mark.parametrize("model_cfg,algorithm,scope,mode,point,precision",
+                             STACKED_CASES)
+    def test_records_and_rows_equal_one_ticket_at_a_time(
+            self, model_cfg, algorithm, scope, mode, point, precision,
+            moons_pair, image_pair):
+        data = moons_pair if model_cfg.kind == "mlp" else image_pair
+        plan = self.plan(model_cfg, algorithm, scope, mode, precision)
+        tickets, rows, records = run_point(plan, point, 1, *data)
+        assert len(rows) == 3
+        want = _one_ticket_at_a_time(plan, point, 1, *data)
+        assert _digest(rows, records) == _digest(*want)
+
+    @pytest.mark.parametrize("model_cfg", [MLP_32, CONV6])
+    def test_each_slice_trains_to_its_tickets_own_weights(
+            self, model_cfg, moons_pair, image_pair):
+        data = moons_pair if model_cfg.kind == "mlp" else image_pair
+        plan = self.plan(model_cfg, "imp", "global", "retrain-from-k",
+                         "float64")
+        c = replace(plan.round_cfg, prune_rate=0.3)
+        tickets = run_imp(model_cfg.build(2), data[0], c, "global", seed=2)
+        info = RunInfo(seed=2)
+        models = [H._masked_model(model_cfg, 2, t.masks, t.rewind.arrays)
+                  for t in tickets]
+        stack = stack_models(models)
+        accs = H._train_and_test(stack, *data, c, 8, info)
+        for k, model in enumerate(models):
+            assert accs[k] == H._train_and_test(model, *data, c, 8, info)
+            for name, a in model.weight_arrays().items():
+                assert np.array_equal(stack.weight_arrays()[name][k], a)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_ticket_turns_its_run_into_an_error_row(self):
+        plan = replace(self.plan(MLP_32, "imp", "global", "fine-tune",
+                                 "float64"),
+                       finetune_lr=1e300, grid={"tau": [0.3]}, seeds=(1,),
+                       data_cfg=DataConfig(n_train=64, n_test=64, seed=7))
+        report = sweep(plan)
+        [row] = [r for r in report.rows if r.error is not None]
+        assert row.run_id == "imp-tau=0.3-seed1"
+        assert "non-finite" in row.error and row.run_id in row.error

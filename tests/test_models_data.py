@@ -7,7 +7,7 @@ from ticketlab import tensor as T
 from ticketlab.data import (DataConfig, IdxFormatError, gen_sparse_teacher,
                             gen_two_moons, load_idx)
 from ticketlab.masking import GATE_SOFT
-from ticketlab.models import Model, build_mlp, build_small_conv
+from ticketlab.models import Model, build_mlp, build_small_conv, stack_models
 from ticketlab.optim import Adam
 from ticketlab.tensor import (ShapeError, Tensor, backward, reset_tape,
                               softmax_cross_entropy)
@@ -69,6 +69,41 @@ class TestModel:
         m = build_mlp([2, 8, 2], seed=0)
         with pytest.raises(ShapeError):
             m.forward(Tensor(np.zeros((2, 1, 1, 2))))
+
+
+def _masked(model, seed):
+    """``model`` with a random binary mask frozen on each maskable group."""
+    rng = np.random.default_rng(seed)
+    model.apply_hard_masks({g.name: (rng.random(g.weights.shape) < 0.6)
+                            for g in model.maskable_groups()})
+    return model
+
+
+class TestStackModels:
+    @pytest.mark.parametrize("build,x", [
+        (lambda s: build_mlp([2, 8, 8, 2], seed=s), np.ones((5, 2))),
+        (lambda s: build_small_conv("conv2", seed=s, in_shape=(1, 8, 8)),
+         np.linspace(-1, 1, 5 * 64).reshape(5, 1, 8, 8)),
+    ])
+    def test_each_slice_is_its_models_forward(self, build, x):
+        models = [_masked(build(s), s) for s in (1, 2, 3)]
+        stack = stack_models(models)
+        assert all(g.weights.shape[0] == 3 for g in stack.groups)
+        with T.no_grad():
+            logits = stack.forward(Tensor(x))
+            for k, m in enumerate(models):
+                assert np.array_equal(logits.data[k], m.forward(Tensor(x)).data)
+        name = models[0].maskable_groups()[0].name
+        assert np.array_equal(stack.masks()[name][1], models[1].masks()[name])
+
+    def test_only_hard_masked_or_ungated_groups_stack(self):
+        soft = build_mlp([2, 4, 2], seed=0)
+        soft.set_gate_mode(GATE_SOFT)
+        with pytest.raises(ValueError, match="hard-masked or ungated"):
+            stack_models([soft, build_mlp([2, 4, 2], seed=1)])
+        with pytest.raises(ValueError, match="share their layers"):
+            stack_models([build_mlp([2, 4, 2], seed=0),
+                          build_small_conv("conv2", seed=0, in_shape=(1, 8, 8))])
 
 
 class TestBuildSmallConv:

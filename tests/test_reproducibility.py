@@ -97,3 +97,47 @@ def test_cs_mlp_search_is_bitwise_equal_across_runs_and_blas_threads():
     assert lines[0] == lines[1] and lines[2] == lines[3]
     assert lines[0].split()[1] != lines[2].split()[1]
     assert one == two
+
+
+# One SHA-256 over the report rows, the round masks and the records of an
+# IMP run on conv6-scaled whose three round tickets are retrained together
+# as one stack, in float64 and in float32.
+IMP_STACKED_RETRAIN = """
+import hashlib
+import numpy as np
+from ticketlab.data import Dataset
+from ticketlab.harness import ExperimentPlan, run_point
+from ticketlab.models import ModelConfig
+from ticketlab.search import RoundConfig
+
+rng = np.random.default_rng(0)
+x = rng.random((64, 1, 16, 16)) * 0.2
+y = rng.integers(0, 2, 64)
+x[y == 1] += 0.6
+y = np.where(rng.random(64) < 0.3, 1 - y, y)
+for precision in ("float64", "float32"):
+    plan = ExperimentPlan(
+        algorithm="imp", evaluate="rounds", precision=precision,
+        model_cfg=ModelConfig(kind="conv6-scaled", in_shape=(1, 16, 16)),
+        round_cfg=RoundConfig(rounds=3, iters_per_round=6, rewind_iter=2,
+                              prune_rate=0.3, batch_size=32, record_every=0,
+                              rewind_between_rounds=True))
+    tickets, rows, records = run_point(plan, {"tau": 0.3}, 1,
+                                       Dataset(x[:48], y[:48]),
+                                       Dataset(x[48:], y[48:]))
+    assert [r.split for r in records].count("retrain_test") == 3
+    h = hashlib.sha256()
+    for item in rows + records:
+        h.update(repr(item).encode())
+    for t in tickets:
+        for name in sorted(t.masks):
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(t.masks[name]).tobytes())
+    print(precision, h.hexdigest())
+"""
+
+
+def test_imp_stacked_retrain_is_bitwise_equal_across_blas_threads():
+    one, two = _hashes(1, IMP_STACKED_RETRAIN), _hashes(2, IMP_STACKED_RETRAIN)
+    assert one.split()[::2] == ["float64", "float32"]
+    assert one == two

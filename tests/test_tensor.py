@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -1032,3 +1033,143 @@ class TestPrecisionModes:
     def test_unknown_precision_rejected(self):
         with pytest.raises(ValueError):
             T.set_default_dtype("float16")
+
+
+def _op_and_grads(op, arrays, trainable, proj=None):
+    """Run ``op`` on tensors of ``arrays`` (gradients for the ``trainable``
+    positions) and backpropagate sum(out * P), P being ``proj`` or else a
+    fixed random array; returns the output, each trainable tensor's
+    gradient and P."""
+    ts = [Tensor(a, requires_grad=r, dtype=a.dtype)
+          for a, r in zip(arrays, trainable)]
+    reset_tape()
+    out = op(*ts)
+    if proj is None:
+        proj = np.random.default_rng(7).standard_normal(out.shape)
+        proj = proj.astype(out.dtype)
+    backward(tensor_sum(mul(out, Tensor(proj, dtype=out.dtype))))
+    reset_tape()
+    return out.data, [t.grad for t, r in zip(ts, trainable) if r], proj
+
+
+def _check_stack(op, arrays, stacked, trainable, k):
+    """``op`` on a stack of ``k`` tickets against one call per ticket: the
+    ``stacked`` positions of ``arrays`` carry the ticket axis, the others
+    are shared. Outputs and gradients must be bitwise equal, a shared
+    input's gradient being the tickets' gradients added in ticket order."""
+    out, grads, proj = _op_and_grads(op, arrays, trainable)
+    assert out.shape[0] == k
+    shared = [None] * len(grads)
+    for t in range(k):
+        part = [a[t] if s else a for a, s in zip(arrays, stacked)]
+        out_t, grads_t, _ = _op_and_grads(op, part, trainable, proj[t])
+        assert out_t.dtype == out.dtype
+        assert np.array_equal(out_t, out[t])
+        slots = [s for s, r in zip(stacked, trainable) if r]
+        for i, (s, g, g_t) in enumerate(zip(slots, grads, grads_t)):
+            if s:
+                assert g.dtype == g_t.dtype
+                assert np.array_equal(g[t], g_t)
+            else:
+                shared[i] = g_t.copy() if shared[i] is None else shared[i] + g_t
+    for g, total in zip(grads, shared):
+        if total is not None:
+            assert np.array_equal(g, total)
+
+
+STACK_CASES = list(itertools.product((1, 3), (False, True),
+                                     (np.float64, np.float32)))
+
+
+class TestTicketStack:
+    """A leading ticket axis K: every slice is bitwise the one-ticket op."""
+
+    @pytest.mark.parametrize("k,shared,dt", STACK_CASES)
+    def test_linear(self, k, shared, dt):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((16, 8) if shared else (k, 16, 8)).astype(dt)
+        w = rng.standard_normal((k, 8, 5)).astype(dt)
+        b = rng.standard_normal((k, 5)).astype(dt)
+        gt = rng.random((k, 8, 5)).astype(dt)
+        _check_stack(lambda x, w, b, g: linear(x, w, b, g, relu=True),
+                     [x, w, b, gt], [not shared, True, True, True],
+                     [True] * 4, k)
+
+    @pytest.mark.parametrize("k,shared,dt", STACK_CASES)
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_conv2d(self, k, shared, dt, stride, padding):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((3, 2, 7, 7) if shared
+                                else (k, 3, 2, 7, 7)).astype(dt)
+        kern = rng.standard_normal((k, 4, 2, 3, 3)).astype(dt)
+        b = rng.standard_normal((k, 4)).astype(dt)
+        gt = rng.random((k, 4, 2, 3, 3)).astype(dt)
+        _check_stack(lambda x, w, b, g: conv2d(x, w, stride, padding, b, g,
+                                               relu=True),
+                     [x, kern, b, gt], [not shared, True, True, True],
+                     [True] * 4, k)
+
+    @pytest.mark.parametrize("k,dt", [(1, np.float64), (3, np.float64),
+                                      (3, np.float32)])
+    def test_max_pool2d(self, k, dt):
+        x = np.random.default_rng(3).integers(-2, 3, (k, 2, 3, 4, 6)).astype(dt)
+        _check_stack(max_pool2d, [x], [True], [True], k)
+
+    @pytest.mark.parametrize("k,dt", [(1, np.float64), (3, np.float64),
+                                      (3, np.float32)])
+    def test_flatten_keeps_each_tickets_feature_order(self, k, dt):
+        x = np.random.default_rng(4).standard_normal((k, 2, 3, 2, 2)).astype(dt)
+        _check_stack(lambda h: T.reshape(h, h.shape[:-3] + (-1,)), [x],
+                     [True], [True], k)
+
+    @pytest.mark.parametrize("k,dt", [(1, np.float64), (3, np.float64),
+                                      (3, np.float32)])
+    @pytest.mark.parametrize("n", [1, 7, 32, 100, 256])
+    def test_softmax_cross_entropy_gives_each_tickets_loss(self, k, dt, n):
+        rng = np.random.default_rng(5)
+        logits = (3 * rng.standard_normal((k, n, 3))).astype(dt)
+        labels = rng.integers(0, 3, n)
+        reset_tape()
+        stack = Tensor(logits, requires_grad=True, dtype=dt)
+        losses = softmax_cross_entropy(stack, labels)
+        assert losses.shape == (k,) and losses.dtype == dt
+        backward(tensor_sum(losses))  # seeds every ticket with exactly 1
+        for t in range(k):
+            reset_tape()
+            one = Tensor(logits[t], requires_grad=True, dtype=dt)
+            loss = softmax_cross_entropy(one, labels)
+            backward(loss)
+            assert np.array_equal(losses.data[t], loss.data)
+            assert np.array_equal(stack.grad[t], one.grad)
+
+    def test_one_layer_keeps_the_2d_contract(self):
+        w, b = Tensor(np.ones((4, 3))), Tensor(np.zeros(3))
+        for x in (np.ones((2, 5, 4)), np.ones((2, 1, 2, 2))):
+            with pytest.raises(ShapeError, match="expects"):
+                linear(Tensor(x), w, b)
+        with pytest.raises(ShapeError):
+            conv2d(Tensor(np.ones((2, 1, 1, 4, 4))), Tensor(np.ones((2, 1, 3, 3))))
+
+    @pytest.mark.parametrize("part", ["x", "b", "gate"])
+    def test_linear_stack_disagreeing_on_k_names_the_shapes(self, part):
+        shapes = {"x": (3, 5, 4), "w": (3, 4, 2), "b": (3, 2), "gate": (3, 4, 2)}
+        shapes[part] = (2,) + shapes[part][1:]
+        x, w, b, g = (Tensor(np.ones(shapes[p])) for p in ("x", "w", "b", "gate"))
+        with pytest.raises(ShapeError, match=re.escape(str(shapes[part]))):
+            linear(x, w, b, g)
+
+    @pytest.mark.parametrize("part", ["x", "b", "gate"])
+    def test_conv2d_stack_disagreeing_on_k_names_the_shapes(self, part):
+        shapes = {"x": (3, 2, 1, 4, 4), "k": (3, 2, 1, 3, 3), "b": (3, 2),
+                  "gate": (3, 2, 1, 3, 3)}
+        shapes[part] = (2,) + shapes[part][1:]
+        x, kern, b, g = (Tensor(np.ones(shapes[p]))
+                         for p in ("x", "k", "b", "gate"))
+        with pytest.raises(ShapeError, match=re.escape(str(shapes[part]))):
+            conv2d(x, kern, 1, 1, b, g)
+
+    def test_softmax_and_pool_reject_other_ranks(self):
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy(Tensor(np.zeros((2, 2, 3, 2))), [0, 1, 0])
+        with pytest.raises(ShapeError):
+            max_pool2d(Tensor(np.zeros((2, 4, 4))))
