@@ -18,7 +18,7 @@ import numpy as np
 from .config import RunConfig, SweepConfig
 from .harness import (SEARCHES, EvalRow, ExperimentPlan, cost_accounting,
                       report_rows, run_point, select_best_performing,
-                      select_sparsest_matching, sweep, ticket_rounds)
+                      run_sweep, select_sparsest_matching, ticket_rounds)
 from .persist import (read_records, save_checkpoint, save_mask_artifact,
                       write_records)
 from .search import PRUNE_SCOPES, SUPERMASK_VARIANTS
@@ -169,7 +169,7 @@ def _cmd_run(args) -> int:
         tickets.extend(run_tickets)
         records.extend(run_records)
 
-    result = sweep(plan, on_run=collect)
+    result = run_sweep(plan, *data, on_run=collect)
     for r in result.rows:
         if r.error is not None:
             raise RuntimeError(r.error)
@@ -198,7 +198,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep requires a non-empty grid "
                          "(--grid name=lo:hi:count)")
     plan = _plan(cfg)
-    plan.validate()  # before anything is written
+    data = plan.validate()  # before anything is written
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg.save(out / "config.json")
@@ -215,7 +215,7 @@ def _cmd_sweep(args) -> int:
             rcfg.round = tickets[-1].config
         _persist_run(rdir, rcfg, tickets, records)
 
-    result = sweep(plan, on_run=persist)
+    result = run_sweep(plan, *data, on_run=persist)
     rows = result.rows
     report = _report_dict(rows, result.dense_by_seed, result.spearman_s0)
     with open(out / "report.json", "w", encoding="utf-8") as f:

@@ -25,8 +25,8 @@ from .search import (PRUNE_SCOPES, SUPERMASK_VARIANTS, RewindStore,
                      RoundConfig, TicketResult, run_cs, run_imp, run_iss,
                      run_sequential_cs, run_supermask)
 from .seeding import STREAM_SHUFFLE, seeded_rng
-from .tensor import (PRECISIONS, Tensor, default_dtype, no_grad,
-                     set_default_dtype)
+from .tensor import (_COLUMN_BLOCK_BYTES, PRECISIONS, Tensor, default_dtype,
+                     no_grad, set_default_dtype)
 from .training import RunInfo, TrainCursor, evaluate, lr_milestones_callback, train
 
 # Record splits that carry a ticket's evaluated accuracy.
@@ -215,8 +215,8 @@ def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
                     budget_iters: int, info: RunInfo, recorder=None):
     """Train the model's weights with a fresh optimizer on the seed's
     shuffle stream for ``budget_iters`` iterations, then return its test
-    accuracy, one per ticket for a stacked model. Per-epoch records go to
-    ``recorder`` when one is given (a single model only)."""
+    accuracy as a list, one per ticket of a stacked model. Per-epoch
+    records go to ``recorder`` when one is given (a single model only)."""
     opt = CompositeOptimizer([cfg.weight_opt.build(
         [t for t in model.weight_tensors() if t.requires_grad])])
     cbs = ([lr_milestones_callback(opt, cfg.lr_milestones, cfg.lr_decay)]
@@ -225,7 +225,7 @@ def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
           shuffle_rng=seeded_rng(info.seed, STREAM_SHUFFLE),
           cursor=TrainCursor(), before_step=cbs, recorder=recorder,
           run_info=info, test_data=test_data, record_every=cfg.record_every)
-    return evaluate(model, test_data)[1]
+    return np.atleast_1d(evaluate(model, test_data)[1]).tolist()
 
 
 def dense_baseline(model_cfg: ModelConfig, train_data, test_data,
@@ -236,8 +236,8 @@ def dense_baseline(model_cfg: ModelConfig, train_data, test_data,
     streams as ticket re-training so the comparison is like-for-like."""
     info = RunInfo(run_id=_run_id("dense", {}, seed), algorithm="dense",
                    seed=seed)
-    acc = _train_and_test(model_cfg.build(seed), train_data, test_data, cfg,
-                          budget_iters, info, recorder=recorder)
+    [acc] = _train_and_test(model_cfg.build(seed), train_data, test_data,
+                            cfg, budget_iters, info, recorder=recorder)
     if recorder is not None:
         recorder(info.record(0, budget_iters, "final_test", accuracy=acc,
                              remaining_frac=1.0))
@@ -300,18 +300,27 @@ def train_tickets(model_cfg: ModelConfig, tickets: list[tuple],
     the seed's shuffle stream, and return their evaluation rows under
     ``split``, in order, each also sent to ``recorder``.
 
-    K > 1 tickets train as one model (``stack_models``): each step is one
-    forward pass, one backward pass and one update for all of them, and
-    every ticket's slice is bitwise what training it alone gives. A
-    non-finite loss or gradient in any ticket stops them all at that
-    step; the ``NonFiniteError`` names the first ticket's run."""
+    Consecutive tickets train as one model (``stack_models``): each step
+    is one forward pass, one backward pass and one update for all of them,
+    and every ticket's slice is bitwise what training it alone gives. An
+    MLP stacks all K tickets. A conv model's stack keeps each
+    ticket's im2col columns until backward (``Model.column_bytes``), so it
+    takes as many tickets as keep one column block's budget
+    (``tensor._COLUMN_BLOCK_BYTES``) between them, and a single ticket when
+    one alone keeps more; a run's retrains then never keep more columns
+    than that budget or one ticket's. A non-finite loss or gradient in any
+    ticket stops its stack at that step, and the ``NonFiniteError`` names
+    the stack's first ticket's run."""
     models = [_masked_model(model_cfg, info.seed, masks, arrays)
               for masks, arrays, info in tickets]
-    model = models[0] if len(models) == 1 else stack_models(models)
-    accs = _train_and_test(model, train_data, test_data, cfg, budget_iters,
-                           tickets[0][2])
-    if len(models) == 1:
-        accs = [accs]
+    columns = models[0].column_bytes(cfg.batch_size, model_cfg.in_shape)
+    size = max(1, _COLUMN_BLOCK_BYTES // columns) if columns else len(models)
+    accs = []
+    for lo in range(0, len(models), size):
+        stack = models[lo:lo + size]
+        accs += _train_and_test(
+            stack[0] if len(stack) == 1 else stack_models(stack),
+            train_data, test_data, cfg, budget_iters, tickets[lo][2])
     return [_eval_row(split, masks, acc, budget_iters, info, recorder)
             for (masks, _, info), acc in zip(tickets, accs)]
 
@@ -488,9 +497,10 @@ def run_point(plan: ExperimentPlan, point: dict | None, seed: int,
     records (``report_rows``, with the grid point and, for a final
     evaluation, per-layer sparsity attached) and the raw records. The
     evaluated tickets of a retrain-from-k or fine-tune evaluation train
-    together (``train_tickets``), in one stacked pass when there are
-    several; a search that froze its weights has its masks scored at
-    them (``masked_accuracy``).
+    together (``train_tickets``), in stacked passes when there are
+    several (one for an MLP; a conv model's stack is capped by the
+    im2col columns it keeps); a search that froze its weights has its
+    masks scored at them (``masked_accuracy``).
 
     With ``point`` None: the seed's dense baseline, run ``dense-seed<N>``,
     trained with the plan's round config for ``eval_budget_iters``
@@ -581,9 +591,17 @@ def _pooled_outcomes(plan: ExperimentPlan, jobs: list, train_data,
 
 
 def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
-    """Expand grid x seeds into independent runs, execute them (on up to
-    ``plan.max_workers`` forked worker processes when that is above 1),
-    evaluate tickets, and aggregate.
+    """Validate the plan and run it on the data its validation built
+    (``run_sweep``)."""
+    return run_sweep(plan, *plan.validate(), on_run=on_run)
+
+
+def run_sweep(plan: ExperimentPlan, train_data, test_data,
+              on_run=None) -> EvaluationReport:
+    """Run a validated plan on the ``(train, test)`` data that
+    ``plan.validate()`` returned: expand grid x seeds into independent
+    runs, execute them (on up to ``plan.max_workers`` forked worker
+    processes when that is above 1), evaluate tickets, and aggregate.
 
     Every job is a ``(point, seed)`` pair run by ``run_point``; unless
     ``plan.evaluate`` is "none", the list starts with each seed's dense
@@ -600,7 +618,6 @@ def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
 
     When the mask init is swept, the report includes the Spearman rank
     correlation between its value and the median remaining fraction."""
-    train_data, test_data = plan.validate()
     if plan.algorithm not in SEARCHES:
         raise ValueError(f"a sweep runs a search, not {plan.algorithm!r}")
     points = _expand_grid(plan.grid) if plan.grid else [{}]

@@ -99,6 +99,24 @@ class Model:
         for i, b in enumerate(self.biases):
             b.data[...] = arrays[f"bias{i}.b"]
 
+    def column_bytes(self, batch_size: int, in_shape: tuple) -> int:
+        """Bytes of the im2col columns that one recorded training step on
+        ``batch_size`` inputs of ``in_shape`` keeps until its backward pass
+        (``conv2d``), per ticket of a stacked model: a conv layer keeps
+        cin*kh*kw values per output position, and its output has the
+        input's size (3x3, stride 1, padding 1) until a max-pool halves
+        it. 0 for a model without conv layers."""
+        h, w = in_shape[-2:]
+        total = 0
+        for layer, group in zip(self.layers, self.groups):
+            if layer.conv:
+                kernel = group.weights
+                depth = int(np.prod(kernel.shape[-3:]))
+                total += depth * batch_size * h * w * kernel.dtype.itemsize
+                if layer.pool:
+                    h, w = h // 2, w // 2
+        return total
+
     def masks(self) -> dict[str, np.ndarray]:
         """Current exact binary mask per maskable group."""
         return {g.name: g.current_hard_mask() for g in self.maskable_groups()}

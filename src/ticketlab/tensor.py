@@ -415,7 +415,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
         if relu:
             g = g * (out > 0)
         if x.requires_grad:
-            gx = g @ we.mT
+            gx = g @ np.swapaxes(we, -1, -2)
             if x.ndim < gx.ndim:  # an input the stack shares
                 for gk in gx:
                     x.accumulate_grad(gk)
@@ -423,7 +423,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
                 x.accumulate_grad(gx)
         gated = gate is not None and gate.requires_grad
         if w.requires_grad or gated:
-            gwe = x.data.mT @ g
+            gwe = np.swapaxes(x.data, -1, -2) @ g
             if w.requires_grad:
                 w.accumulate_grad(gwe if gate is None else gwe * gate.data)
             if gated:

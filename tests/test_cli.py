@@ -78,7 +78,8 @@ class TestRunSubcommands:
 
     @pytest.mark.parametrize("argv,builds", [
         (["dense", "--seed", "2"], 1),
-        (["sweep", "--algorithm", "cs", "--grid", "s0=0.05", "--seeds", "1"], 2),
+        (["cs", "--seed", "1", "--rounds", "1"], 1),
+        (["sweep", "--algorithm", "cs", "--grid", "s0=0.05", "--seeds", "1"], 1),
     ])
     def test_data_is_built_once_per_validation(self, tmp_path, monkeypatch,
                                                argv, builds):

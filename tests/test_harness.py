@@ -863,19 +863,26 @@ def _one_ticket_at_a_time(plan, point, seed, train_ds, test_ds):
     return rows, records
 
 
-@pytest.fixture(scope="module")
-def image_pair():
+def _images(side: int):
+    """32 training and 16 test images of ``side`` x ``side``."""
     rng = np.random.default_rng(0)
-    x = rng.random((48, 1, 16, 16)) * 0.2
+    x = rng.random((48, 1, side, side)) * 0.2
     y = rng.integers(0, 2, 48)
-    x[y == 1, :, :8] += 0.6
+    x[y == 1, :, :side // 2] += 0.6
     flip = rng.random(48) < 0.3  # noisy labels keep accuracies below 1
     y = np.where(flip, 1 - y, y)
     return Dataset(x[:32], y[:32]), Dataset(x[32:], y[32:])
 
 
+@pytest.fixture(scope="module")
+def image_pair():
+    return _images(8)
+
+
 MLP_32 = ModelConfig(kind="mlp", widths=(2, 32, 32, 2))
-CONV6 = ModelConfig(kind="conv6-scaled", in_shape=(1, 16, 16), num_classes=2)
+# small enough images that a run's three tickets keep their im2col columns
+# within one column block's budget, so they train as one stack
+CONV6 = ModelConfig(kind="conv6-scaled", in_shape=(1, 8, 8), num_classes=2)
 
 # (model, algorithm, scope, evaluation mode, point, precision)
 STACKED_CASES = [
@@ -937,9 +944,41 @@ class TestStackedTicketEvaluation:
         stack = stack_models(models)
         accs = H._train_and_test(stack, *data, c, 8, info)
         for k, model in enumerate(models):
-            assert accs[k] == H._train_and_test(model, *data, c, 8, info)
+            assert [accs[k]] == H._train_and_test(model, *data, c, 8, info)
             for name, a in model.weight_arrays().items():
                 assert np.array_equal(stack.weight_arrays()[name][k], a)
+
+    # (image side, batch, precision, stack sizes): one ticket's columns are
+    # 1.33 MB, 3.98 MB and 5.31 MB against the 8 MiB block budget
+    @pytest.mark.parametrize("side,batch,precision,stacks", [
+        (8, 16, "float64", [3]),
+        (16, 24, "float32", [2]),
+        (16, 16, "float64", []),
+    ])
+    def test_conv_stack_keeps_at_most_one_column_block(
+            self, side, batch, precision, stacks, monkeypatch):
+        data = _images(side)
+        model_cfg = replace(CONV6, in_shape=(1, side, side))
+        plan = self.plan(model_cfg, "imp", "global", "retrain-from-k",
+                         precision)
+        plan = replace(plan, round_cfg=replace(plan.round_cfg,
+                                               batch_size=batch))
+        sizes = []
+
+        def spy(models):
+            sizes.append(len(models))
+            return stack_models(models)
+
+        monkeypatch.setattr(H, "stack_models", spy)
+        _, rows, records = run_point(plan, {"tau": 0.3}, 1, *data)
+        assert sizes == stacks
+        want = _one_ticket_at_a_time(plan, {"tau": 0.3}, 1, *data)
+        assert _digest(rows, records) == _digest(*want)
+
+    def test_column_bytes_of_the_conv6_training_batch(self):
+        model = ModelConfig(kind="conv6-scaled").build(0)
+        assert model.column_bytes(32, (1, 16, 16)) == 10_616_832
+        assert MLP_32.build(0).column_bytes(32, (1, 16, 16)) == 0
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

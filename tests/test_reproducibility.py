@@ -101,7 +101,8 @@ def test_cs_mlp_search_is_bitwise_equal_across_runs_and_blas_threads():
 
 # One SHA-256 over the report rows, the round masks and the records of an
 # IMP run on conv6-scaled whose three round tickets are retrained together
-# as one stack, in float64 and in float32.
+# as one stack (8x8 images keep their im2col columns within one column
+# block's budget), in float64 and in float32.
 IMP_STACKED_RETRAIN = """
 import hashlib
 import numpy as np
@@ -111,14 +112,14 @@ from ticketlab.models import ModelConfig
 from ticketlab.search import RoundConfig
 
 rng = np.random.default_rng(0)
-x = rng.random((64, 1, 16, 16)) * 0.2
+x = rng.random((64, 1, 8, 8)) * 0.2
 y = rng.integers(0, 2, 64)
 x[y == 1] += 0.6
 y = np.where(rng.random(64) < 0.3, 1 - y, y)
 for precision in ("float64", "float32"):
     plan = ExperimentPlan(
         algorithm="imp", evaluate="rounds", precision=precision,
-        model_cfg=ModelConfig(kind="conv6-scaled", in_shape=(1, 16, 16)),
+        model_cfg=ModelConfig(kind="conv6-scaled", in_shape=(1, 8, 8)),
         round_cfg=RoundConfig(rounds=3, iters_per_round=6, rewind_iter=2,
                               prune_rate=0.3, batch_size=32, record_every=0,
                               rewind_between_rounds=True))
