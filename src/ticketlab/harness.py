@@ -25,7 +25,7 @@ from .search import (PRUNE_SCOPES, SUPERMASK_VARIANTS, RewindStore,
                      RoundConfig, TicketResult, run_cs, run_imp, run_iss,
                      run_sequential_cs, run_supermask)
 from .seeding import STREAM_SHUFFLE, seeded_rng
-from .tensor import (_COLUMN_BLOCK_BYTES, PRECISIONS, Tensor, default_dtype,
+from .tensor import (PRECISIONS, NonFiniteError, Tensor, default_dtype,
                      no_grad, set_default_dtype)
 from .training import RunInfo, TrainCursor, evaluate, lr_milestones_callback, train
 
@@ -139,11 +139,17 @@ class ExperimentPlan:
             if len(values) == 0:
                 raise ValueError(f"sweep parameter {k!r} has no values")
         need_rate = self.algorithm in RATE_SEARCHES
+        finetunes = self.eval_mode == "fine-tune" and self.evaluate != "none"
         run_ids = set()
         batch_sizes = []
         for point in _expand_grid(self.grid) if self.grid else [{}]:
             cfg = _apply_point(self.round_cfg, point)
             cfg.validate(need_rate=need_rate)
+            if finetunes:
+                try:
+                    _finetune_cfg(cfg, self.finetune_lr).weight_opt.validate()
+                except ValueError as exc:
+                    raise ValueError(f"fine-tuning: {exc}") from None
             if self.algorithm == "supermask" and cfg.rounds != 1:
                 raise ValueError("supermask search runs a single round")
             batch_sizes.append((point, cfg.batch_size))
@@ -216,7 +222,9 @@ def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
     """Train the model's weights with a fresh optimizer on the seed's
     shuffle stream for ``budget_iters`` iterations, then return its test
     accuracy as a list, one per ticket of a stacked model. Per-epoch
-    records go to ``recorder`` when one is given (a single model only)."""
+    records go to ``recorder`` when one is given (a single model only).
+    A non-finite test loss of any ticket raises ``NonFiniteError`` naming
+    the run: its accuracy would read as a score of a diverged network."""
     opt = CompositeOptimizer([cfg.weight_opt.build(
         [t for t in model.weight_tensors() if t.requires_grad])])
     cbs = ([lr_milestones_callback(opt, cfg.lr_milestones, cfg.lr_decay)]
@@ -225,7 +233,10 @@ def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
           shuffle_rng=seeded_rng(info.seed, STREAM_SHUFFLE),
           cursor=TrainCursor(), before_step=cbs, recorder=recorder,
           run_info=info, test_data=test_data, record_every=cfg.record_every)
-    return np.atleast_1d(evaluate(model, test_data)[1]).tolist()
+    loss, acc = evaluate(model, test_data)
+    if not np.isfinite(loss).all():
+        raise NonFiniteError(f"non-finite test loss of {info.run_id!r}")
+    return np.atleast_1d(acc).tolist()
 
 
 def dense_baseline(model_cfg: ModelConfig, train_data, test_data,
@@ -300,21 +311,18 @@ def train_tickets(model_cfg: ModelConfig, tickets: list[tuple],
     the seed's shuffle stream, and return their evaluation rows under
     ``split``, in order, each also sent to ``recorder``.
 
-    Consecutive tickets train as one model (``stack_models``): each step
-    is one forward pass, one backward pass and one update for all of them,
-    and every ticket's slice is bitwise what training it alone gives. An
-    MLP stacks all K tickets. A conv model's stack keeps each
-    ticket's im2col columns until backward (``Model.column_bytes``), so it
-    takes as many tickets as keep one column block's budget
-    (``tensor._COLUMN_BLOCK_BYTES``) between them, and a single ticket when
-    one alone keeps more; a run's retrains then never keep more columns
-    than that budget or one ticket's. A non-finite loss or gradient in any
-    ticket stops its stack at that step, and the ``NonFiniteError`` names
-    the stack's first ticket's run."""
+    The tickets of a model without conv layers train as one model
+    (``stack_models``): each step is one forward pass, one backward pass
+    and one update for all of them, and every ticket's slice is bitwise
+    what training it alone gives. A conv model's tickets train one at a
+    time: a conv step is GEMM-bound, so a stack would save little Python
+    overhead and keep every ticket's im2col columns until backward. A
+    non-finite loss or gradient in any ticket stops its stack at that
+    step, and the ``NonFiniteError`` names the stack's first ticket's
+    run."""
     models = [_masked_model(model_cfg, info.seed, masks, arrays)
               for masks, arrays, info in tickets]
-    columns = models[0].column_bytes(cfg.batch_size, model_cfg.in_shape)
-    size = max(1, _COLUMN_BLOCK_BYTES // columns) if columns else len(models)
+    size = 1 if any(layer.conv for layer in models[0].layers) else len(models)
     accs = []
     for lo in range(0, len(models), size):
         stack = models[lo:lo + size]
@@ -497,10 +505,9 @@ def run_point(plan: ExperimentPlan, point: dict | None, seed: int,
     records (``report_rows``, with the grid point and, for a final
     evaluation, per-layer sparsity attached) and the raw records. The
     evaluated tickets of a retrain-from-k or fine-tune evaluation train
-    together (``train_tickets``), in stacked passes when there are
-    several (one for an MLP; a conv model's stack is capped by the
-    im2col columns it keeps); a search that froze its weights has its
-    masks scored at them (``masked_accuracy``).
+    together (``train_tickets``): an MLP's in one stacked pass, a conv
+    model's one at a time; a search that froze its weights has its masks
+    scored at them (``masked_accuracy``).
 
     With ``point`` None: the seed's dense baseline, run ``dense-seed<N>``,
     trained with the plan's round config for ``eval_budget_iters``

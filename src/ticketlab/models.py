@@ -99,24 +99,6 @@ class Model:
         for i, b in enumerate(self.biases):
             b.data[...] = arrays[f"bias{i}.b"]
 
-    def column_bytes(self, batch_size: int, in_shape: tuple) -> int:
-        """Bytes of the im2col columns that one recorded training step on
-        ``batch_size`` inputs of ``in_shape`` keeps until its backward pass
-        (``conv2d``), per ticket of a stacked model: a conv layer keeps
-        cin*kh*kw values per output position, and its output has the
-        input's size (3x3, stride 1, padding 1) until a max-pool halves
-        it. 0 for a model without conv layers."""
-        h, w = in_shape[-2:]
-        total = 0
-        for layer, group in zip(self.layers, self.groups):
-            if layer.conv:
-                kernel = group.weights
-                depth = int(np.prod(kernel.shape[-3:]))
-                total += depth * batch_size * h * w * kernel.dtype.itemsize
-                if layer.pool:
-                    h, w = h // 2, w // 2
-        return total
-
     def masks(self) -> dict[str, np.ndarray]:
         """Current exact binary mask per maskable group."""
         return {g.name: g.current_hard_mask() for g in self.maskable_groups()}
@@ -159,8 +141,8 @@ class Model:
                 if layer.pool:
                     h = max_pool2d(h)
             else:
-                if layer.flatten:  # each ticket's (n, c, h, w) maps
-                    h = reshape(h, h.shape[:-3] + (-1,))
+                if layer.flatten:
+                    h = reshape(h, (h.shape[0], -1))
                 h = linear(h, w, b, m, relu=layer.relu)
         return h
 
@@ -168,13 +150,16 @@ class Model:
 def stack_models(models: list[Model]) -> Model:
     """One model whose weights, biases and frozen masks carry a leading
     ticket axis K = len(models), slice k a copy of ``models[k]``'s. The
-    models must share their layers, and each group must be hard-masked or
+    models must share their layers, which must all be dense (only
+    ``linear`` takes a ticket axis), and each group must be hard-masked or
     ungated in all of them (ticket evaluation trains such models). Each
     weight layer then runs as one node over the whole stack, and a slice
     of its output is bitwise what that model alone gives."""
     first = models[0]
     if any(m.layers != first.layers for m in models):
         raise ValueError("stacked models must share their layers")
+    if any(layer.conv for layer in first.layers):
+        raise ValueError("a model with conv layers cannot be stacked")
     groups = []
     for gs in zip(*(m.groups for m in models)):
         g0 = gs[0]

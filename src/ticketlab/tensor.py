@@ -13,13 +13,13 @@ that, with its L1 penalty's gradient, into the logits' gradient. The
 gate ops of learned sparsity live in ``masking``. There is no general
 broadcasting; pointwise ops accept equal shapes or a scalar operand.
 
-The one leading axis the layer ops know is a ticket axis K: ``linear``
-and ``conv2d`` take weights, bias and gate stacked over K tickets, with
-one input per ticket or one input that all of them share; ``max_pool2d``
-and ``reshape`` carry the axis along, and ``softmax_cross_entropy`` gives
-one loss per ticket. Each slice of such an op is bitwise the op of that
-ticket alone, so K tickets that see the same batches train as one model.
-A 2-d ``linear`` layer still takes only a 2-d input.
+The one leading axis an op knows is a ticket axis K, and only two ops
+know it: ``linear`` takes weights, bias and gate stacked over K tickets,
+with one input per ticket or one input that all of them share, and
+``softmax_cross_entropy`` gives one loss per ticket. Each slice is
+bitwise the op of that ticket alone, so K dense tickets that see the same
+batches train as one model. A 2-d ``linear`` layer still takes only a
+2-d input; ``conv2d`` and ``max_pool2d`` take only 4-d operands.
 
 Every recorded operation is appended to a thread-local tape in forward
 order. ``backward`` walks the tape in exact reverse order, accumulating
@@ -502,31 +502,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     of ``G`` that hold no output are zero and, for a finite kernel, add
     zero, so each input position sums the same products in the same offset
     order as a scatter-add through each offset's strided window would.
-
-    A stack of K tickets' layers has a (K, cout, cin, kh, kw) kernel, a
-    (K, cout) bias and a gate shaped like the kernel, and gives (K, n,
-    cout, oh, ow). Its input is (K, n, cin, h, w), one per ticket, or an
-    (n, cin, h, w) input every ticket shares, which is padded once and
-    whose gradient is the tickets' gradients added in ticket order. Each
-    ticket runs the steps above on its own slice and keeps its own column
-    blocks, so each slice is bitwise the layer of that ticket alone, and
-    a recorded stack keeps K times one layer's blocks.
     """
-    if kernel.ndim not in (4, 5) or x.ndim not in (4, kernel.ndim):
-        raise ShapeError(f"conv2d expects 4-d input and kernel, or a 4-d or "
-                         f"5-d input to a 5-d kernel stack, got {x.shape}, "
-                         f"{kernel.shape}")
-    lead = kernel.shape[:-4]  # (K,) for a stack of K tickets, () for one layer
-    if x.shape[:-4] not in ((), lead):
-        raise ShapeError(f"conv2d input {x.shape} is neither shared by nor "
-                         f"one per ticket of the kernel stack {kernel.shape}")
-    n, cin, h, w = x.shape[-4:]
-    cout, cin_k, kh, kw = kernel.shape[-4:]
+    if x.ndim != 4 or kernel.ndim != 4:
+        raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape}, {kernel.shape}")
+    n, cin, h, w = x.shape
+    cout, cin_k, kh, kw = kernel.shape
     if cin != cin_k:
         raise ShapeError(f"conv2d channel mismatch: input {cin}, kernel {cin_k}")
-    if bias is not None and bias.shape != lead + (cout,):
-        raise ShapeError(f"conv2d bias {bias.shape} does not match the "
-                         f"{cout} output channels of kernel {kernel.shape}")
+    if bias is not None and bias.shape != (cout,):
+        raise ShapeError(f"conv2d bias {bias.shape} does not match {cout} output channels")
     if gate is not None and gate.shape != kernel.shape:
         raise ShapeError(f"conv2d gate {gate.shape} does not match kernel {kernel.shape}")
     stride = int(stride)
@@ -543,13 +527,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     m = n * oh * ow
     depth = cin * kh * kw
 
-    # per ticket (one layer is one ticket): its gated kernel, its bias and
-    # its input, unless the one input is shared by all of them
+    xp = np.zeros((cin, n, hp, wp), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x.data.transpose(1, 0, 2, 3)
     kd = kernel.data if gate is None else kernel.data * gate.data
-    kds = kd.reshape(-1, cout, cin, kh, kw)
-    nk = len(kds)
-    xs = x.data.reshape(-1, n, cin, h, w)
-    bs = None if bias is None else bias.data.reshape(nk, cout)
+    k2 = kd.reshape(cout, depth)
     gated = gate is not None and gate.requires_grad
 
     def at(i, j, samples=slice(None)):
@@ -557,81 +538,60 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
         return (slice(None), samples, slice(i, i + stride * oh, stride),
                 slice(j, j + stride * ow, stride))
 
-    per_sample = (depth + cout) * oh * ow * x.dtype.itemsize
+    per_sample = (depth + cout) * oh * ow * xp.itemsize
     nb = max(1, min(n, _COLUMN_BLOCK_BYTES // per_sample))
     keep = (kernel.requires_grad or gated) and not _state()["no_grad"]
-    blocks = [[] for _ in range(nk)]
-    out = np.empty((nk, n, cout, oh, ow), dtype=x.dtype)
-    for t in range(nk):
-        if t < len(xs):  # a shared input is padded once
-            xp = np.zeros((cin, n, hp, wp), dtype=x.dtype)
-            xp[:, :, padding:padding + h, padding:padding + w] = (
-                xs[t].transpose(1, 0, 2, 3))
-        k2 = kds[t].reshape(cout, depth)
-        for lo in range(0, n, nb):
-            hi = min(n, lo + nb)
-            cols = np.empty((cin, kh, kw, hi - lo, oh, ow), dtype=x.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    cols[:, i, j] = xp[at(i, j, slice(lo, hi))]
-            cols = cols.reshape(depth, (hi - lo) * oh * ow)
-            prod = k2 @ cols
-            if bs is not None:
-                prod += bs[t][:, None]
-            out[t, lo:hi] = prod.reshape(cout, hi - lo, oh, ow).transpose(1, 0, 2, 3)
-            if keep:
-                blocks[t].append(cols)
-            del cols, prod  # before the next block is allocated
-    out = out.reshape(lead + out.shape[1:])
+    blocks = []
+    out = np.empty((n, cout, oh, ow), dtype=x.dtype)
+    for lo in range(0, n, nb):
+        hi = min(n, lo + nb)
+        cols = np.empty((cin, kh, kw, hi - lo, oh, ow), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = xp[at(i, j, slice(lo, hi))]
+        cols = cols.reshape(depth, (hi - lo) * oh * ow)
+        prod = k2 @ cols
+        if bias is not None:
+            prod += bias.data[:, None]
+        out[lo:hi] = prod.reshape(cout, hi - lo, oh, ow).transpose(1, 0, 2, 3)
+        if keep:
+            blocks.append(cols)
+        del cols, prod  # before the next block is allocated
     if relu:
         np.maximum(out, 0, out=out)
 
     def backward_fn(g):
         if relu:
             g = g * (out > 0)
-        gs = g.reshape(nk, n, cout, oh, ow)
         if kernel.requires_grad or gated:
+            g2 = g.transpose(1, 0, 2, 3).reshape(cout, m)
             # cols @ g2.T rather than g2 @ cols.T: BLAS streams the long
             # column matrix faster untransposed
             width = nb * oh * ow
-            gk = np.empty((nk, cout, cin, kh, kw), dtype=g.dtype)
-            for t in range(nk):
-                g2 = gs[t].transpose(1, 0, 2, 3).reshape(cout, m)
-                gkt = np.zeros((depth, cout), dtype=g2.dtype)
-                for b, cols in enumerate(blocks[t]):
-                    gkt += cols @ g2[:, b * width:b * width + cols.shape[1]].T
-                blocks[t].clear()
-                gk[t] = gkt.T.reshape(cout, cin, kh, kw)
-            gk = gk.reshape(kd.shape)
+            gk = np.zeros((depth, cout), dtype=g2.dtype)
+            for b, cols in enumerate(blocks):
+                gk += cols @ g2[:, b * width:b * width + cols.shape[1]].T
+            blocks.clear()
+            gk = gk.T.reshape(kd.shape)
             if kernel.requires_grad:
                 kernel.accumulate_grad(gk if gate is None else gk * gate.data)
             if gated:
                 gate.accumulate_grad(gk * kernel.data)
         if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(np.stack([gt.sum(axis=(0, 2, 3)) for gt in gs]
-                                          ).reshape(bias.shape))
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            # one gradient per ticket; a shared input adds them in ticket order
-            gxs = np.empty(x.shape, dtype=g.dtype) if x.ndim == 5 else None
             flat = n * hp * wp
-            for t in range(nk):
-                grid = np.zeros((cout, n, hp, wp), dtype=g.dtype)
-                grid[at(0, 0)] = gs[t].transpose(1, 0, 2, 3)
-                grid = grid.reshape(cout, flat)
-                gx = np.zeros((cin, flat + (kh - 1) * wp + kw - 1), dtype=g.dtype)
-                for i in range(kh):
-                    for j in range(kw):
-                        s = i * wp + j
-                        gx[:, s:s + flat] += kds[t, :, :, i, j].T @ grid
-                gx = gx[:, :flat].reshape(cin, n, hp, wp)
-                gx = gx[:, :, padding:padding + h,
-                        padding:padding + w].transpose(1, 0, 2, 3)
-                if gxs is None:
-                    x.accumulate_grad(gx)
-                else:
-                    gxs[t] = gx
-            if gxs is not None:
-                x.accumulate_grad(gxs.view(_HandedOver))
+            grid = np.zeros((cout, n, hp, wp), dtype=g.dtype)
+            grid[at(0, 0)] = g.transpose(1, 0, 2, 3)
+            grid = grid.reshape(cout, flat)
+            gx = np.zeros((cin, flat + (kh - 1) * wp + kw - 1), dtype=g.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    s = i * wp + j
+                    gx[:, s:s + flat] += kd[:, :, i, j].T @ grid
+            gx = gx[:, :flat].reshape(cin, n, hp, wp)
+            x.accumulate_grad(
+                gx[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
 
     inputs = tuple(t for t in (x, kernel, bias, gate) if t is not None)
     return apply_op("conv_layer", inputs, out, backward_fn)
@@ -651,18 +611,14 @@ def max_pool2d(x: Tensor) -> Tensor:
     ``g`` that is bitwise ``0.0 + rest * hit``, the argmax routing summed
     into zeros, -0.0 turned into 0.0 included; an infinite ``g`` gives NaN
     at its maximum instead of inf.
-
-    A 5-d input is a stack of K tickets' (n, c, h, w) maps, pooled each as
-    its own.
     """
-    if x.ndim not in (4, 5):
-        raise ShapeError(f"max_pool2d expects a 4-d input or a 5-d stack, "
-                         f"got {x.shape}")
-    h, w = x.shape[-2:]
+    if x.ndim != 4:
+        raise ShapeError(f"max_pool2d expects 4-d input, got {x.shape}")
+    n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max_pool2d requires even spatial extents, got {h}x{w}")
     d = x.data
-    slots = [(Ellipsis, slice(di, None, 2), slice(dj, None, 2))
+    slots = [(slice(None), slice(None), slice(di, None, 2), slice(dj, None, 2))
              for di in (0, 1) for dj in (0, 1)]
     out = np.maximum(d[slots[1]], d[slots[0]])
     for at in slots[2:]:

@@ -76,7 +76,8 @@ def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
     n = len(dataset)
     loss_sum = 0.0  # in float64, one per ticket of a stacked model
     correct = 0
-    with T.no_grad():
+    # a diverged network's overflow is no NumPy warning: its loss shows it
+    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, batch_size):
             hi = min(lo + batch_size, n)
             x = Tensor(dataset.inputs[lo:hi])
@@ -146,82 +147,93 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         return NonFiniteError(
             f"non-finite {what} at iteration {it} of {info.run_id!r}")
 
-    for step in range(iterations):
-        it = start_iteration + step
-        si = StepInfo(iteration=it, round_iteration=step, epoch=cursor.epoch,
-                      beta=schedule.current_beta if schedule else 1.0)
-        for cb in before_step:
-            cb(si)
-        beta = schedule.step() if schedule else 1.0
+    # a diverging step's overflow is reported by the finiteness checks
+    # below, not as NumPy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(iterations):
+            it = start_iteration + step
+            si = StepInfo(iteration=it, round_iteration=step,
+                          epoch=cursor.epoch,
+                          beta=schedule.current_beta if schedule else 1.0)
+            for cb in before_step:
+                cb(si)
+            beta = schedule.step() if schedule else 1.0
 
-        if cursor.perm is None:
-            cursor.perm = shuffle_rng.permutation(n)
-            cursor.pos = 0
-        lo = cursor.pos * batch_size
-        hi = min(lo + batch_size, n)
-        idx = cursor.perm[lo:hi]
-        x = Tensor(data.inputs[idx])
-        y = data.labels[idx]
+            if cursor.perm is None:
+                cursor.perm = shuffle_rng.permutation(n)
+                cursor.pos = 0
+            lo = cursor.pos * batch_size
+            hi = min(lo + batch_size, n)
+            idx = cursor.perm[lo:hi]
+            x = Tensor(data.inputs[idx])
+            y = data.labels[idx]
 
-        reset_tape()
-        # each gated group's gate (drawn in group order when stochastic) is
-        # owned by its layer node, which also takes the gradient of the
-        # gate's penalty; the penalty values join the loss off the tape
-        gates = {g.name: gate(g, beta, lam, mask_rng, st_variant)
-                 for g in gated}
-        logits = model.forward(x, beta=beta, gates=gates)
-        loss = softmax_cross_entropy(logits, y)
-        if loss.ndim:  # a stacked model's tickets: each seeded with 1
-            loss = tensor_sum(loss)
-        loss_val = loss.data
-        if lam > 0.0:
-            for g in gated:
-                loss_val = loss_val + gates[g.name].penalty
-        loss_val = float(loss_val)
-        if not np.isfinite(loss_val):
-            raise abort("loss", it, loss_val, beta)
-        backward(loss)
-        try:  # the step checks every gradient before it updates anything
-            optimizer.step()
-        except NonFiniteError:
-            raise abort("gradient", it, loss_val, beta) from None
+            reset_tape()
+            # each gated group's gate (drawn in group order when stochastic)
+            # is owned by its layer node, which also takes the gradient of
+            # the gate's penalty; the penalty values join the loss off the
+            # tape
+            gates = {g.name: gate(g, beta, lam, mask_rng, st_variant)
+                     for g in gated}
+            logits = model.forward(x, beta=beta, gates=gates)
+            loss = softmax_cross_entropy(logits, y)
+            if loss.ndim:  # a stacked model's tickets: each seeded with 1
+                loss = tensor_sum(loss)
+            loss_val = loss.data
+            if lam > 0.0:
+                for g in gated:
+                    loss_val = loss_val + gates[g.name].penalty
+            loss_val = float(loss_val)
+            if not np.isfinite(loss_val):
+                raise abort("loss", it, loss_val, beta)
+            backward(loss)
+            try:  # the step checks every gradient before it updates anything
+                optimizer.step()
+            except NonFiniteError:
+                raise abort("gradient", it, loss_val, beta) from None
 
-        epoch_loss += loss_val
-        epoch_steps += 1
-        cursor.pos += 1
-        si.loss = loss_val
-        si.beta = beta
-        for cb in after_step:
-            cb(si)
+            epoch_loss += loss_val
+            epoch_steps += 1
+            cursor.pos += 1
+            si.loss = loss_val
+            si.beta = beta
+            for cb in after_step:
+                cb(si)
 
-        if cursor.pos == nb:
-            cursor.epoch += 1
-            cursor.perm = None
-            if recorder is not None and record_every and cursor.epoch % record_every == 0:
-                # each soft gate once, for the remaining fraction and both
-                # evaluations; an ungated group keeps all of its weights
-                eval_gates = {g.name: gate(g, beta) for g in soft}
-                rem = (remaining_fraction(maskable, beta, eval_gates)
-                       if maskable else 1.0)
-                # evaluation sampling is decoupled from the training mask
-                # stream so record cadence never alters the trajectory
-                eval_rng = None if mask_rng is None else np.random.default_rng(
-                    np.random.SeedSequence((info.seed, STREAM_EVAL, it)))
-                _, train_acc = evaluate(model, data, beta=beta, rng=eval_rng,
-                                        st_variant=st_variant, gates=eval_gates)
-                recorder(info.record(cursor.epoch, it + 1, "train",
-                                     loss=epoch_loss / epoch_steps,
-                                     accuracy=train_acc, remaining_frac=rem,
-                                     beta=beta))
-                if test_data is not None:
-                    tl, ta = evaluate(model, test_data, beta=beta,
-                                      rng=eval_rng, st_variant=st_variant,
-                                      gates=eval_gates)
-                    recorder(info.record(cursor.epoch, it + 1, "test",
-                                         loss=tl, accuracy=ta,
+            if cursor.pos == nb:
+                cursor.epoch += 1
+                cursor.perm = None
+                if (recorder is not None and record_every
+                        and cursor.epoch % record_every == 0):
+                    # each soft gate once, for the remaining fraction and
+                    # both evaluations; an ungated group keeps all of its
+                    # weights
+                    eval_gates = {g.name: gate(g, beta) for g in soft}
+                    rem = (remaining_fraction(maskable, beta, eval_gates)
+                           if maskable else 1.0)
+                    # evaluation sampling is decoupled from the training
+                    # mask stream so record cadence never alters the
+                    # trajectory
+                    eval_rng = None if mask_rng is None else (
+                        np.random.default_rng(np.random.SeedSequence(
+                            (info.seed, STREAM_EVAL, it))))
+                    _, train_acc = evaluate(model, data, beta=beta,
+                                            rng=eval_rng,
+                                            st_variant=st_variant,
+                                            gates=eval_gates)
+                    recorder(info.record(cursor.epoch, it + 1, "train",
+                                         loss=epoch_loss / epoch_steps,
+                                         accuracy=train_acc,
                                          remaining_frac=rem, beta=beta))
-            epoch_loss = 0.0
-            epoch_steps = 0
+                    if test_data is not None:
+                        tl, ta = evaluate(model, test_data, beta=beta,
+                                          rng=eval_rng, st_variant=st_variant,
+                                          gates=eval_gates)
+                        recorder(info.record(cursor.epoch, it + 1, "test",
+                                             loss=tl, accuracy=ta,
+                                             remaining_frac=rem, beta=beta))
+                epoch_loss = 0.0
+                epoch_steps = 0
     return iterations
 
 

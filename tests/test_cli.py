@@ -484,16 +484,20 @@ class TestSweepAndReport:
          "batch size 32 exceeds the 16 training examples"),
         ("dense", {"model": {"widths": [2, 8, 5]}},
          "the model's head has width 5, but the data has 2 classes"),
+        ("imp --eval-mode fine-tune", {"evaluation": {"finetune_lr": -1}},
+         "fine-tuning: learning rate must be positive"),
     ], ids=["sweep-batch", "sweep-input-width", "sweep-head-too-wide",
-            "sweep-head-too-narrow", "cs-batch", "dense-head"])
+            "sweep-head-too-narrow", "cs-batch", "dense-head",
+            "imp-finetune-lr"])
     def test_plan_that_cannot_run_fails_before_anything_is_written(
             self, tmp_path, capsys, command, over, message):
         base = json.loads(small_config(tmp_path).read_text())
         cfgp = tmp_path / "bad.cfg"
         cfgp.write_text(json.dumps(_deep_merge(base, over)))
         out = tmp_path / "out"
-        flags = (["--seeds", "1", "--grid", "s0=0,0.05"]
-                 if command == "sweep" else [])
+        command, *flags = command.split()
+        if command == "sweep":
+            flags += ["--seeds", "1", "--grid", "s0=0,0.05"]
         rc = main([command, "--config", str(cfgp), "--iters", "20",
                    "--out", str(out)] + flags)
         assert rc == 1

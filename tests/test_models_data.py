@@ -80,13 +80,9 @@ def _masked(model, seed):
 
 
 class TestStackModels:
-    @pytest.mark.parametrize("build,x", [
-        (lambda s: build_mlp([2, 8, 8, 2], seed=s), np.ones((5, 2))),
-        (lambda s: build_small_conv("conv2", seed=s, in_shape=(1, 8, 8)),
-         np.linspace(-1, 1, 5 * 64).reshape(5, 1, 8, 8)),
-    ])
-    def test_each_slice_is_its_models_forward(self, build, x):
-        models = [_masked(build(s), s) for s in (1, 2, 3)]
+    def test_each_slice_is_its_models_forward(self):
+        x = np.ones((5, 2))
+        models = [_masked(build_mlp([2, 8, 8, 2], seed=s), s) for s in (1, 2, 3)]
         stack = stack_models(models)
         assert all(g.weights.shape[0] == 3 for g in stack.groups)
         with T.no_grad():
@@ -104,6 +100,12 @@ class TestStackModels:
         with pytest.raises(ValueError, match="share their layers"):
             stack_models([build_mlp([2, 4, 2], seed=0),
                           build_small_conv("conv2", seed=0, in_shape=(1, 8, 8))])
+
+    def test_conv_models_do_not_stack(self):
+        convs = [_masked(build_small_conv("conv2", seed=s, in_shape=(1, 8, 8)), s)
+                 for s in (1, 2)]
+        with pytest.raises(ValueError, match="conv layers"):
+            stack_models(convs)
 
 
 class TestBuildSmallConv:

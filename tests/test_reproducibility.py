@@ -100,10 +100,9 @@ def test_cs_mlp_search_is_bitwise_equal_across_runs_and_blas_threads():
 
 
 # One SHA-256 over the report rows, the round masks and the records of an
-# IMP run on conv6-scaled whose three round tickets are retrained together
-# as one stack (8x8 images keep their im2col columns within one column
-# block's budget), in float64 and in float32.
-IMP_STACKED_RETRAIN = """
+# IMP run on conv6-scaled whose three round tickets are retrained one at a
+# time, in float64 and in float32.
+IMP_CONV_RETRAIN = """
 import hashlib
 import numpy as np
 from ticketlab.data import Dataset
@@ -138,7 +137,7 @@ for precision in ("float64", "float32"):
 """
 
 
-def test_imp_stacked_retrain_is_bitwise_equal_across_blas_threads():
-    one, two = _hashes(1, IMP_STACKED_RETRAIN), _hashes(2, IMP_STACKED_RETRAIN)
+def test_imp_conv_retrain_is_bitwise_equal_across_blas_threads():
+    one, two = _hashes(1, IMP_CONV_RETRAIN), _hashes(2, IMP_CONV_RETRAIN)
     assert one.split()[::2] == ["float64", "float32"]
     assert one == two
