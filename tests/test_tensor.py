@@ -388,6 +388,45 @@ class TestFusedOpsAgainstReferences:
             assert fused.dtype == composed.dtype == dtype
             assert fused.tobytes() == composed.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("gated", [None, "hard", "soft", "frozen"])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 2), (2, 0), (2, 1),
+                                                (2, 2)])
+    def test_fused_relu_conv_matches_conv_then_relu(self, stride, padding,
+                                                    gated, dtype):
+        # the ReLU mask of the output gradient feeds the strided, padded
+        # kernel and input gradients; "frozen": only the gate trains
+        rng = np.random.default_rng(37)
+        arrays = [rng.standard_normal((3, 3, 7, 6)),
+                  rng.standard_normal((4, 3, 3, 2)), rng.standard_normal(4)]
+        arrays[0][0] = 0.0  # a whole sample at the kink
+        m = {None: None, "hard": (rng.random((4, 3, 3, 2)) < 0.5).astype(float),
+             "soft": rng.random((4, 3, 3, 2)),
+             "frozen": rng.random((4, 3, 3, 2))}[gated]
+
+        def run(fused):
+            reset_tape()
+            x, k, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
+            k.requires_grad = gated != "frozen"
+            gate = None if m is None else Tensor(
+                m, requires_grad=gated in ("soft", "frozen"), dtype=dtype)
+            out = conv2d(x, k, stride, padding, b, gate, relu=fused)
+            if not fused:
+                out = relu(out)
+            assert len(T.active_tape()) == (1 if fused else 2)
+            assert (out.data == 0).any() and (out.data > 0).any()
+            g = np.random.default_rng(38).standard_normal(out.shape)
+            backward(tensor_sum(mul(out, Tensor(g, dtype=dtype))))
+            return [out.data, x.grad, k.grad, b.grad,
+                    None if gate is None else gate.grad]
+
+        for fused, composed in zip(run(True), run(False)):
+            if composed is None:
+                assert fused is None
+            else:
+                assert fused.dtype == composed.dtype == dtype
+                assert fused.tobytes() == composed.tobytes()
+
 
 class TestGradientBuffers:
     """``accumulate_grad`` owns the buffer it stores: the first gradient
@@ -763,6 +802,42 @@ class TestConvAgainstDirectLoops:
         with T.no_grad():
             plain = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding)
         assert plain.data.tobytes() == out.data.tobytes()
+
+    @pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-12),
+                                           (np.float32, 1e-5)])
+    @pytest.mark.parametrize("samples_per_block", [1, 2])
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 2)])
+    def test_gated_relu_layer_over_several_column_blocks(
+            self, monkeypatch, stride, padding, samples_per_block, dtype, rel):
+        # bias, soft gate and ReLU on a batch split over column blocks:
+        # the references are the direct loops on the gated kernel, fed the
+        # output gradient masked where the ReLU is off
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((7, 3, 7, 5))
+        k = rng.standard_normal((4, 3, 3, 2))
+        b = rng.standard_normal(4)
+        m = rng.random((4, 3, 3, 2))
+        oh, ow = (7 + 2 * padding - 3) // stride + 1, (5 + 2 * padding - 2) // stride + 1
+        monkeypatch.setattr(T, "_COLUMN_BLOCK_BYTES",
+                            samples_per_block * (3 * 3 * 2 + 4) * oh * ow
+                            * np.dtype(dtype).itemsize)
+        tx, tk, tb, tm = (Tensor(a, requires_grad=True, dtype=dtype)
+                          for a in (x, k, b, m))
+        out = conv2d(tx, tk, stride, padding, tb, tm, relu=True)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        backward(tensor_sum(mul(out, Tensor(g, dtype=dtype))))
+        ke = tk.data.astype(np.float64) * tm.data
+        pre, _, _ = _direct_conv(tx.data, ke, np.zeros(out.shape), stride, padding)
+        pre += tb.data[None, :, None, None]
+        gm = g * (pre > 0)
+        _, ref_gke, ref_gx = _direct_conv(tx.data, ke, gm, stride, padding)
+        assert out.dtype == tx.grad.dtype == tk.grad.dtype == tm.grad.dtype == dtype
+        assert (pre > 0).any() and (pre <= 0).any()
+        _close(out.data, np.maximum(pre, 0), rel)
+        _close(tx.grad, ref_gx, rel)
+        _close(tk.grad, ref_gke * tm.data, rel)
+        _close(tm.grad, ref_gke * tk.data, rel)
+        _close(tb.grad, gm.sum(axis=(0, 2, 3)), rel)
 
     def test_no_grad_peak_memory_is_one_column_block(self, monkeypatch):
         budget = 256 << 10
