@@ -165,6 +165,9 @@ class ExperimentPlan:
         # (writing nothing): one training example through the model shows
         # a shape mismatch, and its logits must number the classes
         train_data, test_data = self.data_cfg.build()
+        for name, data in (("training", train_data), ("test", test_data)):
+            if len(data) == 0:
+                raise ValueError(f"the {name} set is empty")
         with _precision(self.precision), no_grad():
             logits = self.model_cfg.build(self.seeds[0]).forward(
                 Tensor(train_data.inputs[:1]))

@@ -43,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import GradientError, Tensor, apply_op, expit, mul
+from .tensor import (GradientError, Tensor, _hand, _HandedOver, apply_op,
+                     expit, mul)
 
 GATE_NONE = "none"
 GATE_SOFT = "soft-deterministic"
@@ -167,8 +168,8 @@ class MaskedParameterGroup:
             return self.frozen_mask
         if self.mode == GATE_NONE:
             return np.ones(self.weights.shape, dtype=self.weights.dtype)
-        g = expit(beta * self.mask_logits.data if self.mode == GATE_SOFT
-                  else self.mask_logits.data)
+        g = expit(self.mask_logits.data,
+                  beta if self.mode == GATE_SOFT else 1.0)
         k = self.kept()
         return g * k if k is not None else g
 
@@ -185,7 +186,7 @@ def _soft(group: MaskedParameterGroup, beta: float):
     """The logits, sigmoid(beta * s), the kept mask k (or None) and the
     gate sigmoid(beta * s) ⊙ k of a group with mask logits."""
     s = group.mask_logits
-    sig = expit(beta * s.data)
+    sig = expit(s.data, beta)
     k = group.kept()
     return s, sig, k, (sig if k is None else sig * k)
 
@@ -220,7 +221,9 @@ class StepGate(Tensor):
     ``_logit_grad(lam, sig, 1, k)``, then g · k, or g · sig · (1 - sig) · k
     for the sigmoid variant. ``penalty`` is lam * sum(sigmoid(beta * s) ⊙ k),
     with beta = 1 for a stochastic gate. A second gradient raises
-    ``GradientError`` naming the group.
+    ``GradientError`` naming the group. The arrays it forms for the logits,
+    and the layer's own array when the layer handed it over, become the
+    logits' gradient without a copy (``tensor._hand``).
 
     With lam > 0 the logit gradient is that of loss + penalty only if the
     caller adds ``penalty`` to the objective it differentiates, seeds the
@@ -241,13 +244,16 @@ class StepGate(Tensor):
         if self.st_variant is None:  # soft: the penalty's gradient joins g
             if self.lam > 0.0:
                 g = g + self.lam
-            s.accumulate_grad(_logit_grad(g, sig, self.beta, k))
+            _hand(s, _logit_grad(g, sig, self.beta, k))
             return
         if self.lam > 0.0:  # stochastic: the penalty's gradient comes first
-            s.accumulate_grad(_logit_grad(self.lam, sig, self.beta, k))
+            _hand(s, _logit_grad(self.lam, sig, self.beta, k))
         if self.st_variant == "sigmoid":
             g = g * sig * (1.0 - sig)
-        s.accumulate_grad(g if k is None else g * k)
+        elif k is None and type(g) is not _HandedOver:
+            s.accumulate_grad(g)  # an array the caller may still hold
+            return
+        _hand(s, g if k is None else g * k)
 
 
 def gate(group: MaskedParameterGroup, beta: float, lam: float = 0.0,
@@ -277,7 +283,8 @@ def gate(group: MaskedParameterGroup, beta: float, lam: float = 0.0,
     step.group_name, step.logits, step.sig, step.kept = group.name, s, sig, k
     step.beta, step.lam, step.st_variant = beta, float(lam), st_variant
     step.spent = False
-    step.penalty = (np.asarray(gv.sum() * lam, dtype=gv.dtype) if lam > 0.0
+    step.penalty = (np.asarray(np.add.reduce(gv, axis=None) * lam,
+                               dtype=gv.dtype) if lam > 0.0
                     else np.zeros((), dtype=out.dtype))
     return step
 
@@ -310,7 +317,7 @@ def gate_penalty(group: MaskedParameterGroup, beta: float, lam: float) -> Tensor
 
     def backward_fn(g):
         if s.requires_grad:
-            s.accumulate_grad(_logit_grad(g * lam, sig, beta, k))
+            _hand(s, _logit_grad(g * lam, sig, beta, k))
 
     return apply_op("gate_penalty", (s,), out, backward_fn)
 

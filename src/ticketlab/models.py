@@ -67,6 +67,12 @@ class Model:
         self.groups = groups
         self.biases = biases
 
+    @property
+    def stacked(self) -> bool:
+        """Whether this is a stack of tickets (``stack_models``): its biases
+        carry the leading ticket axis."""
+        return any(b.ndim > 1 for b in self.biases)
+
     def maskable_groups(self) -> list[MaskedParameterGroup]:
         return [g for g in self.groups if g.maskable]
 

@@ -11,8 +11,9 @@ it copies its parameters into the parameter arena and rebinds every
 ``p.data`` to a reshaped view of it, so the model reads and the optimizer
 writes the same memory. A step gathers the gradients into the gradient
 arena with one ``concatenate``, checks them with one ``isfinite`` and runs
-the update once over the whole arena; every element goes through the same
-IEEE operations in the same order as a per-parameter update would.
+the update once over the whole arena, writing its intermediate products into
+scratch arenas built with the optimizer; every element goes through the
+same IEEE operations in the same order as a per-parameter update would.
 """
 from __future__ import annotations
 
@@ -130,16 +131,17 @@ class SGD(Optimizer):
         super().__init__(params, lr, weight_decay)
         self.momentum = float(momentum)
         self.buf = np.zeros_like(self._data)
+        self._scratch = np.empty_like(self._data)
 
     def _update(self) -> None:
-        d = self._grad
+        d, tmp = self._grad, self._scratch
         if self.weight_decay:
-            d += self.weight_decay * self._data
+            d += np.multiply(self._data, self.weight_decay, tmp)
         if self.momentum:
             self.buf *= self.momentum
             self.buf += d
             d = self.buf
-        self._data -= self.lr * d
+        self._data -= np.multiply(d, self.lr, tmp)
 
     def state_arrays(self):
         return {f"buf{i}": b for i, b in enumerate(self._views(self.buf))}
@@ -155,20 +157,24 @@ class Adam(Optimizer):
         self.t = 0
         self.m = np.zeros_like(self._data)
         self.v = np.zeros_like(self._data)
+        self._scratch = np.empty((2,) + self._data.shape, self._data.dtype)
 
     def _update(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        g = self._grad
+        g, (a, b) = self._grad, self._scratch
         if self.weight_decay:
-            g += self.weight_decay * self._data
+            g += np.multiply(self._data, self.weight_decay, a)
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
+        self.m += np.multiply(g, 1.0 - self.beta1, a)
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
-        self._data -= (self.lr * (self.m / bc1)
-                       / (np.sqrt(self.v / bc2) + self.eps))
+        np.multiply(g, 1.0 - self.beta2, a)
+        self.v += np.multiply(a, g, a)
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.multiply(np.divide(self.m, bc1, a), self.lr, a)
+        np.add(np.sqrt(np.divide(self.v, bc2, b), b), self.eps, b)
+        self._data -= np.divide(a, b, a)
 
     def state_arrays(self):
         out = {}

@@ -25,8 +25,10 @@ Every recorded operation is appended to a thread-local tape in forward
 order. ``backward`` walks the tape in exact reverse order, accumulating
 gradients into every tensor that requires them, and then marks the tape
 as consumed: a second backward pass without ``reset_tape`` is an error.
-A tensor's first gradient is copied into a buffer the tensor owns, unless
-the op that built it hands it over; later ones are added to it in place.
+A tensor's first gradient becomes the buffer it owns, and later ones are
+added to it in place. An op hands over an array it built for that one input
+alone (``_hand``) when the array is C-ordered in the input's dtype and
+shape; every other first gradient is copied.
 """
 from __future__ import annotations
 
@@ -133,9 +135,23 @@ class no_grad:
 
 
 class _HandedOver(np.ndarray):
-    """View type of a C-ordered gradient array, in its input's dtype, that
-    an op built for that one input alone: ``accumulate_grad`` keeps it as
-    the input's buffer instead of copying it."""
+    """View type of a C-ordered gradient array, in its input's dtype and
+    shape, that an op built for that one input alone: ``accumulate_grad``
+    keeps it as the input's buffer instead of copying it. Only ``_hand``
+    makes one."""
+
+
+def _hand(t: "Tensor", g: np.ndarray) -> None:
+    """Accumulate ``g``, a fresh array an op built for ``t`` alone, into
+    ``t``'s gradient. When it is C-ordered and already has ``t``'s dtype
+    and shape it is handed over, and a first gradient becomes the buffer
+    without a copy; otherwise it goes as a plain array, which
+    ``accumulate_grad`` copies if it is the first."""
+    d = t.data
+    if g.flags.c_contiguous and g.dtype == d.dtype and g.shape == d.shape:
+        t.accumulate_grad(g.view(_HandedOver))
+    else:
+        t.accumulate_grad(g.view(np.ndarray))
 
 
 class Tensor:
@@ -171,7 +187,8 @@ class Tensor:
         """Add ``g``, shaped like this tensor, to its gradient. The first
         ``g`` is copied into a C-ordered buffer of the tensor's dtype, since
         ops hand the same array to several inputs or pass read-only
-        broadcast views; a ``_HandedOver`` view is kept as it is."""
+        broadcast views; a ``_HandedOver`` view (``_hand``) is kept as it
+        is."""
         if self.grad is None:
             if type(g) is _HandedOver:
                 self.grad = g.view(np.ndarray)
@@ -228,11 +245,13 @@ def apply_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    if st["no_grad"] or not any(t.requires_grad for t in inputs):
-        out.requires_grad = False
-        return out
-    out.requires_grad = True
-    st["tape"].record(_Node(op, tuple(inputs), out, backward_fn))
+    if not st["no_grad"]:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                st["tape"].record(_Node(op, tuple(inputs), out, backward_fn))
+                return out
+    out.requires_grad = False
     return out
 
 
@@ -251,7 +270,7 @@ def backward(loss: Tensor) -> None:
             "call reset_tape() before recording a new one")
     if not tp.nodes:
         raise GradientError("tape is empty; nothing was recorded")
-    loss.grad = np.ones_like(loss.data)
+    loss.grad = np.ones(loss.data.shape, loss.data.dtype)
     for node in reversed(tp.nodes):
         g = node.output.grad
         if g is None:
@@ -342,13 +361,19 @@ def relu(a: Tensor) -> Tensor:
     return apply_op("relu", (a,), out, backward_fn)
 
 
-def expit(x):
-    """The logistic sigmoid 1 / (1 + exp(-x)), elementwise, in the float
-    dtype of ``x``. Below x = -709 (float64) or -88 (float32) exp(-x)
-    overflows to inf and the result is its limit 0, so that overflow is
-    not reported."""
+def expit(x, scale: float = 1.0):
+    """The logistic sigmoid 1 / (1 + exp(-scale * x)), elementwise, in the
+    float dtype of ``x``, formed in one buffer: x * -scale (bitwise
+    -(scale * x)), its exp, + 1, then 1 / . Where scale * x is below -709
+    (float64) or -88 (float32) the exp overflows to inf and the result is
+    its limit 0, so that overflow is not reported."""
+    y = x * -scale
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        if type(y) is not np.ndarray:  # a scalar
+            return 1.0 / (1.0 + np.exp(y))
+        np.exp(y, y)
+    y += 1.0
+    return np.divide(1.0, y, y)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -391,20 +416,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
     every ticket shares, whose gradient is then the tickets' gradients
     added in ticket order. Each slice is bitwise what the layer of that
     ticket alone gives; a 2-d layer takes only an (n, i) input."""
-    stacked = w.ndim == 3
+    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
+    stacked = len(ws) == 3
     if stacked:  # (K, i, o) weights; an (n, i) or (K, n, i) input
-        ok = (x.ndim == 2 or x.ndim == 3 and x.shape[0] == w.shape[0]) and (
-            b.shape == (w.shape[0], w.shape[2]))
+        ok = (len(xs) == 2 or len(xs) == 3 and xs[0] == ws[0]) and (
+            bs == (ws[0], ws[2]))
         want = "(n,i) or (K,n,i) @ (K,i,o) + (K,o) for K stacked tickets"
     else:
-        ok = (x.ndim == 2 and w.ndim == 2 and b.ndim == 1
-              and w.shape[1] == b.shape[0])
+        ok = len(xs) == 2 and len(ws) == 2 and len(bs) == 1 and ws[1] == bs[0]
         want = "(n,i)@(i,o)+(o,)"
-    if not ok or x.shape[-1] != w.shape[-2]:
-        raise ShapeError(f"linear expects {want}, got {x.shape}, {w.shape} "
-                         f"and {b.shape}")
-    if gate is not None and gate.shape != w.shape:
-        raise ShapeError(f"linear gate {gate.shape} does not match weights {w.shape}")
+    if not ok or xs[-1] != ws[-2]:
+        raise ShapeError(f"linear expects {want}, got {xs}, {ws} and {bs}")
+    if gate is not None and gate.data.shape != ws:
+        raise ShapeError(f"linear gate {gate.shape} does not match weights {ws}")
     we = w.data if gate is None else w.data * gate.data
     out = x.data @ we
     out += b.data[:, None] if stacked else b.data
@@ -415,21 +439,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
         if relu:
             g = g * (out > 0)
         if x.requires_grad:
-            gx = g @ np.swapaxes(we, -1, -2)
+            gx = g @ we.swapaxes(-1, -2)
             if x.ndim < gx.ndim:  # an input the stack shares
                 for gk in gx:
                     x.accumulate_grad(gk)
             else:
-                x.accumulate_grad(gx)
+                _hand(x, gx)
         gated = gate is not None and gate.requires_grad
         if w.requires_grad or gated:
-            gwe = np.swapaxes(x.data, -1, -2) @ g
-            if w.requires_grad:
-                w.accumulate_grad(gwe if gate is None else gwe * gate.data)
+            gwe = x.data.swapaxes(-1, -2) @ g
             if gated:
-                gate.accumulate_grad(gwe * w.data)
+                _hand(gate, gwe * w.data)
+            if w.requires_grad:
+                if gate is not None:  # the gate's gradient is formed
+                    gwe *= gate.data
+                _hand(w, gwe)
         if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=-2))
+            _hand(b, np.add.reduce(g, axis=-2))
 
     return apply_op("linear", (x, w, b) if gate is None else (x, w, b, gate),
                     out, backward_fn)
@@ -574,11 +600,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
             blocks.clear()
             gk = gk.T.reshape(kd.shape)
             if kernel.requires_grad:
-                kernel.accumulate_grad(gk if gate is None else gk * gate.data)
+                _hand(kernel, gk if gate is None
+                      else np.multiply(gk, gate.data, order="C"))
             if gated:
-                gate.accumulate_grad(gk * kernel.data)
+                _hand(gate, np.multiply(gk, kernel.data, order="C"))
         if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            _hand(bias, np.add.reduce(g, axis=(0, 2, 3)))
         if x.requires_grad:
             flat = n * hp * wp
             grid = np.zeros((cout, n, hp, wp), dtype=g.dtype)
@@ -633,7 +660,7 @@ def max_pool2d(x: Tensor) -> Tensor:
                 np.subtract(rest, kept, out=gx[at])
                 rest = kept
             np.add(rest, 0.0, out=gx[slots[-1]])  # -0.0 to 0.0
-            x.accumulate_grad(gx.view(_HandedOver))
+            _hand(x, gx)
 
     return apply_op("max_pool2d", (x,), out, backward_fn)
 
@@ -647,30 +674,35 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     gradient. Summing them (``tensor_sum``) seeds every ticket's backward
     pass with exactly 1."""
     labels = np.asarray(labels)
-    if logits.ndim not in (2, 3):
+    d = logits.data
+    if d.ndim not in (2, 3):
         raise ShapeError(f"softmax_cross_entropy expects (n,c) logits or a "
-                         f"(K,n,c) stack, got {logits.shape}")
-    n, c = logits.shape[-2:]
+                         f"(K,n,c) stack, got {d.shape}")
+    n, c = d.shape[-2:]
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
+    # the reductions as ufuncs: what the array methods call, without their
+    # Python wrappers
+    if n and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c):
         raise IndexError(f"label out of range [0, {c})")
-    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    logp = d - np.maximum.reduce(d, axis=-1, keepdims=True)
+    logp -= np.log(np.add.reduce(np.exp(logp), axis=-1, keepdims=True))
     rows = np.arange(n)
-    # C-ordered, so that each ticket's row is summed as one ticket's is
-    picked = np.ascontiguousarray(logp[..., rows, labels])
-    loss = np.asarray(-picked.mean(axis=-1), dtype=logits.dtype)
+    picked = logp[..., rows, labels]
+    if picked.ndim == 2:  # C-ordered, so that each ticket's row is summed
+        picked = np.ascontiguousarray(picked)  # as one ticket's is
+    # bitwise picked.mean(axis=-1)
+    loss = np.asarray(-(np.add.reduce(picked, axis=-1) / n), dtype=d.dtype)
 
     def backward_fn(g):
         if logits.requires_grad:
             p = np.exp(logp)
             p[..., rows, labels] -= 1.0
-            if logits.ndim == 2:
+            if p.ndim == 2:
                 p *= float(g) / n
             else:
                 for pk, gk in zip(p, g):
                     pk *= float(gk) / n
-            logits.accumulate_grad(p)
+            _hand(logits, p)
 
     return apply_op("softmax_cross_entropy", (logits,), loss, backward_fn)

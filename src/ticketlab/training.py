@@ -11,6 +11,7 @@ updates any parameter, and ``train`` turns that error into the record.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,8 +73,10 @@ def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
 
     A stacked model (``models.stack_models``) gives two lists instead, each
     ticket's loss and accuracy, each equal to what that ticket's own model
-    gives."""
+    gives. An empty dataset raises ``ValueError``."""
     n = len(dataset)
+    if n == 0:
+        raise ValueError("cannot evaluate a model on an empty dataset")
     loss_sum = 0.0  # in float64, one per ticket of a stacked model
     correct = 0
     # a diverged network's overflow is no NumPy warning: its loss shows it
@@ -119,7 +122,8 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     A stacked model (``models.stack_models``) trains its tickets on the
     same batches: the loss differentiated, and reported, is the sum of
     theirs, so each ticket's backward pass is seeded with exactly 1.
-    Per-epoch records take a single model.
+    Per-epoch records take a single model: a recorder with ``record_every``
+    above 0 and a stacked model raise ``ValueError``.
     """
     n = len(data)
     nb = epoch_iters(n, batch_size)
@@ -127,6 +131,10 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if record_every < 0:
         raise ValueError(f"record_every must be >= 0, got {record_every}")
+    if recorder is not None and record_every and getattr(model, "stacked",
+                                                         False):
+        raise ValueError("per-epoch records take a single model, not a "
+                         "stack of tickets")
     if batch_size > n:
         raise ValueError(f"batch size {batch_size} exceeds dataset size {n}")
     if iterations == 0:
@@ -154,7 +162,8 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
             it = start_iteration + step
             si = StepInfo(iteration=it, round_iteration=step,
                           epoch=cursor.epoch,
-                          beta=schedule.current_beta if schedule else 1.0)
+                          beta=schedule.current_beta if schedule else 1.0
+                          ) if before_step or after_step else None
             for cb in before_step:
                 cb(si)
             beta = schedule.step() if schedule else 1.0
@@ -184,7 +193,7 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                 for g in gated:
                     loss_val = loss_val + gates[g.name].penalty
             loss_val = float(loss_val)
-            if not np.isfinite(loss_val):
+            if not math.isfinite(loss_val):
                 raise abort("loss", it, loss_val, beta)
             backward(loss)
             try:  # the step checks every gradient before it updates anything
@@ -195,10 +204,11 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
             epoch_loss += loss_val
             epoch_steps += 1
             cursor.pos += 1
-            si.loss = loss_val
-            si.beta = beta
-            for cb in after_step:
-                cb(si)
+            if after_step:
+                si.loss = loss_val
+                si.beta = beta
+                for cb in after_step:
+                    cb(si)
 
             if cursor.pos == nb:
                 cursor.epoch += 1

@@ -486,9 +486,16 @@ class TestSweepAndReport:
          "the model's head has width 5, but the data has 2 classes"),
         ("imp --eval-mode fine-tune", {"evaluation": {"finetune_lr": -1}},
          "fine-tuning: learning rate must be positive"),
+        ("sweep --algorithm imp", {"dataset": {"n_test": 0}},
+         "the test set is empty"),
+        ("imp", {"dataset": {"n_test": 0}}, "the test set is empty"),
+        ("cs", {"dataset": {"n_train": 0}}, "the training set is empty"),
+        ("dense", {"dataset": {"n_test": 0}}, "the test set is empty"),
     ], ids=["sweep-batch", "sweep-input-width", "sweep-head-too-wide",
             "sweep-head-too-narrow", "cs-batch", "dense-head",
-            "imp-finetune-lr"])
+            "imp-finetune-lr", "sweep-imp-empty-test-set",
+            "imp-empty-test-set", "cs-empty-training-set",
+            "dense-empty-test-set"])
     def test_plan_that_cannot_run_fails_before_anything_is_written(
             self, tmp_path, capsys, command, over, message):
         base = json.loads(small_config(tmp_path).read_text())

@@ -27,7 +27,7 @@ from ticketlab.search import (RewindStore, RoundConfig, run_cs, run_imp,
 from ticketlab.seeding import STREAM_SHUFFLE, seeded_rng
 from ticketlab.tensor import (NonFiniteError, ShapeError, apply_op,
                               default_dtype, reset_tape, set_default_dtype)
-from ticketlab.training import RunInfo, TrainCursor, train
+from ticketlab.training import RunInfo, TrainCursor, evaluate, train
 
 
 @pytest.fixture(autouse=True)
@@ -139,6 +139,30 @@ class TestTrainLoop:
         assert np.isfinite(rows[0].loss)
         for k, a in model.weight_arrays().items():
             assert np.array_equal(a, before[k])
+
+    def test_stacked_model_takes_no_epoch_records(self, moons_pair):
+        train_ds, _ = moons_pair
+        stack = stack_models([MC.build(1), MC.build(2)])
+        before = {k: a.copy() for k, a in stack.weight_arrays().items()}
+        rows = []
+        with pytest.raises(ValueError, match="a single model"):
+            train(stack, train_ds, _opt(stack, cfg()), 8, batch_size=32,
+                  shuffle_rng=seeded_rng(1, STREAM_SHUFFLE),
+                  recorder=rows.append, record_every=1)
+        assert rows == []
+        for k, a in stack.weight_arrays().items():
+            assert np.array_equal(a, before[k])
+        # without per-epoch records (record_every 0) the stack trains
+        train(stack, train_ds, _opt(stack, cfg()), 8, batch_size=32,
+              shuffle_rng=seeded_rng(1, STREAM_SHUFFLE),
+              recorder=rows.append, record_every=0)
+        assert rows == []
+
+    def test_evaluating_on_an_empty_dataset_raises(self, moons_pair):
+        model = MC.build(1)
+        empty = Dataset(moons_pair[1].inputs[:0], moons_pair[1].labels[:0])
+        with pytest.raises(ValueError, match="empty dataset"):
+            evaluate(model, empty)
 
     def test_epoch_records_cadence(self, moons_pair):
         train_ds, _ = moons_pair
@@ -646,6 +670,12 @@ class TestSweep:
                       "unknown precision mode 'float16'"),
         "dense-grid": ({"algorithm": "dense"}, {},
                        "a dense baseline has no sweep grid"),
+        "empty-training-set": ({"data_cfg": DataConfig(n_train=0, n_test=64,
+                                                       seed=7)}, {},
+                               "the training set is empty"),
+        "empty-test-set": ({"data_cfg": DataConfig(n_train=64, n_test=0,
+                                                   seed=7)}, {},
+                           "the test set is empty"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_PLANS))

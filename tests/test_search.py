@@ -294,9 +294,9 @@ class TestTapeShape:
             return backward(loss)
 
         def counting(expit_fn):
-            def wrapper(x):
+            def wrapper(*args):
                 sigmoids[0] += 1
-                return expit_fn(x)
+                return expit_fn(*args)
             return wrapper
 
         monkeypatch.setattr(TR, "backward", counting_backward)

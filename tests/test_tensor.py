@@ -11,9 +11,14 @@ from hypothesis.extra.numpy import array_shapes
 from scipy.special import expit as scipy_expit
 
 from ticketlab import tensor as T
-from ticketlab.masking import (GATE_SOFT, MaskedParameterGroup, gate,
-                               gate_penalty, soft_gate)
+from ticketlab.data import gen_two_moons
+from ticketlab.masking import (GATE_HARD, GATE_NONE, GATE_SOFT,
+                               GATE_STOCHASTIC, ST_VARIANTS,
+                               MaskedParameterGroup, gate, gate_penalty,
+                               soft_gate)
+from ticketlab.models import build_mlp, build_small_conv, stack_models
 from ticketlab.optim import Adam, SGD, CompositeOptimizer
+from ticketlab.search import RoundConfig, run_cs, run_imp
 from ticketlab.tensor import (GradientError, NonFiniteError, ShapeError,
                               Tensor, add, add_bias, backward, conv2d, linear,
                               matmul, max_pool2d, mul, relu, reset_tape,
@@ -430,7 +435,7 @@ class TestFusedOpsAgainstReferences:
 
 class TestGradientBuffers:
     """``accumulate_grad`` owns the buffer it stores: the first gradient
-    is copied, in the tensor's dtype."""
+    is copied, in the tensor's dtype, unless an op hands it over."""
 
     def test_inputs_of_one_add_get_separate_buffers(self):
         a = Tensor(np.ones(3), requires_grad=True)
@@ -460,6 +465,113 @@ class TestGradientBuffers:
         assert w.grad.dtype == np.float32
         w.accumulate_grad(np.full(3, 1.0 / 3.0))
         assert w.grad.dtype == np.float32
+
+
+def _backward_through_model(kind, mode, k, lam, st_variant, prune, seed):
+    """One backward pass through a model of ``kind`` (an MLP or
+    conv6-scaled on 8x8 images) with gates of ``mode``, as ``train`` runs
+    it; a hard-masked or ungated MLP is a stack of ``k`` tickets. Returns
+    every tensor the pass reached and the model's trainable tensors."""
+    rng = np.random.default_rng(seed)
+    if kind == "mlp":
+        stacks = mode in (GATE_HARD, GATE_NONE)  # what stack_models takes
+        models = [build_mlp([3, 8, 6, 2], seed=seed % 100 + i)
+                  for i in range(k if stacks else 1)]
+        x = rng.standard_normal((5, 3))
+    else:
+        models = [build_small_conv("conv6-scaled", seed=seed % 100,
+                                   in_shape=(1, 8, 8))]
+        x = rng.random((3, 1, 8, 8))
+    for model in models:
+        if mode == GATE_HARD:
+            model.apply_hard_masks({g.name: rng.random(g.weights.shape) < 0.7
+                                    for g in model.maskable_groups()})
+        elif mode != GATE_NONE:
+            model.set_gate_mode(mode)
+            for g in model.maskable_groups():
+                g.mask_logits.data[...] = rng.standard_normal(g.weights.shape)
+                if prune:
+                    g.prune_forever(rng.random(g.weights.shape) < 0.3)
+    model = models[0] if len(models) == 1 else stack_models(models)
+    gated = [g for g in model.groups if g.mode in (GATE_SOFT, GATE_STOCHASTIC)]
+    gates = {g.name: gate(g, 2.0, lam, rng, st_variant) for g in gated}
+    loss = softmax_cross_entropy(model.forward(Tensor(x), gates=gates),
+                                 rng.integers(0, 2, len(x)))
+    if loss.ndim:
+        loss = tensor_sum(loss)
+    backward(loss)
+    reached = {}
+    for node in T.active_tape().nodes:
+        for t in node.inputs + (node.output,):
+            reached[id(t)] = t
+    return list(reached.values()), model.weight_tensors() + model.mask_tensors()
+
+
+class TestGradientOwnership:
+    """An op hands a gradient over only when it built that array for the one
+    input it goes to; every other first gradient is copied. So after
+    ``backward`` no gradient is a view that another tensor can reach."""
+
+    @settings(derandomize=True, database=None, max_examples=60,
+              deadline=None)
+    @given(st.sampled_from(["mlp", "conv6-scaled"]),
+           st.sampled_from([GATE_NONE, GATE_HARD, GATE_SOFT,
+                            GATE_STOCHASTIC]),
+           st.integers(1, 3), st.sampled_from(["float64", "float32"]),
+           st.sampled_from([0.0, 1e-3]), st.sampled_from(ST_VARIANTS),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_every_gradient_is_its_own_plain_c_ordered_buffer(
+            self, kind, mode, k, precision, lam, st_variant, prune, seed):
+        reset_tape()
+        T.set_default_dtype(precision)
+        try:
+            tensors, params = _backward_through_model(
+                kind, mode, k, lam, st_variant, prune, seed)
+        finally:
+            T.set_default_dtype("float64")
+        assert all(p.grad is not None for p in params if p.requires_grad)
+        owners = [t for t in tensors + params if t.grad is not None]
+        for t in owners:
+            assert type(t.grad) is np.ndarray
+            assert t.grad.flags.c_contiguous
+            assert (t.grad.dtype, t.grad.shape) == (t.dtype, t.shape)
+            assert t.dtype == np.dtype(precision)
+            for u in tensors + params:
+                assert not np.shares_memory(t.grad, u.data)
+                if u is not t and u.grad is not None:
+                    assert not np.shares_memory(t.grad, u.grad)
+
+    def test_stochastic_gate_copies_an_array_it_was_not_handed(self):
+        g = MaskedParameterGroup("g", Tensor(np.ones((2, 3)),
+                                             requires_grad=True))
+        g.init_gate(GATE_STOCHASTIC, 0.5)
+        step = gate(g, 1.0, rng=np.random.default_rng(0))
+        grad = np.full((2, 3), 0.25)
+        step.accumulate_grad(grad)  # as a caller that keeps ``grad`` would
+        assert np.array_equal(g.mask_logits.grad, grad)
+        assert not np.shares_memory(g.mask_logits.grad, grad)
+
+    @pytest.mark.parametrize("run", [run_cs, run_imp], ids=["cs", "imp"])
+    def test_mlp_step_copies_no_first_gradient(self, monkeypatch, run):
+        calls, copies = [0], []
+        accumulate = Tensor.accumulate_grad
+
+        def counting(t, g):
+            first = t.grad is None
+            accumulate(t, g)
+            calls[0] += 1
+            if first and not np.shares_memory(t.grad, g):
+                copies.append(t.shape)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", counting)
+        cfg = RoundConfig(rounds=1, iters_per_round=2, rewind_iter=0,
+                          prune_rate=0.2, batch_size=32, record_every=0)
+        run(build_mlp([2, 64, 64, 2], seed=1), gen_two_moons(64, 0.1, seed=3),
+            cfg, seed=1)
+        # per step: the logits, two hidden activations, three weights and
+        # three biases, and with soft gates three logit tensors
+        assert calls[0] == 2 * (12 if run is run_cs else 9)
+        assert copies == []
 
 
 GRAD_CASES = {
