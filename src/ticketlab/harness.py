@@ -11,8 +11,9 @@ ticket regardless of sparsity.
 from __future__ import annotations
 
 import itertools
+import pickle
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,6 +52,11 @@ SEARCHES = {
 
 # The searches whose round config must carry a pruning rate.
 RATE_SEARCHES = frozenset({"imp", "seqcs"})
+
+# The round-config fields that hold integers; a grid value of one must be
+# integral.
+_INT_FIELDS = frozenset(f.name for f in fields(RoundConfig)
+                         if f.type in ("int", int))
 
 
 @dataclass
@@ -221,24 +227,27 @@ def _masked_model(model_cfg: ModelConfig, seed: int, masks: dict,
 
 
 def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
-                    budget_iters: int, info: RunInfo, recorder=None):
-    """Train the model's weights with a fresh optimizer on the seed's
-    shuffle stream for ``budget_iters`` iterations, then return its test
-    accuracy as a list, one per ticket of a stacked model. Per-epoch
-    records go to ``recorder`` when one is given (a single model only).
-    A non-finite test loss of any ticket raises ``NonFiniteError`` naming
-    the run: its accuracy would read as a score of a diverged network."""
+                    budget_iters: int, infos: list[RunInfo], recorder=None):
+    """Train the model's weights with a fresh optimizer on the shuffle
+    stream of the first ticket's seed for ``budget_iters`` iterations, then
+    return its test accuracy as a list, one per ticket of a stacked model;
+    ``infos`` has one ``RunInfo`` per ticket. Per-epoch records go to
+    ``recorder`` when one is given (a single model only). A non-finite
+    test loss of any ticket raises ``NonFiniteError`` naming the first
+    ticket's run: its accuracy would read as a score of a diverged
+    network."""
     opt = CompositeOptimizer([cfg.weight_opt.build(
         [t for t in model.weight_tensors() if t.requires_grad])])
     cbs = ([lr_milestones_callback(opt, cfg.lr_milestones, cfg.lr_decay)]
            if cfg.lr_milestones else [])
     train(model, train_data, opt, budget_iters, batch_size=cfg.batch_size,
-          shuffle_rng=seeded_rng(info.seed, STREAM_SHUFFLE),
+          shuffle_rng=seeded_rng(infos[0].seed, STREAM_SHUFFLE),
           cursor=TrainCursor(), before_step=cbs, recorder=recorder,
-          run_info=info, test_data=test_data, record_every=cfg.record_every)
+          run_info=infos if model.stacked else infos[0], test_data=test_data,
+          record_every=cfg.record_every)
     loss, acc = evaluate(model, test_data)
     if not np.isfinite(loss).all():
-        raise NonFiniteError(f"non-finite test loss of {info.run_id!r}")
+        raise NonFiniteError(f"non-finite test loss of {infos[0].run_id!r}")
     return np.atleast_1d(acc).tolist()
 
 
@@ -251,7 +260,7 @@ def dense_baseline(model_cfg: ModelConfig, train_data, test_data,
     info = RunInfo(run_id=_run_id("dense", {}, seed), algorithm="dense",
                    seed=seed)
     [acc] = _train_and_test(model_cfg.build(seed), train_data, test_data,
-                            cfg, budget_iters, info, recorder=recorder)
+                            cfg, budget_iters, [info], recorder=recorder)
     if recorder is not None:
         recorder(info.record(0, budget_iters, "final_test", accuracy=acc,
                              remaining_frac=1.0))
@@ -331,7 +340,8 @@ def train_tickets(model_cfg: ModelConfig, tickets: list[tuple],
         stack = models[lo:lo + size]
         accs += _train_and_test(
             stack[0] if len(stack) == 1 else stack_models(stack),
-            train_data, test_data, cfg, budget_iters, tickets[lo][2])
+            train_data, test_data, cfg, budget_iters,
+            [info for _, _, info in tickets[lo:lo + size]])
     return [_eval_row(split, masks, acc, budget_iters, info, recorder)
             for (masks, _, info), acc in zip(tickets, accs)]
 
@@ -487,7 +497,17 @@ def _expand_grid(grid: dict) -> list[dict]:
 
 
 def _apply_point(cfg: RoundConfig, point: dict) -> RoundConfig:
-    mapped = {GRID_ALIASES.get(k, k): v for k, v in point.items()}
+    """``cfg`` with a grid point's values. An integer field takes its
+    value as an int; a value that is not integral raises ``ValueError``."""
+    mapped = {}
+    for k, v in point.items():
+        key = GRID_ALIASES.get(k, k)
+        if key in _INT_FIELDS:
+            if not float(v).is_integer():
+                raise ValueError(f"sweep parameter {k!r} takes whole "
+                                 f"numbers, got {v!r}")
+            v = int(v)
+        mapped[key] = v
     return replace(cfg, **mapped)
 
 
@@ -504,64 +524,76 @@ def run_point(plan: ExperimentPlan, point: dict | None, seed: int,
     """Execute one fully-specified run in the plan's precision.
 
     At a grid ``point``: the search at that point and seed, then ticket
-    evaluation per the plan. Returns the tickets, the report rows of the
-    records (``report_rows``, with the grid point and, for a final
-    evaluation, per-layer sparsity attached) and the raw records. The
-    evaluated tickets of a retrain-from-k or fine-tune evaluation train
-    together (``train_tickets``): an MLP's in one stacked pass, a conv
-    model's one at a time; a search that froze its weights has its masks
-    scored at them (``masked_accuracy``).
+    evaluation per the plan (``_evaluate_run``). Returns the tickets, the
+    report rows of the records and the raw records.
 
     With ``point`` None: the seed's dense baseline, run ``dense-seed<N>``,
     trained with the plan's round config for ``eval_budget_iters``
     iterations. Returns ``([], [], records)``."""
     records: list[RunRecord] = []
-    rec = records.append
     with _precision(plan.precision):
         if point is None:
             dense_baseline(plan.model_cfg, train_data, test_data,
                            plan.round_cfg,
                            eval_budget_iters(plan.eval_budget, plan.round_cfg),
-                           seed, recorder=rec)
+                           seed, recorder=records.append)
             return [], [], records
         cfg = _apply_point(plan.round_cfg, point)
-        run_id = _run_id(plan.algorithm, point, seed)
         model = plan.model_cfg.build(seed)
-        tickets = SEARCHES[plan.algorithm](plan, model, train_data, cfg,
-                                           seed=seed, run_id=run_id,
-                                           recorder=rec)
-        result = tickets[-1]
-        budget = eval_budget_iters(plan.eval_budget, cfg)
-        # a search that froze the weights (supermask) is scored at them
-        frozen = not any(t.requires_grad for t in model.weight_tensors())
-        evaluated = {"none": [],
-                     "final": [(result.round, result.masks, result)],
-                     "rounds": ticket_rounds(tickets)}[plan.evaluate]
-        if frozen:
-            for round_idx, masks, ticket in evaluated:
-                acc = masked_accuracy(plan.model_cfg, ticket.rewind.arrays,
-                                      masks, test_data, seed)
-                _eval_row("mask_test", masks, acc, ticket.total_iterations,
-                          RunInfo(run_id, ticket.algorithm, seed, round_idx),
-                          rec)
-        elif evaluated:
-            if plan.eval_mode == "fine-tune":
-                starts = [_finetune_start(ticket, round_idx, seed, run_id)
-                          for round_idx, _, ticket in evaluated]
-                train_cfg, split = (_finetune_cfg(cfg, plan.finetune_lr),
-                                    "finetune_test")
-            else:
-                starts = [(masks, ticket.rewind.arrays,
-                           RunInfo(run_id, ticket.algorithm, seed, round_idx))
-                          for round_idx, masks, ticket in evaluated]
-                train_cfg, split = cfg, "retrain_test"
-            train_tickets(plan.model_cfg, starts, train_data, test_data,
-                          train_cfg, budget, split, rec)
-        rows, _ = report_rows(records, result.iters_per_epoch)
-        for row in rows:
-            row.grid = dict(point)
-        if plan.evaluate == "final":
-            rows[0].per_layer = per_layer_sparsity(result.masks, model)
+        tickets = SEARCHES[plan.algorithm](
+            plan, model, train_data, cfg, seed=seed,
+            run_id=_run_id(plan.algorithm, point, seed),
+            recorder=records.append)
+        return _evaluate_run(plan, point, seed, cfg, model, tickets, records,
+                             train_data, test_data)
+
+
+def _evaluate_run(plan: ExperimentPlan, point: dict, seed: int,
+                  cfg: RoundConfig, model: Model, tickets: list[TicketResult],
+                  records: list[RunRecord], train_data, test_data) -> tuple:
+    """Evaluate the tickets of the run at ``point`` and ``seed``, searched
+    with round config ``cfg`` on ``model`` (or on a stack holding it),
+    appending to its ``records``, and return ``run_point``'s result.
+
+    The evaluated tickets of a retrain-from-k or fine-tune evaluation
+    train together (``train_tickets``): an MLP's in one stacked pass, a
+    conv model's one at a time; a search that froze its weights has its
+    masks scored at them (``masked_accuracy``). The report rows are
+    ``report_rows``' rows of the records, with the grid point and, for a
+    final evaluation, per-layer sparsity attached."""
+    rec = records.append
+    run_id = _run_id(plan.algorithm, point, seed)
+    result = tickets[-1]
+    budget = eval_budget_iters(plan.eval_budget, cfg)
+    # a search that froze the weights (supermask) is scored at them
+    frozen = not any(t.requires_grad for t in model.weight_tensors())
+    evaluated = {"none": [],
+                 "final": [(result.round, result.masks, result)],
+                 "rounds": ticket_rounds(tickets)}[plan.evaluate]
+    if frozen:
+        for round_idx, masks, ticket in evaluated:
+            acc = masked_accuracy(plan.model_cfg, ticket.rewind.arrays,
+                                  masks, test_data, seed)
+            _eval_row("mask_test", masks, acc, ticket.total_iterations,
+                      RunInfo(run_id, ticket.algorithm, seed, round_idx), rec)
+    elif evaluated:
+        if plan.eval_mode == "fine-tune":
+            starts = [_finetune_start(ticket, round_idx, seed, run_id)
+                      for round_idx, _, ticket in evaluated]
+            train_cfg, split = (_finetune_cfg(cfg, plan.finetune_lr),
+                                "finetune_test")
+        else:
+            starts = [(masks, ticket.rewind.arrays,
+                       RunInfo(run_id, ticket.algorithm, seed, round_idx))
+                      for round_idx, masks, ticket in evaluated]
+            train_cfg, split = cfg, "retrain_test"
+        train_tickets(plan.model_cfg, starts, train_data, test_data,
+                      train_cfg, budget, split, rec)
+    rows, _ = report_rows(records, result.iters_per_epoch)
+    for row in rows:
+        row.grid = dict(point)
+    if plan.evaluate == "final":
+        rows[0].per_layer = per_layer_sparsity(result.masks, model)
     return tickets, rows, records
 
 
@@ -575,27 +607,123 @@ def _job(plan: ExperimentPlan, point: dict | None, seed: int, train_data,
         return None, str(exc)
 
 
-def _pooled_outcomes(plan: ExperimentPlan, jobs: list, train_data,
+def _stacked_runs(plan: ExperimentPlan, runs: list, train_data,
+                  test_data) -> list:
+    """``_job``'s outcome for each ``(point, seed)`` of ``runs``, IMP runs
+    of a model without conv layers whose round configs differ at most in
+    ``prune_rate``. Their searches run as one stacked model (one
+    ``SEARCHES`` call on ``models.stack_models`` of their models), then
+    each run is evaluated on its own (``_evaluate_run``), and a failing
+    evaluation is that run's outcome. Raises when the search does."""
+    with _precision(plan.precision):
+        cfgs = [_apply_point(plan.round_cfg, point) for point, _ in runs]
+        seeds = [seed for _, seed in runs]
+        records = [[] for _ in runs]
+        model = stack_models([plan.model_cfg.build(seed) for seed in seeds])
+        searched = SEARCHES[plan.algorithm](
+            plan, model, train_data, cfgs, seed=seeds,
+            run_id=[_run_id(plan.algorithm, point, seed)
+                    for point, seed in runs],
+            recorder=[r.append for r in records])
+    if len(searched) != len(runs):
+        raise ValueError(f"a stacked search of {len(runs)} runs gave "
+                         f"{len(searched)} results")
+    outcomes = []
+    for (point, seed), cfg, tickets, recs in zip(runs, cfgs, searched,
+                                                  records):
+        try:
+            with _precision(plan.precision):
+                outcomes.append((_evaluate_run(plan, point, seed, cfg, model,
+                                               tickets, recs, train_data,
+                                               test_data), None))
+        except Exception as exc:  # as _job reports it
+            outcomes.append((None, str(exc)))
+    return outcomes
+
+
+def _unit_outcomes(plan: ExperimentPlan, unit: list, train_data,
+                   test_data) -> list:
+    """``_job``'s outcome for each ``(point, seed)`` of a unit of
+    ``_units``, in order: a stack's runs searched together
+    (``_stacked_runs``), or, when that raises, one at a time, so that a
+    failing run becomes its own error row and the others keep their
+    results."""
+    if len(unit) > 1:
+        try:
+            return _stacked_runs(plan, unit, train_data, test_data)
+        except Exception:  # the reruns below report each run's failure
+            pass
+    return [_job(plan, point, seed, train_data, test_data)
+            for point, seed in unit]
+
+
+def _units(plan: ExperimentPlan, jobs: list) -> list[list]:
+    """The sweep's ``(point, seed)`` jobs as its units of work, each a list
+    of jobs, contiguous and in job order.
+
+    The IMP runs of a model without conv layers stack: they are split into
+    ``min(max_workers, runs)`` contiguous stacks whose sizes differ by at
+    most one, and a stack splits further where the runs' round configs
+    differ in more than ``prune_rate``. Every other job (a dense baseline,
+    any other search) is a unit of its own."""
+    runs = [job for job in jobs if job[0] is not None]
+    if (plan.algorithm != "imp" or len(runs) < 2 or any(
+            layer.conv for layer in plan.model_cfg.build(0).layers)):
+        return [[job] for job in jobs]
+    units = [[job] for job in jobs if job[0] is None]
+    size, extra = divmod(len(runs), min(plan.max_workers, len(runs)))
+    lo = 0
+    while lo < len(runs):
+        hi = lo + size + (extra > 0)
+        extra -= 1
+        units += [list(stack) for _, stack in itertools.groupby(
+            runs[lo:hi], key=lambda job: replace(
+                _apply_point(plan.round_cfg, job[0]), prune_rate=None))]
+        lo = hi
+    return units
+
+
+def _pooled_unit(plan: ExperimentPlan, unit: list, train_data,
+                 test_data) -> list:
+    """``_unit_outcomes`` in a worker process, each result pickled on its
+    own: a result that cannot be pickled fails only its run, with the
+    message the pool would give."""
+    out = []
+    for result, error in _unit_outcomes(plan, unit, train_data, test_data):
+        if error is None:
+            try:
+                result = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                result, error = None, f"{type(exc).__name__}: {exc}"
+        out.append((result, error))
+    return out
+
+
+def _pooled_outcomes(plan: ExperimentPlan, units: list, train_data,
                      test_data):
-    """``_job``'s outcome for each ``(point, seed)`` of ``jobs``, run on
-    forked worker processes and yielded in job order as each arrives. A
-    job left without a result (its worker died, or its result could not be
-    pickled back) yields ``(None, message)`` like a job that raised."""
+    """``_job``'s outcome for each ``(point, seed)`` of ``units``, each unit
+    run on forked worker processes and its runs' outcomes yielded in job
+    order as the unit's arrive. The runs of a unit left without a result
+    (its worker died) yield ``(None, message)`` like a job that raised."""
     # imported here: serial sweeps and single runs never load multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(min(plan.max_workers, len(jobs)),
+    with ProcessPoolExecutor(min(plan.max_workers, len(units)),
                              mp_context=multiprocessing.get_context("fork")
                              ) as pool:
-        futures = [pool.submit(_job, plan, point, seed, train_data, test_data)
-                   for point, seed in jobs]
+        futures = [pool.submit(_pooled_unit, plan, unit, train_data,
+                               test_data) for unit in units]
         try:
-            for future in futures:
+            for future, unit in zip(futures, units):
                 try:
-                    yield future.result()
+                    outcomes = future.result()
                 except Exception as exc:
-                    yield None, f"{type(exc).__name__}: {exc}"
+                    outcomes = [(None, f"{type(exc).__name__}: {exc}")
+                                ] * len(unit)
+                for result, error in outcomes:
+                    yield (None if result is None else pickle.loads(result),
+                           error)
         finally:  # an interrupted or failed sweep starts no further job
             pool.shutdown(cancel_futures=True)
 
@@ -613,18 +741,22 @@ def run_sweep(plan: ExperimentPlan, train_data, test_data,
     runs, execute them (on up to ``plan.max_workers`` forked worker
     processes when that is above 1), evaluate tickets, and aggregate.
 
-    Every job is a ``(point, seed)`` pair run by ``run_point``; unless
-    ``plan.evaluate`` is "none", the list starts with each seed's dense
-    baseline (``point`` None). A failing run becomes an error row under
-    its own id and the sweep continues; a worker process that dies turns
-    its run, and every run the pool did not finish, into error rows. A
-    failing dense baseline raises ``RuntimeError`` with its message and
-    starts no further job.
+    Every job is a ``(point, seed)`` pair; unless ``plan.evaluate`` is
+    "none", the list starts with each seed's dense baseline (``point``
+    None). The IMP runs of a model without conv layers run as at most
+    ``max_workers`` stacks (``_units``): each stack searches its runs as
+    one stacked model, every slice bitwise its run alone, and evaluates
+    each run on its own; a stack whose search raises reruns its runs one
+    at a time. Every other job is one ``run_point``. A failing run becomes
+    an error row under its own id and the sweep continues; a worker
+    process that dies turns the runs of its unit, and every run the pool
+    did not finish, into error rows. A failing dense baseline raises
+    ``RuntimeError`` with its message and starts no further job.
 
     ``on_run(run_id, point, seed, tickets, records)``, when given, is called
-    in the calling process, in job order, as each job's result arrives (a
-    dense baseline has no tickets). A job whose hook raises fails as if the
-    job had raised.
+    in the calling process, in job order, once per job as its result
+    arrives (a dense baseline has no tickets). A job whose hook raises
+    fails as if the job had raised.
 
     When the mask init is swept, the report includes the Spearman rank
     correlation between its value and the median remaining fraction."""
@@ -635,11 +767,13 @@ def run_sweep(plan: ExperimentPlan, train_data, test_data,
     jobs = [(point, seed) for point in points for seed in plan.seeds]
     if plan.evaluate != "none":
         jobs = [(None, seed) for seed in plan.seeds] + jobs
+    units = _units(plan, jobs)
     if plan.max_workers == 1:
-        outcomes = (_job(plan, point, seed, train_data, test_data)
-                    for point, seed in jobs)
+        outcomes = (outcome for unit in units
+                    for outcome in _unit_outcomes(plan, unit, train_data,
+                                                  test_data))
     else:
-        outcomes = _pooled_outcomes(plan, jobs, train_data, test_data)
+        outcomes = _pooled_outcomes(plan, units, train_data, test_data)
     rows: list[EvalRow] = []
     records: list[RunRecord] = []
     with closing(outcomes):

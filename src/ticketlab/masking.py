@@ -347,18 +347,26 @@ def kept_fraction(masks: dict[str, np.ndarray]) -> float:
     return sum(float(m.sum()) for m in masks.values()) / total
 
 
-def remaining_fraction(groups, beta: float = 1.0, gates=None) -> float:
+def remaining_fraction(groups, beta: float = 1.0, gates=None,
+                       stacked: bool = False):
     """Size-weighted remaining fraction across gated groups: gate values
     at or above ``PRUNED_GATE_EPS`` count as kept. ``gates`` maps soft
     groups' names to their ``gate`` at this beta, read instead of
-    computing the sigmoid again."""
+    computing the sigmoid again. The groups of a stacked model
+    (``models.stack_models``, ``stacked``) give a list, each slice's
+    fraction."""
     gates = gates or {}
     total = 0
     kept = 0.0
     for g in groups:
         vals = gates[g.name].data if g.name in gates else g.gate_values(beta)
-        total += vals.size
-        kept += float((vals >= PRUNED_GATE_EPS).sum())
+        hits = vals >= PRUNED_GATE_EPS
+        if stacked:
+            total += vals[0].size
+            kept = kept + hits.reshape(len(hits), -1).sum(axis=1)
+        else:
+            total += vals.size
+            kept += float(hits.sum())
     if total == 0:
         raise ValueError("no gated components to report on")
-    return kept / total
+    return (kept / total).tolist() if stacked else kept / total

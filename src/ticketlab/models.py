@@ -132,8 +132,9 @@ class Model:
         stochastic group gets ``masking.gate`` here, without a penalty (a
         stochastic one drawn from ``rng``). An ungated group has none.
 
-        A stacked model (``stack_models``) takes the same batch ``x`` and
-        gives each ticket's logits, (K, n, classes)."""
+        A stacked model (``stack_models``) takes one batch ``x`` that
+        every slice reads, or one batch per slice, (K, n, inputs), and gives
+        each slice's logits, (K, n, classes)."""
         gates = gates or {}
         h = x
         for layer, group, b in zip(self.layers, self.groups, self.biases):
@@ -158,9 +159,10 @@ def stack_models(models: list[Model]) -> Model:
     ticket axis K = len(models), slice k a copy of ``models[k]``'s. The
     models must share their layers, which must all be dense (only
     ``linear`` takes a ticket axis), and each group must be hard-masked or
-    ungated in all of them (ticket evaluation trains such models). Each
-    weight layer then runs as one node over the whole stack, and a slice
-    of its output is bitwise what that model alone gives."""
+    ungated in all of them (ticket evaluation trains such models, and an
+    IMP search freshly built ones). Each weight layer then runs as one
+    node over the whole stack, and a slice of its output is bitwise what
+    that model alone gives."""
     first = models[0]
     if any(m.layers != first.layers for m in models):
         raise ValueError("stacked models must share their layers")

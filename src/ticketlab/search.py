@@ -30,6 +30,11 @@ temperature each round, gated modes (soft and stochastic) add the L1 gate
 penalty and stamp lam/s0 on records, and stochastic gates draw from the
 mask stream. Pruned components always stay in storage with zero gradient
 (the mask multiplies the gradient), which makes rewinding exact.
+
+``run_imp`` also takes a stack of K runs (``models.stack_models``), one
+per slice, each with its own seed, pruning rate, masks and tickets: the
+loop then takes one step for all of them, and every slice is bitwise its
+run alone.
 """
 from __future__ import annotations
 
@@ -45,6 +50,7 @@ from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC, ST_VARIANTS,
 from .optim import CompositeOptimizer, OptimizerConfig
 from .persist import RunRecord
 from .seeding import STREAM_MASK, STREAM_SHUFFLE, seeded_rng
+from .tensor import Tensor
 from .training import (RunInfo, TrainCursor, epoch_iters,
                        lr_milestones_callback, train)
 
@@ -252,36 +258,77 @@ class _Policy:
     rewind: bool = False  # weights return to iterate k after every round
 
 
-def _run_rounds(model, data, cfg: RoundConfig, policy: _Policy, *,
-                algorithm: str, seed: int, run_id: str, test_data,
-                recorder) -> list[TicketResult]:
+def _slice_groups(groups: list[MaskedParameterGroup],
+                  i: int) -> list[MaskedParameterGroup]:
+    """Slice ``i`` of a stack's hard-masked groups as groups of their own:
+    views of its weights, each with a copy of its frozen mask."""
+    out = []
+    for g in groups:
+        view = MaskedParameterGroup(g.name, Tensor(g.weights.data[i],
+                                                   dtype=g.weights.dtype),
+                                    maskable=g.maskable)
+        view.freeze(g.frozen_mask[i])
+        out.append(view)
+    return out
+
+
+def _run_rounds(model, data, cfgs: list[RoundConfig], policy: _Policy, *,
+                algorithm: str, seeds: list[int], run_ids: list[str],
+                test_data, recorders: list) -> list[list[TicketResult]]:
     """Train for ``iters_per_round`` iterations, extract the round's ticket,
     rewind the weights if the policy asks, and update the mask before the
     next round; ``rounds`` times, or until extraction finds nothing left to
     prune. Returns one ticket per executed round. The round-1 iterate k is
     captured for rewinding, learning-rate milestones restart every round,
     and total optimizer iterations are exactly rounds * iters_per_round
-    unless pruning is exhausted first."""
+    unless pruning is exhausted first.
+
+    The loop runs K runs at once, each with its own round config, seed,
+    run id and recorder, and returns each run's tickets: one run of a
+    single model (K = 1), or one run per slice of a stacked model
+    (``models.stack_models``) under a hard-mask policy. The configs of a
+    stack may differ only in ``prune_rate``. Every run has its own shuffle
+    stream, rewind snapshot, extraction, tickets and records, each bitwise
+    what its model gives alone. A run whose extraction finds nothing left
+    to prune ends at that round, as it does alone; the stack trains on
+    while any run is left, and what it does with an ended run's slice is
+    discarded."""
+    cfg = cfgs[0]
     groups = model.maskable_groups()
     if not groups:
         raise ValueError(f"{algorithm} search needs >= 1 maskable group")
+    stacked = model.stacked
+    if stacked and policy.mode != GATE_HARD:
+        raise ValueError("only a hard-mask search runs a stack of runs")
+    if any(replace(c, prune_rate=None) != replace(cfg, prune_rate=None)
+           for c in cfgs[1:]):
+        raise ValueError("stacked runs must share their round config but "
+                         "for the pruning rate")
     model.set_gate_mode(policy.mode, cfg.mask_init)
     soft = policy.mode == GATE_SOFT
     gated = policy.mode in (GATE_SOFT, GATE_STOCHASTIC)
-    shuffle = seeded_rng(seed, STREAM_SHUFFLE)
-    mask_rng = (seeded_rng(seed, STREAM_MASK)
+    shuffles = [seeded_rng(seed, STREAM_SHUFFLE) for seed in seeds]
+    mask_rng = (seeded_rng(seeds[0], STREAM_MASK)
                 if policy.mode == GATE_STOCHASTIC else None)
-    rec = _Recorder(recorder)
-    info = RunInfo(run_id=run_id, algorithm=algorithm, seed=seed,
-                   lam=cfg.lam if gated else None,
-                   s0=cfg.mask_init if gated else None)
+    recs = [_Recorder(r) for r in recorders]
+    infos = [RunInfo(run_id=run_id, algorithm=algorithm, seed=seed,
+                     lam=cfg.lam if gated else None,
+                     s0=cfg.mask_init if gated else None)
+             for run_id, seed in zip(run_ids, seeds)]
+
+    def each(values: list):  # what train takes: a stack's list, or the one
+        return values if stacked else values[0]
+
     box: dict = {}
+    stores: list[RewindStore] = []  # each run's snapshot at iterate k
     total = 0
-    tickets: list[TicketResult] = []
-    remaining_per_round: list[float] = []
+    tickets: list[list[TicketResult]] = [[] for _ in seeds]
+    remaining_per_round: list[list[float]] = [[] for _ in seeds]
+    live = list(range(len(seeds)))  # the runs that have not ended
 
     for r in range(1, cfg.rounds + 1):
-        info.round = r
+        for info in infos:
+            info.round = r
         opt = _make_optimizer(model, cfg)
         cbs = [_capture_rewind(model, cfg.rewind_iter, box)] if r == 1 else []
         if cfg.lr_milestones:
@@ -290,28 +337,47 @@ def _run_rounds(model, data, cfg: RoundConfig, policy: _Policy, *,
         sched = (TemperatureSchedule(cfg.beta_final, cfg.iters_per_round)
                  if soft else None)
         total += train(model, data, opt, cfg.iters_per_round,
-                       batch_size=cfg.batch_size, shuffle_rng=shuffle,
+                       batch_size=cfg.batch_size, shuffle_rng=each(shuffles),
                        schedule=sched, lam=cfg.lam if gated else 0.0,
                        mask_rng=mask_rng, st_variant=cfg.st_variant,
                        cursor=TrainCursor(), start_iteration=total,
-                       before_step=cbs, recorder=rec, run_info=info,
-                       test_data=test_data, record_every=cfg.record_every)
-        masks, exhausted = policy.extract(groups, cfg, mask_rng)
-        remaining_per_round.append(kept_fraction(masks))
-        rec(info.record(0, total, "ticket",
-                        remaining_frac=remaining_per_round[-1],
-                        beta=cfg.beta_final if soft else None))
-        final_weights = model.weight_arrays(copy=True)
+                       before_step=cbs,
+                       recorder=each([rec if i in live else None
+                                      for i, rec in enumerate(recs)]),
+                       run_info=each(infos), test_data=test_data,
+                       record_every=cfg.record_every)
+        store = box["store"]
+        if not stores:
+            stores = ([RewindStore(store.rewind_iter,
+                                   {n: a[i].copy()
+                                    for n, a in store.arrays.items()})
+                       for i in range(len(seeds))] if stacked else [store])
+        weights = model.weight_arrays(copy=not stacked)
+        for i in list(live):
+            ticket_groups = _slice_groups(groups, i) if stacked else groups
+            masks, exhausted = policy.extract(ticket_groups, cfgs[i],
+                                              mask_rng)
+            if stacked:
+                for g, view in zip(groups, ticket_groups):
+                    g.frozen_mask[i] = view.frozen_mask
+            remaining_per_round[i].append(kept_fraction(masks))
+            recs[i](infos[i].record(0, total, "ticket",
+                                    remaining_frac=remaining_per_round[i][-1],
+                                    beta=cfg.beta_final if soft else None))
+            tickets[i].append(TicketResult(
+                algorithm, run_ids[i], seeds[i], cfgs[i], masks, stores[i],
+                recs[i].rows, list(remaining_per_round[i]), [masks], total,
+                iters_per_epoch=epoch_iters(len(data), cfg.batch_size),
+                round=r, prune_exhausted=exhausted,
+                final_weights=({n: a[i].copy() for n, a in weights.items()}
+                               if stacked else weights)))
+            if exhausted:
+                live.remove(i)
         if policy.rewind:
-            model.load_weight_arrays(box["store"].arrays)
+            model.load_weight_arrays(store.arrays)
         if policy.update is not None and r < cfg.rounds:
             policy.update(groups, cfg)
-        tickets.append(TicketResult(
-            algorithm, run_id, seed, cfg, masks, box["store"], rec.rows,
-            list(remaining_per_round), [masks], total,
-            iters_per_epoch=epoch_iters(len(data), cfg.batch_size), round=r,
-            prune_exhausted=exhausted, final_weights=final_weights))
-        if exhausted:
+        if not live:
             break
     return tickets
 
@@ -336,9 +402,10 @@ def run_cs(model, data, cfg: RoundConfig, *, seed: int = 0, run_id: str = "cs",
     cfg.validate()
     policy = _Policy(GATE_SOFT, _hard_step, _reset_logits,
                      rewind=cfg.rewind_between_rounds)
-    return _with_round_masks(_run_rounds(
-        model, data, cfg, policy, algorithm="cs", seed=seed, run_id=run_id,
-        test_data=test_data, recorder=recorder))
+    [tickets] = _run_rounds(model, data, [cfg], policy, algorithm="cs",
+                            seeds=[seed], run_ids=[run_id],
+                            test_data=test_data, recorders=[recorder])
+    return _with_round_masks(tickets)
 
 
 def run_imp(model, data, cfg: RoundConfig, scope: str = "global", *,
@@ -346,14 +413,27 @@ def run_imp(model, data, cfg: RoundConfig, scope: str = "global", *,
             recorder=None) -> list[TicketResult]:
     """Iterative magnitude pruning. Emits one ticket per round; masks are
     nested across rounds. With ``rewind_between_rounds`` surviving weights
-    return to the round-1 iterate k after every round."""
-    cfg.validate(need_rate=True)
+    return to the round-1 iterate k after every round.
+
+    A stacked model (``models.stack_models``) of K runs takes a list of K
+    round configs, equal but for ``prune_rate``, of K seeds, of K run ids
+    and of K recorders (or None), and returns each run's tickets, each
+    list bitwise what that run's model gives alone."""
+    if model.stacked:
+        cfgs, seeds, run_ids = list(cfg), list(seed), list(run_id)
+        recorders = [None] * len(cfgs) if recorder is None else list(recorder)
+    else:
+        cfgs, seeds, run_ids, recorders = [cfg], [seed], [run_id], [recorder]
+    for c in cfgs:
+        c.validate(need_rate=True)
     if scope not in PRUNE_SCOPES:
         raise ValueError(f"unknown pruning scope {scope!r}")
     policy = _Policy(GATE_HARD, partial(_magnitude_cut, scope=scope),
-                     rewind=cfg.rewind_between_rounds)
-    return _run_rounds(model, data, cfg, policy, algorithm="imp", seed=seed,
-                       run_id=run_id, test_data=test_data, recorder=recorder)
+                     rewind=cfgs[0].rewind_between_rounds)
+    per_run = _run_rounds(model, data, cfgs, policy, algorithm="imp",
+                          seeds=seeds, run_ids=run_ids, test_data=test_data,
+                          recorders=recorders)
+    return per_run if model.stacked else per_run[0]
 
 
 def run_iss(model, data, cfg: RoundConfig, *, seed: int = 0,
@@ -366,9 +446,10 @@ def run_iss(model, data, cfg: RoundConfig, *, seed: int = 0,
     cfg.validate()
     policy = _Policy(GATE_STOCHASTIC, _bernoulli, _freeze_dropped,
                      rewind=True)
-    return _with_round_masks(_run_rounds(
-        model, data, cfg, policy, algorithm="iss", seed=seed, run_id=run_id,
-        test_data=test_data, recorder=recorder))
+    [tickets] = _run_rounds(model, data, [cfg], policy, algorithm="iss",
+                            seeds=[seed], run_ids=[run_id],
+                            test_data=test_data, recorders=[recorder])
+    return _with_round_masks(tickets)
 
 
 def run_sequential_cs(model, data, cfg: RoundConfig, *, seed: int = 0,
@@ -382,8 +463,10 @@ def run_sequential_cs(model, data, cfg: RoundConfig, *, seed: int = 0,
     cfg.validate(need_rate=True)
     policy = _Policy(GATE_SOFT, _lowest_logit_quota,
                      rewind=cfg.rewind_between_rounds)
-    return _run_rounds(model, data, cfg, policy, algorithm="seqcs", seed=seed,
-                       run_id=run_id, test_data=test_data, recorder=recorder)
+    [tickets] = _run_rounds(model, data, [cfg], policy, algorithm="seqcs",
+                            seeds=[seed], run_ids=[run_id],
+                            test_data=test_data, recorders=[recorder])
+    return tickets
 
 
 def run_supermask(model, data, cfg: RoundConfig, variant: str = "soft", *,
@@ -403,10 +486,10 @@ def run_supermask(model, data, cfg: RoundConfig, variant: str = "soft", *,
         t.requires_grad = False
     policy = (_Policy(GATE_SOFT, _hard_step) if variant == "soft"
               else _Policy(GATE_STOCHASTIC, _bernoulli))
-    [ticket] = _run_rounds(model, data, cfg, policy,
-                           algorithm=f"supermask-{variant}", seed=seed,
-                           run_id=run_id, test_data=test_data,
-                           recorder=recorder)
+    [[ticket]] = _run_rounds(model, data, [cfg], policy,
+                             algorithm=f"supermask-{variant}", seeds=[seed],
+                             run_ids=[run_id], test_data=test_data,
+                             recorders=[recorder])
     for k, a in model.weight_arrays().items():
         if not np.array_equal(a, snapshot[k]):
             raise RuntimeError(f"frozen weights changed during supermask "

@@ -16,10 +16,11 @@ broadcasting; pointwise ops accept equal shapes or a scalar operand.
 The one leading axis an op knows is a ticket axis K, and only two ops
 know it: ``linear`` takes weights, bias and gate stacked over K tickets,
 with one input per ticket or one input that all of them share, and
-``softmax_cross_entropy`` gives one loss per ticket. Each slice is
-bitwise the op of that ticket alone, so K dense tickets that see the same
-batches train as one model. A 2-d ``linear`` layer still takes only a
-2-d input; ``conv2d`` and ``max_pool2d`` take only 4-d operands.
+``softmax_cross_entropy`` gives one loss per ticket, of one batch they
+share or of one batch each. Each slice is bitwise the op of that ticket
+alone, so K dense models train as one, on the same batches or each on
+its own. A 2-d ``linear`` layer still takes only a 2-d input;
+``conv2d`` and ``max_pool2d`` take only 4-d operands.
 
 Every recorded operation is appended to a thread-local tape in forward
 order. ``backward`` walks the tape in exact reverse order, accumulating
@@ -668,27 +669,32 @@ def max_pool2d(x: Tensor) -> Tensor:
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label], max-stabilized.
 
-    (K, n, c) logits, K stacked tickets' logits of one batch, give each
-    ticket's loss, shape (K,), bitwise what its (n, c) logits give; a
-    ticket's gradient is scaled by its own element of the output
-    gradient. Summing them (``tensor_sum``) seeds every ticket's backward
-    pass with exactly 1."""
+    (K, n, c) logits, K stacked tickets' logits, give each ticket's loss,
+    shape (K,), bitwise what its (n, c) logits give; a ticket's gradient
+    is scaled by its own element of the output gradient. Their labels are
+    (n,) when the tickets share one batch, or (K, n), one row per ticket's
+    batch. Summing the losses (``tensor_sum``) seeds every ticket's
+    backward pass with exactly 1."""
     labels = np.asarray(labels)
     d = logits.data
     if d.ndim not in (2, 3):
         raise ShapeError(f"softmax_cross_entropy expects (n,c) logits or a "
                          f"(K,n,c) stack, got {d.shape}")
     n, c = d.shape[-2:]
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
+    if labels.shape != (n,) and labels.shape != d.shape[:-1]:
+        raise ShapeError(f"labels shape {labels.shape} does not match batch "
+                         f"{d.shape[:-1]}")
     # the reductions as ufuncs: what the array methods call, without their
     # Python wrappers
-    if n and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c):
+    if n and (np.minimum.reduce(labels, axis=None) < 0
+              or np.maximum.reduce(labels, axis=None) >= c):
         raise IndexError(f"label out of range [0, {c})")
     logp = d - np.maximum.reduce(d, axis=-1, keepdims=True)
     logp -= np.log(np.add.reduce(np.exp(logp), axis=-1, keepdims=True))
-    rows = np.arange(n)
-    picked = logp[..., rows, labels]
+    # each ticket's row of its own labels' log-probabilities
+    at = ((np.arange(n), labels) if labels.ndim == 1
+          else (np.arange(len(d))[:, None], np.arange(n), labels))
+    picked = logp[(Ellipsis,) + at]
     if picked.ndim == 2:  # C-ordered, so that each ticket's row is summed
         picked = np.ascontiguousarray(picked)  # as one ticket's is
     # bitwise picked.mean(axis=-1)
@@ -697,7 +703,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     def backward_fn(g):
         if logits.requires_grad:
             p = np.exp(logp)
-            p[..., rows, labels] -= 1.0
+            p[(Ellipsis,) + at] -= 1.0
             if p.ndim == 2:
                 p *= float(g) / n
             else:

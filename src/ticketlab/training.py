@@ -119,11 +119,16 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     gradient before it updates anything; its ``NonFiniteError`` becomes an
     ``abort`` record and a ``NonFiniteError`` naming the iteration and run.
 
-    A stacked model (``models.stack_models``) trains its tickets on the
-    same batches: the loss differentiated, and reported, is the sum of
-    theirs, so each ticket's backward pass is seeded with exactly 1.
-    Per-epoch records take a single model: a recorder with ``record_every``
-    above 0 and a stacked model raise ``ValueError``.
+    A stacked model (``models.stack_models``) of K slices trains them in
+    one pass: the loss differentiated, and reported, is the sum of theirs,
+    so each slice's backward pass is seeded with exactly 1. With one
+    ``shuffle_rng`` every slice reads the same batches; with a list of K
+    streams, slice k reads the batches of stream k. Its ``run_info`` and
+    ``recorder``, when given, are lists of K, one per slice (a None
+    recorder drops that slice's rows), and slice k's rows are bitwise
+    what its model alone, on its stream, gives. A non-finite loss names
+    the first slice whose loss is non-finite, a non-finite gradient the
+    first slice.
     """
     n = len(data)
     nb = epoch_iters(n, batch_size)
@@ -131,29 +136,55 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     if record_every < 0:
         raise ValueError(f"record_every must be >= 0, got {record_every}")
-    if recorder is not None and record_every and getattr(model, "stacked",
-                                                         False):
-        raise ValueError("per-epoch records take a single model, not a "
-                         "stack of tickets")
     if batch_size > n:
         raise ValueError(f"batch size {batch_size} exceeds dataset size {n}")
+    stacked = getattr(model, "stacked", False)
+    if stacked:
+        k = len(model.biases[0].data)
+        infos = [RunInfo()] * k if run_info is None else list(run_info)
+        sinks = [None] * k if recorder is None else list(recorder)
+    else:
+        infos, sinks = [run_info or RunInfo()], [recorder]
+    per_slice = isinstance(shuffle_rng, (list, tuple))
+    if stacked and (len(infos) != k or len(sinks) != k
+                    or per_slice and len(shuffle_rng) != k):
+        raise ValueError(f"a stack of {k} slices takes {k} run infos and "
+                         f"{k} recorders, and one shuffle stream or {k}")
+    if per_slice and not stacked:
+        raise ValueError("one shuffle stream per slice takes a stacked model")
     if iterations == 0:
         return 0
+    recording = record_every and any(s is not None for s in sinks)
     cursor = cursor if cursor is not None else TrainCursor()
-    info = run_info or RunInfo()
     maskable = [g for g in getattr(model, "groups", []) if g.maskable]
     gated = [g for g in maskable if g.mode in (GATE_SOFT, GATE_STOCHASTIC)]
     soft = [g for g in gated if g.mode == GATE_SOFT]
-    epoch_loss = 0.0
+    epoch_loss = np.zeros(k) if stacked else 0.0  # in float64
     epoch_steps = 0
 
-    def abort(what: str, it: int, loss_val: float, beta: float):
-        """Send the diagnostic record; return the error to raise."""
-        if recorder is not None:
-            recorder(info.record(cursor.epoch, it, "abort", loss=loss_val,
-                                 beta=beta))
+    def rows(epoch: int, it: int, split: str, beta: float, loss,
+             accuracy=None, remaining_frac=None):
+        """Send each slice its record. Of a stack, ``loss``, ``accuracy``
+        and ``remaining_frac`` hold one value per slice."""
+        def each(v):
+            if v is None:
+                return [None] * len(infos)
+            return [float(e) for e in v] if stacked else [v]
+
+        for info, sink, lv, acc, rem in zip(infos, sinks, each(loss),
+                                            each(accuracy),
+                                            each(remaining_frac)):
+            if sink is not None:
+                sink(info.record(epoch, it, split, loss=lv, accuracy=acc,
+                                 remaining_frac=rem, beta=beta))
+
+    def abort(what: str, it: int, loss, beta: float):
+        """Send the diagnostic records; return the error to raise."""
+        rows(cursor.epoch, it, "abort", beta, loss)
+        bad = next((info for info, v in zip(infos, np.atleast_1d(loss))
+                    if not math.isfinite(v)), infos[0])
         return NonFiniteError(
-            f"non-finite {what} at iteration {it} of {info.run_id!r}")
+            f"non-finite {what} at iteration {it} of {bad.run_id!r}")
 
     # a diverging step's overflow is reported by the finiteness checks
     # below, not as NumPy warnings
@@ -168,12 +199,13 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                 cb(si)
             beta = schedule.step() if schedule else 1.0
 
-            if cursor.perm is None:
-                cursor.perm = shuffle_rng.permutation(n)
+            if cursor.perm is None:  # of a stream per slice: (K, n)
+                cursor.perm = (np.stack([r.permutation(n) for r in shuffle_rng])
+                               if per_slice else shuffle_rng.permutation(n))
                 cursor.pos = 0
             lo = cursor.pos * batch_size
             hi = min(lo + batch_size, n)
-            idx = cursor.perm[lo:hi]
+            idx = cursor.perm[..., lo:hi]
             x = Tensor(data.inputs[idx])
             y = data.labels[idx]
 
@@ -186,7 +218,8 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                      for g in gated}
             logits = model.forward(x, beta=beta, gates=gates)
             loss = softmax_cross_entropy(logits, y)
-            if loss.ndim:  # a stacked model's tickets: each seeded with 1
+            if stacked:  # each slice's loss, each seeded with 1
+                losses = loss.data
                 loss = tensor_sum(loss)
             loss_val = loss.data
             if lam > 0.0:
@@ -194,14 +227,18 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                     loss_val = loss_val + gates[g.name].penalty
             loss_val = float(loss_val)
             if not math.isfinite(loss_val):
-                raise abort("loss", it, loss_val, beta)
+                raise abort("loss", it, losses if stacked else loss_val, beta)
             backward(loss)
             try:  # the step checks every gradient before it updates anything
                 optimizer.step()
             except NonFiniteError:
-                raise abort("gradient", it, loss_val, beta) from None
+                raise abort("gradient", it, losses if stacked else loss_val,
+                            beta) from None
 
-            epoch_loss += loss_val
+            if stacked:
+                epoch_loss += losses
+            else:
+                epoch_loss += loss_val
             epoch_steps += 1
             cursor.pos += 1
             if after_step:
@@ -213,36 +250,32 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
             if cursor.pos == nb:
                 cursor.epoch += 1
                 cursor.perm = None
-                if (recorder is not None and record_every
-                        and cursor.epoch % record_every == 0):
+                if recording and cursor.epoch % record_every == 0:
                     # each soft gate once, for the remaining fraction and
                     # both evaluations; an ungated group keeps all of its
                     # weights
                     eval_gates = {g.name: gate(g, beta) for g in soft}
-                    rem = (remaining_fraction(maskable, beta, eval_gates)
-                           if maskable else 1.0)
+                    rem = (remaining_fraction(maskable, beta, eval_gates,
+                                              stacked) if maskable
+                           else [1.0] * k if stacked else 1.0)
                     # evaluation sampling is decoupled from the training
                     # mask stream so record cadence never alters the
                     # trajectory
                     eval_rng = None if mask_rng is None else (
                         np.random.default_rng(np.random.SeedSequence(
-                            (info.seed, STREAM_EVAL, it))))
+                            (infos[0].seed, STREAM_EVAL, it))))
                     _, train_acc = evaluate(model, data, beta=beta,
                                             rng=eval_rng,
                                             st_variant=st_variant,
                                             gates=eval_gates)
-                    recorder(info.record(cursor.epoch, it + 1, "train",
-                                         loss=epoch_loss / epoch_steps,
-                                         accuracy=train_acc,
-                                         remaining_frac=rem, beta=beta))
+                    rows(cursor.epoch, it + 1, "train", beta,
+                         epoch_loss / epoch_steps, train_acc, rem)
                     if test_data is not None:
                         tl, ta = evaluate(model, test_data, beta=beta,
                                           rng=eval_rng, st_variant=st_variant,
                                           gates=eval_gates)
-                        recorder(info.record(cursor.epoch, it + 1, "test",
-                                             loss=tl, accuracy=ta,
-                                             remaining_frac=rem, beta=beta))
-                epoch_loss = 0.0
+                        rows(cursor.epoch, it + 1, "test", beta, tl, ta, rem)
+                epoch_loss = np.zeros(k) if stacked else 0.0
                 epoch_steps = 0
     return iterations
 

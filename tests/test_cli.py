@@ -386,25 +386,80 @@ class TestSweepAndReport:
         records = read_records(out / "records.csv")
         assert any(r.split == "finetune_test" for r in records)
 
-    def test_sweep_parallel_workers_match_serial(self, tmp_path,
-                                                 monkeypatch):
-        cfgp = small_config(tmp_path)
+    @staticmethod
+    def _sweep_trees(tmp_path, monkeypatch, argv) -> tuple[dict, dict]:
+        """Every file a sweep writes with 1 and with 2 workers."""
         trees = []
         for workers in ("1", "2"):
             # the same relative --out, as run configs record their path
             (tmp_path / workers).mkdir()
             monkeypatch.chdir(tmp_path / workers)
-            assert main(["sweep", "--config", str(cfgp), "--grid",
-                         "s0=-0.1,0.1", "--seeds", "1,2", "--eval", "rounds",
-                         "--out", "sweep", "--workers", workers]) == 0
+            assert main(["sweep"] + argv + ["--out", "sweep", "--workers",
+                                             workers]) == 0
             root = tmp_path / workers / "sweep"
             trees.append({str(p.relative_to(root)): p.read_bytes()
                           for p in sorted(root.rglob("*")) if p.is_file()})
         serial, parallel = trees
-        assert len(serial) > 30
         assert serial.keys() == parallel.keys()
         differ = [k for k in serial if serial[k] != parallel[k]]
         assert differ == ["config.json"]  # it records max_workers
+        return serial, parallel
+
+    def test_sweep_parallel_workers_match_serial(self, tmp_path,
+                                                 monkeypatch):
+        cfgp = small_config(tmp_path)
+        serial, _ = self._sweep_trees(tmp_path, monkeypatch, [
+            "--config", str(cfgp), "--grid", "s0=-0.1,0.1", "--seeds", "1,2",
+            "--eval", "rounds"])
+        assert len(serial) > 30
+
+    def test_imp_sweep_stacks_match_across_workers(self, tmp_path,
+                                                   monkeypatch):
+        # one worker searches the six runs as one stack, two as two of three
+        sizes, units = [], harness._units
+
+        def spy(plan, jobs):
+            made = units(plan, jobs)
+            sizes.append([len(u) for u in made if u[0][0] is not None])
+            return made
+
+        monkeypatch.setattr(harness, "_units", spy)
+        cfgp = small_config(tmp_path)
+        serial, _ = self._sweep_trees(tmp_path, monkeypatch, [
+            "--algorithm", "imp", "--config", str(cfgp), "--grid",
+            "tau=0.2,0.4", "--seeds", "1,2,3", "--eval", "rounds",
+            "--record-every", "1"])
+        assert sizes == [[6], [3, 3]]
+        # the sweep's 2 files, 2 per baseline, 9 per run (3 masks)
+        assert len(serial) == 2 + 3 * 2 + 6 * 9
+        records = read_records(tmp_path / "1" / "sweep" / "runs" /
+                               "imp-tau=0.4-seed3" / "records.csv")
+        assert {r.split for r in records} == {"train", "ticket",
+                                              "retrain_test"}
+
+    def test_integer_grid_fields_run(self, tmp_path):
+        cfgp = small_config(tmp_path, evaluation={"evaluate": "rounds",
+                                                  "budget_iters": 16})
+        for argv in (["--algorithm", "imp", "--grid", "rounds=1,2"],
+                     ["--grid", "batch_size=16,32"],
+                     ["--algorithm", "imp", "--grid", "iters_per_round=8:16:2"]):
+            out = tmp_path / "_".join(argv).replace("=", "-")
+            assert main(["sweep", "--config", str(cfgp), "--seeds", "1,2",
+                         "--out", str(out)] + argv) == 0, argv
+            report = json.loads((out / "report.json").read_text())
+            assert report["errors"] == [], argv
+            assert len(report["rows"]) > 0, argv
+
+    def test_non_integral_integer_grid_value_fails_before_anything_is_written(
+            self, tmp_path, capsys):
+        cfgp = small_config(tmp_path)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(cfgp), "--grid",
+                   "batch_size=16,16.5", "--out", str(out)])
+        assert rc == 1
+        assert ("error: sweep parameter 'batch_size' takes whole numbers, "
+                "got 16.5") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_workers_below_one_fails(self, tmp_path, capsys):
         cfgp = small_config(tmp_path)

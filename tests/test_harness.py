@@ -1,6 +1,7 @@
 import hashlib
 import os
 import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -140,23 +141,63 @@ class TestTrainLoop:
         for k, a in model.weight_arrays().items():
             assert np.array_equal(a, before[k])
 
-    def test_stacked_model_takes_no_epoch_records(self, moons_pair):
-        train_ds, _ = moons_pair
-        stack = stack_models([MC.build(1), MC.build(2)])
-        before = {k: a.copy() for k, a in stack.weight_arrays().items()}
-        rows = []
-        with pytest.raises(ValueError, match="a single model"):
-            train(stack, train_ds, _opt(stack, cfg()), 8, batch_size=32,
+    def test_stacked_model_records_each_slice(self, moons_pair):
+        train_ds, test_ds = moons_pair
+        seeds = (1, 2, 3)
+        infos = [RunInfo(run_id=f"run{s}", seed=s) for s in seeds]
+        # 128 examples in batches of 48: 3 steps an epoch, the last short
+        kw = dict(batch_size=48, test_data=test_ds, record_every=1)
+        for per_slice in (False, True):  # a stream each, or one for all
+            def stream(s):
+                return seeded_rng(s if per_slice else 9, STREAM_SHUFFLE)
+
+            alone = []
+            for s, info in zip(seeds, infos):
+                model, rows = MC.build(s), []
+                train(model, train_ds, _opt(model, cfg()), 10,
+                      shuffle_rng=stream(s), recorder=rows.append,
+                      run_info=info, **kw)
+                assert [r.split for r in rows] == ["train", "test"] * 3
+                alone.append((rows, model.weight_arrays()))
+            stack = stack_models([MC.build(s) for s in seeds])
+            rows = [[], None, []]  # a None recorder drops its slice's rows
+            train(stack, train_ds, _opt(stack, cfg()), 10,
+                  shuffle_rng=([stream(s) for s in seeds] if per_slice
+                               else stream(None)),
+                  recorder=[None if r is None else r.append for r in rows],
+                  run_info=infos, **kw)
+            for i, (want, weights) in enumerate(alone):
+                assert rows[i] is None or rows[i] == want, (per_slice, i)
+                for k, a in stack.weight_arrays().items():
+                    assert np.array_equal(a[i], weights[k]), (per_slice, k)
+        for bad in (dict(recorder=[rows[0].append]),
+                    dict(run_info=infos[:2]),
+                    dict(shuffle_rng=[stream(1), stream(2)])):
+            with pytest.raises(ValueError, match="a stack of 3 slices"):
+                train(stack, train_ds, _opt(stack, cfg()), 1,
+                      **{"shuffle_rng": stream(1), **bad}, **kw)
+        model = MC.build(1)
+        with pytest.raises(ValueError, match="takes a stacked model"):
+            train(model, train_ds, _opt(model, cfg()), 1,
+                  shuffle_rng=[stream(1)], **kw)
+
+    def test_stacked_abort_names_the_first_diverging_slice(self,
+                                                           moons_pair):
+        models = [MC.build(s) for s in (1, 2, 3)]
+        for m in models[1:]:  # NaN logits: a non-finite loss
+            m.groups[0].weights.data[...] = np.nan
+        stack = stack_models(models)
+        rows = [[], [], []]
+        with pytest.raises(NonFiniteError, match="non-finite loss at "
+                                                 "iteration 0 of 'run2'"):
+            train(stack, moons_pair[0], _opt(stack, cfg()), 4, batch_size=32,
                   shuffle_rng=seeded_rng(1, STREAM_SHUFFLE),
-                  recorder=rows.append, record_every=1)
-        assert rows == []
-        for k, a in stack.weight_arrays().items():
-            assert np.array_equal(a, before[k])
-        # without per-epoch records (record_every 0) the stack trains
-        train(stack, train_ds, _opt(stack, cfg()), 8, batch_size=32,
-              shuffle_rng=seeded_rng(1, STREAM_SHUFFLE),
-              recorder=rows.append, record_every=0)
-        assert rows == []
+                  recorder=[r.append for r in rows],
+                  run_info=[RunInfo(run_id=f"run{s}") for s in (1, 2, 3)])
+        assert [[(r.run_id, r.split, r.iter) for r in rs] for rs in rows] == [
+            [(f"run{s}", "abort", 0)] for s in (1, 2, 3)]
+        assert np.isfinite(rows[0][0].loss)
+        assert not np.isfinite(rows[1][0].loss)
 
     def test_evaluating_on_an_empty_dataset_raises(self, moons_pair):
         model = MC.build(1)
@@ -504,6 +545,174 @@ class TestSweep:
         failed = [r.run_id for r in report.rows if r.error is not None]
         assert failed == ["cs-s0=-0.1-seed2", "cs-s0=0.1-seed2"]
         assert "pickle" in report.rows[1].error
+
+    def imp_plan(self, **kw):
+        """An IMP plan over two pruning rates, its runs stacking."""
+        base = dict(algorithm="imp", grid={"tau": [0.2, 0.4]},
+                    round_cfg=cfg(iters_per_round=20, rewind_iter=2,
+                                  prune_rate=0.2, rewind_between_rounds=True))
+        base.update(kw)
+        return self.plan(**base)
+
+    @staticmethod
+    def _seeds(seed) -> list:
+        """The seeds of a ``SEARCHES`` call: a stack's list, or one run's."""
+        return seed if isinstance(seed, list) else [seed]
+
+    @staticmethod
+    def _stack_sizes(monkeypatch) -> list:
+        """The sizes of the units the next sweeps run, as they are made."""
+        sizes, units = [], H._units
+
+        def spy(plan, jobs):
+            made = units(plan, jobs)
+            sizes.append([len(u) for u in made])
+            return made
+
+        monkeypatch.setattr(H, "_units", spy)
+        return sizes
+
+    @staticmethod
+    def _run_digests(digests: dict):
+        """An ``on_run`` hook: each run's SHA-256 over its tickets' arrays
+        and its records."""
+        def hook(run_id, point, seed, tickets, records):
+            h = hashlib.sha256(repr(records).encode())
+            for t in tickets:
+                for arrays in (t.masks, t.rewind.arrays, t.final_weights):
+                    for k in sorted(arrays):
+                        h.update(k.encode() + arrays[k].tobytes())
+            digests[run_id] = h.hexdigest()
+        return hook
+
+    def test_imp_runs_stack_in_at_most_max_workers_units(self):
+        def sizes(**kw):
+            plan = self.imp_plan(**kw)
+            points = H._expand_grid(plan.grid)
+            jobs = [(None, s) for s in plan.seeds] + [
+                (p, s) for p in points for s in plan.seeds]
+            units = H._units(plan, jobs)
+            assert [job for unit in units for job in unit] == jobs
+            return [len(unit) for unit in units]
+
+        assert sizes(max_workers=1) == [1, 1, 1, 6]
+        assert sizes(max_workers=2) == [1, 1, 1, 3, 3]
+        assert sizes(max_workers=4) == [1, 1, 1, 2, 2, 1, 1]
+        assert sizes(max_workers=9) == [1] * 9
+        # runs whose configs differ in more than the pruning rate never
+        # share a stack: rounds 1 and 2 split where they meet
+        grid = {"tau": [0.2, 0.4], "rounds": [1, 2]}
+        assert sizes(grid=grid, seeds=(1, 2)) == [1, 1, 4, 4]
+        assert sizes(grid=grid, seeds=(1, 2), max_workers=3) == [
+            1, 1, 3, 1, 2, 2]
+        # every other search, and a conv model's IMP runs, run one by one
+        assert sizes(algorithm="cs") == [1] * 9
+        assert sizes(model_cfg=ModelConfig(kind="conv2")) == [1] * 9
+
+    def test_failing_run_of_a_stack_is_its_own_error_row(self, monkeypatch):
+        plan = self.imp_plan(evaluate="rounds")
+        clean = {}
+        sweep(plan, on_run=self._run_digests(clean))
+        search = SEARCHES["imp"]
+
+        def fails_for_seed_2(plan, model, data, cfg, seed, **kw):
+            if 2 in self._seeds(seed):
+                raise ValueError("search failed")
+            return search(plan, model, data, cfg, seed=seed, **kw)
+
+        monkeypatch.setitem(SEARCHES, "imp", fails_for_seed_2)
+        sizes = self._stack_sizes(monkeypatch)
+        failed = ["imp-tau=0.2-seed2", "imp-tau=0.4-seed2"]
+        for workers in (1, 2):
+            digests = {}
+            report = sweep(replace(plan, max_workers=workers),
+                           on_run=self._run_digests(digests))
+            assert [(r.run_id, r.error) for r in report.rows
+                    if r.error is not None] == [
+                (run_id, "search failed") for run_id in failed], workers
+            # every other run, and every baseline, is bitwise unchanged
+            assert digests == {k: v for k, v in clean.items()
+                               if k not in failed}, workers
+        assert sizes == [[1, 1, 1, 6], [1, 1, 1, 3, 3]]
+
+    def test_unpicklable_result_of_a_stack_fails_only_its_run(
+            self, monkeypatch):
+        search = SEARCHES["imp"]
+
+        def unpicklable_for_seed_2(plan, model, data, cfg, seed, **kw):
+            result = search(plan, model, data, cfg, seed=seed, **kw)
+            per_run = result if isinstance(seed, list) else [result]
+            for s, tickets in zip(self._seeds(seed), per_run):
+                if s == 2:
+                    tickets[-1].final_weights = {"lock": threading.Lock()}
+            return result
+
+        monkeypatch.setitem(SEARCHES, "imp", unpicklable_for_seed_2)
+        sizes = self._stack_sizes(monkeypatch)
+        report = sweep(self.imp_plan(max_workers=2))
+        assert sizes == [[3, 3]]
+        failed = [r.run_id for r in report.rows if r.error is not None]
+        assert failed == ["imp-tau=0.2-seed2", "imp-tau=0.4-seed2"]
+        assert "pickle" in report.rows[1].error
+
+    def test_dead_worker_fails_only_the_runs_of_its_stack(
+            self, monkeypatch, tmp_path):
+        search = SEARCHES["imp"]
+        arrived = tmp_path / "first-stack-arrived"
+
+        def dies_in_the_second_stack(plan, model, data, cfg, seed, **kw):
+            if isinstance(cfg, list) and cfg[0].prune_rate == 0.4:
+                # once the first stack's runs have reached the hook
+                deadline = time.monotonic() + 60
+                while not arrived.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(3)  # the forked worker inherits this patch
+            return search(plan, model, data, cfg, seed=seed, **kw)
+
+        def hook(run_id, *_):
+            seen.append(run_id)
+            arrived.touch()
+
+        monkeypatch.setitem(SEARCHES, "imp", dies_in_the_second_stack)
+        sizes = self._stack_sizes(monkeypatch)
+        seen = []
+        report = sweep(self.imp_plan(seeds=(1, 2), max_workers=2),
+                       on_run=hook)
+        assert sizes == [[2, 2]]
+        assert seen == ["imp-tau=0.2-seed1", "imp-tau=0.2-seed2"]
+        assert [r.run_id for r in report.rows if r.error is None] == seen
+        errors = [r for r in report.rows if r.error is not None]
+        assert [r.run_id for r in errors] == ["imp-tau=0.4-seed1",
+                                              "imp-tau=0.4-seed2"]
+        assert all("BrokenProcessPool" in r.error for r in errors)
+
+    def test_integer_grid_fields_take_integral_values(self):
+        # float values, as the CLI parses every grid value
+        grid = {"rounds": [1.0, 2.0], "batch_size": [16.0, 32.0],
+                "record_every": [1.0]}
+        seen = []
+        report = sweep(self.imp_plan(grid=grid, seeds=(1,),
+                                     evaluate="rounds"),
+                       on_run=lambda run_id, point, seed, tickets, _:
+                       seen.extend(t.config for t in tickets))
+        assert not [r.error for r in report.rows if r.error is not None]
+        assert len(report.rows) == 2 * (1 + 2)
+        assert {(c.rounds, c.batch_size, c.record_every) for c in seen} == {
+            (1, 16, 1), (1, 32, 1), (2, 16, 1), (2, 32, 1)}
+        assert all(type(v) is int for c in seen
+                   for v in (c.rounds, c.batch_size, c.record_every))
+
+    @pytest.mark.parametrize("key", ["batch_size", "rounds",
+                                     "iters_per_round", "rewind_iter",
+                                     "record_every"])
+    def test_non_integral_value_of_an_integer_field_fails_before_any_job(
+            self, key):
+        seen = []
+        with pytest.raises(ValueError, match=f"sweep parameter '{key}' "
+                                             f"takes whole numbers, got 3.5"):
+            sweep(self.imp_plan(grid={key: [3.0, 3.5]}, evaluate="final"),
+                  on_run=lambda *a: seen.append(a[0]))
+        assert seen == []
 
     def test_rerun_is_deterministic(self):
         p = self.plan(grid={"s0": [0.0]}, seeds=(1, 2), evaluate="final")
@@ -968,10 +1177,11 @@ class TestStackedTicketEvaluation:
         models = [H._masked_model(MLP_32, 2, t.masks, t.rewind.arrays)
                   for t in tickets]
         stack = stack_models(models)
-        accs = H._train_and_test(stack, *moons_pair, c, 8, info)
+        accs = H._train_and_test(stack, *moons_pair, c, 8,
+                                 [info] * len(models))
         for k, model in enumerate(models):
             assert [accs[k]] == H._train_and_test(model, *moons_pair, c, 8,
-                                                  info)
+                                                  [info])
             for name, a in model.weight_arrays().items():
                 assert np.array_equal(stack.weight_arrays()[name][k], a)
 

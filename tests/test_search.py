@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import spearmanr
@@ -11,13 +13,13 @@ import ticketlab.training as TR
 from ticketlab import tensor as T
 from ticketlab.data import gen_two_moons
 from ticketlab.masking import GATE_HARD, GATE_STOCHASTIC, MaskedParameterGroup
-from ticketlab.models import ModelConfig, build_mlp
+from ticketlab.models import ModelConfig, build_mlp, stack_models
 from ticketlab.optim import CompositeOptimizer, OptimizerConfig
 from ticketlab.search import (RoundConfig, _select_lowest,
                               freeze_mask_and_finetune, run_cs, run_imp,
                               run_iss, run_sequential_cs, run_supermask)
 from ticketlab.seeding import STREAM_SHUFFLE, seeded_rng
-from ticketlab.tensor import Tensor, mul, reset_tape
+from ticketlab.tensor import Tensor, mul, reset_tape, set_default_dtype
 from ticketlab.training import TrainCursor, train
 
 
@@ -490,6 +492,100 @@ class TestRunIMP:
         monkeypatch.setattr(S, "train", lambda *a, **kw: pytest.fail("trained"))
         with pytest.raises(ValueError, match="unknown pruning scope 'bogus'"):
             run_imp(mlp(), moons, quick_cfg(prune_rate=0.2), "bogus", seed=1)
+
+
+def _run_digest(tickets) -> str:
+    """SHA-256 of a run's tickets: every mask, round mask, rewind array and
+    final weight array, bytes and dtype, the per-ticket fields and the
+    records."""
+    h = hashlib.sha256()
+    for t in tickets:
+        for arrays in (t.masks, *t.round_masks, t.rewind.arrays,
+                       t.final_weights):
+            for k in sorted(arrays):
+                a = arrays[k]
+                h.update(f"{k}:{a.dtype.str}:{a.shape}".encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+        h.update(repr((t.algorithm, t.run_id, t.seed, t.config, t.round,
+                       t.total_iterations, t.iters_per_epoch,
+                       t.remaining_per_round, t.prune_exhausted,
+                       t.rewind.rewind_iter)).encode())
+    h.update(repr(tickets[-1].records).encode())
+    return h.hexdigest()
+
+
+class TestStackedIMP:
+    """A stack of IMP runs (``run_imp`` on ``stack_models``) is its runs:
+    every slice's tickets and records equal the run's alone, bitwise."""
+
+    @staticmethod
+    def runs_alone_and_stacked(data, runs, widths, scope, precision,
+                               record_every, rewind=True):
+        """Each ``(seed, tau)`` run's digest alone, then in one stack; and
+        each stacked run's ticket count."""
+        set_default_dtype(precision)
+        try:
+            mc = ModelConfig(kind="mlp", widths=tuple(widths))
+            cfgs = [quick_cfg(rounds=6, iters_per_round=12, rewind_iter=2,
+                              prune_rate=tau, record_every=record_every,
+                              rewind_between_rounds=rewind)
+                    for _, tau in runs]
+            ids = [f"imp-{i}" for i in range(len(runs))]
+            test_data = gen_two_moons(40, 0.1, seed=11)
+            alone = []
+            for (seed, _), c, run_id in zip(runs, cfgs, ids):
+                sink = []
+                tickets = run_imp(mc.build(seed), data, c, scope, seed=seed,
+                                  run_id=run_id, test_data=test_data,
+                                  recorder=sink.append)
+                assert sink == tickets[-1].records
+                alone.append(_run_digest(tickets))
+            sinks = [[] for _ in runs]
+            stack = stack_models([mc.build(seed) for seed, _ in runs])
+            per_run = run_imp(stack, data, cfgs, scope,
+                              seed=[seed for seed, _ in runs], run_id=ids,
+                              test_data=test_data,
+                              recorder=[s.append for s in sinks])
+        finally:
+            set_default_dtype("float64")
+        for sink, tickets in zip(sinks, per_run):
+            assert sink == tickets[-1].records
+        return alone, [_run_digest(t) for t in per_run], [len(t)
+                                                          for t in per_run]
+
+    @settings(derandomize=True, database=None, max_examples=30,
+              deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**16), st.floats(0.05, 0.95)),
+                    min_size=1, max_size=4),
+           st.sampled_from(["global", "per-layer"]),
+           st.sampled_from(["float64", "float32"]),
+           st.sampled_from([0, 1]),
+           st.sampled_from([(2, 2, 2), (2, 8, 8, 2)]),
+           st.booleans())
+    @example([(1, 0.5), (2, 0.9)], "global", "float64", 1, (2, 2, 2), True)
+    def test_each_slice_is_its_run_alone(self, moons, runs, scope, precision,
+                                         record_every, widths, rewind):
+        alone, stacked, _ = self.runs_alone_and_stacked(
+            moons, runs, widths, scope, precision, record_every, rewind)
+        assert stacked == alone
+
+    def test_exhausted_runs_end_while_the_stack_trains_on(self, moons):
+        alone, stacked, rounds = self.runs_alone_and_stacked(
+            moons, [(1, 0.5), (2, 0.9), (3, 0.2)], (2, 2, 2), "global",
+            "float64", 1)
+        assert stacked == alone
+        assert rounds == [4, 2, 6]
+
+    def test_stacked_configs_differ_only_in_the_pruning_rate(self, moons):
+        stack = stack_models([mlp(1), mlp(2)])
+        cfgs = [quick_cfg(prune_rate=0.2), quick_cfg(prune_rate=0.4,
+                                                      rounds=3)]
+        with pytest.raises(ValueError, match="but for the pruning rate"):
+            run_imp(stack, moons, cfgs, seed=[1, 2], run_id=["a", "b"])
+
+    def test_only_a_hard_mask_search_stacks(self, moons):
+        with pytest.raises(ValueError, match="only a hard-mask search"):
+            run_cs(stack_models([mlp(1), mlp(2)]), moons, quick_cfg())
 
 
 class TestRunISS:
