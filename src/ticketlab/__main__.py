@@ -1,0 +1,7 @@
+"""``python -m ticketlab``: the ``ticketlab`` command line."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -53,6 +53,13 @@ SEARCHES = {
 # The searches whose round config must carry a pruning rate.
 RATE_SEARCHES = frozenset({"imp", "seqcs"})
 
+# The most parameters a stack of tickets holds (``train_tickets``). A
+# larger stack trains no faster per ticket: its steps are bound by memory
+# traffic, not by per-op overhead (on the (2,256,256,2) MLP, one ticket of
+# 67k parameters trains fastest alone, and a stack of 30 takes twice as
+# long per ticket), and its arrays and activations grow with it.
+STACK_WEIGHTS = 1 << 17
+
 # The round-config fields that hold integers; a grid value of one must be
 # integral.
 _INT_FIELDS = frozenset(f.name for f in fields(RoundConfig)
@@ -217,38 +224,55 @@ def ticket_rounds(tickets: list[TicketResult]) -> list[tuple]:
     return [(i + 1, m, ticket) for i, m in enumerate(ticket.round_masks)]
 
 
-def _masked_model(model_cfg: ModelConfig, seed: int, masks: dict,
-                  arrays: dict) -> Model:
-    """A freshly built model with fixed binary masks and loaded weights."""
+def _masked_model(model_cfg: ModelConfig, seed: int, masks: dict | None,
+                  arrays: dict | None) -> Model:
+    """A freshly built model with fixed binary masks and loaded weights;
+    with ``masks`` None, the seed's dense model as built."""
     model = model_cfg.build(seed)
-    model.apply_hard_masks(masks)
-    model.load_weight_arrays(arrays)
+    if masks is not None:
+        model.apply_hard_masks(masks)
+        model.load_weight_arrays(arrays)
     return model
 
 
 def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
-                    budget_iters: int, infos: list[RunInfo], recorder=None):
-    """Train the model's weights with a fresh optimizer on the shuffle
-    stream of the first ticket's seed for ``budget_iters`` iterations, then
-    return its test accuracy as a list, one per ticket of a stacked model;
-    ``infos`` has one ``RunInfo`` per ticket. Per-epoch records go to
-    ``recorder`` when one is given (a single model only). A non-finite
-    test loss of any ticket raises ``NonFiniteError`` naming the first
-    ticket's run: its accuracy would read as a score of a diverged
+                    budget_iters: int, infos: list[RunInfo],
+                    recorders: list | None = None):
+    """Train the model's weights with a fresh optimizer for
+    ``budget_iters`` iterations, each ticket of a stacked model on its own
+    seed's shuffle stream, then return its test accuracy as a list, one
+    per ticket; ``infos`` has one ``RunInfo`` per ticket, and per-epoch
+    records go to ``recorders``, one per ticket (or None), when given. A
+    non-finite test loss raises ``NonFiniteError`` naming the first ticket
+    whose loss it is: its accuracy would read as a score of a diverged
     network."""
+    def each(values: list):  # what train takes: a stack's list, or the one
+        return values if model.stacked else values[0]
+
     opt = CompositeOptimizer([cfg.weight_opt.build(
         [t for t in model.weight_tensors() if t.requires_grad])])
     cbs = ([lr_milestones_callback(opt, cfg.lr_milestones, cfg.lr_decay)]
            if cfg.lr_milestones else [])
     train(model, train_data, opt, budget_iters, batch_size=cfg.batch_size,
-          shuffle_rng=seeded_rng(infos[0].seed, STREAM_SHUFFLE),
-          cursor=TrainCursor(), before_step=cbs, recorder=recorder,
-          run_info=infos if model.stacked else infos[0], test_data=test_data,
+          shuffle_rng=each([seeded_rng(info.seed, STREAM_SHUFFLE)
+                            for info in infos]),
+          cursor=TrainCursor(), before_step=cbs,
+          recorder=each(recorders or [None] * len(infos)),
+          run_info=each(infos), test_data=test_data,
           record_every=cfg.record_every)
     loss, acc = evaluate(model, test_data)
-    if not np.isfinite(loss).all():
-        raise NonFiniteError(f"non-finite test loss of {infos[0].run_id!r}")
+    bad = [info for info, v in zip(infos, np.atleast_1d(loss))
+           if not np.isfinite(v)]
+    if bad:
+        raise NonFiniteError(f"non-finite test loss of {bad[0].run_id!r}")
     return np.atleast_1d(acc).tolist()
+
+
+def _dense(seed: int, recorder) -> tuple:
+    """The ``train_tickets`` ticket of the seed's dense baseline, run
+    ``dense-seed<N>``: no masks, its model's initial weights."""
+    return None, None, RunInfo(run_id=_run_id("dense", {}, seed),
+                               algorithm="dense", seed=seed), recorder
 
 
 def dense_baseline(model_cfg: ModelConfig, train_data, test_data,
@@ -257,14 +281,9 @@ def dense_baseline(model_cfg: ModelConfig, train_data, test_data,
     """Train the dense network for the evaluation budget as run
     ``dense-seed<N>``; returns test accuracy. Uses the same seed-keyed
     streams as ticket re-training so the comparison is like-for-like."""
-    info = RunInfo(run_id=_run_id("dense", {}, seed), algorithm="dense",
-                   seed=seed)
-    [acc] = _train_and_test(model_cfg.build(seed), train_data, test_data,
-                            cfg, budget_iters, [info], recorder=recorder)
-    if recorder is not None:
-        recorder(info.record(0, budget_iters, "final_test", accuracy=acc,
-                             remaining_frac=1.0))
-    return acc
+    [row] = train_tickets(model_cfg, [_dense(seed, recorder)], train_data,
+                          test_data, cfg, budget_iters, "final_test")
+    return row.accuracy
 
 
 def _record_row(rec: RunRecord, cost: tuple = (0, 0.0)) -> EvalRow:
@@ -305,11 +324,13 @@ def report_rows(records: list[RunRecord], iters_per_epoch: int
     return rows, dense_accuracies(records)
 
 
-def _eval_row(split: str, masks: dict, acc: float, iters: int,
+def _eval_row(split: str, masks: dict | None, acc: float, iters: int,
               info: RunInfo, recorder) -> EvalRow:
-    """The evaluation row of a masked network, also sent as a record."""
+    """The evaluation row of a masked network (of the dense one, with
+    ``masks`` None), also sent as a record."""
     rec = info.record(0, iters, split, accuracy=acc,
-                      remaining_frac=kept_fraction(masks))
+                      remaining_frac=1.0 if masks is None
+                      else kept_fraction(masks))
     if recorder is not None:
         recorder(rec)
     return _record_row(rec)
@@ -317,33 +338,46 @@ def _eval_row(split: str, masks: dict, acc: float, iters: int,
 
 def train_tickets(model_cfg: ModelConfig, tickets: list[tuple],
                   train_data, test_data, cfg: RoundConfig, budget_iters: int,
-                  split: str, recorder=None) -> list[EvalRow]:
-    """Train masked tickets, each ``(masks, start weights, RunInfo)`` of
-    one seed, for ``budget_iters`` iterations with one fresh optimizer on
-    the seed's shuffle stream, and return their evaluation rows under
-    ``split``, in order, each also sent to ``recorder``.
+                  split: str) -> list[EvalRow]:
+    """Train tickets, each ``(masks, start weights, RunInfo, recorder)``,
+    for ``budget_iters`` iterations with one fresh optimizer, each on its
+    own seed's shuffle stream, and return their evaluation rows under
+    ``split``, in order, each also sent to its ticket's recorder (when not
+    None). A ticket with masks None is its seed's dense network, trained
+    from its initial weights, and its per-epoch records go to its
+    recorder too.
 
-    The tickets of a model without conv layers train as one model
-    (``stack_models``): each step is one forward pass, one backward pass
-    and one update for all of them, and every ticket's slice is bitwise
-    what training it alone gives. A conv model's tickets train one at a
-    time: a conv step is GEMM-bound, so a stack would save little Python
-    overhead and keep every ticket's im2col columns until backward. A
-    non-finite loss or gradient in any ticket stops its stack at that
-    step, and the ``NonFiniteError`` names the stack's first ticket's
-    run."""
-    models = [_masked_model(model_cfg, info.seed, masks, arrays)
-              for masks, arrays, info in tickets]
-    size = 1 if any(layer.conv for layer in models[0].layers) else len(models)
+    The tickets of a model without conv layers, of any runs and seeds,
+    train as one model (``stack_models``), or as the fewest stacks that
+    each hold at most ``STACK_WEIGHTS`` parameters, all but the last of
+    one size: each step is one forward pass, one backward pass and one
+    update for all of a stack's tickets, and every ticket's slice is
+    bitwise what training it alone gives. A conv
+    model's tickets train one at a time: a conv step is GEMM-bound, so a
+    stack would save little Python overhead and keep every ticket's
+    im2col columns until backward. A non-finite loss or gradient in any
+    ticket stops its stack at that step, and the ``NonFiniteError`` names
+    the first ticket whose loss went non-finite (of a gradient, the
+    stack's first ticket)."""
+    # built as their stack trains, so that only one stack's models live
+    models = (_masked_model(model_cfg, info.seed, masks, arrays)
+              for masks, arrays, info, _ in tickets)
+    first = next(models)
+    cap = 1 if model_cfg.conv else max(
+        1, STACK_WEIGHTS // first.parameter_count())
+    size = -(-len(tickets) // -(-len(tickets) // cap))  # the fewest stacks
+    models = itertools.chain([first], models)
     accs = []
-    for lo in range(0, len(models), size):
-        stack = models[lo:lo + size]
+    for lo in range(0, len(tickets), size):
+        stack = list(itertools.islice(models, size))
+        part = tickets[lo:lo + size]
         accs += _train_and_test(
             stack[0] if len(stack) == 1 else stack_models(stack),
             train_data, test_data, cfg, budget_iters,
-            [info for _, _, info in tickets[lo:lo + size]])
-    return [_eval_row(split, masks, acc, budget_iters, info, recorder)
-            for (masks, _, info), acc in zip(tickets, accs)]
+            [info for _, _, info, _ in part],
+            [rec if masks is None else None for masks, *_, rec in part])
+    return [_eval_row(split, masks, acc, budget_iters, info, rec)
+            for (masks, _, info, rec), acc in zip(tickets, accs)]
 
 
 def retrain_ticket(model_cfg: ModelConfig, masks: dict, rewind: RewindStore,
@@ -355,9 +389,9 @@ def retrain_ticket(model_cfg: ModelConfig, masks: dict, rewind: RewindStore,
     optimizer and the dense budget; returns its evaluation row."""
     info = RunInfo(run_id=run_id, algorithm=algorithm, seed=seed,
                    round=round_idx)
-    [row] = train_tickets(model_cfg, [(masks, rewind.arrays, info)],
+    [row] = train_tickets(model_cfg, [(masks, rewind.arrays, info, recorder)],
                           train_data, test_data, cfg, budget_iters,
-                          "retrain_test", recorder)
+                          "retrain_test")
     return row
 
 
@@ -388,11 +422,11 @@ def finetune_ticket(model_cfg: ModelConfig, ticket: TicketResult,
     """Fine-tune from the final trained weights under the frozen mask, at
     ``finetune_lr`` and without learning-rate milestones."""
     round_idx = ticket.round if round_idx is None else round_idx
-    [row] = train_tickets(model_cfg,
-                          [_finetune_start(ticket, round_idx, seed, run_id)],
-                          train_data, test_data,
-                          _finetune_cfg(cfg, finetune_lr), budget_iters,
-                          "finetune_test", recorder)
+    [row] = train_tickets(
+        model_cfg, [(*_finetune_start(ticket, round_idx, seed, run_id),
+                     recorder)],
+        train_data, test_data, _finetune_cfg(cfg, finetune_lr), budget_iters,
+        "finetune_test")
     return row
 
 
@@ -521,156 +555,146 @@ def _run_id(algorithm: str, point: dict, seed: int) -> str:
 def run_point(plan: ExperimentPlan, point: dict | None, seed: int,
               train_data, test_data) -> tuple[list[TicketResult],
                                               list[EvalRow], list[RunRecord]]:
-    """Execute one fully-specified run in the plan's precision.
+    """Execute one fully-specified run in the plan's precision: the
+    one-job case of ``_run_jobs``.
 
     At a grid ``point``: the search at that point and seed, then ticket
-    evaluation per the plan (``_evaluate_run``). Returns the tickets, the
-    report rows of the records and the raw records.
+    evaluation per the plan. Returns the tickets, the report rows of the
+    records and the raw records.
 
     With ``point`` None: the seed's dense baseline, run ``dense-seed<N>``,
     trained with the plan's round config for ``eval_budget_iters``
     iterations. Returns ``([], [], records)``."""
-    records: list[RunRecord] = []
+    [result] = _run_jobs(plan, [(point, seed)], train_data, test_data)
+    return result
+
+
+def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
+              test_data) -> list[tuple]:
+    """``run_point``'s result for each ``(point, seed)`` of ``jobs``, all
+    dense baselines (point None) or all runs of the search, run together
+    in the plan's precision; raises when any job does. Several runs must
+    be a stack of ``_units``.
+
+    The runs search as one model (``models.stack_models`` of theirs, when
+    several). Then the baselines, or every evaluated ticket of every run,
+    train in one ``train_tickets`` call; a search that froze its weights
+    (supermask) has its masks scored at them (``masked_accuracy``). A
+    run's report rows are ``report_rows``' rows of its records, with the
+    grid point and, for a final evaluation, per-layer sparsity
+    attached."""
+    records = [[] for _ in jobs]
+    seeds = [seed for _, seed in jobs]
     with _precision(plan.precision):
-        if point is None:
-            dense_baseline(plan.model_cfg, train_data, test_data,
-                           plan.round_cfg,
-                           eval_budget_iters(plan.eval_budget, plan.round_cfg),
-                           seed, recorder=records.append)
-            return [], [], records
-        cfg = _apply_point(plan.round_cfg, point)
-        model = plan.model_cfg.build(seed)
-        tickets = SEARCHES[plan.algorithm](
-            plan, model, train_data, cfg, seed=seed,
-            run_id=_run_id(plan.algorithm, point, seed),
-            recorder=records.append)
-        return _evaluate_run(plan, point, seed, cfg, model, tickets, records,
-                             train_data, test_data)
+        if jobs[0][0] is None:
+            train_tickets(plan.model_cfg,
+                          [_dense(seed, recs.append)
+                           for seed, recs in zip(seeds, records)],
+                          train_data, test_data, plan.round_cfg,
+                          eval_budget_iters(plan.eval_budget, plan.round_cfg),
+                          "final_test")
+            return [([], [], recs) for recs in records]
+        cfgs = [_apply_point(plan.round_cfg, point) for point, _ in jobs]
+        run_ids = [_run_id(plan.algorithm, point, seed)
+                   for point, seed in jobs]
+        stacked = len(jobs) > 1
 
+        def each(values: list):  # what a search takes: a stack's lists
+            return values if stacked else values[0]
 
-def _evaluate_run(plan: ExperimentPlan, point: dict, seed: int,
-                  cfg: RoundConfig, model: Model, tickets: list[TicketResult],
-                  records: list[RunRecord], train_data, test_data) -> tuple:
-    """Evaluate the tickets of the run at ``point`` and ``seed``, searched
-    with round config ``cfg`` on ``model`` (or on a stack holding it),
-    appending to its ``records``, and return ``run_point``'s result.
-
-    The evaluated tickets of a retrain-from-k or fine-tune evaluation
-    train together (``train_tickets``): an MLP's in one stacked pass, a
-    conv model's one at a time; a search that froze its weights has its
-    masks scored at them (``masked_accuracy``). The report rows are
-    ``report_rows``' rows of the records, with the grid point and, for a
-    final evaluation, per-layer sparsity attached."""
-    rec = records.append
-    run_id = _run_id(plan.algorithm, point, seed)
-    result = tickets[-1]
-    budget = eval_budget_iters(plan.eval_budget, cfg)
-    # a search that froze the weights (supermask) is scored at them
-    frozen = not any(t.requires_grad for t in model.weight_tensors())
-    evaluated = {"none": [],
-                 "final": [(result.round, result.masks, result)],
-                 "rounds": ticket_rounds(tickets)}[plan.evaluate]
-    if frozen:
-        for round_idx, masks, ticket in evaluated:
-            acc = masked_accuracy(plan.model_cfg, ticket.rewind.arrays,
-                                  masks, test_data, seed)
-            _eval_row("mask_test", masks, acc, ticket.total_iterations,
-                      RunInfo(run_id, ticket.algorithm, seed, round_idx), rec)
-    elif evaluated:
-        if plan.eval_mode == "fine-tune":
-            starts = [_finetune_start(ticket, round_idx, seed, run_id)
-                      for round_idx, _, ticket in evaluated]
-            train_cfg, split = (_finetune_cfg(cfg, plan.finetune_lr),
-                                "finetune_test")
-        else:
-            starts = [(masks, ticket.rewind.arrays,
-                       RunInfo(run_id, ticket.algorithm, seed, round_idx))
-                      for round_idx, masks, ticket in evaluated]
-            train_cfg, split = cfg, "retrain_test"
-        train_tickets(plan.model_cfg, starts, train_data, test_data,
-                      train_cfg, budget, split, rec)
-    rows, _ = report_rows(records, result.iters_per_epoch)
-    for row in rows:
-        row.grid = dict(point)
-    if plan.evaluate == "final":
-        rows[0].per_layer = per_layer_sparsity(result.masks, model)
-    return tickets, rows, records
-
-
-def _job(plan: ExperimentPlan, point: dict | None, seed: int, train_data,
-         test_data) -> tuple:
-    """One sweep job in whichever process executes it: ``(run_point's
-    result, None)``, or ``(None, message)`` when the run raised."""
-    try:
-        return run_point(plan, point, seed, train_data, test_data), None
-    except Exception as exc:  # the sweep decides what a failure means
-        return None, str(exc)
-
-
-def _stacked_runs(plan: ExperimentPlan, runs: list, train_data,
-                  test_data) -> list:
-    """``_job``'s outcome for each ``(point, seed)`` of ``runs``, IMP runs
-    of a model without conv layers whose round configs differ at most in
-    ``prune_rate``. Their searches run as one stacked model (one
-    ``SEARCHES`` call on ``models.stack_models`` of their models), then
-    each run is evaluated on its own (``_evaluate_run``), and a failing
-    evaluation is that run's outcome. Raises when the search does."""
-    with _precision(plan.precision):
-        cfgs = [_apply_point(plan.round_cfg, point) for point, _ in runs]
-        seeds = [seed for _, seed in runs]
-        records = [[] for _ in runs]
-        model = stack_models([plan.model_cfg.build(seed) for seed in seeds])
+        model = (stack_models([plan.model_cfg.build(s) for s in seeds])
+                 if stacked else plan.model_cfg.build(seeds[0]))
         searched = SEARCHES[plan.algorithm](
-            plan, model, train_data, cfgs, seed=seeds,
-            run_id=[_run_id(plan.algorithm, point, seed)
-                    for point, seed in runs],
-            recorder=[r.append for r in records])
-    if len(searched) != len(runs):
-        raise ValueError(f"a stacked search of {len(runs)} runs gave "
-                         f"{len(searched)} results")
-    outcomes = []
-    for (point, seed), cfg, tickets, recs in zip(runs, cfgs, searched,
-                                                  records):
-        try:
-            with _precision(plan.precision):
-                outcomes.append((_evaluate_run(plan, point, seed, cfg, model,
-                                               tickets, recs, train_data,
-                                               test_data), None))
-        except Exception as exc:  # as _job reports it
-            outcomes.append((None, str(exc)))
-    return outcomes
+            plan, model, train_data, each(cfgs), seed=each(seeds),
+            run_id=each(run_ids), recorder=each([r.append for r in records]))
+        searched = searched if stacked else [searched]
+        if len(searched) != len(jobs):
+            raise ValueError(f"a stacked search of {len(jobs)} runs gave "
+                             f"{len(searched)} results")
+
+        fine = plan.eval_mode == "fine-tune"
+        # a search that froze the weights (supermask) is scored at them
+        frozen = not any(t.requires_grad for t in model.weight_tensors())
+        starts = []
+        for seed, run_id, tickets, recs in zip(seeds, run_ids, searched,
+                                               records):
+            final = tickets[-1]
+            for round_idx, masks, ticket in {
+                    "none": [], "final": [(final.round, final.masks, final)],
+                    "rounds": ticket_rounds(tickets)}[plan.evaluate]:
+                info = RunInfo(run_id, ticket.algorithm, seed, round_idx)
+                if frozen:
+                    acc = masked_accuracy(plan.model_cfg,
+                                          ticket.rewind.arrays, masks,
+                                          test_data, seed)
+                    _eval_row("mask_test", masks, acc,
+                              ticket.total_iterations, info, recs.append)
+                elif fine:
+                    starts.append((*_finetune_start(ticket, round_idx, seed,
+                                                    run_id), recs.append))
+                else:
+                    starts.append((masks, ticket.rewind.arrays, info,
+                                   recs.append))
+        if starts:
+            train_tickets(plan.model_cfg, starts, train_data, test_data,
+                          _finetune_cfg(cfgs[0], plan.finetune_lr) if fine
+                          else cfgs[0],
+                          eval_budget_iters(plan.eval_budget, cfgs[0]),
+                          "finetune_test" if fine else "retrain_test")
+    results = []
+    for (point, _), tickets, recs in zip(jobs, searched, records):
+        rows, _ = report_rows(recs, tickets[-1].iters_per_epoch)
+        for row in rows:
+            row.grid = dict(point)
+        if plan.evaluate == "final":
+            rows[0].per_layer = per_layer_sparsity(tickets[-1].masks, model)
+        results.append((tickets, rows, recs))
+    return results
 
 
 def _unit_outcomes(plan: ExperimentPlan, unit: list, train_data,
                    test_data) -> list:
-    """``_job``'s outcome for each ``(point, seed)`` of a unit of
-    ``_units``, in order: a stack's runs searched together
-    (``_stacked_runs``), or, when that raises, one at a time, so that a
-    failing run becomes its own error row and the others keep their
-    results."""
+    """The outcome of each ``(point, seed)`` job of a unit of ``_units``,
+    in order: ``(run_point's result, None)``, or ``(None, message)`` when
+    the job raised. The unit's jobs run together (``_run_jobs``); when
+    that raises, each reruns alone (``run_point``), so that a failing job
+    becomes its own outcome under its own message and the others keep
+    their results. Nothing the failed unit produced, its records
+    included, reaches a job."""
     if len(unit) > 1:
         try:
-            return _stacked_runs(plan, unit, train_data, test_data)
-        except Exception:  # the reruns below report each run's failure
+            return [(result, None) for result in _run_jobs(
+                plan, unit, train_data, test_data)]
+        except Exception:  # the reruns below report each job's failure
             pass
-    return [_job(plan, point, seed, train_data, test_data)
-            for point, seed in unit]
+    outcomes = []
+    for point, seed in unit:
+        try:
+            outcomes.append((run_point(plan, point, seed, train_data,
+                                       test_data), None))
+        except Exception as exc:  # the sweep decides what a failure means
+            outcomes.append((None, str(exc)))
+    return outcomes
 
 
 def _units(plan: ExperimentPlan, jobs: list) -> list[list]:
     """The sweep's ``(point, seed)`` jobs as its units of work, each a list
-    of jobs, contiguous and in job order.
+    of jobs that run together (``_run_jobs``), contiguous and in job
+    order; the dense baselines come first.
 
-    The IMP runs of a model without conv layers stack: they are split into
+    For a model without conv layers, the dense baselines of every seed
+    are one unit, and IMP runs stack: they are split into
     ``min(max_workers, runs)`` contiguous stacks whose sizes differ by at
     most one, and a stack splits further where the runs' round configs
-    differ in more than ``prune_rate``. Every other job (a dense baseline,
-    any other search) is a unit of its own."""
-    runs = [job for job in jobs if job[0] is not None]
-    if (plan.algorithm != "imp" or len(runs) < 2 or any(
-            layer.conv for layer in plan.model_cfg.build(0).layers)):
+    differ in more than ``prune_rate``. Every other job (any job of a
+    conv model, a run of any other search) is a unit of its own."""
+    if plan.model_cfg.conv:
         return [[job] for job in jobs]
-    units = [[job] for job in jobs if job[0] is None]
+    dense = [job for job in jobs if job[0] is None]
+    runs = [job for job in jobs if job[0] is not None]
+    units = [dense] if dense else []
+    if plan.algorithm != "imp":
+        return units + [[job] for job in runs]
     size, extra = divmod(len(runs), min(plan.max_workers, len(runs)))
     lo = 0
     while lo < len(runs):
@@ -701,7 +725,7 @@ def _pooled_unit(plan: ExperimentPlan, unit: list, train_data,
 
 def _pooled_outcomes(plan: ExperimentPlan, units: list, train_data,
                      test_data):
-    """``_job``'s outcome for each ``(point, seed)`` of ``units``, each unit
+    """The outcome (``_unit_outcomes``) of each ``(point, seed)`` of ``units``, each unit
     run on forked worker processes and its runs' outcomes yielded in job
     order as the unit's arrive. The runs of a unit left without a result
     (its worker died) yield ``(None, message)`` like a job that raised."""
@@ -743,15 +767,17 @@ def run_sweep(plan: ExperimentPlan, train_data, test_data,
 
     Every job is a ``(point, seed)`` pair; unless ``plan.evaluate`` is
     "none", the list starts with each seed's dense baseline (``point``
-    None). The IMP runs of a model without conv layers run as at most
-    ``max_workers`` stacks (``_units``): each stack searches its runs as
-    one stacked model, every slice bitwise its run alone, and evaluates
-    each run on its own; a stack whose search raises reruns its runs one
-    at a time. Every other job is one ``run_point``. A failing run becomes
-    an error row under its own id and the sweep continues; a worker
-    process that dies turns the runs of its unit, and every run the pool
-    did not finish, into error rows. A failing dense baseline raises
-    ``RuntimeError`` with its message and starts no further job.
+    None). Jobs run in units (``_units``, ``_run_jobs``): for a model
+    without conv layers, the dense baselines train as one stacked model,
+    and the IMP runs as at most ``max_workers`` stacks, each searching its
+    runs as one stacked model and then training every evaluated ticket of
+    them as one more; every slice is bitwise its job alone. A unit that
+    raises reruns its jobs one at a time; every other job is one
+    ``run_point``. A failing run becomes an error row under its own id and
+    the sweep continues; a worker process that dies turns the runs of its
+    unit, and every run the pool did not finish, into error rows. A
+    failing dense baseline raises ``RuntimeError`` with its message and
+    starts no further job.
 
     ``on_run(run_id, point, seed, tickets, records)``, when given, is called
     in the calling process, in job order, once per job as its result

@@ -34,6 +34,17 @@ def test_import_needs_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_package_runs_as_a_module():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "ticketlab", "--help"],
+                          cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ")
+    assert "sweep" in proc.stdout
+
+
 def small_config(tmp_path, **over):
     cfg = {
         "dataset": {"n_train": 64, "n_test": 64, "noise_sd": 0.1, "seed": 7},

@@ -595,18 +595,19 @@ class TestSweep:
             assert [job for unit in units for job in unit] == jobs
             return [len(unit) for unit in units]
 
-        assert sizes(max_workers=1) == [1, 1, 1, 6]
-        assert sizes(max_workers=2) == [1, 1, 1, 3, 3]
-        assert sizes(max_workers=4) == [1, 1, 1, 2, 2, 1, 1]
-        assert sizes(max_workers=9) == [1] * 9
+        # the dense baselines of every seed are one unit
+        assert sizes(max_workers=1) == [3, 6]
+        assert sizes(max_workers=2) == [3, 3, 3]
+        assert sizes(max_workers=4) == [3, 2, 2, 1, 1]
+        assert sizes(max_workers=9) == [3] + [1] * 6
         # runs whose configs differ in more than the pruning rate never
         # share a stack: rounds 1 and 2 split where they meet
         grid = {"tau": [0.2, 0.4], "rounds": [1, 2]}
-        assert sizes(grid=grid, seeds=(1, 2)) == [1, 1, 4, 4]
+        assert sizes(grid=grid, seeds=(1, 2)) == [2, 4, 4]
         assert sizes(grid=grid, seeds=(1, 2), max_workers=3) == [
-            1, 1, 3, 1, 2, 2]
-        # every other search, and a conv model's IMP runs, run one by one
-        assert sizes(algorithm="cs") == [1] * 9
+            2, 3, 1, 2, 2]
+        # every other search runs one by one, and a conv model's every job
+        assert sizes(algorithm="cs") == [3] + [1] * 6
         assert sizes(model_cfg=ModelConfig(kind="conv2")) == [1] * 9
 
     def test_failing_run_of_a_stack_is_its_own_error_row(self, monkeypatch):
@@ -633,7 +634,41 @@ class TestSweep:
             # every other run, and every baseline, is bitwise unchanged
             assert digests == {k: v for k, v in clean.items()
                                if k not in failed}, workers
-        assert sizes == [[1, 1, 1, 6], [1, 1, 1, 3, 3]]
+        assert sizes == [[3, 6], [3, 3, 3]]
+
+    def test_non_finite_evaluation_in_a_stack_fails_only_its_run(
+            self, monkeypatch):
+        plan = self.imp_plan(evaluate="rounds", grid={"tau": [0.2]})
+        clean = {}
+        sweep(plan, on_run=self._run_digests(clean))
+        search = SEARCHES["imp"]
+
+        def diverges_for_seed_2(plan, model, data, cfg, seed, **kw):
+            result = search(plan, model, data, cfg, seed=seed, **kw)
+            per_run = result if isinstance(seed, list) else [result]
+            for s, tickets in zip(self._seeds(seed), per_run):
+                if s == 2:  # its tickets share one rewind store
+                    for a in tickets[0].rewind.arrays.values():
+                        a *= 1e300
+            return result
+
+        monkeypatch.setitem(SEARCHES, "imp", diverges_for_seed_2)
+        failed = "imp-tau=0.2-seed2"
+        with pytest.raises(NonFiniteError) as alone:
+            run_point(plan, {"tau": 0.2}, 2, *plan.validate())
+        assert str(alone.value) == (f"non-finite loss at iteration 0 of "
+                                    f"'{failed}'")
+        sizes = self._stack_sizes(monkeypatch)
+        for workers in (1, 2):
+            digests = {}
+            report = sweep(replace(plan, max_workers=workers),
+                           on_run=self._run_digests(digests))
+            assert [(r.run_id, r.error) for r in report.rows
+                    if r.error is not None] == [(failed, str(alone.value))]
+            # no record of the stack that diverged reaches the other runs
+            assert digests == {k: v for k, v in clean.items()
+                               if k != failed}, workers
+        assert sizes == [[3, 3], [3, 2, 1]]
 
     def test_unpicklable_result_of_a_stack_fails_only_its_run(
             self, monkeypatch):
@@ -773,15 +808,16 @@ class TestSweep:
     @pytest.mark.parametrize("fails_in", ["job", "hook"])
     def test_failing_dense_baseline_ends_the_sweep(self, monkeypatch,
                                                    workers, fails_in):
-        dense, search = H.dense_baseline, SEARCHES["cs"]
+        trains, search = H.train_tickets, SEARCHES["cs"]
         seen, searched = [], []
 
-        def baseline(model_cfg, train_data, test_data, c, budget, seed,
-                     **kw):
-            if fails_in == "job" and seed == 2:
+        def baseline(model_cfg, tickets, *args, **kw):
+            # the baselines train as one stack, then, once it has raised,
+            # one at a time
+            if fails_in == "job" and "dense-seed2" in [
+                    info.run_id for _, _, info, _ in tickets]:
                 raise ValueError("baseline diverged")
-            return dense(model_cfg, train_data, test_data, c, budget, seed,
-                         **kw)
+            return trains(model_cfg, tickets, *args, **kw)
 
         def counted(plan, model, data, c, seed, **kw):
             searched.append(seed)
@@ -792,7 +828,7 @@ class TestSweep:
             if fails_in == "hook" and run_id == "dense-seed2":
                 raise OSError("baseline diverged")
 
-        monkeypatch.setattr(H, "dense_baseline", baseline)
+        monkeypatch.setattr(H, "train_tickets", baseline)
         monkeypatch.setitem(SEARCHES, "cs", counted)
         with pytest.raises(RuntimeError, match="^baseline diverged$"):
             sweep(self.plan(grid={"s0": [-0.1, 0.1]}, seeds=(1, 2),
@@ -1075,8 +1111,9 @@ def _digest(rows, records) -> str:
 
 
 def _one_ticket_at_a_time(plan, point, seed, train_ds, test_ds):
-    """``run_point``'s rows and records when each evaluated ticket is
-    trained alone, by ``retrain_ticket`` or ``finetune_ticket``."""
+    """``run_point``'s result when its search runs unstacked and each
+    evaluated ticket (``plan.evaluate`` "final" or "rounds") is trained
+    alone, by ``retrain_ticket`` or ``finetune_ticket``."""
     records = []
     with H._precision(plan.precision):
         c = H._apply_point(plan.round_cfg, point)
@@ -1084,8 +1121,11 @@ def _one_ticket_at_a_time(plan, point, seed, train_ds, test_ds):
         tickets = SEARCHES[plan.algorithm](
             plan, plan.model_cfg.build(seed), train_ds, c, seed=seed,
             run_id=run_id, recorder=records.append)
+        final = tickets[-1]
         budget = eval_budget_iters(plan.eval_budget, c)
-        for round_idx, masks, ticket in ticket_rounds(tickets):
+        for round_idx, masks, ticket in (
+                ticket_rounds(tickets) if plan.evaluate == "rounds"
+                else [(final.round, final.masks, final)]):
             if plan.eval_mode == "fine-tune":
                 finetune_ticket(plan.model_cfg, ticket, train_ds, test_ds, c,
                                 budget, seed, finetune_lr=plan.finetune_lr,
@@ -1096,10 +1136,25 @@ def _one_ticket_at_a_time(plan, point, seed, train_ds, test_ds):
                                test_ds, c, budget, seed, run_id=run_id,
                                algorithm=ticket.algorithm,
                                round_idx=round_idx, recorder=records.append)
-        rows, _ = report_rows(records, tickets[-1].iters_per_epoch)
+        rows, _ = report_rows(records, final.iters_per_epoch)
     for row in rows:
         row.grid = dict(point)
-    return rows, records
+    if plan.evaluate == "final":
+        rows[0].per_layer = per_layer_sparsity(final.masks,
+                                               plan.model_cfg.build(seed))
+    return tickets, rows, records
+
+
+def _tickets_digest(tickets) -> str:
+    """SHA-256 over every array the tickets carry: masks, round masks,
+    rewind arrays and final weights."""
+    h = hashlib.sha256()
+    for t in tickets:
+        for arrays in [t.masks, t.rewind.arrays, t.final_weights,
+                       *t.round_masks]:
+            for k in sorted(arrays):
+                h.update(k.encode() + np.ascontiguousarray(arrays[k]).tobytes())
+    return h.hexdigest()
 
 
 def _images(side: int):
@@ -1166,7 +1221,7 @@ class TestStackedTicketEvaluation:
         plan = self.plan(model_cfg, algorithm, scope, mode, precision)
         tickets, rows, records = run_point(plan, point, 1, *data)
         assert len(rows) == 3
-        want = _one_ticket_at_a_time(plan, point, 1, *data)
+        _, *want = _one_ticket_at_a_time(plan, point, 1, *data)
         assert _digest(rows, records) == _digest(*want)
 
     def test_each_slice_trains_to_its_tickets_own_weights(self, moons_pair):
@@ -1209,3 +1264,120 @@ class TestStackedTicketEvaluation:
         [row] = [r for r in report.rows if r.error is not None]
         assert row.run_id == "imp-tau=0.3-seed1"
         assert "non-finite" in row.error and row.run_id in row.error
+
+
+class TestStackedUnits:
+    """A unit of several jobs (``_run_jobs``) searches its IMP runs as one
+    stack, then trains every evaluated ticket of them, or every dense
+    baseline, as one more stack; each job's result is bitwise what it
+    gives alone."""
+
+    UNIT = [({"tau": 0.2}, 1), ({"tau": 0.2}, 2), ({"tau": 0.5}, 3)]
+
+    @staticmethod
+    def plan(evaluate="rounds", mode="retrain-from-k", precision="float64",
+             **round_kw):
+        round_cfg = dict(rounds=3, iters_per_round=30, rewind_iter=2,
+                         batch_size=32, record_every=0, prune_rate=0.3,
+                         lr_milestones=(12, 24), rewind_between_rounds=True)
+        round_cfg.update(round_kw)
+        return ExperimentPlan(algorithm="imp",
+                              round_cfg=RoundConfig(**round_cfg),
+                              model_cfg=MLP_32, evaluate=evaluate,
+                              eval_mode=mode, finetune_lr=0.01,
+                              precision=precision)
+
+    @staticmethod
+    def _stack_sizes(monkeypatch) -> list:
+        """The number of models of each stack built from now on."""
+        sizes, stack = [], H.stack_models
+
+        def spy(models):
+            sizes.append(len(models))
+            return stack(models)
+
+        monkeypatch.setattr(H, "stack_models", spy)
+        return sizes
+
+    def assert_each_run_alone(self, plan, unit, results, data):
+        for (point, seed), (tickets, rows, records) in zip(unit, results):
+            want_tickets, *want = _one_ticket_at_a_time(plan, point, seed,
+                                                        *data)
+            assert _tickets_digest(tickets) == _tickets_digest(want_tickets)
+            assert _digest(rows, records) == _digest(*want)
+
+    @pytest.mark.parametrize("evaluate,mode,precision,scope", [
+        ("rounds", "retrain-from-k", "float64", "global"),
+        ("final", "retrain-from-k", "float64", "per-layer"),
+        ("rounds", "fine-tune", "float64", "global"),
+        ("final", "fine-tune", "float32", "global"),
+        ("rounds", "retrain-from-k", "float32", "per-layer"),
+    ])
+    def test_runs_equal_each_run_alone(self, evaluate, mode, precision,
+                                       scope, moons_pair, monkeypatch):
+        plan = replace(self.plan(evaluate, mode, precision), scope=scope)
+        sizes = self._stack_sizes(monkeypatch)
+        results = H._run_jobs(plan, self.UNIT, *moons_pair)
+        # one stacked search, then one stack of every evaluated ticket
+        assert sizes == [3, 9 if evaluate == "rounds" else 3]
+        self.assert_each_run_alone(plan, self.UNIT, results, moons_pair)
+
+    def test_tickets_beyond_the_weight_cap_split_into_stacks(
+            self, moons_pair, monkeypatch):
+        plan = self.plan()
+        params = MLP_32.build(1).parameter_count()
+        monkeypatch.setattr(H, "STACK_WEIGHTS", 4 * params)
+        sizes = self._stack_sizes(monkeypatch)
+        results = H._run_jobs(plan, self.UNIT, *moons_pair)
+        # 9 tickets in stacks of at most 4: three of 3
+        assert sizes == [3, 3, 3, 3]
+        self.assert_each_run_alone(plan, self.UNIT, results, moons_pair)
+
+    def test_runs_that_end_at_different_rounds(self, moons_pair,
+                                               monkeypatch):
+        plan = replace(self.plan(rounds=6),
+                       model_cfg=ModelConfig(kind="mlp", widths=(2, 2, 2)))
+        unit = [({"tau": 0.5}, 1), ({"tau": 0.9}, 1)]
+        sizes = self._stack_sizes(monkeypatch)
+        results = H._run_jobs(plan, unit, *moons_pair)
+        # pruning is exhausted after rounds 4 and 2 of the 6
+        assert [len(tickets) for tickets, _, _ in results] == [4, 2]
+        assert sizes == [2, 6]
+        self.assert_each_run_alone(plan, unit, results, moons_pair)
+
+    def test_dense_baselines_equal_each_alone(self, moons_pair, monkeypatch):
+        plan = self.plan(record_every=1)
+        unit = [(None, 1), (None, 2), (None, 3)]
+        sizes = self._stack_sizes(monkeypatch)
+        results = H._run_jobs(plan, unit, *moons_pair)
+        assert sizes == [3]
+        for (_, seed), (tickets, rows, records) in zip(unit, results):
+            want = []
+            dense_baseline(MLP_32, *moons_pair, plan.round_cfg, 30, seed,
+                           recorder=want.append)
+            assert (tickets, rows) == ([], [])
+            # 7 epochs of 4 batches in the budget of 30 iterations
+            assert [r.split for r in records] == ["train", "test"] * 7 + [
+                "final_test"]
+            assert _digest([], records) == _digest([], want)
+
+    def test_conv_sweep_trains_every_job_alone(self, image_pair,
+                                               monkeypatch):
+        conv2 = ModelConfig(kind="conv2", in_shape=(1, 8, 8), num_classes=2)
+        plan = replace(self.plan(rounds=2, iters_per_round=4, batch_size=16,
+                                 lr_milestones=(2,)),
+                       model_cfg=conv2, seeds=(1, 2), grid={"tau": [0.3]})
+        sizes = self._stack_sizes(monkeypatch)
+        report = H.run_sweep(plan, *image_pair)
+        assert sizes == []
+        assert [r.error for r in report.rows] == [None] * 4
+        for seed in (1, 2):
+            dense = []
+            dense_baseline(conv2, *image_pair, plan.round_cfg, 4, seed,
+                           recorder=dense.append)
+            _, _, records = _one_ticket_at_a_time(plan, {"tau": 0.3}, seed,
+                                                  *image_pair)
+            for run_id, want in ((f"dense-seed{seed}", dense),
+                                 (f"imp-tau=0.3-seed{seed}", records)):
+                got = [r for r in report.records if r.run_id == run_id]
+                assert _digest([], got) == _digest([], want)
