@@ -40,7 +40,7 @@ _ALGORITHM_DEFAULTS = {
 _CONVERT = {
     "round.rewind_between_rounds": lambda v: v == "on",
     "seeds": lambda v: tuple(int(s) for s in v.split(",")),
-    "sweep.grid": lambda specs: dict(_parse_grid(s) for s in specs),
+    "sweep.grid": lambda specs: _parse_grids(specs),
 }
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
@@ -92,6 +92,20 @@ def _parse_grid(spec: str) -> tuple[str, list]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         return name, [float(v) for v in np.linspace(lo, hi, count)]
     return name, [float(v) for v in rest.split(",")]
+
+
+def _parse_grids(specs: list[str]) -> dict:
+    """The grid of the ``--grid`` flags, one flag per parameter: a second
+    flag for a parameter raises ``ValueError`` rather than replace the
+    first."""
+    grid = {}
+    for spec in specs:
+        name, values = _parse_grid(spec)
+        if name in grid:
+            raise ValueError(f"--grid sets {name!r} twice; give its values "
+                             f"in one flag")
+        grid[name] = values
+    return grid
 
 
 def _plan(cfg: RunConfig) -> ExperimentPlan:

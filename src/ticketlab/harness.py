@@ -22,9 +22,9 @@ from .masking import kept_fraction
 from .models import Model, ModelConfig, stack_models
 from .optim import CompositeOptimizer
 from .persist import RunRecord
-from .search import (PRUNE_SCOPES, SUPERMASK_VARIANTS, RewindStore,
-                     RoundConfig, TicketResult, run_cs, run_imp, run_iss,
-                     run_sequential_cs, run_supermask)
+from .search import (PRUNE_SCOPES, SUPERMASK_VARIANTS, DenseRound,
+                     RewindStore, RoundConfig, TicketResult, run_cs, run_imp,
+                     run_iss, run_sequential_cs, run_supermask)
 from .seeding import STREAM_SHUFFLE, seeded_rng
 from .tensor import (PRECISIONS, NonFiniteError, Tensor, default_dtype,
                      no_grad, set_default_dtype)
@@ -145,12 +145,17 @@ class ExperimentPlan:
         if self.supermask_variant not in SUPERMASK_VARIANTS:
             raise ValueError(f"unknown supermask variant "
                              f"{self.supermask_variant!r}")
+        swept = {}  # each round-config field, by the grid key that sets it
         for k, values in self.grid.items():
             key = GRID_ALIASES.get(k, k)
             if not hasattr(self.round_cfg, key):
                 raise ValueError(f"unknown sweep parameter {k!r}")
             if len(values) == 0:
                 raise ValueError(f"sweep parameter {k!r} has no values")
+            if key in swept:
+                raise ValueError(f"sweep parameters {swept[key]!r} and {k!r} "
+                                 f"both set {key!r}")
+            swept[key] = k
         need_rate = self.algorithm in RATE_SEARCHES
         finetunes = self.eval_mode == "fine-tune" and self.evaluate != "none"
         run_ids = set()
@@ -224,6 +229,14 @@ def ticket_rounds(tickets: list[TicketResult]) -> list[tuple]:
     return [(i + 1, m, ticket) for i, m in enumerate(ticket.round_masks)]
 
 
+def _stack_size(n: int, params: int) -> int:
+    """The size of each of the fewest stacks of at most ``STACK_WEIGHTS``
+    parameters (at least one model each) that ``n`` models of ``params``
+    parameters split into, the last stack perhaps smaller."""
+    cap = max(1, STACK_WEIGHTS // params)
+    return -(-n // -(-n // cap))
+
+
 def _masked_model(model_cfg: ModelConfig, seed: int, masks: dict | None,
                   arrays: dict | None) -> Model:
     """A freshly built model with fixed binary masks and loaded weights;
@@ -235,17 +248,28 @@ def _masked_model(model_cfg: ModelConfig, seed: int, masks: dict | None,
     return model
 
 
+def _test_accuracies(model: Model, test_data, infos: list) -> list:
+    """The model's test accuracy as a list, one per ticket of a stacked
+    model. A non-finite test loss of a ticket whose ``infos`` entry is a
+    ``RunInfo`` (not None) raises ``NonFiniteError`` naming the first such
+    ticket: its accuracy would read as a score of a diverged network."""
+    loss, acc = evaluate(model, test_data)
+    bad = [info for info, v in zip(infos, np.atleast_1d(loss))
+           if info is not None and not np.isfinite(v)]
+    if bad:
+        raise NonFiniteError(f"non-finite test loss of {bad[0].run_id!r}")
+    return np.atleast_1d(acc).tolist()
+
+
 def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
                     budget_iters: int, infos: list[RunInfo],
                     recorders: list | None = None):
     """Train the model's weights with a fresh optimizer for
     ``budget_iters`` iterations, each ticket of a stacked model on its own
     seed's shuffle stream, then return its test accuracy as a list, one
-    per ticket; ``infos`` has one ``RunInfo`` per ticket, and per-epoch
-    records go to ``recorders``, one per ticket (or None), when given. A
-    non-finite test loss raises ``NonFiniteError`` naming the first ticket
-    whose loss it is: its accuracy would read as a score of a diverged
-    network."""
+    per ticket (``_test_accuracies``); ``infos`` has one ``RunInfo`` per
+    ticket, and per-epoch records go to ``recorders``, one per ticket (or
+    None), when given."""
     def each(values: list):  # what train takes: a stack's list, or the one
         return values if model.stacked else values[0]
 
@@ -260,12 +284,7 @@ def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
           recorder=each(recorders or [None] * len(infos)),
           run_info=each(infos), test_data=test_data,
           record_every=cfg.record_every)
-    loss, acc = evaluate(model, test_data)
-    bad = [info for info, v in zip(infos, np.atleast_1d(loss))
-           if not np.isfinite(v)]
-    if bad:
-        raise NonFiniteError(f"non-finite test loss of {bad[0].run_id!r}")
-    return np.atleast_1d(acc).tolist()
+    return _test_accuracies(model, test_data, infos)
 
 
 def _dense(seed: int, recorder) -> tuple:
@@ -363,9 +382,8 @@ def train_tickets(model_cfg: ModelConfig, tickets: list[tuple],
     models = (_masked_model(model_cfg, info.seed, masks, arrays)
               for masks, arrays, info, _ in tickets)
     first = next(models)
-    cap = 1 if model_cfg.conv else max(
-        1, STACK_WEIGHTS // first.parameter_count())
-    size = -(-len(tickets) // -(-len(tickets) // cap))  # the fewest stacks
+    size = 1 if model_cfg.conv else _stack_size(len(tickets),
+                                                first.parameter_count())
     models = itertools.chain([first], models)
     accs = []
     for lo in range(0, len(tickets), size):
@@ -569,47 +587,97 @@ def run_point(plan: ExperimentPlan, point: dict | None, seed: int,
     return result
 
 
+def _carries(plan: ExperimentPlan, point: dict) -> bool:
+    """Whether the run at grid ``point`` carries its seed's dense
+    baseline: an IMP run whose applied round config is the plan's but for
+    ``prune_rate``, in a plan whose evaluation budget is one round. Its
+    round 1, every mask ones, trains bitwise as the baseline does: from
+    the same initial weights, on the same batches, with the same
+    optimizer, learning-rate milestones and iterations."""
+    cfg = plan.round_cfg
+    return (plan.algorithm == "imp"
+            and eval_budget_iters(plan.eval_budget, cfg) == cfg.iters_per_round
+            and replace(_apply_point(cfg, point), prune_rate=None)
+            == replace(cfg, prune_rate=None))
+
+
+def _restamped(info: RunInfo, recorder):
+    """A recorder that hands each record on to ``recorder`` as a record of
+    ``info``'s run (its id and algorithm; seed, round, lam and s0 must
+    already be ``info``'s)."""
+    return lambda rec: recorder(replace(rec, run_id=info.run_id,
+                                        algorithm=info.algorithm))
+
+
 def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
               test_data) -> list[tuple]:
-    """``run_point``'s result for each ``(point, seed)`` of ``jobs``, all
-    dense baselines (point None) or all runs of the search, run together
-    in the plan's precision; raises when any job does. Several runs must
-    be a stack of ``_units``.
+    """``run_point``'s result for each ``(point, seed)`` of ``jobs``, a
+    unit of ``_units``, run together in the plan's precision; raises when
+    any job does.
 
-    The runs search as one model (``models.stack_models`` of theirs, when
-    several). Then the baselines, or every evaluated ticket of every run,
-    train in one ``train_tickets`` call; a search that froze its weights
-    (supermask) has its masks scored at them (``masked_accuracy``). A
-    run's report rows are ``report_rows``' rows of its records, with the
-    grid point and, for a final evaluation, per-layer sparsity
-    attached."""
+    Without runs of the search, the dense baselines (point None) train in
+    one ``train_tickets`` call. Otherwise the runs search as one model
+    (``models.stack_models`` of theirs, when several), and each baseline
+    is taken from round 1 of its seed's first run of the unit, which must
+    carry it (``_carries``; a ``search.DenseRound``): that round's
+    per-epoch train rows, and test rows at the same cadence, restamped as
+    the baseline's, then its ``final_test`` record of one evaluation at
+    the end of the round. A non-finite test loss there fails the unit.
+    Then every evaluated ticket of every run trains in one
+    ``train_tickets`` call; a search that froze its weights (supermask)
+    has its masks scored at them (``masked_accuracy``). A run's report
+    rows are ``report_rows``' rows of its records, with the grid point
+    and, for a final evaluation, per-layer sparsity attached."""
     records = [[] for _ in jobs]
-    seeds = [seed for _, seed in jobs]
+    dense = [i for i, (point, _) in enumerate(jobs) if point is None]
+    runs = [i for i, (point, _) in enumerate(jobs) if point is not None]
+    budget = eval_budget_iters(plan.eval_budget, plan.round_cfg)
+    results = [([], [], recs) for recs in records]
     with _precision(plan.precision):
-        if jobs[0][0] is None:
+        if not runs:
             train_tickets(plan.model_cfg,
-                          [_dense(seed, recs.append)
-                           for seed, recs in zip(seeds, records)],
-                          train_data, test_data, plan.round_cfg,
-                          eval_budget_iters(plan.eval_budget, plan.round_cfg),
+                          [_dense(jobs[i][1], records[i].append)
+                           for i in dense],
+                          train_data, test_data, plan.round_cfg, budget,
                           "final_test")
-            return [([], [], recs) for recs in records]
-        cfgs = [_apply_point(plan.round_cfg, point) for point, _ in jobs]
+            return results
+        points = [jobs[i][0] for i in runs]
+        seeds = [jobs[i][1] for i in runs]
+        run_records = [records[i] for i in runs]
+        cfgs = [_apply_point(plan.round_cfg, point) for point in points]
         run_ids = [_run_id(plan.algorithm, point, seed)
-                   for point, seed in jobs]
-        stacked = len(jobs) > 1
+                   for point, seed in zip(points, seeds)]
+        stacked = len(runs) > 1
 
         def each(values: list):  # what a search takes: a stack's lists
             return values if stacked else values[0]
 
+        # each baseline rides on the slice of its seed's first run
+        infos, sinks = [None] * len(runs), [None] * len(runs)
+        for i in dense:
+            _, _, info, recorder = _dense(jobs[i][1], records[i].append)
+            k = seeds.index(info.seed) if info.seed in seeds else None
+            if k is None or not _carries(plan, points[k]):
+                raise ValueError(f"no run of the unit carries {info.run_id!r}")
+            infos[k], sinks[k] = info, _restamped(info, recorder)
+
+        def baselines_tested(model):  # at the end of round 1
+            accs = _test_accuracies(model, test_data, infos)
+            for info, sink, acc in zip(infos, sinks, accs):
+                if info is not None:
+                    _eval_row("final_test", None, acc, budget, info, sink)
+
+        hook = ({"dense": DenseRound(test_data, sinks, baselines_tested)}
+                if dense else {})
         model = (stack_models([plan.model_cfg.build(s) for s in seeds])
                  if stacked else plan.model_cfg.build(seeds[0]))
         searched = SEARCHES[plan.algorithm](
             plan, model, train_data, each(cfgs), seed=each(seeds),
-            run_id=each(run_ids), recorder=each([r.append for r in records]))
+            run_id=each(run_ids),
+            recorder=each([r.append for r in run_records]), **hook)
         searched = searched if stacked else [searched]
-        if len(searched) != len(jobs):
-            raise ValueError(f"a stacked search of {len(jobs)} runs gave "
+        if len(searched) != len(runs):
+            raise ValueError(f"a stacked search of {len(runs)} runs gave "
                              f"{len(searched)} results")
 
         fine = plan.eval_mode == "fine-tune"
@@ -617,7 +685,7 @@ def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
         frozen = not any(t.requires_grad for t in model.weight_tensors())
         starts = []
         for seed, run_id, tickets, recs in zip(seeds, run_ids, searched,
-                                               records):
+                                               run_records):
             final = tickets[-1]
             for round_idx, masks, ticket in {
                     "none": [], "final": [(final.round, final.masks, final)],
@@ -641,14 +709,13 @@ def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
                           else cfgs[0],
                           eval_budget_iters(plan.eval_budget, cfgs[0]),
                           "finetune_test" if fine else "retrain_test")
-    results = []
-    for (point, _), tickets, recs in zip(jobs, searched, records):
+    for i, point, tickets, recs in zip(runs, points, searched, run_records):
         rows, _ = report_rows(recs, tickets[-1].iters_per_epoch)
         for row in rows:
             row.grid = dict(point)
         if plan.evaluate == "final":
             rows[0].per_layer = per_layer_sparsity(tickets[-1].masks, model)
-        results.append((tickets, rows, recs))
+        results[i] = (tickets, rows, recs)
     return results
 
 
@@ -657,10 +724,12 @@ def _unit_outcomes(plan: ExperimentPlan, unit: list, train_data,
     """The outcome of each ``(point, seed)`` job of a unit of ``_units``,
     in order: ``(run_point's result, None)``, or ``(None, message)`` when
     the job raised. The unit's jobs run together (``_run_jobs``); when
-    that raises, each reruns alone (``run_point``), so that a failing job
-    becomes its own outcome under its own message and the others keep
-    their results. Nothing the failed unit produced, its records
-    included, reaches a job."""
+    that raises, each reruns alone (``run_point``), the unit's dense
+    baselines first, so that a failing job becomes its own outcome under
+    its own message and the others keep their results. Nothing the failed
+    unit produced, its records included, reaches a job. Once a baseline
+    has failed alone, no further job reruns: each takes the baseline's
+    message, and the sweep ends at the baseline, before any of them."""
     if len(unit) > 1:
         try:
             return [(result, None) for result in _run_jobs(
@@ -668,43 +737,64 @@ def _unit_outcomes(plan: ExperimentPlan, unit: list, train_data,
         except Exception:  # the reruns below report each job's failure
             pass
     outcomes = []
+    failed = None  # the message of a baseline that failed alone
     for point, seed in unit:
+        if failed is not None:
+            outcomes.append((None, failed))
+            continue
         try:
             outcomes.append((run_point(plan, point, seed, train_data,
                                        test_data), None))
         except Exception as exc:  # the sweep decides what a failure means
             outcomes.append((None, str(exc)))
+            if point is None:
+                failed = str(exc)
     return outcomes
 
 
 def _units(plan: ExperimentPlan, jobs: list) -> list[list]:
     """The sweep's ``(point, seed)`` jobs as its units of work, each a list
-    of jobs that run together (``_run_jobs``), contiguous and in job
-    order; the dense baselines come first.
+    of jobs, in job order, that run together (``_run_jobs``).
 
-    For a model without conv layers, the dense baselines of every seed
-    are one unit, and IMP runs stack: they are split into
+    For a model without conv layers, IMP runs stack: they are split into
     ``min(max_workers, runs)`` contiguous stacks whose sizes differ by at
-    most one, and a stack splits further where the runs' round configs
-    differ in more than ``prune_rate``. Every other job (any job of a
-    conv model, a run of any other search) is a unit of its own."""
-    if plan.model_cfg.conv:
-        return [[job] for job in jobs]
+    most one, a stack splits further where the runs' round configs differ
+    in more than ``prune_rate``, and then, as ``train_tickets`` splits
+    tickets, into the fewest stacks of at most ``STACK_WEIGHTS``
+    parameters. Every other run (of a conv model, of any other search) is
+    a unit of its own. A seed's dense baseline joins the unit of the
+    seed's first run that carries it (``_carries``); the baselines that no
+    run carries come first, as one unit for a model without conv layers
+    and one unit each for a conv model."""
     dense = [job for job in jobs if job[0] is None]
     runs = [job for job in jobs if job[0] is not None]
-    units = [dense] if dense else []
-    if plan.algorithm != "imp":
-        return units + [[job] for job in runs]
-    size, extra = divmod(len(runs), min(plan.max_workers, len(runs)))
-    lo = 0
-    while lo < len(runs):
-        hi = lo + size + (extra > 0)
-        extra -= 1
-        units += [list(stack) for _, stack in itertools.groupby(
-            runs[lo:hi], key=lambda job: replace(
-                _apply_point(plan.round_cfg, job[0]), prune_rate=None))]
-        lo = hi
-    return units
+    stacks = [[job] for job in runs]
+    if plan.algorithm == "imp" and not plan.model_cfg.conv and runs:
+        params = plan.model_cfg.build(runs[0][1]).parameter_count()
+        size, extra = divmod(len(runs), min(plan.max_workers, len(runs)))
+        stacks, lo = [], 0
+        while lo < len(runs):
+            hi = lo + size + (extra > 0)
+            extra -= 1
+            for _, group in itertools.groupby(
+                    runs[lo:hi], key=lambda job: replace(
+                        _apply_point(plan.round_cfg, job[0]),
+                        prune_rate=None)):
+                group = list(group)
+                step = _stack_size(len(group), params)
+                stacks += [group[i:i + step]
+                           for i in range(0, len(group), step)]
+            lo = hi
+    units, carried = [], set()
+    for stack in stacks:
+        seeds = {seed for point, seed in stack
+                 if seed not in carried and _carries(plan, point)}
+        carried |= seeds
+        units.append([job for job in dense if job[1] in seeds] + stack)
+    free = [job for job in dense if job[1] not in carried]
+    if plan.model_cfg.conv:
+        return [[job] for job in free] + units
+    return ([free] if free else []) + units
 
 
 def _pooled_unit(plan: ExperimentPlan, unit: list, train_data,
@@ -725,10 +815,12 @@ def _pooled_unit(plan: ExperimentPlan, unit: list, train_data,
 
 def _pooled_outcomes(plan: ExperimentPlan, units: list, train_data,
                      test_data):
-    """The outcome (``_unit_outcomes``) of each ``(point, seed)`` of ``units``, each unit
-    run on forked worker processes and its runs' outcomes yielded in job
-    order as the unit's arrive. The runs of a unit left without a result
-    (its worker died) yield ``(None, message)`` like a job that raised."""
+    """The outcomes (``_unit_outcomes``) of each unit of ``units``, run on
+    forked worker processes, yielded as one iterable per unit, in unit
+    order, as they arrive. The runs of a unit left without a result (its
+    worker died) yield ``(None, message)`` like a job that raised, and its
+    dense baselines rerun in this process, so that a dead worker costs
+    only its runs."""
     # imported here: serial sweeps and single runs never load multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -741,15 +833,47 @@ def _pooled_outcomes(plan: ExperimentPlan, units: list, train_data,
         try:
             for future, unit in zip(futures, units):
                 try:
-                    outcomes = future.result()
+                    pooled = future.result()
                 except Exception as exc:
-                    outcomes = [(None, f"{type(exc).__name__}: {exc}")
-                                ] * len(unit)
-                for result, error in outcomes:
-                    yield (None if result is None else pickle.loads(result),
-                           error)
+                    dense = [job for job in unit if job[0] is None]
+                    yield _unit_outcomes(plan, dense, train_data,
+                                         test_data) + [
+                        (None, f"{type(exc).__name__}: {exc}")
+                    ] * (len(unit) - len(dense))
+                    continue
+                # unpickled as the sweep reaches each job, one at a time
+                yield ((None if result is None else pickle.loads(result),
+                        error) for result, error in pooled)
         finally:  # an interrupted or failed sweep starts no further job
             pool.shutdown(cancel_futures=True)
+
+
+def _job_run_id(plan: ExperimentPlan, job: tuple) -> str:
+    """The run id of a ``(point, seed)`` job: ``dense-seed<N>`` for a
+    dense baseline (point None)."""
+    point, seed = job
+    return (_run_id("dense", {}, seed) if point is None
+            else _run_id(plan.algorithm, point, seed))
+
+
+def _in_job_order(plan: ExperimentPlan, jobs: list, units: list, per_unit):
+    """Each job of ``jobs`` with its outcome, in job order, from the
+    outcomes of ``units``, one iterable per unit, as they arrive in unit
+    order (``per_unit``). A job waits until its unit has arrived and every
+    job before it has been handed over, as when a seed's baseline rides in
+    a later unit than an earlier seed's run; each unit's outcomes are read
+    in order, one as its job's turn comes, since a unit's jobs are in job
+    order."""
+    unit_of = {_job_run_id(plan, job): u for u, unit in enumerate(units)
+               for job in unit}
+    at = [unit_of[_job_run_id(plan, job)] for job in jobs]
+    arrived = []  # an iterator over each arrived unit's outcomes
+    done = 0
+    for outcomes in per_unit:
+        arrived.append(iter(outcomes))
+        while done < len(jobs) and at[done] < len(arrived):
+            yield jobs[done], next(arrived[at[done]])
+            done += 1
 
 
 def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
@@ -768,21 +892,27 @@ def run_sweep(plan: ExperimentPlan, train_data, test_data,
     Every job is a ``(point, seed)`` pair; unless ``plan.evaluate`` is
     "none", the list starts with each seed's dense baseline (``point``
     None). Jobs run in units (``_units``, ``_run_jobs``): for a model
-    without conv layers, the dense baselines train as one stacked model,
-    and the IMP runs as at most ``max_workers`` stacks, each searching its
-    runs as one stacked model and then training every evaluated ticket of
-    them as one more; every slice is bitwise its job alone. A unit that
-    raises reruns its jobs one at a time; every other job is one
+    without conv layers, the IMP runs run as at most ``max_workers``
+    stacks, each searching its runs as one stacked model and then training
+    every evaluated ticket of them as one more; every slice is bitwise its
+    job alone. A seed's dense baseline is taken from round 1 of its first
+    IMP run when that run carries it (``_carries``: the plan's round
+    config but for the pruning rate, an evaluation budget of one round),
+    which trains bitwise as the baseline does; the other baselines train
+    on their own, an MLP's as one stacked model. A unit that raises reruns
+    its jobs one at a time, baselines first; every other job is one
     ``run_point``. A failing run becomes an error row under its own id and
     the sweep continues; a worker process that dies turns the runs of its
-    unit, and every run the pool did not finish, into error rows. A
-    failing dense baseline raises ``RuntimeError`` with its message and
-    starts no further job.
+    unit, and every run the pool did not finish, into error rows, and the
+    baselines of those units rerun in this process. A failing dense
+    baseline raises ``RuntimeError`` with its message and starts no
+    further job.
 
     ``on_run(run_id, point, seed, tickets, records)``, when given, is called
     in the calling process, in job order, once per job as its result
-    arrives (a dense baseline has no tickets). A job whose hook raises
-    fails as if the job had raised.
+    arrives and every job before it has been handed over (a dense
+    baseline has no tickets). A job whose hook raises fails as if the job
+    had raised.
 
     When the mask init is swept, the report includes the Spearman rank
     correlation between its value and the median remaining fraction."""
@@ -795,17 +925,17 @@ def run_sweep(plan: ExperimentPlan, train_data, test_data,
         jobs = [(None, seed) for seed in plan.seeds] + jobs
     units = _units(plan, jobs)
     if plan.max_workers == 1:
-        outcomes = (outcome for unit in units
-                    for outcome in _unit_outcomes(plan, unit, train_data,
-                                                  test_data))
+        per_unit = (_unit_outcomes(plan, unit, train_data, test_data)
+                    for unit in units)
     else:
-        outcomes = _pooled_outcomes(plan, units, train_data, test_data)
+        per_unit = _pooled_outcomes(plan, units, train_data, test_data)
     rows: list[EvalRow] = []
     records: list[RunRecord] = []
-    with closing(outcomes):
-        for (result, error), (point, seed) in zip(outcomes, jobs):
-            run_id = (_run_id("dense", {}, seed) if point is None
-                      else _run_id(plan.algorithm, point, seed))
+    with closing(per_unit):
+        for job, (result, error) in _in_job_order(plan, jobs, units,
+                                                  per_unit):
+            point, seed = job
+            run_id = _job_run_id(plan, job)
             if error is None:
                 tickets, rws, recs = result
                 if on_run is not None:

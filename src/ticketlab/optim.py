@@ -17,11 +17,22 @@ same IEEE operations in the same order as a per-parameter update would.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .tensor import GradientError, NonFiniteError, Tensor
+
+
+def check_finite(config) -> None:
+    """Raise ``ValueError`` naming the first field of the dataclass
+    ``config`` that holds a NaN or infinite float: every range check of
+    a NaN is false, so it would pass them all."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -35,6 +46,7 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def validate(self) -> None:
+        check_finite(self)
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.lr <= 0:

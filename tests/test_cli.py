@@ -14,6 +14,8 @@ from ticketlab.data import DataConfig
 from ticketlab.persist import load_checkpoint, load_mask_artifact, read_records
 from ticketlab.tensor import default_dtype, reset_tape, set_default_dtype
 
+from .test_models_data import write_idx_pair
+
 
 @pytest.fixture(autouse=True)
 def fresh_tape():
@@ -426,12 +428,13 @@ class TestSweepAndReport:
 
     def test_imp_sweep_stacks_match_across_workers(self, tmp_path,
                                                    monkeypatch):
-        # one worker searches the six runs as one stack, two as two of three
+        # one worker searches the six runs as one stack, two as two of
+        # three; the stack of the seeds' first runs carries their baselines
         sizes, units = [], harness._units
 
         def spy(plan, jobs):
             made = units(plan, jobs)
-            sizes.append([len(u) for u in made if u[0][0] is not None])
+            sizes.append([len(u) for u in made])
             return made
 
         monkeypatch.setattr(harness, "_units", spy)
@@ -440,13 +443,89 @@ class TestSweepAndReport:
             "--algorithm", "imp", "--config", str(cfgp), "--grid",
             "tau=0.2,0.4", "--seeds", "1,2,3", "--eval", "rounds",
             "--record-every", "1"])
-        assert sizes == [[6], [3, 3]]
+        assert sizes == [[9], [6, 3]]
         # the sweep's 2 files, 2 per baseline, 9 per run (3 masks)
         assert len(serial) == 2 + 3 * 2 + 6 * 9
         records = read_records(tmp_path / "1" / "sweep" / "runs" /
                                "imp-tau=0.4-seed3" / "records.csv")
         assert {r.split for r in records} == {"train", "ticket",
                                               "retrain_test"}
+
+    @staticmethod
+    def _conv2_config(tmp_path) -> dict:
+        """A conv2 model over 32 8x8 IDX images of 10 classes, the same
+        images for training and test."""
+        images, labels, _, _ = write_idx_pair(tmp_path, n=32, h=8, w=8)
+        return dict(
+            dataset={"kind": "idx", "train_images": str(images),
+                     "train_labels": str(labels), "test_images": str(images),
+                     "test_labels": str(labels)},
+            model={"kind": "conv2", "in_shape": [1, 8, 8], "num_classes": 10})
+
+    @pytest.mark.parametrize("flags, conv, layouts", [
+        (["--workers", "1"], False, [[9], [3, 6]]),
+        (["--workers", "2", "--record-every", "1", "--precision", "float32"],
+         False, [[6, 3], [3, 3, 3]]),
+        # seed 3's first run is in the second stack
+        (["--workers", "4", "--record-every", "1"], False,
+         [[4, 3, 1, 1], [3, 2, 2, 1, 1]]),
+        (["--workers", "2"], True, [[2, 2, 2, 1, 1, 1], [1] * 9]),
+    ], ids=["serial", "float32-records", "four-workers", "conv2"])
+    def test_carried_baselines_write_what_trained_ones_do(
+            self, tmp_path, monkeypatch, flags, conv, layouts):
+        cfgp = small_config(tmp_path, **(self._conv2_config(tmp_path)
+                                         if conv else {}))
+        sizes, units = [], harness._units
+
+        def spy(plan, jobs):
+            made = units(plan, jobs)
+            sizes.append([len(u) for u in made])
+            return made
+
+        monkeypatch.setattr(harness, "_units", spy)
+        trees = []
+        for trained in (False, True):
+            # the same relative --out, as run configs record their path
+            where = tmp_path / str(trained)
+            where.mkdir()
+            monkeypatch.chdir(where)
+            with monkeypatch.context() as m:
+                if trained:  # no run carries a baseline
+                    m.setattr(harness, "_carries", lambda plan, point: False)
+                assert main(["sweep", "--algorithm", "imp", "--config",
+                             str(cfgp), "--grid", "tau=0.2,0.4", "--seeds",
+                             "1,2,3", "--eval", "rounds", "--out", "sweep"]
+                            + flags) == 0
+            trees.append({str(p.relative_to(where)): p.read_bytes()
+                          for p in sorted(where.rglob("*")) if p.is_file()})
+        assert sizes == layouts
+        assert len(trees[0]) == 2 + 3 * 2 + 6 * 9
+        assert trees[0] == trees[1]
+
+    def test_a_baseline_of_another_budget_trains_on_its_own(self, tmp_path,
+                                                             monkeypatch):
+        trains, trained = harness.train_tickets, []
+
+        def spy(model_cfg, tickets, *args, **kw):
+            trained.extend(info.run_id for masks, _, info, _ in tickets
+                           if masks is None)
+            return trains(model_cfg, tickets, *args, **kw)
+
+        monkeypatch.setattr(harness, "train_tickets", spy)
+        cfgp = small_config(tmp_path)  # 16 iterations per round
+        for budget, dense in (("16", []),
+                              ("20", ["dense-seed1", "dense-seed2"])):
+            trained.clear()
+            out = tmp_path / budget
+            assert main(["sweep", "--algorithm", "imp", "--config", str(cfgp),
+                         "--grid", "tau=0.2", "--seeds", "1,2",
+                         "--eval-budget", budget, "--out", str(out)]) == 0
+            assert trained == dense, budget
+            for seed in (1, 2):
+                [final] = [r for r in read_records(
+                    out / "runs" / f"dense-seed{seed}" / "records.csv")
+                    if r.split == "final_test"]
+                assert final.iter == int(budget)
 
     def test_integer_grid_fields_run(self, tmp_path):
         cfgp = small_config(tmp_path, evaluation={"evaluate": "rounds",
@@ -513,6 +592,47 @@ class TestSweepAndReport:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err, bad
             assert not out.exists(), bad
+
+    @pytest.mark.parametrize("grid, message", [
+        (["tau=0.2", "tau=0.3"],
+         "--grid sets 'tau' twice; give its values in one flag"),
+        (["tau=0.2", "prune_rate=0.3"],
+         "sweep parameters 'tau' and 'prune_rate' both set 'prune_rate'"),
+    ], ids=["same-name", "alias"])
+    def test_a_parameter_swept_twice_fails_before_anything_is_written(
+            self, tmp_path, capsys, grid, message):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(small_config(tmp_path)),
+                "--algorithm", "imp", "--seeds", "1", "--out", str(out)]
+        for spec in grid:
+            argv += ["--grid", spec]
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, over, message", [
+        (["cs", "--lam", "nan"], {}, "lam must be finite, got nan"),
+        (["cs", "--lam", "inf"], {}, "lam must be finite, got inf"),
+        (["cs", "--beta-final", "nan"], {},
+         "beta_final must be finite, got nan"),
+        (["cs", "--s0", "nan"], {}, "mask_init must be finite, got nan"),
+        (["imp"], {"round": {"weight_opt": {"lr": float("nan")}}},
+         "lr must be finite, got nan"),
+        (["dense"], {"round": {"weight_opt": {"momentum": float("inf")}}},
+         "momentum must be finite, got inf"),
+        (["sweep", "--grid", "lambda=0,nan", "--seeds", "1"], {},
+         "lam must be finite, got nan"),
+    ], ids=["lam", "lam-inf", "beta-final", "s0", "lr", "dense-momentum",
+            "grid"])
+    def test_non_finite_hyperparameter_fails_before_anything_is_written(
+            self, tmp_path, capsys, argv, over, message):
+        base = json.loads(small_config(tmp_path).read_text())
+        cfgp = tmp_path / "bad.cfg"
+        cfgp.write_text(json.dumps(_deep_merge(base, over)))
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfgp), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("algorithm, bad, message", [
         ("supermask", {}, "supermask search runs a single round"),

@@ -592,23 +592,42 @@ class TestSweep:
             jobs = [(None, s) for s in plan.seeds] + [
                 (p, s) for p in points for s in plan.seeds]
             units = H._units(plan, jobs)
-            assert [job for unit in units for job in unit] == jobs
+            order = [jobs.index(job) for unit in units for job in unit]
+            assert sorted(order) == list(range(len(jobs)))
+            for unit in units:  # each unit in job order
+                at = [jobs.index(job) for job in unit]
+                assert at == sorted(at)
             return [len(unit) for unit in units]
 
-        # the dense baselines of every seed are one unit
-        assert sizes(max_workers=1) == [3, 6]
-        assert sizes(max_workers=2) == [3, 3, 3]
-        assert sizes(max_workers=4) == [3, 2, 2, 1, 1]
-        assert sizes(max_workers=9) == [3] + [1] * 6
+        # each seed's baseline rides in the unit of its first run
+        assert sizes(max_workers=1) == [9]
+        assert sizes(max_workers=2) == [6, 3]
+        # seed 3's first run is in the second stack
+        assert sizes(max_workers=4) == [4, 3, 1, 1]
+        assert sizes(max_workers=9) == [2, 2, 2, 1, 1, 1]
         # runs whose configs differ in more than the pruning rate never
-        # share a stack: rounds 1 and 2 split where they meet
+        # share a stack: rounds 1 and 2 split where they meet, and only
+        # the runs of the plan's 2 rounds carry a baseline
         grid = {"tau": [0.2, 0.4], "rounds": [1, 2]}
-        assert sizes(grid=grid, seeds=(1, 2)) == [2, 4, 4]
+        assert sizes(grid=grid, seeds=(1, 2)) == [4, 6]
         assert sizes(grid=grid, seeds=(1, 2), max_workers=3) == [
-            2, 3, 1, 2, 2]
-        # every other search runs one by one, and a conv model's every job
+            3, 1, 4, 2]
+        # no run carries a baseline trained for another budget: the
+        # baselines of an MLP are one unit
+        assert sizes(eval_budget=7) == [3, 6]
+        assert sizes(grid={"tau": [0.2], "iters_per_round": [10, 30]},
+                     seeds=(1, 2)) == [2, 2, 2]
+        # every other search runs one by one, and a conv model's every run
         assert sizes(algorithm="cs") == [3] + [1] * 6
-        assert sizes(model_cfg=ModelConfig(kind="conv2")) == [1] * 9
+        assert sizes(model_cfg=ModelConfig(kind="conv2")) == [2, 2, 2] + [
+            1] * 3
+        assert sizes(model_cfg=ModelConfig(kind="conv2"),
+                     eval_budget=7) == [1] * 9
+        # a stack holds at most STACK_WEIGHTS parameters: a (2,256,256,2)
+        # run's 67,074 search alone
+        wide = ModelConfig(kind="mlp", widths=(2, 256, 256, 2))
+        assert sizes(model_cfg=wide) == [2, 2, 2, 1, 1, 1]
+        assert sizes(model_cfg=wide, max_workers=2) == [2, 2, 2, 1, 1, 1]
 
     def test_failing_run_of_a_stack_is_its_own_error_row(self, monkeypatch):
         plan = self.imp_plan(evaluate="rounds")
@@ -634,7 +653,8 @@ class TestSweep:
             # every other run, and every baseline, is bitwise unchanged
             assert digests == {k: v for k, v in clean.items()
                                if k not in failed}, workers
-        assert sizes == [[3, 6], [3, 3, 3]]
+        # each seed's baseline rides in the stack of its first run
+        assert sizes == [[9], [6, 3]]
 
     def test_non_finite_evaluation_in_a_stack_fails_only_its_run(
             self, monkeypatch):
@@ -668,7 +688,7 @@ class TestSweep:
             # no record of the stack that diverged reaches the other runs
             assert digests == {k: v for k, v in clean.items()
                                if k != failed}, workers
-        assert sizes == [[3, 3], [3, 2, 1]]
+        assert sizes == [[6], [4, 2]]
 
     def test_unpicklable_result_of_a_stack_fails_only_its_run(
             self, monkeypatch):
@@ -837,6 +857,74 @@ class TestSweep:
         assert seen == {"job": ["dense-seed1"],
                         "hook": ["dense-seed1", "dense-seed2"]}[fails_in]
         assert searched == []  # forked workers' calls are not seen here
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("iters, message", [
+        # one step leaves weights whose test logits overflow
+        (1, "non-finite test loss of 'dense-seed1'"),
+        (2, "non-finite loss at iteration 1 of 'dense-seed1'"),
+    ], ids=["test-loss", "round-1"])
+    def test_failing_carried_baseline_ends_the_sweep(self, monkeypatch, iters,
+                                                     message):
+        plan = self.imp_plan(
+            evaluate="final", seeds=(1, 2),
+            round_cfg=cfg(iters_per_round=iters, rewind_iter=0,
+                          prune_rate=0.2, weight_opt=OptimizerConfig(
+                              "sgd", lr=1e300, momentum=0.9)))
+        search, searched = SEARCHES["imp"], []
+
+        def counted(plan, model, data, c, seed, **kw):
+            searched.append((seed, "dense" in kw))
+            return search(plan, model, data, c, seed=seed, **kw)
+
+        monkeypatch.setitem(SEARCHES, "imp", counted)
+        sizes = self._stack_sizes(monkeypatch)
+        for workers in (1, 2):
+            seen = []
+            with pytest.raises(RuntimeError, match=f"^{message}$"):
+                sweep(replace(plan, max_workers=workers),
+                      on_run=lambda run_id, *_: seen.append(run_id))
+            assert seen == []
+        assert sizes == [[6], [4, 2]]
+        # the stack ran once; once its baseline had failed alone, none of
+        # its searches reran (forked workers' calls are not seen here)
+        assert searched == [([1, 2, 1, 2], True)]
+
+    def test_dead_worker_of_a_carrier_unit_keeps_its_baselines(
+            self, monkeypatch, tmp_path):
+        plan = self.imp_plan(evaluate="final", seeds=(1, 2),
+                             grid={"tau": [0.2]}, max_workers=2)
+        clean = {}
+        sweep(plan, on_run=self._run_digests(clean))
+        search = SEARCHES["imp"]
+        arrived = tmp_path / "seed-1-arrived"
+
+        def dies_with_seed_2(plan, model, data, cfg, seed, **kw):
+            if seed == 2:  # once seed 1's unit has reached the hook
+                deadline = time.monotonic() + 60
+                while not arrived.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(3)  # the forked worker inherits this patch
+            return search(plan, model, data, cfg, seed=seed, **kw)
+
+        def hook(run_id, point, seed, tickets, records):
+            digest(run_id, point, seed, tickets, records)
+            arrived.touch()
+
+        monkeypatch.setitem(SEARCHES, "imp", dies_with_seed_2)
+        sizes = self._stack_sizes(monkeypatch)
+        digests = {}
+        digest = self._run_digests(digests)
+        report = sweep(plan, on_run=hook)
+        assert sizes == [[2, 2]]
+        # seed 2's baseline trained again in the sweep's own process
+        assert digests == {k: v for k, v in clean.items()
+                           if k != "imp-tau=0.2-seed2"}
+        assert list(digests) == ["dense-seed1", "dense-seed2",
+                                 "imp-tau=0.2-seed1"]
+        [error] = [r for r in report.rows if r.error is not None]
+        assert error.run_id == "imp-tau=0.2-seed2"
+        assert "BrokenProcessPool" in error.error
 
     def test_dense_plan_validates_but_is_no_sweep(self):
         plan = self.plan(algorithm="dense", grid={}, evaluate="final")
@@ -1360,6 +1448,39 @@ class TestStackedUnits:
             assert [r.split for r in records] == ["train", "test"] * 7 + [
                 "final_test"]
             assert _digest([], records) == _digest([], want)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_carried_baselines_equal_each_alone(self, moons_pair,
+                                                monkeypatch, precision):
+        # per-epoch train and test rows, with learning-rate milestones
+        plan = self.plan(precision=precision, record_every=1)
+        unit = [(None, 1), (None, 2), (None, 3)] + self.UNIT
+        sizes = self._stack_sizes(monkeypatch)
+        results = H._run_jobs(plan, unit, *moons_pair)
+        # one stacked search, whose round 1 trained the baselines, then
+        # one stack of every evaluated ticket
+        assert sizes == [3, 9]
+        for (_, seed), (tickets, rows, records) in zip(unit, results[:3]):
+            want = []
+            with H._precision(precision):
+                dense_baseline(MLP_32, *moons_pair, plan.round_cfg, 30, seed,
+                               recorder=want.append)
+            assert (tickets, rows) == ([], [])
+            assert [r.split for r in records] == ["train", "test"] * 7 + [
+                "final_test"]
+            assert _digest([], records) == _digest([], want)
+        # the runs keep their own records: no test rows
+        self.assert_each_run_alone(plan, self.UNIT, results[3:], moons_pair)
+
+    def test_a_baseline_without_its_carrier_fails_the_unit(self,
+                                                           moons_pair):
+        unit = [(None, 1), ({"tau": 0.2}, 2)]
+        with pytest.raises(ValueError, match="no run of the unit carries "
+                                             "'dense-seed1'"):
+            H._run_jobs(self.plan(), unit, *moons_pair)
+        with pytest.raises(ValueError, match="carries 'dense-seed2'"):
+            H._run_jobs(replace(self.plan(), eval_budget=20),
+                        [(None, 2), ({"tau": 0.2}, 2)], *moons_pair)
 
     def test_conv_sweep_trains_every_job_alone(self, image_pair,
                                                monkeypatch):
