@@ -20,7 +20,7 @@ import numpy as np
 from .data import DataConfig
 from .masking import kept_fraction
 from .models import Model, ModelConfig, stack_models
-from .optim import CompositeOptimizer
+from .optim import CompositeOptimizer, check_finite
 from .persist import RunRecord
 from .search import (PRUNE_SCOPES, SUPERMASK_VARIANTS, DenseRound,
                      RewindStore, RoundConfig, TicketResult, run_cs, run_imp,
@@ -182,6 +182,7 @@ class ExperimentPlan:
         # the data and the first seed's model, built as a run builds them
         # (writing nothing): one training example through the model shows
         # a shape mismatch, and its logits must number the classes
+        check_finite(self.data_cfg)
         train_data, test_data = self.data_cfg.build()
         for name, data in (("training", train_data), ("test", test_data)):
             if len(data) == 0:
@@ -754,7 +755,8 @@ def _unit_outcomes(plan: ExperimentPlan, unit: list, train_data,
 
 def _units(plan: ExperimentPlan, jobs: list) -> list[list]:
     """The sweep's ``(point, seed)`` jobs as its units of work, each a list
-    of jobs, in job order, that run together (``_run_jobs``).
+    of job indices into ``jobs``, in job order, whose jobs run together
+    (``_run_jobs``).
 
     For a model without conv layers, IMP runs stack: they are split into
     ``min(max_workers, runs)`` contiguous stacks whose sizes differ by at
@@ -766,19 +768,19 @@ def _units(plan: ExperimentPlan, jobs: list) -> list[list]:
     seed's first run that carries it (``_carries``); the baselines that no
     run carries come first, as one unit for a model without conv layers
     and one unit each for a conv model."""
-    dense = [job for job in jobs if job[0] is None]
-    runs = [job for job in jobs if job[0] is not None]
-    stacks = [[job] for job in runs]
+    dense = [i for i, (point, _) in enumerate(jobs) if point is None]
+    runs = [i for i, (point, _) in enumerate(jobs) if point is not None]
+    stacks = [[i] for i in runs]
     if plan.algorithm == "imp" and not plan.model_cfg.conv and runs:
-        params = plan.model_cfg.build(runs[0][1]).parameter_count()
+        params = plan.model_cfg.build(jobs[runs[0]][1]).parameter_count()
         size, extra = divmod(len(runs), min(plan.max_workers, len(runs)))
         stacks, lo = [], 0
         while lo < len(runs):
             hi = lo + size + (extra > 0)
             extra -= 1
             for _, group in itertools.groupby(
-                    runs[lo:hi], key=lambda job: replace(
-                        _apply_point(plan.round_cfg, job[0]),
+                    runs[lo:hi], key=lambda i: replace(
+                        _apply_point(plan.round_cfg, jobs[i][0]),
                         prune_rate=None)):
                 group = list(group)
                 step = _stack_size(len(group), params)
@@ -787,13 +789,13 @@ def _units(plan: ExperimentPlan, jobs: list) -> list[list]:
             lo = hi
     units, carried = [], set()
     for stack in stacks:
-        seeds = {seed for point, seed in stack
-                 if seed not in carried and _carries(plan, point)}
+        seeds = {jobs[i][1] for i in stack
+                 if jobs[i][1] not in carried and _carries(plan, jobs[i][0])}
         carried |= seeds
-        units.append([job for job in dense if job[1] in seeds] + stack)
-    free = [job for job in dense if job[1] not in carried]
+        units.append([i for i in dense if jobs[i][1] in seeds] + stack)
+    free = [i for i in dense if jobs[i][1] not in carried]
     if plan.model_cfg.conv:
-        return [[job] for job in free] + units
+        return [[i] for i in free] + units
     return ([free] if free else []) + units
 
 
@@ -848,34 +850,6 @@ def _pooled_outcomes(plan: ExperimentPlan, units: list, train_data,
             pool.shutdown(cancel_futures=True)
 
 
-def _job_run_id(plan: ExperimentPlan, job: tuple) -> str:
-    """The run id of a ``(point, seed)`` job: ``dense-seed<N>`` for a
-    dense baseline (point None)."""
-    point, seed = job
-    return (_run_id("dense", {}, seed) if point is None
-            else _run_id(plan.algorithm, point, seed))
-
-
-def _in_job_order(plan: ExperimentPlan, jobs: list, units: list, per_unit):
-    """Each job of ``jobs`` with its outcome, in job order, from the
-    outcomes of ``units``, one iterable per unit, as they arrive in unit
-    order (``per_unit``). A job waits until its unit has arrived and every
-    job before it has been handed over, as when a seed's baseline rides in
-    a later unit than an earlier seed's run; each unit's outcomes are read
-    in order, one as its job's turn comes, since a unit's jobs are in job
-    order."""
-    unit_of = {_job_run_id(plan, job): u for u, unit in enumerate(units)
-               for job in unit}
-    at = [unit_of[_job_run_id(plan, job)] for job in jobs]
-    arrived = []  # an iterator over each arrived unit's outcomes
-    done = 0
-    for outcomes in per_unit:
-        arrived.append(iter(outcomes))
-        while done < len(jobs) and at[done] < len(arrived):
-            yield jobs[done], next(arrived[at[done]])
-            done += 1
-
-
 def sweep(plan: ExperimentPlan, on_run=None) -> EvaluationReport:
     """Validate the plan and run it on the data its validation built
     (``run_sweep``)."""
@@ -924,34 +898,43 @@ def run_sweep(plan: ExperimentPlan, train_data, test_data,
     if plan.evaluate != "none":
         jobs = [(None, seed) for seed in plan.seeds] + jobs
     units = _units(plan, jobs)
+    unit_jobs = [[jobs[i] for i in unit] for unit in units]
     if plan.max_workers == 1:
         per_unit = (_unit_outcomes(plan, unit, train_data, test_data)
-                    for unit in units)
+                    for unit in unit_jobs)
     else:
-        per_unit = _pooled_outcomes(plan, units, train_data, test_data)
+        per_unit = _pooled_outcomes(plan, unit_jobs, train_data, test_data)
     rows: list[EvalRow] = []
     records: list[RunRecord] = []
+    # jobs are handed over in job order: each arrived unit's outcomes wait
+    # under its jobs' indices, and are read one at a time as each job's
+    # turn comes (a unit's jobs are in job order)
+    arrived, done = {}, 0
     with closing(per_unit):
-        for job, (result, error) in _in_job_order(plan, jobs, units,
-                                                  per_unit):
-            point, seed = job
-            run_id = _job_run_id(plan, job)
-            if error is None:
-                tickets, rws, recs = result
-                if on_run is not None:
-                    try:
-                        on_run(run_id, point, seed, tickets, recs)
-                    except Exception as exc:  # a failing hook fails its job
-                        error = str(exc)
-            if error is None:
-                rows.extend(rws)
-                records.extend(recs)
-            elif point is None:  # every run is judged against its baseline
-                raise RuntimeError(error)
-            else:
-                rows.append(EvalRow(run_id, plan.algorithm, seed, 0, None,
-                                    None, 0, 0.0, grid=dict(point),
-                                    error=error))
+        for outcomes, unit in zip(per_unit, units):
+            arrived.update(dict.fromkeys(unit, iter(outcomes)))
+            while done in arrived:
+                result, error = next(arrived.pop(done))
+                point, seed = jobs[done]
+                done += 1
+                run_id = (_run_id("dense", {}, seed) if point is None
+                          else _run_id(plan.algorithm, point, seed))
+                if error is None:
+                    tickets, rws, recs = result
+                    if on_run is not None:
+                        try:
+                            on_run(run_id, point, seed, tickets, recs)
+                        except Exception as exc:  # fails its job
+                            error = str(exc)
+                if error is None:
+                    rows.extend(rws)
+                    records.extend(recs)
+                elif point is None:  # every run is judged against its baseline
+                    raise RuntimeError(error)
+                else:
+                    rows.append(EvalRow(run_id, plan.algorithm, seed, 0, None,
+                                        None, 0, 0.0, grid=dict(point),
+                                        error=error))
 
     spearman = sparsity_rank_correlation(rows, plan.grid,
                                          plan.round_cfg.rounds)

@@ -18,9 +18,10 @@ know it: ``linear`` takes weights, bias and gate stacked over K tickets,
 with one input per ticket or one input that all of them share, and
 ``softmax_cross_entropy`` gives one loss per ticket, of one batch they
 share or of one batch each. Each slice is bitwise the op of that ticket
-alone, so K dense models train as one, on the same batches or each on
-its own. A 2-d ``linear`` layer still takes only a 2-d input;
-``conv2d`` and ``max_pool2d`` take only 4-d operands.
+alone, so K dense models train as one. Training (``training.train``)
+reads one batch per ticket; only ``evaluate`` shares one among them. A
+2-d ``linear`` layer still takes only a 2-d input; ``conv2d`` and
+``max_pool2d`` take only 4-d operands.
 
 Every recorded operation is appended to a thread-local tape in forward
 order. ``backward`` walks the tape in exact reverse order, accumulating

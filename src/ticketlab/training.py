@@ -1,10 +1,11 @@
-"""Single-run training loop with per-iteration callbacks.
+"""The training loop, for one model or a stack of K, with per-iteration
+callbacks.
 
 The loop is deterministic given its RNG streams: batch order is a fixed
-shuffled permutation per epoch drawn from the shuffle stream, the
-temperature schedule advances once per optimizer step, and callbacks
-observe every iteration (snapshotting at the rewind point, learning-rate
-milestones, record emission). A non-finite loss, or a non-finite gradient
+shuffled permutation per epoch drawn from each slice's shuffle stream,
+the temperature schedule advances once per optimizer step, and callbacks
+see every iteration's index before its step (snapshotting at the rewind
+point, learning-rate milestones). A non-finite loss, or a non-finite gradient
 about to be applied, aborts the run with a diagnostic record: the optimizer
 checks every gradient it is about to apply (``NonFiniteError``) before it
 updates any parameter, and ``train`` turns that error into the record.
@@ -39,9 +40,6 @@ class TrainCursor:
 class StepInfo:
     iteration: int  # global optimizer-iteration index
     round_iteration: int  # iteration within the current train() call
-    epoch: int
-    beta: float
-    loss: float | None = None
 
 
 @dataclass
@@ -108,9 +106,8 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
           batch_size: int, shuffle_rng, schedule=None, lam: float = 0.0,
           mask_rng=None, st_variant: str = "identity",
           cursor: TrainCursor | None = None, start_iteration: int = 0,
-          before_step=(), after_step=(), recorder=None,
-          run_info: RunInfo | None = None, test_data: Dataset | None = None,
-          record_every: int = 1) -> int:
+          before_step=(), recorder=None, run_info: RunInfo | None = None,
+          test_data: Dataset | None = None, record_every: int = 1) -> int:
     """Run ``iterations`` optimizer steps; returns the number executed.
 
     Zero iterations leaves the model untouched. When a recorder is given,
@@ -119,16 +116,17 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     gradient before it updates anything; its ``NonFiniteError`` becomes an
     ``abort`` record and a ``NonFiniteError`` naming the iteration and run.
 
-    A stacked model (``models.stack_models``) of K slices trains them in
-    one pass: the loss differentiated, and reported, is the sum of theirs,
-    so each slice's backward pass is seeded with exactly 1. With one
-    ``shuffle_rng`` every slice reads the same batches; with a list of K
-    streams, slice k reads the batches of stream k. Its ``run_info`` and
-    ``recorder``, when given, are lists of K, one per slice (a None
-    recorder drops that slice's rows), and slice k's rows are bitwise
-    what its model alone, on its stream, gives. A non-finite loss names
-    the first slice whose loss is non-finite, a non-finite gradient the
-    first slice.
+    A model trains as K slices: a stacked model (``models.stack_models``)
+    has K, any other model is one. Each slice keeps its own ledger, its
+    loss plus its gates' penalties, and a train row reports the mean of
+    that over the epoch's steps. A stack's ``shuffle_rng``, ``run_info``
+    and ``recorder`` are lists of K, one per slice (a None recorder drops
+    that slice's rows): slice k reads the batches of stream k, and its
+    rows are bitwise what its model alone, on that stream, gives. The
+    loss differentiated is the sum of the slices', so each slice's
+    backward pass is seeded with exactly 1; when that sum is non-finite,
+    the error names the first slice whose loss is, and a non-finite
+    gradient names the first slice.
     """
     n = len(data)
     nb = epoch_iters(n, batch_size)
@@ -143,15 +141,15 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         k = len(model.biases[0].data)
         infos = [RunInfo()] * k if run_info is None else list(run_info)
         sinks = [None] * k if recorder is None else list(recorder)
-    else:
-        infos, sinks = [run_info or RunInfo()], [recorder]
-    per_slice = isinstance(shuffle_rng, (list, tuple))
-    if stacked and (len(infos) != k or len(sinks) != k
-                    or per_slice and len(shuffle_rng) != k):
-        raise ValueError(f"a stack of {k} slices takes {k} run infos and "
-                         f"{k} recorders, and one shuffle stream or {k}")
-    if per_slice and not stacked:
+        if (len(infos) != k or len(sinks) != k
+                or not isinstance(shuffle_rng, (list, tuple))
+                or len(shuffle_rng) != k):
+            raise ValueError(f"a stack of {k} slices takes {k} run infos, "
+                             f"{k} recorders and {k} shuffle streams")
+    elif isinstance(shuffle_rng, (list, tuple)):
         raise ValueError("one shuffle stream per slice takes a stacked model")
+    else:
+        k, infos, sinks = 1, [run_info or RunInfo()], [recorder]
     if iterations == 0:
         return 0
     recording = record_every and any(s is not None for s in sinks)
@@ -159,17 +157,16 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     maskable = [g for g in getattr(model, "groups", []) if g.maskable]
     gated = [g for g in maskable if g.mode in (GATE_SOFT, GATE_STOCHASTIC)]
     soft = [g for g in gated if g.mode == GATE_SOFT]
-    epoch_loss = np.zeros(k) if stacked else 0.0  # in float64
+    epoch_loss = np.zeros(k)  # each slice's summed loss, in float64
     epoch_steps = 0
 
     def rows(epoch: int, it: int, split: str, beta: float, loss,
              accuracy=None, remaining_frac=None):
-        """Send each slice its record. Of a stack, ``loss``, ``accuracy``
-        and ``remaining_frac`` hold one value per slice."""
+        """Send each slice its record: ``loss``, ``accuracy`` and
+        ``remaining_frac`` hold one value per slice (of an unstacked
+        model, one value or one array of one)."""
         def each(v):
-            if v is None:
-                return [None] * len(infos)
-            return [float(e) for e in v] if stacked else [v]
+            return [None] * k if v is None else np.ravel(v).tolist()
 
         for info, sink, lv, acc, rem in zip(infos, sinks, each(loss),
                                             each(accuracy),
@@ -178,10 +175,10 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                 sink(info.record(epoch, it, split, loss=lv, accuracy=acc,
                                  remaining_frac=rem, beta=beta))
 
-    def abort(what: str, it: int, loss, beta: float):
+    def abort(what: str, it: int, losses, beta: float):
         """Send the diagnostic records; return the error to raise."""
-        rows(cursor.epoch, it, "abort", beta, loss)
-        bad = next((info for info, v in zip(infos, np.atleast_1d(loss))
+        rows(cursor.epoch, it, "abort", beta, losses)
+        bad = next((info for info, v in zip(infos, np.atleast_1d(losses))
                     if not math.isfinite(v)), infos[0])
         return NonFiniteError(
             f"non-finite {what} at iteration {it} of {bad.run_id!r}")
@@ -191,17 +188,15 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(iterations):
             it = start_iteration + step
-            si = StepInfo(iteration=it, round_iteration=step,
-                          epoch=cursor.epoch,
-                          beta=schedule.current_beta if schedule else 1.0
-                          ) if before_step or after_step else None
-            for cb in before_step:
-                cb(si)
+            if before_step:
+                si = StepInfo(iteration=it, round_iteration=step)
+                for cb in before_step:
+                    cb(si)
             beta = schedule.step() if schedule else 1.0
 
-            if cursor.perm is None:  # of a stream per slice: (K, n)
+            if cursor.perm is None:  # of a stack: (K, n), a row per stream
                 cursor.perm = (np.stack([r.permutation(n) for r in shuffle_rng])
-                               if per_slice else shuffle_rng.permutation(n))
+                               if stacked else shuffle_rng.permutation(n))
                 cursor.pos = 0
             lo = cursor.pos * batch_size
             hi = min(lo + batch_size, n)
@@ -218,34 +213,23 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                      for g in gated}
             logits = model.forward(x, beta=beta, gates=gates)
             loss = softmax_cross_entropy(logits, y)
-            if stacked:  # each slice's loss, each seeded with 1
-                losses = loss.data
-                loss = tensor_sum(loss)
-            loss_val = loss.data
+            losses = loss.data  # each slice's: a stack's (K,), a model's ()
             if lam > 0.0:
                 for g in gated:
-                    loss_val = loss_val + gates[g.name].penalty
-            loss_val = float(loss_val)
-            if not math.isfinite(loss_val):
-                raise abort("loss", it, losses if stacked else loss_val, beta)
+                    losses = losses + gates[g.name].penalty
+            if stacked:  # each slice's loss seeded with 1
+                loss = tensor_sum(loss)
+            if not math.isfinite(np.add.reduce(losses, axis=None)):  # summed
+                raise abort("loss", it, losses, beta)
             backward(loss)
             try:  # the step checks every gradient before it updates anything
                 optimizer.step()
             except NonFiniteError:
-                raise abort("gradient", it, losses if stacked else loss_val,
-                            beta) from None
+                raise abort("gradient", it, losses, beta) from None
 
-            if stacked:
-                epoch_loss += losses
-            else:
-                epoch_loss += loss_val
+            epoch_loss += losses
             epoch_steps += 1
             cursor.pos += 1
-            if after_step:
-                si.loss = loss_val
-                si.beta = beta
-                for cb in after_step:
-                    cb(si)
 
             if cursor.pos == nb:
                 cursor.epoch += 1
@@ -257,7 +241,7 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                     eval_gates = {g.name: gate(g, beta) for g in soft}
                     rem = (remaining_fraction(maskable, beta, eval_gates,
                                               stacked) if maskable
-                           else [1.0] * k if stacked else 1.0)
+                           else [1.0] * k)
                     # evaluation sampling is decoupled from the training
                     # mask stream so record cadence never alters the
                     # trajectory
@@ -275,7 +259,7 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                                           rng=eval_rng, st_variant=st_variant,
                                           gates=eval_gates)
                         rows(cursor.epoch, it + 1, "test", beta, tl, ta, rem)
-                epoch_loss = np.zeros(k) if stacked else 0.0
+                epoch_loss[:] = 0.0
                 epoch_steps = 0
     return iterations
 

@@ -622,8 +622,17 @@ class TestSweepAndReport:
          "momentum must be finite, got inf"),
         (["sweep", "--grid", "lambda=0,nan", "--seeds", "1"], {},
          "lam must be finite, got nan"),
+        # a NaN dataset used to fail at the first step, an infinite one
+        # to warn in the validating forward pass, both after --out was made
+        (["cs"], {"dataset": {"noise_sd": float("nan")}},
+         "noise_sd must be finite, got nan"),
+        (["cs"], {"dataset": {"noise_sd": float("inf")}},
+         "noise_sd must be finite, got inf"),
+        (["sweep", "--grid", "s0=0.1", "--seeds", "1"],
+         {"dataset": {"kind": "sparse_teacher", "density": float("nan")}},
+         "density must be finite, got nan"),
     ], ids=["lam", "lam-inf", "beta-final", "s0", "lr", "dense-momentum",
-            "grid"])
+            "grid", "dataset-nan", "dataset-inf", "sweep-dataset-nan"])
     def test_non_finite_hyperparameter_fails_before_anything_is_written(
             self, tmp_path, capsys, argv, over, message):
         base = json.loads(small_config(tmp_path).read_text())

@@ -80,10 +80,12 @@ class TestTrainLoop:
         train_ds, _ = moons_pair
         model = MC.build(1)
         c = cfg()
-        losses = []
+        rows = []
+        # one step an epoch: each train row's loss is one step's
         train(model, train_ds, _opt(model, c), 50, batch_size=128,
-              shuffle_rng=seeded_rng(1, STREAM_SHUFFLE),
-              after_step=[lambda si: losses.append(si.loss)])
+              shuffle_rng=seeded_rng(1, STREAM_SHUFFLE), recorder=rows.append)
+        losses = [r.loss for r in rows if r.split == "train"]
+        assert len(losses) == 50
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
 
     def test_batch_larger_than_dataset_rejected(self, moons_pair):
@@ -147,35 +149,36 @@ class TestTrainLoop:
         infos = [RunInfo(run_id=f"run{s}", seed=s) for s in seeds]
         # 128 examples in batches of 48: 3 steps an epoch, the last short
         kw = dict(batch_size=48, test_data=test_ds, record_every=1)
-        for per_slice in (False, True):  # a stream each, or one for all
-            def stream(s):
-                return seeded_rng(s if per_slice else 9, STREAM_SHUFFLE)
 
-            alone = []
-            for s, info in zip(seeds, infos):
-                model, rows = MC.build(s), []
-                train(model, train_ds, _opt(model, cfg()), 10,
-                      shuffle_rng=stream(s), recorder=rows.append,
-                      run_info=info, **kw)
-                assert [r.split for r in rows] == ["train", "test"] * 3
-                alone.append((rows, model.weight_arrays()))
-            stack = stack_models([MC.build(s) for s in seeds])
-            rows = [[], None, []]  # a None recorder drops its slice's rows
-            train(stack, train_ds, _opt(stack, cfg()), 10,
-                  shuffle_rng=([stream(s) for s in seeds] if per_slice
-                               else stream(None)),
-                  recorder=[None if r is None else r.append for r in rows],
-                  run_info=infos, **kw)
-            for i, (want, weights) in enumerate(alone):
-                assert rows[i] is None or rows[i] == want, (per_slice, i)
-                for k, a in stack.weight_arrays().items():
-                    assert np.array_equal(a[i], weights[k]), (per_slice, k)
+        def stream(s):
+            return seeded_rng(s, STREAM_SHUFFLE)
+
+        alone = []
+        for s, info in zip(seeds, infos):
+            model, rows = MC.build(s), []
+            train(model, train_ds, _opt(model, cfg()), 10,
+                  shuffle_rng=stream(s), recorder=rows.append,
+                  run_info=info, **kw)
+            assert [r.split for r in rows] == ["train", "test"] * 3
+            alone.append((rows, model.weight_arrays()))
+        stack = stack_models([MC.build(s) for s in seeds])
+        rows = [[], None, []]  # a None recorder drops its slice's rows
+        train(stack, train_ds, _opt(stack, cfg()), 10,
+              shuffle_rng=[stream(s) for s in seeds],
+              recorder=[None if r is None else r.append for r in rows],
+              run_info=infos, **kw)
+        for i, (want, weights) in enumerate(alone):
+            assert rows[i] is None or rows[i] == want, i
+            for k, a in stack.weight_arrays().items():
+                assert np.array_equal(a[i], weights[k]), k
+        streams = [stream(s) for s in seeds]
         for bad in (dict(recorder=[rows[0].append]),
                     dict(run_info=infos[:2]),
-                    dict(shuffle_rng=[stream(1), stream(2)])):
+                    dict(shuffle_rng=streams[:2]),
+                    dict(shuffle_rng=stream(1))):  # one stream for all
             with pytest.raises(ValueError, match="a stack of 3 slices"):
                 train(stack, train_ds, _opt(stack, cfg()), 1,
-                      **{"shuffle_rng": stream(1), **bad}, **kw)
+                      **{"shuffle_rng": streams, **bad}, **kw)
         model = MC.build(1)
         with pytest.raises(ValueError, match="takes a stacked model"):
             train(model, train_ds, _opt(model, cfg()), 1,
@@ -191,13 +194,67 @@ class TestTrainLoop:
         with pytest.raises(NonFiniteError, match="non-finite loss at "
                                                  "iteration 0 of 'run2'"):
             train(stack, moons_pair[0], _opt(stack, cfg()), 4, batch_size=32,
-                  shuffle_rng=seeded_rng(1, STREAM_SHUFFLE),
+                  shuffle_rng=[seeded_rng(s, STREAM_SHUFFLE)
+                               for s in (1, 2, 3)],
                   recorder=[r.append for r in rows],
                   run_info=[RunInfo(run_id=f"run{s}") for s in (1, 2, 3)])
         assert [[(r.run_id, r.split, r.iter) for r in rs] for rs in rows] == [
             [(f"run{s}", "abort", 0)] for s in (1, 2, 3)]
         assert np.isfinite(rows[0][0].loss)
         assert not np.isfinite(rows[1][0].loss)
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_gated_epoch_loss_is_the_mean_of_loss_and_penalty(
+            self, moons_pair, monkeypatch, precision):
+        import ticketlab.training as TR
+        from ticketlab.masking import GATE_SOFT
+        steps, pending = [], []  # each step's loss and its gates' penalties
+        sce, make_gate = TR.softmax_cross_entropy, TR.gate
+
+        def spy_gate(g, beta, lam=0.0, *args):
+            made = make_gate(g, beta, lam, *args)
+            if lam > 0.0:  # a training step's gate, not an evaluation's
+                pending.append(made.penalty.copy())
+            return made
+
+        def spy_loss(logits, y):
+            out = sce(logits, y)
+            if out.requires_grad:  # on the tape: a training step's loss
+                steps.append((out.data.copy(), list(pending)))
+                pending.clear()
+            return out
+
+        monkeypatch.setattr(TR, "gate", spy_gate)
+        monkeypatch.setattr(TR, "softmax_cross_entropy", spy_loss)
+        train_ds, _ = moons_pair
+        set_default_dtype(precision)
+        try:
+            model = MC.build(1)
+            model.set_gate_mode(GATE_SOFT, 0.5)
+            c = cfg()
+            opt = CompositeOptimizer([
+                c.weight_opt.build(model.weight_tensors()),
+                c.mask_opt.build(model.mask_tensors())])
+            rows = []
+            # 128 examples in batches of 48: 3 steps an epoch
+            train(model, train_ds, opt, 9, batch_size=48,
+                  shuffle_rng=seeded_rng(1, STREAM_SHUFFLE), lam=0.1,
+                  recorder=rows.append)
+        finally:
+            set_default_dtype("float64")
+        assert len(steps) == 9
+        assert all(len(pens) == 2 and all(p > 0 for p in pens)
+                   for _, pens in steps)
+        per_step = []
+        for loss, pens in steps:
+            for p in pens:
+                loss = loss + p
+            assert loss.dtype == np.dtype(precision)
+            per_step.append(float(loss))
+        want = [sum(per_step[i:i + 3]) / 3 for i in (0, 3, 6)]
+        assert [r.loss for r in rows if r.split == "train"] == want
+        # the bare losses would read lower
+        assert want[0] > sum(float(loss) for loss, _ in steps[:3]) / 3
 
     def test_evaluating_on_an_empty_dataset_raises(self, moons_pair):
         model = MC.build(1)
@@ -592,11 +649,10 @@ class TestSweep:
             jobs = [(None, s) for s in plan.seeds] + [
                 (p, s) for p in points for s in plan.seeds]
             units = H._units(plan, jobs)
-            order = [jobs.index(job) for unit in units for job in unit]
+            order = [i for unit in units for i in unit]
             assert sorted(order) == list(range(len(jobs)))
             for unit in units:  # each unit in job order
-                at = [jobs.index(job) for job in unit]
-                assert at == sorted(at)
+                assert unit == sorted(unit)
             return [len(unit) for unit in units]
 
         # each seed's baseline rides in the unit of its first run

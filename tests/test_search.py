@@ -641,15 +641,15 @@ class TestRunISS:
                             weight_decay=0.0).build(model.mask_tensors())])
         means = []
 
-        def track(si):
-            if si.round_iteration % 4 == 3:
+        def track(si):  # the gates before steps 0, 4, 8, ...
+            if si.round_iteration % 4 == 0:
                 means.append(np.mean([expit(g.mask_logits.data).mean()
                                       for g in model.maskable_groups()]))
 
         train(model, data, opt, 120, batch_size=32,
               shuffle_rng=seeded_rng(1, STREAM_SHUFFLE), lam=1e-2,
               mask_rng=seeded_rng(1, 42), cursor=TrainCursor(),
-              after_step=[track])
+              before_step=[track])
         corr = spearmanr(np.arange(len(means)), means).statistic
         assert corr < -0.9
         assert means[-1] < means[0]
