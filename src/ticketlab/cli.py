@@ -131,8 +131,8 @@ def _report_dict(rows: list[EvalRow], dense_by_seed: dict,
         "rows": [asdict(r) for r in rows],
         "errors": [asdict(r) for r in rows if r.error is not None],
     }
-    if spearman is not None:
-        out["spearman_s0_remaining"] = spearman
+    if spearman is not None:  # undefined (NaN) is written as null
+        out["spearman_s0_remaining"] = None if np.isnan(spearman) else spearman
     if ok:
         out["best_performing"] = asdict(select_best_performing(ok))
         match = (select_sparsest_matching(ok, dense_acc)

@@ -13,22 +13,23 @@ from __future__ import annotations
 import itertools
 import pickle
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import DataConfig
 from .masking import kept_fraction
 from .models import Model, ModelConfig, stack_models
-from .optim import CompositeOptimizer, check_finite
+from .optim import check_finite
 from .persist import RunRecord
-from .search import (PRUNE_SCOPES, SUPERMASK_VARIANTS, DenseRound,
-                     RewindStore, RoundConfig, TicketResult, run_cs, run_imp,
-                     run_iss, run_sequential_cs, run_supermask)
+from .search import (INT_FIELDS, PRUNE_SCOPES, SUPERMASK_VARIANTS,
+                     DenseRound, RewindStore, RoundConfig, TicketResult,
+                     run_cs, run_imp, run_iss, run_sequential_cs,
+                     run_supermask, train_round)
 from .seeding import STREAM_SHUFFLE, seeded_rng
 from .tensor import (PRECISIONS, NonFiniteError, Tensor, default_dtype,
                      no_grad, set_default_dtype)
-from .training import RunInfo, TrainCursor, evaluate, lr_milestones_callback, train
+from .training import RunInfo, evaluate
 
 # Record splits that carry a ticket's evaluated accuracy.
 EVAL_SPLITS = ("retrain_test", "finetune_test", "mask_test")
@@ -59,11 +60,6 @@ RATE_SEARCHES = frozenset({"imp", "seqcs"})
 # 67k parameters trains fastest alone, and a stack of 30 takes twice as
 # long per ticket), and its arrays and activations grow with it.
 STACK_WEIGHTS = 1 << 17
-
-# The round-config fields that hold integers; a grid value of one must be
-# integral.
-_INT_FIELDS = frozenset(f.name for f in fields(RoundConfig)
-                         if f.type in ("int", int))
 
 
 @dataclass
@@ -128,6 +124,11 @@ class ExperimentPlan:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not self.seeds:
             raise ValueError("plan needs at least one seed")
+        for seed in self.seeds:
+            if (isinstance(seed, bool)
+                    or not isinstance(seed, (int, np.integer)) or seed < 0):
+                raise ValueError(f"seed {seed!r} is not a non-negative "
+                                 f"integer")
         if self.evaluate not in ("none", "final", "rounds"):
             raise ValueError(f"unknown evaluation setting {self.evaluate!r}")
         if self.eval_mode not in ("retrain-from-k", "fine-tune"):
@@ -262,32 +263,6 @@ def _test_accuracies(model: Model, test_data, infos: list) -> list:
     return np.atleast_1d(acc).tolist()
 
 
-def _train_and_test(model: Model, train_data, test_data, cfg: RoundConfig,
-                    budget_iters: int, infos: list[RunInfo],
-                    recorders: list | None = None):
-    """Train the model's weights with a fresh optimizer for
-    ``budget_iters`` iterations, each ticket of a stacked model on its own
-    seed's shuffle stream, then return its test accuracy as a list, one
-    per ticket (``_test_accuracies``); ``infos`` has one ``RunInfo`` per
-    ticket, and per-epoch records go to ``recorders``, one per ticket (or
-    None), when given."""
-    def each(values: list):  # what train takes: a stack's list, or the one
-        return values if model.stacked else values[0]
-
-    opt = CompositeOptimizer([cfg.weight_opt.build(
-        [t for t in model.weight_tensors() if t.requires_grad])])
-    cbs = ([lr_milestones_callback(opt, cfg.lr_milestones, cfg.lr_decay)]
-           if cfg.lr_milestones else [])
-    train(model, train_data, opt, budget_iters, batch_size=cfg.batch_size,
-          shuffle_rng=each([seeded_rng(info.seed, STREAM_SHUFFLE)
-                            for info in infos]),
-          cursor=TrainCursor(), before_step=cbs,
-          recorder=each(recorders or [None] * len(infos)),
-          run_info=each(infos), test_data=test_data,
-          record_every=cfg.record_every)
-    return _test_accuracies(model, test_data, infos)
-
-
 def _dense(seed: int, recorder) -> tuple:
     """The ``train_tickets`` ticket of the seed's dense baseline, run
     ``dense-seed<N>``: no masks, its model's initial weights."""
@@ -360,12 +335,12 @@ def train_tickets(model_cfg: ModelConfig, tickets: list[tuple],
                   train_data, test_data, cfg: RoundConfig, budget_iters: int,
                   split: str) -> list[EvalRow]:
     """Train tickets, each ``(masks, start weights, RunInfo, recorder)``,
-    for ``budget_iters`` iterations with one fresh optimizer, each on its
-    own seed's shuffle stream, and return their evaluation rows under
-    ``split``, in order, each also sent to its ticket's recorder (when not
-    None). A ticket with masks None is its seed's dense network, trained
-    from its initial weights, and its per-epoch records go to its
-    recorder too.
+    for ``budget_iters`` iterations, one ``search.train_round`` call per
+    stack (below), each ticket on its own seed's shuffle stream, and
+    return their evaluation rows under ``split``, in order, each also
+    sent to its ticket's recorder (when not None). A ticket with masks
+    None is its seed's dense network, trained from its initial weights,
+    and its per-epoch records go to its recorder too.
 
     The tickets of a model without conv layers, of any runs and seeds,
     train as one model (``stack_models``), or as the fewest stacks that
@@ -389,12 +364,15 @@ def train_tickets(model_cfg: ModelConfig, tickets: list[tuple],
     accs = []
     for lo in range(0, len(tickets), size):
         stack = list(itertools.islice(models, size))
+        model = stack[0] if len(stack) == 1 else stack_models(stack)
         part = tickets[lo:lo + size]
-        accs += _train_and_test(
-            stack[0] if len(stack) == 1 else stack_models(stack),
-            train_data, test_data, cfg, budget_iters,
-            [info for _, _, info, _ in part],
-            [rec if masks is None else None for masks, *_, rec in part])
+        infos = [info for _, _, info, _ in part]
+        train_round(model, train_data, cfg, budget_iters,
+                    [seeded_rng(info.seed, STREAM_SHUFFLE) for info in infos],
+                    infos,
+                    [rec if masks is None else None for masks, *_, rec in part],
+                    test_data=test_data)
+        accs += _test_accuracies(model, test_data, infos)
     return [_eval_row(split, masks, acc, budget_iters, info, rec)
             for (masks, _, info, rec), acc in zip(tickets, accs)]
 
@@ -555,7 +533,7 @@ def _apply_point(cfg: RoundConfig, point: dict) -> RoundConfig:
     mapped = {}
     for k, v in point.items():
         key = GRID_ALIASES.get(k, k)
-        if key in _INT_FIELDS:
+        if key in INT_FIELDS:
             if not float(v).is_integer():
                 raise ValueError(f"sweep parameter {k!r} takes whole "
                                  f"numbers, got {v!r}")
@@ -592,9 +570,9 @@ def _carries(plan: ExperimentPlan, point: dict) -> bool:
     """Whether the run at grid ``point`` carries its seed's dense
     baseline: an IMP run whose applied round config is the plan's but for
     ``prune_rate``, in a plan whose evaluation budget is one round. Its
-    round 1, every mask ones, trains bitwise as the baseline does: from
-    the same initial weights, on the same batches, with the same
-    optimizer, learning-rate milestones and iterations."""
+    round 1, every mask ones, trains bitwise as the baseline does: one
+    ``search.train_round`` call of the same round config from the same
+    initial weights, on the same batches, for the same iterations."""
     cfg = plan.round_cfg
     return (plan.algorithm == "imp"
             and eval_budget_iters(plan.eval_budget, cfg) == cfg.iters_per_round

@@ -91,9 +91,6 @@ class TemperatureSchedule:
         self.current_iter += 1
         return self.at(self.current_iter)
 
-    def reset(self) -> None:
-        self.current_iter = 0
-
 
 @dataclass
 class MaskedParameterGroup:
@@ -328,7 +325,8 @@ def reset_mask(group: MaskedParameterGroup, end_logits: np.ndarray,
 
     Re-opens the gate for components the round kept (positive logits return
     to their initial value) while leaving suppressed components strongly
-    negative. The caller resets the temperature schedule to 1 alongside.
+    negative. The next round anneals the temperature from 1 again on a
+    fresh schedule.
     """
     if group.mask_logits is None:
         raise ValueError(f"group {group.name!r} has no mask logits to reset")

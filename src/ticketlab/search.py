@@ -31,6 +31,9 @@ penalty and stamp lam/s0 on records, and stochastic gates draw from the
 mask stream. Pruned components always stay in storage with zero gradient
 (the mask multiplies the gradient), which makes rewinding exact.
 
+Every round trains through ``train_round``, the library's one
+``training.train`` call, which the harness's evaluations share.
+
 ``run_imp`` also takes a stack of K runs (``models.stack_models``), one
 per slice, each with its own seed, pruning rate, masks and tickets: the
 loop then takes one step for all of them, and every slice is bitwise its
@@ -39,7 +42,7 @@ run alone. Its round 1, every mask ones, trains the dense network, and a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -52,8 +55,7 @@ from .optim import CompositeOptimizer, OptimizerConfig, check_finite
 from .persist import RunRecord
 from .seeding import STREAM_MASK, STREAM_SHUFFLE, seeded_rng
 from .tensor import Tensor
-from .training import (RunInfo, TrainCursor, epoch_iters,
-                       lr_milestones_callback, train)
+from .training import RunInfo, epoch_iters, lr_milestones_callback, train
 
 PRUNE_SCOPES = ("global", "per-layer")  # magnitude ranking of ``run_imp``
 SUPERMASK_VARIANTS = ("soft", "stochastic")  # gates of ``run_supermask``
@@ -85,6 +87,11 @@ class RoundConfig:
 
     def validate(self, need_rate: bool = False) -> None:
         check_finite(self)
+        for name in INT_FIELDS:  # a float or a bool passes the checks below
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.iters_per_round < 1:
@@ -108,6 +115,11 @@ class RoundConfig:
                              f"{self.st_variant!r}")
         self.weight_opt.validate()
         self.mask_opt.validate()
+
+
+# The round-config fields that hold integers.
+INT_FIELDS = tuple(f.name for f in fields(RoundConfig)
+                   if f.type in ("int", int))
 
 
 @dataclass
@@ -168,7 +180,18 @@ def _round_one_sink(run, sink):
     return send
 
 
-def _make_optimizer(model, cfg: RoundConfig) -> CompositeOptimizer:
+def train_round(model, data, cfg: RoundConfig, iterations: int,
+                shuffles: list, infos: list, recorders: list, *,
+                test_data=None, start_iteration: int = 0, before_step=(),
+                schedule=None, lam: float = 0.0, mask_rng=None) -> int:
+    """``train`` for ``iterations`` steps with a fresh optimizer
+    (``cfg.weight_opt`` on the weights that train, ``cfg.mask_opt`` on
+    the mask logits that do), ``cfg.lr_milestones`` after the
+    ``before_step`` callbacks, and the config's batch size,
+    straight-through variant and record cadence; returns the steps taken.
+    ``shuffles``, ``infos`` and ``recorders`` are ``train``'s per-slice
+    lists. Every training of the library runs here, so that trainings
+    that must be bitwise equal are built alike."""
     members = []
     wparams = [t for t in model.weight_tensors() if t.requires_grad]
     if wparams:
@@ -176,7 +199,17 @@ def _make_optimizer(model, cfg: RoundConfig) -> CompositeOptimizer:
     mparams = [t for t in model.mask_tensors() if t.requires_grad]
     if mparams:
         members.append(cfg.mask_opt.build(mparams))
-    return CompositeOptimizer(members)
+    opt = CompositeOptimizer(members)
+    callbacks = list(before_step)
+    if cfg.lr_milestones:
+        callbacks.append(lr_milestones_callback(opt, cfg.lr_milestones,
+                                                cfg.lr_decay))
+    return train(model, data, opt, iterations, batch_size=cfg.batch_size,
+                 shuffle_rng=shuffles, schedule=schedule, lam=lam,
+                 mask_rng=mask_rng, st_variant=cfg.st_variant,
+                 start_iteration=start_iteration, before_step=callbacks,
+                 recorder=recorders, run_info=infos, test_data=test_data,
+                 record_every=cfg.record_every)
 
 
 class _Recorder:
@@ -355,9 +388,6 @@ def _run_rounds(model, data, cfgs: list[RoundConfig], policy: _Policy, *,
                      s0=cfg.mask_init if gated else None)
              for run_id, seed in zip(run_ids, seeds)]
 
-    def each(values: list):  # what train takes: a stack's list, or the one
-        return values if stacked else values[0]
-
     box: dict = {}
     stores: list[RewindStore] = []  # each run's snapshot at iterate k
     total = 0
@@ -368,11 +398,6 @@ def _run_rounds(model, data, cfgs: list[RoundConfig], policy: _Policy, *,
     for r in range(1, cfg.rounds + 1):
         for info in infos:
             info.round = r
-        opt = _make_optimizer(model, cfg)
-        cbs = [_capture_rewind(model, cfg.rewind_iter, box)] if r == 1 else []
-        if cfg.lr_milestones:
-            cbs.append(lr_milestones_callback(opt, cfg.lr_milestones,
-                                              cfg.lr_decay))
         sched = (TemperatureSchedule(cfg.beta_final, cfg.iters_per_round)
                  if soft else None)
         sinks = [rec if i in live else None for i, rec in enumerate(recs)]
@@ -381,14 +406,12 @@ def _run_rounds(model, data, cfgs: list[RoundConfig], policy: _Policy, *,
             sinks = [_round_one_sink(rec, sink)
                      for rec, sink in zip(recs, dense.sinks)]
             round_test = dense.test_data
-        total += train(model, data, opt, cfg.iters_per_round,
-                       batch_size=cfg.batch_size, shuffle_rng=each(shuffles),
-                       schedule=sched, lam=cfg.lam if gated else 0.0,
-                       mask_rng=mask_rng, st_variant=cfg.st_variant,
-                       cursor=TrainCursor(), start_iteration=total,
-                       before_step=cbs, recorder=each(sinks),
-                       run_info=each(infos), test_data=round_test,
-                       record_every=cfg.record_every)
+        total += train_round(
+            model, data, cfg, cfg.iters_per_round, shuffles, infos, sinks,
+            test_data=round_test, start_iteration=total,
+            before_step=([_capture_rewind(model, cfg.rewind_iter, box)]
+                         if r == 1 else ()),
+            schedule=sched, lam=cfg.lam if gated else 0.0, mask_rng=mask_rng)
         if r == 1 and dense is not None:
             dense.done(model)
         store = box["store"]
@@ -567,23 +590,19 @@ def freeze_mask_and_finetune(model, data, cfg: RoundConfig, *,
     if any(g.mode == GATE_HARD for g in groups):
         raise ValueError("mask already frozen for this model")
     model.set_gate_mode(GATE_SOFT, cfg.mask_init)
-    shuffle = seeded_rng(seed, STREAM_SHUFFLE)
+    shuffles = [seeded_rng(seed, STREAM_SHUFFLE)]
     rec = _Recorder(recorder)
     info = RunInfo(run_id=run_id, algorithm="prune", seed=seed, lam=cfg.lam,
                    s0=cfg.mask_init)
-    opt = _make_optimizer(model, cfg)
-    sched = TemperatureSchedule(cfg.beta_final, freeze_at)
-    done = train(model, data, opt, freeze_at, batch_size=cfg.batch_size,
-                 shuffle_rng=shuffle, schedule=sched, lam=cfg.lam,
-                 cursor=TrainCursor(), recorder=rec, run_info=info,
-                 test_data=test_data, record_every=cfg.record_every)
+    cfg = replace(cfg, lr_milestones=())  # neither phase has milestones
+    done = train_round(model, data, cfg, freeze_at, shuffles, [info], [rec],
+                       test_data=test_data,
+                       schedule=TemperatureSchedule(cfg.beta_final, freeze_at),
+                       lam=cfg.lam)
     masks = model.masks()
     model.apply_hard_masks(masks)
     info.round = 2
     tail_cfg = replace(cfg, weight_opt=replace(cfg.weight_opt, lr=finetune_lr))
-    tail_opt = _make_optimizer(model, tail_cfg)
-    train(model, data, tail_opt, finetune_iters, batch_size=cfg.batch_size,
-          shuffle_rng=shuffle, lam=0.0, cursor=TrainCursor(),
-          start_iteration=done, recorder=rec, run_info=info,
-          test_data=test_data, record_every=cfg.record_every)
+    train_round(model, data, tail_cfg, finetune_iters, shuffles, [info], [rec],
+                test_data=test_data, start_iteration=done)
     return model, masks, rec.rows

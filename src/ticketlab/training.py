@@ -119,14 +119,16 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     A model trains as K slices: a stacked model (``models.stack_models``)
     has K, any other model is one. Each slice keeps its own ledger, its
     loss plus its gates' penalties, and a train row reports the mean of
-    that over the epoch's steps. A stack's ``shuffle_rng``, ``run_info``
-    and ``recorder`` are lists of K, one per slice (a None recorder drops
-    that slice's rows): slice k reads the batches of stream k, and its
-    rows are bitwise what its model alone, on that stream, gives. The
-    loss differentiated is the sum of the slices', so each slice's
-    backward pass is seeded with exactly 1; when that sum is non-finite,
-    the error names the first slice whose loss is, and a non-finite
-    gradient names the first slice.
+    that over the epoch's steps. ``shuffle_rng``, ``run_info`` and
+    ``recorder`` are lists of K, one per slice (a None recorder drops
+    that slice's rows; None for either list, a default of each): slice k
+    reads the batches of stream k, and its rows are bitwise what its
+    model alone, on that stream, gives. An unstacked model also takes
+    the bare form, one stream, one run info and one recorder, which
+    trains as its list of one does. The loss differentiated is the sum
+    of the slices', so each slice's backward pass is seeded with exactly
+    1; when that sum is non-finite, the error names the first slice whose
+    loss is, and a non-finite gradient names the first slice.
     """
     n = len(data)
     nb = epoch_iters(n, batch_size)
@@ -137,19 +139,17 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     if batch_size > n:
         raise ValueError(f"batch size {batch_size} exceeds dataset size {n}")
     stacked = getattr(model, "stacked", False)
-    if stacked:
-        k = len(model.biases[0].data)
-        infos = [RunInfo()] * k if run_info is None else list(run_info)
-        sinks = [None] * k if recorder is None else list(recorder)
-        if (len(infos) != k or len(sinks) != k
-                or not isinstance(shuffle_rng, (list, tuple))
-                or len(shuffle_rng) != k):
-            raise ValueError(f"a stack of {k} slices takes {k} run infos, "
-                             f"{k} recorders and {k} shuffle streams")
-    elif isinstance(shuffle_rng, (list, tuple)):
-        raise ValueError("one shuffle stream per slice takes a stacked model")
-    else:
-        k, infos, sinks = 1, [run_info or RunInfo()], [recorder]
+    k = len(model.biases[0].data) if stacked else 1
+    if not isinstance(shuffle_rng, (list, tuple)):  # the bare form
+        shuffle_rng, run_info = [shuffle_rng], [run_info or RunInfo()]
+        recorder = [recorder]
+    infos = [RunInfo()] * k if run_info is None else list(run_info)
+    sinks = [None] * k if recorder is None else list(recorder)
+    if not len(shuffle_rng) == len(infos) == len(sinks) == k:
+        raise ValueError(f"a stack of {k} slices takes {k} run infos, "
+                         f"{k} recorders and {k} shuffle streams" if stacked
+                         else "an unstacked model takes one run info, one "
+                         "recorder and one shuffle stream")
     if iterations == 0:
         return 0
     recording = record_every and any(s is not None for s in sinks)
@@ -196,7 +196,7 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
 
             if cursor.perm is None:  # of a stack: (K, n), a row per stream
                 cursor.perm = (np.stack([r.permutation(n) for r in shuffle_rng])
-                               if stacked else shuffle_rng.permutation(n))
+                               if stacked else shuffle_rng[0].permutation(n))
                 cursor.pos = 0
             lo = cursor.pos * batch_size
             hi = min(lo + batch_size, n)

@@ -749,6 +749,49 @@ class TestSweepAndReport:
                 f"{budget}") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, over, message", [
+        ("sweep --seeds 1,-1", {}, "seed -1 is not a non-negative integer"),
+        ("sweep", {"seeds": "1,2"}, "seed '1' is not a non-negative integer"),
+        ("sweep", {"round": {"batch_size": 32.0}},
+         "batch_size must be an integer, got 32.0"),
+        ("cs", {"round": {"iters_per_round": 10.5}},
+         "iters_per_round must be an integer, got 10.5"),
+        ("imp", {"round": {"rounds": True}},
+         "rounds must be an integer, got True"),
+    ], ids=["negative-seed", "seeds-string", "float-batch-size",
+            "fractional-iterations", "boolean-rounds"])
+    def test_bad_seed_or_integer_field_fails_before_anything_is_written(
+            self, tmp_path, capsys, command, over, message):
+        base = json.loads(small_config(tmp_path).read_text())
+        cfgp = tmp_path / "bad.cfg"
+        cfgp.write_text(json.dumps(_deep_merge(base, over)))
+        out = tmp_path / "out"
+        command, *flags = command.split()
+        if command == "sweep":
+            flags += ["--grid", "s0=0,0.05"]
+        rc = main([command, "--config", str(cfgp), "--out", str(out)]
+                  + flags)
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_is_strict_json_when_the_correlation_is_undefined(
+            self, tmp_path):
+        # every run keeps all of its weights: the remaining fractions are
+        # constant, and so the s0 rank correlation is undefined
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(small_config(tmp_path)),
+                     "--grid", "s0=2,3", "--seeds", "1,2", "--iters", "20",
+                     "--lam", "0", "--eval", "none", "--record-every", "0",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=reject)
+        assert report["spearman_s0_remaining"] is None
+        assert {r["remaining_frac"] for r in report["rows"]} == {1.0}
+
     def test_sweep_with_a_dead_worker_exits_1(self, tmp_path, monkeypatch,
                                               capsys):
         search = harness.SEARCHES["cs"]

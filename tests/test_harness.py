@@ -24,7 +24,7 @@ from ticketlab.models import ModelConfig, build_mlp, stack_models
 from ticketlab.optim import CompositeOptimizer, OptimizerConfig
 from ticketlab.persist import RunRecord
 from ticketlab.search import (RewindStore, RoundConfig, run_cs, run_imp,
-                              run_sequential_cs)
+                              run_sequential_cs, train_round)
 from ticketlab.seeding import STREAM_SHUFFLE, seeded_rng
 from ticketlab.tensor import (NonFiniteError, ShapeError, apply_op,
                               default_dtype, reset_tape, set_default_dtype)
@@ -179,10 +179,22 @@ class TestTrainLoop:
             with pytest.raises(ValueError, match="a stack of 3 slices"):
                 train(stack, train_ds, _opt(stack, cfg()), 1,
                       **{"shuffle_rng": streams, **bad}, **kw)
-        model = MC.build(1)
-        with pytest.raises(ValueError, match="takes a stacked model"):
-            train(model, train_ds, _opt(model, cfg()), 1,
-                  shuffle_rng=[stream(1)], **kw)
+        # an unstacked model's list of one trains as its bare form does
+        model, rows = MC.build(1), []
+        train(model, train_ds, _opt(model, cfg()), 10,
+              shuffle_rng=[stream(1)], recorder=[rows.append],
+              run_info=[infos[0]], **kw)
+        want, weights = alone[0]
+        assert rows == want
+        for k, a in model.weight_arrays().items():
+            assert np.array_equal(a, weights[k]), k
+        for bad in (dict(shuffle_rng=[stream(1), stream(2)]),
+                    dict(run_info=infos[:2]),
+                    dict(recorder=[rows.append] * 2)):
+            with pytest.raises(ValueError, match="an unstacked model takes "
+                                                 "one run info"):
+                train(model, train_ds, _opt(model, cfg()), 1,
+                      **{"shuffle_rng": [stream(1)], **bad}, **kw)
 
     def test_stacked_abort_names_the_first_diverging_slice(self,
                                                            moons_pair):
@@ -1371,16 +1383,22 @@ class TestStackedTicketEvaluation:
     def test_each_slice_trains_to_its_tickets_own_weights(self, moons_pair):
         plan = self.plan(MLP_32, "imp", "global", "retrain-from-k", "float64")
         c = replace(plan.round_cfg, prune_rate=0.3)
-        tickets = run_imp(MLP_32.build(2), moons_pair[0], c, "global", seed=2)
+        train_ds, test_ds = moons_pair
+        tickets = run_imp(MLP_32.build(2), train_ds, c, "global", seed=2)
         info = RunInfo(seed=2)
+
+        def trained(model, k):  # the accuracies of k slices of seed 2
+            train_round(model, train_ds, c, 8,
+                        [seeded_rng(2, STREAM_SHUFFLE) for _ in range(k)],
+                        [info] * k, [None] * k)
+            return H._test_accuracies(model, test_ds, [info] * k)
+
         models = [H._masked_model(MLP_32, 2, t.masks, t.rewind.arrays)
                   for t in tickets]
         stack = stack_models(models)
-        accs = H._train_and_test(stack, *moons_pair, c, 8,
-                                 [info] * len(models))
+        accs = trained(stack, len(models))
         for k, model in enumerate(models):
-            assert [accs[k]] == H._train_and_test(model, *moons_pair, c, 8,
-                                                  [info])
+            assert [accs[k]] == trained(model, 1)
             for name, a in model.weight_arrays().items():
                 assert np.array_equal(stack.weight_arrays()[name][k], a)
 

@@ -59,7 +59,7 @@ class TestTemperatureSchedule:
         vals = [s.at(t) for t in range(38)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_step_and_reset(self):
+    def test_step(self):
         s = TemperatureSchedule(100.0, 10)
         assert s.current_beta == 1.0
         b = s.step()
@@ -67,8 +67,7 @@ class TestTemperatureSchedule:
         for _ in range(9):
             b = s.step()
         assert b == 100.0
-        s.reset()
-        assert s.current_beta == 1.0
+        assert s.current_beta == 100.0
 
     def test_final_temperature_below_one_rejected(self):
         with pytest.raises(ValueError):

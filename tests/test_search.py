@@ -66,7 +66,11 @@ class TestRoundConfig:
         for bad, message in (({"batch_size": 0}, "batch size"),
                              ({"batch_size": -4}, "batch size"),
                              ({"record_every": -1}, "record_every"),
-                             ({"st_variant": "bogus"}, "straight-through")):
+                             ({"st_variant": "bogus"}, "straight-through"),
+                             ({"rounds": True}, "rounds must be an integer"),
+                             ({"batch_size": 32.0}, "batch_size must be an "
+                                                    "integer, got 32.0"),
+                             ({"iters_per_round": 10.5}, "iters_per_round")):
             with pytest.raises(ValueError, match=message):
                 quick_cfg(**bad).validate()
         quick_cfg(record_every=0, batch_size=1).validate()
@@ -787,3 +791,19 @@ class TestFreezeAndFinetune:
         assert all(set(np.unique(m)).issubset({0.0, 1.0})
                    for m in masks.values())
         assert max(r.iter for r in records) == 200
+
+    def test_learning_rate_milestones_do_not_apply(self, moons):
+        # neither phase applies milestones: with and without them, every
+        # record, mask and weight is bitwise the same
+        out = []
+        for milestones in ((), (5, 30, 50)):
+            model, masks, records = freeze_mask_and_finetune(
+                mlp(seed=2), moons,
+                quick_cfg(rounds=1, record_every=1, lr_milestones=milestones),
+                freeze_at=40, finetune_iters=20, finetune_lr=0.01, seed=2)
+            out.append((records, masks, model.weight_arrays()))
+        (records, masks, weights), (records2, masks2, weights2) = out
+        assert len(records) == 60 // 4 and records == records2
+        for want, got in ((masks, masks2), (weights, weights2)):
+            assert want.keys() == got.keys()
+            assert all(np.array_equal(want[k], got[k]) for k in want)
