@@ -248,10 +248,16 @@ def _cmd_sweep(args) -> int:
 
 
 def recompute_report(directory) -> dict:
-    """Rebuild selection and cost totals from the CSVs stored under
-    ``directory`` without re-training anything, with the rows the sweep
-    builds (``harness.report_rows``, once per CSV). Every ``records.csv``
-    needs its run's ``config.json`` beside it."""
+    """Rebuild a report from the CSVs stored under ``directory`` without
+    re-training anything: the rows (``harness.report_rows``, once per CSV,
+    in path order), the dense accuracies, the cost totals and the two
+    selections. Its rows lack the sweep's ``grid``, ``per_layer`` and
+    ``*_rel_first`` entries, and it has no ``spearman_s0_remaining`` and
+    no error rows (a failed run stores no CSV), so only the dense
+    accuracies, the costs and each selection's run id, round, accuracy and
+    remaining fraction match the sweep's ``report.json``, up to the CSV's
+    9 significant digits. Every ``records.csv`` needs its run's
+    ``config.json`` beside it."""
     root = Path(directory)
     csvs = sorted(root.rglob("records.csv"))
     if not csvs:

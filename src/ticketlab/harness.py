@@ -20,7 +20,7 @@ import numpy as np
 from .data import DataConfig
 from .masking import kept_fraction
 from .models import Model, ModelConfig, stack_models
-from .optim import check_finite
+from .optim import check_fields
 from .persist import RunRecord
 from .search import (INT_FIELDS, PRUNE_SCOPES, SUPERMASK_VARIANTS,
                      DenseRound, RewindStore, RoundConfig, TicketResult,
@@ -54,11 +54,11 @@ SEARCHES = {
 # The searches whose round config must carry a pruning rate.
 RATE_SEARCHES = frozenset({"imp", "seqcs"})
 
-# The most parameters a stack of tickets holds (``train_tickets``). A
-# larger stack trains no faster per ticket: its steps are bound by memory
-# traffic, not by per-op overhead (on the (2,256,256,2) MLP, one ticket of
-# 67k parameters trains fastest alone, and a stack of 30 takes twice as
-# long per ticket), and its arrays and activations grow with it.
+# The most parameters a stack of models holds (``_stacks``). A larger
+# stack trains no faster per model: its steps are bound by memory traffic,
+# not by per-op overhead (on the (2,256,256,2) MLP, one ticket of 67k
+# parameters trains fastest alone, and a stack of 30 takes twice as long
+# per ticket), and its arrays and activations grow with it.
 STACK_WEIGHTS = 1 << 17
 
 
@@ -122,6 +122,7 @@ class ExperimentPlan:
                 raise ValueError("a dense baseline has no sweep grid")
         elif self.algorithm not in SEARCHES:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        check_fields(self)
         if not self.seeds:
             raise ValueError("plan needs at least one seed")
         for seed in self.seeds:
@@ -183,7 +184,7 @@ class ExperimentPlan:
         # the data and the first seed's model, built as a run builds them
         # (writing nothing): one training example through the model shows
         # a shape mismatch, and its logits must number the classes
-        check_finite(self.data_cfg)
+        check_fields(self.data_cfg)
         train_data, test_data = self.data_cfg.build()
         for name, data in (("training", train_data), ("test", test_data)):
             if len(data) == 0:
@@ -231,12 +232,21 @@ def ticket_rounds(tickets: list[TicketResult]) -> list[tuple]:
     return [(i + 1, m, ticket) for i, m in enumerate(ticket.round_masks)]
 
 
-def _stack_size(n: int, params: int) -> int:
-    """The size of each of the fewest stacks of at most ``STACK_WEIGHTS``
-    parameters (at least one model each) that ``n`` models of ``params``
-    parameters split into, the last stack perhaps smaller."""
-    cap = max(1, STACK_WEIGHTS // params)
-    return -(-n // -(-n // cap))
+def _stacks(items: list, model: Model) -> list[list]:
+    """``items``, one per model like ``model``, in order, split into the
+    lists whose models train together as one (``models.stack_models``).
+    A model with conv layers trains alone, one item per list: a conv step
+    is GEMM-bound, so a stack would save little Python overhead and keep
+    every model's im2col columns until backward. Other models form the
+    fewest lists of at most ``STACK_WEIGHTS`` parameters (at least one
+    model each), all but the last of one size."""
+    if not items:
+        return []
+    size = 1
+    if not any(layer.conv for layer in model.layers):
+        cap = max(1, STACK_WEIGHTS // model.parameter_count())
+        size = -(-len(items) // -(-len(items) // cap))
+    return [items[lo:lo + size] for lo in range(0, len(items), size)]
 
 
 def _masked_model(model_cfg: ModelConfig, seed: int, masks: dict | None,
@@ -342,30 +352,22 @@ def train_tickets(model_cfg: ModelConfig, tickets: list[tuple],
     None is its seed's dense network, trained from its initial weights,
     and its per-epoch records go to its recorder too.
 
-    The tickets of a model without conv layers, of any runs and seeds,
-    train as one model (``stack_models``), or as the fewest stacks that
-    each hold at most ``STACK_WEIGHTS`` parameters, all but the last of
-    one size: each step is one forward pass, one backward pass and one
+    The tickets, of any runs and seeds, train in the stacks of
+    ``_stacks``: each step is one forward pass, one backward pass and one
     update for all of a stack's tickets, and every ticket's slice is
-    bitwise what training it alone gives. A conv
-    model's tickets train one at a time: a conv step is GEMM-bound, so a
-    stack would save little Python overhead and keep every ticket's
-    im2col columns until backward. A non-finite loss or gradient in any
-    ticket stops its stack at that step, and the ``NonFiniteError`` names
-    the first ticket whose loss went non-finite (of a gradient, the
+    bitwise what training it alone gives. A non-finite loss or gradient in
+    any ticket stops its stack at that step, and the ``NonFiniteError``
+    names the first ticket whose loss went non-finite (of a gradient, the
     stack's first ticket)."""
     # built as their stack trains, so that only one stack's models live
     models = (_masked_model(model_cfg, info.seed, masks, arrays)
               for masks, arrays, info, _ in tickets)
     first = next(models)
-    size = 1 if model_cfg.conv else _stack_size(len(tickets),
-                                                first.parameter_count())
     models = itertools.chain([first], models)
     accs = []
-    for lo in range(0, len(tickets), size):
-        stack = list(itertools.islice(models, size))
+    for part in _stacks(tickets, first):
+        stack = list(itertools.islice(models, len(part)))
         model = stack[0] if len(stack) == 1 else stack_models(stack)
-        part = tickets[lo:lo + size]
         infos = [info for _, _, info, _ in part]
         train_round(model, train_data, cfg, budget_iters,
                     [seeded_rng(info.seed, STREAM_SHUFFLE) for info in infos],
@@ -392,19 +394,6 @@ def retrain_ticket(model_cfg: ModelConfig, masks: dict, rewind: RewindStore,
     return row
 
 
-def _finetune_start(ticket: TicketResult, round_idx: int, seed: int,
-                    run_id: str) -> tuple:
-    """``(masks, start weights, RunInfo)`` of a ticket's round, fine-tuned
-    from its final trained weights."""
-    if ticket.final_weights is None:
-        raise ValueError("ticket carries no final weights to fine-tune from")
-    masks = (ticket.round_masks[round_idx - 1]
-             if ticket.round_masks and round_idx <= len(ticket.round_masks)
-             else ticket.masks)
-    return masks, ticket.final_weights, RunInfo(
-        run_id=run_id, algorithm=ticket.algorithm, seed=seed, round=round_idx)
-
-
 def _finetune_cfg(cfg: RoundConfig, finetune_lr: float) -> RoundConfig:
     """The round config of fine-tuning: ``finetune_lr``, no milestones."""
     return replace(cfg, weight_opt=replace(cfg.weight_opt, lr=finetune_lr),
@@ -416,12 +405,19 @@ def finetune_ticket(model_cfg: ModelConfig, ticket: TicketResult,
                     budget_iters: int, seed: int, *, finetune_lr: float,
                     run_id: str = "ticket", round_idx: int | None = None,
                     recorder=None) -> EvalRow:
-    """Fine-tune from the final trained weights under the frozen mask, at
+    """Fine-tune from the final trained weights under the frozen mask of
+    round ``round_idx`` (the ticket's own round when None), at
     ``finetune_lr`` and without learning-rate milestones."""
+    if ticket.final_weights is None:
+        raise ValueError("ticket carries no final weights to fine-tune from")
     round_idx = ticket.round if round_idx is None else round_idx
+    masks = (ticket.round_masks[round_idx - 1]
+             if ticket.round_masks and round_idx <= len(ticket.round_masks)
+             else ticket.masks)
+    info = RunInfo(run_id=run_id, algorithm=ticket.algorithm, seed=seed,
+                   round=round_idx)
     [row] = train_tickets(
-        model_cfg, [(*_finetune_start(ticket, round_idx, seed, run_id),
-                     recorder)],
+        model_cfg, [(masks, ticket.final_weights, info, recorder)],
         train_data, test_data, _finetune_cfg(cfg, finetune_lr), budget_iters,
         "finetune_test")
     return row
@@ -676,11 +672,9 @@ def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
                                           test_data, seed)
                     _eval_row("mask_test", masks, acc,
                               ticket.total_iterations, info, recs.append)
-                elif fine:
-                    starts.append((*_finetune_start(ticket, round_idx, seed,
-                                                    run_id), recs.append))
                 else:
-                    starts.append((masks, ticket.rewind.arrays, info,
+                    starts.append((masks, ticket.final_weights if fine
+                                   else ticket.rewind.arrays, info,
                                    recs.append))
         if starts:
             train_tickets(plan.model_cfg, starts, train_data, test_data,
@@ -736,21 +730,19 @@ def _units(plan: ExperimentPlan, jobs: list) -> list[list]:
     of job indices into ``jobs``, in job order, whose jobs run together
     (``_run_jobs``).
 
-    For a model without conv layers, IMP runs stack: they are split into
-    ``min(max_workers, runs)`` contiguous stacks whose sizes differ by at
-    most one, a stack splits further where the runs' round configs differ
-    in more than ``prune_rate``, and then, as ``train_tickets`` splits
-    tickets, into the fewest stacks of at most ``STACK_WEIGHTS``
-    parameters. Every other run (of a conv model, of any other search) is
-    a unit of its own. A seed's dense baseline joins the unit of the
-    seed's first run that carries it (``_carries``); the baselines that no
-    run carries come first, as one unit for a model without conv layers
-    and one unit each for a conv model."""
+    IMP runs stack: they are split into ``min(max_workers, runs)``
+    contiguous stacks whose sizes differ by at most one, a stack splits
+    further where the runs' round configs differ in more than
+    ``prune_rate``, and then into the stacks of ``_stacks``. Every run of
+    any other search is a unit of its own. A seed's dense baseline joins
+    the unit of the seed's first run that carries it (``_carries``); the
+    baselines that no run carries come first, in the stacks of
+    ``_stacks``."""
     dense = [i for i, (point, _) in enumerate(jobs) if point is None]
     runs = [i for i, (point, _) in enumerate(jobs) if point is not None]
+    model = plan.model_cfg.build(jobs[0][1])  # what ``_stacks`` sizes by
     stacks = [[i] for i in runs]
-    if plan.algorithm == "imp" and not plan.model_cfg.conv and runs:
-        params = plan.model_cfg.build(jobs[runs[0]][1]).parameter_count()
+    if plan.algorithm == "imp" and runs:
         size, extra = divmod(len(runs), min(plan.max_workers, len(runs)))
         stacks, lo = [], 0
         while lo < len(runs):
@@ -760,10 +752,7 @@ def _units(plan: ExperimentPlan, jobs: list) -> list[list]:
                     runs[lo:hi], key=lambda i: replace(
                         _apply_point(plan.round_cfg, jobs[i][0]),
                         prune_rate=None)):
-                group = list(group)
-                step = _stack_size(len(group), params)
-                stacks += [group[i:i + step]
-                           for i in range(0, len(group), step)]
+                stacks += _stacks(list(group), model)
             lo = hi
     units, carried = [], set()
     for stack in stacks:
@@ -772,9 +761,7 @@ def _units(plan: ExperimentPlan, jobs: list) -> list[list]:
         carried |= seeds
         units.append([i for i in dense if jobs[i][1] in seeds] + stack)
     free = [i for i in dense if jobs[i][1] not in carried]
-    if plan.model_cfg.conv:
-        return [[i] for i in free] + units
-    return ([free] if free else []) + units
+    return _stacks(free, model) + units
 
 
 def _pooled_unit(plan: ExperimentPlan, unit: list, train_data,
@@ -843,16 +830,16 @@ def run_sweep(plan: ExperimentPlan, train_data, test_data,
 
     Every job is a ``(point, seed)`` pair; unless ``plan.evaluate`` is
     "none", the list starts with each seed's dense baseline (``point``
-    None). Jobs run in units (``_units``, ``_run_jobs``): for a model
-    without conv layers, the IMP runs run as at most ``max_workers``
-    stacks, each searching its runs as one stacked model and then training
-    every evaluated ticket of them as one more; every slice is bitwise its
-    job alone. A seed's dense baseline is taken from round 1 of its first
-    IMP run when that run carries it (``_carries``: the plan's round
-    config but for the pruning rate, an evaluation budget of one round),
-    which trains bitwise as the baseline does; the other baselines train
-    on their own, an MLP's as one stacked model. A unit that raises reruns
-    its jobs one at a time, baselines first; every other job is one
+    None). Jobs run in units (``_units``, ``_run_jobs``): the IMP runs run
+    as at most ``max_workers`` stacks (further split by ``_stacks``), each
+    searching its runs as one stacked model and then training every
+    evaluated ticket of them in the stacks of ``_stacks``; every slice is
+    bitwise its job alone. A seed's dense baseline is taken from round 1
+    of its first IMP run when that run carries it (``_carries``: the plan's
+    round config but for the pruning rate, an evaluation budget of one
+    round), which trains bitwise as the baseline does; the other baselines
+    train on their own, in the stacks of ``_stacks``. A unit that raises
+    reruns its jobs one at a time, baselines first; every other job is one
     ``run_point``. A failing run becomes an error row under its own id and
     the sweep continues; a worker process that dies turns the runs of its
     unit, and every run the pool did not finish, into error rows, and the

@@ -42,11 +42,6 @@ class ModelConfig:
     num_classes: int = 2
     head_maskable: bool = False
 
-    @property
-    def conv(self) -> bool:
-        """Whether the model this config builds has conv layers."""
-        return self.kind in _CONV_PRESETS
-
     def build(self, seed: int) -> "Model":
         if self.kind == "mlp":
             return build_mlp(list(self.widths), maskable=self.maskable, seed=seed)

@@ -18,6 +18,7 @@ same IEEE operations in the same order as a per-parameter update would.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,13 +26,20 @@ import numpy as np
 from .tensor import GradientError, NonFiniteError, Tensor
 
 
-def check_finite(config) -> None:
-    """Raise ``ValueError`` naming the first field of the dataclass
-    ``config`` that holds a NaN or infinite float: every range check of
-    a NaN is false, so it would pass them all."""
+def check_fields(config) -> None:
+    """Raise ``ValueError`` naming the first ``int`` or ``float`` field of
+    the dataclass ``config`` (``... | None`` too, unless None) that holds
+    a bool, a value of another type (an ``int`` in a ``float`` field is
+    fine) or a NaN or infinity: each would pass the range checks."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        kind, value = f.type.removesuffix(" | None"), getattr(config, f.name)
+        if kind not in ("int", "float") or value is None and kind != f.type:
+            continue
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if kind == "int" else numbers.Real):
+            what = "an integer" if kind == "int" else "a number"
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
@@ -46,7 +54,7 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def validate(self) -> None:
-        check_finite(self)
+        check_fields(self)
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.lr <= 0:

@@ -51,7 +51,7 @@ import numpy as np
 from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC, ST_VARIANTS,
                       MaskedParameterGroup, TemperatureSchedule, kept_fraction,
                       reset_mask)
-from .optim import CompositeOptimizer, OptimizerConfig, check_finite
+from .optim import CompositeOptimizer, OptimizerConfig, check_fields
 from .persist import RunRecord
 from .seeding import STREAM_MASK, STREAM_SHUFFLE, seeded_rng
 from .tensor import Tensor
@@ -86,12 +86,7 @@ class RoundConfig:
                                                 weight_decay=0.0))
 
     def validate(self, need_rate: bool = False) -> None:
-        check_finite(self)
-        for name in INT_FIELDS:  # a float or a bool passes the checks below
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_fields(self)
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.iters_per_round < 1:

@@ -26,6 +26,9 @@ from .seeding import STREAM_EVAL
 from .tensor import (NonFiniteError, Tensor, backward, reset_tape,
                      softmax_cross_entropy, tensor_sum)
 
+# Examples per forward pass of ``evaluate``.
+EVAL_BATCH = 512
+
 
 @dataclass
 class TrainCursor:
@@ -63,8 +66,7 @@ class RunInfo:
 
 
 def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
-             st_variant: str = "identity", batch_size: int = 512,
-             gates: dict | None = None):
+             st_variant: str = "identity", gates: dict | None = None):
     """Mean loss and accuracy over a dataset, without recording on the
     tape. ``gates`` are soft groups' gates at ``beta``, as ``Model.forward``
     takes them; every batch reads them instead of computing its own.
@@ -79,8 +81,8 @@ def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
     correct = 0
     # a diverged network's overflow is no NumPy warning: its loss shows it
     with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, batch_size):
-            hi = min(lo + batch_size, n)
+        for lo in range(0, n, EVAL_BATCH):
+            hi = min(lo + EVAL_BATCH, n)
             x = Tensor(dataset.inputs[lo:hi])
             y = dataset.labels[lo:hi]
             logits = model.forward(x, beta=beta, rng=rng, st_variant=st_variant,

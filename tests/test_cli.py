@@ -758,8 +758,22 @@ class TestSweepAndReport:
          "iters_per_round must be an integer, got 10.5"),
         ("imp", {"round": {"rounds": True}},
          "rounds must be an integer, got True"),
+        ("sweep", {"evaluation": {"budget_iters": 10.5}},
+         "eval_budget must be an integer, got 10.5"),
+        ("sweep", {"sweep": {"max_workers": 1.5}},
+         "max_workers must be an integer, got 1.5"),
+        ("sweep", {"sweep": {"max_workers": True}},
+         "max_workers must be an integer, got True"),
+        ("sweep --eval-mode fine-tune", {"evaluation": {"finetune_lr": True}},
+         "finetune_lr must be a number, got True"),
+        ("sweep", {"dataset": {"seed": 1.5}},
+         "seed must be an integer, got 1.5"),
+        ("sweep", {"dataset": {"n_train": 64.0}},
+         "n_train must be an integer, got 64.0"),
     ], ids=["negative-seed", "seeds-string", "float-batch-size",
-            "fractional-iterations", "boolean-rounds"])
+            "fractional-iterations", "boolean-rounds", "fractional-budget",
+            "fractional-workers", "boolean-workers", "boolean-finetune-lr",
+            "fractional-data-seed", "float-train-size"])
     def test_bad_seed_or_integer_field_fails_before_anything_is_written(
             self, tmp_path, capsys, command, over, message):
         base = json.loads(small_config(tmp_path).read_text())

@@ -696,6 +696,19 @@ class TestSweep:
         wide = ModelConfig(kind="mlp", widths=(2, 256, 256, 2))
         assert sizes(model_cfg=wide) == [2, 2, 2, 1, 1, 1]
         assert sizes(model_cfg=wide, max_workers=2) == [2, 2, 2, 1, 1, 1]
+        # and so do its free baselines, so that workers can share them
+        assert sizes(algorithm="cs", model_cfg=wide) == [1] * 9
+
+    def test_stacks_split_by_conv_layers_and_weight_cap(self):
+        items = list(range(5))
+        conv = ModelConfig(kind="conv2").build(1)
+        assert H._stacks(items, conv) == [[0], [1], [2], [3], [4]]
+        # 4,482 parameters each: all five fit in one stack
+        assert H._stacks(items, ModelConfig().build(1)) == [items]
+        # 67,074 each: one per stack
+        wide = ModelConfig(kind="mlp", widths=(2, 256, 256, 2)).build(1)
+        assert H._stacks(items, wide) == [[0], [1], [2], [3], [4]]
+        assert H._stacks([], wide) == []
 
     def test_failing_run_of_a_stack_is_its_own_error_row(self, monkeypatch):
         plan = self.imp_plan(evaluate="rounds")
