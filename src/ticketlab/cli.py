@@ -19,6 +19,7 @@ from .config import RunConfig, SweepConfig
 from .harness import (SEARCHES, EvalRow, ExperimentPlan, cost_accounting,
                       report_rows, run_point, select_best_performing,
                       run_sweep, select_sparsest_matching, ticket_rounds)
+from .optim import check_fields
 from .persist import (read_records, save_checkpoint, save_mask_artifact,
                       write_records)
 from .search import PRUNE_SCOPES, SUPERMASK_VARIANTS
@@ -109,6 +110,11 @@ def _parse_grids(specs: list[str]) -> dict:
 
 
 def _plan(cfg: RunConfig) -> ExperimentPlan:
+    """The plan of a config. The evaluation and sweep sections are
+    type-checked here, so that a wrong value is named by its config key,
+    not by the plan field it becomes."""
+    check_fields(cfg.evaluation)
+    check_fields(cfg.sweep)
     return ExperimentPlan(
         algorithm=cfg.algorithm, round_cfg=cfg.round, model_cfg=cfg.model,
         data_cfg=cfg.dataset, seeds=cfg.seed_list(),

@@ -23,9 +23,8 @@ from .models import Model, ModelConfig, stack_models
 from .optim import check_fields
 from .persist import RunRecord
 from .search import (INT_FIELDS, PRUNE_SCOPES, SUPERMASK_VARIANTS,
-                     DenseRound, RewindStore, RoundConfig, TicketResult,
-                     run_cs, run_imp, run_iss, run_sequential_cs,
-                     run_supermask, train_round)
+                     RewindStore, RoundConfig, TicketResult, run_cs, run_imp,
+                     run_iss, run_sequential_cs, run_supermask, train_round)
 from .seeding import STREAM_SHUFFLE, seeded_rng
 from .tensor import (PRECISIONS, NonFiniteError, Tensor, default_dtype,
                      no_grad, set_default_dtype)
@@ -184,6 +183,7 @@ class ExperimentPlan:
         # the data and the first seed's model, built as a run builds them
         # (writing nothing): one training example through the model shows
         # a shape mismatch, and its logits must number the classes
+        check_fields(self.model_cfg)
         check_fields(self.data_cfg)
         train_data, test_data = self.data_cfg.build()
         for name, data in (("training", train_data), ("test", test_data)):
@@ -251,11 +251,13 @@ def _stacks(items: list, model: Model) -> list[list]:
 
 def _masked_model(model_cfg: ModelConfig, seed: int, masks: dict | None,
                   arrays: dict | None) -> Model:
-    """A freshly built model with fixed binary masks and loaded weights;
-    with ``masks`` None, the seed's dense model as built."""
+    """A freshly built model with fixed binary masks (none when ``masks``
+    is None, a dense model) and loaded weights (as built when ``arrays``
+    is None)."""
     model = model_cfg.build(seed)
     if masks is not None:
         model.apply_hard_masks(masks)
+    if arrays is not None:
         model.load_weight_arrays(arrays)
     return model
 
@@ -568,20 +570,14 @@ def _carries(plan: ExperimentPlan, point: dict) -> bool:
     ``prune_rate``, in a plan whose evaluation budget is one round. Its
     round 1, every mask ones, trains bitwise as the baseline does: one
     ``search.train_round`` call of the same round config from the same
-    initial weights, on the same batches, for the same iterations."""
+    initial weights, on the same batches, for the same iterations. So its
+    round-1 train rows, the test rows of its model at each of them, and
+    its round-1 ticket's ``final_weights`` are the baseline's."""
     cfg = plan.round_cfg
     return (plan.algorithm == "imp"
             and eval_budget_iters(plan.eval_budget, cfg) == cfg.iters_per_round
             and replace(_apply_point(cfg, point), prune_rate=None)
             == replace(cfg, prune_rate=None))
-
-
-def _restamped(info: RunInfo, recorder):
-    """A recorder that hands each record on to ``recorder`` as a record of
-    ``info``'s run (its id and algorithm; seed, round, lam and s0 must
-    already be ``info``'s)."""
-    return lambda rec: recorder(replace(rec, run_id=info.run_id,
-                                        algorithm=info.algorithm))
 
 
 def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
@@ -594,15 +590,18 @@ def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
     one ``train_tickets`` call. Otherwise the runs search as one model
     (``models.stack_models`` of theirs, when several), and each baseline
     is taken from round 1 of its seed's first run of the unit, which must
-    carry it (``_carries``; a ``search.DenseRound``): that round's
-    per-epoch train rows, and test rows at the same cadence, restamped as
-    the baseline's, then its ``final_test`` record of one evaluation at
-    the end of the round. A non-finite test loss there fails the unit.
-    Then every evaluated ticket of every run trains in one
-    ``train_tickets`` call; a search that froze its weights (supermask)
-    has its masks scored at them (``masked_accuracy``). A run's report
-    rows are ``report_rows``' rows of its records, with the grid point
-    and, for a final evaluation, per-layer sparsity attached."""
+    carry it (``_carries``). That run's recorder hands each of its
+    round-1 train rows to the baseline too, restamped as the baseline's,
+    each followed by a test row of the model as the row left it (one
+    evaluation per recorded epoch serves every carrier of a stack). After
+    the search, the baseline's ``final_test`` scores the round-1 ticket's
+    ``final_weights`` in a fresh dense model (``_test_accuracies``: a
+    non-finite test loss fails the unit). Then every evaluated ticket of
+    every run trains in one ``train_tickets`` call; a search that froze
+    its weights (supermask) has its masks scored at them
+    (``masked_accuracy``). A run's report rows are ``report_rows``' rows
+    of its records, with the grid point and, for a final evaluation,
+    per-layer sparsity attached."""
     records = [[] for _ in jobs]
     dense = [i for i, (point, _) in enumerate(jobs) if point is None]
     runs = [i for i, (point, _) in enumerate(jobs) if point is not None]
@@ -628,32 +627,54 @@ def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
             return values if stacked else values[0]
 
         # each baseline rides on the slice of its seed's first run
-        infos, sinks = [None] * len(runs), [None] * len(runs)
+        carriers = {}  # slice -> its baseline's RunInfo and recorder
         for i in dense:
             _, _, info, recorder = _dense(jobs[i][1], records[i].append)
             k = seeds.index(info.seed) if info.seed in seeds else None
             if k is None or not _carries(plan, points[k]):
                 raise ValueError(f"no run of the unit carries {info.run_id!r}")
-            infos[k], sinks[k] = info, _restamped(info, recorder)
-
-        def baselines_tested(model):  # at the end of round 1
-            accs = _test_accuracies(model, test_data, infos)
-            for info, sink, acc in zip(infos, sinks, accs):
-                if info is not None:
-                    _eval_row("final_test", None, acc, budget, info, sink)
-
-        hook = ({"dense": DenseRound(test_data, sinks, baselines_tested)}
-                if dense else {})
+            carriers[k] = info, recorder
         model = (stack_models([plan.model_cfg.build(s) for s in seeds])
                  if stacked else plan.model_cfg.build(seeds[0]))
+        tested = {}  # the model's test (loss, accuracy) at one iteration
+
+        def carrying(k: int, run, info: RunInfo, baseline):
+            """Slice ``k``'s recorder: each record goes to ``run``; a
+            round-1 train row also goes to ``baseline`` as ``info``'s run,
+            followed by the test row ``train`` would send with test data,
+            from one evaluation of the model per recorded epoch."""
+            def send(rec: RunRecord):
+                run(rec)
+                if rec.split != "train" or rec.round != 1:
+                    return
+                if tested.get("iter") != rec.iter:
+                    tested.update(iter=rec.iter,
+                                  values=evaluate(model, test_data))
+                loss, acc = (np.ravel(v).tolist()[k]
+                             for v in tested["values"])
+                rec = replace(rec, run_id=info.run_id,
+                              algorithm=info.algorithm)
+                baseline(rec)
+                baseline(replace(rec, split="test", loss=loss, accuracy=acc))
+            return send
+
+        recorders = [r.append for r in run_records]
+        for k, (info, recorder) in carriers.items():
+            recorders[k] = carrying(k, recorders[k], info, recorder)
         searched = SEARCHES[plan.algorithm](
             plan, model, train_data, each(cfgs), seed=each(seeds),
-            run_id=each(run_ids),
-            recorder=each([r.append for r in run_records]), **hook)
+            run_id=each(run_ids), recorder=each(recorders))
         searched = searched if stacked else [searched]
         if len(searched) != len(runs):
             raise ValueError(f"a stacked search of {len(runs)} runs gave "
                              f"{len(searched)} results")
+        # a baseline's final test: its carrier's round-1 weights
+        for k, (info, recorder) in carriers.items():
+            [acc] = _test_accuracies(
+                _masked_model(plan.model_cfg, info.seed, None,
+                              searched[k][0].final_weights),
+                test_data, [info])
+            _eval_row("final_test", None, acc, budget, info, recorder)
 
         fine = plan.eval_mode == "fine-tune"
         # a search that froze the weights (supermask) is scored at them

@@ -36,9 +36,9 @@ class ModelConfig:
     """File/CLI-facing description of a model architecture."""
 
     kind: str = "mlp"  # "mlp" | "conv2" | "conv6-scaled"
-    widths: tuple = (2, 64, 64, 2)
-    maskable: tuple | None = None
-    in_shape: tuple = (1, 16, 16)
+    widths: tuple[int, ...] = (2, 64, 64, 2)
+    maskable: tuple[bool, ...] | None = None
+    in_shape: tuple[int, ...] = (1, 16, 16)
     num_classes: int = 2
     head_maskable: bool = False
 

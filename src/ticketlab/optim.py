@@ -27,20 +27,39 @@ from .tensor import GradientError, NonFiniteError, Tensor
 
 
 def check_fields(config) -> None:
-    """Raise ``ValueError`` naming the first ``int`` or ``float`` field of
-    the dataclass ``config`` (``... | None`` too, unless None) that holds
-    a bool, a value of another type (an ``int`` in a ``float`` field is
-    fine) or a NaN or infinity: each would pass the range checks."""
+    """Raise ``ValueError`` naming the first field of the dataclass
+    ``config`` whose value is not of its declared type: an ``int`` field
+    takes an integer, a ``float`` field a finite number (an integer is
+    fine), a ``bool`` field a bool, a ``tuple[T, ...]`` field a tuple or
+    list of such values, and a ``... | None`` field also None. A bool is
+    no number. Each wrong value would pass the range checks, or fail far
+    from its name. Fields of other types are not checked."""
     for f in fields(config):
         kind, value = f.type.removesuffix(" | None"), getattr(config, f.name)
-        if kind not in ("int", "float") or value is None and kind != f.type:
+        if value is None and kind != f.type:
             continue
+        each = kind.removeprefix("tuple[").removesuffix(", ...]")
+        if each == kind:
+            _check_value(f.name, kind, value)
+        elif not isinstance(value, (tuple, list)):
+            raise ValueError(f"{f.name} must be a list, got {value!r}")
+        else:
+            for i, v in enumerate(value):
+                _check_value(f"{f.name}[{i}]", each, v)
+
+
+def _check_value(name: str, kind: str, value) -> None:
+    """``check_fields``' test of one value of type ``kind``."""
+    if kind == "bool":
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+    elif kind in ("int", "float"):
         if isinstance(value, bool) or not isinstance(
                 value, numbers.Integral if kind == "int" else numbers.Real):
             what = "an integer" if kind == "int" else "a number"
-            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            raise ValueError(f"{name} must be {what}, got {value!r}")
         if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass

@@ -37,8 +37,7 @@ Every round trains through ``train_round``, the library's one
 ``run_imp`` also takes a stack of K runs (``models.stack_models``), one
 per slice, each with its own seed, pruning rate, masks and tickets: the
 loop then takes one step for all of them, and every slice is bitwise its
-run alone. Its round 1, every mask ones, trains the dense network, and a
-``DenseRound`` hook takes that training as the seed's dense baseline.
+run alone.
 """
 from __future__ import annotations
 
@@ -145,34 +144,6 @@ class TicketResult:
     @property
     def remaining_fraction(self) -> float:
         return self.remaining_per_round[-1]
-
-
-@dataclass
-class DenseRound:
-    """Round 1 of a hard-mask search taken as the dense training it is:
-    every mask is ones until the first extraction, so a run's round 1
-    trains its seed's dense network. ``sinks`` holds one recorder per run
-    (None for a run whose round 1 is not wanted); a sink receives its
-    run's round-1 per-epoch train rows and, at the same cadence, rows of
-    ``test_data``, under the run's own stamp. ``done`` is called with the
-    model once round 1 has trained, before the first extraction. The
-    runs' own records stay as they are without the hook."""
-
-    test_data: object
-    sinks: list
-    done: Callable
-
-
-def _round_one_sink(run, sink):
-    """A run's recorder in round 1 under a ``DenseRound``: the run keeps
-    all but the test rows, and ``sink`` (when not None) takes the train
-    and test rows."""
-    def send(rec: RunRecord):
-        if rec.split != "test":
-            run(rec)
-        if sink is not None and rec.split in ("train", "test"):
-            sink(rec)
-    return send
 
 
 def train_round(model, data, cfg: RoundConfig, iterations: int,
@@ -332,8 +303,7 @@ def _slice_groups(groups: list[MaskedParameterGroup],
 
 def _run_rounds(model, data, cfgs: list[RoundConfig], policy: _Policy, *,
                 algorithm: str, seeds: list[int], run_ids: list[str],
-                test_data, recorders: list,
-                dense: DenseRound | None = None) -> list[list[TicketResult]]:
+                test_data, recorders: list) -> list[list[TicketResult]]:
     """Train for ``iters_per_round`` iterations, extract the round's ticket,
     rewind the weights if the policy asks, and update the mask before the
     next round; ``rounds`` times, or until extraction finds nothing left to
@@ -351,11 +321,7 @@ def _run_rounds(model, data, cfgs: list[RoundConfig], policy: _Policy, *,
     what its model gives alone. A run whose extraction finds nothing left
     to prune ends at that round, as it does alone; the stack trains on
     while any run is left, and what it does with an ended run's slice is
-    discarded.
-
-    A hard-mask search that records no test rows of its own takes a
-    ``dense`` hook (``DenseRound``): round 1 then also evaluates the
-    hook's test data at the record cadence, for the hook's sinks alone."""
+    discarded."""
     cfg = cfgs[0]
     groups = model.maskable_groups()
     if not groups:
@@ -363,10 +329,6 @@ def _run_rounds(model, data, cfgs: list[RoundConfig], policy: _Policy, *,
     stacked = model.stacked
     if stacked and policy.mode != GATE_HARD:
         raise ValueError("only a hard-mask search runs a stack of runs")
-    if dense is not None and (policy.mode != GATE_HARD
-                              or test_data is not None):
-        raise ValueError("only a hard-mask search without test rows of its "
-                         "own takes its round 1 as dense training")
     if any(replace(c, prune_rate=None) != replace(cfg, prune_rate=None)
            for c in cfgs[1:]):
         raise ValueError("stacked runs must share their round config but "
@@ -396,19 +358,12 @@ def _run_rounds(model, data, cfgs: list[RoundConfig], policy: _Policy, *,
         sched = (TemperatureSchedule(cfg.beta_final, cfg.iters_per_round)
                  if soft else None)
         sinks = [rec if i in live else None for i, rec in enumerate(recs)]
-        round_test = test_data
-        if r == 1 and dense is not None:
-            sinks = [_round_one_sink(rec, sink)
-                     for rec, sink in zip(recs, dense.sinks)]
-            round_test = dense.test_data
         total += train_round(
             model, data, cfg, cfg.iters_per_round, shuffles, infos, sinks,
-            test_data=round_test, start_iteration=total,
+            test_data=test_data, start_iteration=total,
             before_step=([_capture_rewind(model, cfg.rewind_iter, box)]
                          if r == 1 else ()),
             schedule=sched, lam=cfg.lam if gated else 0.0, mask_rng=mask_rng)
-        if r == 1 and dense is not None:
-            dense.done(model)
         store = box["store"]
         if not stores:
             stores = ([RewindStore(store.rewind_iter,
@@ -473,13 +428,12 @@ def run_cs(model, data, cfg: RoundConfig, *, seed: int = 0, run_id: str = "cs",
 
 def run_imp(model, data, cfg: RoundConfig, scope: str = "global", *,
             seed: int = 0, run_id: str = "imp", test_data=None,
-            recorder=None, dense: DenseRound | None = None
-            ) -> list[TicketResult]:
+            recorder=None) -> list[TicketResult]:
     """Iterative magnitude pruning. Emits one ticket per round; masks are
     nested across rounds. With ``rewind_between_rounds`` surviving weights
-    return to the round-1 iterate k after every round. ``dense`` takes
-    round 1, the dense training, as ``DenseRound`` says (with
-    ``test_data`` None).
+    return to the round-1 iterate k after every round. Every mask is ones
+    until the first extraction, so round 1 trains the dense network: its
+    train rows and its ticket's ``final_weights`` are that training's.
 
     A stacked model (``models.stack_models``) of K runs takes a list of K
     round configs, equal but for ``prune_rate``, of K seeds, of K run ids
@@ -498,7 +452,7 @@ def run_imp(model, data, cfg: RoundConfig, scope: str = "global", *,
                      rewind=cfgs[0].rewind_between_rounds)
     per_run = _run_rounds(model, data, cfgs, policy, algorithm="imp",
                           seeds=seeds, run_ids=run_ids, test_data=test_data,
-                          recorders=recorders, dense=dense)
+                          recorders=recorders)
     return per_run if model.stacked else per_run[0]
 
 

@@ -228,13 +228,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def assert_finite(t, what: str = "tensor") -> None:
-    """Raise ``NonFiniteError`` if any element of ``t`` is NaN or Inf."""
-    d = t.data if isinstance(t, Tensor) else np.asarray(t)
-    if not np.isfinite(d).all():
-        raise NonFiniteError(f"non-finite values detected in {what}")
-
-
 def apply_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
              backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap ``out_data`` in a Tensor and record the op on the active tape.

@@ -114,9 +114,12 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
 
     Zero iterations leaves the model untouched. When a recorder is given,
     one train row (and one test row, if test data is given) is emitted
-    every ``record_every`` epochs. ``optimizer.step()`` checks every
-    gradient before it updates anything; its ``NonFiniteError`` becomes an
-    ``abort`` record and a ``NonFiniteError`` naming the iteration and run.
+    every ``record_every`` epochs, at the end of its epoch: before the
+    next step, with the model as the epoch's last step left it, so a
+    recorder may evaluate the model the row describes.
+    ``optimizer.step()`` checks every gradient before it updates
+    anything; its ``NonFiniteError`` becomes an ``abort`` record and a
+    ``NonFiniteError`` naming the iteration and run.
 
     A model trains as K slices: a stacked model (``models.stack_models``)
     has K, any other model is one. Each slice keeps its own ledger, its

@@ -759,7 +759,7 @@ class TestSweepAndReport:
         ("imp", {"round": {"rounds": True}},
          "rounds must be an integer, got True"),
         ("sweep", {"evaluation": {"budget_iters": 10.5}},
-         "eval_budget must be an integer, got 10.5"),
+         "budget_iters must be an integer, got 10.5"),
         ("sweep", {"sweep": {"max_workers": 1.5}},
          "max_workers must be an integer, got 1.5"),
         ("sweep", {"sweep": {"max_workers": True}},
@@ -770,10 +770,28 @@ class TestSweepAndReport:
          "seed must be an integer, got 1.5"),
         ("sweep", {"dataset": {"n_train": 64.0}},
          "n_train must be an integer, got 64.0"),
+        ("cs", {"model": {"widths": [2, 8, 2], "maskable": [True, "no"]}},
+         "maskable[1] must be true or false, got 'no'"),
+        ("cs", {"model": {"widths": [2, 8, 2], "maskable": [True, 1]}},
+         "maskable[1] must be true or false, got 1"),
+        ("cs", {"model": {"widths": [2, 8.0, 2]}},
+         "widths[1] must be an integer, got 8.0"),
+        ("cs", {"model": {"widths": 8}}, "widths must be a list, got 8"),
+        ("cs", {"model": {"kind": "conv2", "num_classes": 2.0}},
+         "num_classes must be an integer, got 2.0"),
+        ("cs", {"model": {"kind": "conv2", "in_shape": [1, 8, True]}},
+         "in_shape[2] must be an integer, got True"),
+        ("cs", {"model": {"kind": "conv2", "head_maskable": 1}},
+         "head_maskable must be true or false, got 1"),
+        ("imp", {"round": {"rewind_between_rounds": "off"}},
+         "rewind_between_rounds must be true or false, got 'off'"),
     ], ids=["negative-seed", "seeds-string", "float-batch-size",
             "fractional-iterations", "boolean-rounds", "fractional-budget",
             "fractional-workers", "boolean-workers", "boolean-finetune-lr",
-            "fractional-data-seed", "float-train-size"])
+            "fractional-data-seed", "float-train-size", "string-maskable",
+            "integer-maskable", "float-width", "scalar-widths",
+            "float-classes", "boolean-in-shape", "integer-head-maskable",
+            "string-rewind"])
     def test_bad_seed_or_integer_field_fails_before_anything_is_written(
             self, tmp_path, capsys, command, over, message):
         base = json.loads(small_config(tmp_path).read_text())

@@ -955,7 +955,7 @@ class TestSweep:
         search, searched = SEARCHES["imp"], []
 
         def counted(plan, model, data, c, seed, **kw):
-            searched.append((seed, "dense" in kw))
+            searched.append(seed)
             return search(plan, model, data, c, seed=seed, **kw)
 
         monkeypatch.setitem(SEARCHES, "imp", counted)
@@ -969,7 +969,7 @@ class TestSweep:
         assert sizes == [[6], [4, 2]]
         # the stack ran once; once its baseline had failed alone, none of
         # its searches reran (forked workers' calls are not seen here)
-        assert searched == [([1, 2, 1, 2], True)]
+        assert searched == [[1, 2, 1, 2]]
 
     def test_dead_worker_of_a_carrier_unit_keeps_its_baselines(
             self, monkeypatch, tmp_path):
@@ -1537,27 +1537,35 @@ class TestStackedUnits:
             assert _digest([], records) == _digest([], want)
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("unit, record_every, stacks", [
+        ([(None, 1), (None, 2), (None, 3)] + UNIT, 1, [3, 9]),
+        # seed 2's carrier is slice 1, after a slice that carries nothing
+        ([(None, 2), ({"tau": 0.2}, 1), ({"tau": 0.5}, 2)], 2, [2, 6]),
+    ], ids=["every-slice", "second-slice"])
     def test_carried_baselines_equal_each_alone(self, moons_pair,
-                                                monkeypatch, precision):
+                                                monkeypatch, precision, unit,
+                                                record_every, stacks):
         # per-epoch train and test rows, with learning-rate milestones
-        plan = self.plan(precision=precision, record_every=1)
-        unit = [(None, 1), (None, 2), (None, 3)] + self.UNIT
+        plan = self.plan(precision=precision, record_every=record_every)
+        dense = sum(point is None for point, _ in unit)
         sizes = self._stack_sizes(monkeypatch)
         results = H._run_jobs(plan, unit, *moons_pair)
         # one stacked search, whose round 1 trained the baselines, then
         # one stack of every evaluated ticket
-        assert sizes == [3, 9]
-        for (_, seed), (tickets, rows, records) in zip(unit, results[:3]):
+        assert sizes == stacks
+        for (_, seed), (tickets, rows, records) in zip(unit, results[:dense]):
             want = []
             with H._precision(precision):
                 dense_baseline(MLP_32, *moons_pair, plan.round_cfg, 30, seed,
                                recorder=want.append)
             assert (tickets, rows) == ([], [])
-            assert [r.split for r in records] == ["train", "test"] * 7 + [
-                "final_test"]
+            # 7 epochs of 4 batches in the budget of 30 iterations
+            assert [r.split for r in records] == ["train", "test"] * (
+                7 // record_every) + ["final_test"]
             assert _digest([], records) == _digest([], want)
         # the runs keep their own records: no test rows
-        self.assert_each_run_alone(plan, self.UNIT, results[3:], moons_pair)
+        self.assert_each_run_alone(plan, unit[dense:], results[dense:],
+                                   moons_pair)
 
     def test_a_baseline_without_its_carrier_fails_the_unit(self,
                                                            moons_pair):

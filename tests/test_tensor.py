@@ -246,11 +246,6 @@ class TestBackward:
         backward(loss)
         assert visits == list(range(n - 1, -1, -1))
 
-    def test_assert_finite(self):
-        with pytest.raises(NonFiniteError):
-            T.assert_finite(Tensor([1.0, np.nan]))
-        T.assert_finite(Tensor([1.0, 2.0]))
-
 
 def _reference_max_pool(d, g):
     """2x2 max pooling by stacking the four candidates and taking the
