@@ -327,7 +327,9 @@ def _add_common(sp, with_search=True):
         sp.add_argument("--k-epochs", dest="k_epochs", type=int,
                         help="rewind point in epochs (converted to iterations)")
         _flag(sp, "--rewind", "round.rewind_between_rounds",
-              choices=["on", "off"], help="rewind weights between rounds")
+              choices=["on", "off"],
+              help="rewind weights between rounds (imp: weights and batch "
+                   "order)")
         _flag(sp, "--eval", "evaluation.evaluate",
               choices=["none", "final", "rounds"])
         _flag(sp, "--eval-mode", "evaluation.mode",

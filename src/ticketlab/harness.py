@@ -567,12 +567,21 @@ def run_point(plan: ExperimentPlan, point: dict | None, seed: int,
 def _carries(plan: ExperimentPlan, point: dict) -> bool:
     """Whether the run at grid ``point`` carries its seed's dense
     baseline: an IMP run whose applied round config is the plan's but for
-    ``prune_rate``, in a plan whose evaluation budget is one round. Its
-    round 1, every mask ones, trains bitwise as the baseline does: one
-    ``search.train_round`` call of the same round config from the same
-    initial weights, on the same batches, for the same iterations. So its
-    round-1 train rows, the test rows of its model at each of them, and
-    its round-1 ticket's ``final_weights`` are the baseline's."""
+    ``prune_rate``, in a plan whose evaluation budget is one round.
+
+    One carry rule: an IMP round trains bitwise what an evaluation would,
+    so the evaluation is taken from the round. Round 1 carries the
+    baseline, and round r + 1 carries ticket r's retrain. Round 1, every
+    mask ones, trains as the baseline does: one ``search.train_round``
+    call of the same round config from the same initial weights, on the
+    same batches, for the same iterations. So its round-1 train rows, the
+    test rows of its model at each of them, and its round-1 ticket's
+    ``final_weights`` are the baseline's. With ``rewind_between_rounds``,
+    round r + 1 trains ticket r's masks from the rewind point with a
+    fresh optimizer and a fresh shuffle stream (``search._run_rounds``),
+    as ``retrain_ticket`` does on a budget of one round; so in
+    ``retrain-from-k`` mode ticket r + 1's ``final_weights`` are ticket
+    r's retrained weights (``_run_jobs``)."""
     cfg = plan.round_cfg
     return (plan.algorithm == "imp"
             and eval_budget_iters(plan.eval_budget, cfg) == cfg.iters_per_round
@@ -597,11 +606,16 @@ def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
     the search, the baseline's ``final_test`` scores the round-1 ticket's
     ``final_weights`` in a fresh dense model (``_test_accuracies``: a
     non-finite test loss fails the unit). Then every evaluated ticket of
-    every run trains in one ``train_tickets`` call; a search that froze
-    its weights (supermask) has its masks scored at them
-    (``masked_accuracy``). A run's report rows are ``report_rows``' rows
-    of its records, with the grid point and, for a final evaluation,
-    per-layer sparsity attached."""
+    every run trains in one ``train_tickets`` call, but for the tickets
+    whose retrain the search already ran (``_carries``): with
+    ``--eval rounds``, a rewinding IMP run in ``retrain-from-k`` mode on a
+    budget of one round trains only its final ticket, and each earlier
+    ticket r is scored under its masks at ticket r + 1's
+    ``final_weights`` (``_test_accuracies``, as a baseline's
+    ``final_test``). A search that froze its weights (supermask) has its
+    masks scored at them (``masked_accuracy``). A run's report rows are
+    ``report_rows``' rows of its records, with the grid point and, for a
+    final evaluation, per-layer sparsity attached."""
     records = [[] for _ in jobs]
     dense = [i for i, (point, _) in enumerate(jobs) if point is None]
     runs = [i for i, (point, _) in enumerate(jobs) if point is not None]
@@ -679,6 +693,11 @@ def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
         fine = plan.eval_mode == "fine-tune"
         # a search that froze the weights (supermask) is scored at them
         frozen = not any(t.requires_grad for t in model.weight_tensors())
+        iters = eval_budget_iters(plan.eval_budget, cfgs[0])
+        # round r + 1 of a rewinding IMP run was ticket r's retrain
+        retrained = (plan.algorithm == "imp" and not fine
+                     and cfgs[0].rewind_between_rounds
+                     and iters == cfgs[0].iters_per_round)
         starts = []
         for seed, run_id, tickets, recs in zip(seeds, run_ids, searched,
                                                run_records):
@@ -693,6 +712,13 @@ def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
                                           test_data, seed)
                     _eval_row("mask_test", masks, acc,
                               ticket.total_iterations, info, recs.append)
+                elif retrained and round_idx < final.round:
+                    [acc] = _test_accuracies(
+                        _masked_model(plan.model_cfg, seed, masks,
+                                      tickets[round_idx].final_weights),
+                        test_data, [info])
+                    _eval_row("retrain_test", masks, acc, iters, info,
+                              recs.append)
                 else:
                     starts.append((masks, ticket.final_weights if fine
                                    else ticket.rewind.arrays, info,
@@ -700,8 +726,7 @@ def _run_jobs(plan: ExperimentPlan, jobs: list, train_data,
         if starts:
             train_tickets(plan.model_cfg, starts, train_data, test_data,
                           _finetune_cfg(cfgs[0], plan.finetune_lr) if fine
-                          else cfgs[0],
-                          eval_budget_iters(plan.eval_budget, cfgs[0]),
+                          else cfgs[0], iters,
                           "finetune_test" if fine else "retrain_test")
     for i, point, tickets, recs in zip(runs, points, searched, run_records):
         rows, _ = report_rows(recs, tickets[-1].iters_per_epoch)

@@ -14,7 +14,9 @@ and whether weights rewind between rounds:
 * ``run_imp``        - hard masks; after each round the lowest-magnitude
                        fraction of surviving weights is removed (globally
                        or per layer) and, optionally, survivors rewind to
-                       the stored early iterate.
+                       the stored early iterate. A rewinding round then
+                       restarts the batch order too, so that round r + 1
+                       is bitwise the retrain of round r's ticket.
 * ``run_iss``        - Bernoulli(sigmoid(s)) sampled masks trained with a
                        straight-through gradient; between rounds components
                        whose logits fell below their init are permanently
@@ -73,7 +75,7 @@ class RoundConfig:
     beta_final: float = 200.0
     mask_init: float = 0.0
     batch_size: int = 32
-    lr_milestones: tuple = ()
+    lr_milestones: tuple[int, ...] = ()
     lr_decay: float = 0.1
     record_every: int = 1
     st_variant: str = "identity"
@@ -102,6 +104,9 @@ class RoundConfig:
             raise ValueError("final temperature must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        for i, m in enumerate(self.lr_milestones):
+            if m < 0:
+                raise ValueError(f"lr_milestones[{i}] must be >= 0, got {m}")
         if self.record_every < 0:
             raise ValueError("record_every must be >= 0")
         if self.st_variant not in ST_VARIANTS:
@@ -318,7 +323,15 @@ def _run_rounds(model, data, cfgs: list[RoundConfig], policy: _Policy, *,
     (``models.stack_models``) under a hard-mask policy. The configs of a
     stack may differ only in ``prune_rate``. Every run has its own shuffle
     stream, rewind snapshot, extraction, tickets and records, each bitwise
-    what its model gives alone. A run whose extraction finds nothing left
+    what its model gives alone.
+
+    A run draws every round's batches from one shuffle stream, except
+    under a rewinding hard-mask policy (IMP with ``rewind_between_rounds``):
+    there each round starts a fresh stream of its seed, as round 1 does,
+    so that round r + 1 trains ticket r's masks from the rewind point
+    with a fresh optimizer, round-relative milestones and the batch order
+    of a retrain: bitwise ``harness.retrain_ticket`` of ticket r on a
+    budget of one round. A run whose extraction finds nothing left
     to prune ends at that round, as it does alone; the stack trains on
     while any run is left, and what it does with an ended run's slice is
     discarded."""
@@ -336,7 +349,8 @@ def _run_rounds(model, data, cfgs: list[RoundConfig], policy: _Policy, *,
     model.set_gate_mode(policy.mode, cfg.mask_init)
     soft = policy.mode == GATE_SOFT
     gated = policy.mode in (GATE_SOFT, GATE_STOCHASTIC)
-    shuffles = [seeded_rng(seed, STREAM_SHUFFLE) for seed in seeds]
+    # a rewinding hard-mask round retrains the previous round's ticket
+    retrains = policy.rewind and policy.mode == GATE_HARD
     mask_rng = (seeded_rng(seeds[0], STREAM_MASK)
                 if policy.mode == GATE_STOCHASTIC else None)
     recs = [_Recorder(r) for r in recorders]
@@ -358,6 +372,8 @@ def _run_rounds(model, data, cfgs: list[RoundConfig], policy: _Policy, *,
         sched = (TemperatureSchedule(cfg.beta_final, cfg.iters_per_round)
                  if soft else None)
         sinks = [rec if i in live else None for i, rec in enumerate(recs)]
+        if r == 1 or retrains:
+            shuffles = [seeded_rng(seed, STREAM_SHUFFLE) for seed in seeds]
         total += train_round(
             model, data, cfg, cfg.iters_per_round, shuffles, infos, sinks,
             test_data=test_data, start_iteration=total,
@@ -431,9 +447,13 @@ def run_imp(model, data, cfg: RoundConfig, scope: str = "global", *,
             recorder=None) -> list[TicketResult]:
     """Iterative magnitude pruning. Emits one ticket per round; masks are
     nested across rounds. With ``rewind_between_rounds`` surviving weights
-    return to the round-1 iterate k after every round. Every mask is ones
-    until the first extraction, so round 1 trains the dense network: its
-    train rows and its ticket's ``final_weights`` are that training's.
+    return to the round-1 iterate k after every round, and each round
+    draws its batches from a fresh shuffle stream of the seed. Every mask
+    is ones until the first extraction, so round 1 trains the dense
+    network: its train rows and its ticket's ``final_weights`` are that
+    training's. Likewise, with rewinding, round r + 1 retrains ticket r:
+    its ``final_weights`` are what ``harness.retrain_ticket`` of ticket r
+    trains on a budget of one round.
 
     A stacked model (``models.stack_models``) of K runs takes a list of K
     round configs, equal but for ``prune_rate``, of K seeds, of K run ids

@@ -785,13 +785,22 @@ class TestSweepAndReport:
          "head_maskable must be true or false, got 1"),
         ("imp", {"round": {"rewind_between_rounds": "off"}},
          "rewind_between_rounds must be true or false, got 'off'"),
+        ("cs", {"round": {"lr_milestones": ["10", -3, 10.7]}},
+         "lr_milestones[0] must be an integer, got '10'"),
+        ("cs", {"round": {"lr_milestones": [10, -3]}},
+         "lr_milestones[1] must be >= 0, got -3"),
+        ("sweep", {"round": {"lr_milestones": [10.7]}},
+         "lr_milestones[0] must be an integer, got 10.7"),
+        ("imp", {"round": {"lr_milestones": [True]}},
+         "lr_milestones[0] must be an integer, got True"),
     ], ids=["negative-seed", "seeds-string", "float-batch-size",
             "fractional-iterations", "boolean-rounds", "fractional-budget",
             "fractional-workers", "boolean-workers", "boolean-finetune-lr",
             "fractional-data-seed", "float-train-size", "string-maskable",
             "integer-maskable", "float-width", "scalar-widths",
             "float-classes", "boolean-in-shape", "integer-head-maskable",
-            "string-rewind"])
+            "string-rewind", "string-milestone", "negative-milestone",
+            "fractional-milestone", "boolean-milestone"])
     def test_bad_seed_or_integer_field_fails_before_anything_is_written(
             self, tmp_path, capsys, command, over, message):
         base = json.loads(small_config(tmp_path).read_text())

@@ -1493,18 +1493,21 @@ class TestStackedUnits:
         plan = replace(self.plan(evaluate, mode, precision), scope=scope)
         sizes = self._stack_sizes(monkeypatch)
         results = H._run_jobs(plan, self.UNIT, *moons_pair)
-        # one stacked search, then one stack of every evaluated ticket
-        assert sizes == [3, 9 if evaluate == "rounds" else 3]
+        # one stacked search, then one stack of the tickets that train: a
+        # retrain of each run's final ticket (rounds 2 and 3 retrained the
+        # others), or a fine-tune of every evaluated ticket
+        assert sizes == [3, 9 if (evaluate, mode) == ("rounds", "fine-tune")
+                         else 3]
         self.assert_each_run_alone(plan, self.UNIT, results, moons_pair)
 
     def test_tickets_beyond_the_weight_cap_split_into_stacks(
             self, moons_pair, monkeypatch):
-        plan = self.plan()
+        plan = self.plan(mode="fine-tune")
         params = MLP_32.build(1).parameter_count()
         monkeypatch.setattr(H, "STACK_WEIGHTS", 4 * params)
         sizes = self._stack_sizes(monkeypatch)
         results = H._run_jobs(plan, self.UNIT, *moons_pair)
-        # 9 tickets in stacks of at most 4: three of 3
+        # 9 fine-tuned tickets in stacks of at most 4: three of 3
         assert sizes == [3, 3, 3, 3]
         self.assert_each_run_alone(plan, self.UNIT, results, moons_pair)
 
@@ -1517,8 +1520,24 @@ class TestStackedUnits:
         results = H._run_jobs(plan, unit, *moons_pair)
         # pruning is exhausted after rounds 4 and 2 of the 6
         assert [len(tickets) for tickets, _, _ in results] == [4, 2]
-        assert sizes == [2, 6]
+        assert sizes == [2, 2]
         self.assert_each_run_alone(plan, unit, results, moons_pair)
+
+    @pytest.mark.parametrize("round_kw, plan_kw, stacks", [
+        ({}, {"eval_mode": "fine-tune"}, [3, 9]),
+        ({"rewind_between_rounds": False}, {}, [3, 9]),
+        ({}, {"eval_budget": 20}, [3, 9]),
+        ({}, {"eval_budget": 30}, [3, 3]),
+    ], ids=["fine-tune", "no-rewind", "other-budget", "budget-of-a-round"])
+    def test_rounds_retrain_only_under_the_carry_rule(
+            self, moons_pair, monkeypatch, round_kw, plan_kw, stacks):
+        # only a retrain of one round's budget from the rewind point is
+        # what the next round of a rewinding IMP run trained
+        plan = replace(self.plan(**round_kw), **plan_kw)
+        sizes = self._stack_sizes(monkeypatch)
+        results = H._run_jobs(plan, self.UNIT, *moons_pair)
+        assert sizes == stacks
+        self.assert_each_run_alone(plan, self.UNIT, results, moons_pair)
 
     def test_dense_baselines_equal_each_alone(self, moons_pair, monkeypatch):
         plan = self.plan(record_every=1)
@@ -1538,9 +1557,9 @@ class TestStackedUnits:
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     @pytest.mark.parametrize("unit, record_every, stacks", [
-        ([(None, 1), (None, 2), (None, 3)] + UNIT, 1, [3, 9]),
+        ([(None, 1), (None, 2), (None, 3)] + UNIT, 1, [3, 3]),
         # seed 2's carrier is slice 1, after a slice that carries nothing
-        ([(None, 2), ({"tau": 0.2}, 1), ({"tau": 0.5}, 2)], 2, [2, 6]),
+        ([(None, 2), ({"tau": 0.2}, 1), ({"tau": 0.5}, 2)], 2, [2, 2]),
     ], ids=["every-slice", "second-slice"])
     def test_carried_baselines_equal_each_alone(self, moons_pair,
                                                 monkeypatch, precision, unit,
@@ -1551,7 +1570,7 @@ class TestStackedUnits:
         sizes = self._stack_sizes(monkeypatch)
         results = H._run_jobs(plan, unit, *moons_pair)
         # one stacked search, whose round 1 trained the baselines, then
-        # one stack of every evaluated ticket
+        # one stack of every run's final ticket
         assert sizes == stacks
         for (_, seed), (tickets, rows, records) in zip(unit, results[:dense]):
             want = []
@@ -1597,3 +1616,65 @@ class TestStackedUnits:
                                  (f"imp-tau=0.3-seed{seed}", records)):
                 got = [r for r in report.records if r.run_id == run_id]
                 assert _digest([], got) == _digest([], want)
+
+
+class TestRoundsRetrainTheirPreviousTicket:
+    """Round r + 1 of a rewinding IMP run trains ticket r's masks from the
+    rewind point with a fresh optimizer, the round's milestones and a fresh
+    shuffle stream: bitwise what ``retrain_ticket`` trains from ticket r
+    on a budget of one round."""
+
+    @staticmethod
+    def retrained(monkeypatch, model_cfg, ticket, data, c) -> dict:
+        """The weights ``retrain_ticket`` trains from ``ticket``."""
+        trained = []
+
+        def spy(model, *args, **kw):
+            done = train_round(model, *args, **kw)
+            trained.append(model.weight_arrays(copy=True))
+            return done
+
+        with monkeypatch.context() as m:
+            m.setattr(H, "train_round", spy)
+            retrain_ticket(model_cfg, ticket.masks, ticket.rewind, *data, c,
+                           c.iters_per_round, ticket.seed)
+        [weights] = trained
+        return weights
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["alone", "stacked"])
+    @pytest.mark.parametrize("widths, rounds, runs, lengths", [
+        ((2, 32, 32, 2), 3, [(1, 0.2), (2, 0.3), (3, 0.5)], [3, 3, 3]),
+        # pruning is exhausted after rounds 4, 2 and 6 of the 6
+        ((2, 2, 2), 6, [(1, 0.5), (2, 0.9), (3, 0.2)], [4, 2, 6]),
+    ], ids=["every-round", "exhausted"])
+    def test_next_round_is_the_tickets_retrain(self, moons_pair, monkeypatch,
+                                               precision, stacked, widths,
+                                               rounds, runs, lengths):
+        model_cfg = ModelConfig(kind="mlp", widths=widths)
+        c = RoundConfig(rounds=rounds, iters_per_round=30, rewind_iter=2,
+                        batch_size=32, record_every=0, lr_milestones=(12, 24),
+                        rewind_between_rounds=True)
+        cfgs = [replace(c, prune_rate=tau) for _, tau in runs]
+        seeds = [seed for seed, _ in runs]
+        ids = [f"imp-{seed}" for seed in seeds]
+        with H._precision(precision):
+            if stacked:
+                searched = run_imp(
+                    stack_models([model_cfg.build(s) for s in seeds]),
+                    moons_pair[0], cfgs, seed=seeds, run_id=ids)
+            else:
+                searched = [run_imp(model_cfg.build(seed), moons_pair[0], cc,
+                                    seed=seed, run_id=run_id)
+                            for seed, cc, run_id in zip(seeds, cfgs, ids)]
+            assert [len(tickets) for tickets in searched] == lengths
+            for tickets, cc in zip(searched, cfgs):
+                for ticket, after in zip(tickets, tickets[1:]):
+                    want = self.retrained(monkeypatch, model_cfg, ticket,
+                                          moons_pair, cc)
+                    got = after.final_weights
+                    assert want.keys() == got.keys()
+                    for name, a in want.items():
+                        assert a.dtype == got[name].dtype == precision
+                        assert a.tobytes() == got[name].tobytes()

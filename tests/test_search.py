@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,10 +71,20 @@ class TestRoundConfig:
                              ({"rounds": True}, "rounds must be an integer"),
                              ({"batch_size": 32.0}, "batch_size must be an "
                                                     "integer, got 32.0"),
-                             ({"iters_per_round": 10.5}, "iters_per_round")):
+                             ({"iters_per_round": 10.5}, "iters_per_round"),
+                             ({"lr_milestones": (10, "20")},
+                              r"lr_milestones\[1\] must be an integer"),
+                             ({"lr_milestones": (10.7,)},
+                              r"lr_milestones\[0\] must be an integer"),
+                             ({"lr_milestones": (True,)},
+                              r"lr_milestones\[0\] must be an integer"),
+                             ({"lr_milestones": 10}, "must be a list"),
+                             ({"lr_milestones": (10, -3)},
+                              r"lr_milestones\[1\] must be >= 0, got -3")):
             with pytest.raises(ValueError, match=message):
                 quick_cfg(**bad).validate()
-        quick_cfg(record_every=0, batch_size=1).validate()
+        quick_cfg(record_every=0, batch_size=1,
+                  lr_milestones=[0, 10, 100]).validate()
 
 
 class TestSelectLowest:
@@ -590,6 +601,47 @@ class TestStackedIMP:
     def test_only_a_hard_mask_search_stacks(self, moons):
         with pytest.raises(ValueError, match="only a hard-mask search"):
             run_cs(stack_models([mlp(1), mlp(2)]), moons, quick_cfg())
+
+
+class TestShuffleStreams:
+    """A rewinding IMP round starts its runs' shuffle streams afresh, as
+    the retrain of the previous round's ticket does; every other search
+    draws all of a run's rounds from one stream."""
+
+    SEARCHES = {
+        "imp-rewind": lambda m, d, c: run_imp(
+            m, d, replace(c, rewind_between_rounds=True), seed=5),
+        "imp": lambda m, d, c: run_imp(m, d, c, seed=5),
+        "cs": lambda m, d, c: run_cs(m, d, c, seed=5),
+        "cs-rewind": lambda m, d, c: run_cs(
+            m, d, replace(c, rewind_between_rounds=True), seed=5),
+        "iss": lambda m, d, c: run_iss(m, d, c, seed=5),
+        "seqcs": lambda m, d, c: run_sequential_cs(m, d, c, seed=5),
+        "seqcs-rewind": lambda m, d, c: run_sequential_cs(
+            m, d, replace(c, rewind_between_rounds=True), seed=5),
+        "imp-stack": lambda m, d, c: run_imp(
+            stack_models([m, mlp(6)]), d, [replace(
+                c, rewind_between_rounds=True)] * 2, seed=[5, 6],
+            run_id=["a", "b"]),
+    }
+
+    @pytest.mark.parametrize("search, seeds", [
+        ("imp-rewind", [5, 5, 5]), ("imp", [5]), ("cs", [5]),
+        ("cs-rewind", [5]), ("iss", [5]), ("seqcs", [5]),
+        ("seqcs-rewind", [5]), ("imp-stack", [5, 6] * 3)])
+    def test_only_rewinding_imp_rounds_restart_the_stream(
+            self, moons, monkeypatch, search, seeds):
+        drawn, rng = [], S.seeded_rng
+
+        def spy(seed, stream):
+            if stream == STREAM_SHUFFLE:
+                drawn.append(seed)
+            return rng(seed, stream)
+
+        monkeypatch.setattr(S, "seeded_rng", spy)
+        self.SEARCHES[search](mlp(5), moons,
+                              quick_cfg(rounds=3, prune_rate=0.2))
+        assert drawn == seeds
 
 
 class TestRunISS:
