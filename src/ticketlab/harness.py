@@ -430,7 +430,7 @@ def masked_accuracy(model_cfg: ModelConfig, arrays: dict, masks: dict,
     """Test accuracy of a masked network at fixed weights (no training);
     used to score supermasks and random-mask controls."""
     return evaluate(_masked_model(model_cfg, seed, masks, arrays),
-                    test_data)[1]
+                    test_data, with_loss=False)
 
 
 def random_mask_like(masks: dict[str, np.ndarray], rng) -> dict[str, np.ndarray]:

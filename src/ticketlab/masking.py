@@ -24,18 +24,25 @@ Conventions fixed here:
   exactly when a mask is frozen, and only soft and stochastic groups have
   logits. Readers dispatch on the mode alone.
 
-A gated group's gate records no tape node. ``gate`` returns it for one
-step as a ``StepGate``: sigmoid(beta * s) ⊙ k for a soft group (k: the
-components not permanently removed), a Bernoulli(sigmoid(s)) draw for a
-stochastic one. It carries its L1 penalty's value in ``penalty``, and the
-layer node that reads it (``linear`` or ``conv2d``) owns it: the one
-gradient that node hands the gate goes straight to the logits, together
-with the penalty's gradient. That is the gradient of loss + penalty only
-when the caller differentiates exactly that sum with a seed of 1, and
-the gate feeds one node on the loss path; ``train`` does so and adds the
-penalty values to the reported loss off the tape. A second gradient into
-a gate raises ``GradientError``. ``gate_penalty`` is the penalty as a
-node over s, and ``soft_gate`` the gated weight ``gate ⊙ w``.
+A gated group's gate records no tape node. A ``GateSet`` of groups
+returns one step's gates of each as a ``StepGate``: sigmoid(beta * s) ⊙ k
+for a soft group (k: the components not permanently removed), a
+Bernoulli(sigmoid(s)) draw for a stochastic one. Consecutive groups of one
+mode form their gates together: one sigmoid over their logits, read in
+place when an optimizer keeps them in one arena, each gate a view of the
+result, and one logit-gradient pass once every gate has its layer
+gradient. ``gate`` is its one-group case. The arena ops are elementwise,
+so a batch gives bitwise what one group at a time gives.
+
+A gate carries its L1 penalty's value in ``penalty``, summed per group,
+and the layer node that reads it (``linear`` or ``conv2d``) owns it: the
+one gradient that node hands the gate goes to the logits, together with
+the penalty's gradient. That is the gradient of loss + penalty only when
+the caller differentiates exactly that sum with a seed of 1, and the gate
+feeds one node on the loss path; ``train`` does so and adds the penalty
+values to the reported loss off the tape. A second gradient into a gate
+raises ``GradientError``. ``gate_penalty`` is the penalty as a node over
+s, and ``soft_gate`` the gated weight ``gate ⊙ w``.
 """
 from __future__ import annotations
 
@@ -43,8 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (GradientError, Tensor, _hand, _HandedOver, apply_op,
-                     expit, mul)
+from .tensor import GradientError, Tensor, _hand, apply_op, expit, mul
 
 GATE_NONE = "none"
 GATE_SOFT = "soft-deterministic"
@@ -157,7 +163,8 @@ class MaskedParameterGroup:
 
     def sample_mask(self, rng) -> np.ndarray:
         """One draw of m ~ Bernoulli(sigmoid(s)), as ``_draw`` makes it."""
-        return _draw(self, expit(self.mask_logits.data), rng)
+        return _draw(expit(self.mask_logits.data), self.kept(), rng,
+                     self.weights.dtype)
 
     def gate_values(self, beta: float = 1.0) -> np.ndarray:
         """Current gate value per component, for sparsity reporting."""
@@ -179,21 +186,13 @@ class MaskedParameterGroup:
         return m * k if k is not None else m
 
 
-def _soft(group: MaskedParameterGroup, beta: float):
-    """The logits, sigmoid(beta * s), the kept mask k (or None) and the
-    gate sigmoid(beta * s) ⊙ k of a group with mask logits."""
-    s = group.mask_logits
-    sig = expit(s.data, beta)
-    k = group.kept()
-    return s, sig, k, (sig if k is None else sig * k)
-
-
-def _draw(group: MaskedParameterGroup, sig: np.ndarray, rng) -> np.ndarray:
-    """m ~ Bernoulli(sig), one uniform per component in flat order, with
-    the group's sentinel-removed components 0."""
-    m = (rng.random(sig.shape) < sig).astype(group.weights.dtype)
-    if group.pruned_forever is not None:
-        m[group.pruned_forever] = 0.0
+def _draw(sig: np.ndarray, kept, rng, dtype) -> np.ndarray:
+    """m ~ Bernoulli(sig) in ``dtype``, one uniform per component in flat
+    order, with the components that the kept mask ``kept`` removes 0
+    (None: none removed)."""
+    m = (rng.random(sig.shape) < sig).astype(dtype)
+    if kept is not None:
+        m *= kept
     return m
 
 
@@ -209,18 +208,144 @@ def _logit_grad(g, sig, beta: float, k):
     return gs
 
 
+def _address(a: np.ndarray) -> int:
+    """Where ``a``'s first element lies in memory."""
+    return a.__array_interface__["data"][0]
+
+
+class _Batch:
+    """Consecutive groups of a ``GateSet`` that share a mode and dtypes
+    (``key``), whose gates form together, and their layout: the logits,
+    each one's ``bounds`` in the batch's 1-d arenas, a zero gradient
+    standing in for each group whose logits do not train, and ``arena``,
+    the logits as one view of the array that they lie in consecutively (as
+    an optimizer keeps its parameters, ``optim.Optimizer``), or None when
+    they do not and each step copies them into one array."""
+
+    __slots__ = ("key", "groups", "logits", "arrays", "bounds", "zeros",
+                 "pending", "arena")
+
+    def __init__(self, key: tuple, groups: list):
+        self.key, self.groups = key, groups
+        self.logits = [g.mask_logits for g in self.groups]
+        self.arrays = [s.data for s in self.logits]
+        self.bounds, n = [], 0
+        for a in self.arrays:
+            self.bounds.append((n, n + a.size))
+            n += a.size
+        self.zeros = [None if s.requires_grad else np.zeros(a.size, a.dtype)
+                      for s, a in zip(self.logits, self.arrays)]
+        self.pending = sum(z is None for z in self.zeros)
+        first, base = self.arrays[0], self.arrays[0].base
+        self.arena = None
+        if len(self.arrays) == 1:
+            if first.flags.c_contiguous:  # a view, not a copy
+                self.arena = first.reshape(-1)
+        elif (base is not None and base.ndim == 1 and base.flags.c_contiguous
+              and all(a.base is base and a.dtype == base.dtype
+                      and a.flags.c_contiguous for a in self.arrays)):
+            start = _address(first)
+            if all(_address(a) == start + lo * base.itemsize
+                   for a, (lo, _) in zip(self.arrays, self.bounds)):
+                lo = (start - _address(base)) // base.itemsize
+                self.arena = base[lo:lo + n]
+
+    def form(self, beta: float, lam: float, rng, st_variant: str,
+             out: dict) -> None:
+        """Add this step's gates of the batch's groups to ``out``."""
+        soft = self.key[0] == GATE_SOFT
+        dtype = self.key[2]  # the weights' dtype: a draw's and k's
+        k = None
+        for g, (lo, hi) in zip(self.groups, self.bounds):
+            if g.pruned_forever is not None:
+                if k is None:
+                    k = np.ones(self.bounds[-1][1], dtype=dtype)
+                k[lo:hi][g.pruned_forever.reshape(-1)] = 0.0
+        step = _Step()
+        step.batch, step.grads = self, list(self.zeros)
+        step.pending = self.pending
+        step.beta, step.lam, step.kept = (beta if soft else 1.0), lam, k
+        step.st_variant = None if soft else st_variant
+        step.sig = sig = expit(np.concatenate(self.arrays, axis=None)
+                               if self.arena is None else self.arena,
+                               step.beta)
+        if soft:
+            step.values = values = penalized = sig if k is None else sig * k
+        else:  # one sigmoid for the draw, penalty and gradient
+            step.values = values = _draw(sig, k, rng, dtype)
+            penalized = sig if k is None or lam == 0.0 else sig * k
+        for i, (g, s, a, (lo, hi)) in enumerate(zip(
+                self.groups, self.logits, self.arrays, self.bounds)):
+            m = StepGate.__new__(StepGate)
+            m.data = values[lo:hi].reshape(a.shape)
+            m.grad, m.requires_grad = None, s.requires_grad
+            m.group_name, m.step, m.index, m.spent = g.name, step, i, False
+            if lam > 0.0:
+                pv = (m.data if penalized is values
+                      else penalized[lo:hi].reshape(a.shape))
+                m.penalty = np.asarray(np.add.reduce(pv, axis=None) * lam,
+                                       dtype=pv.dtype)
+            else:
+                m.penalty = np.zeros((), dtype=m.data.dtype)
+            out[g.name] = m
+
+
+class _Step:
+    """One step's gates of a ``_Batch`` (``batch``): the arenas ``sig`` =
+    sigmoid(beta * s), ``kept`` (the kept masks k, None when no group has
+    a sentinel) and ``values`` (the gates), and the layer gradients the
+    gates have received. When the last gate whose logits train has its
+    gradient, one pass over the arenas forms every group's logit gradient,
+    and each group's view of it becomes that group's gradient without a
+    copy (``tensor._hand``)."""
+
+    __slots__ = ("batch", "sig", "kept", "values", "beta", "lam",
+                 "st_variant", "grads", "pending")
+
+    def receive(self, i: int, g: np.ndarray) -> None:
+        """Take gate ``i``'s layer gradient ``g``; hand the logits their
+        gradients once no gate is left waiting."""
+        self.grads[i] = g
+        self.pending -= 1
+        if self.pending:
+            return
+        sig, k, lam = self.sig, self.kept, self.lam
+        g = np.concatenate(self.grads, axis=None)
+        self.grads = None
+        if self.st_variant is None:  # soft: the penalty's gradient joins g
+            if lam > 0.0:
+                g += lam
+            self._hand(_logit_grad(g, sig, self.beta, k))
+            return
+        if lam > 0.0:  # stochastic: the penalty's gradient comes first
+            self._hand(_logit_grad(lam, sig, self.beta, k))
+        if self.st_variant == "sigmoid":
+            g *= sig
+            g *= 1.0 - sig
+        if k is not None:
+            g *= k
+        self._hand(g)
+
+    def _hand(self, grad: np.ndarray) -> None:
+        b = self.batch
+        for s, a, (lo, hi) in zip(b.logits, b.arrays, b.bounds):
+            if s.requires_grad:
+                _hand(s, grad[lo:hi].reshape(a.shape))
+
+
 class StepGate(Tensor):
     """A gated group's gate for one step, owned by the one layer node that
     reads it and hands it the gradient g. A soft gate sigmoid(beta * s) ⊙ k
     gives the logits ``_logit_grad(g + lam, sig, beta, k)``. A stochastic
-    gate, a Bernoulli draw (``st_variant`` its straight-through estimator,
-    None on a soft gate), gives them its penalty's gradient
-    ``_logit_grad(lam, sig, 1, k)``, then g · k, or g · sig · (1 - sig) · k
-    for the sigmoid variant. ``penalty`` is lam * sum(sigmoid(beta * s) ⊙ k),
-    with beta = 1 for a stochastic gate. A second gradient raises
-    ``GradientError`` naming the group. The arrays it forms for the logits,
-    and the layer's own array when the layer handed it over, become the
-    logits' gradient without a copy (``tensor._hand``).
+    gate, a Bernoulli draw (``st_variant`` its straight-through estimator),
+    gives them its penalty's gradient ``_logit_grad(lam, sig, 1, k)``, then
+    g · k, or g · sig · (1 - sig) · k for the sigmoid variant. ``penalty``
+    is lam * sum(sigmoid(beta * s) ⊙ k), with beta = 1 for a stochastic
+    gate. A second gradient raises ``GradientError`` naming the group.
+
+    The gate is a view of what its ``GateSet`` formed for the step
+    together with the gates of its batch (``step``); the logits get their
+    gradient when every gate of the batch whose logits train has its own.
 
     With lam > 0 the logit gradient is that of loss + penalty only if the
     caller adds ``penalty`` to the objective it differentiates, seeds the
@@ -228,8 +353,7 @@ class StepGate(Tensor):
     path; otherwise the penalty's gradient is wrong or lost. Callers
     outside ``train`` should pass lam = 0 and use ``gate_penalty``."""
 
-    __slots__ = ("group_name", "logits", "sig", "beta", "kept", "lam",
-                 "st_variant", "penalty", "spent")
+    __slots__ = ("group_name", "step", "index", "penalty", "spent")
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.spent:
@@ -237,53 +361,75 @@ class StepGate(Tensor):
                 f"the step gate of group {self.group_name!r} received a second "
                 f"gradient; a step gate feeds exactly one node")
         self.spent = True
-        s, sig, k = self.logits, self.sig, self.kept
-        if self.st_variant is None:  # soft: the penalty's gradient joins g
-            if self.lam > 0.0:
-                g = g + self.lam
-            _hand(s, _logit_grad(g, sig, self.beta, k))
-            return
-        if self.lam > 0.0:  # stochastic: the penalty's gradient comes first
-            _hand(s, _logit_grad(self.lam, sig, self.beta, k))
-        if self.st_variant == "sigmoid":
-            g = g * sig * (1.0 - sig)
-        elif k is None and type(g) is not _HandedOver:
-            s.accumulate_grad(g)  # an array the caller may still hold
-            return
-        _hand(s, g if k is None else g * k)
+        self.step.receive(self.index, g)
+
+
+class GateSet:
+    """Soft and stochastic groups whose gates form together. Calling it
+    returns one step's ``StepGate`` of each group, by name in group order,
+    recording no tape node. Consecutive groups of one mode and dtype form
+    theirs as one batch: one sigmoid over their logits, read in place when
+    they lie consecutively in one array (an optimizer's arena), each gate
+    a view of the result, and one logit-gradient pass once the batch has
+    its layer gradients. A stochastic gate is a Bernoulli draw from
+    ``rng``; a batch draws its uniforms with one call, in group order, as
+    one call per group would. ``penalty`` is summed per group, an exact
+    zero for lam = 0; see ``StepGate`` for what lam > 0 asks of the
+    caller.
+
+    The batches and their layout are worked out on the first call, and
+    again when a group's mode or logits have changed since, so a training
+    loop that calls one ``GateSet`` every step works them out once."""
+
+    def __init__(self, groups):
+        self.groups = list(groups)
+        self._held = None  # each group's (mode, logits, array, trains)
+        self._batches, self._draws = [], False
+
+    def __call__(self, beta: float, lam: float = 0.0, rng=None,
+                 st_variant: str = "identity") -> dict[str, StepGate]:
+        held = self._held
+        if held is None or any(
+                g.mode != mode or g.mask_logits is not s or s.data is not a
+                or s.requires_grad != trains
+                for g, (mode, s, a, trains) in zip(self.groups, held)):
+            self._settle()
+        if lam < 0:
+            raise ValueError("penalty strength must be non-negative")
+        if self._draws:
+            if rng is None:
+                raise ValueError("stochastic gate requires an RNG")
+            if st_variant not in ST_VARIANTS:
+                raise ValueError(f"unknown straight-through variant "
+                                 f"{st_variant!r}")
+        gates = {}
+        for b in self._batches:
+            b.form(beta, float(lam), rng, st_variant, gates)
+        return gates
+
+    def _settle(self) -> None:
+        runs = []  # (mode and dtypes, consecutive groups that share them)
+        for g in self.groups:
+            if g.mode not in (GATE_SOFT, GATE_STOCHASTIC):
+                raise ValueError(f"gate requires a soft or stochastic group, "
+                                 f"group {g.name!r} is {g.mode!r}")
+            key = (g.mode, g.mask_logits.data.dtype, g.weights.data.dtype)
+            if runs and runs[-1][0] == key:
+                runs[-1][1].append(g)
+            else:
+                runs.append((key, [g]))
+        self._batches = [_Batch(key, groups) for key, groups in runs]
+        self._draws = any(key[0] == GATE_STOCHASTIC for key, _ in runs)
+        self._held = [(g.mode, g.mask_logits, g.mask_logits.data,
+                       g.mask_logits.requires_grad) for g in self.groups]
 
 
 def gate(group: MaskedParameterGroup, beta: float, lam: float = 0.0,
          rng=None, st_variant: str = "identity") -> StepGate:
-    """This step's ``StepGate`` of a soft or stochastic group, recording no
-    tape node; a stochastic gate is ``sample_mask``'s draw from ``rng``.
-    ``penalty`` is an exact zero for lam = 0; see ``StepGate`` for what
-    lam > 0 asks of the caller."""
-    if group.mode not in (GATE_SOFT, GATE_STOCHASTIC):
-        raise ValueError(f"gate requires a soft or stochastic group, "
-                         f"group {group.name!r} is {group.mode!r}")
-    if lam < 0:
-        raise ValueError("penalty strength must be non-negative")
-    if group.mode == GATE_SOFT:
-        s, sig, k, gv = _soft(group, beta)
-        out, st_variant = gv, None
-    else:
-        if rng is None:
-            raise ValueError("stochastic gate requires an RNG")
-        if st_variant not in ST_VARIANTS:
-            raise ValueError(f"unknown straight-through variant {st_variant!r}")
-        s, k, beta = group.mask_logits, group.kept(), 1.0
-        sig = expit(s.data)  # one sigmoid for the draw, penalty and gradient
-        out = _draw(group, sig, rng)
-        gv = sig if k is None or lam == 0.0 else sig * k  # the penalized gate
-    step = StepGate(out, requires_grad=s.requires_grad, dtype=out.dtype)
-    step.group_name, step.logits, step.sig, step.kept = group.name, s, sig, k
-    step.beta, step.lam, step.st_variant = beta, float(lam), st_variant
-    step.spent = False
-    step.penalty = (np.asarray(np.add.reduce(gv, axis=None) * lam,
-                               dtype=gv.dtype) if lam > 0.0
-                    else np.zeros((), dtype=out.dtype))
-    return step
+    """This step's ``StepGate`` of a soft or stochastic group: the
+    one-group case of ``GateSet``; a stochastic gate is ``sample_mask``'s
+    draw from ``rng``."""
+    return GateSet([group])(beta, lam, rng, st_variant)[group.name]
 
 
 def soft_gate(group: MaskedParameterGroup, beta: float) -> Tensor:
@@ -309,7 +455,9 @@ def gate_penalty(group: MaskedParameterGroup, beta: float, lam: float) -> Tensor
     if lam == 0.0:
         dt = group.weights.dtype
         return Tensor(np.zeros((), dtype=dt), dtype=dt)
-    s, sig, k, gv = _soft(group, beta)
+    s, k = group.mask_logits, group.kept()
+    sig = expit(s.data, beta)
+    gv = sig if k is None else sig * k
     out = np.asarray(gv.sum() * lam, dtype=gv.dtype)
 
     def backward_fn(g):
@@ -348,16 +496,22 @@ def kept_fraction(masks: dict[str, np.ndarray]) -> float:
 def remaining_fraction(groups, beta: float = 1.0, gates=None,
                        stacked: bool = False):
     """Size-weighted remaining fraction across gated groups: gate values
-    at or above ``PRUNED_GATE_EPS`` count as kept. ``gates`` maps soft
-    groups' names to their ``gate`` at this beta, read instead of
-    computing the sigmoid again. The groups of a stacked model
-    (``models.stack_models``, ``stacked``) give a list, each slice's
-    fraction."""
+    at or above ``PRUNED_GATE_EPS`` count as kept. ``gates``, soft groups'
+    gates at this beta from one ``GateSet`` call over some of ``groups``,
+    are read instead of computing the sigmoid again, each of their batches
+    counted in one pass. The groups of a stacked model
+    (``models.stack_models``, ``stacked``), which have no such gates, give
+    a list, each slice's fraction."""
     gates = gates or {}
     total = 0
     kept = 0.0
+    read = {}  # each batch the gates come from: how many of its gates
     for g in groups:
-        vals = gates[g.name].data if g.name in gates else g.gate_values(beta)
+        if g.name in gates:
+            step = gates[g.name].step
+            read[step] = read.get(step, 0) + 1
+            continue
+        vals = g.gate_values(beta)
         hits = vals >= PRUNED_GATE_EPS
         if stacked:
             total += vals[0].size
@@ -365,6 +519,12 @@ def remaining_fraction(groups, beta: float = 1.0, gates=None,
         else:
             total += vals.size
             kept += float(hits.sum())
+    for step, n in read.items():
+        if n != len(step.batch.groups):
+            raise ValueError("gates must hold whole batches of the groups "
+                             "reported on")
+        total += step.values.size
+        kept += float(np.count_nonzero(step.values >= PRUNED_GATE_EPS))
     if total == 0:
         raise ValueError("no gated components to report on")
     return (kept / total).tolist() if stacked else kept / total

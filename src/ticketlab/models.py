@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masking import GATE_HARD, GATE_NONE, MaskedParameterGroup, gate
+from .masking import (GATE_HARD, GATE_NONE, GATE_SOFT, GATE_STOCHASTIC,
+                      GateSet, MaskedParameterGroup)
 from .seeding import STREAM_INIT, seeded_rng
 from .tensor import (ShapeError, Tensor, conv2d, default_dtype, linear,
                      max_pool2d, reshape)
@@ -127,22 +128,26 @@ class Model:
         ``conv2d`` for a conv layer, which a ``max_pool2d`` node may follow.
 
         A layer's gate is ``gates[name]`` when the caller gave one (the
-        step's ``masking.gate``, so that the caller can add its penalty);
-        otherwise a hard group reads its frozen mask, and a soft or
-        stochastic group gets ``masking.gate`` here, without a penalty (a
-        stochastic one drawn from ``rng``). An ungated group has none.
+        step's ``masking.GateSet`` call, so that the caller can add their
+        penalties); otherwise a hard group reads its frozen mask, and the
+        soft and stochastic groups get theirs here from one
+        ``masking.GateSet`` call, without a penalty (a stochastic one
+        drawn from ``rng``). An ungated group has none.
 
         A stacked model (``stack_models``) takes one batch ``x`` that
         every slice reads, or one batch per slice, (K, n, inputs), and gives
         each slice's logits, (K, n, classes)."""
         gates = gates or {}
+        missing = [g for g in self.groups if g.name not in gates
+                   and g.mode in (GATE_SOFT, GATE_STOCHASTIC)]
+        if missing:
+            gates = {**gates, **GateSet(missing)(beta, rng=rng,
+                                                 st_variant=st_variant)}
         h = x
         for layer, group, b in zip(self.layers, self.groups, self.biases):
             w, m = group.weights, gates.get(group.name)
             if m is None and group.mode == GATE_HARD:
                 m = Tensor(group.frozen_mask, dtype=w.dtype)
-            elif m is None and group.mode != GATE_NONE:
-                m = gate(group, beta, rng=rng, st_variant=st_variant)
             if layer.conv:
                 h = conv2d(h, w, 1, 1, b, m, relu=layer.relu)
                 if layer.pool:

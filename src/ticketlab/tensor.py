@@ -7,10 +7,11 @@ per-channel bias), 2x2 max-pooling, the pointwise family (add, mul, relu,
 sigmoid, scale), bias addition, reshape, sum, and softmax cross-entropy.
 A weight layer is one tape node: ``linear`` and ``conv2d`` read the gate
 and the bias, and with ``relu=True`` apply the ReLU that follows the
-layer. A gate from ``masking.gate``, soft or stochastic, records no node
-of its own: the layer node hands it its gradient, and the gate turns
-that, with its L1 penalty's gradient, into the logits' gradient. The
-gate ops of learned sparsity live in ``masking``. There is no general
+layer. A gate from a ``masking.GateSet``, soft or stochastic, records no
+node of its own: the layer node hands it its gradient, and the gates
+formed together turn theirs, with their L1 penalties' gradients, into
+the logits' gradients. The gate ops of learned sparsity live in
+``masking``. There is no general
 broadcasting; pointwise ops accept equal shapes or a scalar operand.
 
 The one leading axis an op knows is a ticket axis K, and only two ops
@@ -471,7 +472,7 @@ def tensor_sum(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g, a.shape))
+            _hand(a, np.full(a.shape, g, dtype=a.dtype))
 
     return apply_op("sum", (a,), out, backward_fn)
 

@@ -9,6 +9,11 @@ point, learning-rate milestones). A non-finite loss, or a non-finite gradient
 about to be applied, aborts the run with a diagnostic record: the optimizer
 checks every gradient it is about to apply (``NonFiniteError``) before it
 updates any parameter, and ``train`` turns that error into the record.
+
+Each step forms its gates with one call of a ``masking.GateSet``. A
+recorded epoch forms the soft gates once more, with one call that the
+remaining fraction and both evaluations share, and evaluates the train
+split for its accuracy alone: a train row's loss is the epoch's ledger.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset
-from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC, gate,
+from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC, GateSet,
                       remaining_fraction)
 from .persist import RunRecord
 from .seeding import STREAM_EVAL
@@ -66,12 +71,14 @@ class RunInfo:
 
 
 def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
-             st_variant: str = "identity", gates: dict | None = None):
+             st_variant: str = "identity", gates: dict | None = None,
+             with_loss: bool = True):
     """Mean loss and accuracy over a dataset, without recording on the
-    tape. ``gates`` are soft groups' gates at ``beta``, as ``Model.forward``
+    tape; with ``with_loss`` False, the accuracy alone, computing no loss.
+    ``gates`` are soft groups' gates at ``beta``, as ``Model.forward``
     takes them; every batch reads them instead of computing its own.
 
-    A stacked model (``models.stack_models``) gives two lists instead, each
+    A stacked model (``models.stack_models``) gives lists instead, each
     ticket's loss and accuracy, each equal to what that ticket's own model
     gives. An empty dataset raises ``ValueError``."""
     n = len(dataset)
@@ -87,13 +94,14 @@ def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
             y = dataset.labels[lo:hi]
             logits = model.forward(x, beta=beta, rng=rng, st_variant=st_variant,
                                    gates=gates)
-            loss = softmax_cross_entropy(logits, y)
-            loss_sum = loss_sum + loss.data.astype(np.float64) * (hi - lo)
+            if with_loss:
+                loss = softmax_cross_entropy(logits, y)
+                loss_sum = loss_sum + loss.data.astype(np.float64) * (hi - lo)
             correct = correct + (logits.data.argmax(axis=-1) == y).sum(axis=-1)
-    loss, acc = loss_sum / n, correct / n
-    if logits.ndim == 3:
-        return loss.tolist(), acc.tolist()
-    return float(loss), float(acc)
+    acc = (correct / n).tolist()  # a float, or a stack's list
+    if not with_loss:
+        return acc
+    return (loss_sum / n).tolist(), acc
 
 
 def epoch_iters(n: int, batch_size: int) -> int:
@@ -161,7 +169,9 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     cursor = cursor if cursor is not None else TrainCursor()
     maskable = [g for g in getattr(model, "groups", []) if g.maskable]
     gated = [g for g in maskable if g.mode in (GATE_SOFT, GATE_STOCHASTIC)]
-    soft = [g for g in gated if g.mode == GATE_SOFT]
+    # each works out its groups' layout once for every step it forms
+    step_gates = GateSet(gated)
+    soft_gates = GateSet(g for g in gated if g.mode == GATE_SOFT)
     epoch_loss = np.zeros(k)  # each slice's summed loss, in float64
     epoch_steps = 0
 
@@ -213,15 +223,14 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
             # each gated group's gate (drawn in group order when stochastic)
             # is owned by its layer node, which also takes the gradient of
             # the gate's penalty; the penalty values join the loss off the
-            # tape
-            gates = {g.name: gate(g, beta, lam, mask_rng, st_variant)
-                     for g in gated}
+            # tape, in group order
+            gates = step_gates(beta, lam, mask_rng, st_variant)
             logits = model.forward(x, beta=beta, gates=gates)
             loss = softmax_cross_entropy(logits, y)
             losses = loss.data  # each slice's: a stack's (K,), a model's ()
             if lam > 0.0:
-                for g in gated:
-                    losses = losses + gates[g.name].penalty
+                for m in gates.values():
+                    losses = losses + m.penalty
             if stacked:  # each slice's loss seeded with 1
                 loss = tensor_sum(loss)
             if not math.isfinite(np.add.reduce(losses, axis=None)):  # summed
@@ -240,10 +249,10 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                 cursor.epoch += 1
                 cursor.perm = None
                 if recording and cursor.epoch % record_every == 0:
-                    # each soft gate once, for the remaining fraction and
-                    # both evaluations; an ungated group keeps all of its
-                    # weights
-                    eval_gates = {g.name: gate(g, beta) for g in soft}
+                    # the soft gates in one batch, for the remaining
+                    # fraction and both evaluations; an ungated group keeps
+                    # all of its weights
+                    eval_gates = soft_gates(beta)
                     rem = (remaining_fraction(maskable, beta, eval_gates,
                                               stacked) if maskable
                            else [1.0] * k)
@@ -253,10 +262,10 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                     eval_rng = None if mask_rng is None else (
                         np.random.default_rng(np.random.SeedSequence(
                             (infos[0].seed, STREAM_EVAL, it))))
-                    _, train_acc = evaluate(model, data, beta=beta,
-                                            rng=eval_rng,
-                                            st_variant=st_variant,
-                                            gates=eval_gates)
+                    # the train row's loss is the epoch's ledger
+                    train_acc = evaluate(model, data, beta=beta, rng=eval_rng,
+                                         st_variant=st_variant,
+                                         gates=eval_gates, with_loss=False)
                     rows(cursor.epoch, it + 1, "train", beta,
                          epoch_loss / epoch_steps, train_acc, rem)
                     if test_data is not None:

@@ -221,13 +221,14 @@ class TestTrainLoop:
         import ticketlab.training as TR
         from ticketlab.masking import GATE_SOFT
         steps, pending = [], []  # each step's loss and its gates' penalties
-        sce, make_gate = TR.softmax_cross_entropy, TR.gate
+        sce = TR.softmax_cross_entropy
 
-        def spy_gate(g, beta, lam=0.0, *args):
-            made = make_gate(g, beta, lam, *args)
-            if lam > 0.0:  # a training step's gate, not an evaluation's
-                pending.append(made.penalty.copy())
-            return made
+        class SpyGates(TR.GateSet):
+            def __call__(self, beta, lam=0.0, *args):
+                made = super().__call__(beta, lam, *args)
+                if lam > 0.0:  # a training step's gates, not an evaluation's
+                    pending.extend(m.penalty.copy() for m in made.values())
+                return made
 
         def spy_loss(logits, y):
             out = sce(logits, y)
@@ -236,7 +237,7 @@ class TestTrainLoop:
                 pending.clear()
             return out
 
-        monkeypatch.setattr(TR, "gate", spy_gate)
+        monkeypatch.setattr(TR, "GateSet", SpyGates)
         monkeypatch.setattr(TR, "softmax_cross_entropy", spy_loss)
         train_ds, _ = moons_pair
         set_default_dtype(precision)

@@ -7,13 +7,14 @@ from scipy.special import expit
 
 from ticketlab import tensor as T
 from ticketlab.masking import (GATE_HARD, GATE_MODES, GATE_SOFT,
-                               GATE_STOCHASTIC, MaskedParameterGroup,
-                               TemperatureSchedule, gate, gate_penalty,
-                               hard_mask, kept_fraction, remaining_fraction,
-                               reset_mask, soft_gate)
+                               GATE_STOCHASTIC, ST_VARIANTS, GateSet,
+                               MaskedParameterGroup, TemperatureSchedule, gate,
+                               gate_penalty, hard_mask, kept_fraction,
+                               remaining_fraction, reset_mask, soft_gate)
 from ticketlab.models import Layer, Model
 from ticketlab.optim import SGD
-from ticketlab.tensor import Tensor, backward, linear, reset_tape, tensor_sum
+from ticketlab.tensor import (GradientError, Tensor, backward, linear,
+                              reset_tape, tensor_sum)
 from ticketlab.training import (TrainCursor, capture_train_state,
                                 restore_train_state)
 
@@ -319,6 +320,161 @@ class TestStochasticGate:
         assert np.array_equal(g.weights.grad, gwe * m)
         assert g.mask_logits.grad.dtype == dtype
         assert np.array_equal(g.mask_logits.grad, grad_s)
+
+
+class TestGateSet:
+    """A ``GateSet`` forms a step's gates of several groups together;
+    ``gate`` is its one-group case."""
+
+    @staticmethod
+    def groups(shapes, mode, dtype, seed, arena):
+        """Gated groups of ``shapes`` drawn from ``seed``, some with a
+        sentinel and some whose logits do not train, their logits in one
+        optimizer arena or allocated separately; and one layer gradient
+        per group."""
+        rng = np.random.default_rng(seed)
+        groups, grads = [], []
+        for i, shape in enumerate(shapes):
+            w = Tensor(rng.standard_normal(shape).astype(dtype),
+                       requires_grad=True, dtype=dtype)
+            g = MaskedParameterGroup(f"g{i}", w)
+            g.init_gate(mode)
+            g.mask_logits.data[...] = 3.0 * rng.standard_normal(shape)
+            if rng.random() < 0.5:
+                g.prune_forever(rng.random(shape) < 0.3)
+            g.mask_logits.requires_grad = bool(rng.random() < 0.8)
+            groups.append(g)
+            grads.append(rng.standard_normal(shape).astype(dtype))
+        if arena:  # rebinds every logit array to a view of its arena
+            SGD([g.mask_logits for g in groups], lr=0.1)
+        return groups, grads
+
+    @settings(derandomize=True, database=None, max_examples=150,
+              deadline=None)
+    @given(shapes=st.lists(array_shapes(min_dims=1, max_dims=3, max_side=5),
+                           min_size=1, max_size=4),
+           mode=st.sampled_from([GATE_SOFT, GATE_STOCHASTIC]),
+           st_variant=st.sampled_from(ST_VARIANTS),
+           lam=st.sampled_from([0.0, 0.3]),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           beta=st.sampled_from([1.0, 7.5, 200.0]), arena=st.booleans(),
+           seed=st.integers(0, 2**16), order=st.randoms(use_true_random=False))
+    def test_batched_gates_are_bitwise_the_one_group_gates(
+            self, shapes, mode, st_variant, lam, dtype, beta, arena, seed,
+            order):
+        """Gate values, penalties, logit gradients and the second-gradient
+        error of one batch equal those of one ``gate`` call per group, in
+        group order, whatever order the layer gradients arrive in."""
+        made = []
+        for batched in (True, False):
+            groups, grads = self.groups(shapes, mode, dtype, seed, arena)
+            rng = np.random.default_rng(seed + 1)
+            gates = (GateSet(groups)(beta, lam, rng, st_variant)
+                     if batched else
+                     {g.name: gate(g, beta, lam, rng, st_variant)
+                      for g in groups})
+            assert list(gates) == [g.name for g in groups]
+            trained = [g for g in groups if g.mask_logits.requires_grad]
+            for i in order.sample(range(len(trained)), len(trained)):
+                gates[trained[i].name].accumulate_grad(grads[
+                    groups.index(trained[i])].copy())
+            for g in trained:
+                with pytest.raises(GradientError, match=repr(g.name)):
+                    gates[g.name].accumulate_grad(grads[0])
+            made.append([(gates[g.name].data, gates[g.name].penalty,
+                          g.mask_logits.grad) for g in groups])
+        for got, want in zip(*made):
+            for a, b in zip(got, want):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=50,
+              deadline=None)
+    @given(shapes=st.lists(array_shapes(min_dims=0, max_dims=3, max_side=5),
+                           min_size=1, max_size=4),
+           seed=st.integers(0, 2**16))
+    def test_one_draw_is_the_per_group_draws_in_group_order(self, shapes,
+                                                            seed):
+        sizes = [int(np.prod(s)) for s in shapes]
+        one = np.random.default_rng(seed).random(sum(sizes))
+        rng = np.random.default_rng(seed)
+        each = [rng.random(s).reshape(-1) for s in shapes]
+        assert one.tobytes() == np.concatenate(each).tobytes()
+
+    def test_mixed_modes_and_dtypes_form_in_group_order(self):
+        rng = np.random.default_rng(3)
+        groups = []
+        for i, (mode, dt) in enumerate([
+                (GATE_SOFT, np.float64), (GATE_STOCHASTIC, np.float64),
+                (GATE_SOFT, np.float32), (GATE_STOCHASTIC, np.float64)]):
+            w = Tensor(np.ones((2, 3), dt), requires_grad=True, dtype=dt)
+            g = MaskedParameterGroup(f"g{i}", w)
+            g.init_gate(mode)
+            g.mask_logits.data[...] = rng.standard_normal((2, 3))
+            groups.append(g)
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        gates = GateSet(groups)(4.0, 0.1, a)
+        assert list(gates) == ["g0", "g1", "g2", "g3"]
+        for g in groups:
+            one = gate(g, 4.0, 0.1, b)
+            assert gates[g.name].dtype == one.dtype == g.weights.dtype
+            assert gates[g.name].data.tobytes() == one.data.tobytes()
+            assert gates[g.name].penalty.tobytes() == one.penalty.tobytes()
+
+    def test_rejects_what_gate_rejects(self):
+        soft = make_group(np.ones(3))
+        hard = make_group(np.ones(3), mode=GATE_HARD)
+        stochastic = make_group(np.ones(3), mode=GATE_STOCHASTIC)
+        with pytest.raises(ValueError, match="soft or stochastic"):
+            GateSet([soft, hard])(1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            GateSet([soft])(1.0, -1.0)
+        with pytest.raises(ValueError, match="requires an RNG"):
+            GateSet([soft, stochastic])(1.0)
+        with pytest.raises(ValueError, match="straight-through"):
+            GateSet([stochastic])(1.0, rng=np.random.default_rng(0),
+                                  st_variant="bogus")
+        assert GateSet([])(1.0) == {}
+
+    def test_remaining_fraction_counts_whole_batches(self):
+        a = make_group(np.ones(10), logits=np.full(10, 5.0))
+        b = make_group(np.ones(30), logits=np.full(30, -5.0))
+        a.name, b.name = "a", "b"
+        gates = GateSet([a, b])(50.0)
+        assert remaining_fraction([a, b], 50.0, gates) == 0.25
+        with pytest.raises(ValueError, match="whole batches"):
+            remaining_fraction([a], 50.0, gates)
+
+    @pytest.mark.parametrize("layout", ["in order", "reversed", "apart"])
+    def test_logits_in_one_arena_are_read_in_place(self, layout):
+        """Logits that lie in order in one optimizer arena are read where
+        they lie, and the set sees when that changes; logits that do not
+        are copied. Each way, the gates are the one-group gates."""
+        groups, _ = self.groups([(2, 3), (3, 4), (4,)], GATE_SOFT,
+                                np.float64, 4, arena=False)
+        logits = [g.mask_logits for g in groups]
+        if layout != "apart":
+            opt = SGD(logits if layout == "in order" else logits[::-1],
+                      lr=0.1)
+        gate_set = GateSet(groups)
+        for _ in range(2):  # the second call reuses the layout
+            gates = gate_set(3.0, 0.1)
+            [batch] = gate_set._batches
+            assert (batch.arena is not None
+                    and batch.arena.base is opt._data) == (
+                        layout == "in order")
+            for g in groups:
+                one = gate(g, 3.0, 0.1)
+                assert gates[g.name].data.tobytes() == one.data.tobytes()
+                assert gates[g.name].penalty == one.penalty
+        # logits that move are read where they are now
+        groups[1].mask_logits.data = groups[1].mask_logits.data * 2.0
+        gates = gate_set(3.0, 0.1)
+        assert gate_set._batches[0].arena is None
+        moved = gate(groups[1], 3.0)
+        assert gates["g1"].data.tobytes() == moved.data.tobytes()
 
 
 class TestResetMask:

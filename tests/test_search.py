@@ -323,7 +323,7 @@ class TestTapeShape:
         run(model, gen_two_moons(64, 0.1, seed=3), cfg, seed=1)
         return nodes, sigmoids[0]
 
-    def test_cs_step_records_4_nodes_and_one_sigmoid_per_group(
+    def test_cs_step_records_4_nodes_and_one_sigmoid_per_step(
             self, monkeypatch):
         cfg = quick_cfg(rounds=1, iters_per_round=2, rewind_iter=0, lam=1e-8)
         nodes, sigmoids = self._steps(monkeypatch, run_cs, cfg)
@@ -331,7 +331,7 @@ class TestTapeShape:
         # 15 with a gate, penalty and add node per group and a relu node
         # per hidden layer
         assert nodes == [4, 4]
-        assert sigmoids == 2 * 3  # one per soft group per step
+        assert sigmoids == 2  # one over all soft groups per step
 
     def test_imp_step_records_4_nodes(self, monkeypatch):
         cfg = quick_cfg(rounds=1, iters_per_round=2, rewind_iter=0,
@@ -340,7 +340,7 @@ class TestTapeShape:
         assert nodes == [4, 4]  # 12 with a mul, matmul and bias per layer
         assert sigmoids == 0
 
-    def test_iss_step_records_4_nodes_and_one_sigmoid_per_group(
+    def test_iss_step_records_4_nodes_and_one_sigmoid_per_step(
             self, monkeypatch):
         for st_variant in ("identity", "sigmoid"):
             cfg = quick_cfg(rounds=1, iters_per_round=2, rewind_iter=0,
@@ -348,9 +348,10 @@ class TestTapeShape:
             nodes, sigmoids = self._steps(monkeypatch, run_iss, cfg)
             # 13 with a gate node, a penalty node and an add per group
             assert nodes == [4, 4], st_variant
-            # one per stochastic group per step (2 with the penalty on, 3
-            # with the sigmoid straight-through), and the ticket's draw
-            assert sigmoids == 2 * 3 + 3, st_variant
+            # one over all stochastic groups per step (2 with the penalty
+            # on, 3 with the sigmoid straight-through), and one per group
+            # for the ticket's draw
+            assert sigmoids == 2 + 3, st_variant
 
     @staticmethod
     def _step_ops(monkeypatch, run, cfg, kind="conv6-scaled"):
@@ -527,6 +528,101 @@ def _run_digest(tickets) -> str:
                        t.rewind.rewind_iter)).encode())
     h.update(repr(tickets[-1].records).encode())
     return h.hexdigest()
+
+
+def _one_group_at_a_time(monkeypatch):
+    """Have ``train`` and ``Model.forward`` form every gate alone: one
+    ``masking.gate`` call, a batch of one, per group."""
+    import ticketlab.models as MD
+
+    class OneByOne:
+        def __init__(self, groups):
+            self.groups = list(groups)
+
+        def __call__(self, *args, **kwargs):
+            return {g.name: M.gate(g, *args, **kwargs) for g in self.groups}
+
+    monkeypatch.setattr(TR, "GateSet", OneByOne)
+    monkeypatch.setattr(MD, "GateSet", OneByOne)
+
+
+class TestBatchedGates:
+    """Every gated search gives bitwise the same tickets, weights and
+    records whether each step's gates form together (``GateSet``) or one
+    group at a time: the batch changes how many NumPy calls a step
+    makes, not what they compute."""
+
+    GATED = dict(lam=1e-3, mask_init=0.05, record_every=1)
+    # name: (search, round config fields beyond GATED, search arguments)
+    SEARCHES = {
+        "cs": (run_cs, {}, ()),
+        "cs-record-every-3": (run_cs, {"record_every": 3}, ()),
+        "cs-rewind": (run_cs, {"rewind_between_rounds": True}, ()),
+        "seqcs": (run_sequential_cs, {"prune_rate": 0.3}, ()),
+        "iss-identity": (run_iss, {"mask_init": 1.0}, ()),
+        "iss-sigmoid": (run_iss, {"mask_init": 1.0,
+                                  "st_variant": "sigmoid"}, ()),
+        "supermask-soft": (run_supermask, {"rounds": 1}, ("soft",)),
+        "supermask-stochastic": (run_supermask,
+                                 {"rounds": 1, "mask_init": 1.0},
+                                 ("stochastic",)),
+    }
+
+    def search(self, name, data, model=None) -> str:
+        fn, fields, args = self.SEARCHES[name]
+        out = fn(model or mlp(widths=(2, 16, 16, 2)), data,
+                 quick_cfg(**{**self.GATED, **fields}), *args, seed=1,
+                 test_data=data)
+        return _run_digest(out if isinstance(out, list) else [out])
+
+    @pytest.mark.parametrize("name", sorted(SEARCHES))
+    def test_search_is_bitwise_its_one_group_at_a_time_run(
+            self, name, moons, monkeypatch):
+        batched = self.search(name, moons)
+        _one_group_at_a_time(monkeypatch)
+        assert self.search(name, moons) == batched
+
+    def test_float32_cs_search(self, moons, monkeypatch):
+        set_default_dtype("float32")
+        try:
+            batched = self.search("cs", moons)
+            _one_group_at_a_time(monkeypatch)
+            assert self.search("cs", moons) == batched
+        finally:
+            set_default_dtype("float64")
+
+    def test_conv2_cs_search(self, monkeypatch):
+        from ticketlab.data import Dataset
+        from ticketlab.models import build_small_conv
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.random((32, 1, 8, 8)), rng.integers(0, 2, 32))
+
+        def search():
+            return self.search("cs", data, build_small_conv(
+                "conv2", seed=1, in_shape=(1, 8, 8)))
+
+        batched = search()
+        _one_group_at_a_time(monkeypatch)
+        assert search() == batched
+
+    def test_freeze_mask_and_finetune(self, moons, monkeypatch):
+        def search() -> str:
+            model, masks, records = freeze_mask_and_finetune(
+                mlp(widths=(2, 16, 16, 2)), moons,
+                quick_cfg(**self.GATED, rounds=1), freeze_at=24,
+                finetune_iters=16, finetune_lr=0.05, seed=1,
+                test_data=moons)
+            h = hashlib.sha256()
+            for arrays in (masks, model.weight_arrays()):
+                for k in sorted(arrays):
+                    h.update(f"{k}:{arrays[k].dtype.str}".encode())
+                    h.update(arrays[k].tobytes())
+            h.update(repr(records).encode())
+            return h.hexdigest()
+
+        batched = search()
+        _one_group_at_a_time(monkeypatch)
+        assert search() == batched
 
 
 class TestStackedIMP:
