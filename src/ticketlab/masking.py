@@ -30,8 +30,10 @@ for a soft group (k: the components not permanently removed), a
 Bernoulli(sigmoid(s)) draw for a stochastic one. Consecutive groups of one
 mode form their gates together: one sigmoid over their logits, read in
 place when an optimizer keeps them in one arena, each gate a view of the
-result, and one logit-gradient pass once every gate has its layer
-gradient. ``gate`` is its one-group case. The arena ops are elementwise,
+result, the layer gradients written into one buffer, and one
+logit-gradient pass once every gate has its layer gradient, written into
+the optimizer's gradient arena when it keeps the logits' gradients there
+in order. ``gate`` is its one-group case. The arena ops are elementwise,
 so a batch gives bitwise what one group at a time gives.
 
 A gate carries its L1 penalty's value in ``penalty``, summed per group,
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import GradientError, Tensor, _hand, apply_op, expit, mul
+from .tensor import GradientError, Tensor, _dest, apply_op, expit, mul
 
 GATE_NONE = "none"
 GATE_SOFT = "soft-deterministic"
@@ -196,10 +198,11 @@ def _draw(sig: np.ndarray, kept, rng, dtype) -> np.ndarray:
     return m
 
 
-def _logit_grad(g, sig, beta: float, k):
+def _logit_grad(g, sig, beta: float, k, out=None):
     """Gradient on s of a gate whose output gradient is ``g``:
-    g · beta · sig · (1 - sig) · k, formed in one buffer."""
-    gs = 1.0 - sig
+    g · beta · sig · (1 - sig) · k, formed in one buffer, ``out`` when
+    given."""
+    gs = np.subtract(1.0, sig, out=out)
     gs *= sig
     gs *= beta
     gs *= g
@@ -213,17 +216,40 @@ def _address(a: np.ndarray) -> int:
     return a.__array_interface__["data"][0]
 
 
+def _consecutive(arrays: list, bounds: list) -> np.ndarray | None:
+    """``arrays`` as one 1-d view of the array that they lie in
+    consecutively and in order, C-ordered, at ``bounds`` (as an optimizer
+    keeps its parameters and their gradients, ``optim.Optimizer``), or
+    None when they do not."""
+    first, base = arrays[0], arrays[0].base
+    if len(arrays) == 1:
+        return first.reshape(-1) if first.flags.c_contiguous else None
+    if (base is None or base.ndim != 1 or not base.flags.c_contiguous
+            or not all(a.base is base and a.dtype == base.dtype
+                       and a.flags.c_contiguous for a in arrays)):
+        return None
+    start = _address(first)
+    if any(_address(a) != start + lo * base.itemsize
+           for a, (lo, _) in zip(arrays, bounds)):
+        return None
+    lo = (start - _address(base)) // base.itemsize
+    return base[lo:lo + bounds[-1][1]]
+
+
 class _Batch:
     """Consecutive groups of a ``GateSet`` that share a mode and dtypes
     (``key``), whose gates form together, and their layout: the logits,
-    each one's ``bounds`` in the batch's 1-d arenas, a zero gradient
-    standing in for each group whose logits do not train, and ``arena``,
-    the logits as one view of the array that they lie in consecutively (as
-    an optimizer keeps its parameters, ``optim.Optimizer``), or None when
-    they do not and each step copies them into one array."""
+    each one's ``bounds`` in the batch's 1-d arenas, the ``idle`` bounds of
+    logits that do not train (their layer gradient stands at zero),
+    ``kept``, the kept masks k as one array (None when no group has a
+    sentinel), ``arena``, the logits as one view of the array that they
+    lie in consecutively (an optimizer's parameter arena), or None when
+    they do not and each step copies them into one array, and
+    ``grad_arena``, likewise the logits' gradient destinations when every
+    logit trains and has one, or None."""
 
-    __slots__ = ("key", "groups", "logits", "arrays", "bounds", "zeros",
-                 "pending", "arena")
+    __slots__ = ("key", "groups", "logits", "arrays", "bounds", "idle",
+                 "pending", "kept", "arena", "dests", "grad_arena")
 
     def __init__(self, key: tuple, groups: list):
         self.key, self.groups = key, groups
@@ -233,37 +259,32 @@ class _Batch:
         for a in self.arrays:
             self.bounds.append((n, n + a.size))
             n += a.size
-        self.zeros = [None if s.requires_grad else np.zeros(a.size, a.dtype)
-                      for s, a in zip(self.logits, self.arrays)]
-        self.pending = sum(z is None for z in self.zeros)
-        first, base = self.arrays[0], self.arrays[0].base
-        self.arena = None
-        if len(self.arrays) == 1:
-            if first.flags.c_contiguous:  # a view, not a copy
-                self.arena = first.reshape(-1)
-        elif (base is not None and base.ndim == 1 and base.flags.c_contiguous
-              and all(a.base is base and a.dtype == base.dtype
-                      and a.flags.c_contiguous for a in self.arrays)):
-            start = _address(first)
-            if all(_address(a) == start + lo * base.itemsize
-                   for a, (lo, _) in zip(self.arrays, self.bounds)):
-                lo = (start - _address(base)) // base.itemsize
-                self.arena = base[lo:lo + n]
+        self.idle = [b for s, b in zip(self.logits, self.bounds)
+                     if not s.requires_grad]
+        self.pending = len(self.logits) - len(self.idle)
+        self.kept = None
+        for g, (lo, hi) in zip(self.groups, self.bounds):
+            if g.pruned_forever is not None:
+                if self.kept is None:
+                    self.kept = np.ones(n, dtype=key[2])
+                self.kept[lo:hi][g.pruned_forever.reshape(-1)] = 0.0
+        self.arena = _consecutive(self.arrays, self.bounds)
+        self.dests = [s.grad_dest for s in self.logits]
+        self.grad_arena = (
+            None if self.idle or any(d is None for d in self.dests)
+            else _consecutive(self.dests, self.bounds))
 
     def form(self, beta: float, lam: float, rng, st_variant: str,
              out: dict) -> None:
         """Add this step's gates of the batch's groups to ``out``."""
         soft = self.key[0] == GATE_SOFT
-        dtype = self.key[2]  # the weights' dtype: a draw's and k's
-        k = None
-        for g, (lo, hi) in zip(self.groups, self.bounds):
-            if g.pruned_forever is not None:
-                if k is None:
-                    k = np.ones(self.bounds[-1][1], dtype=dtype)
-                k[lo:hi][g.pruned_forever.reshape(-1)] = 0.0
+        dtype = self.key[2]  # the weights' dtype: a draw's, k's, grad's
+        k = self.kept
         step = _Step()
-        step.batch, step.grads = self, list(self.zeros)
-        step.pending = self.pending
+        step.batch, step.pending = self, self.pending
+        step.grad = grad = np.empty(self.bounds[-1][1], dtype)
+        for lo, hi in self.idle:
+            grad[lo:hi] = 0.0
         step.beta, step.lam, step.kept = (beta if soft else 1.0), lam, k
         step.st_variant = None if soft else st_variant
         step.sig = sig = expit(np.concatenate(self.arrays, axis=None)
@@ -279,7 +300,9 @@ class _Batch:
             m = StepGate.__new__(StepGate)
             m.data = values[lo:hi].reshape(a.shape)
             m.grad, m.requires_grad = None, s.requires_grad
-            m.group_name, m.step, m.index, m.spent = g.name, step, i, False
+            m.grad_dest = (grad[lo:hi].reshape(a.shape) if s.requires_grad
+                           else None)
+            m.group_name, m.step, m.index = g.name, step, i
             if lam > 0.0:
                 pv = (m.data if penalized is values
                       else penalized[lo:hi].reshape(a.shape))
@@ -292,45 +315,65 @@ class _Batch:
 
 class _Step:
     """One step's gates of a ``_Batch`` (``batch``): the arenas ``sig`` =
-    sigmoid(beta * s), ``kept`` (the kept masks k, None when no group has
-    a sentinel) and ``values`` (the gates), and the layer gradients the
-    gates have received. When the last gate whose logits train has its
-    gradient, one pass over the arenas forms every group's logit gradient,
-    and each group's view of it becomes that group's gradient without a
-    copy (``tensor._hand``)."""
+    sigmoid(beta * s), ``kept`` (the batch's kept masks k) and ``values``
+    (the gates), and ``grad``, the buffer each gate's layer gradient is
+    written into, at the gate's bounds (``StepGate.grad_dest``). When the
+    last gate whose logits train has its gradient, one pass over the
+    arenas forms every group's logit gradient, into the logits' gradient
+    arena (``_Batch.grad_arena``) when they have one and no gradient yet,
+    and each group's part of it becomes that group's gradient as it is
+    (``Tensor.take_grad``)."""
 
     __slots__ = ("batch", "sig", "kept", "values", "beta", "lam",
-                 "st_variant", "grads", "pending")
+                 "st_variant", "grad", "pending")
 
-    def receive(self, i: int, g: np.ndarray) -> None:
-        """Take gate ``i``'s layer gradient ``g``; hand the logits their
-        gradients once no gate is left waiting."""
-        self.grads[i] = g
+    def receive(self, i: int, g: np.ndarray, dest: np.ndarray) -> None:
+        """Take gate ``i``'s layer gradient ``g``, which is ``dest``, the
+        gate's view of ``grad``, when the layer wrote it there; hand the
+        logits their gradients once no gate is left waiting."""
+        buf = self.grad
+        if g is not dest or dest.base is not buf:  # formed elsewhere
+            wide = np.result_type(buf, g)
+            if wide != buf.dtype:  # a float32 model fed float64 inputs
+                self.grad = buf = buf.astype(wide)  # exact
+            lo, hi = self.batch.bounds[i]
+            buf[lo:hi].reshape(dest.shape)[...] = g
         self.pending -= 1
         if self.pending:
             return
-        sig, k, lam = self.sig, self.kept, self.lam
-        g = np.concatenate(self.grads, axis=None)
-        self.grads = None
+        b, g, sig, k, lam = self.batch, buf, self.sig, self.kept, self.lam
+        self.grad = None
+        out = b.grad_arena
+        if out is not None and any(s.grad is not None for s in b.logits):
+            out = None  # a second gradient: added to the first
         if self.st_variant is None:  # soft: the penalty's gradient joins g
             if lam > 0.0:
                 g += lam
-            self._hand(_logit_grad(g, sig, self.beta, k))
+            self._give(_logit_grad(g, sig, self.beta, k, out))
             return
         if lam > 0.0:  # stochastic: the penalty's gradient comes first
-            self._hand(_logit_grad(lam, sig, self.beta, k))
+            self._give(_logit_grad(lam, sig, self.beta, k, out))
         if self.st_variant == "sigmoid":
             g *= sig
             g *= 1.0 - sig
         if k is not None:
             g *= k
-        self._hand(g)
+        if lam == 0.0 and out is not None:  # the logits' first gradient
+            out[...] = g
+            g = out
+        self._give(g)
 
-    def _hand(self, grad: np.ndarray) -> None:
+    def _give(self, grad: np.ndarray) -> None:
+        """Hand each training logit its part of ``grad``: its gradient
+        destination itself when ``grad`` is their arena."""
         b = self.batch
+        if grad is b.grad_arena:
+            for s, d in zip(b.logits, b.dests):
+                s.take_grad(d)
+            return
         for s, a, (lo, hi) in zip(b.logits, b.arrays, b.bounds):
             if s.requires_grad:
-                _hand(s, grad[lo:hi].reshape(a.shape))
+                s.take_grad(grad[lo:hi].reshape(a.shape))
 
 
 class StepGate(Tensor):
@@ -344,8 +387,10 @@ class StepGate(Tensor):
     gate. A second gradient raises ``GradientError`` naming the group.
 
     The gate is a view of what its ``GateSet`` formed for the step
-    together with the gates of its batch (``step``); the logits get their
-    gradient when every gate of the batch whose logits train has its own.
+    together with the gates of its batch (``step``), and its gradient
+    destination a view of the step's layer-gradient buffer, until it has
+    its gradient; the logits get theirs when every gate of the batch whose
+    logits train has its own.
 
     With lam > 0 the logit gradient is that of loss + penalty only if the
     caller adds ``penalty`` to the objective it differentiates, seeds the
@@ -353,15 +398,18 @@ class StepGate(Tensor):
     path; otherwise the penalty's gradient is wrong or lost. Callers
     outside ``train`` should pass lam = 0 and use ``gate_penalty``."""
 
-    __slots__ = ("group_name", "step", "index", "penalty", "spent")
+    __slots__ = ("group_name", "step", "index", "penalty")
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.spent:
+    def take_grad(self, g: np.ndarray) -> None:
+        d = self.grad_dest
+        if d is None:
             raise GradientError(
                 f"the step gate of group {self.group_name!r} received a second "
                 f"gradient; a step gate feeds exactly one node")
-        self.spent = True
-        self.step.receive(self.index, g)
+        self.grad_dest = None
+        self.step.receive(self.index, g, d)
+
+    accumulate_grad = take_grad
 
 
 class GateSet:
@@ -377,13 +425,16 @@ class GateSet:
     zero for lam = 0; see ``StepGate`` for what lam > 0 asks of the
     caller.
 
-    The batches and their layout are worked out on the first call, and
-    again when a group's mode or logits have changed since, so a training
-    loop that calls one ``GateSet`` every step works them out once."""
+    The batches and their layout, kept masks included, are worked out on
+    the first call, and again when a group's mode, logits or sentinel
+    array (``prune_forever`` makes a new one) have changed since, so a
+    training loop that calls one ``GateSet`` every step works them out
+    once."""
 
     def __init__(self, groups):
         self.groups = list(groups)
-        self._held = None  # each group's (mode, logits, array, trains)
+        # each group's (mode, logits, array, trains, sentinel)
+        self._held = None
         self._batches, self._draws = [], False
 
     def __call__(self, beta: float, lam: float = 0.0, rng=None,
@@ -391,8 +442,8 @@ class GateSet:
         held = self._held
         if held is None or any(
                 g.mode != mode or g.mask_logits is not s or s.data is not a
-                or s.requires_grad != trains
-                for g, (mode, s, a, trains) in zip(self.groups, held)):
+                or s.requires_grad != trains or g.pruned_forever is not p
+                for g, (mode, s, a, trains, p) in zip(self.groups, held)):
             self._settle()
         if lam < 0:
             raise ValueError("penalty strength must be non-negative")
@@ -421,7 +472,8 @@ class GateSet:
         self._batches = [_Batch(key, groups) for key, groups in runs]
         self._draws = any(key[0] == GATE_STOCHASTIC for key, _ in runs)
         self._held = [(g.mode, g.mask_logits, g.mask_logits.data,
-                       g.mask_logits.requires_grad) for g in self.groups]
+                       g.mask_logits.requires_grad, g.pruned_forever)
+                      for g in self.groups]
 
 
 def gate(group: MaskedParameterGroup, beta: float, lam: float = 0.0,
@@ -462,7 +514,8 @@ def gate_penalty(group: MaskedParameterGroup, beta: float, lam: float) -> Tensor
 
     def backward_fn(g):
         if s.requires_grad:
-            _hand(s, _logit_grad(g * lam, sig, beta, k))
+            s.take_grad(_logit_grad(g * lam, sig, beta, k,
+                                    _dest(s, sig.dtype)))
 
     return apply_op("gate_penalty", (s,), out, backward_fn)
 

@@ -9,11 +9,14 @@ Each optimizer keeps its parameters, their gradients and its slots in flat
 arenas: one contiguous 1-d array each, in parameter order. On construction
 it copies its parameters into the parameter arena and rebinds every
 ``p.data`` to a reshaped view of it, so the model reads and the optimizer
-writes the same memory. A step gathers the gradients into the gradient
-arena with one ``concatenate``, checks them with one ``isfinite`` and runs
-the update once over the whole arena, writing its intermediate products into
-scratch arenas built with the optimizer; every element goes through the
-same IEEE operations in the same order as a per-parameter update would.
+writes the same memory; likewise every ``p.grad_dest`` is set to a view of
+the gradient arena, so the ops write each parameter's gradient where the
+optimizer reads it (``tensor._dest``). A step checks that every gradient is
+there (one bound elsewhere, say by hand, is copied in), checks them with
+one ``isfinite`` and runs the update once over the whole arena, writing its
+intermediate products into scratch arenas built with the optimizer; every
+element goes through the same IEEE operations in the same order as a
+per-parameter update would.
 """
 from __future__ import annotations
 
@@ -111,6 +114,9 @@ class Optimizer:
             view[...] = p.data
             p.data = view
         self._grad = np.empty_like(self._data)
+        self._grads = self._views(self._grad)
+        for p, view in zip(self.params, self._grads):
+            p.grad_dest = view
 
     def _views(self, arena: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of an arena laid out like the parameters."""
@@ -122,20 +128,19 @@ class Optimizer:
         return views
 
     def _gather(self) -> None:
-        """Copy every gradient into the gradient arena and check it, without
-        updating anything: a missing gradient, or a parameter whose data is
-        no longer its arena view, raises ``GradientError``; a non-finite
-        gradient raises ``NonFiniteError``."""
-        grads = []
-        for p in self.params:
+        """Check every gradient in the gradient arena, without updating
+        anything: a missing gradient, or a parameter whose data is no
+        longer its arena view, raises ``GradientError``; a non-finite
+        gradient raises ``NonFiniteError``. A gradient that is not its
+        parameter's view of the arena (``grad_dest``) is copied there."""
+        for p, view in zip(self.params, self._grads):
             if p.grad is None:
                 raise GradientError("optimizer step with a missing gradient")
             if p.data.base is not self._data:
                 raise GradientError("optimizer step on a parameter whose "
                                     "data was rebound away from its arena")
-            grads.append(p.grad)
-        if grads:
-            np.concatenate(grads, axis=None, out=self._grad)
+            if p.grad is not view:
+                view[...] = p.grad
         if not np.isfinite(self._grad).all():
             raise NonFiniteError("non-finite gradient in optimizer step")
 

@@ -29,9 +29,13 @@ order. ``backward`` walks the tape in exact reverse order, accumulating
 gradients into every tensor that requires them, and then marks the tape
 as consumed: a second backward pass without ``reset_tape`` is an error.
 A tensor's first gradient becomes the buffer it owns, and later ones are
-added to it in place. An op hands over an array it built for that one input
-alone (``_hand``) when the array is C-ordered in the input's dtype and
-shape; every other first gradient is copied.
+added to it in place, in arrival order. A tensor that an optimizer trains
+has a gradient destination (``grad_dest``), a view of that optimizer's
+gradient arena: an op that forms the tensor's first gradient itself writes
+it there (``_dest``) and hands it over (``Tensor.take_grad``), and a first
+gradient an op passes on from elsewhere (``Tensor.accumulate_grad``) is
+copied there. A tensor without one gets a fresh array: one the op built for
+it alone is handed over by a plain binding, any other is copied.
 """
 from __future__ import annotations
 
@@ -137,35 +141,18 @@ class no_grad:
         return False
 
 
-class _HandedOver(np.ndarray):
-    """View type of a C-ordered gradient array, in its input's dtype and
-    shape, that an op built for that one input alone: ``accumulate_grad``
-    keeps it as the input's buffer instead of copying it. Only ``_hand``
-    makes one."""
-
-
-def _hand(t: "Tensor", g: np.ndarray) -> None:
-    """Accumulate ``g``, a fresh array an op built for ``t`` alone, into
-    ``t``'s gradient. When it is C-ordered and already has ``t``'s dtype
-    and shape it is handed over, and a first gradient becomes the buffer
-    without a copy; otherwise it goes as a plain array, which
-    ``accumulate_grad`` copies if it is the first."""
-    d = t.data
-    if g.flags.c_contiguous and g.dtype == d.dtype and g.shape == d.shape:
-        t.accumulate_grad(g.view(_HandedOver))
-    else:
-        t.accumulate_grad(g.view(np.ndarray))
-
-
 class Tensor:
     """N-dimensional array with an optional same-shape gradient accumulator."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "grad_dest")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or _state()["dtype"])
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        # where the first gradient of a step goes: set by the optimizer
+        # that trains this tensor, a view of its gradient arena
+        self.grad_dest: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple:
@@ -187,16 +174,29 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g``, shaped like this tensor, to its gradient. The first
-        ``g`` is copied into a C-ordered buffer of the tensor's dtype, since
-        ops hand the same array to several inputs or pass read-only
-        broadcast views; a ``_HandedOver`` view (``_hand``) is kept as it
-        is."""
+        """Add ``g``, shaped like this tensor, to its gradient. An op passes
+        ``g`` here when it may reach something else (it hands the same
+        array to several inputs, or passes a read-only broadcast view), so
+        the first ``g`` is copied, in the tensor's dtype, into the
+        gradient destination or else into a fresh C-ordered buffer."""
         if self.grad is None:
-            if type(g) is _HandedOver:
-                self.grad = g.view(np.ndarray)
-            else:
+            d = self.grad_dest
+            if d is None:
                 self.grad = np.array(g, dtype=self.data.dtype, order="C")
+            else:
+                d[...] = g
+                self.grad = d
+        else:
+            self.grad += g
+
+    def take_grad(self, g: np.ndarray) -> None:
+        """Add ``g``, a C-ordered array shaped like this tensor that an op
+        built for it alone (written into ``_dest`` when that gave one), to
+        its gradient: the first ``g`` becomes the gradient as it is, cast
+        to the tensor's dtype if it has another."""
+        if self.grad is None:
+            self.grad = (g if g.dtype == self.data.dtype
+                         else g.astype(self.data.dtype))
         else:
             self.grad += g
 
@@ -240,7 +240,7 @@ def apply_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     st = _state()
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.grad = None
+    out.grad = out.grad_dest = None
     if not st["no_grad"]:
         for t in inputs:
             if t.requires_grad:
@@ -273,6 +273,16 @@ def backward(loss: Tensor) -> None:
             continue  # not on the path from loss
         node.backward_fn(g)
     tp.consumed = True
+
+
+def _dest(t: Tensor, dtype) -> np.ndarray | None:
+    """Where an op writes ``t``'s gradient that it forms in ``dtype``:
+    ``t``'s gradient destination when the gradient is its first and of
+    its dtype, else None, for a fresh array (``out=None``)."""
+    d = t.grad_dest
+    if d is None or t.grad is not None or d.dtype != dtype:
+        return None
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -434,24 +444,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
     def backward_fn(g):
         if relu:
             g = g * (out > 0)
+        dt = g.dtype
         if x.requires_grad:
             gx = g @ we.swapaxes(-1, -2)
             if x.ndim < gx.ndim:  # an input the stack shares
                 for gk in gx:
                     x.accumulate_grad(gk)
             else:
-                _hand(x, gx)
+                x.take_grad(gx)
         gated = gate is not None and gate.requires_grad
         if w.requires_grad or gated:
-            gwe = x.data.swapaxes(-1, -2) @ g
+            gwe = np.matmul(x.data.swapaxes(-1, -2), g,
+                            out=_dest(w, dt) if w.requires_grad else None)
             if gated:
-                _hand(gate, gwe * w.data)
+                gate.take_grad(np.multiply(gwe, w.data, out=_dest(gate, dt)))
             if w.requires_grad:
                 if gate is not None:  # the gate's gradient is formed
                     gwe *= gate.data
-                _hand(w, gwe)
+                w.take_grad(gwe)
         if b.requires_grad:
-            _hand(b, np.add.reduce(g, axis=-2))
+            b.take_grad(np.add.reduce(g, axis=-2, out=_dest(b, dt)))
 
     return apply_op("linear", (x, w, b) if gate is None else (x, w, b, gate),
                     out, backward_fn)
@@ -472,7 +484,7 @@ def tensor_sum(a: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            _hand(a, np.full(a.shape, g, dtype=a.dtype))
+            a.take_grad(np.full(a.shape, g, dtype=a.dtype))
 
     return apply_op("sum", (a,), out, backward_fn)
 
@@ -595,13 +607,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
                 gk += cols @ g2[:, b * width:b * width + cols.shape[1]].T
             blocks.clear()
             gk = gk.T.reshape(kd.shape)
+            dt = gk.dtype
             if kernel.requires_grad:
-                _hand(kernel, gk if gate is None
-                      else np.multiply(gk, gate.data, order="C"))
+                if gate is None:  # transposed: copied
+                    kernel.accumulate_grad(gk)
+                else:
+                    kernel.take_grad(np.multiply(
+                        gk, gate.data, out=_dest(kernel, dt), order="C"))
             if gated:
-                _hand(gate, np.multiply(gk, kernel.data, order="C"))
+                gate.take_grad(np.multiply(gk, kernel.data,
+                                           out=_dest(gate, dt), order="C"))
         if bias is not None and bias.requires_grad:
-            _hand(bias, np.add.reduce(g, axis=(0, 2, 3)))
+            bias.take_grad(np.add.reduce(g, axis=(0, 2, 3),
+                                         out=_dest(bias, g.dtype)))
         if x.requires_grad:
             flat = n * hp * wp
             grid = np.zeros((cout, n, hp, wp), dtype=g.dtype)
@@ -656,7 +674,7 @@ def max_pool2d(x: Tensor) -> Tensor:
                 np.subtract(rest, kept, out=gx[at])
                 rest = kept
             np.add(rest, 0.0, out=gx[slots[-1]])  # -0.0 to 0.0
-            _hand(x, gx)
+            x.take_grad(gx)
 
     return apply_op("max_pool2d", (x,), out, backward_fn)
 
@@ -704,6 +722,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
             else:
                 for pk, gk in zip(p, g):
                     pk *= float(gk) / n
-            _hand(logits, p)
+            logits.take_grad(p)
 
     return apply_op("softmax_cross_entropy", (logits,), loss, backward_fn)

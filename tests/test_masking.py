@@ -10,7 +10,8 @@ from ticketlab.masking import (GATE_HARD, GATE_MODES, GATE_SOFT,
                                GATE_STOCHASTIC, ST_VARIANTS, GateSet,
                                MaskedParameterGroup, TemperatureSchedule, gate,
                                gate_penalty, hard_mask, kept_fraction,
-                               remaining_fraction, reset_mask, soft_gate)
+                               _logit_grad, remaining_fraction, reset_mask,
+                               soft_gate)
 from ticketlab.models import Layer, Model
 from ticketlab.optim import SGD
 from ticketlab.tensor import (GradientError, Tensor, backward, linear,
@@ -446,6 +447,84 @@ class TestGateSet:
         assert remaining_fraction([a, b], 50.0, gates) == 0.25
         with pytest.raises(ValueError, match="whole batches"):
             remaining_fraction([a], 50.0, gates)
+
+    @pytest.mark.parametrize("mode, st_variant, lam", [
+        (GATE_SOFT, "identity", 0.3), (GATE_STOCHASTIC, "sigmoid", 0.0)])
+    def test_a_wider_layer_gradient_is_not_rounded(self, mode, st_variant,
+                                                   lam):
+        """Float32 gates whose layer gradients arrive in float64 (a
+        float32 model fed float64 inputs) form the logit gradient from
+        the float64 gradients, not from their float32 roundings."""
+        rng = np.random.default_rng(4)
+        groups = []
+        for i, shape in enumerate([(3, 4), (5,)]):
+            w = Tensor(np.ones(shape, np.float32), requires_grad=True,
+                       dtype=np.float32)
+            g = MaskedParameterGroup(f"g{i}", w)
+            g.init_gate(mode)
+            g.mask_logits.data[...] = rng.standard_normal(shape)
+            groups.append(g)
+        SGD([g.mask_logits for g in groups])
+        grads = [rng.standard_normal(g.weights.shape) for g in groups]
+        gates = GateSet(groups)(3.0, lam, np.random.default_rng(1),
+                                st_variant)
+        for g, grad in zip(groups, grads):
+            gates[g.name].accumulate_grad(grad)
+        beta = 3.0 if mode == GATE_SOFT else 1.0
+        for g, grad in zip(groups, grads):
+            sig = T.expit(g.mask_logits.data, beta)
+            if mode == GATE_SOFT:
+                want = _logit_grad(grad + lam, sig, beta, None)
+                rounded = _logit_grad(grad.astype(np.float32) + lam, sig,
+                                        beta, None)
+            else:
+                want = (grad * sig * (1.0 - sig)).astype(np.float32)
+                rounded = grad.astype(np.float32) * sig * (1.0 - sig)
+            got = g.mask_logits.grad
+            assert got.dtype == np.float32 and got is g.mask_logits.grad_dest
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() != rounded.tobytes()
+
+    @pytest.mark.parametrize("mode", [GATE_SOFT, GATE_STOCHASTIC])
+    def test_kept_masks_are_built_once_per_layout(self, mode):
+        """A ``GateSet`` called every step builds its batch's kept mask k
+        once, and again only when a group's sentinel changes; its gates,
+        penalties and logit gradients are bitwise those of a fresh
+        ``GateSet`` per step, across a ``prune_forever`` between calls."""
+        made, kept = [], []
+        for reused in (True, False):
+            groups, grads = self.groups([(2, 3), (3, 4), (4,)], mode,
+                                        np.float64, 5, arena=True)
+            rng = np.random.default_rng(9)
+            gate_set = GateSet(groups)
+            steps = []
+            for step in range(4):
+                if step == 2:
+                    groups[1].prune_forever(
+                        np.random.default_rng(2).random((3, 4)) < 0.5)
+                one = gate_set if reused else GateSet(groups)
+                gates = one(3.0, 0.1, rng)
+                for g, grad in zip(groups, grads):
+                    if g.mask_logits.requires_grad:
+                        gates[g.name].accumulate_grad(grad.copy())
+                steps.append([(gates[g.name].data.copy(),
+                               gates[g.name].penalty,
+                               None if g.mask_logits.grad is None
+                               else g.mask_logits.grad.copy())
+                              for g in groups])
+                for g in groups:  # as an optimizer step leaves them
+                    g.mask_logits.grad = None
+                if reused:
+                    kept.append(one._batches[0].kept)
+            made.append(steps)
+        assert kept[0] is kept[1] and kept[2] is kept[3]
+        assert kept[2] is not None and kept[2] is not kept[1]
+        for got, want in zip(*made):
+            for a, b in zip(got, want):
+                for x, y in zip(a, b):
+                    assert (x is None) == (y is None)
+                    if x is not None:
+                        assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("layout", ["in order", "reversed", "apart"])
     def test_logits_in_one_arena_are_read_in_place(self, layout):

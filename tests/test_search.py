@@ -625,6 +625,98 @@ class TestBatchedGates:
         assert search() == batched
 
 
+class TestGradientsWhereOptimizersReadThem:
+    """Every search step writes each trained parameter's gradient into its
+    optimizer's gradient arena, at the parameter's own offset, so the step
+    gathers nothing: ``Optimizer._gather`` concatenates no array."""
+
+    GATED = dict(lam=1e-3, mask_init=0.05, rounds=2, iters_per_round=2,
+                 rewind_iter=0)
+    SEARCHES = {
+        "cs": (run_cs, {}, ()),
+        "seqcs": (run_sequential_cs, {"prune_rate": 0.3}, ()),
+        "iss": (run_iss, {"mask_init": 1.0}, ()),
+        "supermask-soft": (run_supermask, {"rounds": 1}, ("soft",)),
+        "supermask-stochastic": (run_supermask,
+                                 {"rounds": 1, "mask_init": 1.0},
+                                 ("stochastic",)),
+    }
+
+    @staticmethod
+    def watch(monkeypatch) -> list:
+        """Check every gradient as each optimizer step gathers them; the
+        returned list collects each checked optimizer's parameter count."""
+        from ticketlab.optim import Optimizer
+        gather, seen = Optimizer._gather, []
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the gradients were concatenated")
+
+        def checking(opt):
+            base = opt._grad.__array_interface__["data"][0]
+            lo = 0
+            for p in opt.params:
+                assert p.grad is not None and p.grad is p.grad_dest
+                assert p.grad.shape == p.data.shape
+                assert p.grad.__array_interface__["data"][0] == (
+                    base + lo * opt._grad.itemsize)
+                assert np.shares_memory(p.grad, opt._grad)
+                lo += p.data.size
+            with monkeypatch.context() as m:
+                m.setattr(np, "concatenate", forbidden)
+                gather(opt)
+            seen.append(len(opt.params))
+
+        monkeypatch.setattr(Optimizer, "_gather", checking)
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(SEARCHES))
+    def test_gated_search(self, name, moons, monkeypatch):
+        seen = self.watch(monkeypatch)
+        fn, fields, args = self.SEARCHES[name]
+        cfg = quick_cfg(**{**self.GATED, **fields})
+        fn(mlp(widths=(2, 16, 16, 2)), moons, cfg, *args, seed=1)
+        # at every step the weights and biases, unless frozen, then logits
+        step = [3] if name.startswith("supermask") else [6, 3]
+        assert seen == step * (cfg.rounds * cfg.iters_per_round)
+
+    @pytest.mark.parametrize("name", ["cs", "iss"])
+    def test_no_step_leaves_a_reference_cycle(self, name, moons):
+        """A step's gates, gate buffers and gradients are freed as soon as
+        nothing reads them: a cycle among them would keep every step's
+        arrays alive until the garbage collector runs."""
+        import gc
+        fn, fields, args = self.SEARCHES[name]
+        cfg = quick_cfg(**{**self.GATED, **fields, "record_every": 1})
+        gc.collect()
+        gc.disable()
+        try:
+            fn(mlp(widths=(2, 16, 16, 2)), moons, cfg, *args, seed=1,
+               test_data=moons)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_stacked_imp(self, moons, monkeypatch):
+        seen = self.watch(monkeypatch)
+        model = stack_models([mlp(seed=s, widths=(2, 16, 16, 2))
+                              for s in (1, 2, 3)])
+        cfgs = [quick_cfg(rounds=2, iters_per_round=2, rewind_iter=0,
+                          prune_rate=p) for p in (0.2, 0.3, 0.4)]
+        run_imp(model, moons, cfgs, seed=[1, 2, 3], run_id=["a", "b", "c"])
+        assert seen == [6] * 4
+
+    def test_conv2_cs(self, monkeypatch):
+        from ticketlab.data import Dataset
+        from ticketlab.models import build_small_conv
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.random((16, 1, 8, 8)), rng.integers(0, 2, 16))
+        seen = self.watch(monkeypatch)
+        run_cs(build_small_conv("conv2", seed=1, in_shape=(1, 8, 8)), data,
+               quick_cfg(**self.GATED, batch_size=8), seed=1)
+        assert len(seen) == 2 * 2 * 2 and all(seen)
+
+
 class TestStackedIMP:
     """A stack of IMP runs (``run_imp`` on ``stack_models``) is its runs:
     every slice's tickets and records equal the run's alone, bitwise."""

@@ -462,11 +462,14 @@ class TestGradientBuffers:
         assert w.grad.dtype == np.float32
 
 
-def _backward_through_model(kind, mode, k, lam, st_variant, prune, seed):
+def _backward_through_model(kind, mode, k, lam, st_variant, prune, seed,
+                            trained=False):
     """One backward pass through a model of ``kind`` (an MLP or
     conv6-scaled on 8x8 images) with gates of ``mode``, as ``train`` runs
-    it; a hard-masked or ungated MLP is a stack of ``k`` tickets. Returns
-    every tensor the pass reached and the model's trainable tensors."""
+    it; a hard-masked or ungated MLP is a stack of ``k`` tickets. With
+    ``trained``, optimizers hold the weights and the logits, so their
+    gradients go to the optimizers' arenas. Returns every tensor the pass
+    reached and the model's trainable tensors."""
     rng = np.random.default_rng(seed)
     if kind == "mlp":
         stacks = mode in (GATE_HARD, GATE_NONE)  # what stack_models takes
@@ -488,6 +491,9 @@ def _backward_through_model(kind, mode, k, lam, st_variant, prune, seed):
                 if prune:
                     g.prune_forever(rng.random(g.weights.shape) < 0.3)
     model = models[0] if len(models) == 1 else stack_models(models)
+    if trained:
+        CompositeOptimizer([SGD(model.weight_tensors()),
+                            SGD(model.mask_tensors())])
     gated = [g for g in model.groups if g.mode in (GATE_SOFT, GATE_STOCHASTIC)]
     gates = {g.name: gate(g, 2.0, lam, rng, st_variant) for g in gated}
     loss = softmax_cross_entropy(model.forward(Tensor(x), gates=gates),
@@ -504,8 +510,9 @@ def _backward_through_model(kind, mode, k, lam, st_variant, prune, seed):
 
 class TestGradientOwnership:
     """An op hands a gradient over only when it built that array for the one
-    input it goes to; every other first gradient is copied. So after
-    ``backward`` no gradient is a view that another tensor can reach."""
+    input it goes to, or wrote it into that input's gradient destination;
+    every other first gradient is copied. So after ``backward`` no
+    gradient is a view that another tensor can reach."""
 
     @settings(derandomize=True, database=None, max_examples=60,
               deadline=None)
@@ -514,14 +521,15 @@ class TestGradientOwnership:
                             GATE_STOCHASTIC]),
            st.integers(1, 3), st.sampled_from(["float64", "float32"]),
            st.sampled_from([0.0, 1e-3]), st.sampled_from(ST_VARIANTS),
-           st.booleans(), st.integers(0, 2**32 - 1))
+           st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
     def test_every_gradient_is_its_own_plain_c_ordered_buffer(
-            self, kind, mode, k, precision, lam, st_variant, prune, seed):
+            self, kind, mode, k, precision, lam, st_variant, prune, trained,
+            seed):
         reset_tape()
         T.set_default_dtype(precision)
         try:
             tensors, params = _backward_through_model(
-                kind, mode, k, lam, st_variant, prune, seed)
+                kind, mode, k, lam, st_variant, prune, seed, trained)
         finally:
             T.set_default_dtype("float64")
         assert all(p.grad is not None for p in params if p.requires_grad)
@@ -535,6 +543,9 @@ class TestGradientOwnership:
                 assert not np.shares_memory(t.grad, u.data)
                 if u is not t and u.grad is not None:
                     assert not np.shares_memory(t.grad, u.grad)
+        if trained:  # each where its optimizer reads it
+            assert all(p.grad is p.grad_dest for p in params
+                       if p.requires_grad)
 
     def test_stochastic_gate_copies_an_array_it_was_not_handed(self):
         g = MaskedParameterGroup("g", Tensor(np.ones((2, 3)),
@@ -548,17 +559,22 @@ class TestGradientOwnership:
 
     @pytest.mark.parametrize("run", [run_cs, run_imp], ids=["cs", "imp"])
     def test_mlp_step_copies_no_first_gradient(self, monkeypatch, run):
-        calls, copies = [0], []
-        accumulate = Tensor.accumulate_grad
+        """Every gradient of an MLP step is handed over (``take_grad``),
+        none passed on to be copied (``accumulate_grad``), and each first
+        one becomes the tensor's gradient as it is."""
+        calls, copies, passed = [0], [], []
+        take = Tensor.take_grad
 
         def counting(t, g):
             first = t.grad is None
-            accumulate(t, g)
+            take(t, g)
             calls[0] += 1
-            if first and not np.shares_memory(t.grad, g):
+            if first and t.grad is not g:
                 copies.append(t.shape)
 
-        monkeypatch.setattr(Tensor, "accumulate_grad", counting)
+        monkeypatch.setattr(Tensor, "take_grad", counting)
+        monkeypatch.setattr(Tensor, "accumulate_grad",
+                            lambda t, g: passed.append(t.shape))
         cfg = RoundConfig(rounds=1, iters_per_round=2, rewind_iter=0,
                           prune_rate=0.2, batch_size=32, record_every=0)
         run(build_mlp([2, 64, 64, 2], seed=1), gen_two_moons(64, 0.1, seed=3),
@@ -566,7 +582,28 @@ class TestGradientOwnership:
         # per step: the logits, two hidden activations, three weights and
         # three biases, and with soft gates three logit tensors
         assert calls[0] == 2 * (12 if run is run_cs else 9)
-        assert copies == []
+        assert copies == passed == []
+
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_second_gradients_add_in_arrival_order(self, trained):
+        """A weight that three layers read gets the three gradients summed
+        in the order the backward pass reaches them, the last layer's
+        first, whether or not an optimizer holds it."""
+        rng = np.random.default_rng(11)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        if trained:
+            SGD([w])
+        big = rng.standard_normal((4, 3)) * 1e16
+        xs = [big, -big, rng.standard_normal((4, 3))]  # the order shows
+        loss = None
+        for x in xs:
+            part = tensor_sum(linear(Tensor(x), w, Tensor(np.zeros(2))))
+            loss = part if loss is None else add(loss, part)
+        backward(loss)
+        g1, g2, g3 = (x.T @ np.ones((4, 2)) for x in xs)
+        assert w.grad.tobytes() == ((g3 + g2) + g1).tobytes()
+        assert w.grad.tobytes() != ((g1 + g2) + g3).tobytes()
+        assert (w.grad is w.grad_dest) == trained
 
 
 GRAD_CASES = {
