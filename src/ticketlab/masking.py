@@ -248,11 +248,12 @@ class _Batch:
     ``grad_arena``, likewise the logits' gradient destinations when every
     logit trains and has one, or None."""
 
-    __slots__ = ("key", "groups", "logits", "arrays", "bounds", "idle",
-                 "pending", "kept", "arena", "dests", "grad_arena")
+    __slots__ = ("key", "groups", "names", "logits", "arrays", "bounds",
+                 "idle", "pending", "kept", "arena", "dests", "grad_arena")
 
     def __init__(self, key: tuple, groups: list):
         self.key, self.groups = key, groups
+        self.names = [g.name for g in groups]
         self.logits = [g.mask_logits for g in self.groups]
         self.arrays = [s.data for s in self.logits]
         self.bounds, n = [], 0
@@ -274,78 +275,108 @@ class _Batch:
             None if self.idle or any(d is None for d in self.dests)
             else _consecutive(self.dests, self.bounds))
 
-    def form(self, beta: float, lam: float, rng, st_variant: str,
-             out: dict) -> None:
-        """Add this step's gates of the batch's groups to ``out``."""
+    def make(self) -> tuple:
+        """A fresh ``_Step`` of this batch and its ``StepGate`` of each
+        group, for ``form`` to arm."""
+        step = _Step()
+        step.batch, step.pending, step.sig, step.buf = self, 0, None, None
+        gates = []
+        for i, (g, s) in enumerate(zip(self.groups, self.logits)):
+            m = StepGate.__new__(StepGate)
+            m.requires_grad = s.requires_grad
+            m.group_name, m.step, m.index = g.name, step, i
+            gates.append(m)
+        return step, gates
+
+    def form(self, step: "_Step", gates: list, beta: float, lam: float,
+             rng, st_variant: str) -> None:
+        """Arm ``step`` and ``gates`` (``make``'s, whose last step is
+        over) as this step's gates of the batch's groups. Their arrays are
+        reused: the sigmoid, a soft batch's gates and the layer-gradient
+        buffer stay where the last call left them."""
         soft = self.key[0] == GATE_SOFT
         dtype = self.key[2]  # the weights' dtype: a draw's, k's, grad's
         k = self.kept
-        step = _Step()
-        step.batch, step.pending = self, self.pending
-        step.grad = grad = np.empty(self.bounds[-1][1], dtype)
+        n = self.bounds[-1][1]
+        fresh = step.sig is None
+        if fresh:
+            step.sig = np.empty(n, self.key[1])
+        if step.buf is None:  # the last one went to the logits
+            step.buf = np.empty(n, dtype)
+            for m, a, (lo, hi) in zip(gates, self.arrays, self.bounds):
+                m.dest = (step.buf[lo:hi].reshape(a.shape)
+                          if m.requires_grad else None)
+        buf = step.grad = step.buf
         for lo, hi in self.idle:
-            grad[lo:hi] = 0.0
+            buf[lo:hi] = 0.0
+        step.pending = self.pending
         step.beta, step.lam, step.kept = (beta if soft else 1.0), lam, k
         step.st_variant = None if soft else st_variant
-        step.sig = sig = expit(np.concatenate(self.arrays, axis=None)
-                               if self.arena is None else self.arena,
-                               step.beta)
+        sig = expit(np.concatenate(self.arrays, axis=None)
+                    if self.arena is None else self.arena,
+                    step.beta, step.sig)
         if soft:
-            step.values = values = penalized = sig if k is None else sig * k
+            if k is not None:
+                if fresh:
+                    step.values = np.empty(n, dtype)
+                np.multiply(sig, k, out=step.values)
+            elif fresh:
+                step.values = sig
+            values = penalized = step.values
         else:  # one sigmoid for the draw, penalty and gradient
-            step.values = values = _draw(sig, k, rng, dtype)
+            values = step.values = _draw(sig, k, rng, dtype)
             penalized = sig if k is None or lam == 0.0 else sig * k
-        for i, (g, s, a, (lo, hi)) in enumerate(zip(
-                self.groups, self.logits, self.arrays, self.bounds)):
-            m = StepGate.__new__(StepGate)
-            m.data = values[lo:hi].reshape(a.shape)
-            m.grad, m.requires_grad = None, s.requires_grad
-            m.grad_dest = (grad[lo:hi].reshape(a.shape) if s.requires_grad
-                           else None)
-            m.group_name, m.step, m.index = g.name, step, i
+        for m, a, (lo, hi) in zip(gates, self.arrays, self.bounds):
+            if fresh or not soft:
+                m.data = values[lo:hi].reshape(a.shape)
+            m.grad, m.grad_dest = None, m.dest
             if lam > 0.0:
                 pv = (m.data if penalized is values
                       else penalized[lo:hi].reshape(a.shape))
-                m.penalty = np.asarray(np.add.reduce(pv, axis=None) * lam,
-                                       dtype=pv.dtype)
+                m.penalty = (np.add.reduce(pv, axis=None)
+                             * pv.dtype.type(lam))
             else:
-                m.penalty = np.zeros((), dtype=m.data.dtype)
-            out[g.name] = m
+                m.penalty = m.data.dtype.type(0)
 
 
 class _Step:
     """One step's gates of a ``_Batch`` (``batch``): the arenas ``sig`` =
     sigmoid(beta * s), ``kept`` (the batch's kept masks k) and ``values``
     (the gates), and ``grad``, the buffer each gate's layer gradient is
-    written into, at the gate's bounds (``StepGate.grad_dest``). When the
-    last gate whose logits train has its gradient, one pass over the
-    arenas forms every group's logit gradient, into the logits' gradient
-    arena (``_Batch.grad_arena``) when they have one and no gradient yet,
-    and each group's part of it becomes that group's gradient as it is
-    (``Tensor.take_grad``)."""
+    written into, at the gate's bounds (``StepGate.grad_dest``): ``buf``,
+    unless a wider gradient widened it. When the last gate whose logits
+    train has its gradient (``pending`` counts those still to come), one
+    pass over the arenas forms every group's logit gradient, into the
+    logits' gradient arena (``_Batch.grad_arena``) when they have one and
+    no gradient yet, and each group's part of it becomes that group's
+    gradient as it is (``Tensor.take_grad``). A step holds no gate, so
+    that step and gates form no reference cycle."""
 
     __slots__ = ("batch", "sig", "kept", "values", "beta", "lam",
-                 "st_variant", "grad", "pending")
+                 "st_variant", "buf", "grad", "pending")
 
-    def receive(self, i: int, g: np.ndarray, dest: np.ndarray) -> None:
-        """Take gate ``i``'s layer gradient ``g``, which is ``dest``, the
-        gate's view of ``grad``, when the layer wrote it there; hand the
-        logits their gradients once no gate is left waiting."""
+    def put(self, i: int, g: np.ndarray) -> None:
+        """Write gate ``i``'s layer gradient ``g``, formed elsewhere than
+        at the gate's view of ``grad``, into ``grad``, widening ``grad``
+        when ``g`` is wider."""
         buf = self.grad
-        if g is not dest or dest.base is not buf:  # formed elsewhere
-            wide = np.result_type(buf, g)
-            if wide != buf.dtype:  # a float32 model fed float64 inputs
-                self.grad = buf = buf.astype(wide)  # exact
-            lo, hi = self.batch.bounds[i]
-            buf[lo:hi].reshape(dest.shape)[...] = g
-        self.pending -= 1
-        if self.pending:
-            return
-        b, g, sig, k, lam = self.batch, buf, self.sig, self.kept, self.lam
+        wide = np.result_type(buf, g)
+        if wide != buf.dtype:  # a float32 model fed float64 inputs
+            self.grad = buf = buf.astype(wide)  # exact
+        lo, hi = self.batch.bounds[i]
+        buf[lo:hi].reshape(g.shape)[...] = g
+
+    def finish(self) -> None:
+        """Hand the logits their gradients: every gate whose logits train
+        has its layer gradient in ``grad``."""
+        b, g, sig, k, lam = self.batch, self.grad, self.sig, self.kept, self.lam
         self.grad = None
         out = b.grad_arena
-        if out is not None and any(s.grad is not None for s in b.logits):
-            out = None  # a second gradient: added to the first
+        if out is not None:
+            for s in b.logits:
+                if s.grad is not None:  # a second gradient: added to the
+                    out = None  # first
+                    break
         if self.st_variant is None:  # soft: the penalty's gradient joins g
             if lam > 0.0:
                 g += lam
@@ -361,6 +392,8 @@ class _Step:
         if lam == 0.0 and out is not None:  # the logits' first gradient
             out[...] = g
             g = out
+        elif g is self.buf:  # it may become the logits' gradient
+            self.buf = None
         self._give(g)
 
     def _give(self, grad: np.ndarray) -> None:
@@ -384,13 +417,14 @@ class StepGate(Tensor):
     gives them its penalty's gradient ``_logit_grad(lam, sig, 1, k)``, then
     g · k, or g · sig · (1 - sig) · k for the sigmoid variant. ``penalty``
     is lam * sum(sigmoid(beta * s) ⊙ k), with beta = 1 for a stochastic
-    gate. A second gradient raises ``GradientError`` naming the group.
+    gate, a NumPy scalar of the gate's dtype. A second gradient raises
+    ``GradientError`` naming the group.
 
     The gate is a view of what its ``GateSet`` formed for the step
     together with the gates of its batch (``step``), and its gradient
-    destination a view of the step's layer-gradient buffer, until it has
-    its gradient; the logits get theirs when every gate of the batch whose
-    logits train has its own.
+    destination a view of the step's layer-gradient buffer (``dest``),
+    until it has its gradient; the logits get theirs when every gate of
+    the batch whose logits train has its own.
 
     With lam > 0 the logit gradient is that of loss + penalty only if the
     caller adds ``penalty`` to the objective it differentiates, seeds the
@@ -398,7 +432,7 @@ class StepGate(Tensor):
     path; otherwise the penalty's gradient is wrong or lost. Callers
     outside ``train`` should pass lam = 0 and use ``gate_penalty``."""
 
-    __slots__ = ("group_name", "step", "index", "penalty")
+    __slots__ = ("group_name", "step", "index", "penalty", "dest")
 
     def take_grad(self, g: np.ndarray) -> None:
         d = self.grad_dest
@@ -407,7 +441,12 @@ class StepGate(Tensor):
                 f"the step gate of group {self.group_name!r} received a second "
                 f"gradient; a step gate feeds exactly one node")
         self.grad_dest = None
-        self.step.receive(self.index, g, d)
+        step = self.step
+        if g is not d or step.grad is not step.buf:  # formed elsewhere
+            step.put(self.index, g)
+        step.pending -= 1
+        if not step.pending:  # the last gate of the batch that waited
+            step.finish()
 
     accumulate_grad = take_grad
 
@@ -429,22 +468,31 @@ class GateSet:
     the first call, and again when a group's mode, logits or sentinel
     array (``prune_forever`` makes a new one) have changed since, so a
     training loop that calls one ``GateSet`` every step works them out
-    once."""
+    once. A call reuses the gates, their step and their arrays that the
+    set's last call returned, so a call's gates stay valid until that
+    set's next call; a call made while the last call's step is unfinished
+    (a gate whose logits train still waits for its gradient) builds fresh
+    ones, leaving those of that step as they are."""
 
     def __init__(self, groups):
         self.groups = list(groups)
         # each group's (mode, logits, array, trains, sentinel)
         self._held = None
         self._batches, self._draws = [], False
+        self._made = []  # each batch's last step and gates
 
     def __call__(self, beta: float, lam: float = 0.0, rng=None,
                  st_variant: str = "identity") -> dict[str, StepGate]:
         held = self._held
-        if held is None or any(
-                g.mode != mode or g.mask_logits is not s or s.data is not a
-                or s.requires_grad != trains or g.pruned_forever is not p
-                for g, (mode, s, a, trains, p) in zip(self.groups, held)):
+        if held is None:
             self._settle()
+        else:
+            for g, (mode, s, a, trains, p) in zip(self.groups, held):
+                if (g.mode != mode or g.mask_logits is not s or s.data is not a
+                        or s.requires_grad != trains
+                        or g.pruned_forever is not p):
+                    self._settle()
+                    break
         if lam < 0:
             raise ValueError("penalty strength must be non-negative")
         if self._draws:
@@ -453,9 +501,15 @@ class GateSet:
             if st_variant not in ST_VARIANTS:
                 raise ValueError(f"unknown straight-through variant "
                                  f"{st_variant!r}")
+        # as floats, so that the sigmoid takes the logits' dtype
+        beta, lam = float(beta), float(lam)
         gates = {}
-        for b in self._batches:
-            b.form(beta, float(lam), rng, st_variant, gates)
+        for i, b in enumerate(self._batches):
+            made = self._made[i]
+            if made[0].pending:  # its step still waits for gradients
+                made = self._made[i] = b.make()
+            b.form(*made, beta, lam, rng, st_variant)
+            gates.update(zip(b.names, made[1]))
         return gates
 
     def _settle(self) -> None:
@@ -470,6 +524,7 @@ class GateSet:
             else:
                 runs.append((key, [g]))
         self._batches = [_Batch(key, groups) for key, groups in runs]
+        self._made = [b.make() for b in self._batches]
         self._draws = any(key[0] == GATE_STOCHASTIC for key, _ in runs)
         self._held = [(g.mode, g.mask_logits, g.mask_logits.data,
                        g.mask_logits.requires_grad, g.pruned_forever)

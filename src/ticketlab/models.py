@@ -53,6 +53,9 @@ class ModelConfig:
         raise ValueError(f"unknown model kind {self.kind!r}")
 
 
+_GATED = (GATE_SOFT, GATE_STOCHASTIC)  # the modes a GateSet forms
+
+
 class Model:
     """Weight layers as three equally long lists - ``Layer`` specs, their
     parameter groups and their biases - with a tape-recording forward
@@ -138,8 +141,8 @@ class Model:
         every slice reads, or one batch per slice, (K, n, inputs), and gives
         each slice's logits, (K, n, classes)."""
         gates = gates or {}
-        missing = [g for g in self.groups if g.name not in gates
-                   and g.mode in (GATE_SOFT, GATE_STOCHASTIC)]
+        missing = [g for g in self.groups if g.mode in _GATED
+                   and g.name not in gates]
         if missing:
             gates = {**gates, **GateSet(missing)(beta, rng=rng,
                                                  st_variant=st_variant)}
@@ -155,7 +158,7 @@ class Model:
             else:
                 if layer.flatten:
                     h = reshape(h, (h.shape[0], -1))
-                h = linear(h, w, b, m, relu=layer.relu)
+                h = linear(h, w, b, m, layer.relu)
         return h
 
 

@@ -141,7 +141,8 @@ class Optimizer:
                                     "data was rebound away from its arena")
             if p.grad is not view:
                 view[...] = p.grad
-        if not np.isfinite(self._grad).all():
+        # what ``.all()`` calls, without its Python wrapper
+        if not np.logical_and.reduce(np.isfinite(self._grad), axis=None):
             raise NonFiniteError("non-finite gradient in optimizer step")
 
     def _apply(self) -> None:

@@ -88,9 +88,6 @@ class Tape:
         self.nodes: list[_Node] = []
         self.consumed = False
 
-    def record(self, node: _Node) -> None:
-        self.nodes.append(node)
-
     def reset(self) -> None:
         self.nodes.clear()
         self.consumed = False
@@ -100,10 +97,12 @@ class Tape:
 
 
 def _state() -> dict:
-    st = getattr(_tls, "state", None)
-    if st is None:
-        st = _tls.state = {"tape": Tape(), "dtype": np.float64, "no_grad": 0}
-    return st
+    try:
+        return _tls.state
+    except AttributeError:
+        st = _tls.state = {"tape": Tape(), "dtype": np.float64, "no_grad": 0,
+                           "quiet": 0}
+        return st
 
 
 def set_default_dtype(name: str) -> None:
@@ -139,6 +138,23 @@ class no_grad:
     def __exit__(self, *exc):
         _state()["no_grad"] -= 1
         return False
+
+
+class quiet:
+    """Context manager under which NumPy reports no overflow and no invalid
+    operation (``np.errstate(over="ignore", invalid="ignore")``), for a
+    loop that checks its results for finiteness itself; ``expit`` then
+    enters no error state of its own."""
+
+    def __enter__(self):
+        self._errstate = np.errstate(over="ignore", invalid="ignore")
+        self._errstate.__enter__()
+        _state()["quiet"] += 1
+        return self
+
+    def __exit__(self, *exc):
+        _state()["quiet"] -= 1
+        return self._errstate.__exit__(*exc)
 
 
 class Tensor:
@@ -241,13 +257,14 @@ def apply_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = out.grad_dest = None
+    out.requires_grad = False
     if not st["no_grad"]:
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                st["tape"].record(_Node(op, tuple(inputs), out, backward_fn))
-                return out
-    out.requires_grad = False
+                st["tape"].nodes.append(
+                    _Node(op, tuple(inputs), out, backward_fn))
+                break
     return out
 
 
@@ -266,7 +283,8 @@ def backward(loss: Tensor) -> None:
             "call reset_tape() before recording a new one")
     if not tp.nodes:
         raise GradientError("tape is empty; nothing was recorded")
-    loss.grad = np.ones(loss.data.shape, loss.data.dtype)
+    # ones of the loss's shape, all of whose ndim extents are 1
+    loss.grad = np.array(1, loss.data.dtype, ndmin=loss.data.ndim)
     for node in reversed(tp.nodes):
         g = node.output.grad
         if g is None:
@@ -367,17 +385,21 @@ def relu(a: Tensor) -> Tensor:
     return apply_op("relu", (a,), out, backward_fn)
 
 
-def expit(x, scale: float = 1.0):
+def expit(x, scale: float = 1.0, out=None):
     """The logistic sigmoid 1 / (1 + exp(-scale * x)), elementwise, in the
-    float dtype of ``x``, formed in one buffer: x * -scale (bitwise
-    -(scale * x)), its exp, + 1, then 1 / . Where scale * x is below -709
-    (float64) or -88 (float32) the exp overflows to inf and the result is
-    its limit 0, so that overflow is not reported."""
-    y = x * -scale
-    with np.errstate(over="ignore"):
-        if type(y) is not np.ndarray:  # a scalar
+    float dtype of ``x``, formed in one buffer, ``out`` when given: x *
+    -scale (bitwise -(scale * x)), its exp, + 1, then 1 / . Where scale * x
+    is below -709 (float64) or -88 (float32) the exp overflows to inf and
+    the result is its limit 0, so that overflow is not reported."""
+    y = x * -scale if out is None else np.multiply(x, -scale, out=out)
+    if type(y) is not np.ndarray:  # a scalar
+        with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(y))
+    if _state()["quiet"]:  # overflow is not reported already
         np.exp(y, y)
+    else:
+        with np.errstate(over="ignore"):
+            np.exp(y, y)
     y += 1.0
     return np.divide(1.0, y, y)
 
@@ -422,22 +444,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
     every ticket shares, whose gradient is then the tickets' gradients
     added in ticket order. Each slice is bitwise what the layer of that
     ticket alone gives; a 2-d layer takes only an (n, i) input."""
-    xs, ws, bs = x.data.shape, w.data.shape, b.data.shape
-    stacked = len(ws) == 3
-    if stacked:  # (K, i, o) weights; an (n, i) or (K, n, i) input
-        ok = (len(xs) == 2 or len(xs) == 3 and xs[0] == ws[0]) and (
-            bs == (ws[0], ws[2]))
-        want = "(n,i) or (K,n,i) @ (K,i,o) + (K,o) for K stacked tickets"
+    xd, wd, bd = x.data, w.data, b.data
+    xs, ws = xd.shape, wd.shape
+    if len(ws) == 2:
+        ok = len(xs) == 2 and xs[1] == ws[0] and bd.shape == ws[1:]
+    elif len(ws) == 3:  # (K, i, o) weights; an (n, i) or (K, n, i) input
+        ok = ((len(xs) == 2 or len(xs) == 3 and xs[0] == ws[0])
+              and xs[-1] == ws[1] and bd.shape == (ws[0], ws[2]))
     else:
-        ok = len(xs) == 2 and len(ws) == 2 and len(bs) == 1 and ws[1] == bs[0]
-        want = "(n,i)@(i,o)+(o,)"
-    if not ok or xs[-1] != ws[-2]:
-        raise ShapeError(f"linear expects {want}, got {xs}, {ws} and {bs}")
-    if gate is not None and gate.data.shape != ws:
-        raise ShapeError(f"linear gate {gate.shape} does not match weights {ws}")
-    we = w.data if gate is None else w.data * gate.data
-    out = x.data @ we
-    out += b.data[:, None] if stacked else b.data
+        ok = False
+    if not ok:
+        want = ("(n,i) or (K,n,i) @ (K,i,o) + (K,o) for K stacked tickets"
+                if len(ws) == 3 else "(n,i)@(i,o)+(o,)")
+        raise ShapeError(f"linear expects {want}, got {xs}, {ws} and "
+                         f"{bd.shape}")
+    if gate is None:
+        we = wd
+    elif gate.data.shape != ws:
+        raise ShapeError(f"linear gate {gate.data.shape} does not match "
+                         f"weights {ws}")
+    else:
+        we = wd * gate.data
+    out = xd @ we
+    out += bd if len(ws) == 2 else bd[:, None]
     if relu:
         np.maximum(out, 0, out=out)
 
@@ -447,18 +476,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
         dt = g.dtype
         if x.requires_grad:
             gx = g @ we.swapaxes(-1, -2)
-            if x.ndim < gx.ndim:  # an input the stack shares
+            if gx.ndim > x.data.ndim:  # an input the stack shares
                 for gk in gx:
                     x.accumulate_grad(gk)
             else:
                 x.take_grad(gx)
+        trains = w.requires_grad
         gated = gate is not None and gate.requires_grad
-        if w.requires_grad or gated:
+        if trains or gated:
             gwe = np.matmul(x.data.swapaxes(-1, -2), g,
-                            out=_dest(w, dt) if w.requires_grad else None)
+                            out=_dest(w, dt) if trains else None)
             if gated:
                 gate.take_grad(np.multiply(gwe, w.data, out=_dest(gate, dt)))
-            if w.requires_grad:
+            if trains:
                 if gate is not None:  # the gate's gradient is formed
                     gwe *= gate.data
                 w.take_grad(gwe)
@@ -480,11 +510,15 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def tensor_sum(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum(), dtype=a.dtype)
+    # the ufuncs that ``sum`` and ``np.full`` call, without their Python
+    # wrappers
+    out = np.asarray(np.add.reduce(a.data, axis=None), dtype=a.dtype)
 
     def backward_fn(g):
         if a.requires_grad:
-            a.take_grad(np.full(a.shape, g, dtype=a.dtype))
+            ga = np.empty(a.shape, dtype=a.dtype)
+            np.copyto(ga, g, casting="unsafe")
+            a.take_grad(ga)
 
     return apply_op("sum", (a,), out, backward_fn)
 
@@ -697,31 +731,38 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.shape != (n,) and labels.shape != d.shape[:-1]:
         raise ShapeError(f"labels shape {labels.shape} does not match batch "
                          f"{d.shape[:-1]}")
+    if labels.dtype.kind not in "iu":  # they are added to flat positions
+        raise IndexError(f"labels must be integers, got {labels.dtype}")
     # the reductions as ufuncs: what the array methods call, without their
     # Python wrappers
     if n and (np.minimum.reduce(labels, axis=None) < 0
               or np.maximum.reduce(labels, axis=None) >= c):
         raise IndexError(f"label out of range [0, {c})")
-    logp = d - np.maximum.reduce(d, axis=-1, keepdims=True)
+    # C-ordered, so that each row's log-probabilities lie at its flat row
+    logp = np.subtract(d, np.maximum.reduce(d, axis=-1, keepdims=True),
+                       order="C")
     logp -= np.log(np.add.reduce(np.exp(logp), axis=-1, keepdims=True))
-    # each ticket's row of its own labels' log-probabilities
-    at = ((np.arange(n), labels) if labels.ndim == 1
-          else (np.arange(len(d))[:, None], np.arange(n), labels))
-    picked = logp[(Ellipsis,) + at]
-    if picked.ndim == 2:  # C-ordered, so that each ticket's row is summed
-        picked = np.ascontiguousarray(picked)  # as one ticket's is
+    # each row's label at its flat position, and each ticket's row of its
+    # own labels' log-probabilities, C-ordered so that it is summed as one
+    # ticket's is
+    at = np.arange(0, d.size, c)
+    if d.ndim == 3:
+        at = at.reshape(d.shape[:-1])
+    # (uint64 labels add in float64, exactly: they are below c)
+    np.add(at, labels, out=at, casting="unsafe")
+    picked = logp.reshape(-1).take(at)
     # bitwise picked.mean(axis=-1)
     loss = np.asarray(-(np.add.reduce(picked, axis=-1) / n), dtype=d.dtype)
 
     def backward_fn(g):
         if logits.requires_grad:
             p = np.exp(logp)
-            p[(Ellipsis,) + at] -= 1.0
+            p.reshape(-1)[at] -= 1.0
             if p.ndim == 2:
                 p *= float(g) / n
-            else:
-                for pk, gk in zip(p, g):
-                    pk *= float(gk) / n
+            else:  # each ticket's scale float(g_k) / n, in one pass
+                p *= np.array([float(gk) / n for gk in g],
+                              dtype=p.dtype)[:, None, None]
             logits.take_grad(p)
 
     return apply_op("softmax_cross_entropy", (logits,), loss, backward_fn)

@@ -28,8 +28,8 @@ from .masking import (GATE_HARD, GATE_SOFT, GATE_STOCHASTIC, GateSet,
                       remaining_fraction)
 from .persist import RunRecord
 from .seeding import STREAM_EVAL
-from .tensor import (NonFiniteError, Tensor, backward, reset_tape,
-                     softmax_cross_entropy, tensor_sum)
+from .tensor import (NonFiniteError, Tensor, backward, softmax_cross_entropy,
+                     tensor_sum)
 
 # Examples per forward pass of ``evaluate``.
 EVAL_BATCH = 512
@@ -46,6 +46,10 @@ class TrainCursor:
 
 @dataclass
 class StepInfo:
+    """Where a ``train`` step stands, for its ``before_step`` callbacks.
+    ``train`` updates one of these in place before each step, so a
+    callback reads it during its call."""
+
     iteration: int  # global optimizer-iteration index
     round_iteration: int  # iteration within the current train() call
 
@@ -86,11 +90,12 @@ def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
         raise ValueError("cannot evaluate a model on an empty dataset")
     loss_sum = 0.0  # in float64, one per ticket of a stacked model
     correct = 0
+    dtype = model.biases[0].data.dtype  # the batches', as the model's
     # a diverged network's overflow is no NumPy warning: its loss shows it
-    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+    with T.no_grad(), T.quiet():
         for lo in range(0, n, EVAL_BATCH):
             hi = min(lo + EVAL_BATCH, n)
-            x = Tensor(dataset.inputs[lo:hi])
+            x = Tensor(dataset.inputs[lo:hi], dtype=dtype)
             y = dataset.labels[lo:hi]
             logits = model.forward(x, beta=beta, rng=rng, st_variant=st_variant,
                                    gates=gates)
@@ -153,6 +158,7 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
         raise ValueError(f"batch size {batch_size} exceeds dataset size {n}")
     stacked = getattr(model, "stacked", False)
     k = len(model.biases[0].data) if stacked else 1
+    dtype = model.biases[0].data.dtype  # the batches', as the model's
     if not isinstance(shuffle_rng, (list, tuple)):  # the bare form
         shuffle_rng, run_info = [shuffle_rng], [run_info or RunInfo()]
         recorder = [recorder]
@@ -174,6 +180,8 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     soft_gates = GateSet(g for g in gated if g.mode == GATE_SOFT)
     epoch_loss = np.zeros(k)  # each slice's summed loss, in float64
     epoch_steps = 0
+    si = StepInfo(start_iteration, 0)
+    tape = T.active_tape()  # this thread's, for the whole loop
 
     def rows(epoch: int, it: int, split: str, beta: float, loss,
              accuracy=None, remaining_frac=None):
@@ -200,11 +208,11 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
 
     # a diverging step's overflow is reported by the finiteness checks
     # below, not as NumPy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    with T.quiet():
         for step in range(iterations):
             it = start_iteration + step
             if before_step:
-                si = StepInfo(iteration=it, round_iteration=step)
+                si.iteration, si.round_iteration = it, step
                 for cb in before_step:
                     cb(si)
             beta = schedule.step() if schedule else 1.0
@@ -216,10 +224,10 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
             lo = cursor.pos * batch_size
             hi = min(lo + batch_size, n)
             idx = cursor.perm[..., lo:hi]
-            x = Tensor(data.inputs[idx])
+            x = Tensor(data.inputs[idx], dtype=dtype)
             y = data.labels[idx]
 
-            reset_tape()
+            tape.reset()
             # each gated group's gate (drawn in group order when stochastic)
             # is owned by its layer node, which also takes the gradient of
             # the gate's penalty; the penalty values join the loss off the
@@ -227,13 +235,15 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
             gates = step_gates(beta, lam, mask_rng, st_variant)
             logits = model.forward(x, beta=beta, gates=gates)
             loss = softmax_cross_entropy(logits, y)
-            losses = loss.data  # each slice's: a stack's (K,), a model's ()
+            # each slice's: a stack's (K,) array, a model's NumPy scalar
+            losses = loss.data[()]
             if lam > 0.0:
                 for m in gates.values():
                     losses = losses + m.penalty
             if stacked:  # each slice's loss seeded with 1
                 loss = tensor_sum(loss)
-            if not math.isfinite(np.add.reduce(losses, axis=None)):  # summed
+            if not math.isfinite(np.add.reduce(losses, axis=None)
+                                 if stacked else losses):  # summed
                 raise abort("loss", it, losses, beta)
             backward(loss)
             try:  # the step checks every gradient before it updates anything

@@ -526,6 +526,85 @@ class TestGateSet:
                     if x is not None:
                         assert x.tobytes() == y.tobytes()
 
+    @pytest.mark.parametrize("mode", [GATE_SOFT, GATE_STOCHASTIC])
+    @pytest.mark.parametrize("arena", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_repeated_calls_are_a_fresh_sets_calls(self, mode, arena, lam):
+        """A ``GateSet`` called every step reuses its gates, their step
+        and their arrays, and its gates, penalties and logit gradients are
+        bitwise those of a fresh ``GateSet`` per step, while the logits
+        move and beta changes between calls."""
+        made, reused_gates = [], []
+        for reused in (True, False):
+            groups, grads = self.groups([(2, 3), (3, 4), (4,)], mode,
+                                        np.float64, 6, arena)
+            rng = np.random.default_rng(9)
+            gate_set = GateSet(groups)
+            steps = []
+            for step, beta in enumerate((1.0, 7.5, 7.5, 200.0)):
+                one = gate_set if reused else GateSet(groups)
+                gates = one(beta, lam, rng)
+                if reused:
+                    reused_gates.append([gates[g.name] for g in groups])
+                for g, grad in zip(groups, grads):
+                    if g.mask_logits.requires_grad:
+                        gates[g.name].accumulate_grad(grad * (step + 1))
+                steps.append([(gates[g.name].data.copy(),
+                               gates[g.name].penalty,
+                               None if g.mask_logits.grad is None
+                               else g.mask_logits.grad.copy())
+                              for g in groups])
+                for g in groups:  # as an optimizer step moves them
+                    s = g.mask_logits
+                    if s.grad is not None:
+                        s.data -= 0.5 * s.grad
+                    s.grad = None
+            made.append(steps)
+        assert all(a is b for a, b in zip(reused_gates[0], reused_gates[-1]))
+        for got, want in zip(*made):
+            for a, b in zip(got, want):
+                for x, y in zip(a, b):
+                    assert (x is None) == (y is None)
+                    if x is not None:
+                        assert x.dtype == y.dtype
+                        assert x.tobytes() == y.tobytes()
+
+    def test_a_call_during_an_unfinished_step_builds_fresh_gates(self):
+        """While a gate of the set's last call still waits for its
+        gradient, the next call leaves that call's gates as they are."""
+        groups, grads = self.groups([(2, 3), (3, 4)], GATE_SOFT, np.float64,
+                                    3, arena=True)
+        for g in groups:
+            g.mask_logits.requires_grad = True
+        gate_set = GateSet(groups)
+        first = gate_set(2.0, 0.1)
+        kept = {name: m.data.copy() for name, m in first.items()}
+        second = gate_set(50.0, 0.1)
+        for g in groups:
+            assert second[g.name] is not first[g.name]
+            assert first[g.name].data.tobytes() == kept[g.name].tobytes()
+        # the first call's step still hands the logits their gradients
+        for g, grad in zip(groups, grads):
+            first[g.name].accumulate_grad(grad.copy())
+        for g, grad in zip(groups, grads):
+            one = gate(g, 2.0, 0.1)
+            want = _logit_grad(grad + 0.1, T.expit(g.mask_logits.data, 2.0),
+                               2.0, g.kept())
+            assert g.mask_logits.grad.tobytes() == want.tobytes()
+            assert one.data.tobytes() == kept[g.name].tobytes()
+
+    @pytest.mark.parametrize("mode", [GATE_SOFT, GATE_STOCHASTIC])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_penalty_is_a_scalar_of_the_gates_dtype(self, mode, dtype, lam):
+        """A float32 run's loss plus penalties stays float32."""
+        groups, _ = self.groups([(2, 3), (4,)], mode, dtype, 4, arena=False)
+        gates = GateSet(groups)(7.5, lam, np.random.default_rng(1))
+        for g in groups:
+            penalty = gates[g.name].penalty
+            assert isinstance(penalty, np.generic)
+            assert penalty.dtype == gates[g.name].data.dtype == dtype
+
     @pytest.mark.parametrize("layout", ["in order", "reversed", "apart"])
     def test_logits_in_one_arena_are_read_in_place(self, layout):
         """Logits that lie in order in one optimizer arena are read where

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from ticketlab import tensor as T
 from ticketlab.data import DataConfig
 from ticketlab.harness import _precision, retrain_ticket
 from ticketlab.masking import (GATE_HARD, GATE_SOFT, TemperatureSchedule,
@@ -286,6 +287,32 @@ class TestFloat32ModelUnderFloat64Default:
             assert g.mask_logits.data.dtype == np.float32
             assert g.mask_logits.grad.dtype == np.float32
             assert gate_penalty(g, 1.0, 0.0).data.dtype == np.float32
+
+    def test_a_step_computes_in_float32_and_copies_no_gradient(self):
+        """``train`` feeds the model batches of its own dtype, so every
+        layer output and gradient of a step is float32, and each
+        parameter's gradient is written where its optimizer reads it."""
+        model, opt, sched = self._pieces()
+        train_ds, _ = DataConfig(n_train=64, n_test=64, seed=7).build()
+        seen = []
+        step = opt.step
+
+        def checking_step():
+            seen.append([(p.grad.dtype, p.grad is p.grad_dest)
+                         for p in opt.params])
+            step()
+
+        opt.step = checking_step
+        train(model, train_ds, opt, 1, batch_size=32,
+              shuffle_rng=seeded_rng(3, STREAM_SHUFFLE), schedule=sched,
+              lam=1e-4)
+        nodes = T.active_tape().nodes  # the step's, until the next reset
+        assert [n.op for n in nodes] == ["linear"] * 2 + [
+            "softmax_cross_entropy"]
+        for n in nodes:
+            assert n.output.dtype == np.float32
+            assert n.output.grad.dtype == np.float32
+        assert seen == [[(np.dtype(np.float32), True)] * len(opt.params)]
 
     def test_resume_matches_uninterrupted(self, tmp_path):
         train_ds, _ = DataConfig(n_train=64, n_test=64, seed=7).build()

@@ -1353,6 +1353,14 @@ class TestTicketStack:
             with pytest.raises(ShapeError, match="4-d input and kernel"):
                 conv2d(Tensor(np.ones(x)), Tensor(np.ones(kern)))
 
+    @pytest.mark.parametrize("w_shape, b_shape", [
+        ((4,), (4,)), ((4,), (1,)), ((2, 1, 4, 3), (2, 3)),
+        ((2, 1, 4, 3), (2, 1, 3))])
+    def test_linear_rejects_weights_of_other_ranks(self, w_shape, b_shape):
+        with pytest.raises(ShapeError, match="expects"):
+            linear(Tensor(np.ones((5, 4))), Tensor(np.ones(w_shape)),
+                   Tensor(np.zeros(b_shape)))
+
     @pytest.mark.parametrize("part", ["x", "b", "gate"])
     def test_linear_stack_disagreeing_on_k_names_the_shapes(self, part):
         shapes = {"x": (3, 5, 4), "w": (3, 4, 2), "b": (3, 2), "gate": (3, 4, 2)}
@@ -1367,3 +1375,79 @@ class TestTicketStack:
         for shape in ((2, 4, 4), (3, 2, 1, 4, 4)):  # 5-d: no ticket stack
             with pytest.raises(ShapeError, match="4-d input"):
                 max_pool2d(Tensor(np.zeros(shape)))
+
+
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
+    """Each ticket's loss and logits gradient, formed row by row: the
+    reference that ``softmax_cross_entropy``'s vectorized picking and
+    scaling must match bitwise. A (n, c) input is a stack of one."""
+    stack = logits if logits.ndim == 3 else logits[None]
+    rows = np.broadcast_to(labels, stack.shape[:-1])
+    losses, grads = [], np.empty_like(stack)
+    for x, y, grad in zip(stack, rows, grads):
+        n = len(x)
+        picked = np.empty(n, dtype=x.dtype)
+        for r in range(n):
+            z = x[r] - np.maximum.reduce(x[r])
+            z -= np.log(np.add.reduce(np.exp(z)))
+            picked[r] = z[y[r]]
+            p = np.exp(z)
+            p[y[r]] -= 1.0
+            p *= 1.0 / n  # the seed of each ticket's loss is 1
+            grad[r] = p
+        losses.append(-(np.add.reduce(picked) / n))
+    losses = np.array(losses, dtype=logits.dtype)
+    if logits.ndim == 2:
+        return losses[0], grads[0]
+    return losses, grads
+
+
+class TestCrossEntropyAgainstRows:
+    """``softmax_cross_entropy`` against a per-row loop, bitwise, for one
+    model's logits and for a stack's, with one shared batch of labels or
+    one per ticket."""
+
+    @settings(derandomize=True, database=None, max_examples=120,
+              deadline=None)
+    @given(k=st.sampled_from([None, 1, 3]), per_slice=st.booleans(),
+           n=st.integers(1, 64), c=st.integers(2, 5),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           spread=st.sampled_from([1.0, 30.0, 1000.0]),
+           seed=st.integers(0, 2**16))
+    def test_loss_and_gradient_are_the_rows(self, k, per_slice, n, c, dtype,
+                                            spread, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n, c) if k is None else (k, n, c)
+        logits = (spread * rng.standard_normal(shape)).astype(dtype)
+        labels = rng.integers(0, c, shape[:-1] if per_slice else n)
+        reset_tape()
+        t = Tensor(logits, requires_grad=True, dtype=dtype)
+        loss = softmax_cross_entropy(t, labels)
+        backward(loss if k is None else tensor_sum(loss))
+        want_loss, want_grad = _cross_entropy_rows(logits, labels)
+        assert loss.data.dtype == t.grad.dtype == dtype
+        assert loss.data.tobytes() == want_loss.tobytes()
+        assert t.grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("shape, per_slice", [
+        ((4, 3), False), ((2, 4, 3), False), ((2, 4, 3), True)])
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("dtype", ["<i8", ">i4", "i1"])
+    def test_out_of_range_labels_raise(self, shape, per_slice, bad, dtype):
+        labels = np.zeros(shape[:-1] if per_slice else shape[-2], dtype)
+        labels.reshape(-1)[-1] = bad
+        with pytest.raises(IndexError, match="out of range"):
+            softmax_cross_entropy(Tensor(np.zeros(shape)), labels)
+
+    @pytest.mark.parametrize("dtype", [">i4", "<i2", "u1", ">u8"])
+    def test_integer_labels_of_any_width_and_byte_order(self, dtype):
+        rng = np.random.default_rng(2)
+        logits = rng.standard_normal((2, 5, 3))
+        labels = rng.integers(0, 3, (2, 5))
+        want = softmax_cross_entropy(Tensor(logits), labels).data
+        got = softmax_cross_entropy(Tensor(logits), labels.astype(dtype)).data
+        assert got.tobytes() == want.tobytes()
+
+    def test_float_labels_raise(self):
+        with pytest.raises(IndexError, match="integers"):
+            softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.zeros(2))
