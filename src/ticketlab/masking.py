@@ -48,11 +48,11 @@ s, and ``soft_gate`` the gated weight ``gate ⊙ w``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import GradientError, Tensor, _dest, apply_op, expit, mul
+from .tensor import GradientError, Tensor, _dest, _st, apply_op, expit, mul
 
 GATE_NONE = "none"
 GATE_SOFT = "soft-deterministic"
@@ -96,8 +96,10 @@ class TemperatureSchedule:
 
     def step(self) -> float:
         """Advance one iteration and return the new temperature."""
-        self.current_iter += 1
-        return self.at(self.current_iter)
+        t = self.current_iter = self.current_iter + 1
+        if not 0 <= t <= self.total_iters:
+            return self.at(t)  # raises
+        return float(self.beta_final ** (t / self.total_iters))
 
 
 @dataclass
@@ -118,6 +120,9 @@ class MaskedParameterGroup:
     mask_init: float = 0.0
     frozen_mask: np.ndarray | None = None
     pruned_forever: np.ndarray | None = None
+    # ``mask_tensor``'s Tensor of ``frozen_mask``
+    _mask: Tensor | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def init_gate(self, mode: str, mask_init: float = 0.0) -> None:
         """Switch the gating mode with constant-initialized logits. Logits
@@ -148,6 +153,16 @@ class MaskedParameterGroup:
         self.mask_logits = None
         self.pruned_forever = None
         self.frozen_mask = np.array(mask, dtype=self.weights.dtype)
+
+    def mask_tensor(self) -> Tensor:
+        """The frozen mask as a constant Tensor of the weights' dtype, as
+        ``Tensor(frozen_mask, dtype=weights.dtype)`` wraps it: one held
+        while ``frozen_mask`` is the same array of that dtype, so that
+        writes into it show, and made anew when ``freeze`` rebinds it."""
+        t, fm = self._mask, self.frozen_mask
+        if t is None or t.data is not fm or fm.dtype is not self.weights.dtype:
+            t = self._mask = Tensor(fm, dtype=self.weights.dtype)
+        return t
 
     def prune_forever(self, dropped: np.ndarray) -> None:
         """Remove the ``dropped`` components of a gated group for good."""
@@ -239,20 +254,22 @@ def _consecutive(arrays: list, bounds: list) -> np.ndarray | None:
 class _Batch:
     """Consecutive groups of a ``GateSet`` that share a mode and dtypes
     (``key``), whose gates form together, and their layout: the logits,
-    each one's ``bounds`` in the batch's 1-d arenas, the ``idle`` bounds of
-    logits that do not train (their layer gradient stands at zero),
-    ``kept``, the kept masks k as one array (None when no group has a
-    sentinel), ``arena``, the logits as one view of the array that they
-    lie in consecutively (an optimizer's parameter arena), or None when
-    they do not and each step copies them into one array, and
-    ``grad_arena``, likewise the logits' gradient destinations when every
-    logit trains and has one, or None."""
+    each one's ``bounds`` in the batch's 1-d arenas of ``size`` elements,
+    whether each trains (``trains``), the ``idle`` bounds of logits that
+    do not (their layer gradient stands at zero), ``kept``, the kept masks
+    k as one array (None when no group has a sentinel), ``arena``, the
+    logits as one view of the array that they lie in consecutively (an
+    optimizer's parameter arena), or None when they do not and each step
+    copies them into one array, and ``grad_arena``, likewise the logits'
+    gradient destinations when every logit trains and has one, or None."""
 
-    __slots__ = ("key", "groups", "names", "logits", "arrays", "bounds",
-                 "idle", "pending", "kept", "arena", "dests", "grad_arena")
+    __slots__ = ("key", "soft", "groups", "names", "logits", "arrays",
+                 "bounds", "size", "trains", "idle", "pending", "kept",
+                 "arena", "dests", "grad_arena")
 
     def __init__(self, key: tuple, groups: list):
         self.key, self.groups = key, groups
+        self.soft = key[0] == GATE_SOFT
         self.names = [g.name for g in groups]
         self.logits = [g.mask_logits for g in self.groups]
         self.arrays = [s.data for s in self.logits]
@@ -260,8 +277,9 @@ class _Batch:
         for a in self.arrays:
             self.bounds.append((n, n + a.size))
             n += a.size
-        self.idle = [b for s, b in zip(self.logits, self.bounds)
-                     if not s.requires_grad]
+        self.size = n
+        self.trains = [s.requires_grad for s in self.logits]
+        self.idle = [b for t, b in zip(self.trains, self.bounds) if not t]
         self.pending = len(self.logits) - len(self.idle)
         self.kept = None
         for g, (lo, hi) in zip(self.groups, self.bounds):
@@ -276,67 +294,79 @@ class _Batch:
             else _consecutive(self.dests, self.bounds))
 
     def make(self) -> tuple:
-        """A fresh ``_Step`` of this batch and its ``StepGate`` of each
-        group, for ``form`` to arm."""
+        """A fresh ``_Step`` of this batch, with its sigmoid array (and a
+        soft batch's gate array), and its ``StepGate`` of each group, for
+        ``form`` to arm."""
         step = _Step()
-        step.batch, step.pending, step.sig, step.buf = self, 0, None, None
+        step.batch, step.pending, step.buf, step.grads = self, 0, None, True
+        step.kept, step.st_variant = self.kept, None
+        step.sig = np.empty(self.size, self.key[1])
+        if self.soft:  # the gates: the sigmoid itself, or times k
+            step.values = (step.sig if self.kept is None
+                           else np.empty(self.size, self.key[2]))
         gates = []
-        for i, (g, s) in enumerate(zip(self.groups, self.logits)):
+        for i, (g, t, a, (lo, hi)) in enumerate(zip(
+                self.groups, self.trains, self.arrays, self.bounds)):
             m = StepGate.__new__(StepGate)
-            m.requires_grad = s.requires_grad
             m.group_name, m.step, m.index = g.name, step, i
+            m.grad, m.requires_grad = None, t
+            if self.soft:
+                m.data = step.values[lo:hi].reshape(a.shape)
             gates.append(m)
         return step, gates
 
     def form(self, step: "_Step", gates: list, beta: float, lam: float,
-             rng, st_variant: str) -> None:
+             rng, st_variant: str, grads: bool) -> None:
         """Arm ``step`` and ``gates`` (``make``'s, whose last step is
         over) as this step's gates of the batch's groups. Their arrays are
         reused: the sigmoid, a soft batch's gates and the layer-gradient
-        buffer stay where the last call left them."""
-        soft = self.key[0] == GATE_SOFT
-        dtype = self.key[2]  # the weights' dtype: a draw's, k's, grad's
-        k = self.kept
-        n = self.bounds[-1][1]
-        fresh = step.sig is None
-        if fresh:
-            step.sig = np.empty(n, self.key[1])
-        if step.buf is None:  # the last one went to the logits
-            step.buf = np.empty(n, dtype)
-            for m, a, (lo, hi) in zip(gates, self.arrays, self.bounds):
-                m.dest = (step.buf[lo:hi].reshape(a.shape)
-                          if m.requires_grad else None)
-        buf = step.grad = step.buf
+        buffer stay where the last call left them. With ``grads`` False
+        the gates take no gradient, and the step is over as formed."""
+        buf = step.buf
+        if buf is None:  # the first, or the last one went to the logits
+            buf = step.buf = np.empty(self.size, self.key[2])
+            for m, t, a, (lo, hi) in zip(gates, self.trains, self.arrays,
+                                         self.bounds):
+                m.dest = buf[lo:hi].reshape(a.shape) if t else None
+        step.grad = buf
         for lo, hi in self.idle:
             buf[lo:hi] = 0.0
-        step.pending = self.pending
-        step.beta, step.lam, step.kept = (beta if soft else 1.0), lam, k
-        step.st_variant = None if soft else st_variant
+        if grads is not step.grads:  # the gates take gradients or not
+            step.grads = grads
+            for m, t in zip(gates, self.trains):
+                m.requires_grad = t and grads
+        step.pending = self.pending if grads else 0
+        step.lam = lam
+        k = self.kept
+        if not self.soft:  # a draw's sigmoid takes beta = 1
+            beta, step.st_variant = 1.0, st_variant
+        step.beta = beta
         sig = expit(np.concatenate(self.arrays, axis=None)
-                    if self.arena is None else self.arena,
-                    step.beta, step.sig)
-        if soft:
-            if k is not None:
-                if fresh:
-                    step.values = np.empty(n, dtype)
-                np.multiply(sig, k, out=step.values)
-            elif fresh:
-                step.values = sig
+                    if self.arena is None else self.arena, beta, step.sig)
+        if self.soft:
             values = penalized = step.values
+            if k is not None:
+                np.multiply(sig, k, out=values)
         else:  # one sigmoid for the draw, penalty and gradient
-            values = step.values = _draw(sig, k, rng, dtype)
+            values = step.values = _draw(sig, k, rng, self.key[2])
             penalized = sig if k is None or lam == 0.0 else sig * k
-        for m, a, (lo, hi) in zip(gates, self.arrays, self.bounds):
-            if fresh or not soft:
+            for m, a, (lo, hi) in zip(gates, self.arrays, self.bounds):
                 m.data = values[lo:hi].reshape(a.shape)
-            m.grad, m.grad_dest = None, m.dest
-            if lam > 0.0:
-                pv = (m.data if penalized is values
-                      else penalized[lo:hi].reshape(a.shape))
-                m.penalty = (np.add.reduce(pv, axis=None)
-                             * pv.dtype.type(lam))
-            else:
-                m.penalty = m.data.dtype.type(0)
+        if lam == 0.0:
+            zero = values.dtype.type(0)
+            for m in gates:
+                m.grad_dest, m.penalty = m.dest, zero
+        elif penalized is values:  # each gate's penalty: lam * its sum
+            lam = values.dtype.type(lam)
+            for m in gates:
+                m.grad_dest = m.dest
+                m.penalty = np.add.reduce(m.data, axis=None) * lam
+        else:
+            lam = penalized.dtype.type(lam)
+            for m, a, (lo, hi) in zip(gates, self.arrays, self.bounds):
+                m.grad_dest = m.dest
+                m.penalty = (np.add.reduce(penalized[lo:hi].reshape(a.shape),
+                                           axis=None) * lam)
 
 
 class _Step:
@@ -349,11 +379,12 @@ class _Step:
     pass over the arenas forms every group's logit gradient, into the
     logits' gradient arena (``_Batch.grad_arena``) when they have one and
     no gradient yet, and each group's part of it becomes that group's
-    gradient as it is (``Tensor.take_grad``). A step holds no gate, so
-    that step and gates form no reference cycle."""
+    gradient as it is (``Tensor.take_grad``). ``grads`` says whether its
+    gates take gradients. A step holds no gate, so that step and gates
+    form no reference cycle."""
 
     __slots__ = ("batch", "sig", "kept", "values", "beta", "lam",
-                 "st_variant", "buf", "grad", "pending")
+                 "st_variant", "buf", "grad", "pending", "grads")
 
     def put(self, i: int, g: np.ndarray) -> None:
         """Write gate ``i``'s layer gradient ``g``, formed elsewhere than
@@ -469,10 +500,14 @@ class GateSet:
     array (``prune_forever`` makes a new one) have changed since, so a
     training loop that calls one ``GateSet`` every step works them out
     once. A call reuses the gates, their step and their arrays that the
-    set's last call returned, so a call's gates stay valid until that
-    set's next call; a call made while the last call's step is unfinished
-    (a gate whose logits train still waits for its gradient) builds fresh
-    ones, leaving those of that step as they are."""
+    set's last call returned (and the dict it returned them in), so a
+    call's gates stay valid until that set's next call; a call made while
+    the last call's step is unfinished (a gate whose logits train still
+    waits for its gradient) builds fresh ones, leaving those of that step
+    as they are. A call made under ``tensor.no_grad`` forms gates that
+    take no gradient (their ``requires_grad`` is False): its step is
+    finished as formed, so the set's next call reuses them, and a node
+    recorded on them later hands their logits nothing."""
 
     def __init__(self, groups):
         self.groups = list(groups)
@@ -480,6 +515,7 @@ class GateSet:
         self._held = None
         self._batches, self._draws = [], False
         self._made = []  # each batch's last step and gates
+        self._gates = None  # the gates of ``_made`` by group name
 
     def __call__(self, beta: float, lam: float = 0.0, rng=None,
                  st_variant: str = "identity") -> dict[str, StepGate]:
@@ -503,13 +539,18 @@ class GateSet:
                                  f"{st_variant!r}")
         # as floats, so that the sigmoid takes the logits' dtype
         beta, lam = float(beta), float(lam)
-        gates = {}
+        grads = not _st.no_grad
+        gates, made = self._gates, self._made
         for i, b in enumerate(self._batches):
-            made = self._made[i]
-            if made[0].pending:  # its step still waits for gradients
-                made = self._made[i] = b.make()
-            b.form(*made, beta, lam, rng, st_variant)
-            gates.update(zip(b.names, made[1]))
+            step, gs = made[i]
+            if step.pending:  # its step still waits for gradients
+                step, gs = made[i] = b.make()
+                gates = None
+            b.form(step, gs, beta, lam, rng, st_variant, grads)
+        if gates is None:  # a new dict: the last one keeps its gates
+            gates = self._gates = {
+                name: m for b, (_, gs) in zip(self._batches, made)
+                for name, m in zip(b.names, gs)}
         return gates
 
     def _settle(self) -> None:
@@ -525,6 +566,7 @@ class GateSet:
                 runs.append((key, [g]))
         self._batches = [_Batch(key, groups) for key, groups in runs]
         self._made = [b.make() for b in self._batches]
+        self._gates = None
         self._draws = any(key[0] == GATE_STOCHASTIC for key, _ in runs)
         self._held = [(g.mode, g.mask_logits, g.mask_logits.data,
                        g.mask_logits.requires_grad, g.pruned_forever)

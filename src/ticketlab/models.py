@@ -135,30 +135,32 @@ class Model:
         penalties); otherwise a hard group reads its frozen mask, and the
         soft and stochastic groups get theirs here from one
         ``masking.GateSet`` call, without a penalty (a stochastic one
-        drawn from ``rng``). An ungated group has none.
+        drawn from ``rng``). A hard group's mask is the one Tensor of it
+        that the group holds (``mask_tensor``). An ungated group has none.
 
         A stacked model (``stack_models``) takes one batch ``x`` that
         every slice reads, or one batch per slice, (K, n, inputs), and gives
         each slice's logits, (K, n, classes)."""
-        gates = gates or {}
-        missing = [g for g in self.groups if g.mode in _GATED
-                   and g.name not in gates]
+        if gates is None:
+            gates = {}
+        missing = [g for g in self.groups
+                   if g.name not in gates and g.mode in _GATED]
         if missing:
             gates = {**gates, **GateSet(missing)(beta, rng=rng,
                                                  st_variant=st_variant)}
         h = x
         for layer, group, b in zip(self.layers, self.groups, self.biases):
-            w, m = group.weights, gates.get(group.name)
+            m = gates.get(group.name)
             if m is None and group.mode == GATE_HARD:
-                m = Tensor(group.frozen_mask, dtype=w.dtype)
+                m = group.mask_tensor()
             if layer.conv:
-                h = conv2d(h, w, 1, 1, b, m, relu=layer.relu)
+                h = conv2d(h, group.weights, 1, 1, b, m, relu=layer.relu)
                 if layer.pool:
                     h = max_pool2d(h)
             else:
                 if layer.flatten:
                     h = reshape(h, (h.shape[0], -1))
-                h = linear(h, w, b, m, layer.relu)
+                h = linear(h, group.weights, b, m, layer.relu)
         return h
 
 

@@ -23,10 +23,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter, is_
 
 import numpy as np
 
 from .tensor import GradientError, NonFiniteError, Tensor
+
+_GRAD, _DATA_BASE = attrgetter("grad"), attrgetter("data.base")
 
 
 def check_fields(config) -> None:
@@ -133,14 +137,22 @@ class Optimizer:
         longer its arena view, raises ``GradientError``; a non-finite
         gradient raises ``NonFiniteError``. A gradient that is not its
         parameter's view of the arena (``grad_dest``) is copied there."""
-        for p, view in zip(self.params, self._grads):
-            if p.grad is None:
-                raise GradientError("optimizer step with a missing gradient")
-            if p.data.base is not self._data:
-                raise GradientError("optimizer step on a parameter whose "
-                                    "data was rebound away from its arena")
-            if p.grad is not view:
-                view[...] = p.grad
+        params, arena = self.params, self._data
+        # in one pass without Python code per parameter when every
+        # gradient is its view and every parameter reads its arena
+        if not (all(map(is_, map(_GRAD, params), self._grads))
+                and all(map(is_, map(_DATA_BASE, params), repeat(arena)))):
+            for p, view in zip(params, self._grads):
+                g = p.grad
+                if g is None:
+                    raise GradientError(
+                        "optimizer step with a missing gradient")
+                if p.data.base is not arena:
+                    raise GradientError(
+                        "optimizer step on a parameter whose data was "
+                        "rebound away from its arena")
+                if g is not view:
+                    view[...] = g
         # what ``.all()`` calls, without its Python wrapper
         if not np.logical_and.reduce(np.isfinite(self._grad), axis=None):
             raise NonFiniteError("non-finite gradient in optimizer step")
@@ -183,10 +195,12 @@ class SGD(Optimizer):
         if self.weight_decay:
             d += np.multiply(self._data, self.weight_decay, tmp)
         if self.momentum:
-            self.buf *= self.momentum
-            self.buf += d
-            d = self.buf
-        self._data -= np.multiply(d, self.lr, tmp)
+            buf = self.buf
+            buf *= self.momentum
+            buf += d
+            d = buf
+        data = self._data
+        data -= np.multiply(d, self.lr, tmp)
 
     def state_arrays(self):
         return {f"buf{i}": b for i, b in enumerate(self._views(self.buf))}

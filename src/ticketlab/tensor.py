@@ -61,8 +61,6 @@ class NonFiniteError(FloatingPointError):
 # The precisions a run may take, by the name configs and flags use.
 PRECISIONS = {"float64": np.float64, "float32": np.float32}
 
-_tls = threading.local()
-
 
 class _Node:
     """One recorded operation: inputs, output, and a closure that routes the
@@ -96,13 +94,18 @@ class Tape:
         return len(self.nodes)
 
 
-def _state() -> dict:
-    try:
-        return _tls.state
-    except AttributeError:
-        st = _tls.state = {"tape": Tape(), "dtype": np.float64, "no_grad": 0,
-                           "quiet": 0}
-        return st
+class _State(threading.local):
+    """This thread's tape, default dtype, and ``no_grad`` and ``quiet``
+    depths, each thread's set up on its first use."""
+
+    def __init__(self):
+        self.tape = Tape()
+        self.dtype = np.float64
+        self.no_grad = 0
+        self.quiet = 0
+
+
+_st = _State()
 
 
 def set_default_dtype(name: str) -> None:
@@ -113,15 +116,15 @@ def set_default_dtype(name: str) -> None:
     """
     if name not in PRECISIONS:
         raise ValueError(f"unknown precision mode {name!r}")
-    _state()["dtype"] = PRECISIONS[name]
+    _st.dtype = PRECISIONS[name]
 
 
 def default_dtype() -> np.dtype:
-    return np.dtype(_state()["dtype"])
+    return np.dtype(_st.dtype)
 
 
 def active_tape() -> Tape:
-    return _state()["tape"]
+    return _st.tape
 
 
 def reset_tape() -> None:
@@ -132,11 +135,11 @@ class no_grad:
     """Context manager that suspends tape recording (evaluation mode)."""
 
     def __enter__(self):
-        _state()["no_grad"] += 1
+        _st.no_grad += 1
         return self
 
-    def __exit__(self, *exc):
-        _state()["no_grad"] -= 1
+    def __exit__(self, typ, value, tb):
+        _st.no_grad -= 1
         return False
 
 
@@ -144,17 +147,22 @@ class quiet:
     """Context manager under which NumPy reports no overflow and no invalid
     operation (``np.errstate(over="ignore", invalid="ignore")``), for a
     loop that checks its results for finiteness itself; ``expit`` then
-    enters no error state of its own."""
+    enters no error state of its own, and neither does a ``quiet`` inside
+    it."""
 
     def __enter__(self):
-        self._errstate = np.errstate(over="ignore", invalid="ignore")
-        self._errstate.__enter__()
-        _state()["quiet"] += 1
+        self._errstate = None
+        if not _st.quiet:
+            self._errstate = np.errstate(over="ignore", invalid="ignore")
+            self._errstate.__enter__()
+        _st.quiet += 1
         return self
 
-    def __exit__(self, *exc):
-        _state()["quiet"] -= 1
-        return self._errstate.__exit__(*exc)
+    def __exit__(self, typ, value, tb):
+        _st.quiet -= 1
+        if self._errstate is not None:
+            return self._errstate.__exit__(typ, value, tb)
+        return False
 
 
 class Tensor:
@@ -163,7 +171,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "grad_dest")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _state()["dtype"])
+        self.data = np.asarray(data, dtype=dtype or _st.dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         # where the first gradient of a step goes: set by the optimizer
@@ -253,18 +261,21 @@ def apply_op(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     ever called once, with the output's accumulated gradient. Recording is
     skipped inside ``no_grad`` or when no input requires gradients.
     """
-    st = _state()
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = out.grad_dest = None
-    out.requires_grad = False
-    if not st["no_grad"]:
+    if not _st.no_grad:
         for t in inputs:
             if t.requires_grad:
                 out.requires_grad = True
-                st["tape"].nodes.append(
-                    _Node(op, tuple(inputs), out, backward_fn))
-                break
+                node = _Node.__new__(_Node)
+                node.op = op
+                node.inputs = tuple(inputs)
+                node.output = out
+                node.backward_fn = backward_fn
+                _st.tape.nodes.append(node)
+                return out
+    out.requires_grad = False
     return out
 
 
@@ -274,22 +285,23 @@ def backward(loss: Tensor) -> None:
     The tape is traversed in exact reverse recording order and then marked
     consumed; call ``reset_tape`` before the next forward/backward cycle.
     """
-    tp = active_tape()
-    if loss.data.size != 1:
+    tp = _st.tape
+    d = loss.data
+    if d.size != 1:
         raise GradientError("backward requires a scalar loss")
     if tp.consumed:
         raise GradientError(
             "tape already consumed by a previous backward pass; "
             "call reset_tape() before recording a new one")
-    if not tp.nodes:
+    nodes = tp.nodes
+    if not nodes:
         raise GradientError("tape is empty; nothing was recorded")
     # ones of the loss's shape, all of whose ndim extents are 1
-    loss.grad = np.array(1, loss.data.dtype, ndmin=loss.data.ndim)
-    for node in reversed(tp.nodes):
+    loss.grad = np.array(1, d.dtype, ndmin=d.ndim)
+    for node in reversed(nodes):
         g = node.output.grad
-        if g is None:
-            continue  # not on the path from loss
-        node.backward_fn(g)
+        if g is not None:  # else not on the path from loss
+            node.backward_fn(g)
     tp.consumed = True
 
 
@@ -395,7 +407,7 @@ def expit(x, scale: float = 1.0, out=None):
     if type(y) is not np.ndarray:  # a scalar
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(y))
-    if _state()["quiet"]:  # overflow is not reported already
+    if _st.quiet:  # overflow is not reported already
         np.exp(y, y)
     else:
         with np.errstate(over="ignore"):
@@ -445,10 +457,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
     added in ticket order. Each slice is bitwise what the layer of that
     ticket alone gives; a 2-d layer takes only an (n, i) input."""
     xd, wd, bd = x.data, w.data, b.data
-    xs, ws = xd.shape, wd.shape
+    ws = wd.shape
     if len(ws) == 2:
-        ok = len(xs) == 2 and xs[1] == ws[0] and bd.shape == ws[1:]
+        ok = (xd.ndim == 2 and xd.shape[1] == ws[0] and bd.ndim == 1
+              and len(bd) == ws[1])
     elif len(ws) == 3:  # (K, i, o) weights; an (n, i) or (K, n, i) input
+        xs = xd.shape
         ok = ((len(xs) == 2 or len(xs) == 3 and xs[0] == ws[0])
               and xs[-1] == ws[1] and bd.shape == (ws[0], ws[2]))
     else:
@@ -456,7 +470,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
     if not ok:
         want = ("(n,i) or (K,n,i) @ (K,i,o) + (K,o) for K stacked tickets"
                 if len(ws) == 3 else "(n,i)@(i,o)+(o,)")
-        raise ShapeError(f"linear expects {want}, got {xs}, {ws} and "
+        raise ShapeError(f"linear expects {want}, got {xd.shape}, {ws} and "
                          f"{bd.shape}")
     if gate is None:
         we = wd
@@ -470,7 +484,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
     if relu:
         np.maximum(out, 0, out=out)
 
-    def backward_fn(g):
+    # what the backward pass reads, bound as defaults: cheaper to make
+    # than a closure's cells
+    def backward_fn(g, x=x, w=w, b=b, gate=gate, relu=relu, out=out, we=we):
         if relu:
             g = g * (out > 0)
         dt = g.dtype
@@ -481,17 +497,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor, gate: Tensor | None = None,
                     x.accumulate_grad(gk)
             else:
                 x.take_grad(gx)
-        trains = w.requires_grad
-        gated = gate is not None and gate.requires_grad
-        if trains or gated:
-            gwe = np.matmul(x.data.swapaxes(-1, -2), g,
-                            out=_dest(w, dt) if trains else None)
-            if gated:
-                gate.take_grad(np.multiply(gwe, w.data, out=_dest(gate, dt)))
-            if trains:
-                if gate is not None:  # the gate's gradient is formed
-                    gwe *= gate.data
-                w.take_grad(gwe)
+        if w.requires_grad:
+            gwe = np.matmul(x.data.swapaxes(-1, -2), g, out=_dest(w, dt))
+            if gate is not None:
+                if gate.requires_grad:
+                    gate.take_grad(np.multiply(gwe, w.data,
+                                               out=_dest(gate, dt)))
+                gwe *= gate.data  # once the gate's gradient is formed
+            w.take_grad(gwe)
+        elif gate is not None and gate.requires_grad:
+            gwe = np.matmul(x.data.swapaxes(-1, -2), g)
+            gate.take_grad(np.multiply(gwe, w.data, out=_dest(gate, dt)))
         if b.requires_grad:
             b.take_grad(np.add.reduce(g, axis=-2, out=_dest(b, dt)))
 
@@ -608,7 +624,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
 
     per_sample = (depth + cout) * oh * ow * xp.itemsize
     nb = max(1, min(n, _COLUMN_BLOCK_BYTES // per_sample))
-    keep = (kernel.requires_grad or gated) and not _state()["no_grad"]
+    keep = (kernel.requires_grad or gated) and not _st.no_grad
     blocks = []
     out = np.empty((n, cout, oh, ow), dtype=x.dtype)
     for lo in range(0, n, nb):
@@ -722,14 +738,17 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     (n,) when the tickets share one batch, or (K, n), one row per ticket's
     batch. Summing the losses (``tensor_sum``) seeds every ticket's
     backward pass with exactly 1."""
-    labels = np.asarray(labels)
+    if type(labels) is not np.ndarray:
+        labels = np.asarray(labels)
     d = logits.data
-    if d.ndim not in (2, 3):
+    nd = d.ndim
+    if nd != 2 and nd != 3:
         raise ShapeError(f"softmax_cross_entropy expects (n,c) logits or a "
                          f"(K,n,c) stack, got {d.shape}")
     n, c = d.shape[-2:]
-    if labels.shape != (n,) and labels.shape != d.shape[:-1]:
-        raise ShapeError(f"labels shape {labels.shape} does not match batch "
+    ls = labels.shape
+    if ls != (n,) and ls != d.shape[:-1]:
+        raise ShapeError(f"labels shape {ls} does not match batch "
                          f"{d.shape[:-1]}")
     if labels.dtype.kind not in "iu":  # they are added to flat positions
         raise IndexError(f"labels must be integers, got {labels.dtype}")
@@ -746,7 +765,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     # own labels' log-probabilities, C-ordered so that it is summed as one
     # ticket's is
     at = np.arange(0, d.size, c)
-    if d.ndim == 3:
+    if nd == 3:
         at = at.reshape(d.shape[:-1])
     # (uint64 labels add in float64, exactly: they are below c)
     np.add(at, labels, out=at, casting="unsafe")
@@ -754,7 +773,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     # bitwise picked.mean(axis=-1)
     loss = np.asarray(-(np.add.reduce(picked, axis=-1) / n), dtype=d.dtype)
 
-    def backward_fn(g):
+    # bound as defaults, as ``linear``'s are
+    def backward_fn(g, logits=logits, logp=logp, at=at, n=n):
         if logits.requires_grad:
             p = np.exp(logp)
             p.reshape(-1)[at] -= 1.0

@@ -11,9 +11,11 @@ checks every gradient it is about to apply (``NonFiniteError``) before it
 updates any parameter, and ``train`` turns that error into the record.
 
 Each step forms its gates with one call of a ``masking.GateSet``. A
-recorded epoch forms the soft gates once more, with one call that the
-remaining fraction and both evaluations share, and evaluates the train
-split for its accuracy alone: a train row's loss is the epoch's ledger.
+recorded epoch (``_record_epoch``) forms the soft gates once more, under
+``no_grad``, with one call that the remaining fraction and both
+evaluations share and whose gates its set reuses at the next recorded
+epoch, and evaluates the train split for its accuracy alone: a train
+row's loss is the epoch's ledger.
 """
 from __future__ import annotations
 
@@ -85,20 +87,21 @@ def evaluate(model, dataset: Dataset, beta: float = 1.0, rng=None,
     A stacked model (``models.stack_models``) gives lists instead, each
     ticket's loss and accuracy, each equal to what that ticket's own model
     gives. An empty dataset raises ``ValueError``."""
-    n = len(dataset)
+    inputs, labels = dataset.inputs, dataset.labels
+    n = len(inputs)
     if n == 0:
         raise ValueError("cannot evaluate a model on an empty dataset")
     loss_sum = 0.0  # in float64, one per ticket of a stacked model
     correct = 0
     dtype = model.biases[0].data.dtype  # the batches', as the model's
+    forward = model.forward
     # a diverged network's overflow is no NumPy warning: its loss shows it
     with T.no_grad(), T.quiet():
         for lo in range(0, n, EVAL_BATCH):
             hi = min(lo + EVAL_BATCH, n)
-            x = Tensor(dataset.inputs[lo:hi], dtype=dtype)
-            y = dataset.labels[lo:hi]
-            logits = model.forward(x, beta=beta, rng=rng, st_variant=st_variant,
-                                   gates=gates)
+            y = labels[lo:hi]
+            logits = forward(Tensor(inputs[lo:hi], dtype=dtype), beta=beta,
+                             rng=rng, st_variant=st_variant, gates=gates)
             if with_loss:
                 loss = softmax_cross_entropy(logits, y)
                 loss_sum = loss_sum + loss.data.astype(np.float64) * (hi - lo)
@@ -182,25 +185,11 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
     epoch_steps = 0
     si = StepInfo(start_iteration, 0)
     tape = T.active_tape()  # this thread's, for the whole loop
-
-    def rows(epoch: int, it: int, split: str, beta: float, loss,
-             accuracy=None, remaining_frac=None):
-        """Send each slice its record: ``loss``, ``accuracy`` and
-        ``remaining_frac`` hold one value per slice (of an unstacked
-        model, one value or one array of one)."""
-        def each(v):
-            return [None] * k if v is None else np.ravel(v).tolist()
-
-        for info, sink, lv, acc, rem in zip(infos, sinks, each(loss),
-                                            each(accuracy),
-                                            each(remaining_frac)):
-            if sink is not None:
-                sink(info.record(epoch, it, split, loss=lv, accuracy=acc,
-                                 remaining_frac=rem, beta=beta))
+    inputs, labels, forward = data.inputs, data.labels, model.forward
 
     def abort(what: str, it: int, losses, beta: float):
         """Send the diagnostic records; return the error to raise."""
-        rows(cursor.epoch, it, "abort", beta, losses)
+        _rows(infos, sinks, cursor.epoch, it, "abort", beta, losses)
         bad = next((info for info, v in zip(infos, np.atleast_1d(losses))
                     if not math.isfinite(v)), infos[0])
         return NonFiniteError(
@@ -217,15 +206,16 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
                     cb(si)
             beta = schedule.step() if schedule else 1.0
 
-            if cursor.perm is None:  # of a stack: (K, n), a row per stream
-                cursor.perm = (np.stack([r.permutation(n) for r in shuffle_rng])
-                               if stacked else shuffle_rng[0].permutation(n))
+            perm = cursor.perm
+            if perm is None:  # of a stack: (K, n), a row per stream
+                perm = cursor.perm = (
+                    np.stack([r.permutation(n) for r in shuffle_rng])
+                    if stacked else shuffle_rng[0].permutation(n))
                 cursor.pos = 0
             lo = cursor.pos * batch_size
-            hi = min(lo + batch_size, n)
-            idx = cursor.perm[..., lo:hi]
-            x = Tensor(data.inputs[idx], dtype=dtype)
-            y = data.labels[idx]
+            idx = perm[..., lo:lo + batch_size]  # the last one short
+            x = Tensor(inputs[idx], dtype=dtype)
+            y = labels[idx]
 
             tape.reset()
             # each gated group's gate (drawn in group order when stochastic)
@@ -233,8 +223,7 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
             # the gate's penalty; the penalty values join the loss off the
             # tape, in group order
             gates = step_gates(beta, lam, mask_rng, st_variant)
-            logits = model.forward(x, beta=beta, gates=gates)
-            loss = softmax_cross_entropy(logits, y)
+            loss = softmax_cross_entropy(forward(x, beta=beta, gates=gates), y)
             # each slice's: a stack's (K,) array, a model's NumPy scalar
             losses = loss.data[()]
             if lam > 0.0:
@@ -253,39 +242,69 @@ def train(model, data: Dataset, optimizer, iterations: int, *,
 
             epoch_loss += losses
             epoch_steps += 1
-            cursor.pos += 1
+            cursor.pos = pos = cursor.pos + 1
 
-            if cursor.pos == nb:
+            if pos == nb:
                 cursor.epoch += 1
                 cursor.perm = None
                 if recording and cursor.epoch % record_every == 0:
-                    # the soft gates in one batch, for the remaining
-                    # fraction and both evaluations; an ungated group keeps
-                    # all of its weights
-                    eval_gates = soft_gates(beta)
-                    rem = (remaining_fraction(maskable, beta, eval_gates,
-                                              stacked) if maskable
-                           else [1.0] * k)
                     # evaluation sampling is decoupled from the training
                     # mask stream so record cadence never alters the
                     # trajectory
                     eval_rng = None if mask_rng is None else (
                         np.random.default_rng(np.random.SeedSequence(
                             (infos[0].seed, STREAM_EVAL, it))))
-                    # the train row's loss is the epoch's ledger
-                    train_acc = evaluate(model, data, beta=beta, rng=eval_rng,
-                                         st_variant=st_variant,
-                                         gates=eval_gates, with_loss=False)
-                    rows(cursor.epoch, it + 1, "train", beta,
-                         epoch_loss / epoch_steps, train_acc, rem)
-                    if test_data is not None:
-                        tl, ta = evaluate(model, test_data, beta=beta,
-                                          rng=eval_rng, st_variant=st_variant,
-                                          gates=eval_gates)
-                        rows(cursor.epoch, it + 1, "test", beta, tl, ta, rem)
+                    _record_epoch(model, data, test_data, maskable,
+                                  soft_gates, beta, eval_rng, st_variant,
+                                  stacked, infos, sinks, cursor.epoch, it + 1,
+                                  epoch_loss / epoch_steps)
                 epoch_loss[:] = 0.0
                 epoch_steps = 0
     return iterations
+
+
+def _each(v, k: int) -> list:
+    """``v``, one value per slice of ``k``, as a list of Python values."""
+    if v is None:
+        return [None] * k
+    return [v] if type(v) is float else np.ravel(v).tolist()
+
+
+def _rows(infos, sinks, epoch: int, it: int, split: str, beta: float, loss,
+          accuracy=None, remaining_frac=None) -> None:
+    """Send each slice its record: ``loss``, ``accuracy`` and
+    ``remaining_frac`` hold one value per slice (of an unstacked model,
+    one value or one array of one)."""
+    k = len(infos)
+    for info, sink, lv, acc, rem in zip(infos, sinks, _each(loss, k),
+                                        _each(accuracy, k),
+                                        _each(remaining_frac, k)):
+        if sink is not None:
+            sink(info.record(epoch, it, split, loss=lv, accuracy=acc,
+                             remaining_frac=rem, beta=beta))
+
+
+def _record_epoch(model, data: Dataset, test_data, groups, gate_set, beta,
+                  rng, st_variant: str, stacked: bool, infos, sinks,
+                  epoch: int, it: int, ledger) -> None:
+    """A recorded epoch of ``train``: each slice's train row, its loss the
+    epoch's ``ledger``, and with ``test_data`` its test row, sent before
+    the next step. The soft gates are formed in one batch (``gate_set``),
+    for the remaining fraction and both evaluations, under ``no_grad``, so
+    the set reuses them at the next recorded epoch; an ungated group keeps
+    all of its weights."""
+    with T.no_grad():
+        eval_gates = gate_set(beta)
+        rem = (remaining_fraction(groups, beta, eval_gates, stacked)
+               if groups else [1.0] * len(infos))
+        # the train row's loss is the epoch's ledger
+        train_acc = evaluate(model, data, beta, rng, st_variant, eval_gates,
+                             False)
+        _rows(infos, sinks, epoch, it, "train", beta, ledger, train_acc, rem)
+        if test_data is not None:
+            tl, ta = evaluate(model, test_data, beta, rng, st_variant,
+                              eval_gates)
+            _rows(infos, sinks, epoch, it, "test", beta, tl, ta, rem)
 
 
 def capture_train_state(model, optimizer, cursor: TrainCursor, shuffle_rng,

@@ -28,7 +28,8 @@ from ticketlab.search import (RewindStore, RoundConfig, run_cs, run_imp,
 from ticketlab.seeding import STREAM_SHUFFLE, seeded_rng
 from ticketlab.tensor import (NonFiniteError, ShapeError, apply_op,
                               default_dtype, reset_tape, set_default_dtype)
-from ticketlab.training import RunInfo, TrainCursor, evaluate, train
+from ticketlab.training import (EVAL_BATCH, RunInfo, TrainCursor, evaluate,
+                                train)
 
 
 @pytest.fixture(autouse=True)
@@ -284,6 +285,87 @@ class TestTrainLoop:
               recorder=rows.append, record_every=1)
         # 128 samples / 32 = 4 iterations per epoch -> 2 epochs
         assert [r.epoch for r in rows if r.split == "train"] == [1, 2]
+
+
+class TestEvaluate:
+    """``evaluate`` against straight NumPy: over 2 * EVAL_BATCH + 3
+    examples (three batches, the last one short), its loss and accuracy
+    equal, bitwise, a forward pass and a log-softmax written out in
+    NumPy, each batch's mean loss weighted by its rows in float64."""
+
+    N = 2 * EVAL_BATCH + 3
+
+    @staticmethod
+    def reference(weights, biases, gates, data, dtype, with_loss):
+        """One model's loss and accuracy: ``gates`` are the arrays each
+        layer's weights are multiplied by."""
+        loss_sum, correct, n = 0.0, 0, len(data)
+        for lo in range(0, n, EVAL_BATCH):
+            h = data.inputs[lo:lo + EVAL_BATCH].astype(dtype)
+            y = data.labels[lo:lo + EVAL_BATCH]
+            for i, (w, b, m) in enumerate(zip(weights, biases, gates)):
+                h = h @ (w * m) + b
+                if i < len(weights) - 1:
+                    h = np.maximum(h, 0)
+            if with_loss:
+                logp = h - h.max(axis=-1, keepdims=True)
+                logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+                batch_loss = -(logp[np.arange(len(y)), y].sum() / len(y))
+                loss_sum = loss_sum + float(batch_loss) * len(y)
+            correct += int((h.argmax(axis=-1) == y).sum())
+        return (loss_sum / n if with_loss else None), correct / n
+
+    @pytest.mark.parametrize("with_loss", [True, False])
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("kind", ["hard", "soft-gates", "stack"])
+    def test_equals_numpy_over_three_batches(self, kind, precision,
+                                             with_loss):
+        from ticketlab.masking import GATE_SOFT, GateSet
+        even = gen_two_moons(self.N + 1, 0.2, seed=5)
+        data = Dataset(even.inputs[:self.N], even.labels[:self.N])
+        dtype = np.dtype(precision)
+        rng = np.random.default_rng(3)
+        set_default_dtype(precision)
+        try:
+            models = [build_mlp([2, 16, 16, 2], seed=s) for s in (1, 2, 3)]
+            if kind == "soft-gates":
+                models = models[:1]
+                models[0].set_gate_mode(GATE_SOFT)
+                for g in models[0].groups:
+                    g.mask_logits.data[...] = rng.standard_normal(
+                        g.weights.shape)
+            else:
+                for m in models:
+                    m.apply_hard_masks({
+                        g.name: rng.random(g.weights.shape) < 0.7
+                        for g in m.groups})
+            model = stack_models(models) if kind == "stack" else models[0]
+            gates = (GateSet(model.groups)(2.5) if kind == "soft-gates"
+                     else None)
+            got = evaluate(model, data, beta=2.5, gates=gates,
+                           with_loss=with_loss)
+            if kind == "stack":  # each slice: its model alone
+                alone = [evaluate(m, data, with_loss=with_loss)
+                         for m in models]
+                assert got == (tuple(map(list, zip(*alone))) if with_loss
+                               else alone)
+            want = []
+            for m in models:
+                masks = ([gates[g.name].data for g in m.groups] if gates
+                         else [g.frozen_mask for g in m.groups])
+                assert all(a.dtype == dtype for a in masks)
+                want.append(self.reference(
+                    [g.weights.data for g in m.groups],
+                    [b.data for b in m.biases], masks, data, dtype,
+                    with_loss))
+        finally:
+            set_default_dtype("float64")
+        losses, accs = zip(*want)
+        if kind != "stack":
+            losses, accs = losses[0], accs[0]
+        else:
+            losses, accs = list(losses), list(accs)
+        assert got == ((losses, accs) if with_loss else accs)
 
 
 class TestRetrainTicket:

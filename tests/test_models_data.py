@@ -108,6 +108,54 @@ class TestStackModels:
             stack_models(convs)
 
 
+class TestFrozenMaskTensor:
+    """``Model.forward`` reads each hard group's frozen mask through the
+    one Tensor the group holds (``mask_tensor``), and its next forward
+    sees the mask change, by a re-freeze or by writes into the mask,
+    with logits bitwise those of a fresh wrap of every mask."""
+
+    @staticmethod
+    def forward(model, x, fresh=False):
+        """The logits; with ``fresh``, every mask wrapped anew."""
+        gates = ({g.name: Tensor(g.frozen_mask, dtype=g.weights.dtype)
+                  for g in model.groups if g.frozen_mask is not None}
+                 if fresh else None)
+        with T.no_grad():
+            return model.forward(Tensor(x), gates=gates).data
+
+    def test_one_tensor_per_group_until_a_refreeze(self):
+        rng = np.random.default_rng(4)
+        model = _masked(build_mlp([2, 8, 8, 2], seed=0), 0)
+        x = rng.standard_normal((6, 2))
+        before = self.forward(model, x)
+        held = [g.mask_tensor() for g in model.groups]
+        assert self.forward(model, x).tobytes() == before.tobytes()
+        assert all(g.mask_tensor() is t for g, t in zip(model.groups, held))
+        for g in model.groups:
+            g.freeze(rng.random(g.weights.shape) < 0.3)
+        after = self.forward(model, x)
+        assert after.tobytes() == self.forward(model, x, fresh=True).tobytes()
+        assert after.tobytes() != before.tobytes()
+        assert not any(g.mask_tensor() is t
+                       for g, t in zip(model.groups, held))
+
+    def test_writes_into_a_stacks_masks_show(self):
+        """As ``search._run_rounds`` writes each slice's new mask into the
+        stack's (``g.frozen_mask[i] = ...``)."""
+        rng = np.random.default_rng(5)
+        models = [_masked(build_mlp([2, 8, 8, 2], seed=s), s)
+                  for s in (1, 2, 3)]
+        stack = stack_models(models)
+        x = rng.standard_normal((6, 2))
+        before = self.forward(stack, x)
+        for g in stack.groups:
+            g.frozen_mask[1] = rng.random(g.weights.shape[1:]) < 0.3
+        after = self.forward(stack, x)
+        assert after.tobytes() == self.forward(stack, x, fresh=True).tobytes()
+        assert after[1].tobytes() != before[1].tobytes()
+        assert after[[0, 2]].tobytes() == before[[0, 2]].tobytes()
+
+
 class TestBuildSmallConv:
     def test_conv6_scaled_head_geometry(self):
         m = build_small_conv("conv6-scaled", seed=0, in_shape=(1, 16, 16),

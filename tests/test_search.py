@@ -575,6 +575,33 @@ class TestBatchedGates:
                  test_data=data)
         return _run_digest(out if isinstance(out, list) else [out])
 
+    def test_a_record_set_builds_its_gates_once(self, moons, monkeypatch):
+        """A recorded epoch forms its gates under ``no_grad``, so they wait
+        for no gradient and the record set's next call reuses them: a
+        10-epoch recorded CS round builds gates once per set
+        (``masking._Batch.make``), and its records and ticket equal, byte
+        for byte, those of the round with a fresh set at every call."""
+        cfg = quick_cfg(**{**self.GATED, "rounds": 1})  # 10 epochs of 4
+
+        def search():
+            return run_cs(mlp(widths=(2, 16, 16, 2)), moons, cfg, seed=1,
+                          test_data=moons)
+
+        made, make = [], M._Batch.make
+        with monkeypatch.context() as patch:
+            patch.setattr(M._Batch, "make",
+                          lambda batch: made.append(batch) or make(batch))
+            kept = search()
+        assert sum(r.split == "test" for r in kept.records) == 10
+        assert len(made) == 2  # the step set's and the record set's
+
+        class FreshEachCall(M.GateSet):
+            def __call__(self, *args, **kwargs):
+                return M.GateSet(self.groups)(*args, **kwargs)
+
+        monkeypatch.setattr(TR, "GateSet", FreshEachCall)
+        assert _run_digest([search()]) == _run_digest([kept])
+
     @pytest.mark.parametrize("name", sorted(SEARCHES))
     def test_search_is_bitwise_its_one_group_at_a_time_run(
             self, name, moons, monkeypatch):

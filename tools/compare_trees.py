@@ -85,6 +85,12 @@ CASES = {
              "--seeds", "1,2,3", "--rounds", "3", "--eval", "rounds",
              "--workers", "2")
         + [["report", "--dir", "run"]]),
+    # the gated searches' sweeps: an s0 grid, every epoch recorded
+    **{f"sweep-{algorithm}": _case(
+        _run("sweep", "--algorithm", algorithm, "--grid", "s0=0.0,0.05,0.1",
+             "--seeds", "1,2", "--record-every", "1", "--eval", "final",
+             "--workers", "2")
+        + [["report", "--dir", "run"]]) for algorithm in ("cs", "iss")},
 }
 
 
